@@ -24,7 +24,7 @@ from benchmarks.conftest import FEATURES, record
 from repro.bench import EngineSpec, Harness
 from repro.bench.harness import modeled_wall_time_s
 from repro.core.metrics import QueryStats
-from repro.engines.base import EngineConfig
+from repro.engines.base import QuerySpec
 from repro.engines.psm import PsmEngine
 
 PSM_DATA_SIZE = 12_000
@@ -58,7 +58,7 @@ def run_psm(harness, queries, k):
     capped = False
     for query in queries:
         rho = max(1, int(0.05 * len(query)))
-        config = EngineConfig(k=k, rho=rho, deferred=True)
+        config = QuerySpec(k=k, rho=rho, deferred=True)
         result = engine.search(query, config)
         totals.merge(result.stats)
         modeled += modeled_wall_time_s(result.stats, len(query), rho)

@@ -16,7 +16,7 @@ from benchmarks.conftest import (
     record,
 )
 from repro.api import SubsequenceDatabase
-from repro.engines.base import EngineConfig
+from repro.engines.base import QuerySpec
 from repro.engines.cost_density import CostDensityConfig
 from repro.storage.page import PAGE_SIZE_DEFAULT
 
@@ -49,7 +49,7 @@ def test_table3_parameters(benchmark):
     db = SubsequenceDatabase()
     assert db.omega == 64  # paper's unscaled default window size
     assert db.buffer_fraction == 0.05
-    config = EngineConfig(k=K_DEFAULT, rho=int(0.05 * LEN_Q))
+    config = QuerySpec(k=K_DEFAULT, rho=int(0.05 * LEN_Q))
     assert config.deferred_fraction == 0.005  # 0.5% deferred budget
     cost = CostDensityConfig()
     assert cost.alpha == 1.0 and cost.beta == 0.0

@@ -36,7 +36,7 @@ from repro.core.envelope import Envelope, query_envelope
 from repro.core.metrics import QueryStats
 from repro.core.results import Match
 from repro.engines.base import (
-    EngineConfig,
+    QuerySpec,
     FaultReport,
     PartialResult,
     SearchResult,
@@ -84,7 +84,7 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "SubsequenceDatabase",
@@ -97,7 +97,7 @@ __all__ = [
     "SearchResult",
     "PartialResult",
     "MatchStream",
-    "EngineConfig",
+    "QuerySpec",
     "CostDensityConfig",
     "Match",
     "QueryStats",

@@ -19,7 +19,8 @@ no single-node AST rule can:
 * **RS013 service-loop discipline** — in :mod:`repro.serve`, every
   unbounded (``while True``) loop must poll ``checkpoint()`` so
   shutdown is observed, and no engine-execution call
-  (``search`` / ``range_search`` / ``iter_matches`` / ``get_next``)
+  (``search`` / ``range_search`` / ``iter_matches`` / ``run_query`` /
+  ``open_stream`` / ``get_next``)
   may run with a service lock held (must-analysis of held locks —
   a lock held across an engine call serializes the whole service
   behind one query).
@@ -689,7 +690,14 @@ class CheckThenActRule(FlowRule):
 #: Terminal attribute names that constitute engine execution: calling
 #: any of these runs (part of) a query against the database.
 _ENGINE_EXECUTION_CALLS = frozenset(
-    {"search", "range_search", "iter_matches", "get_next"}
+    {
+        "search",
+        "range_search",
+        "iter_matches",
+        "run_query",
+        "open_stream",
+        "get_next",
+    }
 )
 
 

@@ -412,9 +412,10 @@ class CheckpointDisciplineRule(Rule):
     :meth:`~repro.control.ExecutionControl.checkpoint` is a blind spot —
     a query stuck in that loop ignores its deadline, overruns its page
     budget unbounded, and cannot be cancelled.  Every outermost
-    ``for``/``while`` loop in an engine's ``_run``/``search`` must
-    therefore contain a ``.checkpoint()`` call somewhere in its body
-    (nested loops are covered by the enclosing loop's subtree).
+    ``for``/``while`` loop in an engine's ``_run``/``search`` — and in
+    the range probe's ``_probe_window`` tree walk — must therefore
+    contain a ``.checkpoint()`` call somewhere in its body (nested
+    loops are covered by the enclosing loop's subtree).
     """
 
     code = "RS007"
@@ -427,7 +428,7 @@ class CheckpointDisciplineRule(Rule):
     scope = ("repro/engines/",)
 
     #: Function names that constitute an engine's main traversal.
-    loop_functions = frozenset({"_run", "search"})
+    loop_functions = frozenset({"_run", "search", "_probe_window"})
 
     def _outermost_loops(
         self, func: AnyFunction

@@ -35,17 +35,8 @@ FRM-style sliding-window index PSM joins over.
 
 from __future__ import annotations
 
-import math
 import pathlib
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.control import (
     AdmissionController,
@@ -53,21 +44,26 @@ from repro.control import (
     Deadline,
     ExecutionControl,
     QueryBudget,
-    certificate_from_pow,
 )
 from repro.core.clock import Clock
 from repro.core.metrics import QueryStats
 from repro.core.results import Match
 from repro.engines.base import (
+    METHODS,
     Engine,
-    EngineConfig,
-    FaultReport,
+    PartialResult,
+    QueryRun,
+    QuerySpec,
+    RankedStream,
     SearchResult,
+    prefix_certificate,
 )
 from repro.engines.cost_density import CostDensityConfig
 from repro.engines.hlmj import HlmjEngine
+from repro.engines.operators import Status
 from repro.engines.psm import PsmEngine, build_sliding_index
-from repro.engines.ranked_union import RankedUnionEngine
+from repro.engines.range_search import RangeSearchEngine
+from repro.engines.ranked_union import RankedUnionEngine, build_union
 from repro.engines.seqscan import SeqScanEngine
 from repro.exceptions import (
     ConfigurationError,
@@ -75,8 +71,7 @@ from repro.exceptions import (
     IndexNotBuiltError,
 )
 from repro.index.builder import DualMatchIndex, build_index
-from repro.obs import QueryProfile
-from repro.obs.tracer import NULL_TRACER, Span, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.backends import StorageBackend, resolve_backend
 from repro.storage.buffer import BufferPool, RetryPolicy
 from repro.storage.circuit import CircuitBreaker
@@ -87,9 +82,6 @@ from repro.storage.sequences import SequenceStore
 
 if TYPE_CHECKING:
     from repro.storage.persistence import PathLike
-
-_METHODS = ("seqscan", "hlmj", "hlmj-wg", "psm", "ru", "ru-cost")
-
 
 class SubsequenceDatabase:
     """A ranked subsequence matching database.
@@ -135,9 +127,11 @@ class SubsequenceDatabase:
         proves healthy again.
     admission:
         Optional :class:`~repro.control.AdmissionController` limiting
-        concurrent (and queued) :meth:`search` calls; excess queries are
-        rejected with
-        :class:`~repro.exceptions.AdmissionRejectedError`.
+        concurrent (and queued) :meth:`search` / :meth:`range_search`
+        calls; excess queries are rejected with
+        :class:`~repro.exceptions.AdmissionRejectedError`.  Lazy
+        streams (:meth:`iter_matches`) are not admitted: they hold no
+        slot between pulls.
     tracer:
         Optional :class:`~repro.obs.Tracer`.  When given (and enabled)
         every query records a structured span tree and metrics into it,
@@ -315,41 +309,76 @@ class SubsequenceDatabase:
     # Searching
     # ------------------------------------------------------------------
 
-    def _engine(
-        self, method: str, cost_config: Optional[CostDensityConfig]
-    ) -> Engine:
+    def _engine(self, name: str) -> Engine:
+        """The cached engine ``name``: a ``METHODS`` entry or ``"range"``."""
         if self.index is None:
-            raise IndexNotBuiltError("call build() before search()")
-        if method not in _METHODS:
-            raise ConfigurationError(
-                f"unknown method {method!r}; expected one of {_METHODS}"
-            )
-        if method == "psm":
-            if self._sliding_index is None:
-                raise IndexNotBuiltError(
-                    "psm requires build(psm=True) for the sliding index"
-                )
-            return PsmEngine(self._sliding_index)
-        if method == "ru-cost" and cost_config is not None:
-            return RankedUnionEngine(
-                self.index, scheduling="cost-aware", cost_config=cost_config
-            )
-        cached = self._engines.get(method)
+            raise IndexNotBuiltError("call build() before querying")
+        cached = self._engines.get(name)
         if cached is None:
-            if method == "seqscan":
+            if name == "psm":
+                if self._sliding_index is None:
+                    raise IndexNotBuiltError(
+                        "psm requires build(psm=True) for the sliding index"
+                    )
+                cached = PsmEngine(self._sliding_index)
+            elif name == "range":
+                cached = RangeSearchEngine(self.index)
+            elif name == "seqscan":
                 cached = SeqScanEngine(self.index)
-            elif method == "hlmj":
+            elif name == "hlmj":
                 cached = HlmjEngine(self.index)
-            elif method == "hlmj-wg":
+            elif name == "hlmj-wg":
                 cached = HlmjEngine(self.index, use_window_group=True)
-            elif method == "ru":
+            elif name == "ru":
                 cached = RankedUnionEngine(self.index, scheduling="max-delta")
             else:
                 cached = RankedUnionEngine(
                     self.index, scheduling="cost-aware"
                 )
-            self._engines[method] = cached
+            self._engines[name] = cached
         return cached
+
+    def warm_engines(self) -> None:
+        """Pre-construct the engine cache.
+
+        Engines are cached in a plain dict; warming it once from the
+        building thread means concurrent queries (the serve layer, the
+        sharded fan-out) never race the first construction.
+        """
+        for name in METHODS + ("range",):
+            if name != "psm" or self._sliding_index is not None:
+                self._engine(name)
+
+    def run_query(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> SearchResult:
+        """Answer one ``knn`` or ``range`` spec — the admitted entry.
+
+        :meth:`search` and :meth:`range_search` are keyword shims over
+        this; the sharded facade and the query service call it with a
+        spec they built themselves.
+        """
+        engine = self._engine(
+            "range" if spec.kind == "range" else spec.method
+        )
+        if self.admission is None:
+            return engine.search(query, spec, control)
+        with self.admission.admit():
+            return engine.search(query, spec, control)
+
+    def open_stream(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> "MatchStream":
+        """Open one ``stream`` spec lazily (not an admitted entry)."""
+        if self.index is None:
+            raise IndexNotBuiltError("call build() before iter_matches()")
+        return MatchStream(self.index, query, spec, control)
 
     def search(
         self,
@@ -411,13 +440,13 @@ class SubsequenceDatabase:
         With no limits, behaviour (results and I/O counts) is identical
         to the pre-control-plane library.
         """
-        if rho is None:
-            rho = max(1, int(0.05 * len(query)))
-        engine = self._engine(method, cost_config)
-        config = EngineConfig(
+        spec = QuerySpec.for_query(
+            query,
+            rho,
             k=k,
-            rho=rho,
+            method=method,
             deferred=deferred,
+            cost_config=cost_config,
             p=self.p,
             on_fault=on_fault,
             normalize=normalize,
@@ -426,10 +455,7 @@ class SubsequenceDatabase:
             budget=budget, deadline=deadline, token=token,
             tracer=self._tracer,
         )
-        if self.admission is None:
-            return engine.search(query, config, control=control)
-        with self.admission.admit():
-            return engine.search(query, config, control=control)
+        return self.run_query(query, spec, control)
 
     def search_scaled(
         self,
@@ -507,26 +533,20 @@ class SubsequenceDatabase:
         cancellation surface, and ``normalize`` semantics as
         :meth:`search`.
         """
-        from repro.engines.range_search import RangeSearchEngine
-
-        if self.index is None:
-            raise IndexNotBuiltError("call build() before range_search()")
-        if rho is None:
-            rho = max(1, int(0.05 * len(query)))
-        engine = RangeSearchEngine(self.index)
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            kind="range",
+            epsilon=epsilon,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
+        )
         control = ExecutionControl(
             budget=budget, deadline=deadline, token=token,
             tracer=self._tracer,
         )
-        return engine.search(
-            query,
-            epsilon=epsilon,
-            rho=rho,
-            p=self.p,
-            on_fault=on_fault,
-            control=control,
-            normalize=normalize,
-        )
+        return self.run_query(query, spec, control)
 
     def iter_matches(
         self,
@@ -550,35 +570,34 @@ class SubsequenceDatabase:
         work happens after the stream is abandoned or closed.
 
         Returns a :class:`MatchStream` — an iterator that, once
-        exhausted or closed, also surfaces the per-query
+        exhausted or closed, holds the same result object
+        :meth:`search` returns (:attr:`MatchStream.result`, over the
+        emitted prefix) and so surfaces the per-query
         :class:`~repro.core.metrics.QueryStats` and (under
         ``on_fault="degrade"``) the
-        :class:`~repro.engines.base.FaultReport`, exactly like
-        :meth:`search` does.  A budget, deadline, or cancellation
-        ends the stream early, leaving :attr:`MatchStream.interrupted`
-        set with the reason and exactness certificate.
+        :class:`~repro.engines.base.FaultReport`.  A budget, deadline,
+        or cancellation ends the stream early, leaving
+        :attr:`MatchStream.interrupted` set with the reason and
+        exactness certificate.
 
         Non-deferred only (deferral batches retrievals, which is
         incompatible with incremental emission).
         """
-        if self.index is None:
-            raise IndexNotBuiltError("call build() before iter_matches()")
-        if rho is None:
-            rho = max(1, int(0.05 * len(query)))
-        config = EngineConfig(
-            k=k, rho=rho, p=self.p, on_fault=on_fault, normalize=normalize
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            kind="stream",
+            k=k,
+            scheduling=scheduling,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
         )
         control = ExecutionControl(
             budget=budget, deadline=deadline, token=token,
             tracer=self._tracer,
         )
-        return MatchStream(
-            db=self,
-            query=query,
-            config=config,
-            scheduling=scheduling,
-            control=control,
-        )
+        return self.open_stream(query, spec, control)
 
     # ------------------------------------------------------------------
     # Online ingest (WAL-backed; see :mod:`repro.ingest`)
@@ -750,179 +769,63 @@ class SubsequenceDatabase:
         return report
 
 
-class MatchStream(Iterator[Match]):
-    """Lazy best-first match iterator with post-hoc query diagnostics.
+class MatchStream(RankedStream):
+    """Lazy best-first top-k over one database's ranked-union tree.
 
-    Produced by :meth:`SubsequenceDatabase.iter_matches`.  Iterate it
-    like any generator; when iteration ends — naturally, via
-    :meth:`close`, or through a budget/deadline/cancellation interrupt —
-    the stream's :attr:`stats`, :attr:`degraded`, and
-    :attr:`fault_report` attributes carry the same per-query accounting
-    :meth:`SubsequenceDatabase.search` returns, and on an interrupt
-    :attr:`interrupted`, :attr:`reason`, and :attr:`certificate`
-    describe the early exit (certificate semantics as in
-    :class:`~repro.engines.base.PartialResult`).
+    Produced by :meth:`SubsequenceDatabase.iter_matches`.
+    Exposes the extended iterator model (Definition 5) directly: each
+    confirmed result is yielded as soon as its rank is settled.  The
+    finished :attr:`result` holds the emitted prefix; for an
+    interrupted stream its certificate is the
+    :func:`~repro.engines.base.prefix_certificate`.
     """
 
     def __init__(
         self,
-        db: SubsequenceDatabase,
+        index: DualMatchIndex,
         query: Sequence[float],
-        config: EngineConfig,
-        scheduling: str,
+        spec: QuerySpec,
         control: ExecutionControl,
     ) -> None:
-        from repro.core.metrics import StatsRecorder
-        from repro.core.normalize import NormalizationContext
-        from repro.core.windows import QueryWindowSet
-        from repro.engines.base import CandidateEvaluator
-        from repro.engines.ranked_union import PhiOperator, UnionOperator
-
-        assert db.index is not None  # checked by iter_matches
-        self._config = config
-        self._p = config.p
-        self._window_set = QueryWindowSet.from_query(
-            query,
-            omega=db.omega,
-            features=db.features,
-            rho=config.rho,
-            p=config.p,
-            data_stride=db.index.data_stride,
-            normalize=config.normalize,
-        )
-        # Candidate-side normalization stats come from in-memory
-        # metadata (no page I/O), so build them before the recorder
-        # starts counting.
-        norm: Optional[NormalizationContext] = None
-        if config.normalize:
-            norm = NormalizationContext(
-                db.index.store, self._window_set.length
+        self._run = QueryRun(index, query, spec, control, "RU-STREAM")
+        with self._run as run:
+            self._union = build_union(
+                run.window_set, index, run.evaluator, spec, spec.scheduling
             )
-        self._recorder = StatsRecorder(db.pager, db.buffer).start()
-        pager_stats = db.pager.stats
-        reads_at_start = pager_stats.physical_reads
-        self._control = control
-        control.bind(
-            self._recorder.stats,
-            lambda: pager_stats.physical_reads - reads_at_start,
-        )
-        tracer = control.tracer
-        self._tracer = tracer
-        self._metrics_before = (
-            tracer.metrics.snapshot() if tracer.enabled else None
-        )
-        # The root span must stay open across ``__next__`` calls, so it
-        # cannot be a ``with`` block; :meth:`_finalize` closes it
-        # exactly once when the stream ends.
-        self._root_span = (
-            tracer.start_span(  # repro: ignore[RS008]
-                "engine.search",
-                engine="RU-STREAM",
-                k=config.k,
-                rho=config.rho,
-            )
-            if tracer.enabled
-            else None
-        )
-        self._evaluator = CandidateEvaluator(
-            index=db.index,
-            envelope=self._window_set.envelope,
-            query=self._window_set.query,
-            config=config,
-            stats=self._recorder.stats,
-            control=control,
-            norm=norm,
-        )
-        children = [
-            PhiOperator(
-                class_index=class_index,
-                window_set=self._window_set,
-                index=db.index,
-                evaluator=self._evaluator,
-                config=config,
-                scheduling=scheduling,
-            )
-            for class_index in range(self._window_set.num_classes)
-            if self._window_set.classes[class_index]
-        ]
-        self._union = UnionOperator(children, self._evaluator)
-        self._emitted = 0
-        self._finished = False
-        #: Final per-query counters; ``None`` until the stream ends.
-        self.stats: Optional[QueryStats] = None
-        #: Audit of tolerated faults (``None`` until the stream ends,
-        #: or when the run was healthy).
-        self.fault_report: Optional[FaultReport] = None
-        self.degraded = False
-        #: True when a budget, deadline, or cancellation cut the stream
-        #: short before its natural end.
-        self.interrupted = False
-        #: Interrupt reason (see :class:`~repro.engines.base.PartialResult`).
-        self.reason = ""
-        #: Exactness certificate at the early exit (``inf`` for a
-        #: stream that ended naturally: emitted ranks are exact).
-        self.certificate = math.inf
-        #: Per-query profile (``None`` until the stream ends, and
-        #: always ``None`` when tracing is disabled).
-        self.profile: Optional[QueryProfile] = None
-
-    def __iter__(self) -> "MatchStream":
-        return self
+        self._emitted: List[Match] = []
 
     def __next__(self) -> Match:
-        from repro.engines.operators import Status
-
-        if self._finished:
+        if self.result is not None:
             raise StopIteration
-        try:
-            while self._emitted < self._config.k:
-                status, payload = self._union.get_next()
-                if status == Status.EOR:
-                    break
-                if status == Status.TUPLE:
-                    self._emitted += 1
-                    return Match(
-                        distance=payload.distance_pow ** (1.0 / self._p),
-                        sid=payload.sid,
-                        start=payload.start,
-                        length=self._window_set.length,
-                    )
-        except ExecutionInterrupted as signal:
-            self._finalize(signal)
-            raise StopIteration from None
-        self._finalize(None)
+        run = self._run
+        interrupt: Optional[ExecutionInterrupted] = None
+        with run:
+            try:
+                while len(self._emitted) < run.spec.k:
+                    status, payload = self._union.get_next()
+                    if status == Status.EOR:
+                        break
+                    if status == Status.TUPLE:
+                        match = Match(
+                            distance=payload.distance_pow
+                            ** (1.0 / run.spec.p),
+                            sid=payload.sid,
+                            start=payload.start,
+                            length=run.window_set.length,
+                        )
+                        self._emitted.append(match)
+                        return match
+            except ExecutionInterrupted as signal:
+                interrupt = signal
+        self._finalize(interrupt)
         raise StopIteration
 
-    def close(self) -> None:
-        """Stop the stream early; diagnostics become available."""
-        if not self._finished:
-            self._finalize(None)
-
-    def _finalize(self, signal: Optional[ExecutionInterrupted]) -> None:
-        self._finished = True
-        stats = self._recorder.finish()
-        stats.checkpoints = self._control.checkpoints
-        report = self._evaluator.fault_report
-        self.degraded = bool(report)
-        self.fault_report = report if report else None
-        if signal is not None:
-            stats.interrupted = 1
-            self.interrupted = True
-            self.reason = signal.reason
-            certificate_pow = min(
-                self._control.frontier_pow,
-                self._evaluator.pending_lower_bound_pow(),
+    def _finalize(
+        self, interrupt: Optional[ExecutionInterrupted] = None
+    ) -> None:
+        result = self._run.finish(self._emitted, interrupt)
+        if isinstance(result, PartialResult):
+            result.certificate = prefix_certificate(
+                result.certificate, self._emitted
             )
-            self.certificate = certificate_from_pow(certificate_pow, self._p)
-        self.stats = stats
-        root = self._root_span
-        if isinstance(root, Span) and self._metrics_before is not None:
-            root.close()
-            self.profile = QueryProfile(
-                span=root,
-                metrics=self._tracer.metrics.snapshot().delta(
-                    self._metrics_before
-                ),
-                stats=stats,
-                fault_report=self.fault_report,
-            )
+        self.result = result

@@ -35,6 +35,7 @@ from repro.api import SubsequenceDatabase
 from repro.core.metrics import QueryStats
 from repro.data.datasets import Dataset, load_dataset
 from repro.data.queries import dense_queries, pattern_queries, regular_queries
+from repro.engines.base import default_rho
 from repro.engines.cost_density import CostDensityConfig
 
 #: 2011-testbed unit costs (see module docstring).
@@ -233,7 +234,7 @@ class Harness:
         modeled_total = 0.0
         for query in queries:
             effective_rho = (
-                rho if rho is not None else max(1, int(0.05 * len(query)))
+                rho if rho is not None else default_rho(len(query))
             )
             result = self.db.search(
                 query,

@@ -494,7 +494,6 @@ def run_engine_suite(seed: int = 0) -> Dict[str, Any]:
     so ``quick`` mode does not change this suite.
     """
     from repro import SubsequenceDatabase
-    from repro.engines.range_search import RangeSearchEngine
 
     results: Dict[str, Any] = {}
 
@@ -515,10 +514,9 @@ def run_engine_suite(seed: int = 0) -> Dict[str, Any]:
             results[label] = _engine_record(result)
 
     db.reset_cache()
-    range_result = RangeSearchEngine(db.index).search(
-        query, epsilon=2.5, rho=2
+    results["range"] = _engine_record(
+        db.range_search(query, epsilon=2.5, rho=2)
     )
-    results["range"] = _engine_record(range_result)
 
     psm_db = SubsequenceDatabase(omega=8, features=4, buffer_fraction=0.1)
     psm_db.insert(0, _make_walk(900, seed=seed + 21))

@@ -1390,6 +1390,24 @@ def _run_shard_iteration(
             }
             alive_gold = [m for m in gold if m.sid in alive]
             record(it, engine, _check_exact(result, alive_gold, k))
+
+            # The stream follows the same shard-fault policy.
+            stream = sdb.iter_matches(
+                query, k=k, rho=rho, on_fault="degrade"
+            )
+            emitted = list(stream)
+            lost = stream.result
+            record(
+                it,
+                "stream",
+                None
+                if isinstance(lost, PartialResult)
+                and lost.certificate == 0.0
+                and REASON_SHARD_LOST in lost.reason
+                and lost.degraded
+                and emitted == result.matches
+                else "stream did not degrade around the lost shard",
+            )
             return
 
         if scenario in ("shard-transient", "shard-corrupt"):
@@ -1470,18 +1488,8 @@ def _run_shard_iteration(
             if keys == sorted(keys)
             else "interrupted stream emission is not nondecreasing",
         )
-        if stream.interrupted:
+        if isinstance(stream.result, PartialResult):
             report.partials += 1
-            shim = PartialResult(
-                matches=emitted,
-                stats=stream.stats,  # type: ignore[arg-type]
-                reason=stream.reason,
-                certificate=(
-                    min(stream.certificate, emitted[-1].distance)
-                    if emitted
-                    else 0.0
-                ),
-            )
-            record(it, "stream", _check_certificate(shim, gold, k))
+            record(it, "stream", _check_certificate(stream.result, gold, k))
     finally:
         sdb.close()

@@ -37,7 +37,7 @@ import math
 import threading
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Callable, List, Optional, Tuple, Type
+from typing import Any, Callable, List, Optional, Tuple, Type
 
 from repro.analysis.concurrency import (
     guarded_by,
@@ -140,6 +140,13 @@ class Deadline:
         """Seconds left (never negative)."""
         return max(0.0, self.expires_at - self._clock.monotonic())
 
+    def __reduce__(
+        self,
+    ) -> Tuple[Callable[[float], "Deadline"], Tuple[float]]:
+        # Monotonic clocks are per-process: a pool worker rebuilds the
+        # deadline from the time left, on its own clock.
+        return (Deadline.after, (self.remaining(),))
+
 
 class CancellationToken:
     """Caller-side cancellation for one in-flight query.
@@ -218,6 +225,22 @@ class ExecutionControl:
         self.checkpoints = 0
         self._stats: Optional[QueryStats] = None
         self._page_count: Optional[Callable[[], int]] = None
+
+    def derive(self) -> "ExecutionControl":
+        """A fresh run state under the same limits and tracer.
+
+        A sharded fan-out derives one per shard: the budget caps apply
+        to each shard's own counters, while the deadline and the token
+        are shared (see ``docs/sharding.md``).
+        """
+        return ExecutionControl(
+            self.budget, self.deadline, self.token, self.tracer
+        )
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        # Crossing to a pool worker carries the limits only; the run
+        # state and the tracer belong to this process.
+        return (ExecutionControl, (self.budget, self.deadline, self.token))
 
     def bind(self, stats: QueryStats, page_count: Callable[[], int]) -> None:
         """Attach the per-query counters the budget is enforced against.

@@ -129,3 +129,38 @@ class TopKCollector:
             )
             for pow_value, sid, start in ordered
         ]
+
+
+class RangeCollector:
+    """Collects every match within a fixed ``epsilon`` (range queries).
+
+    Offers the same ``threshold_pow`` / :meth:`offer_pow` /
+    :meth:`matches` surface as :class:`TopKCollector`, so one candidate
+    cascade serves both query kinds; the threshold never moves and the
+    result set is unbounded.
+    """
+
+    def __init__(self, epsilon: float, p: float = 2.0) -> None:
+        self._p = p
+        #: ``epsilon ** p`` — the constant pruning threshold.
+        self.threshold_pow = epsilon**p
+        self._found: List[Tuple[float, int, int]] = []
+
+    def offer_pow(self, distance_pow: float, sid: int, start: int) -> bool:
+        """Keep the match iff it lies within ``epsilon``."""
+        if distance_pow > self.threshold_pow:
+            return False
+        self._found.append((distance_pow, sid, start))
+        return True
+
+    def matches(self, length: int) -> List[Match]:
+        """Everything collected, best first, with rooted distances."""
+        return sorted(
+            Match(
+                distance=distance_pow ** (1.0 / self._p),
+                sid=sid,
+                start=start,
+                length=length,
+            )
+            for distance_pow, sid, start in self._found
+        )

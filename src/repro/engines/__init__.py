@@ -20,7 +20,7 @@ deferred retrieval, stats) and :mod:`repro.engines.operators` (the
 extended iterator protocol of Definition 5).
 """
 
-from repro.engines.base import Engine, EngineConfig, SearchResult
+from repro.engines.base import Engine, QuerySpec, SearchResult
 from repro.engines.hlmj import HlmjEngine
 from repro.engines.psm import PsmEngine, build_sliding_index
 from repro.engines.range_search import RangeSearchEngine
@@ -29,7 +29,7 @@ from repro.engines.seqscan import SeqScanEngine
 
 __all__ = [
     "Engine",
-    "EngineConfig",
+    "QuerySpec",
     "SearchResult",
     "SeqScanEngine",
     "HlmjEngine",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -32,11 +32,13 @@ from repro.core.envelope import Envelope
 from repro.core.lower_bounds import lb_keogh_pow
 from repro.core.metrics import QueryStats, StatsRecorder
 from repro.core.normalize import NormalizationContext, znormalize
-from repro.core.results import Match, TopKCollector
+from repro.core.results import Match, RangeCollector, TopKCollector
 from repro.core.windows import QueryWindowSet
+from repro.engines.cost_density import CostDensityConfig
 from repro.exceptions import (
     ConfigurationError,
     ExecutionInterrupted,
+    QueryError,
     StorageError,
 )
 from repro.index.builder import DualMatchIndex
@@ -48,22 +50,55 @@ from repro.storage.deferred import CandidateRequest, DeferredRetrievalBuffer
 #: fraction of database size (the paper uses 0.5 %).
 _VALUE_BYTES = 8
 
+#: Engine names a ``knn`` query may select (see :mod:`repro.api`).
+METHODS = ("seqscan", "hlmj", "hlmj-wg", "psm", "ru", "ru-cost")
+
+#: Query kinds: ranked top-k, epsilon range, lazily streamed top-k.
+KINDS = ("knn", "range", "stream")
+
+#: ``SelectPriorityQueue()`` policies of the ranked-union operators.
+SCHEDULINGS = ("max-delta", "cost-aware", "global-min", "round-robin")
+
+
+def default_rho(query_length: int) -> int:
+    """The paper's warping width: 5 % of ``Len(Q)``, at least 1."""
+    return max(1, int(0.05 * query_length))
+
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Search-time knobs shared by every engine.
+class QuerySpec:
+    """What one query asks for — built once at the API/protocol edge.
+
+    The public keyword methods of both facades and the query service
+    each build one spec (:meth:`for_query`) and hand it, unchanged and
+    together with one :class:`~repro.control.ExecutionControl`, down
+    through the sharded fan-out and the executors to the engine.  It is
+    frozen and picklable, so the process executor ships it as is.
 
     Attributes
     ----------
-    k:
-        Number of results.
     rho:
-        Warping width.  The benchmarks use the paper's 5 % of ``Len(Q)``.
+        Warping width, already resolved (see :func:`default_rho`).
+    kind:
+        ``"knn"`` (top-``k`` by ``method``), ``"range"`` (everything
+        within ``epsilon``), or ``"stream"`` (top-``k`` emitted lazily
+        by the ranked-union tree under ``scheduling``).
+    k:
+        Number of results (``knn`` / ``stream``).
+    epsilon:
+        Distance threshold (``range``).
+    method:
+        Engine name for ``knn``, one of :data:`METHODS`.
+    scheduling:
+        Queue-selection policy for ``stream``, one of
+        :data:`SCHEDULINGS`.
     deferred:
         Enable the deferred retrieval mechanism (the "(D)" variants).
     deferred_fraction:
         Memory budget for delayed requests as a fraction of database
         bytes (paper: 0.005).
+    cost_config:
+        RU-COST tuning overrides (read by cost-aware scheduling only).
     p:
         Norm order.
     on_fault:
@@ -83,19 +118,39 @@ class EngineConfig:
         default) preserves the raw paper semantics bit for bit.
     """
 
-    k: int
     rho: int
+    kind: str = "knn"
+    k: int = 10
+    epsilon: float = 0.0
+    method: str = "ru-cost"
+    scheduling: str = "max-delta"
     deferred: bool = False
     deferred_fraction: float = 0.005
+    cost_config: Optional[CostDensityConfig] = None
     p: float = 2.0
     on_fault: str = "raise"
     normalize: bool = False
 
     def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ConfigurationError(
+                f"unknown query kind {self.kind!r}; expected one of {KINDS}"
+            )
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
+        if self.epsilon < 0:
+            raise QueryError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.rho < 0:
             raise ConfigurationError(f"rho must be >= 0, got {self.rho}")
+        if self.method not in METHODS:
+            raise ConfigurationError(
+                f"unknown method {self.method!r}; expected one of {METHODS}"
+            )
+        if self.scheduling not in SCHEDULINGS:
+            raise ConfigurationError(
+                f"unknown scheduling policy {self.scheduling!r}; expected "
+                f"one of {SCHEDULINGS}"
+            )
         if not 0 < self.deferred_fraction <= 1:
             raise ConfigurationError(
                 f"deferred_fraction must be in (0, 1], got "
@@ -106,6 +161,15 @@ class EngineConfig:
                 f"on_fault must be 'raise' or 'degrade', got "
                 f"{self.on_fault!r}"
             )
+
+    @classmethod
+    def for_query(
+        cls, query: Sequence[float], rho: Optional[int] = None, **fields: Any
+    ) -> "QuerySpec":
+        """The spec for ``query``; ``rho=None`` takes the paper default."""
+        if rho is None:
+            rho = default_rho(len(query))
+        return cls(rho=rho, **fields)
 
 
 #: Cap on recorded fault events so a sick disk cannot balloon a report.
@@ -231,14 +295,14 @@ class PartialResult(SearchResult):
 
 
 class CandidateEvaluator:
-    """Retrieval, pruning, and top-k maintenance for one query run."""
+    """Retrieval, pruning, and result collection for one query run."""
 
     def __init__(
         self,
         index: DualMatchIndex,
         envelope: Envelope,
         query: np.ndarray,
-        config: EngineConfig,
+        spec: QuerySpec,
         stats: QueryStats,
         control: Optional[ExecutionControl] = None,
         norm: Optional[NormalizationContext] = None,
@@ -246,7 +310,7 @@ class CandidateEvaluator:
         self._index = index
         self._envelope = envelope
         self._query = query
-        self._config = config
+        self._spec = spec
         self.stats = stats
         #: Per-query candidate statistics when matching in z-normalized
         #: space (``None`` on the raw path).  Engines read this to build
@@ -261,15 +325,19 @@ class CandidateEvaluator:
         #: The query's tracer (disabled singleton unless the caller
         #: wired one through the control plane).
         self.tracer = self.control.tracer
-        self.collector = TopKCollector(config.k, p=config.p)
+        self.collector: Union[TopKCollector, RangeCollector] = (
+            RangeCollector(spec.epsilon, p=spec.p)
+            if spec.kind == "range"
+            else TopKCollector(spec.k, p=spec.p)
+        )
         self.fault_report = FaultReport()
         self._seen: Set[Tuple[int, int]] = set()
         self._deferred: Optional[DeferredRetrievalBuffer] = None
-        if config.deferred:
+        if spec.deferred:
             database_bytes = index.store.total_values * _VALUE_BYTES
             self._deferred = DeferredRetrievalBuffer(
                 DeferredRetrievalBuffer.capacity_for_database(
-                    database_bytes, config.deferred_fraction
+                    database_bytes, spec.deferred_fraction
                 )
             )
             self._deferred.tracer = self.tracer
@@ -286,7 +354,7 @@ class CandidateEvaluator:
     @property
     def degrades(self) -> bool:
         """Whether this run tolerates storage faults by skipping work."""
-        return self._config.on_fault == "degrade"
+        return self._spec.on_fault == "degrade"
 
     def fault(
         self,
@@ -309,6 +377,21 @@ class CandidateEvaluator:
         """Whether a candidate was already submitted (no side effects)."""
         return (sid, start) in self._seen
 
+    def first_sighting(self, sid: int, start: int) -> bool:
+        """Mark a candidate seen; ``False`` (and counted) for a duplicate.
+
+        A candidate is reachable through many matching window pairs
+        (Section 2 of the paper); only its first sighting is examined.
+        """
+        key = (sid, start)
+        if key in self._seen:
+            self.stats.duplicates_suppressed += 1
+            if self.tracer.enabled:
+                self.tracer.metrics.counter("submit.duplicates").inc()
+            return False
+        self._seen.add(key)
+        return True
+
     def submit(
         self, sid: int, start: int, lower_bound_pow: float
     ) -> Optional[float]:
@@ -324,13 +407,8 @@ class CandidateEvaluator:
         The ``Φ`` operator uses the returned distance to feed its local
         candidate queue (``candMinQ_Φ`` in the paper).
         """
-        key = (sid, start)
-        if key in self._seen:
-            self.stats.duplicates_suppressed += 1
-            if self.tracer.enabled:
-                self.tracer.metrics.counter("submit.duplicates").inc()
+        if not self.first_sighting(sid, start):
             return None
-        self._seen.add(key)
         if lower_bound_pow > self.threshold_pow:
             self.stats.pruned_by_lower_bound += 1
             if self.tracer.enabled:
@@ -348,16 +426,23 @@ class CandidateEvaluator:
             if self._deferred.is_full:
                 self.flush()
             return None
-        return self._evaluate(sid, start)
+        return self.verify(sid, start)
 
-    def _evaluate(self, sid: int, start: int) -> Optional[float]:
-        """Retrieve one candidate and run the LB_Keogh -> DTW cascade."""
+    def verify(self, sid: int, start: int) -> Optional[float]:
+        """Retrieve one candidate and run the LB_Keogh -> DTW cascade.
+
+        The one verification path of every index engine, ranked or
+        range: the collector's threshold (``delta_cur``, or the fixed
+        ``epsilon``) drives both the LB_Keogh prune and DTW's early
+        abandoning.  Returns the DTW distance (p-th power), or ``None``
+        when the candidate was unreadable or LB_Keogh-killed.
+        """
         if self.tracer.enabled:
             with self.tracer.span("candidate.verify", sid=sid, start=start):
-                return self._evaluate_now(sid, start)
-        return self._evaluate_now(sid, start)
+                return self._verify_now(sid, start)
+        return self._verify_now(sid, start)
 
-    def _evaluate_now(self, sid: int, start: int) -> Optional[float]:
+    def _verify_now(self, sid: int, start: int) -> Optional[float]:
         try:
             values = self._index.store.get_subsequence(
                 sid, start, self.query_length
@@ -374,7 +459,7 @@ class CandidateEvaluator:
             values = znormalize(values, mu, sigma)
         threshold_pow = self.threshold_pow
         self.stats.lb_keogh_computations += 1
-        keogh_pow = lb_keogh_pow(self._envelope, values, self._config.p)
+        keogh_pow = lb_keogh_pow(self._envelope, values, self._spec.p)
         if keogh_pow > threshold_pow:
             self.stats.pruned_by_lb_keogh += 1
             if self.tracer.enabled:
@@ -384,8 +469,8 @@ class CandidateEvaluator:
         distance_pow = dtw_pow(
             values,
             self._query,
-            self._config.rho,
-            p=self._config.p,
+            self._spec.rho,
+            p=self._spec.p,
             threshold_pow=threshold_pow,
         )
         if self.tracer.enabled:
@@ -429,7 +514,7 @@ class CandidateEvaluator:
             except ExecutionInterrupted:
                 self._deferred.requeue(requests[position:])
                 raise
-            self._evaluate(request.sid, request.start)
+            self.verify(request.sid, request.start)
 
     def pending_lower_bound_pow(self) -> float:
         """Smallest lower bound (p-th power) among deferred requests.
@@ -445,6 +530,224 @@ class CandidateEvaluator:
     def finalize(self) -> None:
         """Flush any remaining deferred requests before returning results."""
         self.flush()
+
+
+class QueryRun:
+    """The per-query scaffold every engine entry runs inside.
+
+    Setup — window set, normalization context, I/O accounting, control
+    binding, the ``engine.search`` root span, the candidate evaluator —
+    and teardown — counters, fault report, interrupt →
+    :class:`PartialResult` with its exactness certificate, the
+    :class:`~repro.obs.QueryProfile` — happen here once, for the batch
+    engines (:meth:`Engine.search`) and for lazy streams alike.  Use as
+    a context manager around the traversal so an escaping error closes
+    the root span; a normal run ends with :meth:`finish`.
+    """
+
+    def __init__(
+        self,
+        index: DualMatchIndex,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+        engine: str,
+    ) -> None:
+        self.spec = spec
+        self.control = control
+        tracer = control.tracer
+        self._metrics_before = (
+            tracer.metrics.snapshot() if tracer.enabled else None
+        )
+        ranged = spec.kind == "range"
+        size: dict = {"epsilon": spec.epsilon} if ranged else {"k": spec.k}
+        # A stream's root span stays open across ``__next__`` calls, so
+        # it cannot be a ``with`` block; finish() or __exit__ closes it
+        # exactly once.
+        self._root = tracer.start_span(  # repro: ignore[RS008]
+            "engine.search", engine=engine, rho=spec.rho, **size
+        )
+        try:
+            self.window_set = QueryWindowSet.from_query(
+                query,
+                omega=index.omega,
+                features=index.features,
+                rho=spec.rho,
+                p=spec.p,
+                data_stride=getattr(index, "data_stride", None),
+                normalize=spec.normalize,
+            )
+            # Candidate stats are priced before I/O accounting starts:
+            # the context reads through the zero-copy peek path, so
+            # NUM_IO still counts exactly the pages the engine itself
+            # faults in.
+            norm: Optional[NormalizationContext] = None
+            if spec.normalize:
+                norm = NormalizationContext(
+                    index.store, self.window_set.length
+                )
+            pager = index.store.pager
+            self._recorder = StatsRecorder(pager, index.store.buffer).start()
+            reads_at_start = pager.stats.physical_reads
+            control.bind(
+                self._recorder.stats,
+                lambda: pager.stats.physical_reads - reads_at_start,
+            )
+            self.evaluator = CandidateEvaluator(
+                index=index,
+                envelope=self.window_set.envelope,
+                query=self.window_set.query,
+                spec=spec,
+                stats=self._recorder.stats,
+                control=control,
+                norm=norm,
+            )
+        except BaseException as error:
+            self.__exit__(type(error), error, None)
+            raise
+
+    def __enter__(self) -> "QueryRun":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if exc_type is not None:
+            self._root.__exit__(exc_type, exc, tb)
+
+    def finish(
+        self,
+        matches: List[Match],
+        interrupt: Optional[ExecutionInterrupted] = None,
+    ) -> SearchResult:
+        """Close the run: ``matches`` plus the counters, as a result.
+
+        An ``interrupt`` (budget, deadline, cancellation) yields a
+        :class:`PartialResult` instead of an exception.
+        """
+        stats = self._recorder.finish()
+        stats.checkpoints = self.control.checkpoints
+        report = self.evaluator.fault_report
+        result = SearchResult(
+            matches=matches,
+            stats=stats,
+            degraded=bool(report),
+            fault_report=report if report else None,
+        )
+        if interrupt is not None:
+            stats.interrupted = 1
+            # Everything *unexamined* is bounded below by the engine's
+            # last reported frontier; deferred-but-unretrieved
+            # candidates are bounded by their admitted lower bounds.
+            # The min of the two is the tightest sound certificate (an
+            # engine that reports no frontier, like SeqScan or the
+            # range probe, certifies nothing: 0.0).
+            certificate_pow = min(
+                self.control.frontier_pow,
+                self.evaluator.pending_lower_bound_pow(),
+            )
+            result = PartialResult(
+                **vars(result),
+                reason=interrupt.reason,
+                certificate=certificate_from_pow(
+                    certificate_pow, self.spec.p
+                ),
+            )
+        root = self._root
+        root.close()
+        if isinstance(root, Span) and self._metrics_before is not None:
+            result.profile = QueryProfile(
+                span=root,
+                metrics=self.control.tracer.metrics.snapshot().delta(
+                    self._metrics_before
+                ),
+                stats=stats,
+                fault_report=result.fault_report,
+            )
+        return result
+
+
+class RankedStream(Iterator[Match]):
+    """A lazy best-first match iterator that ends in a result object.
+
+    Iterate it like any generator.  When iteration ends — naturally,
+    via :meth:`close`, or through a budget/deadline/cancellation
+    interrupt — :attr:`result` holds the same
+    :class:`SearchResult` / :class:`PartialResult` a batch query
+    returns, over the emitted prefix; the read-only attributes below
+    are views of it (``None`` / defaults while the stream is live).
+    """
+
+    #: Final state; ``None`` until the stream ends.
+    result: Optional[SearchResult] = None
+
+    def __iter__(self) -> "RankedStream":
+        return self
+
+    def close(self) -> None:
+        """Stop the stream early; diagnostics become available."""
+        if self.result is None:
+            self._finalize()
+
+    @abc.abstractmethod
+    def _finalize(self) -> None:
+        """Release the stream's resources and set :attr:`result`."""
+
+    @property
+    def stats(self) -> Optional[QueryStats]:
+        """Final per-query counters."""
+        return None if self.result is None else self.result.stats
+
+    @property
+    def degraded(self) -> bool:
+        return self.result is not None and self.result.degraded
+
+    @property
+    def fault_report(self) -> Optional[FaultReport]:
+        """Audit of tolerated faults (``None`` on healthy runs)."""
+        return None if self.result is None else self.result.fault_report
+
+    @property
+    def profile(self) -> Optional[QueryProfile]:
+        """Per-query profile (``None`` unless tracing was enabled)."""
+        return None if self.result is None else self.result.profile
+
+    @property
+    def interrupted(self) -> bool:
+        """Whether a limit (or a lost shard) cut the stream short."""
+        return isinstance(self.result, PartialResult)
+
+    @property
+    def reason(self) -> str:
+        """Interrupt reason (see :class:`PartialResult`)."""
+        result = self.result
+        return result.reason if isinstance(result, PartialResult) else ""
+
+    @property
+    def certificate(self) -> float:
+        """Exactness certificate of the emitted prefix.
+
+        ``inf`` for a stream that ended naturally: emitted ranks are
+        exact.
+        """
+        result = self.result
+        if isinstance(result, PartialResult):
+            return result.certificate
+        return math.inf
+
+
+def prefix_certificate(certificate: float, emitted: Sequence[Match]) -> float:
+    """Certificate for the emitted prefix of an interrupted ranked stream.
+
+    ``certificate`` bounds the *unexamined* candidates, but an
+    interrupted stream may also hold examined candidates whose ranks
+    were never settled and therefore never emitted.  Those sit at or
+    above the last emitted distance (ranked-union emission is
+    nondecreasing), so the sound bound for the prefix is the minimum of
+    the two — and 0.0 when nothing was emitted at all (a vacuous but
+    honest certificate).
+    """
+    if not emitted:
+        return 0.0
+    return min(certificate, emitted[-1].distance)
 
 
 class Engine(abc.ABC):
@@ -463,127 +766,43 @@ class Engine(abc.ABC):
     def search(
         self,
         query: Sequence[float],
-        config: EngineConfig,
+        spec: QuerySpec,
         control: Optional[ExecutionControl] = None,
     ) -> SearchResult:
-        """Run one top-k query and return matches plus counters.
+        """Run one query to completion and return matches plus counters.
 
         With a limited ``control``, an interrupt at any cooperative
-        checkpoint yields a :class:`PartialResult` (best-k-so-far plus
-        an exactness certificate) instead of an exception.
+        checkpoint yields a :class:`PartialResult` (best-so-far plus an
+        exactness certificate) instead of an exception.
 
         When the control plane carries an enabled tracer, the whole
         query runs under an ``engine.search`` root span and the result
-        carries a :class:`~repro.obs.profile.QueryProfile`; otherwise
-        the traced wrapper is skipped entirely and behaviour (every
+        carries a :class:`~repro.obs.profile.QueryProfile`; with the
+        disabled tracer every span call is a no-op and behaviour (every
         counter included) is identical to the un-instrumented engine.
         """
         if control is None:
             control = ExecutionControl()
         tracer = control.tracer
-        if not tracer.enabled:
-            return self._execute(query, config, control)
-        metrics_before = tracer.metrics.snapshot()
-        with tracer.span(
-            "engine.search", engine=self.name, k=config.k, rho=config.rho
-        ) as root:
-            result = self._execute(query, config, control)
-        if isinstance(root, Span):
-            result.profile = QueryProfile(
-                span=root,
-                metrics=tracer.metrics.snapshot().delta(metrics_before),
-                stats=result.stats,
-                fault_report=result.fault_report,
-            )
-        return result
-
-    def _execute(
-        self,
-        query: Sequence[float],
-        config: EngineConfig,
-        control: ExecutionControl,
-    ) -> SearchResult:
-        window_set = QueryWindowSet.from_query(
-            query,
-            omega=self.index.omega,
-            features=self.index.features,
-            rho=config.rho,
-            p=config.p,
-            data_stride=getattr(self.index, "data_stride", None),
-            normalize=config.normalize,
-        )
-        # Candidate stats are priced before I/O accounting starts: the
-        # context reads through the zero-copy peek path, so NUM_IO still
-        # counts exactly the pages the engine itself faults in.
-        norm: Optional[NormalizationContext] = None
-        if config.normalize:
-            norm = NormalizationContext(
-                self.index.store, window_set.length
-            )
-        recorder = StatsRecorder(
-            self.index.store.pager, self.index.store.buffer
-        ).start()
-        pager_stats = self.index.store.pager.stats
-        reads_at_start = pager_stats.physical_reads
-        control.bind(
-            recorder.stats,
-            lambda: pager_stats.physical_reads - reads_at_start,
-        )
-        evaluator = CandidateEvaluator(
-            index=self.index,
-            envelope=window_set.envelope,
-            query=window_set.query,
-            config=config,
-            stats=recorder.stats,
-            control=control,
-            norm=norm,
-        )
-        tracer = control.tracer
-        interrupt: Optional[ExecutionInterrupted] = None
-        try:
-            if tracer.enabled:
+        with QueryRun(self.index, query, spec, control, self.name) as run:
+            interrupt: Optional[ExecutionInterrupted] = None
+            try:
                 with tracer.span("engine.run"):
-                    self._run(window_set, evaluator, config)
+                    self._run(run.window_set, run.evaluator, spec)
                 with tracer.span("engine.finalize"):
-                    evaluator.finalize()
-            else:
-                self._run(window_set, evaluator, config)
-                evaluator.finalize()
-        except ExecutionInterrupted as signal:
-            interrupt = signal
-        stats = recorder.finish()
-        stats.checkpoints = control.checkpoints
-        report = evaluator.fault_report
-        matches = evaluator.collector.matches(window_set.length)
-        if interrupt is None:
-            return SearchResult(
-                matches=matches,
-                stats=stats,
-                degraded=bool(report),
-                fault_report=report if report else None,
+                    run.evaluator.finalize()
+            except ExecutionInterrupted as signal:
+                interrupt = signal
+            return run.finish(
+                run.evaluator.collector.matches(run.window_set.length),
+                interrupt,
             )
-        stats.interrupted = 1
-        # Everything *unexamined* is bounded below by the engine's last
-        # reported frontier; deferred-but-unretrieved candidates are
-        # bounded by their admitted lower bounds.  The min of the two is
-        # the tightest sound certificate.
-        certificate_pow = min(
-            control.frontier_pow, evaluator.pending_lower_bound_pow()
-        )
-        return PartialResult(
-            matches=matches,
-            stats=stats,
-            degraded=bool(report),
-            fault_report=report if report else None,
-            reason=interrupt.reason,
-            certificate=certificate_from_pow(certificate_pow, config.p),
-        )
 
     @abc.abstractmethod
     def _run(
         self,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
         """Traverse the index / data and submit candidates."""

@@ -29,17 +29,8 @@ import heapq
 import itertools
 from typing import List, Optional, Tuple, cast
 
-import numpy as np
-
-from repro.core.lower_bounds import (
-    batch_lower_bounds,
-    batch_lower_bounds_znorm,
-    lb_paa_pow,
-    lb_paa_pow_batch,
-    lb_paa_znorm_pow_batch,
-    min_disjoint_windows,
-)
-from repro.core.normalize import NormalizationContext, WindowNormalizer
+from repro.core.lower_bounds import min_disjoint_windows
+from repro.core.normalize import NormalizationContext
 from repro.core.windows import (
     QueryWindow,
     QueryWindowSet,
@@ -47,10 +38,10 @@ from repro.core.windows import (
     candidate_start,
 )
 from repro.core.metrics import QueryStats
-from repro.engines.base import CandidateEvaluator, Engine, EngineConfig
+from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
+from repro.engines.bounds import score_node, score_point
 from repro.exceptions import StorageError
 from repro.index.builder import DualMatchIndex
-from repro.index.rstar import RStarNode
 
 _NODE = 0
 _LEAF = 1
@@ -99,10 +90,7 @@ class HlmjEngine(Engine):
         stride = self.index.data_stride
         seg_len = self.index.seg_len
         stats.window_group_evaluations += 1
-        if norm is not None:
-            mu, sigma = norm.stats(sid, start)
-            mus = np.asarray([mu], dtype=np.float64)
-            sigmas = np.asarray([sigma], dtype=np.float64)
+        candidate_stats = None if norm is None else norm.stats(sid, start)
         # The candidate's class residue: offset of its first grid window.
         residue = (-start) % stride
         total = 0.0
@@ -111,27 +99,13 @@ class HlmjEngine(Engine):
             data_window = (start + offset) // stride
             point = table.get((sid, data_window))
             if point is not None:
-                window = window_set.window_at(offset)
-                if norm is None:
-                    total += lb_paa_pow(
-                        window.paa_lower,
-                        window.paa_upper,
-                        point,
-                        seg_len,
-                        p,
-                    )
-                else:
-                    total += float(
-                        lb_paa_znorm_pow_batch(
-                            window.paa_lower,
-                            window.paa_upper,
-                            np.asarray(point, dtype=np.float64)[None, :],
-                            mus,
-                            sigmas,
-                            seg_len,
-                            p,
-                        )[0]
-                    )
+                total += score_point(
+                    window_set.window_at(offset),
+                    point,
+                    candidate_stats,
+                    seg_len,
+                    p,
+                )
             offset += omega
         return total
 
@@ -139,7 +113,7 @@ class HlmjEngine(Engine):
         self,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
         tree = self.index.tree
         store = self.index.store
@@ -187,7 +161,7 @@ class HlmjEngine(Engine):
                             page_id,
                             r,
                             evaluator,
-                            config,
+                            spec,
                         )
                 else:
                     self._expand_pair(
@@ -198,7 +172,7 @@ class HlmjEngine(Engine):
                         page_id,
                         r,
                         evaluator,
-                        config,
+                        spec,
                     )
                 continue
             record = payload
@@ -220,7 +194,7 @@ class HlmjEngine(Engine):
                     record.sid,
                     start,
                     stats,
-                    config.p,
+                    spec.p,
                     evaluator.norm,
                 )
                 if group_pow > bound_pow:
@@ -236,7 +210,7 @@ class HlmjEngine(Engine):
         page_id: int,
         r: int,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
         """Expand one (window, node) pair into scored child pairs."""
         tree = self.index.tree
@@ -261,19 +235,15 @@ class HlmjEngine(Engine):
                 window.sliding_offset, self.index.data_stride
             )
         )
-        tracer = evaluator.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "engine.lb_batch", n=len(entries), leaf=node.is_leaf
-            ):
-                child_pows, child_kind, payloads = self._score_entries(
-                    node, window, seg_len, config, norm
-                )
-            tracer.metrics.histogram("lb.batch_size").observe(len(entries))
+        child_pows, _far = score_node(
+            node, window, norm, seg_len, spec.p, evaluator.tracer
+        )
+        if node.is_leaf:
+            child_kind = _LEAF
+            payloads: List[object] = [entry.record for entry in entries]
         else:
-            child_pows, child_kind, payloads = self._score_entries(
-                node, window, seg_len, config, norm
-            )
+            child_kind = _NODE
+            payloads = [entry.child_page for entry in entries]
         for child_pow, child_payload in zip(child_pows.tolist(), payloads):
             if r * child_pow > threshold_pow:
                 continue
@@ -287,66 +257,3 @@ class HlmjEngine(Engine):
                     child_payload,
                 ),
             )
-
-    @staticmethod
-    def _score_entries(
-        node: RStarNode,
-        window: QueryWindow,
-        seg_len: int,
-        config: EngineConfig,
-        norm: Optional[WindowNormalizer] = None,
-    ) -> Tuple[np.ndarray, int, List[object]]:
-        """Score a node's entries in one batched kernel call.
-
-        Pushes happen in storage order with tie-break counters drawn
-        only for survivors, so heap order is unchanged versus scoring
-        one entry at a time.
-        """
-        entries = node.entries
-        if node.is_leaf:
-            points = np.stack([entry.low for entry in entries])
-            if norm is None:
-                child_pows = lb_paa_pow_batch(
-                    window.paa_lower,
-                    window.paa_upper,
-                    points,
-                    seg_len,
-                    config.p,
-                )
-            else:
-                mus, sigmas = norm.leaf_stats(
-                    [entry.record for entry in entries]
-                )
-                child_pows = lb_paa_znorm_pow_batch(
-                    window.paa_lower,
-                    window.paa_upper,
-                    points,
-                    mus,
-                    sigmas,
-                    seg_len,
-                    config.p,
-                )
-            return child_pows, _LEAF, [entry.record for entry in entries]
-        lows = np.stack([entry.low for entry in entries])
-        highs = np.stack([entry.high for entry in entries])
-        if norm is None:
-            child_pows, _far = batch_lower_bounds(
-                window.paa_lower,
-                window.paa_upper,
-                lows,
-                highs,
-                seg_len,
-                config.p,
-            )
-        else:
-            child_pows, _far = batch_lower_bounds_znorm(
-                window.paa_lower,
-                window.paa_upper,
-                lows,
-                highs,
-                norm.mu_range,
-                norm.sigma_range,
-                seg_len,
-                config.p,
-            )
-        return child_pows, _NODE, [entry.child_page for entry in entries]

@@ -35,29 +35,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.lower_bounds import (
-    batch_lower_bounds,
-    batch_lower_bounds_znorm,
-    lb_paa_pow_batch,
-    lb_paa_znorm_pow_batch,
-)
-from repro.core.normalize import WindowNormalizer
 from repro.core.paa import segment_length
 from repro.core.windows import (
     QueryWindow,
     QueryWindowSet,
     candidate_in_bounds,
 )
-from repro.engines.base import CandidateEvaluator, Engine, EngineConfig
+from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
+from repro.engines.bounds import score_node
 from repro.exceptions import (
     BudgetExceededError,
     ConfigurationError,
     StorageError,
 )
 from repro.index.bloom import BloomFilter
-from repro.index.rstar import LeafRecord, RStarNode, RStarTree
+from repro.index.rstar import LeafRecord, RStarTree
 from repro.storage.sequences import SequenceStore
 
 _NODE = 0
@@ -188,7 +180,7 @@ class PsmEngine(Engine):
         self,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
         index: SlidingWindowIndex = self.index  # type: ignore[assignment]
         omega = index.omega
@@ -256,7 +248,7 @@ class PsmEngine(Engine):
                         join_windows,
                         seg_len,
                         evaluator,
-                        config,
+                        spec,
                     )
             else:
                 self._expand_state(
@@ -268,7 +260,7 @@ class PsmEngine(Engine):
                     join_windows,
                     seg_len,
                     evaluator,
-                    config,
+                    spec,
                 )
 
     def _expand_state(
@@ -281,7 +273,7 @@ class PsmEngine(Engine):
         join_windows: Sequence[QueryWindow],
         seg_len: int,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
         index: SlidingWindowIndex = self.index  # type: ignore[assignment]
         page_id = state[expand_at][1]
@@ -308,17 +300,9 @@ class PsmEngine(Engine):
             if evaluator.norm is None
             else evaluator.norm.for_window(window.sliding_offset, 1)
         )
-        tracer = evaluator.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "engine.lb_batch", n=len(entries), leaf=node.is_leaf
-            ):
-                dist_pows = self._score_node(
-                    node, window, seg_len, config, norm
-                )
-            tracer.metrics.histogram("lb.batch_size").observe(len(entries))
-        else:
-            dist_pows = self._score_node(node, window, seg_len, config, norm)
+        dist_pows, _far = score_node(
+            node, window, norm, seg_len, spec.p, evaluator.tracer
+        )
         for entry, dist_pow in zip(entries, dist_pows.tolist()):
             if node.is_leaf:
                 component: Component = (_LEAF, entry.record, dist_pow)
@@ -333,67 +317,6 @@ class PsmEngine(Engine):
             if not self._signature_allows(new_state, evaluator):
                 continue
             heapq.heappush(heap, (new_score, next(tiebreak), new_state))
-
-    @staticmethod
-    def _score_node(
-        node: RStarNode,
-        window: QueryWindow,
-        seg_len: int,
-        config: EngineConfig,
-        norm: Optional[WindowNormalizer] = None,
-    ) -> np.ndarray:
-        """Score a node's entries with one batched kernel call.
-
-        The push loop keeps storage order and per-survivor tie-break
-        draws, so join-state order is unchanged versus scoring one
-        entry at a time.
-        """
-        entries = node.entries
-        if node.is_leaf:
-            points = np.stack([entry.low for entry in entries])
-            if norm is None:
-                return lb_paa_pow_batch(
-                    window.paa_lower,
-                    window.paa_upper,
-                    points,
-                    seg_len,
-                    config.p,
-                )
-            mus, sigmas = norm.leaf_stats(
-                [entry.record for entry in entries]
-            )
-            return lb_paa_znorm_pow_batch(
-                window.paa_lower,
-                window.paa_upper,
-                points,
-                mus,
-                sigmas,
-                seg_len,
-                config.p,
-            )
-        lows = np.stack([entry.low for entry in entries])
-        highs = np.stack([entry.high for entry in entries])
-        if norm is None:
-            dist_pows, _far = batch_lower_bounds(
-                window.paa_lower,
-                window.paa_upper,
-                lows,
-                highs,
-                seg_len,
-                config.p,
-            )
-        else:
-            dist_pows, _far = batch_lower_bounds_znorm(
-                window.paa_lower,
-                window.paa_upper,
-                lows,
-                highs,
-                norm.mu_range,
-                norm.sigma_range,
-                seg_len,
-                config.p,
-            )
-        return dist_pows
 
     def _signature_allows(
         self, state: Tuple[Component, ...], evaluator: CandidateEvaluator

@@ -24,17 +24,10 @@ import itertools
 import math
 from typing import Callable, Iterator, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.lower_bounds import (
-    batch_lower_bounds,
-    batch_lower_bounds_znorm,
-    lb_paa_pow_batch,
-    lb_paa_znorm_pow_batch,
-)
 from repro.core.metrics import QueryStats
 from repro.core.normalize import WindowNormalizer
 from repro.core.windows import QueryWindow
+from repro.engines.bounds import score_node
 from repro.exceptions import StorageError
 from repro.index.rstar import LeafRecord, RStarNode, RStarTree
 
@@ -121,42 +114,19 @@ class WindowQueue:
         entries = node.entries
         if not entries:
             return
-        tracer = self._tree.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "engine.lb_batch", n=len(entries), leaf=node.is_leaf
-            ):
-                self._score_and_push_now(node, cap_pow)
-            tracer.metrics.histogram("lb.batch_size").observe(len(entries))
-            return
-        self._score_and_push_now(node, cap_pow)
-
-    def _score_and_push_now(self, node: RStarNode, cap_pow: float) -> None:
-        entries = node.entries
-        if node.is_leaf:
-            points = np.stack([entry.low for entry in entries])
-            if self._norm is None:
-                near = lb_paa_pow_batch(
-                    self.window.paa_lower,
-                    self.window.paa_upper,
-                    points,
-                    self._seg_len,
-                    self._p,
-                )
-            else:
-                mus, sigmas = self._norm.leaf_stats(
-                    [entry.record for entry in entries]
-                )
-                near = lb_paa_znorm_pow_batch(
-                    self.window.paa_lower,
-                    self.window.paa_upper,
-                    points,
-                    mus,
-                    sigmas,
-                    self._seg_len,
-                    self._p,
-                )
-            for entry, dist_pow in zip(entries, near.tolist()):
+        near, far = score_node(
+            node,
+            self.window,
+            self._norm,
+            self._seg_len,
+            self._p,
+            self._tree.tracer,
+            include_far=True,
+        )
+        near_pows = near.tolist()
+        if far is None:
+            # Leaf points: MAXDIST equals the distance itself.
+            for entry, dist_pow in zip(entries, near_pows):
                 if dist_pow > cap_pow:
                     continue
                 heapq.heappush(
@@ -164,34 +134,7 @@ class WindowQueue:
                     (dist_pow, next(_counter), LEAF, entry.record, dist_pow),
                 )
             return
-        lows = np.stack([entry.low for entry in entries])
-        highs = np.stack([entry.high for entry in entries])
-        if self._norm is None:
-            near, far = batch_lower_bounds(
-                self.window.paa_lower,
-                self.window.paa_upper,
-                lows,
-                highs,
-                self._seg_len,
-                self._p,
-                include_far=True,
-            )
-        else:
-            near, far = batch_lower_bounds_znorm(
-                self.window.paa_lower,
-                self.window.paa_upper,
-                lows,
-                highs,
-                self._norm.mu_range,
-                self._norm.sigma_range,
-                self._seg_len,
-                self._p,
-                include_far=True,
-            )
-        assert far is not None
-        for entry, dist_pow, far_pow in zip(
-            entries, near.tolist(), far.tolist()
-        ):
+        for entry, dist_pow, far_pow in zip(entries, near_pows, far.tolist()):
             if dist_pow > cap_pow:
                 continue
             heapq.heappush(

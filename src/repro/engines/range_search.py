@@ -18,25 +18,12 @@ congruent to ``-s`` modulo ``omega``, so — exactly as in DualMatch —
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.control import ExecutionControl
 from repro.core.distance import dtw_pow
-from repro.core.lower_bounds import (
-    batch_lower_bounds,
-    batch_lower_bounds_znorm,
-    lb_keogh_pow,
-    lb_paa_pow_batch,
-    lb_paa_znorm_pow_batch,
-)
-from repro.core.metrics import QueryStats, StatsRecorder
-from repro.core.normalize import (
-    NormalizationContext,
-    WindowNormalizer,
-    znormalize,
-)
+from repro.core.normalize import NormalizationContext, znormalize
 from repro.core.results import Match
 from repro.core.windows import (
     QueryWindow,
@@ -44,205 +31,64 @@ from repro.core.windows import (
     candidate_in_bounds,
     candidate_start,
 )
-from repro.engines.base import FaultReport, PartialResult, SearchResult
-from repro.exceptions import (
-    ConfigurationError,
-    ExecutionInterrupted,
-    QueryError,
-    StorageError,
-)
-from repro.index.builder import DualMatchIndex
-from repro.index.rstar import RStarNode
-from repro.obs import QueryProfile
-from repro.obs.tracer import Span
+from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
+from repro.engines.bounds import score_node
+from repro.exceptions import StorageError
 from repro.storage.sequences import SequenceStore
 
 
-class RangeSearchEngine:
-    """Exact epsilon-matching via window-level index range queries."""
+class RangeSearchEngine(Engine):
+    """Exact epsilon-matching via window-level index range queries.
+
+    Runs on the shared engine template with a ``kind="range"``
+    :class:`~repro.engines.base.QuerySpec`: results come back
+    best-first with the same fault policy, z-normalization semantics,
+    and cooperative budget/deadline/cancellation checkpoints as the
+    ranked engines, and candidates are verified by the same LB_Keogh →
+    DTW cascade against the fixed threshold ``epsilon``.  Because a
+    range probe visits the tree in arbitrary stack order it reports no
+    frontier, so an interrupted range search certifies nothing beyond
+    what it already verified: the partial result's certificate is 0.
+    """
 
     name = "RangeSearch"
 
-    def __init__(self, index: DualMatchIndex) -> None:
-        self.index = index
-
-    def search(
-        self,
-        query: Sequence[float],
-        epsilon: float,
-        rho: int,
-        p: float = 2.0,
-        on_fault: str = "raise",
-        control: Optional[ExecutionControl] = None,
-        normalize: bool = False,
-    ) -> SearchResult:
-        """All subsequences with ``DTW_rho(Q, S) <= epsilon``.
-
-        With ``normalize`` both the query and every candidate window are
-        z-normalized (``epsilon`` then thresholds the normalized-space
-        distance), using the same stats plane as the ranked engines.
-
-        Results are returned best-first, like the ranked engines, with
-        the same fault policy (``on_fault="degrade"`` skips unreadable
-        subtrees and candidates, flags the result, and attaches a
-        :class:`~repro.engines.base.FaultReport`) and the same
-        cooperative budget/deadline/cancellation checkpoints.  Because a
-        range probe visits the tree in arbitrary stack order, an
-        interrupted range search certifies nothing beyond what it
-        already verified: the partial result's certificate is 0.
-        """
-        if epsilon < 0:
-            raise QueryError(f"epsilon must be >= 0, got {epsilon}")
-        if on_fault not in ("raise", "degrade"):
-            raise ConfigurationError(
-                f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-            )
-        window_set = QueryWindowSet.from_query(
-            query,
-            omega=self.index.omega,
-            features=self.index.features,
-            rho=rho,
-            p=p,
-            data_stride=self.index.data_stride,
-            normalize=normalize,
-        )
-        norm: Optional[NormalizationContext] = None
-        if normalize:
-            norm = NormalizationContext(
-                self.index.store, window_set.length
-            )
-        if control is None:
-            control = ExecutionControl()
-        tracer = control.tracer
-        if not tracer.enabled:
-            return self._execute(
-                window_set, epsilon, rho, p, on_fault, control, norm
-            )
-        metrics_before = tracer.metrics.snapshot()
-        with tracer.span(
-            "engine.search", engine=self.name, epsilon=epsilon, rho=rho
-        ) as root:
-            result = self._execute(
-                window_set, epsilon, rho, p, on_fault, control, norm
-            )
-        if isinstance(root, Span):
-            result.profile = QueryProfile(
-                span=root,
-                metrics=tracer.metrics.snapshot().delta(metrics_before),
-                stats=result.stats,
-                fault_report=result.fault_report,
-            )
-        return result
-
-    def _execute(
+    def _run(
         self,
         window_set: QueryWindowSet,
-        epsilon: float,
-        rho: int,
-        p: float,
-        on_fault: str,
-        control: ExecutionControl,
-        norm: Optional[NormalizationContext] = None,
-    ) -> SearchResult:
-        tracer = control.tracer
-        recorder = StatsRecorder(
-            self.index.store.pager, self.index.store.buffer
-        ).start()
-        stats = recorder.stats
-        pager_stats = self.index.store.pager.stats
-        reads_at_start = pager_stats.physical_reads
-        control.bind(
-            stats, lambda: pager_stats.physical_reads - reads_at_start
-        )
-        report = FaultReport()
-        matches: List[Match] = []
-        seen: Set[Tuple[int, int]] = set()
-        budget = control
-        interrupt: Optional[ExecutionInterrupted] = None
-        try:
-            # Every sliding query window issues one range probe
-            # (DualMatch).
-            for window in window_set.windows:
-                budget.checkpoint()
-                if tracer.enabled:
-                    with tracer.span(
-                        "range.window", offset=window.sliding_offset
-                    ):
-                        self._probe_window(
-                            window,
-                            window_set,
-                            epsilon**p,
-                            p,
-                            rho,
-                            stats,
-                            budget,
-                            on_fault,
-                            report,
-                            seen,
-                            matches,
-                            norm,
-                        )
-                else:
-                    self._probe_window(
-                        window,
-                        window_set,
-                        epsilon**p,
-                        p,
-                        rho,
-                        stats,
-                        budget,
-                        on_fault,
-                        report,
-                        seen,
-                        matches,
-                        norm,
-                    )
-        except ExecutionInterrupted as signal:
-            interrupt = signal
-        matches.sort()
-        final = recorder.finish()
-        final.checkpoints = control.checkpoints
-        if interrupt is None:
-            return SearchResult(
-                matches=matches,
-                stats=final,
-                degraded=bool(report),
-                fault_report=report if report else None,
-            )
-        final.interrupted = 1
-        return PartialResult(
-            matches=matches,
-            stats=final,
-            degraded=bool(report),
-            fault_report=report if report else None,
-            reason=interrupt.reason,
-            certificate=0.0,
-        )
+        evaluator: CandidateEvaluator,
+        spec: QuerySpec,
+    ) -> None:
+        budget = evaluator.control
+        tracer = evaluator.tracer
+        # Every sliding query window issues one range probe (DualMatch).
+        for window in window_set.windows:
+            budget.checkpoint()
+            if tracer.enabled:
+                with tracer.span(
+                    "range.window", offset=window.sliding_offset
+                ):
+                    self._probe_window(window, window_set, evaluator, spec)
+            else:
+                self._probe_window(window, window_set, evaluator, spec)
 
     def _probe_window(
         self,
         window: QueryWindow,
         window_set: QueryWindowSet,
-        epsilon_pow: float,
-        p: float,
-        rho: int,
-        stats: QueryStats,
-        budget: ExecutionControl,
-        on_fault: str,
-        report: FaultReport,
-        seen: Set[Tuple[int, int]],
-        matches: List[Match],
-        norm: Optional[NormalizationContext] = None,
+        evaluator: CandidateEvaluator,
+        spec: QuerySpec,
     ) -> None:
-        seg_len = self.index.seg_len
         tree = self.index.tree
         store = self.index.store
-        tracer = budget.tracer
-        window_norm: Optional[WindowNormalizer] = None
-        if norm is not None:
-            window_norm = norm.for_window(
-                window.sliding_offset, self.index.data_stride
-            )
+        stride = self.index.data_stride
+        budget = evaluator.control
+        epsilon_pow = evaluator.threshold_pow
+        norm = (
+            None
+            if evaluator.norm is None
+            else evaluator.norm.for_window(window.sliding_offset, stride)
+        )
         stack = [tree.root_page]
         while stack:
             budget.checkpoint()
@@ -250,187 +96,39 @@ class RangeSearchEngine:
             try:
                 node = tree.read_node(page_id)
             except StorageError as error:
-                if on_fault == "raise":
-                    raise
-                stats.faults_skipped += 1
-                report.record(error, page_id=page_id)
+                # Degrade: drop the unreadable subtree, keep probing.
+                evaluator.fault(error, page_id=page_id)
                 continue
-            stats.node_expansions += 1
+            evaluator.stats.node_expansions += 1
             entries = node.entries
             if not entries:
                 continue
             # One batched kernel call scores every entry of the node;
             # the loop below keeps the original visit order.
-            if not node.is_leaf:
-                if tracer.enabled:
-                    with tracer.span(
-                        "engine.lb_batch", n=len(entries), leaf=False
-                    ):
-                        gap_pows = self._score_internal(
-                            node, window, window_norm, seg_len, p
-                        )
-                    tracer.metrics.histogram("lb.batch_size").observe(
-                        len(entries)
-                    )
-                else:
-                    gap_pows = self._score_internal(
-                        node, window, window_norm, seg_len, p
-                    )
-                for entry, gap_pow in zip(entries, gap_pows.tolist()):
-                    if gap_pow <= epsilon_pow:
-                        stack.append(entry.child_page)
-                continue
-            if tracer.enabled:
-                with tracer.span(
-                    "engine.lb_batch", n=len(entries), leaf=True
-                ):
-                    gap_pows = self._score_leaf(
-                        node, window, window_norm, seg_len, p
-                    )
-                tracer.metrics.histogram("lb.batch_size").observe(
-                    len(entries)
-                )
-            else:
-                gap_pows = self._score_leaf(
-                    node, window, window_norm, seg_len, p
-                )
+            gap_pows, _far = score_node(
+                node,
+                window,
+                norm,
+                self.index.seg_len,
+                spec.p,
+                evaluator.tracer,
+            )
             for entry, gap_pow in zip(entries, gap_pows.tolist()):
                 if gap_pow > epsilon_pow:
                     continue
+                if not node.is_leaf:
+                    stack.append(entry.child_page)
+                    continue
                 record = entry.record
                 start = candidate_start(
-                    record.window_index,
-                    window.sliding_offset,
-                    self.index.data_stride,
+                    record.window_index, window.sliding_offset, stride
                 )
-                key = (record.sid, start)
-                if key in seen:
-                    stats.duplicates_suppressed += 1
+                if not evaluator.first_sighting(record.sid, start):
                     continue
-                seen.add(key)
-                if not candidate_in_bounds(
-                    start,
-                    window_set.length,
-                    store.length(record.sid),
+                if candidate_in_bounds(
+                    start, window_set.length, store.length(record.sid)
                 ):
-                    continue
-                try:
-                    values = store.get_subsequence(
-                        record.sid, start, window_set.length
-                    )
-                except StorageError as error:
-                    if on_fault == "raise":
-                        raise
-                    stats.faults_skipped += 1
-                    report.record(error, candidate=key)
-                    continue
-                if norm is not None:
-                    # One transform serves LB_Keogh and DTW alike, the
-                    # same discipline as CandidateEvaluator.
-                    mu, sigma = norm.stats(record.sid, start)
-                    values = znormalize(values, mu, sigma)
-                stats.candidates += 1
-                stats.lb_keogh_computations += 1
-                if (
-                    lb_keogh_pow(window_set.envelope, values, p)
-                    > epsilon_pow
-                ):
-                    stats.pruned_by_lb_keogh += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter(
-                            "verify.lb_keogh_pruned"
-                        ).inc()
-                    continue
-                stats.dtw_computations += 1
-                if tracer.enabled:
-                    with tracer.span(
-                        "candidate.verify", sid=record.sid, start=start
-                    ):
-                        distance_pow = dtw_pow(
-                            values,
-                            window_set.query,
-                            rho,
-                            p=p,
-                            threshold_pow=epsilon_pow,
-                        )
-                    metrics = tracer.metrics
-                    metrics.counter("verify.dtw").inc()
-                    if distance_pow > epsilon_pow:
-                        metrics.counter("verify.dtw_abandoned").inc()
-                else:
-                    distance_pow = dtw_pow(
-                        values,
-                        window_set.query,
-                        rho,
-                        p=p,
-                        threshold_pow=epsilon_pow,
-                    )
-                if distance_pow <= epsilon_pow:
-                    matches.append(
-                        Match(
-                            distance=distance_pow ** (1.0 / p),
-                            sid=record.sid,
-                            start=start,
-                            length=window_set.length,
-                        )
-                    )
-
-    @staticmethod
-    def _score_internal(
-        node: "RStarNode",
-        window: QueryWindow,
-        window_norm: Optional[WindowNormalizer],
-        seg_len: int,
-        p: float,
-    ) -> np.ndarray:
-        """MINDIST of one internal node's entry rectangles."""
-        entries = node.entries
-        lows = np.stack([entry.low for entry in entries])
-        highs = np.stack([entry.high for entry in entries])
-        if window_norm is None:
-            gap_pows, _far = batch_lower_bounds(
-                window.paa_lower, window.paa_upper, lows, highs, seg_len, p
-            )
-        else:
-            gap_pows, _far = batch_lower_bounds_znorm(
-                window.paa_lower,
-                window.paa_upper,
-                lows,
-                highs,
-                window_norm.mu_range,
-                window_norm.sigma_range,
-                seg_len,
-                p,
-            )
-        return gap_pows
-
-    @staticmethod
-    def _score_leaf(
-        node: "RStarNode",
-        window: QueryWindow,
-        window_norm: Optional[WindowNormalizer],
-        seg_len: int,
-        p: float,
-    ) -> np.ndarray:
-        """LB_PAA of one leaf node's entry points."""
-        entries = node.entries
-        points = np.stack([entry.low for entry in entries])
-        if window_norm is None:
-            return lb_paa_pow_batch(
-                window.paa_lower, window.paa_upper, points, seg_len, p
-            )
-        mus, sigmas = window_norm.leaf_stats(
-            [entry.record for entry in entries]
-        )
-        return lb_paa_znorm_pow_batch(
-            window.paa_lower,
-            window.paa_upper,
-            points,
-            mus,
-            sigmas,
-            seg_len,
-            p,
-        )
+                    evaluator.verify(record.sid, start)
 
 
 def brute_force_range(

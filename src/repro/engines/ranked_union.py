@@ -18,22 +18,28 @@ over ``ω`` subqueries, one per matching subsequence equivalence class
 :class:`RankedUnionEngine` drives the operator tree to exhaustion of the
 top-k result.  Its ``scheduling`` parameter selects the
 ``SelectPriorityQueue()`` policy: ``"max-delta"`` is the paper's **RU**,
-``"cost-aware"`` is **RU-COST**.
+``"cost-aware"`` is **RU-COST**.  :class:`repro.api.MatchStream` pulls
+the same tree (:func:`build_union`) one ``GetNext()`` at a time for
+lazy best-first emission.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional
+from typing import List
 
 from repro.core.windows import (
     QueryWindowSet,
     candidate_in_bounds,
     candidate_start,
 )
-from repro.engines.base import CandidateEvaluator, Engine, EngineConfig
-from repro.engines.cost_density import CostDensityConfig
+from repro.engines.base import (
+    SCHEDULINGS,
+    CandidateEvaluator,
+    Engine,
+    QuerySpec,
+)
 from repro.engines.operators import (
     ExtendedIterator,
     RankedTuple,
@@ -72,14 +78,12 @@ class PhiOperator(ExtendedIterator):
         window_set: QueryWindowSet,
         index: DualMatchIndex,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
         scheduling: str,
-        cost_config: Optional[CostDensityConfig] = None,
     ) -> None:
         self.class_index = class_index
         self._index = index
         self._evaluator = evaluator
-        self._config = config
         self._query_length = window_set.length
         norm = evaluator.norm
         self.queues = [
@@ -87,7 +91,7 @@ class PhiOperator(ExtendedIterator):
                 window=window,
                 tree=index.tree,
                 seg_len=index.seg_len,
-                p=config.p,
+                p=spec.p,
                 stats=evaluator.stats,
                 on_fault=evaluator.fault,
                 norm=(
@@ -109,8 +113,8 @@ class PhiOperator(ExtendedIterator):
             query_length=window_set.length,
             omega=index.data_stride,
             blocking_factor=index.tree.blocking_factor,
-            p=config.p,
-            cost_config=cost_config,
+            p=spec.p,
+            cost_config=spec.cost_config,
             cap_for=self._cap_for,
         )
 
@@ -347,6 +351,29 @@ class UnionOperator(ExtendedIterator):
                 self._clbs[child_index] = _INF
 
 
+def build_union(
+    window_set: QueryWindowSet,
+    index: DualMatchIndex,
+    evaluator: CandidateEvaluator,
+    spec: QuerySpec,
+    scheduling: str,
+) -> UnionOperator:
+    """The operator tree of one query: ``∪_r`` over one ``Φ_i`` per MSEQ."""
+    children = [
+        PhiOperator(
+            class_index=class_index,
+            window_set=window_set,
+            index=index,
+            evaluator=evaluator,
+            spec=spec,
+            scheduling=scheduling,
+        )
+        for class_index in range(window_set.num_classes)
+        if window_set.classes[class_index]
+    ]
+    return UnionOperator(children, evaluator)
+
+
 class RankedUnionEngine(Engine):
     """RU / RU-COST: ranked union over MSEQ subqueries.
 
@@ -357,28 +384,19 @@ class RankedUnionEngine(Engine):
     scheduling:
         ``SelectPriorityQueue()`` policy: ``"max-delta"`` (RU, default),
         ``"cost-aware"`` (RU-COST), ``"global-min"``, ``"round-robin"``.
-    cost_config:
-        RU-COST tuning (lookahead, alpha/beta, selective expansion).
+        RU-COST tuning (lookahead, alpha/beta, selective expansion)
+        rides on the query's ``spec.cost_config``.
     """
 
     def __init__(
-        self,
-        index: DualMatchIndex,
-        scheduling: str = "max-delta",
-        cost_config: Optional[CostDensityConfig] = None,
+        self, index: DualMatchIndex, scheduling: str = "max-delta"
     ) -> None:
         super().__init__(index)
-        if scheduling not in (
-            "max-delta",
-            "cost-aware",
-            "global-min",
-            "round-robin",
-        ):
+        if scheduling not in SCHEDULINGS:
             raise ConfigurationError(
                 f"unknown scheduling policy {scheduling!r}"
             )
         self.scheduling = scheduling
-        self.cost_config = cost_config
         self.name = "RU-COST" if scheduling == "cost-aware" else "RU"
         if scheduling in ("global-min", "round-robin"):
             self.name = f"RU[{scheduling}]"
@@ -387,22 +405,11 @@ class RankedUnionEngine(Engine):
         self,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
-        children = [
-            PhiOperator(
-                class_index=class_index,
-                window_set=window_set,
-                index=self.index,
-                evaluator=evaluator,
-                config=config,
-                scheduling=self.scheduling,
-                cost_config=self.cost_config,
-            )
-            for class_index in range(window_set.num_classes)
-            if window_set.classes[class_index]
-        ]
-        union = UnionOperator(children, evaluator)
+        union = build_union(
+            window_set, self.index, evaluator, spec, self.scheduling
+        )
         union.start()
         budget = evaluator.control
         while True:

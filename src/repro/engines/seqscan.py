@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.distance import dtw_pow
 from repro.core.lower_bounds import lb_keogh_pow_batch
 from repro.core.windows import QueryWindowSet
-from repro.engines.base import CandidateEvaluator, Engine, EngineConfig
+from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
 from repro.exceptions import StorageError
 from repro.obs.tracer import Tracer
 
@@ -36,7 +36,7 @@ class SeqScanEngine(Engine):
         self,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
         query = window_set.query
         length = window_set.length
@@ -57,17 +57,17 @@ class SeqScanEngine(Engine):
             if tracer.enabled:
                 with tracer.span("scan.sequence", sid=sid):
                     self._scan_sequence(
-                        sid, window_set, evaluator, config
+                        sid, window_set, evaluator, spec
                     )
             else:
-                self._scan_sequence(sid, window_set, evaluator, config)
+                self._scan_sequence(sid, window_set, evaluator, spec)
 
     def _scan_sequence(
         self,
         sid: int,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        config: EngineConfig,
+        spec: QuerySpec,
     ) -> None:
         """Scan one sequence: block LB_Keogh filter, then per-offset DTW."""
         query = window_set.query
@@ -104,14 +104,14 @@ class SeqScanEngine(Engine):
             if tracer.enabled:
                 with tracer.span("engine.lb_batch", n=int(block.shape[0])):
                     keogh_pows = lb_keogh_pow_batch(
-                        window_set.envelope, block, config.p
+                        window_set.envelope, block, spec.p
                     )
                 tracer.metrics.histogram("lb.batch_size").observe(
                     block.shape[0]
                 )
             else:
                 keogh_pows = lb_keogh_pow_batch(
-                    window_set.envelope, block, config.p
+                    window_set.envelope, block, spec.p
                 )
             stats.candidates += block.shape[0]
             stats.lb_keogh_computations += block.shape[0]
@@ -126,14 +126,14 @@ class SeqScanEngine(Engine):
                         "candidate.verify", sid=sid, start=block_start + row
                     ):
                         distance_pow = self._verify_offset(
-                            block[row], query, config, threshold_pow, tracer
+                            block[row], query, spec, threshold_pow, tracer
                         )
                 else:
                     distance_pow = dtw_pow(
                         block[row],
                         query,
-                        config.rho,
-                        p=config.p,
+                        spec.rho,
+                        p=spec.p,
                         threshold_pow=threshold_pow,
                     )
                 collector.offer_pow(distance_pow, sid, block_start + row)
@@ -142,15 +142,15 @@ class SeqScanEngine(Engine):
     def _verify_offset(
         values: np.ndarray,
         query: np.ndarray,
-        config: EngineConfig,
+        spec: QuerySpec,
         threshold_pow: float,
         tracer: Tracer,
     ) -> float:
         distance_pow = dtw_pow(
             values,
             query,
-            config.rho,
-            p=config.p,
+            spec.rho,
+            p=spec.p,
             threshold_pow=threshold_pow,
         )
         metrics = tracer.metrics

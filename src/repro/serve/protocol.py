@@ -30,20 +30,13 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engines.base import PartialResult, SearchResult
+from repro.engines.base import KINDS, METHODS, PartialResult, SearchResult
 from repro.exceptions import (
     AdmissionRejectedError,
     ProtocolError,
     ReproError,
     ServiceOverloadedError,
 )
-
-#: Engine names accepted in ``"method"`` (mirrors repro.api._METHODS;
-#: kept literal here so the wire layer has no import-time dependency on
-#: the API module).
-METHODS = ("seqscan", "hlmj", "hlmj-wg", "psm", "ru", "ru-cost")
-
-KINDS = ("knn", "range", "stream")
 
 _ON_FAULT = ("raise", "degrade")
 

@@ -39,11 +39,12 @@ from repro.control import (
     AdmissionController,
     CancellationToken,
     Deadline,
+    ExecutionControl,
     QueryBudget,
 )
 from repro.core.clock import MONOTONIC_CLOCK, Clock
 from repro.core.results import Match
-from repro.engines.base import PartialResult, SearchResult
+from repro.engines.base import PartialResult, QuerySpec, SearchResult
 from repro.exceptions import (
     AdmissionRejectedError,
     CircuitOpenError,
@@ -52,7 +53,6 @@ from repro.exceptions import (
     ReproError,
     ServiceOverloadedError,
     StorageError,
-    UsageError,
 )
 from repro.serve.protocol import QueryRequest
 from repro.serve.queue import AgingPriorityQueue
@@ -285,14 +285,8 @@ class QueryService:
         self._started = False
         # Engines are constructed lazily by the database and cached in
         # a plain dict; warm the cache up front so worker threads never
-        # race the first construction.  Sharded databases expose an
-        # explicit warm-up hook that covers every shard.
-        warm = getattr(db, "warm_engines", None)
-        if callable(warm):
-            warm()
-        elif getattr(db, "index", None) is not None:
-            for method in ("seqscan", "hlmj", "hlmj-wg", "ru", "ru-cost"):
-                db._engine(method, None)
+        # race the first construction.
+        db.warm_engines()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -549,85 +543,40 @@ class QueryService:
     def _dispatch(
         self, pending: PendingQuery, budget: Optional[QueryBudget]
     ) -> SearchResult:
+        """Build the request's spec + control and hand them to the facade."""
         request = pending.request
         db = self._db
-        common = dict(
-            rho=request.rho,
-            on_fault=request.on_fault,
-            budget=budget,
-            deadline=pending.deadline,
-            token=pending.token,
-        )
-        if request.kind == "knn":
-            return db.search(
-                list(request.query),
-                k=request.k,
-                method=request.method,
-                deferred=request.deferred,
-                **common,
-            )
-        if request.kind == "range":
-            return db.range_search(
-                list(request.query), epsilon=request.epsilon, **common
-            )
-        if request.kind == "stream":
-            return self._dispatch_stream(pending, budget)
-        raise UsageError(f"unknown request kind {request.kind!r}")
-
-    def _dispatch_stream(
-        self, pending: PendingQuery, budget: Optional[QueryBudget]
-    ) -> SearchResult:
-        request = pending.request
-        stream = self._db.iter_matches(
-            list(request.query),
+        query = list(request.query)
+        spec = QuerySpec.for_query(
+            query,
+            request.rho,
+            kind=request.kind,
             k=request.k,
-            rho=request.rho,
+            epsilon=request.epsilon,
+            method=request.method,
+            # Streams emit incrementally, which deferral's batching
+            # would defeat: the wire flag only ever applied to knn.
+            deferred=request.deferred and request.kind == "knn",
+            p=db.p,
             on_fault=request.on_fault,
+        )
+        control = ExecutionControl(
             budget=budget,
             deadline=pending.deadline,
             token=pending.token,
+            tracer=db.tracer,
         )
-        matches: List[Match] = []
+        if spec.kind != "stream":
+            return db.run_query(query, spec, control)
+        stream = db.open_stream(query, spec, control)
         try:
             for match in stream:
-                matches.append(match)
                 if pending.on_match is not None:
                     pending.on_match(match)
         finally:
             stream.close()
-        stats = stream.stats
-        assert stats is not None  # set by close()/exhaustion
-        if stream.interrupted:
-            # The stream's own certificate bounds *unexamined*
-            # candidates, but an interrupted stream may also hold
-            # examined candidates whose ranks were never settled and
-            # therefore never emitted.  Those sit at or above the last
-            # emitted distance (ranked-union emission is nondecreasing),
-            # so the sound bound for the emitted prefix is the minimum
-            # of the two — and 0.0 when nothing was emitted at all (a
-            # vacuous but honest certificate).
-            if matches:
-                certificate = min(
-                    stream.certificate, matches[-1].distance
-                )
-            else:
-                certificate = 0.0
-            return PartialResult(
-                matches=matches,
-                stats=stats,
-                degraded=stream.degraded,
-                fault_report=stream.fault_report,
-                profile=stream.profile,
-                reason=stream.reason,
-                certificate=certificate,
-            )
-        return SearchResult(
-            matches=matches,
-            stats=stats,
-            degraded=stream.degraded,
-            fault_report=stream.fault_report,
-            profile=stream.profile,
-        )
+        assert stream.result is not None  # set by close()/exhaustion
+        return stream.result
 
     # ------------------------------------------------------------------
     # Completion

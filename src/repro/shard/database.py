@@ -10,25 +10,23 @@ unsharded facade — ``insert`` / ``build`` / ``search`` /
 differential suite holds the results to *byte identity* with the
 single-process oracle.
 
-Control-plane fan-out semantics (see ``docs/sharding.md``):
-
-* ``budget`` — the same :class:`~repro.control.QueryBudget` caps apply
-  to **each shard independently** (the frozen budget object is shared;
-  the per-query counters it is enforced against are per-shard).
-* ``deadline`` — one shared :class:`~repro.control.Deadline`; all
-  shards race the same wall clock.
-* ``token`` — one shared :class:`~repro.control.CancellationToken`;
-  cancelling it stops every shard at its next checkpoint.  Not
-  supported on the process executor (tokens cannot cross the process
-  boundary meaningfully).
+One query path: the keyword methods build one
+:class:`~repro.engines.base.QuerySpec` and one
+:class:`~repro.control.ExecutionControl`; :meth:`ShardedDatabase.
+run_query` fans the spec out unchanged — on every executor — with one
+:meth:`~repro.control.ExecutionControl.derive` of the control per
+shard.  How ``budget`` / ``deadline`` / ``token`` behave under that
+fan-out is stated once, in ``docs/sharding.md`` ("Control plane under
+fan-out").
 
 Shard faults: per-page storage faults inside a shard follow the normal
 ``on_fault`` policy *within* that shard.  A shard failing wholesale
 (worker crash, unreadable shard, an injected
 :meth:`inject_shard_failure`) follows the same policy one level up —
 ``"raise"`` propagates, ``"degrade"`` drops the shard and returns a
-:class:`~repro.shard.merge.ShardedPartialResult` whose certificate is
-``0.0``: trivially sound, claiming exactness for nothing.
+:class:`~repro.shard.merge.ShardedPartialResult` (for a stream: ends
+it ``interrupted``) whose certificate is ``0.0``: trivially sound,
+claiming exactness for nothing.
 
 Thread safety: the facade is ``@shared_across_queries`` — after
 :meth:`build` (or :meth:`load`) the shard topology is immutable and
@@ -45,14 +43,18 @@ import os
 import pathlib
 import shutil
 import tempfile
+from concurrent.futures import BrokenExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import MatchStream, SubsequenceDatabase
-from repro.control import CancellationToken, Deadline, QueryBudget
-from repro.core.metrics import QueryStats
-from repro.core.results import Match
-from repro.engines.base import PartialResult, SearchResult
+from repro.control import (
+    CancellationToken,
+    Deadline,
+    ExecutionControl,
+    QueryBudget,
+)
+from repro.engines.base import QuerySpec, SearchResult
 from repro.engines.cost_density import CostDensityConfig
 from repro.exceptions import (
     ConfigurationError,
@@ -61,7 +63,7 @@ from repro.exceptions import (
     StorageError,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.shard.executor import create_executor
+from repro.shard.executor import create_executor, run_shard_request
 from repro.shard.merge import (
     LostShard,
     ShardedMatchStream,
@@ -238,12 +240,8 @@ class ShardedDatabase:
         """
         self._require_built()
         assert self.shards is not None
-        methods = ["seqscan", "hlmj", "hlmj-wg", "ru", "ru-cost"]
-        if self._psm:
-            methods.append("psm")
         for db in self.shards.values():
-            for method in methods:
-                db._engine(method, None)
+            db.warm_engines()
 
     def inject_shard_failure(self, shard: int) -> None:
         """Chaos/test hook: make ``shard`` fail wholesale at query time.
@@ -343,52 +341,28 @@ class ShardedDatabase:
     ) -> SearchResult:
         """Globally exact top-k over every shard (same API as unsharded).
 
-        Fan-out/merge semantics are described in the module docstring;
-        the result is byte-identical to
+        The result is byte-identical to
         :meth:`repro.api.SubsequenceDatabase.search` on the same data.
         ``normalize=True`` matches under z-normalized DTW (each shard
         normalizes candidates by their own rolling statistics, so the
         merged answer equals the unsharded normalized answer).
         """
-        self._require_built()
-        if rho is None:
-            rho = max(1, int(0.05 * len(query)))
-
-        if self._use_process_pool(token):
-            request = self._base_request(
-                query, rho, on_fault, budget, deadline, normalize
-            )
-            request.update(
-                kind="knn", k=k, method=method,
-                deferred=deferred, psm=self._psm,
-            )
-            if method == "ru-cost" and cost_config is not None:
-                raise ConfigurationError(
-                    "cost_config overrides are not supported on the "
-                    "process executor"
-                )
-            outcomes, lost = self._run_process(request, on_fault)
-        else:
-
-            def subquery(db: SubsequenceDatabase) -> SearchResult:
-                return db.search(
-                    query,
-                    k=k,
-                    rho=rho,
-                    method=method,
-                    deferred=deferred,
-                    cost_config=cost_config,
-                    on_fault=on_fault,
-                    budget=budget,
-                    deadline=deadline,
-                    token=token,
-                    normalize=normalize,
-                )
-
-            outcomes, lost = self._fan_out(subquery, on_fault)
-        merged = merge_search_results(outcomes, k=k, lost=lost)
-        self._record_shard_metrics(outcomes)
-        return merged
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            k=k,
+            method=method,
+            deferred=deferred,
+            cost_config=cost_config,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
+        )
+        control = ExecutionControl(
+            budget=budget, deadline=deadline, token=token,
+            tracer=self._tracer,
+        )
+        return self.run_query(query, spec, control)
 
     def range_search(
         self,
@@ -402,34 +376,20 @@ class ShardedDatabase:
         normalize: bool = False,
     ) -> SearchResult:
         """All subsequences within ``epsilon``, merged across shards."""
-        self._require_built()
-        if rho is None:
-            rho = max(1, int(0.05 * len(query)))
-
-        if self._use_process_pool(token):
-            request = self._base_request(
-                query, rho, on_fault, budget, deadline, normalize
-            )
-            request.update(kind="range", epsilon=epsilon, psm=self._psm)
-            outcomes, lost = self._run_process(request, on_fault)
-        else:
-
-            def subquery(db: SubsequenceDatabase) -> SearchResult:
-                return db.range_search(
-                    query,
-                    epsilon=epsilon,
-                    rho=rho,
-                    on_fault=on_fault,
-                    budget=budget,
-                    deadline=deadline,
-                    token=token,
-                    normalize=normalize,
-                )
-
-            outcomes, lost = self._fan_out(subquery, on_fault)
-        merged = merge_search_results(outcomes, k=None, lost=lost)
-        self._record_shard_metrics(outcomes)
-        return merged
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            kind="range",
+            epsilon=epsilon,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
+        )
+        control = ExecutionControl(
+            budget=budget, deadline=deadline, token=token,
+            tracer=self._tracer,
+        )
+        return self.run_query(query, spec, control)
 
     def iter_matches(
         self,
@@ -452,158 +412,156 @@ class ShardedDatabase:
         from the calling thread, so it runs in-process regardless of
         the executor (the process pool is for whole subqueries).
         """
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            kind="stream",
+            k=k,
+            scheduling=scheduling,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
+        )
+        control = ExecutionControl(
+            budget=budget, deadline=deadline, token=token,
+            tracer=self._tracer,
+        )
+        return self.open_stream(query, spec, control)
+
+    # ------------------------------------------------------------------
+    # The one query path: spec + control -> fan-out -> merge
+    # ------------------------------------------------------------------
+
+    def run_query(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> SearchResult:
+        """Fan one ``knn`` / ``range`` spec out to every shard and merge.
+
+        The keyword methods above are shims over this; the query
+        service calls it with a spec it built from the wire request.
+        """
+        outcomes, lost = self._fan_out(query, spec, control)
+        merged = merge_search_results(
+            outcomes, k=spec.k if spec.kind == "knn" else None, lost=lost
+        )
+        self._record_shard_metrics(outcomes)
+        return merged
+
+    def open_stream(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> ShardedMatchStream:
+        """Open one ``stream`` spec on every live shard, in-process."""
         self._require_built()
         assert self.shards is not None
-        if rho is None:
-            rho = max(1, int(0.05 * len(query)))
         streams: List[Tuple[int, MatchStream]] = []
+        lost: List[LostShard] = []
         try:
             for index, db in self.shards.items():
                 if index in self._failed_shards:
-                    raise StorageError(
-                        f"shard {index} failed (injected shard failure)"
-                    )
+                    lost.append(self._lose(index, spec))
+                    continue
                 streams.append(
-                    (
-                        index,
-                        db.iter_matches(
-                            query,
-                            k=k,
-                            rho=rho,
-                            scheduling=scheduling,
-                            on_fault=on_fault,
-                            budget=budget,
-                            deadline=deadline,
-                            token=token,
-                            normalize=normalize,
-                        ),
-                    )
+                    (index, db.open_stream(query, spec, control.derive()))
                 )
         except StorageError:
             for _, stream in streams:
                 stream.close()
             raise
-        return ShardedMatchStream(streams, k=k)
+        return ShardedMatchStream(streams, k=spec.k, lost=lost)
 
-    # ------------------------------------------------------------------
-    # Fan-out plumbing
-    # ------------------------------------------------------------------
-
-    def _use_process_pool(self, token: Optional[CancellationToken]) -> bool:
-        if self.executor.kind != "process":
-            return False
-        if token is not None:
-            raise ConfigurationError(
-                "cancellation tokens are not supported on the process "
-                "executor; use executor='thread' or 'serial'"
-            )
-        return True
-
-    def _base_request(
-        self,
-        query: Sequence[float],
-        rho: int,
-        on_fault: str,
-        budget: Optional[QueryBudget],
-        deadline: Optional[Deadline],
-        normalize: bool = False,
-    ) -> Dict[str, Any]:
-        return {
-            "query": [float(v) for v in query],
-            "rho": rho,
-            "on_fault": on_fault,
-            "budget": budget,
-            "deadline_s": None if deadline is None else deadline.remaining(),
-            "normalize": normalize,
-        }
-
-    def _shard_items(self) -> List[Tuple[int, SubsequenceDatabase]]:
-        assert self.shards is not None
-        return list(self.shards.items())
+    def _lose(self, index: int, spec: QuerySpec) -> LostShard:
+        """Apply the shard-fault policy to an injected shard failure."""
+        failure = StorageError(
+            f"shard {index} failed (injected shard failure)"
+        )
+        if spec.on_fault != "degrade":
+            raise failure
+        return LostShard(shard=index, detail=str(failure))
 
     def _fan_out(
         self,
-        subquery: Callable[[SubsequenceDatabase], SearchResult],
-        on_fault: str,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
     ) -> Tuple[List[Tuple[int, SearchResult]], List[LostShard]]:
-        """Run ``subquery`` on every non-empty shard via the executor.
+        """Run ``spec`` on every non-empty shard via the executor.
 
         Per-shard *storage* faults are already handled inside the shard
         by its ``on_fault`` policy; this layer applies the same policy
-        to whole-shard failures.
+        to whole-shard failures (an injected failure, a shard whose
+        subquery raised a :class:`~repro.exceptions.StorageError`, a
+        pool worker that died).
         """
-        items = self._shard_items()
-        tracer = self._tracer
-
-        def task(index: int, db: SubsequenceDatabase) -> Tuple[int, Any]:
-            try:
-                if index in self._failed_shards:
-                    raise StorageError(
-                        f"shard {index} failed (injected shard failure)"
-                    )
-                if tracer.enabled:
-                    with tracer.span("shard.subquery", shard=index):
-                        return (index, subquery(db))
-                return (index, subquery(db))
-            except StorageError as error:
-                if on_fault != "degrade":
-                    raise
-                return (index, LostShard(shard=index, detail=str(error)))
-
-        tasks = [
-            (lambda index=index, db=db: task(index, db))
-            for index, db in items
-        ]
-        tagged = self.executor.run(tasks)
-        outcomes: List[Tuple[int, SearchResult]] = []
-        lost: List[LostShard] = []
-        for index, payload in tagged:
-            if isinstance(payload, LostShard):
-                lost.append(payload)
-            else:
-                outcomes.append((index, payload))
-        return outcomes, lost
-
-    def _run_process(
-        self, request: Dict[str, Any], on_fault: str
-    ) -> Tuple[List[Tuple[int, SearchResult]], List[LostShard]]:
-        """Dispatch one request per shard to the process pool."""
-        if self._root is None:
-            raise ConfigurationError(
-                "the process executor requires a database opened from a "
-                "persisted root (ShardedDatabase.load(..., "
-                "executor='process'))"
-            )
-        items = self._shard_items()
-        jobs: List[Tuple[str, Dict[str, Any]]] = []
-        live: List[int] = []
-        lost: List[LostShard] = []
-        for index, _ in items:
-            if index in self._failed_shards:
-                failure = StorageError(
-                    f"shard {index} failed (injected shard failure)"
+        self._require_built()
+        assert self.shards is not None
+        remote = self.executor.kind == "process"
+        if remote:
+            if control.token is not None:
+                raise ConfigurationError(
+                    "cancellation tokens are not supported on the process "
+                    "executor; use executor='thread' or 'serial'"
                 )
-                if on_fault != "degrade":
-                    raise failure
-                lost.append(LostShard(shard=index, detail=str(failure)))
+            if self._root is None:
+                raise ConfigurationError(
+                    "the process executor requires a database opened from "
+                    "a persisted root (ShardedDatabase.load(..., "
+                    "executor='process'))"
+                )
+        live: List[int] = []
+        jobs: List[Tuple[Any, ...]] = []
+        lost: List[LostShard] = []
+        for index, db in self.shards.items():
+            if index in self._failed_shards:
+                lost.append(self._lose(index, spec))
                 continue
-            jobs.append(
-                (str(self._root / shard_dir_name(index)), dict(request))
-            )
             live.append(index)
-        encoded = self.executor.run_requests(jobs)
+            if remote:
+                assert self._root is not None
+                shard_dir = str(self._root / shard_dir_name(index))
+                jobs.append((shard_dir, self._psm, query, spec, control))
+            else:
+                jobs.append((index, db, query, spec, control.derive()))
+        function: Callable[..., SearchResult] = (
+            run_shard_request if remote else self._run_shard
+        )
+        settled = self.executor.run(function, jobs)
         outcomes: List[Tuple[int, SearchResult]] = []
-        for index, record in zip(live, encoded):
-            error = record.get("error")
-            if error is not None:
-                if on_fault != "degrade":
-                    raise StorageError(
-                        f"shard {index} subquery failed: {error}"
-                    )
-                lost.append(LostShard(shard=index, detail=str(error)))
-                continue
-            outcomes.append((index, _decode_result(record)))
+        for index, outcome in zip(live, settled):
+            if isinstance(outcome, BrokenExecutor):
+                # A pool worker that died is an unreadable shard.
+                outcome = StorageError(
+                    f"shard {index} subquery failed: {outcome}"
+                )
+            if not isinstance(outcome, Exception):
+                outcomes.append((index, outcome))
+            elif spec.on_fault == "degrade" and isinstance(
+                outcome, StorageError
+            ):
+                lost.append(LostShard(shard=index, detail=str(outcome)))
+            else:
+                raise outcome
         return outcomes, lost
+
+    def _run_shard(
+        self,
+        index: int,
+        db: SubsequenceDatabase,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> SearchResult:
+        """One in-process shard subquery (serial / thread executors)."""
+        tracer = control.tracer
+        if tracer.enabled:
+            with tracer.span("shard.subquery", shard=index):
+                return db.run_query(query, spec, control)
+        return db.run_query(query, spec, control)
 
     def _record_shard_metrics(
         self, outcomes: Sequence[Tuple[int, SearchResult]]
@@ -786,43 +744,3 @@ class ShardedDatabase:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _decode_result(record: Dict[str, Any]) -> SearchResult:
-    """Rebuild a (Partial)SearchResult from a worker's result dict."""
-    from repro.engines.base import FaultEvent, FaultReport
-
-    matches = [
-        Match(distance=d, sid=sid, start=start, length=length)
-        for d, sid, start, length in record["matches"]
-    ]
-    stats = QueryStats(**record["stats"])
-    events = [
-        FaultEvent(
-            error=error,
-            detail=detail,
-            page_id=page_id,
-            candidate=None if candidate is None else tuple(candidate),
-        )
-        for error, detail, page_id, candidate in record["fault_events"]
-    ]
-    report: Optional[FaultReport] = None
-    if events or record["fault_suppressed"]:
-        report = FaultReport(
-            events=events, suppressed=record["fault_suppressed"]
-        )
-    if record["partial"]:
-        return PartialResult(
-            matches=matches,
-            stats=stats,
-            degraded=bool(record["degraded"]),
-            fault_report=report,
-            reason=str(record["reason"]),
-            certificate=float(record["certificate"]),
-        )
-    return SearchResult(
-        matches=matches,
-        stats=stats,
-        degraded=bool(record["degraded"]),
-        fault_report=report,
-    )

@@ -20,13 +20,14 @@ the per-shard work runs:
     *persisted* shard root (see :meth:`~repro.shard.database.
     ShardedDatabase.save`).  Each worker lazily loads — then caches —
     its shard from disk, so page data is shared between workers at the
-    OS file-cache level rather than copied through pickles.  Requests
-    and results cross the process boundary as plain dicts; anything
-    that cannot (cancellation tokens, fault injectors, tracers) is
-    rejected up front by the facade.  Hosts that cannot start a
-    process pool fall back to threads (``create_executor`` never
-    fails over silently — the returned executor's ``kind`` says what
-    actually runs).
+    OS file-cache level rather than copied through pickles.  The
+    :class:`~repro.engines.base.QuerySpec`, the control's limits, and
+    the result object cross the process boundary pickled; what cannot
+    cross meaningfully (cancellation tokens, fault injectors, tracers)
+    is rejected up front by the facade or stays behind.  Hosts that
+    cannot start a process pool fall back to threads
+    (``create_executor`` never fails over silently — the returned
+    executor's ``kind`` says what actually runs).
 
 Thread safety: executors are ``@shared_across_queries`` — one instance
 serves every concurrent query on the facade.  The pool handle is
@@ -37,27 +38,45 @@ serves every concurrent query on the facade.  The pool handle is
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures import (
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency import guarded_by, shared_across_queries
-from repro.control import Deadline, QueryBudget
+from repro.control import ExecutionControl
+from repro.engines.base import QuerySpec, SearchResult
 from repro.exceptions import ConfigurationError, UsageError
-
-T = TypeVar("T")
 
 #: Executor kinds accepted by :func:`create_executor`.
 EXECUTOR_KINDS: Tuple[str, ...] = ("serial", "thread", "process")
 
+#: One shard job: the positional arguments of the fan-out's function.
+Job = Tuple[Any, ...]
+
+
+def _settled(call: Callable[[], Any]) -> Any:
+    """``call()``'s return value, or the exception it raised."""
+    try:
+        return call()
+    except Exception as error:  # noqa: BLE001 — shard-fault policy decides
+        return error
+
 
 @shared_across_queries
 class SerialShardExecutor:
-    """Run every shard task inline, in shard order."""
+    """Run every shard job inline, in shard order."""
 
     kind = "serial"
 
-    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        return [task() for task in tasks]
+    def run(
+        self, function: Callable[..., Any], jobs: Sequence[Job]
+    ) -> List[Any]:
+        """``function(*job)`` per job; see :meth:`ThreadShardExecutor.run`."""
+        return [_settled(lambda: function(*job)) for job in jobs]
 
     def close(self) -> None:
         """Nothing to release."""
@@ -72,7 +91,7 @@ class SerialShardExecutor:
 @shared_across_queries
 @guarded_by("_lock", "_pool")
 class ThreadShardExecutor:
-    """Run shard tasks on a persistent thread pool."""
+    """Run shard jobs on a persistent thread pool."""
 
     kind = "thread"
 
@@ -82,7 +101,11 @@ class ThreadShardExecutor:
                 f"max_workers must be >= 1, got {max_workers}"
             )
         self._lock = threading.Lock()
-        self._pool: Optional[Executor] = ThreadPoolExecutor(
+        self._pool: Optional[Executor] = self._make_pool(max_workers)
+
+    @staticmethod
+    def _make_pool(max_workers: int) -> Executor:
+        return ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-shard"
         )
 
@@ -93,10 +116,21 @@ class ThreadShardExecutor:
             raise UsageError("shard executor used after close()")
         return pool
 
-    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
+    def run(
+        self, function: Callable[..., Any], jobs: Sequence[Job]
+    ) -> List[Any]:
+        """``function(*job)`` per job, one settled outcome each, in order.
+
+        An outcome is the job's return value or the exception it raised
+        (a worker that died mid-job included), so one failing shard
+        never poisons the whole fan-out — the facade applies its
+        shard-fault policy to each slot.
+        """
         pool = self._live_pool()
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+        futures: List["Future[Any]"] = [
+            pool.submit(function, *job) for job in jobs
+        ]
+        return [_settled(future.result) for future in futures]
 
     def close(self) -> None:
         with self._lock:
@@ -110,6 +144,23 @@ class ThreadShardExecutor:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class ProcessShardExecutor(ThreadShardExecutor):
+    """Run shard jobs on a process pool over a saved root.
+
+    Jobs cross the process boundary pickled, so the fan-out submits
+    :func:`run_shard_request` (a module-level function) with a shard
+    directory instead of an in-memory database.
+    """
+
+    kind = "process"
+
+    @staticmethod
+    def _make_pool(max_workers: int) -> Executor:
+        # May raise on hosts without working multiprocessing; the
+        # create_executor factory catches that and falls back to threads.
+        return ProcessPoolExecutor(max_workers=max_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -132,123 +183,21 @@ def _worker_shard(shard_dir: str, psm: bool) -> Any:
     return db
 
 
-def run_shard_request(shard_dir: str, request: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one serialized subquery against a persisted shard.
+def run_shard_request(
+    shard_dir: str,
+    psm: bool,
+    query: Sequence[float],
+    spec: QuerySpec,
+    control: ExecutionControl,
+) -> SearchResult:
+    """Answer one spec against a persisted shard.
 
     Runs inside a pool worker process (but is a plain function — the
-    serial/thread paths never use it, and tests call it directly).
-    Returns a picklable result dict; see ``_encode_result``.
+    serial/thread paths never use it, and tests call it directly).  The
+    spec, the control's limits, and the returned result object cross
+    the process boundary by pickle.
     """
-    from repro.engines.base import PartialResult
-
-    db = _worker_shard(shard_dir, bool(request.get("psm", False)))
-    budget: Optional[QueryBudget] = request.get("budget")
-    deadline_s: Optional[float] = request.get("deadline_s")
-    deadline = None if deadline_s is None else Deadline.after(deadline_s)
-    common: Dict[str, Any] = {
-        "rho": request["rho"],
-        "on_fault": request.get("on_fault", "raise"),
-        "budget": budget,
-        "deadline": deadline,
-        "normalize": bool(request.get("normalize", False)),
-    }
-    if request["kind"] == "range":
-        result = db.range_search(
-            request["query"], epsilon=request["epsilon"], **common
-        )
-    else:
-        result = db.search(
-            request["query"],
-            k=request["k"],
-            method=request.get("method", "ru-cost"),
-            deferred=bool(request.get("deferred", False)),
-            **common,
-        )
-    encoded: Dict[str, Any] = {
-        "matches": [
-            (m.distance, m.sid, m.start, m.length) for m in result.matches
-        ],
-        "stats": result.stats.as_dict(),
-        "degraded": result.degraded,
-        "fault_events": [
-            (e.error, e.detail, e.page_id, e.candidate)
-            for e in (
-                result.fault_report.events if result.fault_report else []
-            )
-        ],
-        "fault_suppressed": (
-            result.fault_report.suppressed if result.fault_report else 0
-        ),
-        "partial": isinstance(result, PartialResult),
-    }
-    if isinstance(result, PartialResult):
-        encoded["reason"] = result.reason
-        encoded["certificate"] = result.certificate
-    return encoded
-
-
-@shared_across_queries
-@guarded_by("_lock", "_pool")
-class ProcessShardExecutor:
-    """Run serialized shard requests on a process pool over a saved root."""
-
-    kind = "process"
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self._lock = threading.Lock()
-        # May raise on hosts without working multiprocessing; the
-        # create_executor factory catches that and falls back to threads.
-        self._pool: Optional[Executor] = ProcessPoolExecutor(
-            max_workers=max_workers
-        )
-
-    def _live_pool(self) -> Executor:
-        with self._lock:
-            pool = self._pool
-        if pool is None:
-            raise UsageError("shard executor used after close()")
-        return pool
-
-    def run_requests(
-        self, jobs: Sequence[Tuple[str, Dict[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        """Dispatch ``(shard_dir, request)`` jobs; one result dict each.
-
-        A worker that dies mid-request (or a broken pool) surfaces as an
-        ``{"error": ...}`` marker for that shard instead of poisoning
-        the whole fan-out — the facade applies its shard-fault policy.
-        """
-        pool = self._live_pool()
-        futures = [
-            pool.submit(run_shard_request, shard_dir, request)
-            for shard_dir, request in jobs
-        ]
-        results: List[Dict[str, Any]] = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except Exception as error:  # noqa: BLE001 — per-shard fault policy
-                results.append(
-                    {"error": f"{type(error).__name__}: {error}"}
-                )
-        return results
-
-    def close(self) -> None:
-        with self._lock:
-            pool = self._pool
-            self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ProcessShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    return _worker_shard(shard_dir, psm).run_query(query, spec, control)
 
 
 def create_executor(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency import single_query
 from repro.api import MatchStream
@@ -46,7 +46,9 @@ from repro.engines.base import (
     FaultEvent,
     FaultReport,
     PartialResult,
+    RankedStream,
     SearchResult,
+    prefix_certificate,
 )
 
 #: Interrupt reason recorded when an entire shard failed and the
@@ -156,35 +158,31 @@ def merge_search_results(
 
 
 @single_query
-class ShardedMatchStream(Iterator[Match]):
+class ShardedMatchStream(RankedStream):
     """K-way ranked-union merge over per-shard match streams.
 
-    The sharded analogue of :class:`repro.api.MatchStream`: iterate for
-    up to ``k`` globally ranked matches (nondecreasing in
-    ``(distance, sid, start)``); after the stream ends — naturally, via
-    :meth:`close`, or because shards were interrupted — the same
-    post-hoc diagnostics are available (:attr:`stats`,
-    :attr:`interrupted`, :attr:`reason`, :attr:`certificate`,
-    :attr:`degraded`, :attr:`fault_report`), plus the per-shard
-    :attr:`shard_stats` breakdown.
+    The sharded analogue of :class:`repro.api.MatchStream`: iterate
+    for up to ``k`` globally ranked matches (nondecreasing in
+    ``(distance, sid, start)``); after the stream ends — naturally,
+    via :meth:`close`, or because shards were interrupted or ``lost``
+    — :attr:`result` is the
+    :func:`merge_search_results` composition of the per-shard stream
+    results over the emitted prefix, so the same post-hoc diagnostics
+    are available, plus the per-shard :attr:`shard_stats` breakdown.
     """
 
     def __init__(
-        self, streams: Sequence[Tuple[int, MatchStream]], k: int
+        self,
+        streams: Sequence[Tuple[int, MatchStream]],
+        k: int,
+        lost: Sequence[LostShard] = (),
     ) -> None:
         self._streams = list(streams)
         self._k = k
+        self._lost = lost
         self._emitted = 0
-        self._finished = False
         #: (distance, sid, start, shard position) heap of stream heads.
         self._heads: List[Tuple[float, int, int, int, Match]] = []
-        self.stats: Optional[QueryStats] = None
-        self.shard_stats: Dict[int, QueryStats] = {}
-        self.degraded = False
-        self.fault_report: Optional[FaultReport] = None
-        self.interrupted = False
-        self.reason = ""
-        self.certificate = math.inf
         for position in range(len(self._streams)):
             self._pull(position)
 
@@ -200,11 +198,8 @@ class ShardedMatchStream(Iterator[Match]):
             (head.distance, head.sid, head.start, position, head),
         )
 
-    def __iter__(self) -> "ShardedMatchStream":
-        return self
-
     def __next__(self) -> Match:
-        if self._finished:
+        if self.result is not None:
             raise StopIteration
         if self._emitted >= self._k or not self._heads:
             self._finalize()
@@ -214,33 +209,26 @@ class ShardedMatchStream(Iterator[Match]):
         self._emitted += 1
         return head
 
-    def close(self) -> None:
-        """Stop early; diagnostics become available."""
-        if not self._finished:
-            self._finalize()
+    @property
+    def shard_stats(self) -> Dict[int, QueryStats]:
+        """Per-shard counters (empty until the stream ends)."""
+        return getattr(self.result, "shard_stats", {})
 
     def _finalize(self) -> None:
-        self._finished = True
-        stats = QueryStats()
-        reasons: List[str] = []
+        outcomes: List[Tuple[int, SearchResult]] = []
         for shard, stream in self._streams:
             stream.close()
-            if stream.stats is not None:
-                stats.merge(stream.stats)
-                self.shard_stats[shard] = stream.stats
-            if stream.degraded:
-                self.degraded = True
-            if stream.fault_report is not None:
-                if self.fault_report is None:
-                    self.fault_report = FaultReport()
-                self.fault_report.events.extend(stream.fault_report.events)
-                self.fault_report.suppressed += stream.fault_report.suppressed
-            if stream.interrupted:
-                self.interrupted = True
-                self.certificate = min(self.certificate, stream.certificate)
-                if stream.reason and stream.reason not in reasons:
-                    reasons.append(stream.reason)
-        if self.interrupted:
-            stats.interrupted = max(stats.interrupted, 1)
-        self.reason = ",".join(sorted(reasons))
-        self.stats = stats
+            assert stream.result is not None
+            outcomes.append((shard, stream.result))
+        # Per-shard emission is nondecreasing, so the first ``emitted``
+        # of the merged per-shard prefixes are exactly what was yielded.
+        result = merge_search_results(
+            outcomes, k=self._emitted, lost=self._lost
+        )
+        if isinstance(result, PartialResult):
+            # Heads pulled from a shard but never yielded sit at or
+            # above the last yielded distance.
+            result.certificate = prefix_certificate(
+                result.certificate, result.matches
+            )
+        self.result = result

@@ -106,6 +106,6 @@ class TestMaintenance:
         assert walk_db.pager.stats.physical_reads == 0
 
     def test_engines_are_cached(self, walk_db):
-        first = walk_db._engine("ru", None)
-        second = walk_db._engine("ru", None)
+        first = walk_db._engine("ru")
+        second = walk_db._engine("ru")
         assert first is second

@@ -353,3 +353,24 @@ class TestAdmissionController:
             db.search(query, k=3, method="ru")
         blocker.release()
         assert len(db.search(query, k=3, method="ru").matches) == 3
+
+    def test_range_search_shares_the_admitted_entry(self):
+        db = SubsequenceDatabase(
+            omega=16,
+            features=4,
+            buffer_fraction=0.1,
+            admission=AdmissionController(max_concurrent=1, max_queued=0),
+        )
+        db.insert(0, make_walk(600, seed=81))
+        db.build()
+        query = make_walk(40, seed=82)
+        assert db.admission is not None
+        blocker = db.admission.admit()
+        with pytest.raises(AdmissionRejectedError):
+            db.range_search(query, epsilon=5.0)
+        # Lazy streams hold no slot between pulls, so they are not
+        # admitted (documented on the ``admission`` parameter).
+        assert len(list(db.iter_matches(query, k=2))) == 2
+        blocker.release()
+        db.range_search(query, epsilon=5.0)
+        assert db.admission.active == 0

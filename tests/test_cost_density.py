@@ -77,7 +77,7 @@ class TestSchedulerOnRealQueues(object):
     def test_lb_never_exceeds_exact(self, walk_db):
         """Lemma 7, checked empirically on live queues."""
         from repro.core.windows import QueryWindowSet
-        from repro.engines.base import CandidateEvaluator, EngineConfig
+        from repro.engines.base import CandidateEvaluator, QuerySpec
         from repro.engines.queues import WindowQueue
         from repro.core.metrics import QueryStats
 

@@ -110,12 +110,12 @@ class TestSchedulingVariants:
     )
     def test_all_strategies_exact(self, walk_db, scheduling):
         from repro.engines.ranked_union import RankedUnionEngine
-        from repro.engines.base import EngineConfig
+        from repro.engines.base import QuerySpec
 
         query = query_from(walk_db, 900, 48)
         reference = walk_db.search(query, k=5, rho=2, method="ru")
         engine = RankedUnionEngine(walk_db.index, scheduling=scheduling)
-        result = engine.search(query, EngineConfig(k=5, rho=2))
+        result = engine.search(query, QuerySpec(k=5, rho=2))
         assert [round(m.distance, 6) for m in result.matches] == [
             round(m.distance, 6) for m in reference.matches
         ]
@@ -302,12 +302,13 @@ class TestGoldenCounters:
         assert_golden(result, label, GOLDEN_DISTANCES, GOLDEN_MATCHES)
 
     def test_range_search_matches_goldens(self, golden_db):
+        from repro.engines.base import QuerySpec
         from repro.engines.range_search import RangeSearchEngine
 
         query = query_from(golden_db, 640, 48)
         golden_db.reset_cache()
         result = RangeSearchEngine(golden_db.index).search(
-            query, epsilon=2.5, rho=2
+            query, QuerySpec(kind="range", epsilon=2.5, rho=2)
         )
         assert_golden(result, "range", GOLDEN_DISTANCES, GOLDEN_MATCHES)
 

@@ -374,6 +374,34 @@ class TestRS007CheckpointDiscipline:
         )
         assert codes(findings) == ["RS007"]
 
+    def test_range_probe_walk_must_checkpoint(self):
+        # The range engine's tree walk lives in _probe_window, below
+        # the shared template's _run.
+        findings = lint_snippet(
+            """
+            def _probe_window(self, window, window_set, evaluator, spec):
+                stack = [self.index.tree.root_page]
+                while stack:
+                    evaluator.verify(*stack.pop())
+            """,
+            "repro/engines/novel.py",
+        )
+        assert codes(findings) == ["RS007"]
+
+    def test_range_probe_walk_with_checkpoint_is_clean(self):
+        findings = lint_snippet(
+            """
+            def _probe_window(self, window, window_set, evaluator, spec):
+                budget = evaluator.control
+                stack = [self.index.tree.root_page]
+                while stack:
+                    budget.checkpoint()
+                    evaluator.verify(*stack.pop())
+            """,
+            "repro/engines/novel.py",
+        )
+        assert findings == []
+
     def test_helper_functions_are_exempt(self):
         findings = lint_snippet(
             """
@@ -1014,6 +1042,32 @@ class TestRS013ServiceLoopDiscipline:
                     with self._lock:
                         budget = self._budget
                     return self._db.search(request.query, budget=budget)
+            """,
+            "repro/serve/novel.py",
+        )
+        assert findings == []
+
+    def test_spec_entry_under_lock_is_flagged(self):
+        findings = lint_snippet(
+            """
+            class Service:
+                def run(self, query, spec, control):
+                    with self._lock:
+                        return self._db.run_query(query, spec, control)
+            """,
+            "repro/serve/novel.py",
+        )
+        assert codes(findings) == ["RS013"]
+        assert "run_query" in findings[0].message
+
+    def test_spec_entry_after_release_is_clean(self):
+        findings = lint_snippet(
+            """
+            class Service:
+                def run(self, query, spec, control):
+                    with self._lock:
+                        self._inflight += 1
+                    return self._db.open_stream(query, spec, control)
             """,
             "repro/serve/novel.py",
         )

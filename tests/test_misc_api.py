@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engines.base import EngineConfig, SearchResult
+from repro.engines.base import QuerySpec, SearchResult
 from repro.exceptions import ConfigurationError
 
 
@@ -33,7 +33,7 @@ class TestPublicExports:
 
 class TestEngineConfig:
     def test_defaults(self):
-        config = EngineConfig(k=5, rho=2)
+        config = QuerySpec(k=5, rho=2)
         assert not config.deferred
         assert config.deferred_fraction == 0.005
         assert config.p == 2.0
@@ -49,10 +49,10 @@ class TestEngineConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
-            EngineConfig(**kwargs)
+            QuerySpec(**kwargs)
 
     def test_frozen(self):
-        config = EngineConfig(k=1, rho=1)
+        config = QuerySpec(k=1, rho=1)
         with pytest.raises(Exception):
             config.k = 2
 

@@ -5,13 +5,13 @@ import math
 import pytest
 
 from repro.core.windows import QueryWindowSet
-from repro.engines.base import CandidateEvaluator, EngineConfig
+from repro.engines.base import CandidateEvaluator, QuerySpec
 from repro.engines.operators import RankedTuple, Status
 from repro.engines.ranked_union import PhiOperator, UnionOperator, _cap_pow
 
 
 def make_phi(db, query, class_index=0, k=3, scheduling="max-delta"):
-    config = EngineConfig(k=k, rho=2)
+    config = QuerySpec(k=k, rho=2)
     window_set = QueryWindowSet.from_query(
         query, omega=db.omega, features=db.features, rho=config.rho
     )
@@ -19,7 +19,7 @@ def make_phi(db, query, class_index=0, k=3, scheduling="max-delta"):
         index=db.index,
         envelope=window_set.envelope,
         query=window_set.query,
-        config=config,
+        spec=config,
         stats=__import__(
             "repro.core.metrics", fromlist=["QueryStats"]
         ).QueryStats(),
@@ -29,7 +29,7 @@ def make_phi(db, query, class_index=0, k=3, scheduling="max-delta"):
         window_set=window_set,
         index=db.index,
         evaluator=evaluator,
-        config=config,
+        spec=config,
         scheduling=scheduling,
     )
     return phi, evaluator, window_set
@@ -97,7 +97,7 @@ class TestPhiOperator:
 class TestUnionOperator:
     def test_drives_children_to_eor(self, walk_db):
         query = walk_db.store.peek_subsequence(1, 300, 48).copy()
-        config = EngineConfig(k=3, rho=2)
+        config = QuerySpec(k=3, rho=2)
         window_set = QueryWindowSet.from_query(
             query, omega=16, features=4, rho=2
         )
@@ -107,7 +107,7 @@ class TestUnionOperator:
             index=walk_db.index,
             envelope=window_set.envelope,
             query=window_set.query,
-            config=config,
+            spec=config,
             stats=QueryStats(),
         )
         children = [
@@ -116,7 +116,7 @@ class TestUnionOperator:
                 window_set=window_set,
                 index=walk_db.index,
                 evaluator=evaluator,
-                config=config,
+                spec=config,
                 scheduling="max-delta",
             )
             for index in range(window_set.num_classes)

@@ -14,7 +14,7 @@ import pytest
 from repro import SubsequenceDatabase
 from repro.core.lower_bounds import min_disjoint_windows
 from repro.core.windows import QueryWindowSet
-from repro.engines.base import EngineConfig
+from repro.engines.base import QuerySpec
 from repro.engines.ranked_union import RankedUnionEngine
 
 
@@ -73,12 +73,12 @@ class TestLemma5:
         from repro.engines.operators import Status
         from repro.engines.ranked_union import PhiOperator
 
-        config = EngineConfig(k=1, rho=2)
+        config = QuerySpec(k=1, rho=2)
         evaluator = CandidateEvaluator(
             index=db.index,
             envelope=window_set.envelope,
             query=window_set.query,
-            config=config,
+            spec=config,
             stats=QueryStats(),
         )
         phi = PhiOperator(
@@ -86,7 +86,7 @@ class TestLemma5:
             window_set=window_set,
             index=db.index,
             evaluator=evaluator,
-            config=config,
+            spec=config,
             scheduling="global-min",  # MDMWP consumption order
         )
         for _ in range(200):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engines.base import EngineConfig
+from repro.engines.base import QuerySpec
 from repro.engines.psm import PsmEngine, build_sliding_index
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.storage.buffer import BufferPool
@@ -52,7 +52,7 @@ class TestPsmSearch:
     def test_bloom_calls_grow_with_join_width(self):
         index = make_sliding([600], omega=8)
         engine = PsmEngine(index)
-        config = EngineConfig(k=3, rho=1)
+        config = QuerySpec(k=3, rho=1)
         narrow = engine.search(
             index.store.peek_subsequence(0, 10, 16).copy(), config
         )
@@ -68,7 +68,7 @@ class TestPsmSearch:
         with pytest.raises(BudgetExceededError):
             engine.search(
                 index.store.peek_subsequence(0, 0, 32).copy(),
-                EngineConfig(k=3, rho=1),
+                QuerySpec(k=3, rho=1),
             )
 
     def test_budget_graceful_stop(self):
@@ -78,7 +78,7 @@ class TestPsmSearch:
         )
         result = engine.search(
             index.store.peek_subsequence(0, 0, 32).copy(),
-            EngineConfig(k=3, rho=1),
+            QuerySpec(k=3, rho=1),
         )
         assert result.stats.budget_exhausted == 1
         assert result.stats.heap_pops <= 11
@@ -86,7 +86,7 @@ class TestPsmSearch:
     def test_unexhausted_budget_stays_exact(self):
         index = make_sliding([300], omega=8)
         query = index.store.peek_subsequence(0, 40, 16).copy()
-        config = EngineConfig(k=3, rho=1)
+        config = QuerySpec(k=3, rho=1)
         exact = PsmEngine(index).search(query, config)
         budgeted = PsmEngine(
             index, max_heap_pops=10_000_000, budget_action="stop"
@@ -107,6 +107,6 @@ class TestPsmSearch:
         index = make_sliding([400], omega=8)
         engine = PsmEngine(index)
         query = index.store.peek_subsequence(0, 133, 16).copy()
-        result = engine.search(query, EngineConfig(k=1, rho=1))
+        result = engine.search(query, QuerySpec(k=1, rho=1))
         assert result.matches[0].start == 133
         assert result.matches[0].distance == pytest.approx(0.0, abs=1e-9)

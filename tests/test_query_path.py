@@ -1,0 +1,226 @@
+"""One query path: every entry answers the same spec the same way.
+
+A query is described once — a :class:`~repro.engines.base.QuerySpec`
+plus an :class:`~repro.control.ExecutionControl` — and handed unchanged
+from the API/protocol edge to the engines.  This module builds each
+spec kind once and pushes it through every entry that accepts it: the
+keyword methods and the spec entry of :class:`SubsequenceDatabase`,
+:class:`ShardedDatabase` for N in {1, 3} on the serial and thread
+executors, a direct :func:`run_shard_request` call on a saved root (the
+process executor's worker path, without a pool), and
+:class:`QueryService` for what the wire carries.  Matches must be
+identical everywhere; with one shard the NUM_IO counters must be too.
+"""
+
+import pickle
+
+import pytest
+
+from repro import (
+    Deadline,
+    ExecutionControl,
+    QueryBudget,
+    QueryService,
+    QuerySpec,
+    ShardedDatabase,
+    SubsequenceDatabase,
+)
+from repro.engines.base import PartialResult, default_rho
+from repro.exceptions import ConfigurationError, QueryError
+from repro.shard.database import shard_dir_name
+from repro.shard.executor import _worker_shard, run_shard_request
+from tests.conftest import make_walk
+
+#: (kind, the keyword arguments that select it) — built once per case.
+KINDS = {
+    "knn-ru-cost": ("knn", {"k": 5, "method": "ru-cost"}),
+    "knn-hlmj": ("knn", {"k": 5, "method": "hlmj"}),
+    "knn-seqscan": ("knn", {"k": 5, "method": "seqscan"}),
+    "range": ("range", {"epsilon": 4.0}),
+    "stream": ("stream", {"k": 5}),
+}
+CASES = [
+    (label, normalize) for label in KINDS for normalize in (False, True)
+]
+LENGTHS = (1500, 1300, 1100, 900)
+RHO = 2
+
+
+def _fill(db):
+    for sid, length in enumerate(LENGTHS):
+        db.insert(sid, make_walk(length, seed=40 + sid))
+    db.build()
+    return db
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    oracle = _fill(
+        SubsequenceDatabase(omega=16, features=4, buffer_fraction=0.1)
+    )
+    sharded = {
+        (n, executor): _fill(
+            ShardedDatabase(
+                num_shards=n,
+                executor=executor,
+                omega=16,
+                features=4,
+                buffer_fraction=0.1,
+            )
+        )
+        for n in (1, 3)
+        for executor in ("serial", "thread")
+    }
+    root = tmp_path_factory.mktemp("query-path") / "one-shard"
+    sharded[(1, "serial")].save(str(root))
+    query = oracle.store.peek_subsequence(0, 640, 48).copy()
+    yield oracle, sharded, str(root / shard_dir_name(0)), query
+    for sdb in sharded.values():
+        sdb.close()
+
+
+def _by_keywords(db, kind, query, kwargs, normalize):
+    db.reset_cache()
+    if kind == "knn":
+        return db.search(query, rho=RHO, normalize=normalize, **kwargs)
+    if kind == "range":
+        return db.range_search(query, rho=RHO, normalize=normalize, **kwargs)
+    stream = db.iter_matches(query, rho=RHO, normalize=normalize, **kwargs)
+    emitted = list(stream)
+    assert stream.result.matches == emitted
+    return stream.result
+
+
+def _by_spec(db, query, spec):
+    db.reset_cache()
+    if spec.kind != "stream":
+        return db.run_query(query, spec, ExecutionControl())
+    stream = db.open_stream(query, spec, ExecutionControl())
+    list(stream)
+    return stream.result
+
+
+def _counters(result):
+    return (result.stats.page_accesses, result.stats.candidates)
+
+
+@pytest.mark.parametrize("label,normalize", CASES)
+def test_every_entry_agrees(world, label, normalize):
+    oracle, sharded, shard_dir, query = world
+    kind, kwargs = KINDS[label]
+    spec = QuerySpec.for_query(
+        query, RHO, kind=kind, p=oracle.p, normalize=normalize, **kwargs
+    )
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+    gold = _by_keywords(oracle, kind, query, kwargs, normalize)
+    assert gold.matches
+    assert pickle.loads(pickle.dumps(gold)) == gold
+
+    # The keyword methods are shims over the spec entry.
+    direct = _by_spec(oracle, query, spec)
+    assert direct.matches == gold.matches
+    assert _counters(direct) == _counters(gold)
+
+    for (n, _executor), sdb in sharded.items():
+        for got in (
+            _by_keywords(sdb, kind, query, kwargs, normalize),
+            _by_spec(sdb, query, spec),
+        ):
+            assert got.matches == gold.matches
+            if n == 1:
+                assert _counters(got) == _counters(gold)
+
+    if kind != "stream":  # streams never leave the calling process
+        _worker_shard(shard_dir, False).reset_cache()
+        shipped = run_shard_request(
+            shard_dir, False, query, spec, ExecutionControl()
+        )
+        assert shipped.matches == gold.matches
+        assert _counters(shipped) == _counters(gold)
+
+    if not normalize:  # the wire has no normalize field
+        request = {"kind": kind, "query": list(query), "rho": RHO, **kwargs}
+        with QueryService(oracle) as service:
+            oracle.reset_cache()
+            served = service.query(request, timeout=30.0).result
+            assert served.matches == gold.matches
+            assert _counters(served) == _counters(gold)
+        for sdb in (sharded[(3, "serial")], sharded[(3, "thread")]):
+            with QueryService(sdb) as service:
+                served = service.query(request, timeout=30.0).result
+                assert served.matches == gold.matches
+
+
+def test_default_rho_is_resolved_once_at_the_edge(world):
+    oracle, sharded, _shard_dir, query = world
+    spec = QuerySpec.for_query(query, k=3)
+    assert spec.rho == default_rho(len(query)) == 2
+    assert default_rho(10) == 1  # never below one
+    explicit = oracle.search(query, k=3, rho=spec.rho)
+    for db in (oracle, sharded[(3, "thread")]):
+        assert db.search(query, k=3).matches == explicit.matches
+        ranged = db.range_search(query, epsilon=4.0)
+        assert ranged.matches == db.range_search(
+            query, epsilon=4.0, rho=spec.rho
+        ).matches
+        assert list(db.iter_matches(query, k=3)) == explicit.matches
+
+
+@pytest.mark.parametrize(
+    "call,fields,error",
+    [
+        ("search", {"k": 0}, ConfigurationError),
+        ("search", {"rho": -1}, ConfigurationError),
+        ("search", {"method": "nope"}, ConfigurationError),
+        ("search", {"on_fault": "explode"}, ConfigurationError),
+        ("range_search", {"epsilon": -1.0}, QueryError),
+        ("range_search", {"epsilon": 1.0, "on_fault": "x"},
+         ConfigurationError),
+        ("iter_matches", {"scheduling": "nope"}, ConfigurationError),
+        ("iter_matches", {"k": 0}, ConfigurationError),
+    ],
+)
+def test_validation_lives_in_the_spec(world, call, fields, error):
+    oracle, sharded, _shard_dir, query = world
+    kind = {"search": "knn", "range_search": "range",
+            "iter_matches": "stream"}[call]
+    with pytest.raises(error):
+        QuerySpec.for_query(query, kind=kind, **fields)
+    for db in (oracle, sharded[(3, "serial")]):
+        with pytest.raises(error):
+            getattr(db, call)(query, **fields)
+
+
+def test_partial_results_and_limits_survive_pickling(world):
+    oracle, _sharded, shard_dir, query = world
+    oracle.reset_cache()
+    partial = oracle.search(
+        query, k=5, rho=RHO, method="hlmj",
+        budget=QueryBudget(max_page_accesses=3),
+    )
+    assert isinstance(partial, PartialResult)
+    clone = pickle.loads(pickle.dumps(partial))
+    assert clone == partial
+    assert (clone.reason, clone.certificate) == (
+        partial.reason, partial.certificate
+    )
+
+    # What the process executor ships: the limits cross, the run state
+    # and the tracer stay behind, the deadline keeps its time left.
+    control = ExecutionControl(
+        budget=QueryBudget(max_page_accesses=3),
+        deadline=Deadline.after(3600.0),
+        tracer=oracle.tracer,
+    )
+    control.checkpoint(1.5)
+    shipped = pickle.loads(pickle.dumps(control))
+    assert shipped.budget == control.budget
+    assert (shipped.checkpoints, shipped.frontier_pow) == (0, 0.0)
+    assert 3590.0 < shipped.deadline.remaining() <= 3600.0
+    _worker_shard(shard_dir, False).reset_cache()
+    spec = QuerySpec.for_query(query, RHO, k=5, method="hlmj")
+    remote = run_shard_request(shard_dir, False, query, spec, shipped)
+    assert isinstance(remote, PartialResult)
+    assert remote.matches == partial.matches
+    assert remote.certificate == partial.certificate

@@ -18,10 +18,12 @@ import math
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StorageError
 from repro.shard import (
     POLICIES,
+    REASON_SHARD_LOST,
     ShardedDatabase,
+    ShardedPartialResult,
     ShardedSearchResult,
     ShardPlanner,
     hash_shard,
@@ -177,6 +179,63 @@ class TestGoldenDifferential:
             }
             want = {key: expected.get(key, 0) for key in GOLDEN_STAT_KEYS}
             assert got == want, f"{label}/{policy}: N=1 counters drifted"
+
+
+class TestShardLoss:
+    """A shard failing wholesale follows ``on_fault`` on every entry."""
+
+    @pytest.fixture()
+    def wounded(self):
+        # "range" places the two golden sequences on different shards;
+        # the query is cut from sequence 0, so lose the other one.
+        sdb = build_sharded_golden_db(2, "range", executor="serial")
+        victim = sdb.plan.assignment[1]
+        sdb.inject_shard_failure(victim)
+        yield sdb, victim
+        sdb.close()
+
+    def _run(self, sdb, kind, query, **kwargs):
+        if kind == "knn":
+            return sdb.search(query, k=5, rho=2, **kwargs)
+        if kind == "range":
+            return sdb.range_search(query, epsilon=2.5, rho=2, **kwargs)
+        stream = sdb.iter_matches(query, k=5, rho=2, **kwargs)
+        matches = list(stream)
+        assert stream.interrupted == isinstance(
+            stream.result, ShardedPartialResult
+        )
+        assert stream.certificate == getattr(
+            stream.result, "certificate", math.inf
+        )
+        assert stream.result.matches == matches
+        return stream.result
+
+    @pytest.mark.parametrize("kind", ["knn", "range", "stream"])
+    def test_raise_policy_propagates(self, oracle, wounded, kind):
+        sdb, _victim = wounded
+        with pytest.raises(StorageError):
+            self._run(sdb, kind, query_from(oracle, 640, 48))
+
+    @pytest.mark.parametrize("kind", ["knn", "range", "stream"])
+    def test_degrade_policy_drops_the_shard(self, oracle, wounded, kind):
+        sdb, victim = wounded
+        query = query_from(oracle, 640, 48)
+        result = self._run(sdb, kind, query, on_fault="degrade")
+        assert isinstance(result, ShardedPartialResult)
+        assert result.certificate == 0.0
+        assert result.reason == REASON_SHARD_LOST
+        assert result.degraded
+        assert [e.error for e in result.fault_report.events] == ["ShardLost"]
+        assert victim not in result.shard_stats
+        survivors = {
+            sid for sid, shard in sdb.plan.assignment.items()
+            if shard != victim
+        }
+        assert result.matches
+        assert {m.sid for m in result.matches} <= survivors
+        sdb.heal_shard(victim)
+        healed = self._run(sdb, kind, query, on_fault="degrade")
+        assert isinstance(healed, ShardedSearchResult)
 
 
 class TestPsmDifferential:

@@ -126,12 +126,13 @@ class TestGoldenBackendParity:
         assert_golden(result, label, GOLDEN_DISTANCES, GOLDEN_MATCHES)
 
     def test_range_search_matches_goldens(self, backend_db):
+        from repro.engines.base import QuerySpec
         from repro.engines.range_search import RangeSearchEngine
 
         query = query_from(backend_db, 640, 48)
         backend_db.reset_cache()
         result = RangeSearchEngine(backend_db.index).search(
-            query, epsilon=2.5, rho=2
+            query, QuerySpec(kind="range", epsilon=2.5, rho=2)
         )
         assert_golden(result, "range", GOLDEN_DISTANCES, GOLDEN_MATCHES)
 

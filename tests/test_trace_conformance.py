@@ -17,6 +17,7 @@ paper counts.  These tests run every golden engine config from
 import pytest
 
 from repro.core.clock import FakeClock
+from repro.engines.base import QuerySpec
 from repro.engines.range_search import RangeSearchEngine
 from repro.control import Deadline, ExecutionControl
 from repro.obs import Tracer
@@ -89,9 +90,8 @@ class TestNumIoConformance:
         traced_db.tracer.reset()
         result = RangeSearchEngine(traced_db.index).search(
             query,
-            epsilon=2.5,
-            rho=2,
-            control=ExecutionControl(tracer=traced_db.tracer),
+            QuerySpec(kind="range", epsilon=2.5, rho=2),
+            ExecutionControl(tracer=traced_db.tracer),
         )
         assert_conformant(
             result.profile, GOLDEN_COUNTERS["range"]["page_accesses"]
