@@ -8,22 +8,47 @@ round trips.  :func:`dtw_distance` is the user-facing rooted form.
 
 Two kernels implement the same recurrence:
 
-* a scalar row-by-row DP, fastest when the band is narrow (every engine
-  query in the paper's parameter range lands here);
-* an **anti-diagonal (wavefront) kernel**: cells on one anti-diagonal
-  ``i + j = d`` have no mutual dependencies, so a whole diagonal is
-  computed with vectorized NumPy ops.  :func:`dtw_pow_batch` runs the
-  wavefront over a *batch* of candidate sequences against one query,
-  amortising per-diagonal overhead across the batch — the form the
-  ``repro bench`` kernel suite measures.
+* a scalar row-by-row DP over Python floats, fastest for a single pair
+  under a narrow band (it pays per cell, and abandons per row);
+* a **band-layout anti-diagonal (wavefront) kernel**,
+  :func:`dtw_pow_batch`, which runs a *batch* of candidates ("lanes")
+  against one query.  Cells on one anti-diagonal ``i + j = d`` have no
+  mutual dependencies, and inside the Sakoe–Chiba band a diagonal has at
+  most ``rho + 1`` of them, all with band offset ``k = j - i`` of the
+  parity of ``d``.  State is therefore kept *slot-major*: one
+  ``(slots, lanes)`` array per parity of ``k``, ``rho + 2`` rows at
+  most, every row contiguous along the lanes.  Diagonal ``d`` updates
+  the array of its own parity in place — the ``(i-1, j-1)`` neighbour is
+  the slot being overwritten, ``(i-1, j)`` and ``(i, j-1)`` are the
+  other array shifted by one slot — in three ``out=`` ufunc calls
+  (``min``, ``min``, ``add``) whatever the band or the batch.  Cell
+  costs are gathered :data:`_DIAGONAL_BLOCK` diagonals at a time into
+  one reused buffer by two strided subtractions over sliding windows of
+  the (transposed, zero-padded) data and query.  No slot is wasted on a
+  cell outside the band, and nothing of size ``n x band x lanes`` is
+  ever materialised.
+
+  Cells outside the *matrix* need no masking.  Those before it
+  (``i < 0`` or ``j < 0``) can only be reached from other such cells,
+  all ``inf`` from initialisation (the virtual ``(-1, -1) = 0`` feeds
+  ``(0, 0)`` alone), so they stay ``inf`` whatever finite cost the zero
+  padding gives them.  Those past it (``i >= n`` or ``j >= m``) may hold
+  finite values, but dependencies only point toward smaller ``i`` and
+  ``j``, so no in-matrix cell — and hence not the result — ever reads
+  one.
+
+:func:`dtw_pow` dispatches a single pair on the band width
+(:data:`_WAVEFRONT_MIN_BAND`): the wavefront with one lane above it, the
+scalar loop below.
 
 Both kernels evaluate each DP cell with the identical float64 operations
-(``cost + min(three neighbours)``), so for the default ``p == 2`` norm
-(cost is ``gap * gap``) their outputs are bit-for-bit equal.  For other
-``p`` the per-cell cost goes through ``pow``, where NumPy's vectorized
-implementation may differ from libm by 1 ULP, so kernels agree to within
-1e-9 relative instead; ``tests/test_kernel_conformance.py`` enforces
-both contracts against the scalar oracle in :mod:`repro.core.reference`.
+(``cost + min(three neighbours)``; ``min`` is exact and ``+`` commutes),
+so for the default ``p == 2`` norm (cost is ``gap * gap``) their outputs
+are bit-for-bit equal.  For other ``p`` the per-cell cost goes through
+``pow``, where NumPy's vectorized implementation may differ from libm by
+1 ULP, so kernels agree to within 1e-9 relative instead;
+``tests/test_kernel_conformance.py`` enforces both contracts against the
+scalar oracle in :mod:`repro.core.reference`.
 
 The implementation supports *early abandoning*: once no warping path can
 finish below a caller-supplied threshold, the computation stops and
@@ -31,7 +56,11 @@ returns ``inf``.  The scalar kernel abandons when every cell of a DP row
 exceeds the threshold; the wavefront kernel abandons a batch lane when
 every cell of two *consecutive* anti-diagonals exceeds it (every
 monotone path crosses at least one of any two consecutive
-anti-diagonals, so both rules are sound).
+anti-diagonals, so both rules are sound).  Costs are non-negative, so
+once two consecutive diagonals exceed the threshold every later one
+does: the wavefront checks once per cost block and misses nothing but
+the rest of that block.  Past-the-matrix cells take part in the check;
+they can only delay an abandon, never cause one.
 """
 
 from __future__ import annotations
@@ -40,18 +69,27 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import QueryError
 
 _INF = math.inf
 
-#: Minimum Sakoe–Chiba band width (in DP cells per row) before the
-#: wavefront kernel beats the scalar loop for a single pair.  Below
-#: this, per-diagonal NumPy call overhead dominates the handful of
-#: cells it vectorises; above it, the wavefront wins and keeps winning
-#: as the band grows.  Both kernels are bit-for-bit identical (p = 2),
-#: so the dispatch affects speed only.
-_WAVEFRONT_MIN_BAND = 128
+#: Minimum Sakoe–Chiba band width (in DP cells per row) before one lane
+#: of the wavefront kernel beats the scalar loop for a single pair.  The
+#: wavefront pays three NumPy calls per anti-diagonal whatever the band;
+#: the scalar loop pays per cell.  Measured at Len(Q) = 256 the two
+#: cross at a band of 12 (1.6x for the wavefront at the paper's
+#: rho = 5 %, band 25); shorter queries cross later, hence the margin.
+#: Both kernels are bit-for-bit identical (p = 2), so the dispatch
+#: affects speed only.
+_WAVEFRONT_MIN_BAND = 16
+
+#: Anti-diagonals whose cell costs the wavefront kernel gathers at a
+#: time (even, so a block always starts on an even diagonal).  Bounds
+#: the cost buffer to ``block x band x lanes`` floats and sets how often
+#: abandoning is checked.
+_DIAGONAL_BLOCK = 32
 
 
 def _as_list(values: Sequence[float]) -> list:
@@ -153,10 +191,11 @@ def dtw_pow_batch(
 ) -> np.ndarray:
     """``DTW_rho(S_b, Q) ** p`` for a batch of equal-length candidates.
 
-    The anti-diagonal wavefront kernel: DP cells on one anti-diagonal
-    ``i + j = d`` are mutually independent, so each diagonal of every
-    batch lane is computed in one set of vectorized float64 ops.  Costs
-    accumulate in float64 regardless of the input dtype.
+    The band-layout wavefront kernel (see the module docstring): three
+    in-place ufunc calls per anti-diagonal over slot-major
+    ``(rho + 2, lanes)`` state, cell costs gathered a block of
+    diagonals at a time.  Costs accumulate in float64 regardless of the
+    input dtype.
 
     Parameters
     ----------
@@ -168,7 +207,8 @@ def dtw_pow_batch(
     threshold_pow:
         Early-abandon threshold in p-th-power space, shared by all
         lanes.  A lane is abandoned (its result becomes ``inf``) once
-        every cell of two consecutive anti-diagonals exceeds it.
+        every cell of two consecutive anti-diagonals exceeds it; the
+        call returns early when every lane is.
 
     Returns
     -------
@@ -202,59 +242,91 @@ def dtw_pow_batch(
     squared = p == 2.0  # repro: ignore[RS003]
     limited = not math.isinf(threshold_pow)
 
-    # Three rotating (lanes, n + 1) buffers: column i + 1 holds DP row i
-    # of one anti-diagonal; column 0 is a permanent -infinity-row pad.
-    # Only columns [lo, hi + 2] of a recycled buffer are ever read again
-    # before being rewritten, so resetting the two boundary columns to
-    # inf after each diagonal keeps stale values unreachable.
-    width = n + 1
-    prev2 = np.full((lanes, width), _INF, dtype=np.float64)
-    prev1 = np.full((lanes, width), _INF, dtype=np.float64)
-    cur = np.full((lanes, width), _INF, dtype=np.float64)
-    prev_min = np.full(lanes, _INF, dtype=np.float64)
-    for d in range(n + m - 1):
-        # Band and matrix constraints on the row index i along diagonal
-        # d: |i - (d - i)| <= rho and 0 <= d - i < m.
-        lo = max(0, d - m + 1, (d - rho + 1) // 2)
-        hi = min(n - 1, d, (d + rho) // 2)
-        if lo > hi:
-            # Empty diagonal (rho == 0, odd d).  Rotate with an all-inf
-            # current buffer so the d+1/d+2 dependencies stay correct.
-            cur.fill(_INF)
-            diag_min = np.full(lanes, _INF, dtype=np.float64)
+    # A band wider than the matrix constrains nothing more.
+    rho = min(rho, max(n, m) - 1)
+    width = rho + 1
+
+    # Zero-padded, lane-contiguous copies: data as (m + pads, lanes),
+    # the query as a column.  Window ``c`` of either is the ``width``
+    # consecutive samples one anti-diagonal needs, so a run of
+    # same-parity diagonals is a *slice* of windows.  A pad sample
+    # gives an out-of-matrix cell a finite cost; that is harmless (see
+    # the module docstring) and keeps NaN out of the arithmetic.
+    data = np.zeros((m + 2 * width, lanes), dtype=np.float64)
+    data[width : width + m] = rows.T
+    query = np.zeros(n + 2 * width, dtype=np.float64)
+    query[width : width + n] = qa
+    data_windows = sliding_window_view(data, width, axis=0).transpose(0, 2, 1)
+    query_windows = sliding_window_view(query, width)[:, ::-1, None]
+
+    # Slot-major state, one row per band offset k = j - i, split by the
+    # parity of k: ``wide`` holds the rho + 1 offsets of rho's parity
+    # (slot a is k = 2a - rho), ``narrow`` the rho others between two
+    # permanent +inf pads (slot b is k = 2b - rho - 1).  Diagonal d
+    # touches only offsets of its own parity, its (i-1, j) / (i, j-1)
+    # neighbours are the other array shifted by one slot, and (i-1, j-1)
+    # is the slot being overwritten.
+    state = np.full((width + rho + 2, lanes), _INF, dtype=np.float64)
+    wide, narrow = state[:width], state[width:]
+    # The virtual cell (-1, -1) = 0 seeds the corner (0, 0).
+    state[rho // 2 if rho % 2 == 0 else width + width // 2] = 0.0
+    costs = np.empty((_DIAGONAL_BLOCK, width, lanes), dtype=np.float64)
+    # Blocks start on even diagonals, so position t of every block has
+    # the same parity and its operand views are built once:
+    # (neighbour slots below, above, the slots updated, their costs).
+    turn = rho % 2  # block position of the first ``wide`` diagonal
+    steps: list = [None] * _DIAGONAL_BLOCK
+    steps[turn::2] = [
+        (narrow[:-1], narrow[1:], wide, cost) for cost in costs[turn::2]
+    ]
+    steps[1 - turn :: 2] = [
+        (wide[:-1], wide[1:], narrow[1:-1], cost)
+        for cost in costs[1 - turn :: 2, :rho]
+    ]
+    minimum, add = np.minimum, np.add
+    total = n + m - 1
+    stuck: Optional[np.ndarray] = None
+    for first in range(0, total, _DIAGONAL_BLOCK):
+        count = min(_DIAGONAL_BLOCK, total - first)
+        live = costs[:count]
+        for parity in (0, 1):
+            # Diagonals first + parity, + 2, ...  Slot a of diagonal d
+            # is the cell (i, j) = (c - odd + rho - a, c + a) with
+            # c = ceil((d - rho) / 2), shifted by the padding: consecutive
+            # same-parity diagonals read consecutive windows, so the run
+            # is one subtraction.
+            d = first + parity
+            odd = (d - rho) & 1
+            c = ((d - rho + odd) >> 1) + width
+            runs = (count - parity + 1) // 2
+            np.subtract(
+                data_windows[c : c + runs],
+                query_windows[c - odd : c - odd + runs],
+                out=live[parity::2],
+            )
+        np.abs(live, out=live)
+        if squared:
+            np.multiply(live, live, out=live)
         else:
-            # s[d - i] for i = lo..hi is a reversed slice of the data.
-            s_slice = rows[:, d - hi : d - lo + 1][:, ::-1]
-            gaps = np.abs(s_slice - qa[lo : hi + 1])
-            cost = gaps * gaps if squared else gaps**p
-            if d == 0:
-                vals = cost  # the single corner cell (0, 0)
-            else:
-                vert = prev1[:, lo : hi + 1]  # (i-1, j)
-                horiz = prev1[:, lo + 1 : hi + 2]  # (i, j-1)
-                best = np.minimum(vert, horiz)
-                np.minimum(best, prev2[:, lo : hi + 1], out=best)  # (i-1, j-1)
-                vals = cost + best
-            cur[:, lo + 1 : hi + 2] = vals
-            cur[:, lo] = _INF
-            if hi + 2 <= n:
-                cur[:, hi + 2] = _INF
-            diag_min = vals.min(axis=1)
+            np.power(live, p, out=live)
+        for low, high, cell, cost in steps[:count]:
+            minimum(low, cell, out=cell)
+            minimum(high, cell, out=cell)
+            add(cell, cost, out=cell)
         if limited:
-            stuck = np.minimum(prev_min, diag_min) > threshold_pow
-            if stuck.any():
-                # Every complete warping path crosses at least one cell
-                # of diagonals {d-1, d}; all of them exceed the
-                # threshold, so these lanes cannot finish below it.
-                cur[stuck] = _INF
-                diag_min = np.where(stuck, _INF, diag_min)
-                if bool(stuck.all()):
-                    return np.full(lanes, _INF, dtype=np.float64)
-        prev_min = diag_min
-        prev2, prev1, cur = prev1, cur, prev2
-    # After the final rotation prev1 holds the last diagonal; the goal
-    # cell (n-1, m-1) lives in DP row n-1, i.e. buffer column n.
-    return prev1[:, n].copy()
+            # ``state`` holds exactly the last two anti-diagonals.  Every
+            # complete warping path crosses one of them, and once both
+            # exceed the threshold every later diagonal does too, so a
+            # check per block loses nothing but the rest of the block.
+            stuck = state.min(axis=0) > threshold_pow
+            if bool(stuck.all()):
+                return np.full(lanes, _INF, dtype=np.float64)
+    # The goal cell (n-1, m-1) has offset m - n on the last diagonal.
+    goal = m - n + rho
+    result = (wide[goal // 2] if goal % 2 == 0 else narrow[(goal + 1) // 2]).copy()
+    if stuck is not None:
+        result[stuck] = _INF
+    return result
 
 
 def dtw_pow_wavefront(

@@ -10,7 +10,10 @@ engine decides a candidate subsequence is worth looking at:
   retrieval;
 * the retrieval pipeline itself: fault candidate pages through the
   buffer pool, cascade ``LB_Keogh`` then early-abandoning ``DTW_rho``,
-  and offer survivors to the shared top-k collector.
+  and offer survivors to the shared top-k collector — one candidate at
+  a time when the engine needs the distance back, a retrieved set at a
+  time (batched ``LB_Keogh``, then DTW in lanes in bound order) for
+  deferred drains and SeqScan blocks.
 
 Keeping this in one place guarantees that all five engines measure
 candidates, page accesses, and prunes identically, so the benchmark
@@ -27,9 +30,9 @@ from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.control import ExecutionControl, certificate_from_pow
-from repro.core.distance import dtw_pow
+from repro.core.distance import dtw_pow, dtw_pow_batch
 from repro.core.envelope import Envelope
-from repro.core.lower_bounds import lb_keogh_pow
+from repro.core.lower_bounds import lb_keogh_pow, lb_keogh_pow_batch
 from repro.core.metrics import QueryStats, StatsRecorder
 from repro.core.normalize import NormalizationContext, znormalize
 from repro.core.results import Match, RangeCollector, TopKCollector
@@ -49,6 +52,18 @@ from repro.storage.deferred import CandidateRequest, DeferredRetrievalBuffer
 #: Bytes per stored value, used to express the deferred budget as a
 #: fraction of database size (the paper uses 0.5 %).
 _VALUE_BYTES = 8
+
+#: Candidates a deferred drain retrieves before it runs the cascade over
+#: them.  The deferred buffer's capacity grows with the database; this
+#: bounds the rows (and the LB_Keogh temporaries over them) a drain
+#: holds at once.  With two service workers draining at once, 64 / 128 /
+#: 256 rows cost +2.5 / +4.4 / +8.5 % peak RSS at the same latency.
+_DRAIN_ROWS = 128
+
+#: Candidates per DTW chunk of the cascade; the threshold is re-read
+#: between chunks.  Wider lanes amortise the kernel's per-diagonal calls
+#: but refresh the threshold less often; 8 to 32 measure the same.
+_DTW_LANES = 16
 
 #: Engine names a ``knn`` query may select (see :mod:`repro.api`).
 METHODS = ("seqscan", "hlmj", "hlmj-wg", "psm", "ru", "ru-cost")
@@ -431,18 +446,22 @@ class CandidateEvaluator:
     def verify(self, sid: int, start: int) -> Optional[float]:
         """Retrieve one candidate and run the LB_Keogh -> DTW cascade.
 
-        The one verification path of every index engine, ranked or
-        range: the collector's threshold (``delta_cur``, or the fixed
-        ``epsilon``) drives both the LB_Keogh prune and DTW's early
-        abandoning.  Returns the DTW distance (p-th power), or ``None``
-        when the candidate was unreadable or LB_Keogh-killed.
+        The one-at-a-time path: immediate-mode :meth:`submit` (ranked
+        union's ``Φ`` needs each distance back before its next pop) and
+        the range probe.  The collector's threshold (``delta_cur``, or
+        the fixed ``epsilon``) drives both the LB_Keogh prune and DTW's
+        early abandoning.  Returns the DTW distance (p-th power), or
+        ``None`` when the candidate was unreadable or LB_Keogh-killed.
+        Deferred drains and SeqScan verify sets instead
+        (:meth:`verify_rows`).
         """
         if self.tracer.enabled:
             with self.tracer.span("candidate.verify", sid=sid, start=start):
                 return self._verify_now(sid, start)
         return self._verify_now(sid, start)
 
-    def _verify_now(self, sid: int, start: int) -> Optional[float]:
+    def _retrieve(self, sid: int, start: int) -> Optional[np.ndarray]:
+        """Fault one candidate in; ``None`` when degrade mode skipped it."""
         try:
             values = self._index.store.get_subsequence(
                 sid, start, self.query_length
@@ -452,20 +471,23 @@ class CandidateEvaluator:
             return None
         self.stats.candidates += 1
         if self.norm is not None:
-            # One transform serves both LB_Keogh and DTW below — the
+            # One transform serves both LB_Keogh and DTW — the
             # arithmetic of lb_keogh_znorm_pow, applied once, so bound
             # and verification see the identical normalized array.
             mu, sigma = self.norm.stats(sid, start)
             values = znormalize(values, mu, sigma)
+        return values
+
+    def _verify_now(self, sid: int, start: int) -> Optional[float]:
+        values = self._retrieve(sid, start)
+        if values is None:
+            return None
         threshold_pow = self.threshold_pow
         self.stats.lb_keogh_computations += 1
         keogh_pow = lb_keogh_pow(self._envelope, values, self._spec.p)
         if keogh_pow > threshold_pow:
-            self.stats.pruned_by_lb_keogh += 1
-            if self.tracer.enabled:
-                self.tracer.metrics.counter("verify.lb_keogh_pruned").inc()
+            self._count_cascade(pruned=1, dtws=0, abandoned=0)
             return None
-        self.stats.dtw_computations += 1
         distance_pow = dtw_pow(
             values,
             self._query,
@@ -473,23 +495,105 @@ class CandidateEvaluator:
             p=self._spec.p,
             threshold_pow=threshold_pow,
         )
+        self._count_cascade(
+            pruned=0, dtws=1, abandoned=int(distance_pow > threshold_pow)
+        )
+        self.collector.offer_pow(distance_pow, sid, start)
+        return distance_pow
+
+    def _count_cascade(self, pruned: int, dtws: int, abandoned: int) -> None:
+        """Account one cascade's outcomes (stats always, metrics if traced)."""
+        self.stats.pruned_by_lb_keogh += pruned
+        self.stats.dtw_computations += dtws
         if self.tracer.enabled:
-            metrics = self.tracer.metrics
-            metrics.counter("verify.dtw").inc()
             # The early-abandoning kernel reports "above threshold"
             # rather than an exact distance once it abandons; that
             # outcome is the paper's DTW saving, so count it.
-            if distance_pow > threshold_pow:
-                metrics.counter("verify.dtw_abandoned").inc()
-        self.collector.offer_pow(distance_pow, sid, start)
-        return distance_pow
+            for name, amount in (
+                ("verify.lb_keogh_pruned", pruned),
+                ("verify.dtw", dtws),
+                ("verify.dtw_abandoned", abandoned),
+            ):
+                if amount:
+                    self.tracer.metrics.counter(name).inc(amount)
+
+    def verify_rows(
+        self, rows: np.ndarray, sids: Sequence[int], starts: Sequence[int]
+    ) -> None:
+        """Run the cascade over retrieved candidates, one per row.
+
+        ``rows[b]`` holds candidate ``(sids[b], starts[b])``, already
+        counted in ``stats.candidates`` and already z-normalized when
+        the query is.
+        """
+        if self.tracer.enabled:
+            with self.tracer.span("candidate.verify", n=int(rows.shape[0])):
+                self._cascade(rows, sids, starts)
+        else:
+            self._cascade(rows, sids, starts)
+
+    def _cascade(
+        self, rows: np.ndarray, sids: Sequence[int], starts: Sequence[int]
+    ) -> None:
+        """Set-at-a-time LB_Keogh -> LB-ordered, lane-chunked DTW.
+
+        Bounds every row at once, sorts by ``LB_Keogh`` ascending and
+        runs DTW over the survivors ``_DTW_LANES`` at a time, re-reading
+        the collector's threshold — and pruning everything the sorted
+        bound now excludes — between chunks.
+
+        Exact, with the same matches as one-candidate-at-a-time
+        verification: :class:`TopKCollector` is a pure function of the
+        *set* offered to it under the ``(distance, sid, start)`` order,
+        and a row is skipped (pruned or abandoned) only when its
+        distance strictly exceeds a threshold the collector held at the
+        time, which is never below the final k-th distance.  A chunk's
+        threshold is never tighter than the serial run's at the same
+        candidate, so this offers a superset of the serial run's
+        candidates whose extras lie strictly above the final k-th:
+        matches and every counter but ``dtw_computations`` /
+        ``pruned_by_lb_keogh`` are identical.
+        """
+        spec = self._spec
+        count = int(rows.shape[0])
+        if self.tracer.enabled:
+            with self.tracer.span("engine.lb_batch", n=count):
+                keogh_pows = lb_keogh_pow_batch(self._envelope, rows, spec.p)
+            self.tracer.metrics.histogram("lb.batch_size").observe(count)
+        else:
+            keogh_pows = lb_keogh_pow_batch(self._envelope, rows, spec.p)
+        self.stats.lb_keogh_computations += count
+        order = np.argsort(keogh_pows, kind="stable")
+        ascending = keogh_pows[order]
+        done = abandoned = 0
+        while done < count:
+            threshold_pow = self.threshold_pow
+            alive = int(np.searchsorted(ascending, threshold_pow, side="right"))
+            chunk = order[done : min(alive, done + _DTW_LANES)]
+            if chunk.size == 0:
+                break
+            distance_pows = dtw_pow_batch(
+                rows[chunk],
+                self._query,
+                spec.rho,
+                p=spec.p,
+                threshold_pow=threshold_pow,
+            )
+            abandoned += int(np.count_nonzero(distance_pows > threshold_pow))
+            for row, distance_pow in zip(chunk.tolist(), distance_pows.tolist()):
+                self.collector.offer_pow(distance_pow, sids[row], starts[row])
+            done += int(chunk.size)
+        self._count_cascade(pruned=count - done, dtws=done, abandoned=abandoned)
 
     def flush(self) -> None:
         """Drain the deferred buffer (storage order, threshold re-check).
 
         Checkpoints between retrievals; when an interrupt lands
-        mid-flush, the not-yet-retrieved requests are requeued before
-        the signal propagates so their lower bounds still feed
+        mid-flush, the candidates already retrieved are still run
+        through the cascade (they are counted and paid for, so they
+        must not sit unexamined below the certificate) and the
+        not-yet-retrieved requests are requeued before the signal
+        propagates, so their lower bounds still feed
         :meth:`pending_lower_bound_pow` (and thus the certificate).
         """
         if self._deferred is None or len(self._deferred) == 0:
@@ -508,13 +612,49 @@ class CandidateEvaluator:
             self.tracer.metrics.histogram("deferred.batch_size").observe(
                 len(requests)
             )
-        for position, request in enumerate(requests):
-            try:
+        for first in range(0, len(requests), _DRAIN_ROWS):
+            if self.tracer.enabled:
+                with self.tracer.span(
+                    "candidate.verify",
+                    n=min(_DRAIN_ROWS, len(requests) - first),
+                ):
+                    self._verify_requests(requests, first)
+            else:
+                self._verify_requests(requests, first)
+
+    def _verify_requests(
+        self, requests: List[CandidateRequest], first: int
+    ) -> None:
+        """Retrieve ``_DRAIN_ROWS`` requests from ``first`` on, then cascade.
+
+        Retrieval is what it always was: storage order, a checkpoint
+        before every fetch, faults handled per candidate.  Whatever
+        stops it early, the rows already retrieved still go through the
+        cascade on the way out.
+        """
+        assert self._deferred is not None
+        rows: List[np.ndarray] = []
+        kept: List[CandidateRequest] = []
+        try:
+            for position in range(
+                first, min(first + _DRAIN_ROWS, len(requests))
+            ):
                 self.control.checkpoint()
-            except ExecutionInterrupted:
-                self._deferred.requeue(requests[position:])
-                raise
-            self.verify(request.sid, request.start)
+                request = requests[position]
+                values = self._retrieve(request.sid, request.start)
+                if values is not None:
+                    rows.append(values)
+                    kept.append(request)
+        except ExecutionInterrupted:
+            self._deferred.requeue(requests[position:])
+            raise
+        finally:
+            if rows:
+                self._cascade(
+                    np.stack(rows),
+                    [request.sid for request in kept],
+                    [request.start for request in kept],
+                )
 
     def pending_lower_bound_pow(self) -> float:
         """Smallest lower bound (p-th power) among deferred requests.

@@ -7,21 +7,19 @@ Its candidate and page-access counts are constant in ``k``, the window
 size, and the buffer size, which is exactly the behaviour Figures 11–16
 show for the SeqScan series.
 
-``LB_Keogh`` over all offsets is evaluated in vectorised blocks over a
-sliding-window view; DTW still runs per surviving offset with early
-abandoning against ``delta_cur``.
+Each block of offsets, taken from a sliding-window view, goes through
+the evaluator's set-at-a-time cascade: one batched ``LB_Keogh``, then
+lane-chunked early-abandoning DTW in ``LB_Keogh`` order against
+``delta_cur``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distance import dtw_pow
-from repro.core.lower_bounds import lb_keogh_pow_batch
 from repro.core.windows import QueryWindowSet
 from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
 from repro.exceptions import StorageError
-from repro.obs.tracer import Tracer
 
 #: Offsets processed per vectorised LB_Keogh block (~3 MB at Len(Q)=384).
 _BLOCK = 1024
@@ -38,12 +36,8 @@ class SeqScanEngine(Engine):
         evaluator: CandidateEvaluator,
         spec: QuerySpec,
     ) -> None:
-        query = window_set.query
         length = window_set.length
         store = self.index.store
-        stats = evaluator.stats
-        collector = evaluator.collector
-
         budget = evaluator.control
         tracer = evaluator.tracer
         for sid in store.sequence_ids():
@@ -56,29 +50,21 @@ class SeqScanEngine(Engine):
                 continue
             if tracer.enabled:
                 with tracer.span("scan.sequence", sid=sid):
-                    self._scan_sequence(
-                        sid, window_set, evaluator, spec
-                    )
+                    self._scan_sequence(sid, window_set, evaluator)
             else:
-                self._scan_sequence(sid, window_set, evaluator, spec)
+                self._scan_sequence(sid, window_set, evaluator)
 
     def _scan_sequence(
         self,
         sid: int,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        spec: QuerySpec,
     ) -> None:
-        """Scan one sequence: block LB_Keogh filter, then per-offset DTW."""
-        query = window_set.query
+        """Scan one sequence: every block of offsets through the cascade."""
         length = window_set.length
-        store = self.index.store
-        stats = evaluator.stats
-        collector = evaluator.collector
         budget = evaluator.control
-        tracer = evaluator.tracer
         try:
-            values = store.read_full_sequence(sid)
+            values = self.index.store.read_full_sequence(sid)
         except StorageError as error:
             # Degrade: the whole sequence is unreadable past the
             # failed page; skip it and scan the rest.
@@ -96,65 +82,14 @@ class SeqScanEngine(Engine):
             block = windows[block_start : block_start + _BLOCK]
             if norm is not None:
                 # Same elementwise (x - mu) / sigma as the evaluator's
-                # scalar path, so SeqScan distances stay bit-identical
-                # to the index engines' on common candidates.
+                # per-candidate path, so SeqScan distances stay
+                # bit-identical to the index engines' on common
+                # candidates.
                 mus = all_mus[block_start : block_start + _BLOCK]
                 sigmas = all_sigmas[block_start : block_start + _BLOCK]
                 block = (block - mus[:, None]) / sigmas[:, None]
-            if tracer.enabled:
-                with tracer.span("engine.lb_batch", n=int(block.shape[0])):
-                    keogh_pows = lb_keogh_pow_batch(
-                        window_set.envelope, block, spec.p
-                    )
-                tracer.metrics.histogram("lb.batch_size").observe(
-                    block.shape[0]
-                )
-            else:
-                keogh_pows = lb_keogh_pow_batch(
-                    window_set.envelope, block, spec.p
-                )
-            stats.candidates += block.shape[0]
-            stats.lb_keogh_computations += block.shape[0]
-            for row, keogh_pow in enumerate(keogh_pows):
-                threshold_pow = collector.threshold_pow
-                if keogh_pow > threshold_pow:
-                    stats.pruned_by_lb_keogh += 1
-                    continue
-                stats.dtw_computations += 1
-                if tracer.enabled:
-                    with tracer.span(
-                        "candidate.verify", sid=sid, start=block_start + row
-                    ):
-                        distance_pow = self._verify_offset(
-                            block[row], query, spec, threshold_pow, tracer
-                        )
-                else:
-                    distance_pow = dtw_pow(
-                        block[row],
-                        query,
-                        spec.rho,
-                        p=spec.p,
-                        threshold_pow=threshold_pow,
-                    )
-                collector.offer_pow(distance_pow, sid, block_start + row)
-
-    @staticmethod
-    def _verify_offset(
-        values: np.ndarray,
-        query: np.ndarray,
-        spec: QuerySpec,
-        threshold_pow: float,
-        tracer: Tracer,
-    ) -> float:
-        distance_pow = dtw_pow(
-            values,
-            query,
-            spec.rho,
-            p=spec.p,
-            threshold_pow=threshold_pow,
-        )
-        metrics = tracer.metrics
-        metrics.counter("verify.dtw").inc()
-        if distance_pow > threshold_pow:
-            metrics.counter("verify.dtw_abandoned").inc()
-        return distance_pow
+            count = int(block.shape[0])
+            evaluator.stats.candidates += count
+            evaluator.verify_rows(
+                block, [sid] * count, range(block_start, block_start + count)
+            )

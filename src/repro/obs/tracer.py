@@ -4,7 +4,8 @@ A :class:`Tracer` records a tree of :class:`Span` objects per query:
 ``buffer.fetch`` at the storage boundary (one span per physical page
 read — the unit the paper counts as NUM_IO), ``index.probe`` per R*-tree
 node, ``engine.lb_batch`` per batched lower-bound evaluation,
-``candidate.verify`` per DTW verification, ``deferred.drain`` per
+``candidate.verify`` per verification cascade (one candidate, or one
+retrieved batch of them), ``deferred.drain`` per
 deferred-buffer flush, and an ``engine.search`` root wrapping the whole
 query.  Control-plane checkpoints surface as span *events* so budget /
 deadline pressure is visible on the same timeline.

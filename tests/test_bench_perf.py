@@ -104,10 +104,11 @@ class TestCompareGate:
 
     def test_environment_drift_above_floor_passes(self):
         # More than 20% below the baseline ratio, but still above the
-        # 6.0x absolute floor for dtw_wavefront_len256: the dual
-        # criterion reads this as environment drift, not a regression.
-        base = make_report(kernels=kernel_block(speedup=10.0))
-        cur = make_report(kernels=kernel_block(speedup=7.9))
+        # absolute floor for dtw_wavefront_len256: the dual criterion
+        # reads this as environment drift, not a regression.
+        floor = perf.SPEEDUP_FLOORS["dtw_wavefront_len256"]
+        base = make_report(kernels=kernel_block(speedup=2.0 * floor))
+        cur = make_report(kernels=kernel_block(speedup=1.5 * floor))
         assert perf.compare(cur, base) == []
 
     def test_speedup_regression_fails(self):
@@ -397,8 +398,8 @@ class TestCLIExitCodes:
         better = copy.deepcopy(fake_suite)
         better["suites"]["kernels"]["dtw_wavefront_len256"]["speedup"] = 100.0
         perf.write_report(better, baseline)
-        # The measured 10.0x is above the kernel's 6.0x absolute floor,
-        # so push the current run below both criteria.
+        # Push the current run below both the relative criterion and
+        # the kernel's absolute floor.
         worse = copy.deepcopy(fake_suite)
         worse["suites"]["kernels"]["dtw_wavefront_len256"]["speedup"] = 4.0
 

@@ -307,6 +307,105 @@ class TestEngineIntegration:
         assert math.isinf(stream.certificate)
 
 
+class TestInterruptInsideDrain:
+    """A limit that trips between two retrievals of one deferred drain.
+
+    The candidates the drain already retrieved are counted and paid for,
+    so they must still go through the cascade before the partial result
+    is cut: nothing examined may sit unoffered below the certificate.
+    """
+
+    QUERY = make_walk(64, seed=71)
+    K = 5
+    RHO = 3
+
+    @pytest.fixture()
+    def drain_events(self, monkeypatch):
+        """Order of requeues and cascades, recorded per query."""
+        from repro.engines.base import CandidateEvaluator
+        from repro.storage.deferred import DeferredRetrievalBuffer
+
+        events = []
+        requeue = DeferredRetrievalBuffer.requeue
+        cascade = CandidateEvaluator._cascade
+
+        def spy_requeue(self, requests):
+            events.append("requeue")
+            requeue(self, requests)
+
+        def spy_cascade(self, rows, sids, starts):
+            events.append("cascade")
+            cascade(self, rows, sids, starts)
+
+        monkeypatch.setattr(DeferredRetrievalBuffer, "requeue", spy_requeue)
+        monkeypatch.setattr(CandidateEvaluator, "_cascade", spy_cascade)
+        return events
+
+    def _assert_sound(self, result, gold):
+        stats = result.stats
+        assert stats.candidates == (
+            stats.pruned_by_lb_keogh + stats.dtw_computations
+        )
+        bar = result.certificate
+        if len(result.matches) >= self.K:
+            bar = min(bar, result.matches[-1].distance)
+        reported = engine_distances(result)
+        for distance in gold[: self.K]:
+            if distance < round(bar, 6) - 1e-6:
+                assert distance in reported
+
+    def _sweep(self, walk_db, drain_events, method, limits):
+        """Run one limited query per limit; count mid-drain interrupts."""
+        gold = gold_topk(walk_db, self.QUERY, 10**6, rho=self.RHO)
+        mid_drain = 0
+        for limit in limits:
+            del drain_events[:]
+            walk_db.reset_cache()
+            result = walk_db.search(
+                self.QUERY, k=self.K, rho=self.RHO, method=method,
+                deferred=True, **limit(),
+            )
+            if not isinstance(result, PartialResult):
+                assert engine_distances(result) == gold[: self.K]
+                continue
+            self._assert_sound(result, gold)
+            # "requeue" then "cascade": the signal arrived with rows
+            # already retrieved, and they were verified before it left.
+            if "requeue" in drain_events:
+                after = drain_events[drain_events.index("requeue") + 1 :]
+                mid_drain += after == ["cascade"]
+        return mid_drain
+
+    @pytest.mark.parametrize("method", ["hlmj", "ru", "ru-cost"])
+    def test_candidate_budget(self, walk_db, drain_events, method):
+        limits = [
+            lambda cap=cap: {"budget": QueryBudget(max_candidates=cap)}
+            for cap in range(1, 60)
+        ]
+        assert self._sweep(walk_db, drain_events, method, limits) > 0
+
+    @pytest.mark.parametrize("method", ["hlmj", "ru", "ru-cost"])
+    def test_page_budget(self, walk_db, drain_events, method):
+        limits = [
+            lambda cap=cap: {"budget": QueryBudget(max_page_accesses=cap)}
+            for cap in range(1, 60)
+        ]
+        assert self._sweep(walk_db, drain_events, method, limits) > 0
+
+    @pytest.mark.parametrize("method", ["hlmj", "ru", "ru-cost"])
+    def test_fake_clock_deadline(self, walk_db, drain_events, method):
+        # One tick per poll: the deadline expires at the N-th checkpoint.
+        limits = [
+            lambda polls=polls: {
+                "deadline": Deadline.after(
+                    polls - 0.5, clock=FakeClock(auto_advance=1.0)
+                )
+            }
+            for polls in range(2, 120, 3)
+        ]
+        assert self._sweep(walk_db, drain_events, method, limits) > 0
+
+
 class TestAdmissionController:
     def test_rejects_beyond_concurrency(self):
         controller = AdmissionController(max_concurrent=1)

@@ -143,6 +143,10 @@ class TestSchedulingVariants:
 # byte-identical end to end, so every counter, every distance repr, and
 # every (sid, start) pair is pinned exactly.  If one of these moves, a
 # kernel changed engine behaviour — that is a bug, not a baseline drift.
+# One deliberate re-pin since: the set-at-a-time verification cascade
+# (deferred drains, SeqScan blocks) moved ``dtw_computations`` and
+# ``pruned_by_lb_keogh`` of the five labels that use it, and nothing
+# else.
 # ----------------------------------------------------------------------
 
 GOLDEN_STAT_KEYS = (
@@ -169,8 +173,8 @@ GOLDEN_COUNTERS = {
     "seqscan": {
         "candidates": 5106, "page_accesses": 11,
         "sequential_page_accesses": 10, "random_page_accesses": 1,
-        "logical_reads": 11, "dtw_computations": 379,
-        "lb_keogh_computations": 5106, "pruned_by_lb_keogh": 4727,
+        "logical_reads": 11, "dtw_computations": 16,
+        "lb_keogh_computations": 5106, "pruned_by_lb_keogh": 5090,
     },
     "hlmj": {
         "candidates": 228, "page_accesses": 179,
@@ -183,10 +187,10 @@ GOLDEN_COUNTERS = {
     "hlmj-d": {
         "candidates": 228, "page_accesses": 124,
         "sequential_page_accesses": 98, "random_page_accesses": 26,
-        "logical_reads": 365, "dtw_computations": 28,
+        "logical_reads": 365, "dtw_computations": 31,
         "lb_keogh_computations": 228, "heap_pops": 350,
         "node_expansions": 110, "deferred_flushes": 18,
-        "pruned_by_lb_keogh": 200, "duplicates_suppressed": 11,
+        "pruned_by_lb_keogh": 197, "duplicates_suppressed": 11,
     },
     "hlmj-wg": {
         "candidates": 46, "page_accesses": 45,
@@ -200,10 +204,10 @@ GOLDEN_COUNTERS = {
     "hlmj-wg-d": {
         "candidates": 60, "page_accesses": 39,
         "sequential_page_accesses": 26, "random_page_accesses": 13,
-        "logical_reads": 175, "dtw_computations": 29,
+        "logical_reads": 175, "dtw_computations": 32,
         "lb_keogh_computations": 60, "heap_pops": 350,
         "node_expansions": 110, "deferred_flushes": 5,
-        "pruned_by_lower_bound": 168, "pruned_by_lb_keogh": 31,
+        "pruned_by_lower_bound": 168, "pruned_by_lb_keogh": 28,
         "duplicates_suppressed": 11, "window_group_evaluations": 228,
     },
     "ru": {
@@ -216,10 +220,10 @@ GOLDEN_COUNTERS = {
     "ru-d": {
         "candidates": 216, "page_accesses": 149,
         "sequential_page_accesses": 115, "random_page_accesses": 34,
-        "logical_reads": 317, "dtw_computations": 27,
+        "logical_reads": 317, "dtw_computations": 31,
         "lb_keogh_computations": 216, "heap_pops": 273,
         "node_expansions": 57, "deferred_flushes": 17,
-        "pruned_by_lb_keogh": 189,
+        "pruned_by_lb_keogh": 185,
     },
     "ru-cost": {
         "candidates": 214, "page_accesses": 248,
@@ -232,10 +236,10 @@ GOLDEN_COUNTERS = {
     "ru-cost-d": {
         "candidates": 212, "page_accesses": 161,
         "sequential_page_accesses": 125, "random_page_accesses": 36,
-        "logical_reads": 352, "dtw_computations": 27,
+        "logical_reads": 352, "dtw_computations": 31,
         "lb_keogh_computations": 212, "heap_pops": 252,
         "node_expansions": 98, "deferred_flushes": 17,
-        "pruned_by_lb_keogh": 185, "duplicates_suppressed": 2,
+        "pruned_by_lb_keogh": 181, "duplicates_suppressed": 2,
     },
     "range": {
         "candidates": 431, "page_accesses": 517,
@@ -279,6 +283,11 @@ def assert_golden(result, label, distances, matches):
     got = {key: getattr(result.stats, key) for key in GOLDEN_STAT_KEYS}
     want = {key: expected.get(key, 0) for key in GOLDEN_STAT_KEYS}
     assert got == want, f"{label}: counters drifted"
+    # Every retrieved candidate is either LB_Keogh-pruned or DTW'd.
+    if not result.stats.faults_skipped:
+        assert got["candidates"] == (
+            got["pruned_by_lb_keogh"] + got["dtw_computations"]
+        ), f"{label}: cascade lost a candidate"
     assert [repr(m.distance) for m in result.matches] == distances
     assert [(m.sid, m.start) for m in result.matches] == matches
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import SubsequenceDatabase
+from repro.core.reference import brute_force_topk
 from repro.exceptions import (
     ConfigurationError,
     CorruptPageError,
@@ -375,6 +376,49 @@ class TestDegradedQueries:
         distances = [m.distance for m in result.matches]
         assert distances == sorted(distances)
         assert all(m.sid == 1 for m in result.matches)
+
+    @pytest.mark.parametrize("method", ["hlmj", "ru", "ru-cost"])
+    def test_degrade_mid_drain_verifies_the_readable_rest(self, method):
+        # One corrupt data page in the middle of the file: every deferred
+        # drain that sweeps across it loses the candidates on that page
+        # and must still cascade the ones retrieved before and after.
+        injector = FaultInjector(seed=3)
+        db = make_faulty_db(injector=injector)
+        query = db.store.peek_subsequence(0, 400, 64).copy()
+        victim = db.store.pages_for_range(0, 600, 1)[0]
+        injector.add(FaultSpec(fault=CORRUPT, page_ids=[victim]))
+        db.reset_cache()
+        result = db.search(
+            query, k=5, rho=2, method=method, deferred=True,
+            on_fault="degrade",
+        )
+        assert result.degraded
+        skipped = set(result.fault_report.skipped_candidates)
+        assert skipped
+        assert all(
+            victim in db.store.pages_for_range(sid, start, 64)
+            for sid, start in skipped
+        )
+        stats = result.stats
+        assert stats.faults_skipped == result.fault_report.total
+        assert stats.candidates == (
+            stats.pruned_by_lb_keogh + stats.dtw_computations
+        )
+        # Exact over everything readable: the brute-force ranking with
+        # the unreadable offsets struck out.
+        readable = [
+            match
+            for match in brute_force_topk(db.store, query, 200, 2)
+            if victim not in db.store.pages_for_range(
+                match.sid, match.start, 64
+            )
+        ][:5]
+        assert [m.key() for m in result.matches] == [
+            m.key() for m in readable
+        ]
+        assert [m.distance for m in result.matches] == [
+            m.distance for m in readable
+        ]
 
     def test_degrade_survives_corrupt_index_leaves(self):
         injector = FaultInjector(seed=2)

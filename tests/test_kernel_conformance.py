@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control import ExecutionControl
 from repro.core.distance import (
     dtw_pow,
     dtw_pow_batch,
@@ -44,6 +45,7 @@ from repro.core.lower_bounds import (
     mindist_pow,
     mindist_pow_batch,
 )
+from repro.core.normalize import znormalize
 from repro.core.paa import paa, paa_batch
 from repro.core.reference import (
     reference_dtw_pow,
@@ -54,7 +56,9 @@ from repro.core.reference import (
     reference_mindist_pow,
     reference_paa,
 )
+from repro.engines.base import QueryRun, QuerySpec
 from repro.exceptions import QueryError
+from tests.conftest import build_property_db
 
 seeds = st.integers(0, 100_000)
 
@@ -126,24 +130,36 @@ class TestDTWConformance:
         q = rng.standard_normal(n)
         assert dtw_pow(s, q, rho) == dtw_pow_wavefront(s, q, rho)
 
-    @settings(max_examples=40, deadline=None)
-    @given(seeds)
-    def test_early_abandoned_lanes_truly_exceed_threshold(self, seed):
+    @settings(max_examples=80, deadline=None)
+    @given(seeds, st.integers(0, 13), st.floats(0.0, 1.0))
+    def test_early_abandoned_lanes_truly_exceed_threshold(
+        self, seed, rho, quantile
+    ):
+        # Abandoning is checked once per block of anti-diagonals, so the
+        # shapes span one to five blocks.  inf => the oracle really is
+        # above the threshold; finite => bit-equal to the oracle.
         rng = np.random.default_rng(seed)
-        n = 24
-        rho = 3
+        n = int(rng.integers(2, 72))
+        lanes = int(rng.integers(1, 21))
         query = rng.standard_normal(n).cumsum()
-        batch = rng.standard_normal((8, n)).cumsum(axis=1)
+        batch = rng.standard_normal((lanes, n)).cumsum(axis=1)
         full = np.array(
-            [reference_dtw_pow(batch[i], query, rho) for i in range(8)]
+            [reference_dtw_pow(batch[i], query, rho) for i in range(lanes)]
         )
-        threshold_pow = float(np.median(full))
+        threshold_pow = float(np.quantile(full, quantile))
         got = dtw_pow_batch(batch, query, rho, threshold_pow=threshold_pow)
-        for i in range(8):
+        for i in range(lanes):
             if math.isinf(got[i]):
                 assert full[i] > threshold_pow
             else:
                 assert got[i] == full[i]
+
+    def test_every_lane_abandoned_returns_all_inf(self):
+        rng = np.random.default_rng(3)
+        query = rng.standard_normal(80)
+        batch = query + 5.0 + rng.standard_normal((4, 80))
+        got = dtw_pow_batch(batch, query, rho=4, threshold_pow=1.0)
+        assert np.isinf(got).all()
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -159,6 +175,62 @@ class TestDTWConformance:
             assert full > full / 2.0
         else:
             assert got == full
+
+
+class TestBandLayoutConformance:
+    """The band-layout wavefront across lane counts and band widths.
+
+    Lane counts straddle the engines' chunk width and the benchmark's 64;
+    lengths span several cost blocks; ``rho`` covers the degenerate band
+    (0), the narrowest split (1), the paper's width at Len(Q) = 256 (12)
+    and a band wider than the matrix.
+    """
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("rho", [0, 1, 12, 50, 200])
+    def test_bitwise_p2(self, lanes, rho):
+        rng = np.random.default_rng(lanes * 1000 + rho)
+        n = 50
+        query = rng.standard_normal(n).cumsum()
+        batch = rng.standard_normal((lanes, n)).cumsum(axis=1)
+        expected = np.array(
+            [reference_dtw_pow(row, query, rho) for row in batch]
+        )
+        assert np.array_equal(expected, dtw_pow_batch(batch, query, rho))
+
+    @pytest.mark.parametrize("lanes", [1, 3, 65])
+    @pytest.mark.parametrize("n,m,rho", [
+        (40, 37, 3), (37, 40, 3), (33, 45, 12), (45, 33, 12),
+        (20, 30, 29), (30, 20, 40), (1, 3, 2), (3, 1, 2),
+    ])
+    def test_unequal_lengths_inside_band_bitwise(self, lanes, n, m, rho):
+        rng = np.random.default_rng(n * 100 + m)
+        query = rng.standard_normal(n).cumsum()
+        batch = rng.standard_normal((lanes, m)).cumsum(axis=1)
+        expected = np.array(
+            [reference_dtw_pow(row, query, rho) for row in batch]
+        )
+        assert np.array_equal(expected, dtw_pow_batch(batch, query, rho))
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    @pytest.mark.parametrize("lanes,rho", [(1, 0), (3, 1), (64, 12), (5, 99)])
+    def test_other_norms_within_tolerance(self, p, lanes, rho):
+        rng = np.random.default_rng(int(p) * 10 + lanes)
+        query = rng.standard_normal(45).cumsum()
+        batch = rng.standard_normal((lanes, 45)).cumsum(axis=1)
+        got = dtw_pow_batch(batch, query, rho, p=p)
+        for row, value in zip(batch, got):
+            assert rel_close(
+                reference_dtw_pow(row, query, rho, p=p), float(value)
+            )
+
+    def test_input_batch_is_not_modified(self):
+        rng = np.random.default_rng(5)
+        query = rng.standard_normal(30)
+        batch = rng.standard_normal((4, 30))
+        before = batch.copy()
+        dtw_pow_batch(batch, query, rho=3, threshold_pow=0.5)
+        assert np.array_equal(batch, before)
 
 
 class TestDTWEdgeCases:
@@ -458,3 +530,104 @@ class TestFloat64Accumulation:
         assert dtw_pow_batch(batch, q, rho=1)[0] == dtw_pow(
             batch[0].astype(np.float64), q.astype(np.float64), 1
         )
+
+
+class TestCascadeArrivalOrder:
+    """The set-at-a-time cascade is a function of the candidate *set*.
+
+    One deferred drain over a fixed candidate set: however the
+    candidates arrived, the drain retrieves in storage order and the
+    cascade offers a superset of the top-k, so matches (bit for bit),
+    NUM_IO and the candidate count cannot depend on arrival order — and
+    the matches are the brute-force top-k of the set.
+    """
+
+    @staticmethod
+    def _drain(db, query, spec, candidates):
+        db.reset_cache()
+        with QueryRun(
+            db.index, query, spec, ExecutionControl(), "cascade-test"
+        ) as run:
+            for sid, start in candidates:
+                run.evaluator.submit(sid, start, 0.0)
+            run.evaluator.finalize()
+            return run.finish(
+                run.evaluator.collector.matches(run.window_set.length)
+            )
+
+    @settings(max_examples=15, deadline=None)
+    @given(seeds, st.booleans())
+    def test_shuffled_arrival_same_answer_and_counts(self, seed, normalize):
+        rng = np.random.default_rng(seed)
+        db = build_property_db(rng, lengths=(500, 300))
+        length, rho, k = 24, 2, 5
+        query = rng.standard_normal(length).cumsum()
+        offsets = [
+            (sid, start)
+            for sid in db.store.sequence_ids()
+            for start in range(db.store.length(sid) - length + 1)
+        ]
+        # More than one retrieval sub-batch, many lane chunks.
+        picks = rng.choice(len(offsets), size=300, replace=False)
+        candidates = [offsets[i] for i in picks]
+        spec = QuerySpec(
+            rho=rho, k=k, deferred=True, deferred_fraction=1.0,
+            normalize=normalize,
+        )
+        results = []
+        for _ in range(3):
+            rng.shuffle(candidates)
+            results.append(self._drain(db, query, spec, candidates))
+        first = results[0]
+        assert first.stats.deferred_flushes == 1
+        assert first.stats.candidates == len(candidates)
+        for other in results[1:]:
+            assert other.matches == first.matches
+            assert other.stats.page_accesses == first.stats.page_accesses
+            assert other.stats.candidates == first.stats.candidates
+        target = znormalize(query) if normalize else query
+        scored = []
+        for sid, start in candidates:
+            values = db.store.peek_subsequence(sid, start, length)
+            if normalize:
+                values = znormalize(values)
+            scored.append(
+                (reference_dtw_pow(values, target, rho), sid, start)
+            )
+        scored.sort()
+        assert [(m.sid, m.start) for m in first.matches] == [
+            (sid, start) for _, sid, start in scored[:k]
+        ]
+        for match, (distance_pow, _, _) in zip(first.matches, scored):
+            assert rel_close(match.distance, math.sqrt(distance_pow))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seeds)
+    def test_row_order_does_not_change_the_matches(self, seed):
+        rng = np.random.default_rng(seed)
+        db = build_property_db(rng)
+        length = 24
+        query = rng.standard_normal(length).cumsum()
+        starts = rng.choice(300 - length, size=120, replace=False)
+        rows = np.stack(
+            [db.store.peek_subsequence(0, int(s), length) for s in starts]
+        )
+        answers = []
+        for _ in range(3):
+            order = rng.permutation(len(starts))
+            with QueryRun(
+                db.index, query, QuerySpec(rho=2, k=4),
+                ExecutionControl(), "cascade-test",
+            ) as run:
+                run.evaluator.verify_rows(
+                    rows[order], [0] * len(order), starts[order].tolist()
+                )
+                stats = run.evaluator.stats
+                assert stats.lb_keogh_computations == len(order)
+                assert (
+                    stats.pruned_by_lb_keogh + stats.dtw_computations
+                    == len(order)
+                )
+                answers.append(run.finish(run.evaluator.collector.matches(length)))
+        assert answers[1].matches == answers[0].matches
+        assert answers[2].matches == answers[0].matches

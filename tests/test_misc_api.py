@@ -1,5 +1,7 @@
 """Small-surface tests: exports, config validation, report helpers."""
 
+import pathlib
+
 import pytest
 
 from repro.engines.base import QuerySpec, SearchResult
@@ -29,6 +31,16 @@ class TestPublicExports:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+    def test_pyproject_takes_its_version_from_the_package(self):
+        # Single-sourced: the build reads ``repro.__version__`` and
+        # declares no second, static number that could drift from it.
+        text = (
+            pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        ).read_text()
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
+        assert '\nversion = "' not in text
 
 
 class TestEngineConfig:
