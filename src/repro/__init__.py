@@ -84,7 +84,7 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "SubsequenceDatabase",

@@ -27,12 +27,13 @@ Subcommands
     cross-checked against brute-force ground truth.  Exit 0 (every
     invariant held) or 1 (a violation, printed with its replay seed).
 ``bench``
-    Run the perf-regression suites (:mod:`repro.bench.perf`): seeded
-    kernel micro-benchmarks (with built-in exactness checks against the
-    scalar oracles) and/or deterministic end-to-end engine counters,
-    gated against the committed ``benchmarks/baseline.json``.  Exit 0
-    (gate passed), 1 (regression / exactness failure), or 2 (usage
-    error, e.g. a missing baseline).
+    Run the kernel perf-regression gate (:mod:`repro.bench.perf`):
+    seeded micro-benchmarks of the vectorized kernels, each re-verified
+    against its scalar oracle, with the speedup ratios gated against
+    the committed ``benchmarks/baseline.json``.  Exit 0 (gate passed),
+    1 (regression / exactness failure), or 2 (usage error, e.g. a
+    missing baseline).  Everything end to end is timed by
+    ``benchmarks/e2e`` instead.
 ``trace``
     Run one fully traced query (:mod:`repro.obs`) against a synthetic
     dataset and write the span tree in Chrome ``chrome://tracing`` /
@@ -241,18 +242,12 @@ def _bench(args: argparse.Namespace) -> int:
 
     from repro.bench import perf
 
-    suites = (
-        ("kernels", "engines", "tracing", "ingest", "serve", "shard",
-         "storage")
-        if args.suite == "all"
-        else (args.suite,)
-    )
-    report = perf.run_suites(suites, seed=args.seed, quick=args.quick)
+    report = perf.run_report(seed=args.seed, quick=args.quick)
     print(perf.format_report(report))
 
     exact_failures = [
         name
-        for name, bench in report["suites"].get("kernels", {}).items()
+        for name, bench in report["suites"]["kernels"].items()
         if not bench["exact"]
     ]
     for name in exact_failures:
@@ -261,15 +256,6 @@ def _bench(args: argparse.Namespace) -> int:
             f"scalar oracle",
             file=sys.stderr,
         )
-    ingest_recovery = report["suites"].get("ingest", {}).get("recovery", {})
-    for name, record in ingest_recovery.items():
-        if not record.get("exact", False):
-            exact_failures.append(f"ingest/{name}")
-            print(
-                f"bench: ingest/{name}: recovered database is not "
-                f"byte-identical to the live database",
-                file=sys.stderr,
-            )
 
     if args.json:
         perf.write_report(report, args.json)
@@ -625,22 +611,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     chaos.set_defaults(func=_chaos)
 
     bench = sub.add_parser(
-        "bench", help="run the perf-regression benchmark suites"
-    )
-    bench.add_argument(
-        "--suite",
-        choices=(
-            "kernels",
-            "engines",
-            "tracing",
-            "ingest",
-            "serve",
-            "shard",
-            "storage",
-            "all",
-        ),
-        default="all",
-        help="which suite(s) to run (default: all)",
+        "bench", help="run the kernel perf-regression gate"
     )
     bench.add_argument(
         "--json", metavar="PATH", help="write the JSON report to PATH"

@@ -2,12 +2,14 @@
 
 :mod:`repro.bench.harness` builds databases and runs query workloads
 with per-engine metric aggregation; :mod:`repro.bench.reporting` formats
-paper-style tables and series; :mod:`repro.bench.perf` is the
-perf-regression subsystem behind ``python -m repro bench`` (seeded
-kernel micro-benchmarks with oracle exactness checks, deterministic
-engine counters, and the baseline gate).  The actual figure/table
-reproductions live in ``benchmarks/`` at the repository root, one
-pytest-benchmark module per figure.
+paper-style tables and series; :mod:`repro.bench.perf` is the kernel
+perf-regression gate behind ``python -m repro bench`` (seeded
+micro-benchmarks of the vectorized kernels against their scalar
+oracles, speedup ratios gated against ``benchmarks/baseline.json``).
+The figure/table reproductions live in ``benchmarks/`` at the
+repository root, one pytest-benchmark module per figure; the end-to-end
+benchmark (serve, shards, ingest, storage, tracing) is
+``benchmarks/e2e``.
 """
 
 from repro.bench.harness import (
@@ -19,9 +21,8 @@ from repro.bench.harness import (
 from repro.bench.perf import (
     Regression,
     compare,
-    run_engine_suite,
     run_kernel_suite,
-    run_suites,
+    run_report,
 )
 from repro.bench.reporting import format_series_table, format_speedups
 
@@ -34,7 +35,6 @@ __all__ = [
     "format_speedups",
     "Regression",
     "compare",
-    "run_engine_suite",
     "run_kernel_suite",
-    "run_suites",
+    "run_report",
 ]

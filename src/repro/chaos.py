@@ -43,9 +43,13 @@ exactly from its printed seed.
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
+import threading
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +59,16 @@ from repro.core.clock import FakeClock
 from repro.core.reference import brute_force_topk
 from repro.core.results import Match
 from repro.engines.base import PartialResult, SearchResult
+from repro.exceptions import (
+    ReproError,
+    ServiceOverloadedError,
+    StorageError,
+)
+from repro.ingest import create_durable, recover_database
+from repro.serve.protocol import QueryRequest
+from repro.serve.service import QueryService, ServiceConfig
+from repro.serve.tenants import QosClass, TenantPolicy, TenantRegistry
+from repro.shard import REASON_SHARD_LOST, ShardedDatabase
 from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import (
@@ -64,6 +78,7 @@ from repro.storage.faults import (
     FaultSpec,
 )
 from repro.storage.page import PageKind
+from repro.storage.wal import SimulatedCrash
 
 #: Distance slack for float comparisons (DTW sums differ across
 #: evaluation orders by strictly less than this on these data sizes).
@@ -116,18 +131,46 @@ class ChaosReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def record(self, it: Any, engine: str, message: Optional[str]) -> None:
+        """Count one invariant check of iteration ``it``; a non-``None``
+        ``message`` is a violation."""
+        self.checks += 1
+        if message is not None:
+            self.failures.append(
+                ChaosFailure(
+                    iteration=it.iteration,
+                    scenario=it.scenario,
+                    engine=engine,
+                    message=message,
+                )
+            )
+
 
 class _Iteration:
-    """One seeded database + query + ground truth, shared across engines."""
+    """One seeded database + query + ground truth, shared across engines.
 
-    def __init__(self, seed: int, iteration: int) -> None:
+    ``stream`` tags the suite's private seed stream (``""``, ``"serve:"``,
+    ``"shard:"``), ``scenarios`` is the tuple the scenario is drawn
+    from, ``salt`` separates the numpy generator, and only suites with
+    ``psm`` draw for a PSM index.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        iteration: int,
+        stream: str = "",
+        scenarios: Tuple[str, ...] = SCENARIOS,
+        salt: int = 0xC4A05,
+        psm: bool = True,
+    ) -> None:
         self.iteration = iteration
-        self.rng = random.Random(f"{seed}:{iteration}")
-        self.scenario = self.rng.choice(SCENARIOS)
+        self.rng = random.Random(f"{seed}:{stream}{iteration}")
+        self.scenario = self.rng.choice(scenarios)
         self.omega = self.rng.choice((8, 16))
-        self.with_psm = self.rng.random() < 0.25
+        self.with_psm = psm and self.rng.random() < 0.25
         self.np_rng = np.random.default_rng(
-            [seed & 0x7FFFFFFF, iteration, 0xC4A05]
+            [seed & 0x7FFFFFFF, iteration, salt]
         )
 
     def build_db(self, **db_kwargs: object) -> SubsequenceDatabase:
@@ -251,45 +294,42 @@ def _check_certificate(
     return None
 
 
+def _campaign(
+    seed: int,
+    iterations: int,
+    progress: Optional[Callable[[str], None]],
+    make_iteration: Callable[[int, int], Any],
+    run_iteration: Callable[[Any, ChaosReport], None],
+) -> ChaosReport:
+    """The one campaign loop: seed an iteration, run it, count it.
+
+    ``run_iteration`` may refine ``it.scenario`` (the ingest suite only
+    learns its crash point while running), so the scenario is counted
+    after the iteration returns.
+    """
+    report = ChaosReport(seed=seed)
+    for iteration in range(iterations):
+        it = make_iteration(seed, iteration)
+        report.iterations += 1
+        if progress is not None:
+            progress(f"iteration {iteration}: {it.scenario}")
+        run_iteration(it, report)
+        report.scenario_counts[it.scenario] = (
+            report.scenario_counts.get(it.scenario, 0) + 1
+        )
+    return report
+
+
 def run_chaos(
     seed: int = 0,
     iterations: int = 100,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ChaosReport:
     """Run the chaos campaign and return its report."""
-    report = ChaosReport(seed=seed)
-
-    def record(
-        it: _Iteration, engine: str, message: Optional[str]
-    ) -> None:
-        report.checks += 1
-        if message is not None:
-            report.failures.append(
-                ChaosFailure(
-                    iteration=it.iteration,
-                    scenario=it.scenario,
-                    engine=engine,
-                    message=message,
-                )
-            )
-
-    for iteration in range(iterations):
-        it = _Iteration(seed, iteration)
-        report.iterations += 1
-        report.scenario_counts[it.scenario] = (
-            report.scenario_counts.get(it.scenario, 0) + 1
-        )
-        if progress is not None:
-            progress(f"iteration {iteration}: {it.scenario}")
-        _run_iteration(it, report, record)
-    return report
+    return _campaign(seed, iterations, progress, _Iteration, _run_iteration)
 
 
-def _run_iteration(
-    it: _Iteration,
-    report: ChaosReport,
-    record: Callable[[_Iteration, str, Optional[str]], None],
-) -> None:
+def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
     k = it.rng.randint(1, 8)
     scenario = it.scenario
 
@@ -362,8 +402,8 @@ def _run_iteration(
 
         if scenario == "parity":
             result = db.search(query, **kwargs)  # type: ignore[arg-type]
-            record(it, engine, _check_exact(result, gold, k))
-            record(
+            report.record(it, engine, _check_exact(result, gold, k))
+            report.record(
                 it,
                 engine,
                 "parity run is unexpectedly partial"
@@ -384,7 +424,7 @@ def _run_iteration(
                 controlled.stats.page_accesses
                 == result.stats.page_accesses
             )
-            record(
+            report.record(
                 it,
                 engine,
                 None
@@ -418,13 +458,13 @@ def _run_iteration(
             kwargs["on_fault"] = "degrade"
 
         result = db.search(query, **kwargs)  # type: ignore[arg-type]
-        record(it, engine, _check_reported_distances(result, truth))
-        record(it, engine, _check_prefix(result, gold))
+        report.record(it, engine, _check_reported_distances(result, truth))
+        report.record(it, engine, _check_prefix(result, gold))
 
         if isinstance(result, PartialResult):
             report.partials += 1
-            record(it, engine, _check_certificate(result, gold, k))
-            record(
+            report.record(it, engine, _check_certificate(result, gold, k))
+            report.record(
                 it,
                 engine,
                 None
@@ -440,13 +480,13 @@ def _run_iteration(
         ):
             # The limit never tripped (or every fault was retried
             # away): the run must then be exact.
-            record(it, engine, _check_exact(result, gold, k))
+            report.record(it, engine, _check_exact(result, gold, k))
 
         if scenario == "faults-degrade":
             fired = db.fault_injector is not None and (
                 db.fault_injector.stats.corruptions > 0
             )
-            record(
+            report.record(
                 it,
                 engine,
                 None
@@ -460,13 +500,13 @@ def _run_iteration(
         breaker = db.circuit_breaker
         assert breaker is not None
         if breaker.stats.opens > 0 and breaker.stats.rejections == 0:
-            record(
+            report.record(
                 it,
                 "circuit",
                 "breaker opened but never rejected a fetch",
             )
         else:
-            record(it, "circuit", None)
+            report.record(it, "circuit", None)
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +539,8 @@ class _IngestPlan:
 
     def __init__(self, seed: int, iteration: int) -> None:
         self.iteration = iteration
+        #: Becomes ``crash@<point>`` once the crash run has died.
+        self.scenario = "ingest"
         self.rng = random.Random(f"{seed}:ingest:{iteration}")
         self.omega = self.rng.choice((8, 16))
         self.with_psm = self.rng.random() < 0.25
@@ -623,55 +665,21 @@ def run_ingest_chaos(
     The remaining sessions are then applied to both databases and the
     comparison repeats, proving the recovered database ingests on.
     """
-    import shutil
-    import tempfile
-
-    from repro.ingest import recover_database
-    from repro.ingest import create_durable
-    from repro.storage.wal import SimulatedCrash
-
-    report = ChaosReport(seed=seed)
-
-    def record(plan: _IngestPlan, scenario: str, engine: str,
-               message: Optional[str]) -> None:
-        report.checks += 1
-        if message is not None:
-            report.failures.append(
-                ChaosFailure(
-                    iteration=plan.iteration,
-                    scenario=scenario,
-                    engine=engine,
-                    message=message,
-                )
-            )
-
-    for iteration in range(iterations):
-        plan = _IngestPlan(seed, iteration)
-        report.iterations += 1
-        workdir = tempfile.mkdtemp(prefix="repro-chaos-")
-        try:
-            _run_ingest_iteration(
-                plan, report, record, workdir,
-                create_durable, recover_database, SimulatedCrash,
-            )
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-        if progress is not None:
-            progress(f"iteration {iteration}: ingest")
-    return report
+    return _campaign(
+        seed, iterations, progress, _IngestPlan, _run_ingest_iteration
+    )
 
 
-def _run_ingest_iteration(
-    plan: "_IngestPlan",
-    report: ChaosReport,
-    record: Callable[["_IngestPlan", str, str, Optional[str]], None],
-    workdir: str,
-    create_durable: Callable,
-    recover_database: Callable,
-    SimulatedCrash: type,
+def _run_ingest_iteration(plan: _IngestPlan, report: ChaosReport) -> None:
+    with tempfile.TemporaryDirectory(
+        prefix="repro-chaos-", ignore_cleanup_errors=True
+    ) as workdir:
+        _crash_recover_compare(plan, report, workdir)
+
+
+def _crash_recover_compare(
+    plan: _IngestPlan, report: ChaosReport, workdir: str
 ) -> None:
-    import os
-
     # -- dry run: count crash-point invocations, learn commit LSNs ----
     dry_root = os.path.join(workdir, "dry")
     dry_db = plan.build_base()
@@ -688,8 +696,7 @@ def _run_ingest_iteration(
         total_steps = steps
     finally:
         dry_wal.close()
-    if total_steps == 0:  # pragma: no cover — plans always log something
-        return
+    assert total_steps > 0  # every plan logs at least one record
 
     # -- crash run: same plan, fresh root, die at step c ---------------
     crash_step = plan.rng.randrange(total_steps)
@@ -716,10 +723,7 @@ def _run_ingest_iteration(
         plan.run_sessions(crash_db)
     except SimulatedCrash:
         pass
-    scenario = f"crash@{fired['point'] or 'end'}"
-    report.scenario_counts[scenario] = (
-        report.scenario_counts.get(scenario, 0) + 1
-    )
+    plan.scenario = f"crash@{fired['point'] or 'end'}"
 
     # -- recover and check the committed-prefix property ---------------
     recovered, recovery = recover_database(
@@ -728,18 +732,18 @@ def _run_ingest_iteration(
     effective = recovery.effective_lsn
     committed = [lsn for lsn in commit_lsns if lsn is not None]
     if effective != 0 and effective not in committed:
-        record(
-            plan, scenario, "recovery",
+        report.record(
+            plan, "recovery",
             f"effective LSN {effective} is not a session commit "
             f"boundary {committed}",
         )
         return
-    record(plan, scenario, "recovery", None)
+    report.record(plan, "recovery", None)
     survivors = sum(1 for lsn in committed if lsn <= effective)
 
     integrity = recovered.verify_integrity()
-    record(
-        plan, scenario, "scrub",
+    report.record(
+        plan, "scrub",
         None if integrity["ok"] else f"recovered database fails scrub: "
         f"{integrity}",
     )
@@ -753,8 +757,8 @@ def _run_ingest_iteration(
     for engine in plan.engines():
         got = _search_fingerprint(recovered, query, k, engine)
         want = _search_fingerprint(oracle, query, k, engine)
-        record(
-            plan, scenario, engine,
+        report.record(
+            plan, engine,
             None if got == want else (
                 f"post-recovery results diverge from oracle after "
                 f"{survivors}/{len(committed)} sessions: {got} != {want}"
@@ -770,8 +774,8 @@ def _run_ingest_iteration(
         for engine in plan.engines():
             got = _search_fingerprint(recovered, query, k, engine)
             want = _search_fingerprint(oracle, query, k, engine)
-            record(
-                plan, scenario, f"{engine}+resume",
+            report.record(
+                plan, f"{engine}+resume",
                 None if got == want else (
                     f"post-resume results diverge from oracle: "
                     f"{got} != {want}"
@@ -808,18 +812,10 @@ _SERVE_REASONS = frozenset(
 )
 
 
-class _ServeIteration(_Iteration):
-    """One seeded service campaign iteration (own seed stream)."""
-
-    def __init__(self, seed: int, iteration: int) -> None:
-        self.iteration = iteration
-        self.rng = random.Random(f"{seed}:serve:{iteration}")
-        self.scenario = self.rng.choice(SERVE_SCENARIOS)
-        self.omega = self.rng.choice((8, 16))
-        self.with_psm = False
-        self.np_rng = np.random.default_rng(
-            [seed & 0x7FFFFFFF, iteration, 0x5E12E]
-        )
+def _serve_iteration(seed: int, iteration: int) -> _Iteration:
+    return _Iteration(
+        seed, iteration, "serve:", SERVE_SCENARIOS, 0x5E12E, psm=False
+    )
 
 
 def run_serve_chaos(
@@ -846,72 +842,12 @@ def run_serve_chaos(
     * every submitted request must resolve within ``_SERVE_HANG_S``
       wall-clock seconds — zero crashes, zero hangs, zero silent drops.
     """
-    import threading as _threading
-    from concurrent.futures import TimeoutError as _FutureTimeout
-
-    from repro.exceptions import ReproError, ServiceOverloadedError
-    from repro.serve.protocol import QueryRequest
-    from repro.serve.service import QueryService, ServiceConfig
-    from repro.serve.tenants import QosClass, TenantPolicy, TenantRegistry
-
-    report = ChaosReport(seed=seed)
-
-    def record(
-        it: _ServeIteration, label: str, message: Optional[str]
-    ) -> None:
-        report.checks += 1
-        if message is not None:
-            report.failures.append(
-                ChaosFailure(
-                    iteration=it.iteration,
-                    scenario=it.scenario,
-                    engine=label,
-                    message=message,
-                )
-            )
-
-    for iteration in range(iterations):
-        it = _ServeIteration(seed, iteration)
-        report.iterations += 1
-        report.scenario_counts[it.scenario] = (
-            report.scenario_counts.get(it.scenario, 0) + 1
-        )
-        if progress is not None:
-            progress(f"serve iteration {iteration}: {it.scenario}")
-        _run_serve_iteration(
-            it,
-            report,
-            record,
-            threading=_threading,
-            FutureTimeout=_FutureTimeout,
-            ReproError=ReproError,
-            ServiceOverloadedError=ServiceOverloadedError,
-            QueryRequest=QueryRequest,
-            QueryService=QueryService,
-            ServiceConfig=ServiceConfig,
-            QosClass=QosClass,
-            TenantPolicy=TenantPolicy,
-            TenantRegistry=TenantRegistry,
-        )
-    return report
+    return _campaign(
+        seed, iterations, progress, _serve_iteration, _run_serve_iteration
+    )
 
 
-def _run_serve_iteration(
-    it: "_ServeIteration",
-    report: ChaosReport,
-    record: Callable[["_ServeIteration", str, Optional[str]], None],
-    *,
-    threading,
-    FutureTimeout,
-    ReproError,
-    ServiceOverloadedError,
-    QueryRequest,
-    QueryService,
-    ServiceConfig,
-    QosClass,
-    TenantPolicy,
-    TenantRegistry,
-) -> None:
+def _run_serve_iteration(it: _Iteration, report: ChaosReport) -> None:
     scenario = it.scenario
 
     if scenario == "faults":
@@ -1039,7 +975,7 @@ def _run_serve_iteration(
     if it.scenario != "shutdown":
         service.shutdown(drain=True, timeout=_SERVE_HANG_S)
 
-    record(
+    report.record(
         it,
         "service",
         None if not hung else f"{len(hung)} client thread(s) hung",
@@ -1047,10 +983,10 @@ def _run_serve_iteration(
 
     for status, payload in outcomes:
         if status == "hang":
-            record(it, str(payload), "request exceeded the hang bound")
+            report.record(it, str(payload), "request exceeded the hang bound")
         elif status == "crash":
             label, error = payload  # type: ignore[misc]
-            record(
+            report.record(
                 it,
                 str(label),
                 f"untyped crash escaped the service: {error!r}",
@@ -1061,7 +997,7 @@ def _run_serve_iteration(
             bad_retry = (
                 error.retry_after_s is not None and error.retry_after_s < 0
             )
-            record(
+            report.record(
                 it,
                 str(label),
                 None
@@ -1076,7 +1012,7 @@ def _run_serve_iteration(
             # Typed library errors are legitimate only on the faults
             # path (a corrupt page under on_fault="raise" would be one,
             # but serve chaos always degrades there).
-            record(
+            report.record(
                 it,
                 str(label),
                 f"unexpected typed error: {type(error).__name__}: {error}",
@@ -1084,12 +1020,16 @@ def _run_serve_iteration(
         else:
             label, k, gold, truth, response = payload  # type: ignore[misc]
             result = response.result
-            record(it, str(label), _check_reported_distances(result, truth))
-            record(it, str(label), _check_prefix(result, gold))
+            report.record(
+                it, str(label), _check_reported_distances(result, truth)
+            )
+            report.record(it, str(label), _check_prefix(result, gold))
             if isinstance(result, PartialResult):
                 report.partials += 1
-                record(it, str(label), _check_certificate(result, gold, k))
-                record(
+                report.record(
+                    it, str(label), _check_certificate(result, gold, k)
+                )
+                report.record(
                     it,
                     str(label),
                     None
@@ -1097,7 +1037,7 @@ def _run_serve_iteration(
                     else "partial result carries no reason",
                 )
             elif not result.degraded and response.degradation_tier == 0:
-                record(it, str(label), _check_exact(result, gold, k))
+                report.record(it, str(label), _check_exact(result, gold, k))
 
 
 # ---------------------------------------------------------------------------
@@ -1118,13 +1058,8 @@ class _ShardIteration(_Iteration):
     """One seeded sharded-vs-oracle iteration (own seed stream)."""
 
     def __init__(self, seed: int, iteration: int) -> None:
-        self.iteration = iteration
-        self.rng = random.Random(f"{seed}:shard:{iteration}")
-        self.scenario = self.rng.choice(SHARD_SCENARIOS)
-        self.omega = self.rng.choice((8, 16))
-        self.with_psm = False
-        self.np_rng = np.random.default_rng(
-            [seed & 0x7FFFFFFF, iteration, 0x54A8D]
+        super().__init__(
+            seed, iteration, "shard:", SHARD_SCENARIOS, 0x54A8D, psm=False
         )
         self.num_shards = self.rng.randint(2, 4)
         self.policy = self.rng.choice(("hash", "range"))
@@ -1135,8 +1070,6 @@ class _ShardIteration(_Iteration):
         retry_policy: Optional[RetryPolicy] = None,
     ):
         """An unsharded fault-free oracle plus its sharded twin."""
-        from repro.shard import ShardedDatabase
-
         oracle = SubsequenceDatabase(
             omega=self.omega,
             features=4,
@@ -1221,32 +1154,9 @@ def run_shard_chaos(
         data-dependent subset of shards mid-merge; interrupted runs
         must return certified partials (:func:`_check_certificate`).
     """
-    report = ChaosReport(seed=seed)
-
-    def record(
-        it: _Iteration, engine: str, message: Optional[str]
-    ) -> None:
-        report.checks += 1
-        if message is not None:
-            report.failures.append(
-                ChaosFailure(
-                    iteration=it.iteration,
-                    scenario=it.scenario,
-                    engine=engine,
-                    message=message,
-                )
-            )
-
-    for iteration in range(iterations):
-        it = _ShardIteration(seed, iteration)
-        report.iterations += 1
-        report.scenario_counts[it.scenario] = (
-            report.scenario_counts.get(it.scenario, 0) + 1
-        )
-        if progress is not None:
-            progress(f"shard iteration {iteration}: {it.scenario}")
-        _run_shard_iteration(it, report, record)
-    return report
+    return _campaign(
+        seed, iterations, progress, _ShardIteration, _run_shard_iteration
+    )
 
 
 def _num_io_message(result: object) -> Optional[str]:
@@ -1260,14 +1170,7 @@ def _num_io_message(result: object) -> Optional[str]:
     return None
 
 
-def _run_shard_iteration(
-    it: "_ShardIteration",
-    report: ChaosReport,
-    record: Callable[["_ShardIteration", str, Optional[str]], None],
-) -> None:
-    from repro.exceptions import StorageError
-    from repro.shard import REASON_SHARD_LOST
-
+def _run_shard_iteration(it: _ShardIteration, report: ChaosReport) -> None:
     k = it.rng.randint(1, 8)
     scenario = it.scenario
 
@@ -1303,9 +1206,9 @@ def _run_shard_iteration(
         if scenario == "parity":
             for engine in _ENGINES:
                 result = sdb.search(query, k=k, rho=rho, method=engine)
-                record(it, engine, _check_exact(result, gold, k))
-                record(it, engine, _num_io_message(result))
-                record(
+                report.record(it, engine, _check_exact(result, gold, k))
+                report.record(it, engine, _num_io_message(result))
+                report.record(
                     it,
                     engine,
                     "parity run is unexpectedly partial"
@@ -1316,13 +1219,13 @@ def _run_shard_iteration(
             emitted = list(stream)
             got = [round(m.distance, 6) for m in emitted]
             want = [round(m.distance, 6) for m in gold[:k]]
-            record(
+            report.record(
                 it,
                 "stream",
                 None if got == want else f"stream {got} != {want}",
             )
             keys = [(m.distance, m.sid, m.start) for m in emitted]
-            record(
+            report.record(
                 it,
                 "stream",
                 None
@@ -1339,15 +1242,15 @@ def _run_shard_iteration(
 
             try:
                 sdb.search(query, k=k, rho=rho, method=engine)
-                record(it, engine, "crashed shard did not raise")
+                report.record(it, engine, "crashed shard did not raise")
             except StorageError:
-                record(it, engine, None)
+                report.record(it, engine, None)
 
             result = sdb.search(
                 query, k=k, rho=rho, method=engine, on_fault="degrade"
             )
             report.partials += 1
-            record(
+            report.record(
                 it,
                 engine,
                 None
@@ -1355,7 +1258,7 @@ def _run_shard_iteration(
                 else "lost shard did not produce a PartialResult",
             )
             if isinstance(result, PartialResult):
-                record(
+                report.record(
                     it,
                     engine,
                     None
@@ -1365,22 +1268,22 @@ def _run_shard_iteration(
                         f"{result.certificate!r}, not the vacuous 0.0"
                     ),
                 )
-                record(
+                report.record(
                     it,
                     engine,
                     None
                     if REASON_SHARD_LOST in result.reason
                     else f"reason {result.reason!r} does not flag the loss",
                 )
-                record(it, engine, _check_certificate(result, gold, k))
-            record(
+                report.record(it, engine, _check_certificate(result, gold, k))
+            report.record(
                 it,
                 engine,
                 None
                 if result.degraded
                 else "lost shard result is not flagged degraded",
             )
-            record(it, engine, _check_reported_distances(result, truth))
+            report.record(it, engine, _check_reported_distances(result, truth))
             # The survivors completed normally, so the answer must be
             # exact for the sequences they hold.
             alive = {
@@ -1389,7 +1292,7 @@ def _run_shard_iteration(
                 if shard != victim
             }
             alive_gold = [m for m in gold if m.sid in alive]
-            record(it, engine, _check_exact(result, alive_gold, k))
+            report.record(it, engine, _check_exact(result, alive_gold, k))
 
             # The stream follows the same shard-fault policy.
             stream = sdb.iter_matches(
@@ -1397,7 +1300,7 @@ def _run_shard_iteration(
             )
             emitted = list(stream)
             lost = stream.result
-            record(
+            report.record(
                 it,
                 "stream",
                 None
@@ -1421,19 +1324,21 @@ def _run_shard_iteration(
                 )
                 if scenario == "shard-transient":
                     # Recoverable faults must be invisible.
-                    record(it, engine, _check_exact(result, gold, k))
+                    report.record(it, engine, _check_exact(result, gold, k))
                 else:
-                    record(
+                    report.record(
                         it, engine, _check_reported_distances(result, truth)
                     )
-                    record(it, engine, _check_prefix(result, gold))
+                    report.record(it, engine, _check_prefix(result, gold))
                     if isinstance(result, PartialResult):
                         report.partials += 1
-                        record(
+                        report.record(
                             it, engine, _check_certificate(result, gold, k)
                         )
                     elif not result.degraded:
-                        record(it, engine, _check_exact(result, gold, k))
+                        report.record(
+                            it, engine, _check_exact(result, gold, k)
+                        )
             return
 
         # budget / deadline: interruption of a data-dependent shard
@@ -1455,21 +1360,21 @@ def _run_shard_iteration(
                 it.rng.uniform(0.0, 0.2), clock=clock
             )
         result = sdb.search(query, **kwargs)  # type: ignore[arg-type]
-        record(it, engine, _check_reported_distances(result, truth))
-        record(it, engine, _check_prefix(result, gold))
+        report.record(it, engine, _check_reported_distances(result, truth))
+        report.record(it, engine, _check_prefix(result, gold))
         if isinstance(result, PartialResult):
             report.partials += 1
-            record(it, engine, _check_certificate(result, gold, k))
-            record(
+            report.record(it, engine, _check_certificate(result, gold, k))
+            report.record(
                 it,
                 engine,
                 None
                 if result.reason
                 else "partial result carries no reason",
             )
-            record(it, engine, _num_io_message(result))
+            report.record(it, engine, _num_io_message(result))
         else:
-            record(it, engine, _check_exact(result, gold, k))
+            report.record(it, engine, _check_exact(result, gold, k))
 
         # The same interruption applied mid-merge to the streaming
         # path: the emitted prefix must stay ranked and certified.
@@ -1481,7 +1386,7 @@ def _run_shard_iteration(
         )
         emitted = list(stream)
         keys = [(m.distance, m.sid, m.start) for m in emitted]
-        record(
+        report.record(
             it,
             "stream",
             None
@@ -1490,6 +1395,8 @@ def _run_shard_iteration(
         )
         if isinstance(stream.result, PartialResult):
             report.partials += 1
-            record(it, "stream", _check_certificate(stream.result, gold, k))
+            report.record(
+                it, "stream", _check_certificate(stream.result, gold, k)
+            )
     finally:
         sdb.close()

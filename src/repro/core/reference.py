@@ -9,8 +9,8 @@ Two kinds of reference live here:
   reproduce these bit for bit (DTW, envelope, PAA) or to within 1e-9
   (reduction-order-sensitive sums); ``tests/test_kernel_conformance.py``
   enforces it with randomized differential testing, and
-  ``python -m repro bench --suite kernels`` re-checks exactness on every
-  benchmark input before timing anything.
+  ``python -m repro bench`` re-checks exactness on every benchmark input
+  before timing anything.
 * **Brute-force engines** (:func:`brute_force_topk`): exhaustive banded
   DTW at every offset with no index, no lower bounds, and no I/O
   accounting.  Every engine must return the same distance multiset.

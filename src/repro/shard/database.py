@@ -41,8 +41,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import shutil
-import tempfile
 from concurrent.futures import BrokenExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -73,6 +71,7 @@ from repro.shard.planner import ShardPlan, ShardPlanner
 from repro.storage.buffer import RetryPolicy
 from repro.storage.faults import FaultInjector
 from repro.storage.page import PAGE_SIZE_DEFAULT
+from repro.storage.persistence import save_directory_atomically
 
 #: Shard-manifest sentinel file (distinct from the per-shard format-v2
 #: ``MANIFEST`` so the two directory kinds are never confused).
@@ -591,75 +590,51 @@ class ShardedDatabase:
     def save(self, directory: "os.PathLike[str] | str") -> None:
         """Persist the sharded database: manifest + per-shard format-v2.
 
-        Crash-safe like the per-shard format: everything lands in a
-        temporary sibling, each shard directory is a complete format-v2
-        database, the ``SHARDS`` manifest is written last, and the root
-        is atomically renamed into place.
+        Crash-safe like the per-shard format, through the same commit
+        (:func:`~repro.storage.persistence.save_directory_atomically`):
+        everything lands in a temporary sibling, each shard directory is
+        a complete format-v2 database, the ``SHARDS`` manifest is
+        written last, and the root is atomically renamed into place.
         """
         self._require_built()
-        assert self.shards is not None and self.plan is not None
-        target = pathlib.Path(directory)
-        if target.exists() and not (
-            target.is_dir()
-            and (not any(target.iterdir())
-                 or is_sharded_database_directory(target))
-        ):
-            raise ConfigurationError(
-                f"refusing to overwrite {target}: not an empty directory "
-                f"or a sharded database"
-            )
-        target.parent.mkdir(parents=True, exist_ok=True)
-        temp = pathlib.Path(
-            tempfile.mkdtemp(
-                prefix=f".{target.name}.tmp-", dir=target.parent
-            )
+        save_directory_atomically(
+            directory, SHARD_MANIFEST_NAME, self._write_root
         )
-        try:
-            for index, db in self.shards.items():
-                db.save(temp / shard_dir_name(index))
-            manifest = {
-                "magic": SHARD_MANIFEST_MAGIC,
-                "format": SHARD_FORMAT_VERSION,
-                "num_shards": self.num_shards,
-                "policy": self.policy,
-                "psm": self._psm,
-                "assignment": {
-                    str(sid): shard
-                    for sid, shard in self.plan.assignment.items()
-                },
-                "shard_dirs": {
-                    str(index): shard_dir_name(index)
-                    for index in self.shards
-                },
-                "config": {
-                    "omega": self.omega,
-                    "features": self.features,
-                    "page_size": self.page_size,
-                    "buffer_fraction": self.buffer_fraction,
-                    "p": self.p,
-                    "data_stride": self.data_stride,
-                },
-            }
-            manifest_path = temp / SHARD_MANIFEST_NAME
-            with open(manifest_path, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            if target.exists():
-                old = pathlib.Path(
-                    tempfile.mkdtemp(
-                        prefix=f".{target.name}.old-", dir=target.parent
-                    )
-                )
-                os.rename(target, old / "previous")
-                os.rename(temp, target)
-                shutil.rmtree(old, ignore_errors=True)
-            else:
-                os.rename(temp, target)
-        except BaseException:
-            shutil.rmtree(temp, ignore_errors=True)
-            raise
+
+    def _write_root(self, root: pathlib.Path) -> None:
+        """Write every shard, then the ``SHARDS`` manifest, into ``root``."""
+        assert self.shards is not None and self.plan is not None
+        for index, db in self.shards.items():
+            db.save(root / shard_dir_name(index))
+        manifest = {
+            "magic": SHARD_MANIFEST_MAGIC,
+            "format": SHARD_FORMAT_VERSION,
+            "num_shards": self.num_shards,
+            "policy": self.policy,
+            "psm": self._psm,
+            "assignment": {
+                str(sid): shard
+                for sid, shard in self.plan.assignment.items()
+            },
+            "shard_dirs": {
+                str(index): shard_dir_name(index) for index in self.shards
+            },
+            "config": {
+                "omega": self.omega,
+                "features": self.features,
+                "page_size": self.page_size,
+                "buffer_fraction": self.buffer_fraction,
+                "p": self.p,
+                "data_stride": self.data_stride,
+            },
+        }
+        with open(
+            root / SHARD_MANIFEST_NAME, "w", encoding="utf-8"
+        ) as handle:
+            json.dump(manifest, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
 
     @classmethod
     def load(

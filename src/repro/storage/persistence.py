@@ -46,7 +46,7 @@ import os
 import pathlib
 import shutil
 import tempfile
-from typing import TYPE_CHECKING, Any, Dict, List, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Union
 
 import numpy as np
 
@@ -96,23 +96,18 @@ def _fsync_dir(path: pathlib.Path) -> None:
         os.close(fd)
 
 
-def is_database_directory(path: PathLike) -> bool:
-    """Whether ``path`` looks like a committed repro database."""
-    return (pathlib.Path(path) / MANIFEST_NAME).exists()
-
-
-def _check_save_target(path: pathlib.Path) -> None:
-    """Refuse to clobber anything that is not a repro database."""
+def _check_save_target(path: pathlib.Path, sentinel: str) -> None:
+    """Refuse to clobber anything that is not a previous save."""
     if not path.exists():
         return
     if not path.is_dir():
         raise ConfigurationError(
             f"save target {path} exists and is not a directory"
         )
-    if any(path.iterdir()) and not is_database_directory(path):
+    if any(path.iterdir()) and not (path / sentinel).exists():
         raise ConfigurationError(
             f"refusing to overwrite {path}: directory is not empty and "
-            f"has no {MANIFEST_NAME} sentinel (not a repro database)"
+            f"has no {sentinel} sentinel (not a repro database)"
         )
 
 
@@ -126,7 +121,8 @@ def save_database(
     The write lands in a temporary sibling directory first and is
     renamed into place only once every file (including the ``MANIFEST``
     commit sentinel) is on disk; on any failure the temp directory is
-    removed and an existing database at ``directory`` is untouched.
+    removed and an existing database at ``directory`` is untouched
+    (:func:`save_directory_atomically`).
 
     ``extra_meta`` keys are merged into ``meta.json`` — the ingest
     checkpoint records its ``wal_lsn`` watermark this way, so recovery
@@ -134,15 +130,37 @@ def save_database(
     """
     if db.index is None:
         raise ConfigurationError("cannot save before build()")
+    save_directory_atomically(
+        directory,
+        MANIFEST_NAME,
+        lambda temp: _write_database(db, temp, extra_meta),
+    )
+
+
+def save_directory_atomically(
+    directory: PathLike,
+    sentinel: str,
+    write: Callable[[pathlib.Path], None],
+) -> None:
+    """Commit whatever ``write`` produces as ``directory``, atomically.
+
+    ``write`` fills a temporary sibling directory (and fsyncs its own
+    files, ending with the ``sentinel`` commit file); the sibling is
+    then renamed into place.  An existing target is replaced only when
+    it is empty or carries ``sentinel``, and is swapped out and removed
+    only after the new directory is in place; on any failure the temp
+    directory is removed and the existing target is left (or put back)
+    untouched.
+    """
     path = pathlib.Path(directory)
-    _check_save_target(path)
+    _check_save_target(path, sentinel)
     path.parent.mkdir(parents=True, exist_ok=True)
 
     temp = pathlib.Path(
         tempfile.mkdtemp(prefix=f".{path.name}.tmp-", dir=path.parent)
     )
     try:
-        _write_database(db, temp, extra_meta)
+        write(temp)
         _fsync_dir(temp)
         _commit(temp, path)
     except BaseException:
@@ -161,7 +179,7 @@ def _commit(temp: pathlib.Path, path: pathlib.Path) -> None:
         path.rename(old)
         try:
             temp.rename(path)
-        except BaseException:  # pragma: no cover — roll the old one back
+        except BaseException:  # roll the old one back
             old.rename(path)
             shutil.rmtree(graveyard, ignore_errors=True)
             raise

@@ -1,4 +1,4 @@
-"""Unit tests for the perf-regression subsystem (``repro bench``).
+"""Unit tests for the kernel perf-regression gate (``repro bench``).
 
 The gate logic (:func:`repro.bench.perf.compare`), the report schema
 round-trip, and the CLI exit-code contract are tested on synthetic
@@ -7,6 +7,7 @@ end as a smoke check.
 """
 
 import copy
+import pathlib
 
 import numpy as np
 import pytest
@@ -38,63 +39,16 @@ def kernel_block(speedup=10.0, exact=True):
     }
 
 
-def engine_block(candidates=100, distance="1.5"):
-    return {
-        "ru": {
-            "counters": {
-                "candidates": candidates,
-                "page_accesses": 7,
-                "dtw_computations": 3,
-                "heap_pops": 11,
-            },
-            "distances": [distance],
-            "matches": [[0, 640]],
-            "wall_time_s": 0.01,
-        }
-    }
-
-
-def serve_block(qps=60.0, exact=True, errors=0):
-    return {
-        "load_mixed_knn": {
-            "clients": 8,
-            "workers": 4,
-            "requests": 96,
-            "completed": 96,
-            "errors": errors,
-            "exact": exact,
-            "throughput_qps": qps,
-            "p50_ms": 100.0,
-            "p99_ms": 200.0,
-            "mean_queue_wait_ms": 50.0,
-        }
-    }
-
-
-def shard_block(speedup=1.3, exact=True):
-    return {
-        "ru_cost_shards4": {
-            "shards": 4,
-            "executor": "thread",
-            "unsharded_ms": 100.0,
-            "sharded_ms": 100.0 / speedup,
-            "speedup": speedup,
-            "exact": exact,
-        }
-    }
-
-
 class TestCompareGate:
     def test_identical_reports_pass(self):
-        report = make_report(
-            kernels=kernel_block(), engines=engine_block()
-        )
+        report = make_report(kernels=kernel_block())
         assert perf.compare(report, copy.deepcopy(report)) == []
 
     def test_wall_time_is_never_gated(self):
-        base = make_report(engines=engine_block())
+        # Only the machine-relative ratio is compared, never raw times.
+        base = make_report(kernels=kernel_block())
         cur = copy.deepcopy(base)
-        cur["suites"]["engines"]["ru"]["wall_time_s"] = 99.0
+        cur["suites"]["kernels"]["dtw_wavefront_len256"]["scalar_ms"] = 99.0
         assert perf.compare(cur, base) == []
 
     def test_speedup_within_tolerance_passes(self):
@@ -146,24 +100,12 @@ class TestCompareGate:
         regressions = perf.compare(cur, base)
         assert any("disappeared" in r.message for r in regressions)
 
-    def test_counter_drift_fails(self):
-        base = make_report(engines=engine_block(candidates=100))
-        cur = make_report(engines=engine_block(candidates=101))
-        regressions = perf.compare(cur, base)
-        assert len(regressions) == 1
-        assert "candidates" in regressions[0].message
-
-    def test_distance_digest_drift_fails(self):
-        base = make_report(engines=engine_block(distance="1.5"))
-        cur = make_report(engines=engine_block(distance="1.5000001"))
-        regressions = perf.compare(cur, base)
-        assert any("distances" in r.message for r in regressions)
-
     def test_only_shared_suites_compared(self):
-        # A kernels-only CI run against an all-suites baseline must not
-        # complain about the missing engine data.
+        # A report written before the other suites were retired (e.g.
+        # BENCH_2026-08-06.json) still works as a baseline: blocks other
+        # than ``kernels`` are ignored.
         base = make_report(
-            kernels=kernel_block(), engines=engine_block()
+            kernels=kernel_block(), engines={"ru": {"counters": {}}}
         )
         cur = make_report(kernels=kernel_block())
         assert perf.compare(cur, base) == []
@@ -171,167 +113,6 @@ class TestCompareGate:
     def test_regression_renders_as_suite_slash_name(self):
         regression = perf.Regression("kernels", "dtw", "broke")
         assert str(regression) == "kernels/dtw: broke"
-
-
-class TestServeGate:
-    def test_identical_reports_pass(self):
-        report = make_report(serve=serve_block())
-        assert perf.compare(report, copy.deepcopy(report)) == []
-
-    def test_inexact_responses_fail(self):
-        base = make_report(serve=serve_block())
-        cur = make_report(serve=serve_block(exact=False))
-        regressions = perf.compare(cur, base)
-        assert any("oracle" in r.message for r in regressions)
-
-    def test_errors_fail(self):
-        base = make_report(serve=serve_block())
-        cur = make_report(serve=serve_block(errors=2))
-        regressions = perf.compare(cur, base)
-        assert any("errored" in r.message for r in regressions)
-
-    def test_missing_run_fails(self):
-        base = make_report(serve=serve_block())
-        cur = make_report(serve={})
-        regressions = perf.compare(cur, base)
-        assert any("disappeared" in r.message for r in regressions)
-
-    def test_throughput_dual_criterion(self):
-        base = make_report(serve=serve_block(qps=60.0))
-        # Below the relative floor (60 * 0.5 = 30) but above the 5 qps
-        # absolute floor: environment drift, not a regression.
-        slow_host = make_report(serve=serve_block(qps=10.0))
-        assert perf.compare(slow_host, base) == []
-        # Below both criteria: a real throughput regression.
-        broken = make_report(serve=serve_block(qps=2.0))
-        regressions = perf.compare(broken, base)
-        assert len(regressions) == 1
-        assert "absolute floor" in regressions[0].message
-
-    def test_format_report_renders_serve(self):
-        text = perf.format_report(make_report(serve=serve_block()))
-        assert "load_mixed_knn" in text
-        assert "qps" in text
-
-    def test_quick_suite_smoke(self):
-        block = perf.run_serve_suite(seed=0, quick=True)
-        record = block["load_mixed_knn"]
-        assert record["exact"] is True
-        assert record["errors"] == 0
-        assert record["completed"] == record["requests"]
-        assert record["throughput_qps"] > 0
-        assert record["p99_ms"] >= record["p50_ms"]
-
-
-class TestShardGate:
-    def test_identical_reports_pass(self):
-        report = make_report(shard=shard_block())
-        assert perf.compare(report, copy.deepcopy(report)) == []
-
-    def test_exactness_always_gated(self):
-        base = make_report(shard=shard_block())
-        cur = make_report(shard=shard_block(exact=False))
-        regressions = perf.compare(cur, base)
-        assert any("byte-identical" in r.message for r in regressions)
-
-    def test_missing_run_fails(self):
-        base = make_report(shard=shard_block())
-        cur = make_report(shard={})
-        regressions = perf.compare(cur, base)
-        assert any("disappeared" in r.message for r in regressions)
-
-    def test_speedup_dual_criterion(self):
-        base = make_report(shard=shard_block(speedup=1.3))
-        # Below the 1.0x floor but within the relative tolerance of the
-        # committed baseline (1.3 * 0.5 = 0.65): a single-core host, not
-        # a regression.
-        single_core = make_report(shard=shard_block(speedup=0.7))
-        assert perf.compare(single_core, base) == []
-        # Below the floor AND collapsed versus the baseline: a genuine
-        # parallel-path regression.
-        broken = make_report(shard=shard_block(speedup=0.2))
-        regressions = perf.compare(broken, base)
-        assert len(regressions) == 1
-        assert "floor" in regressions[0].message
-
-    def test_speedup_above_floor_never_fails(self):
-        # A host that still clears the absolute floor passes no matter
-        # how fast the baseline host was.
-        base = make_report(shard=shard_block(speedup=3.5))
-        cur = make_report(shard=shard_block(speedup=1.05))
-        assert perf.compare(cur, base) == []
-
-    def test_format_report_renders_shard(self):
-        text = perf.format_report(make_report(shard=shard_block()))
-        assert "ru_cost_shards4" in text
-        assert "speedup" in text
-
-    def test_quick_suite_smoke(self):
-        block = perf.run_shard_suite(seed=0, quick=True)
-        for record in block.values():
-            assert record["exact"] is True
-            assert record["speedup"] > 0
-            assert record["sharded_ms"] > 0
-
-
-def storage_block(exact=True, page_accesses=248):
-    return {
-        "ru_cost_raw": {
-            "normalize": False,
-            "file_ms": 20.0,
-            "mmap_ms": 16.0,
-            "speedup": 1.25,
-            "page_accesses": page_accesses,
-            "exact": exact,
-        }
-    }
-
-
-class TestStorageGate:
-    def test_identical_reports_pass(self):
-        report = make_report(storage=storage_block())
-        assert perf.compare(report, copy.deepcopy(report)) == []
-
-    def test_exactness_always_gated(self):
-        base = make_report(storage=storage_block())
-        cur = make_report(storage=storage_block(exact=False))
-        regressions = perf.compare(cur, base)
-        assert any("byte-identical" in r.message for r in regressions)
-
-    def test_num_io_drift_fails(self):
-        base = make_report(storage=storage_block())
-        cur = make_report(storage=storage_block(page_accesses=249))
-        regressions = perf.compare(cur, base)
-        assert any("NUM_IO drifted" in r.message for r in regressions)
-
-    def test_missing_run_fails(self):
-        base = make_report(storage=storage_block())
-        cur = make_report(storage={})
-        regressions = perf.compare(cur, base)
-        assert any("disappeared" in r.message for r in regressions)
-
-    def test_timing_is_never_gated(self):
-        # The mmap-vs-file ratio depends on the host's page cache and
-        # allocator; only exactness and NUM_IO are gated.
-        base = make_report(storage=storage_block())
-        cur = make_report(storage=storage_block())
-        cur["suites"]["storage"]["ru_cost_raw"]["speedup"] = 0.01
-        cur["suites"]["storage"]["ru_cost_raw"]["mmap_ms"] = 2000.0
-        assert perf.compare(cur, base) == []
-
-    def test_format_report_renders_storage(self):
-        text = perf.format_report(make_report(storage=storage_block()))
-        assert "ru_cost_raw" in text
-        assert "mmap" in text
-
-    def test_quick_suite_smoke(self):
-        block = perf.run_storage_suite(seed=0, quick=True)
-        assert set(block) == {"ru_cost_raw", "ru_cost_znorm"}
-        for record in block.values():
-            assert record["exact"] is True
-            assert record["mmap_ms"] > 0
-            assert record["file_ms"] > 0
-        assert block["ru_cost_raw"]["page_accesses"] == 248
 
 
 class TestReportIO:
@@ -361,14 +142,28 @@ class TestReportIO:
         now = datetime(2026, 8, 6, tzinfo=timezone.utc)
         assert perf.default_json_name(now) == "BENCH_2026-08-06.json"
 
-    def test_run_suites_metadata(self):
-        report = perf.run_suites((), seed=3, quick=True)
+    def test_run_report_metadata(self, monkeypatch):
+        monkeypatch.setattr(
+            perf, "run_kernel_suite", lambda seed, quick: kernel_block()
+        )
+        report = perf.run_report(seed=3, quick=True)
         assert report["kind"] == "repro-bench"
         assert report["schema"] == perf.SCHEMA_VERSION
         assert report["seed"] == 3
         assert report["quick"] is True
-        assert report["suites"] == {}
+        assert report["suites"] == {"kernels": kernel_block()}
         assert "numpy" in report["environment"]
+
+    def test_committed_baseline_holds_exactly_what_bench_runs(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        baseline = perf.load_report(
+            str(root / "benchmarks" / "baseline.json")
+        )
+        assert list(baseline["suites"]) == ["kernels"]
+        assert set(baseline["suites"]["kernels"]) == set(
+            perf._KERNEL_BENCHES
+        )
+        assert set(perf.SPEEDUP_FLOORS) == set(perf._KERNEL_BENCHES)
 
 
 class TestCLIExitCodes:
@@ -378,10 +173,10 @@ class TestCLIExitCodes:
     def fake_suite(self, monkeypatch):
         report = make_report(kernels=kernel_block(speedup=10.0))
 
-        def fake_run_suites(suites, seed=0, quick=False):
+        def fake_run_report(seed=0, quick=False):
             return copy.deepcopy(report)
 
-        monkeypatch.setattr(perf, "run_suites", fake_run_suites)
+        monkeypatch.setattr(perf, "run_report", fake_run_report)
         return report
 
     def test_missing_baseline_is_usage_error(self, fake_suite, tmp_path):
@@ -403,11 +198,27 @@ class TestCLIExitCodes:
         worse = copy.deepcopy(fake_suite)
         worse["suites"]["kernels"]["dtw_wavefront_len256"]["speedup"] = 4.0
 
-        def fake_run_suites(suites, seed=0, quick=False):
+        def fake_run_report(seed=0, quick=False):
             return copy.deepcopy(worse)
 
-        monkeypatch.setattr(perf, "run_suites", fake_run_suites)
+        monkeypatch.setattr(perf, "run_report", fake_run_report)
         assert main(["bench", "--baseline", baseline]) == 1
+
+    def test_inexact_kernel_exits_one(self, fake_suite, tmp_path, monkeypatch):
+        baseline = str(tmp_path / "baseline.json")
+        perf.write_report(fake_suite, baseline)
+        broken = make_report(kernels=kernel_block(exact=False))
+        monkeypatch.setattr(
+            perf, "run_report", lambda seed=0, quick=False: broken
+        )
+        assert main(["bench", "--baseline", baseline]) == 1
+        # Recording a baseline from a broken kernel reports it too.
+        assert main(["bench", "--baseline", baseline, "--update-baseline"]) == 1
+
+    def test_retired_suite_flag_is_usage_error(self, fake_suite):
+        with pytest.raises(SystemExit) as usage:
+            main(["bench", "--suite", "kernels"])
+        assert usage.value.code == 2
 
     def test_json_report_written(self, fake_suite, tmp_path):
         baseline = str(tmp_path / "baseline.json")
@@ -438,11 +249,7 @@ class TestKernelBenchSmoke:
         record = perf._bench_lb_paa(rng, quick=True)
         assert record["entries"] == 1000
 
-    def test_format_report_renders_both_suites(self):
-        report = make_report(
-            kernels=kernel_block(), engines=engine_block()
-        )
-        text = perf.format_report(report)
+    def test_format_report_renders_kernel_table(self):
+        text = perf.format_report(make_report(kernels=kernel_block()))
         assert "dtw_wavefront_len256" in text
-        assert "ru" in text
         assert "10.00x" in text

@@ -239,6 +239,16 @@ class TestRecovery:
         assert recovered.verify_integrity()["ok"]
         recovered.wal.close()
 
+    def test_each_one_op_append_replays_as_one_batch(self, durable):
+        db, root = durable
+        for i in range(8):
+            db.append_sequence(100 + i, make_walk(96, seed=80 + i))
+        db.wal.close()
+        recovered, report = recover_database(root, sync=False)
+        assert report.replayed_records == 8
+        assert report.replayed_batches == 8
+        recovered.wal.close()
+
     def test_recovery_is_idempotent(self, durable):
         db, root = durable
         self.run_some_sessions(db)

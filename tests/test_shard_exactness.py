@@ -15,6 +15,7 @@ unsharded database's.
 """
 
 import math
+import pathlib
 
 import pytest
 
@@ -358,6 +359,52 @@ class TestPersistenceAndExecutors:
             result = reloaded.search(query, k=5, rho=2, method="ru")
             assert result.matches == gold
             _num_io_adds_up(result)
+
+    def test_failed_commit_leaves_previous_root_loadable(
+        self, oracle, tmp_path, monkeypatch
+    ):
+        query = query_from(oracle, 640, 48)
+        root = tmp_path / "sharded"
+        real_rename = pathlib.Path.rename
+
+        def rename(self, target):
+            # Every shard directory commits; the root's own temp
+            # directory then fails to land after the previous root has
+            # already been moved aside.
+            if self.name.startswith(".sharded.tmp-"):
+                raise OSError("disk went away mid-commit")
+            return real_rename(self, target)
+
+        with build_sharded_golden_db(2, "hash") as sdb:
+            gold = sdb.search(query, k=5, rho=2, method="ru").matches
+            sdb.save(root)
+            monkeypatch.setattr(pathlib.Path, "rename", rename)
+            with pytest.raises(OSError, match="mid-commit"):
+                sdb.save(root)
+            monkeypatch.undo()
+        assert [entry.name for entry in tmp_path.iterdir()] == ["sharded"]
+        with ShardedDatabase.load(root, executor="serial") as reloaded:
+            result = reloaded.search(query, k=5, rho=2, method="ru")
+            assert result.matches == gold
+
+    def test_both_savers_refuse_a_directory_that_is_not_theirs(
+        self, oracle, tmp_path
+    ):
+        foreign = tmp_path / "precious"
+        foreign.mkdir()
+        (foreign / "thesis.tex").write_text("years of work")
+        with build_sharded_golden_db(2, "hash") as sdb:
+            for saver in (oracle, sdb):
+                with pytest.raises(ConfigurationError, match="refusing"):
+                    saver.save(foreign)
+            assert (foreign / "thesis.tex").read_text() == "years of work"
+            # Nor does either overwrite the other kind of database.
+            oracle.save(tmp_path / "single")
+            sdb.save(tmp_path / "sharded")
+            with pytest.raises(ConfigurationError, match="SHARDS"):
+                sdb.save(tmp_path / "single")
+            with pytest.raises(ConfigurationError, match="MANIFEST"):
+                oracle.save(tmp_path / "sharded")
 
     def test_thread_executor_identical(self, oracle):
         query = query_from(oracle, 640, 48)

@@ -39,6 +39,7 @@ from tests.test_engines_stats import (
     GOLDEN_MATCHES,
     GOLDEN_PSM_DISTANCES,
     GOLDEN_PSM_MATCHES,
+    GOLDEN_STAT_KEYS,
     assert_golden,
 )
 
@@ -63,12 +64,14 @@ def build_backend_db(backend):
 
 
 def fingerprint(db, query, k=5, rho=2, method="ru-cost", normalize=False):
-    """Exact digest from a cold cache: matches, distances, NUM_IO."""
+    """Exact digest from a cold cache: matches, distances, NUM_IO and
+    every golden counter."""
     db.reset_cache()
     result = db.search(query, k=k, rho=rho, method=method, normalize=normalize)
     return (
         [(m.sid, m.start, repr(m.distance)) for m in result.matches],
         result.stats.page_accesses,
+        {key: getattr(result.stats, key) for key in GOLDEN_STAT_KEYS},
     )
 
 
@@ -165,6 +168,9 @@ class TestGoldenBackendParity:
                 ) == fingerprint(
                     mmap_db, query, method=method, normalize=True
                 )
+            # The one pinned z-norm cost: ru-cost's NUM_IO on the golden
+            # workload (its raw twin is GOLDEN_COUNTERS["ru-cost"]).
+            assert fingerprint(file_db, query, normalize=True)[1] == 1044
         finally:
             mmap_db.close()
             file_db.close()

@@ -137,6 +137,16 @@ class TestGoldensUnchangedUnderTracing:
         )
 
 
+    def test_disabled_tracer_is_the_untraced_path(self):
+        # ``tracer=None`` means NULL_TRACER; a caller's own disabled
+        # tracer must hit the same goldens and record nothing.
+        tracer = Tracer(enabled=False)
+        result = run_golden(build_golden_db(tracer=tracer), "ru-cost")
+        assert_golden(result, "ru-cost", GOLDEN_DISTANCES, GOLDEN_MATCHES)
+        assert result.profile is None
+        assert tracer.roots == []
+
+
 class TestSpanTreeShape:
     def test_strictly_monotonic_timestamps(self, traced_db):
         result = run_golden(traced_db, "ru-cost")
