@@ -22,7 +22,7 @@ Quickstart::
     result = db.search(query, k=25, method="ru-cost", deferred=True)
 """
 
-from repro.api import MatchStream, SubsequenceDatabase
+from repro.api import QueryFacade, SubsequenceDatabase
 from repro.control import (
     AdmissionController,
     CancellationToken,
@@ -42,6 +42,7 @@ from repro.engines.base import (
     SearchResult,
 )
 from repro.engines.cost_density import CostDensityConfig
+from repro.engines.ranked_union import MatchStream
 from repro.exceptions import (
     AdmissionRejectedError,
     CircuitOpenError,
@@ -69,8 +70,6 @@ from repro.serve import (
 from repro.shard import (
     ShardedDatabase,
     ShardedMatchStream,
-    ShardedPartialResult,
-    ShardedSearchResult,
     ShardPlan,
     ShardPlanner,
 )
@@ -84,14 +83,13 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
+    "QueryFacade",
     "SubsequenceDatabase",
     "ShardedDatabase",
     "ShardedMatchStream",
-    "ShardedPartialResult",
-    "ShardedSearchResult",
     "ShardPlan",
     "ShardPlanner",
     "SearchResult",

@@ -59,9 +59,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional, Sequence, cast
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, cast
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.api import QueryFacade
 
 
 def _demo(args: argparse.Namespace) -> int:
@@ -291,7 +294,9 @@ def _bench(args: argparse.Namespace) -> int:
     return 1
 
 
-def _serve_database(args: argparse.Namespace) -> "tuple[object, object]":
+def _serve_database(
+    args: argparse.Namespace,
+) -> "tuple[QueryFacade, object]":
     from repro import SubsequenceDatabase
     from repro.data import load_dataset
 
@@ -329,7 +334,7 @@ def _serve_database(args: argparse.Namespace) -> "tuple[object, object]":
 
 
 def _serve_self_test(
-    args: argparse.Namespace, db: "object", dataset: "object"
+    args: argparse.Namespace, db: "QueryFacade", dataset: "object"
 ) -> int:
     """Concurrent mixed-engine socket clients vs the single-query oracle."""
     import threading
@@ -528,6 +533,10 @@ def _profile(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.engines.base import METHODS
+    from repro.shard.planner import POLICIES
+    from repro.storage.backends import BACKEND_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Ranked subsequence matching via ranked union "
@@ -557,7 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scrub.add_argument("directory", help="database directory to verify")
     scrub.add_argument(
         "--backend",
-        choices=("file", "mmap"),
+        choices=BACKEND_NAMES,
         default=None,
         help="storage backend to load under (default: file)",
     )
@@ -583,7 +592,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     recover.add_argument(
         "--backend",
-        choices=("file", "mmap"),
+        choices=BACKEND_NAMES,
         default=None,
         help="storage backend for the recovered database (default: file)",
     )
@@ -664,7 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     serve.add_argument(
         "--shard-policy",
-        choices=("hash", "range"),
+        choices=POLICIES,
         default="hash",
         help="shard partitioning policy (with --shards)",
     )
@@ -677,8 +686,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "shut down cleanly and exit 0/1 (CI smoke mode)",
     )
     serve.set_defaults(func=_serve)
-
-    engines = ("seqscan", "hlmj", "hlmj-wg", "psm", "ru", "ru-cost")
 
     def add_query_options(command: argparse.ArgumentParser) -> None:
         command.add_argument("--size", type=int, default=40_000)
@@ -696,7 +703,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace", help="run one traced query, export a Chrome trace"
     )
     trace.add_argument("dataset", help="dataset name (e.g. WALK)")
-    trace.add_argument("engine", choices=engines, help="engine to trace")
+    trace.add_argument("engine", choices=METHODS, help="engine to trace")
     trace.add_argument(
         "--out",
         default="trace.json",
@@ -714,7 +721,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile.add_argument(
         "engine",
         nargs="?",
-        choices=engines,
+        choices=METHODS,
         default="ru-cost",
         help="engine to profile (default: ru-cost)",
     )

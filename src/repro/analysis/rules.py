@@ -113,6 +113,8 @@ class ExceptionTaxonomyRule(Rule):
     ``RuntimeError`` raised inside ``storage/``/``engines/`` escapes all
     of that: it aborts degraded queries that should have skipped a page
     and is indistinguishable from a genuine bug at API boundaries.
+    ``raise StopIteration`` inside a ``__next__`` method is the iterator
+    protocol, not an error, and stays allowed.
     """
 
     code = "RS002"
@@ -150,6 +152,13 @@ class ExceptionTaxonomyRule(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if not module.in_package(*self.scope):
             return
+        inside_next = {
+            id(inner)
+            for function in ast.walk(module.tree)
+            if isinstance(function, ast.FunctionDef)
+            and function.name == "__next__"
+            for inner in ast.walk(function)
+        }
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
@@ -157,6 +166,8 @@ class ExceptionTaxonomyRule(Rule):
             if isinstance(exc, ast.Call):
                 exc = exc.func
             name = exc.id if isinstance(exc, ast.Name) else None
+            if name == "StopIteration" and id(node) in inside_next:
+                continue
             if name in self.disallowed:
                 yield self.finding(
                     module,

@@ -1,8 +1,10 @@
-"""Public facade: :class:`SubsequenceDatabase`.
+"""Public facade: :class:`QueryFacade` and :class:`SubsequenceDatabase`.
 
-One object wires the whole stack together — paged storage, buffer pool,
-DualMatch R*-tree index, and the five query engines — behind a small
-API::
+:class:`QueryFacade` defines the query surface once — the keyword
+methods, the tracer, the ``close()`` lifecycle — for every database
+shape.  :class:`SubsequenceDatabase` is the one-index shape: one object
+wires the whole stack together — paged storage, buffer pool, DualMatch
+R*-tree index, and the five query engines — behind that API::
 
     from repro import SubsequenceDatabase
 
@@ -16,7 +18,7 @@ API::
 
 Methods
 -------
-``method`` names accepted by :meth:`SubsequenceDatabase.search`:
+``method`` names accepted by :meth:`QueryFacade.search`:
 
 ========== ===========================================================
 name       engine
@@ -35,8 +37,17 @@ FRM-style sliding-window index PSM joins over.
 
 from __future__ import annotations
 
+import abc
 import pathlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from repro.control import (
     AdmissionController,
@@ -51,25 +62,17 @@ from repro.core.results import Match
 from repro.engines.base import (
     METHODS,
     Engine,
-    PartialResult,
-    QueryRun,
     QuerySpec,
     RankedStream,
     SearchResult,
-    prefix_certificate,
 )
 from repro.engines.cost_density import CostDensityConfig
 from repro.engines.hlmj import HlmjEngine
-from repro.engines.operators import Status
 from repro.engines.psm import PsmEngine, build_sliding_index
 from repro.engines.range_search import RangeSearchEngine
-from repro.engines.ranked_union import RankedUnionEngine, build_union
+from repro.engines.ranked_union import MatchStream, RankedUnionEngine
 from repro.engines.seqscan import SeqScanEngine
-from repro.exceptions import (
-    ConfigurationError,
-    ExecutionInterrupted,
-    IndexNotBuiltError,
-)
+from repro.exceptions import ConfigurationError, IndexNotBuiltError
 from repro.index.builder import DualMatchIndex, build_index
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.backends import StorageBackend, resolve_backend
@@ -83,7 +86,309 @@ from repro.storage.sequences import SequenceStore
 if TYPE_CHECKING:
     from repro.storage.persistence import PathLike
 
-class SubsequenceDatabase:
+_Facade = TypeVar("_Facade", bound="QueryFacade")
+
+
+class QueryFacade(abc.ABC):
+    """The public query surface, defined once for every database shape.
+
+    A subclass supplies the two query entries — :meth:`run_query` (one
+    ``knn`` / ``range`` spec to completion) and :meth:`open_stream` (one
+    ``stream`` spec, lazily) — plus :meth:`set_tracer`,
+    :meth:`warm_engines` and :meth:`close`, and the attributes ``omega``,
+    ``p`` and ``_tracer``.  Everything a caller types is written here
+    over those: the keyword methods each build one
+    :class:`~repro.engines.base.QuerySpec` and one
+    :class:`~repro.control.ExecutionControl` and hand them to an entry
+    unchanged.  :class:`SubsequenceDatabase` answers from one index;
+    :class:`~repro.shard.ShardedDatabase` fans the same spec out and
+    merges — the ranked union one level up, of which one shard is not a
+    special case.
+
+    Lifecycle: :meth:`close` releases what the facade holds (backend
+    maps, executor pools) and is idempotent; ``with facade: ...`` calls
+    it on exit.  A facade that can still answer after ``close()`` does
+    (the unsharded database falls back to heap pages); one that cannot
+    raises :class:`~repro.exceptions.UsageError` ("... used after
+    close()"), never the :class:`~repro.exceptions.IndexNotBuiltError`
+    of a facade that was not built yet.
+    """
+
+    omega: int
+    p: float
+    _tracer: Tracer
+
+    @property
+    def tracer(self) -> Tracer:
+        """The tracer observing this database's queries."""
+        return self._tracer
+
+    @abc.abstractmethod
+    def set_tracer(self, tracer: Tracer) -> None:
+        """Attach (or swap) the tracer across the whole stack."""
+
+    @abc.abstractmethod
+    def warm_engines(self) -> None:
+        """Pre-construct the engine caches before queries run concurrently."""
+
+    @abc.abstractmethod
+    def close(self) -> None:
+        """Release held resources.  Idempotent (see the class docstring)."""
+
+    def __enter__(self: _Facade) -> _Facade:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    @abc.abstractmethod
+    def run_query(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> SearchResult:
+        """Answer one ``knn`` or ``range`` spec to completion."""
+
+    @abc.abstractmethod
+    def open_stream(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> RankedStream:
+        """Open one ``stream`` spec lazily."""
+
+    def _control(
+        self,
+        budget: Optional[QueryBudget],
+        deadline: Optional[Deadline],
+        token: Optional[CancellationToken],
+    ) -> ExecutionControl:
+        """The control plane of one keyword call, on this facade's tracer."""
+        return ExecutionControl(
+            budget=budget, deadline=deadline, token=token,
+            tracer=self._tracer,
+        )
+
+    def search(
+        self,
+        query: Sequence[float],
+        k: int = 10,
+        rho: Optional[int] = None,
+        method: str = "ru-cost",
+        deferred: bool = False,
+        cost_config: Optional[CostDensityConfig] = None,
+        on_fault: str = "raise",
+        budget: Optional[QueryBudget] = None,
+        deadline: Optional[Deadline] = None,
+        token: Optional[CancellationToken] = None,
+        normalize: bool = False,
+    ) -> SearchResult:
+        """Find the ``k`` subsequences nearest to ``query`` under DTW.
+
+        Parameters
+        ----------
+        query:
+            Query sequence; must satisfy ``len >= 2 * omega - 1``.
+        k:
+            Number of results.
+        rho:
+            Warping width; defaults to 5 % of the query length (the
+            paper's setting).
+        method:
+            Engine name (see module docstring).
+        deferred:
+            Use the deferred retrieval mechanism (the "(D)" variants).
+        cost_config:
+            RU-COST tuning overrides (``method="ru-cost"`` only).
+        on_fault:
+            ``"raise"`` (default) propagates storage faults that survive
+            buffer-pool retries; ``"degrade"`` skips unreadable pages,
+            returns a well-formed top-k over what is readable, and flags
+            the result ``degraded=True`` with a ``fault_report``.
+        budget:
+            Optional :class:`~repro.control.QueryBudget` capping page
+            accesses and candidate evaluations for this query.
+        deadline:
+            Optional :class:`~repro.control.Deadline` bounding wall
+            clock.
+        token:
+            Optional :class:`~repro.control.CancellationToken` the
+            caller can cancel from outside.
+        normalize:
+            Match under z-normalized DTW: the query and every candidate
+            are z-normalized (each by its own mean and standard
+            deviation) before distances are computed.  Exact — the
+            normalized lower bounds of :mod:`repro.core.normalize` keep
+            the same sandwich guarantees as the raw ones — and the
+            default raw path is byte-identical to before the flag
+            existed.
+
+        When any limit trips mid-query, the return value is a
+        :class:`~repro.engines.base.PartialResult`: the best-k-so-far
+        plus an exactness certificate bounding what was left unexamined.
+        With no limits, behaviour (results and I/O counts) is identical
+        to the pre-control-plane library.  A sharded database returns
+        the unsharded answer byte for byte (under ``normalize`` too:
+        candidates are normalized by their own rolling statistics) with
+        the per-shard counters in ``shard_stats``.
+        """
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            k=k,
+            method=method,
+            deferred=deferred,
+            cost_config=cost_config,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
+        )
+        control = self._control(budget, deadline, token)
+        return self.run_query(query, spec, control)
+
+    def search_scaled(
+        self,
+        query: Sequence[float],
+        k: int = 10,
+        scales: Sequence[float] = (0.5, 1.0, 2.0),
+        rho_fraction: float = 0.05,
+        method: str = "ru-cost",
+        deferred: bool = False,
+    ) -> SearchResult:
+        """Top-k across several query scales (variable-length matching).
+
+        The paper's remedy for matching subsequences of length
+        ``l != Len(Q)``: the query is resampled to each scaled length,
+        one ranked search runs per scale, and results merge under the
+        length-normalised distance of :mod:`repro.core.scaling` (raw
+        DTW grows with length, so unnormalised merging would always
+        favour the shortest scale).  Matches keep their per-scale
+        ``length``; ``Match.distance`` is the *normalised* value.
+
+        Scales whose rounded length violates ``len >= 2*omega - 1`` are
+        skipped; stats are summed over the scales actually run.
+        """
+        from repro.core.scaling import (
+            normalized_distance,
+            resample,
+            scale_lengths,
+        )
+
+        lengths = scale_lengths(len(query), scales, self.omega)
+        merged: List[Match] = []
+        totals = QueryStats()
+        for length in lengths:
+            scaled_query = resample(query, length)
+            rho = max(1, int(rho_fraction * length))
+            result = self.search(
+                scaled_query,
+                k=k,
+                rho=rho,
+                method=method,
+                deferred=deferred,
+            )
+            totals.merge(result.stats)
+            for match in result.matches:
+                merged.append(
+                    Match(
+                        distance=normalized_distance(
+                            match.distance, length, self.p
+                        ),
+                        sid=match.sid,
+                        start=match.start,
+                        length=match.length,
+                    )
+                )
+        merged.sort()
+        return SearchResult(matches=merged[:k], stats=totals)
+
+    def range_search(
+        self,
+        query: Sequence[float],
+        epsilon: float,
+        rho: Optional[int] = None,
+        on_fault: str = "raise",
+        budget: Optional[QueryBudget] = None,
+        deadline: Optional[Deadline] = None,
+        token: Optional[CancellationToken] = None,
+        normalize: bool = False,
+    ) -> SearchResult:
+        """All subsequences within DTW distance ``epsilon`` of ``query``.
+
+        The classical range subsequence matching query of the FRM /
+        DualMatch lineage the paper builds on; exact under the banded
+        DTW model.  Results are sorted best-first, with the same
+        ``on_fault`` policy, fault reporting, budget / deadline /
+        cancellation surface, and ``normalize`` semantics as
+        :meth:`search`.
+        """
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            kind="range",
+            epsilon=epsilon,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
+        )
+        control = self._control(budget, deadline, token)
+        return self.run_query(query, spec, control)
+
+    def iter_matches(
+        self,
+        query: Sequence[float],
+        k: int = 10,
+        rho: Optional[int] = None,
+        scheduling: str = "max-delta",
+        on_fault: str = "raise",
+        budget: Optional[QueryBudget] = None,
+        deadline: Optional[Deadline] = None,
+        token: Optional[CancellationToken] = None,
+        normalize: bool = False,
+    ) -> RankedStream:
+        """Stream up to ``k`` matches lazily, best first.
+
+        Exposes the extended iterator model (Definition 5) directly:
+        the ranked-union operator tree is pulled one ``GetNext()`` at a
+        time, and each confirmed result is yielded as soon as its rank
+        is settled — the first match typically arrives long before the
+        k-th is resolved.  Consumers may stop early; no further index
+        work happens after the stream is abandoned or closed.
+
+        Returns a :class:`~repro.engines.base.RankedStream` — an
+        iterator that, once exhausted or closed, holds the same result
+        object :meth:`search` returns (``stream.result``, over the
+        emitted prefix) and so surfaces the per-query
+        :class:`~repro.core.metrics.QueryStats` and (under
+        ``on_fault="degrade"``) the
+        :class:`~repro.engines.base.FaultReport`.  A budget, deadline,
+        or cancellation ends the stream early, leaving
+        ``stream.interrupted`` set with the reason and exactness
+        certificate.
+
+        Non-deferred only (deferral batches retrievals, which is
+        incompatible with incremental emission).  A sharded database
+        merges one such stream per shard through a ranked-union heap;
+        emission is nondecreasing in ``(distance, sid, start)`` and
+        byte-identical to the unsharded stream.
+        """
+        spec = QuerySpec.for_query(
+            query,
+            rho,
+            kind="stream",
+            k=k,
+            scheduling=scheduling,
+            p=self.p,
+            on_fault=on_fault,
+            normalize=normalize,
+        )
+        control = self._control(budget, deadline, token)
+        return self.open_stream(query, spec, control)
+
+
+class SubsequenceDatabase(QueryFacade):
     """A ranked subsequence matching database.
 
     Parameters
@@ -196,11 +501,6 @@ class SubsequenceDatabase:
         self._tracer = NULL_TRACER
         self.set_tracer(tracer if tracer is not None else NULL_TRACER)
 
-    @property
-    def tracer(self) -> Tracer:
-        """The tracer observing this database's queries."""
-        return self._tracer
-
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach (or swap) the tracer across the whole storage stack.
 
@@ -224,19 +524,9 @@ class SubsequenceDatabase:
 
         The database stays usable afterwards — a zero-copy backend
         migrates still-live views back to heap arrays before unmapping —
-        but new queries run on heap pages.  Also usable as a context
-        manager::
-
-            with SubsequenceDatabase(backend="mmap") as db:
-                ...
+        but new queries run on heap pages.
         """
         self._backend.close()
-
-    def __enter__(self) -> "SubsequenceDatabase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     @property
     def circuit_breaker(self) -> Optional[CircuitBreaker]:
@@ -357,9 +647,8 @@ class SubsequenceDatabase:
     ) -> SearchResult:
         """Answer one ``knn`` or ``range`` spec — the admitted entry.
 
-        :meth:`search` and :meth:`range_search` are keyword shims over
-        this; the sharded facade and the query service call it with a
-        spec they built themselves.
+        The sharded fan-out and the query service call it with a spec
+        they built themselves.
         """
         engine = self._engine(
             "range" if spec.kind == "range" else spec.method
@@ -374,230 +663,11 @@ class SubsequenceDatabase:
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
-    ) -> "MatchStream":
+    ) -> MatchStream:
         """Open one ``stream`` spec lazily (not an admitted entry)."""
         if self.index is None:
             raise IndexNotBuiltError("call build() before iter_matches()")
         return MatchStream(self.index, query, spec, control)
-
-    def search(
-        self,
-        query: Sequence[float],
-        k: int = 10,
-        rho: Optional[int] = None,
-        method: str = "ru-cost",
-        deferred: bool = False,
-        cost_config: Optional[CostDensityConfig] = None,
-        on_fault: str = "raise",
-        budget: Optional[QueryBudget] = None,
-        deadline: Optional[Deadline] = None,
-        token: Optional[CancellationToken] = None,
-        normalize: bool = False,
-    ) -> SearchResult:
-        """Find the ``k`` subsequences nearest to ``query`` under DTW.
-
-        Parameters
-        ----------
-        query:
-            Query sequence; must satisfy ``len >= 2 * omega - 1``.
-        k:
-            Number of results.
-        rho:
-            Warping width; defaults to 5 % of the query length (the
-            paper's setting).
-        method:
-            Engine name (see module docstring).
-        deferred:
-            Use the deferred retrieval mechanism (the "(D)" variants).
-        cost_config:
-            RU-COST tuning overrides (``method="ru-cost"`` only).
-        on_fault:
-            ``"raise"`` (default) propagates storage faults that survive
-            buffer-pool retries; ``"degrade"`` skips unreadable pages,
-            returns a well-formed top-k over what is readable, and flags
-            the result ``degraded=True`` with a ``fault_report``.
-        budget:
-            Optional :class:`~repro.control.QueryBudget` capping page
-            accesses and candidate evaluations for this query.
-        deadline:
-            Optional :class:`~repro.control.Deadline` bounding wall
-            clock.
-        token:
-            Optional :class:`~repro.control.CancellationToken` the
-            caller can cancel from outside.
-        normalize:
-            Match under z-normalized DTW: the query and every candidate
-            are z-normalized (each by its own mean and standard
-            deviation) before distances are computed.  Exact — the
-            normalized lower bounds of :mod:`repro.core.normalize` keep
-            the same sandwich guarantees as the raw ones — and the
-            default raw path is byte-identical to before the flag
-            existed.
-
-        When any limit trips mid-query, the return value is a
-        :class:`~repro.engines.base.PartialResult`: the best-k-so-far
-        plus an exactness certificate bounding what was left unexamined.
-        With no limits, behaviour (results and I/O counts) is identical
-        to the pre-control-plane library.
-        """
-        spec = QuerySpec.for_query(
-            query,
-            rho,
-            k=k,
-            method=method,
-            deferred=deferred,
-            cost_config=cost_config,
-            p=self.p,
-            on_fault=on_fault,
-            normalize=normalize,
-        )
-        control = ExecutionControl(
-            budget=budget, deadline=deadline, token=token,
-            tracer=self._tracer,
-        )
-        return self.run_query(query, spec, control)
-
-    def search_scaled(
-        self,
-        query: Sequence[float],
-        k: int = 10,
-        scales: Sequence[float] = (0.5, 1.0, 2.0),
-        rho_fraction: float = 0.05,
-        method: str = "ru-cost",
-        deferred: bool = False,
-    ) -> SearchResult:
-        """Top-k across several query scales (variable-length matching).
-
-        The paper's remedy for matching subsequences of length
-        ``l != Len(Q)``: the query is resampled to each scaled length,
-        one ranked search runs per scale, and results merge under the
-        length-normalised distance of :mod:`repro.core.scaling` (raw
-        DTW grows with length, so unnormalised merging would always
-        favour the shortest scale).  Matches keep their per-scale
-        ``length``; ``Match.distance`` is the *normalised* value.
-
-        Scales whose rounded length violates ``len >= 2*omega - 1`` are
-        skipped; stats are summed over the scales actually run.
-        """
-        from repro.core.scaling import (
-            normalized_distance,
-            resample,
-            scale_lengths,
-        )
-
-        lengths = scale_lengths(len(query), scales, self.omega)
-        merged: List[Match] = []
-        totals = QueryStats()
-        for length in lengths:
-            scaled_query = resample(query, length)
-            rho = max(1, int(rho_fraction * length))
-            result = self.search(
-                scaled_query,
-                k=k,
-                rho=rho,
-                method=method,
-                deferred=deferred,
-            )
-            totals.merge(result.stats)
-            for match in result.matches:
-                merged.append(
-                    Match(
-                        distance=normalized_distance(
-                            match.distance, length, self.p
-                        ),
-                        sid=match.sid,
-                        start=match.start,
-                        length=match.length,
-                    )
-                )
-        merged.sort()
-        return SearchResult(matches=merged[:k], stats=totals)
-
-    def range_search(
-        self,
-        query: Sequence[float],
-        epsilon: float,
-        rho: Optional[int] = None,
-        on_fault: str = "raise",
-        budget: Optional[QueryBudget] = None,
-        deadline: Optional[Deadline] = None,
-        token: Optional[CancellationToken] = None,
-        normalize: bool = False,
-    ) -> SearchResult:
-        """All subsequences within DTW distance ``epsilon`` of ``query``.
-
-        The classical range subsequence matching query of the FRM /
-        DualMatch lineage the paper builds on; exact under the banded
-        DTW model.  Results are sorted best-first, with the same
-        ``on_fault`` policy, fault reporting, budget / deadline /
-        cancellation surface, and ``normalize`` semantics as
-        :meth:`search`.
-        """
-        spec = QuerySpec.for_query(
-            query,
-            rho,
-            kind="range",
-            epsilon=epsilon,
-            p=self.p,
-            on_fault=on_fault,
-            normalize=normalize,
-        )
-        control = ExecutionControl(
-            budget=budget, deadline=deadline, token=token,
-            tracer=self._tracer,
-        )
-        return self.run_query(query, spec, control)
-
-    def iter_matches(
-        self,
-        query: Sequence[float],
-        k: int = 10,
-        rho: Optional[int] = None,
-        scheduling: str = "max-delta",
-        on_fault: str = "raise",
-        budget: Optional[QueryBudget] = None,
-        deadline: Optional[Deadline] = None,
-        token: Optional[CancellationToken] = None,
-        normalize: bool = False,
-    ) -> "MatchStream":
-        """Stream up to ``k`` matches lazily, best first.
-
-        Exposes the extended iterator model (Definition 5) directly:
-        the ranked-union operator tree is pulled one ``GetNext()`` at a
-        time, and each confirmed result is yielded as soon as its rank
-        is settled — the first match typically arrives long before the
-        k-th is resolved.  Consumers may stop early; no further index
-        work happens after the stream is abandoned or closed.
-
-        Returns a :class:`MatchStream` — an iterator that, once
-        exhausted or closed, holds the same result object
-        :meth:`search` returns (:attr:`MatchStream.result`, over the
-        emitted prefix) and so surfaces the per-query
-        :class:`~repro.core.metrics.QueryStats` and (under
-        ``on_fault="degrade"``) the
-        :class:`~repro.engines.base.FaultReport`.  A budget, deadline,
-        or cancellation ends the stream early, leaving
-        :attr:`MatchStream.interrupted` set with the reason and
-        exactness certificate.
-
-        Non-deferred only (deferral batches retrievals, which is
-        incompatible with incremental emission).
-        """
-        spec = QuerySpec.for_query(
-            query,
-            rho,
-            kind="stream",
-            k=k,
-            scheduling=scheduling,
-            p=self.p,
-            on_fault=on_fault,
-            normalize=normalize,
-        )
-        control = ExecutionControl(
-            budget=budget, deadline=deadline, token=token,
-            tracer=self._tracer,
-        )
-        return self.open_stream(query, spec, control)
 
     # ------------------------------------------------------------------
     # Online ingest (WAL-backed; see :mod:`repro.ingest`)
@@ -767,65 +837,3 @@ class SubsequenceDatabase:
             and not counter_errors
         )
         return report
-
-
-class MatchStream(RankedStream):
-    """Lazy best-first top-k over one database's ranked-union tree.
-
-    Produced by :meth:`SubsequenceDatabase.iter_matches`.
-    Exposes the extended iterator model (Definition 5) directly: each
-    confirmed result is yielded as soon as its rank is settled.  The
-    finished :attr:`result` holds the emitted prefix; for an
-    interrupted stream its certificate is the
-    :func:`~repro.engines.base.prefix_certificate`.
-    """
-
-    def __init__(
-        self,
-        index: DualMatchIndex,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: ExecutionControl,
-    ) -> None:
-        self._run = QueryRun(index, query, spec, control, "RU-STREAM")
-        with self._run as run:
-            self._union = build_union(
-                run.window_set, index, run.evaluator, spec, spec.scheduling
-            )
-        self._emitted: List[Match] = []
-
-    def __next__(self) -> Match:
-        if self.result is not None:
-            raise StopIteration
-        run = self._run
-        interrupt: Optional[ExecutionInterrupted] = None
-        with run:
-            try:
-                while len(self._emitted) < run.spec.k:
-                    status, payload = self._union.get_next()
-                    if status == Status.EOR:
-                        break
-                    if status == Status.TUPLE:
-                        match = Match(
-                            distance=payload.distance_pow
-                            ** (1.0 / run.spec.p),
-                            sid=payload.sid,
-                            start=payload.start,
-                            length=run.window_set.length,
-                        )
-                        self._emitted.append(match)
-                        return match
-            except ExecutionInterrupted as signal:
-                interrupt = signal
-        self._finalize(interrupt)
-        raise StopIteration
-
-    def _finalize(
-        self, interrupt: Optional[ExecutionInterrupted] = None
-    ) -> None:
-        result = self._run.finish(self._emitted, interrupt)
-        if isinstance(result, PartialResult):
-            result.certificate = prefix_certificate(
-                result.certificate, self._emitted
-            )
-        self.result = result

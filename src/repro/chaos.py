@@ -68,7 +68,7 @@ from repro.ingest import create_durable, recover_database
 from repro.serve.protocol import QueryRequest
 from repro.serve.service import QueryService, ServiceConfig
 from repro.serve.tenants import QosClass, TenantPolicy, TenantRegistry
-from repro.shard import REASON_SHARD_LOST, ShardedDatabase
+from repro.shard import POLICIES, REASON_SHARD_LOST, ShardedDatabase
 from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import (
@@ -1062,7 +1062,7 @@ class _ShardIteration(_Iteration):
             seed, iteration, "shard:", SHARD_SCENARIOS, 0x54A8D, psm=False
         )
         self.num_shards = self.rng.randint(2, 4)
-        self.policy = self.rng.choice(("hash", "range"))
+        self.policy = self.rng.choice(POLICIES)
 
     def build_pair(
         self,
@@ -1159,11 +1159,10 @@ def run_shard_chaos(
     )
 
 
-def _num_io_message(result: object) -> Optional[str]:
-    merged = result.stats.page_accesses  # type: ignore[attr-defined]
+def _num_io_message(result: SearchResult) -> Optional[str]:
+    merged = result.stats.page_accesses
     parts = sum(
-        stats.page_accesses
-        for stats in result.shard_stats.values()  # type: ignore[attr-defined]
+        stats.page_accesses for stats in result.shard_stats.values()
     )
     if merged != parts:
         return f"merged NUM_IO {merged} != per-shard sum {parts}"

@@ -143,8 +143,3 @@ def envelope_batch(
         axis=2
     )
     return lower, upper
-
-
-def envelope_bounds(envelope: Envelope) -> Tuple[float, float]:
-    """Global (min, max) of an envelope — handy for plotting and tests."""
-    return float(envelope.lower.min()), float(envelope.upper.max())

@@ -39,16 +39,6 @@ from repro.core.paa import paa, segment_length
 from repro.exceptions import QueryError, QueryTooShortError
 
 
-def num_disjoint_windows(length: int, omega: int) -> int:
-    """Number of complete disjoint windows in a sequence of ``length``."""
-    return length // omega
-
-
-def num_sliding_windows(length: int, omega: int) -> int:
-    """Number of sliding windows of size ``omega`` in a sequence."""
-    return max(0, length - omega + 1)
-
-
 def candidate_start(
     data_window_index: int, sliding_offset: int, data_stride: int
 ) -> int:

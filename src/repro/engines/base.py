@@ -25,7 +25,17 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -73,6 +83,9 @@ KINDS = ("knn", "range", "stream")
 
 #: ``SelectPriorityQueue()`` policies of the ranked-union operators.
 SCHEDULINGS = ("max-delta", "cost-aware", "global-min", "round-robin")
+
+#: Storage-fault policies (see :attr:`QuerySpec.on_fault`).
+ON_FAULT = ("raise", "degrade")
 
 
 def default_rho(query_length: int) -> int:
@@ -171,7 +184,7 @@ class QuerySpec:
                 f"deferred_fraction must be in (0, 1], got "
                 f"{self.deferred_fraction}"
             )
-        if self.on_fault not in ("raise", "degrade"):
+        if self.on_fault not in ON_FAULT:
             raise ConfigurationError(
                 f"on_fault must be 'raise' or 'degrade', got "
                 f"{self.on_fault!r}"
@@ -268,6 +281,9 @@ class SearchResult:
     #: Span tree + metrics delta for this query — populated only when
     #: the bound tracer was enabled (``None`` otherwise, at zero cost).
     profile: Optional[QueryProfile] = None
+    #: ``shard index -> counters`` behind a sharded answer; they sum to
+    #: :attr:`stats`.  Empty on an unsharded answer.
+    shard_stats: Dict[int, QueryStats] = field(default_factory=dict)
 
     @property
     def distances(self) -> List[float]:

@@ -29,7 +29,7 @@ from repro.core.normalize import WindowNormalizer
 from repro.core.windows import QueryWindow
 from repro.engines.bounds import score_node
 from repro.exceptions import StorageError
-from repro.index.rstar import LeafRecord, RStarNode, RStarTree
+from repro.index.rstar import RStarNode, RStarTree
 
 #: Signature of a fault handler: ``(error, page_id) -> None``.  The
 #: handler either re-raises (``on_fault="raise"``) or records the fault
@@ -190,9 +190,3 @@ class WindowQueue:
     def iter_entries(self) -> Iterator[QueueEntry]:
         """All enqueued entries, unordered (pivot estimation scans)."""
         return iter(self._heap)
-
-    def iter_leaf_records(self) -> Iterator[Tuple[float, LeafRecord]]:
-        """All leaf pairs currently enqueued, unordered (diagnostics)."""
-        for dist_pow, _seq, kind, payload, _far in self._heap:
-            if kind == LEAF:
-                yield dist_pow, payload  # type: ignore[misc]

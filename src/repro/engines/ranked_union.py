@@ -18,17 +18,19 @@ over ``ω`` subqueries, one per matching subsequence equivalence class
 :class:`RankedUnionEngine` drives the operator tree to exhaustion of the
 top-k result.  Its ``scheduling`` parameter selects the
 ``SelectPriorityQueue()`` policy: ``"max-delta"`` is the paper's **RU**,
-``"cost-aware"`` is **RU-COST**.  :class:`repro.api.MatchStream` pulls
-the same tree (:func:`build_union`) one ``GetNext()`` at a time for
-lazy best-first emission.
+``"cost-aware"`` is **RU-COST**.  :class:`MatchStream` pulls the same
+tree (:func:`build_union`) one ``GetNext()`` at a time for lazy
+best-first emission.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import List
+from typing import List, Optional, Sequence
 
+from repro.control import ExecutionControl
+from repro.core.results import Match
 from repro.core.windows import (
     QueryWindowSet,
     candidate_in_bounds,
@@ -38,7 +40,11 @@ from repro.engines.base import (
     SCHEDULINGS,
     CandidateEvaluator,
     Engine,
+    PartialResult,
+    QueryRun,
     QuerySpec,
+    RankedStream,
+    prefix_certificate,
 )
 from repro.engines.operators import (
     ExtendedIterator,
@@ -48,7 +54,7 @@ from repro.engines.operators import (
 )
 from repro.engines.queues import NODE, WindowQueue
 from repro.engines.scheduling import make_strategy
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ExecutionInterrupted
 from repro.index.builder import DualMatchIndex
 from repro.index.rstar import LeafRecord
 
@@ -372,6 +378,68 @@ def build_union(
         if window_set.classes[class_index]
     ]
     return UnionOperator(children, evaluator)
+
+
+class MatchStream(RankedStream):
+    """Lazy best-first top-k over one database's ranked-union tree.
+
+    Produced by :meth:`repro.api.SubsequenceDatabase.iter_matches`.
+    Exposes the extended iterator model (Definition 5) directly: each
+    confirmed result is yielded as soon as its rank is settled.  The
+    finished :attr:`result` holds the emitted prefix; for an
+    interrupted stream its certificate is the
+    :func:`~repro.engines.base.prefix_certificate`.
+    """
+
+    def __init__(
+        self,
+        index: DualMatchIndex,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> None:
+        self._run = QueryRun(index, query, spec, control, "RU-STREAM")
+        with self._run as run:
+            self._union = build_union(
+                run.window_set, index, run.evaluator, spec, spec.scheduling
+            )
+        self._emitted: List[Match] = []
+
+    def __next__(self) -> Match:
+        if self.result is not None:
+            raise StopIteration
+        run = self._run
+        interrupt: Optional[ExecutionInterrupted] = None
+        with run:
+            try:
+                while len(self._emitted) < run.spec.k:
+                    status, payload = self._union.get_next()
+                    if status == Status.EOR:
+                        break
+                    if status == Status.TUPLE:
+                        match = Match(
+                            distance=payload.distance_pow
+                            ** (1.0 / run.spec.p),
+                            sid=payload.sid,
+                            start=payload.start,
+                            length=run.window_set.length,
+                        )
+                        self._emitted.append(match)
+                        return match
+            except ExecutionInterrupted as signal:
+                interrupt = signal
+        self._finalize(interrupt)
+        raise StopIteration
+
+    def _finalize(
+        self, interrupt: Optional[ExecutionInterrupted] = None
+    ) -> None:
+        result = self._run.finish(self._emitted, interrupt)
+        if isinstance(result, PartialResult):
+            result.certificate = prefix_certificate(
+                result.certificate, self._emitted
+            )
+        self.result = result
 
 
 class RankedUnionEngine(Engine):

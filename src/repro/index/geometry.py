@@ -16,11 +16,6 @@ from repro.exceptions import UsageError
 Rect = Tuple[np.ndarray, np.ndarray]
 
 
-def rect_of_point(point: np.ndarray) -> Rect:
-    """Degenerate rectangle covering a single point."""
-    return point, point
-
-
 def union(a: Rect, b: Rect) -> Rect:
     """Smallest rectangle covering both inputs."""
     return np.minimum(a[0], b[0]), np.maximum(a[1], b[1])
@@ -79,20 +74,3 @@ def center_distance_sq(a: Rect, b: Rect) -> float:
     """Squared distance between rectangle centers (reinsert ordering)."""
     gap = center(a) - center(b)
     return float(np.dot(gap, gap))
-
-
-def contains_point(rect: Rect, point: np.ndarray) -> bool:
-    """Whether ``point`` lies inside ``rect`` (inclusive)."""
-    return bool(np.all(rect[0] <= point) and np.all(point <= rect[1]))
-
-
-def mindist_point_sq(rect: Rect, point: np.ndarray) -> float:
-    """Squared Euclidean MINDIST from a point to a rectangle.
-
-    Generic k-NN helper (distinct from the envelope-aware
-    :func:`repro.core.lower_bounds.mindist_pow` the engines use).
-    """
-    below = rect[0] - point
-    above = point - rect[1]
-    gaps = np.maximum(np.maximum(below, above), 0.0)
-    return float(np.dot(gaps, gaps))

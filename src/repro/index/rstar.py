@@ -58,10 +58,6 @@ class Entry:
     def rect(self) -> Rect:
         return self.low, self.high
 
-    @property
-    def is_leaf_entry(self) -> bool:
-        return self.record is not None
-
 
 @dataclass
 class RStarNode:

@@ -24,8 +24,9 @@ Spans must be opened with a ``with`` statement (``with tracer.span(
 ``start_span`` call, because a span opened without ``with`` stays on the
 stack and corrupts the nesting of everything recorded after it.  The
 one legitimate exception is a span covering a generator's lifetime
-(:class:`~repro.api.MatchStream`), which pairs ``start_span`` with
-``end_span`` across calls under an explicit suppression.
+(:class:`~repro.engines.ranked_union.MatchStream`), which pairs
+``start_span`` with ``end_span`` across calls under an explicit
+suppression.
 
 Timestamps come from an injectable :class:`~repro.core.clock.Clock`;
 with ``FakeClock(auto_advance=...)`` every enter/exit tick is distinct,
@@ -328,10 +329,6 @@ class Tracer:
         """Spans recorded since the last :meth:`reset` (all threads)."""
         with self._lock:
             return self._span_count
-
-    def current_span(self) -> Optional[Span]:
-        stack = self._stack
-        return stack[-1] if stack else None
 
     def iter_spans(self) -> Iterator[Span]:
         with self._lock:

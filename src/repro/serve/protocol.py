@@ -30,15 +30,19 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engines.base import KINDS, METHODS, PartialResult, SearchResult
+from repro.engines.base import (
+    KINDS,
+    METHODS,
+    ON_FAULT,
+    PartialResult,
+    SearchResult,
+)
 from repro.exceptions import (
     AdmissionRejectedError,
     ProtocolError,
     ReproError,
     ServiceOverloadedError,
 )
-
-_ON_FAULT = ("raise", "degrade")
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,8 @@ def parse_request(obj: Any) -> QueryRequest:
 
     on_fault = obj.get("on_fault", "degrade")
     _require(
-        on_fault in _ON_FAULT,
-        f"on_fault must be one of {_ON_FAULT}, got {on_fault!r}",
+        on_fault in ON_FAULT,
+        f"on_fault must be one of {ON_FAULT}, got {on_fault!r}",
     )
 
     deferred = obj.get("deferred", False)

@@ -35,6 +35,7 @@ from repro.analysis.concurrency import (
     guarded_by,
     shared_across_queries,
 )
+from repro.api import QueryFacade
 from repro.control import (
     AdmissionController,
     CancellationToken,
@@ -247,7 +248,7 @@ class QueryService:
 
     def __init__(
         self,
-        db: Any,
+        db: QueryFacade,
         config: Optional[ServiceConfig] = None,
         tenants: Optional[TenantRegistry] = None,
         clock: Optional[Clock] = None,

@@ -10,18 +10,17 @@ Public surface:
 * :class:`~repro.shard.planner.ShardPlanner` /
   :class:`~repro.shard.planner.ShardPlan` — deterministic hash/range
   partitioning.
-* :class:`~repro.shard.database.ShardedDatabase` — the facade, same
-  query API as :class:`~repro.api.SubsequenceDatabase`, byte-identical
-  results.
-* :class:`~repro.shard.merge.ShardedMatchStream` and the merged result
-  types — ranked-union composition with shard-wise certificates.
+* :class:`~repro.shard.database.ShardedDatabase` — the facade: the
+  query API of :class:`~repro.api.QueryFacade`, byte-identical results.
+* :func:`~repro.shard.merge.merge_search_results` and
+  :class:`~repro.shard.merge.ShardedMatchStream` — ranked-union
+  composition with shard-wise certificates and ``shard_stats``.
 * Executors — serial / thread / process subquery execution.
 """
 
 from repro.shard.database import (
     SHARD_MANIFEST_NAME,
     ShardedDatabase,
-    is_sharded_database_directory,
     shard_dir_name,
 )
 from repro.shard.executor import (
@@ -35,8 +34,6 @@ from repro.shard.merge import (
     REASON_SHARD_LOST,
     LostShard,
     ShardedMatchStream,
-    ShardedPartialResult,
-    ShardedSearchResult,
     merge_search_results,
 )
 from repro.shard.planner import (
@@ -58,12 +55,9 @@ __all__ = [
     "ShardPlanner",
     "ShardedDatabase",
     "ShardedMatchStream",
-    "ShardedPartialResult",
-    "ShardedSearchResult",
     "ThreadShardExecutor",
     "create_executor",
     "hash_shard",
-    "is_sharded_database_directory",
     "merge_search_results",
     "shard_dir_name",
 ]

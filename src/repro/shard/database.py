@@ -4,13 +4,14 @@
 independent :class:`~repro.api.SubsequenceDatabase` instances (each
 with its own pager, buffer pool, and DualMatch R*-tree), runs per-shard
 subqueries on a pluggable executor, and merges the answers through the
-ranked-union rules of :mod:`repro.shard.merge`.  The API mirrors the
-unsharded facade — ``insert`` / ``build`` / ``search`` /
-``range_search`` / ``iter_matches`` / ``save`` / ``load`` — and the
-differential suite holds the results to *byte identity* with the
-single-process oracle.
+ranked-union rules of :mod:`repro.shard.merge`.  The query API *is*
+the unsharded one — both classes inherit it from
+:class:`~repro.api.QueryFacade` — and the differential suite holds the
+results to *byte identity* with the single-process oracle.  What this
+module adds is what sharding is: the planner, the fan-out, the
+shard-fault policy, and the ``SHARDS`` manifest.
 
-One query path: the keyword methods build one
+One query path: the inherited keyword methods build one
 :class:`~repro.engines.base.QuerySpec` and one
 :class:`~repro.control.ExecutionControl`; :meth:`ShardedDatabase.
 run_query` fans the spec out unchanged — on every executor — with one
@@ -24,8 +25,8 @@ Shard faults: per-page storage faults inside a shard follow the normal
 (worker crash, unreadable shard, an injected
 :meth:`inject_shard_failure`) follows the same policy one level up —
 ``"raise"`` propagates, ``"degrade"`` drops the shard and returns a
-:class:`~repro.shard.merge.ShardedPartialResult` (for a stream: ends
-it ``interrupted``) whose certificate is ``0.0``: trivially sound,
+:class:`~repro.engines.base.PartialResult` (for a stream: ends it
+``interrupted``) whose certificate is ``0.0``: trivially sound,
 claiming exactness for nothing.
 
 Thread safety: the facade is ``@shared_across_queries`` — after
@@ -45,23 +46,23 @@ from concurrent.futures import BrokenExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
-from repro.api import MatchStream, SubsequenceDatabase
-from repro.control import (
-    CancellationToken,
-    Deadline,
-    ExecutionControl,
-    QueryBudget,
-)
+from repro.api import QueryFacade, SubsequenceDatabase
+from repro.control import ExecutionControl
 from repro.engines.base import QuerySpec, SearchResult
-from repro.engines.cost_density import CostDensityConfig
+from repro.engines.ranked_union import MatchStream
 from repro.exceptions import (
     ConfigurationError,
     IndexNotBuiltError,
     IntegrityError,
     StorageError,
+    UsageError,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.shard.executor import create_executor, run_shard_request
+from repro.shard.executor import (
+    EXECUTOR_KINDS,
+    create_executor,
+    run_shard_request,
+)
 from repro.shard.merge import (
     LostShard,
     ShardedMatchStream,
@@ -87,17 +88,14 @@ def shard_dir_name(index: int) -> str:
     return f"shard-{index:04d}"
 
 
-def is_sharded_database_directory(path: "os.PathLike[str] | str") -> bool:
-    """Whether ``path`` looks like a committed sharded database."""
-    return (pathlib.Path(path) / SHARD_MANIFEST_NAME).exists()
-
-
 @shared_across_queries
-class ShardedDatabase:
+class ShardedDatabase(QueryFacade):
     """N-shard ranked subsequence matching with exact merged answers.
 
-    Parameters mirror :class:`~repro.api.SubsequenceDatabase` where
-    they configure the per-shard databases; the sharding-specific ones:
+    ``omega``, ``features``, ``page_size``, ``buffer_fraction``, ``p``
+    and ``data_stride`` configure every per-shard
+    :class:`~repro.api.SubsequenceDatabase`; the sharding-specific
+    parameters:
 
     num_shards:
         Shard count ``N >= 1``.  ``N`` may exceed the number of
@@ -141,19 +139,32 @@ class ShardedDatabase:
                 "is resolved per shard); got "
                 f"{type(backend).__name__}"
             )
+        # Validate the executor kind eagerly, not at first search.
+        if executor not in EXECUTOR_KINDS:
+            raise ConfigurationError(
+                f"unknown executor {executor!r}; expected one of "
+                f"{EXECUTOR_KINDS}"
+            )
         self.planner = ShardPlanner(num_shards, policy=policy)
         self.omega = omega
-        self.features = features
-        self.page_size = page_size
-        self.buffer_fraction = buffer_fraction
         self.p = p
-        self.data_stride = data_stride
+        #: The per-shard configuration: constructor keywords of every
+        #: shard database and the ``config`` block of the manifest.
+        self._shard_config: Dict[str, Any] = {
+            "omega": omega,
+            "features": features,
+            "page_size": page_size,
+            "buffer_fraction": buffer_fraction,
+            "p": p,
+            "data_stride": data_stride,
+        }
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._fault_injectors = dict(fault_injectors or {})
         self._retry_policy = retry_policy
         self._backend_spec = backend
         self._executor_kind = executor
-        self._executor: Optional[_ShardExecutor] = None
+        self._executor: _ShardExecutor = None
+        self._closed = False
         #: Insertion-ordered staging area; emptied by :meth:`build`.
         self._staged: Dict[int, Any] = {}
         #: ``shard index -> database`` for non-empty shards (build order).
@@ -165,12 +176,6 @@ class ShardedDatabase:
         self._root: Optional[pathlib.Path] = None
         #: Chaos hook: shards that fail wholesale at the next query.
         self._failed_shards: Set[int] = set()
-        # Validate the executor kind eagerly, not at first search.
-        if executor not in ("serial", "thread", "process"):
-            raise ConfigurationError(
-                f"unknown executor {executor!r}; expected 'serial', "
-                f"'thread', or 'process'"
-            )
 
     # ------------------------------------------------------------------
     # Topology / introspection
@@ -190,10 +195,6 @@ class ShardedDatabase:
             return len(self._staged)
         return sum(db.store.num_sequences for db in self.shards.values())
 
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer
-
     def set_tracer(self, tracer: Tracer) -> None:
         """Swap the tracer across every shard's storage stack."""
         self._tracer = tracer
@@ -201,33 +202,36 @@ class ShardedDatabase:
             for db in self.shards.values():
                 db.set_tracer(tracer)
 
+    def _live_shards(self) -> Dict[int, SubsequenceDatabase]:
+        """The shards of a built, open database — or why there are none."""
+        if self._closed:
+            raise UsageError("sharded database used after close()")
+        if self.shards is None:
+            raise IndexNotBuiltError("call build() before querying")
+        return self.shards
+
     @property
     def executor(self) -> _ShardExecutor:
-        """The shard executor (created lazily at build/load time)."""
-        if self._executor is None:
-            raise IndexNotBuiltError("call build() before querying")
+        """The shard executor (created at build/load, gone at close)."""
+        self._live_shards()
         return self._executor
 
     def describe(self) -> Dict[str, object]:
         """Topology summary plus per-shard Table 2-style descriptions."""
-        self._require_built()
-        assert self.shards is not None and self.plan is not None
+        shards = self._live_shards()
+        assert self.plan is not None
         return {
             "num_shards": self.num_shards,
             "policy": self.policy,
-            "executor": self.executor.kind,
+            "executor": self._executor.kind,
             "empty_shards": self.plan.empty_shards,
             "sequences": self.num_sequences,
-            "shards": {
-                index: db.describe() for index, db in self.shards.items()
-            },
+            "shards": {index: db.describe() for index, db in shards.items()},
         }
 
     def reset_cache(self) -> None:
         """Cold-start every shard's buffer pool and I/O counters."""
-        self._require_built()
-        assert self.shards is not None
-        for db in self.shards.values():
+        for db in self._live_shards().values():
             db.reset_cache()
 
     def warm_engines(self) -> None:
@@ -237,9 +241,7 @@ class ShardedDatabase:
         from the building thread means concurrent queries never race
         the first construction (same pattern as the serve layer).
         """
-        self._require_built()
-        assert self.shards is not None
-        for db in self.shards.values():
+        for db in self._live_shards().values():
             db.warm_engines()
 
     def inject_shard_failure(self, shard: int) -> None:
@@ -304,128 +306,12 @@ class ShardedDatabase:
 
     def _make_shard(self, index: int) -> SubsequenceDatabase:
         return SubsequenceDatabase(
-            omega=self.omega,
-            features=self.features,
-            page_size=self.page_size,
-            buffer_fraction=self.buffer_fraction,
-            p=self.p,
-            data_stride=self.data_stride,
+            **self._shard_config,
             fault_injector=self._fault_injectors.get(index),
             retry_policy=self._retry_policy,
             tracer=self._tracer,
             backend=self._backend_spec,
         )
-
-    def _require_built(self) -> None:
-        if self.shards is None:
-            raise IndexNotBuiltError("call build() before querying")
-
-    # ------------------------------------------------------------------
-    # Searching
-    # ------------------------------------------------------------------
-
-    def search(
-        self,
-        query: Sequence[float],
-        k: int = 10,
-        rho: Optional[int] = None,
-        method: str = "ru-cost",
-        deferred: bool = False,
-        cost_config: Optional[CostDensityConfig] = None,
-        on_fault: str = "raise",
-        budget: Optional[QueryBudget] = None,
-        deadline: Optional[Deadline] = None,
-        token: Optional[CancellationToken] = None,
-        normalize: bool = False,
-    ) -> SearchResult:
-        """Globally exact top-k over every shard (same API as unsharded).
-
-        The result is byte-identical to
-        :meth:`repro.api.SubsequenceDatabase.search` on the same data.
-        ``normalize=True`` matches under z-normalized DTW (each shard
-        normalizes candidates by their own rolling statistics, so the
-        merged answer equals the unsharded normalized answer).
-        """
-        spec = QuerySpec.for_query(
-            query,
-            rho,
-            k=k,
-            method=method,
-            deferred=deferred,
-            cost_config=cost_config,
-            p=self.p,
-            on_fault=on_fault,
-            normalize=normalize,
-        )
-        control = ExecutionControl(
-            budget=budget, deadline=deadline, token=token,
-            tracer=self._tracer,
-        )
-        return self.run_query(query, spec, control)
-
-    def range_search(
-        self,
-        query: Sequence[float],
-        epsilon: float,
-        rho: Optional[int] = None,
-        on_fault: str = "raise",
-        budget: Optional[QueryBudget] = None,
-        deadline: Optional[Deadline] = None,
-        token: Optional[CancellationToken] = None,
-        normalize: bool = False,
-    ) -> SearchResult:
-        """All subsequences within ``epsilon``, merged across shards."""
-        spec = QuerySpec.for_query(
-            query,
-            rho,
-            kind="range",
-            epsilon=epsilon,
-            p=self.p,
-            on_fault=on_fault,
-            normalize=normalize,
-        )
-        control = ExecutionControl(
-            budget=budget, deadline=deadline, token=token,
-            tracer=self._tracer,
-        )
-        return self.run_query(query, spec, control)
-
-    def iter_matches(
-        self,
-        query: Sequence[float],
-        k: int = 10,
-        rho: Optional[int] = None,
-        scheduling: str = "max-delta",
-        on_fault: str = "raise",
-        budget: Optional[QueryBudget] = None,
-        deadline: Optional[Deadline] = None,
-        token: Optional[CancellationToken] = None,
-        normalize: bool = False,
-    ) -> ShardedMatchStream:
-        """Stream globally ranked matches lazily, best first.
-
-        Opens one :class:`~repro.api.MatchStream` per non-empty shard
-        and merges their heads through a ranked-union heap; emission is
-        nondecreasing in ``(distance, sid, start)`` and byte-identical
-        to the unsharded stream.  Streaming pulls shards incrementally
-        from the calling thread, so it runs in-process regardless of
-        the executor (the process pool is for whole subqueries).
-        """
-        spec = QuerySpec.for_query(
-            query,
-            rho,
-            kind="stream",
-            k=k,
-            scheduling=scheduling,
-            p=self.p,
-            on_fault=on_fault,
-            normalize=normalize,
-        )
-        control = ExecutionControl(
-            budget=budget, deadline=deadline, token=token,
-            tracer=self._tracer,
-        )
-        return self.open_stream(query, spec, control)
 
     # ------------------------------------------------------------------
     # The one query path: spec + control -> fan-out -> merge
@@ -437,11 +323,7 @@ class ShardedDatabase:
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> SearchResult:
-        """Fan one ``knn`` / ``range`` spec out to every shard and merge.
-
-        The keyword methods above are shims over this; the query
-        service calls it with a spec it built from the wire request.
-        """
+        """Fan one ``knn`` / ``range`` spec out to every shard and merge."""
         outcomes, lost = self._fan_out(query, spec, control)
         merged = merge_search_results(
             outcomes, k=spec.k if spec.kind == "knn" else None, lost=lost
@@ -455,13 +337,17 @@ class ShardedDatabase:
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> ShardedMatchStream:
-        """Open one ``stream`` spec on every live shard, in-process."""
-        self._require_built()
-        assert self.shards is not None
+        """Open one ``stream`` spec on every live shard and merge lazily.
+
+        Streaming pulls shards incrementally from the calling thread,
+        so it runs in-process regardless of the executor (the process
+        pool is for whole subqueries).
+        """
+        shards = self._live_shards()
         streams: List[Tuple[int, MatchStream]] = []
         lost: List[LostShard] = []
         try:
-            for index, db in self.shards.items():
+            for index, db in shards.items():
                 if index in self._failed_shards:
                     lost.append(self._lose(index, spec))
                     continue
@@ -497,9 +383,9 @@ class ShardedDatabase:
         subquery raised a :class:`~repro.exceptions.StorageError`, a
         pool worker that died).
         """
-        self._require_built()
-        assert self.shards is not None
-        remote = self.executor.kind == "process"
+        shards = self._live_shards()
+        executor = self._executor
+        remote = executor.kind == "process"
         if remote:
             if control.token is not None:
                 raise ConfigurationError(
@@ -515,7 +401,7 @@ class ShardedDatabase:
         live: List[int] = []
         jobs: List[Tuple[Any, ...]] = []
         lost: List[LostShard] = []
-        for index, db in self.shards.items():
+        for index, db in shards.items():
             if index in self._failed_shards:
                 lost.append(self._lose(index, spec))
                 continue
@@ -529,7 +415,7 @@ class ShardedDatabase:
         function: Callable[..., SearchResult] = (
             run_shard_request if remote else self._run_shard
         )
-        settled = self.executor.run(function, jobs)
+        settled = executor.run(function, jobs)
         outcomes: List[Tuple[int, SearchResult]] = []
         for index, outcome in zip(live, settled):
             if isinstance(outcome, BrokenExecutor):
@@ -596,7 +482,7 @@ class ShardedDatabase:
         a complete format-v2 database, the ``SHARDS`` manifest is
         written last, and the root is atomically renamed into place.
         """
-        self._require_built()
+        self._live_shards()
         save_directory_atomically(
             directory, SHARD_MANIFEST_NAME, self._write_root
         )
@@ -619,14 +505,7 @@ class ShardedDatabase:
             "shard_dirs": {
                 str(index): shard_dir_name(index) for index in self.shards
             },
-            "config": {
-                "omega": self.omega,
-                "features": self.features,
-                "page_size": self.page_size,
-                "buffer_fraction": self.buffer_fraction,
-                "p": self.p,
-                "data_stride": self.data_stride,
-            },
+            "config": self._shard_config,
         }
         with open(
             root / SHARD_MANIFEST_NAME, "w", encoding="utf-8"
@@ -667,26 +546,29 @@ class ShardedDatabase:
                 f"{root}: unsupported shard format "
                 f"{manifest.get('format')!r}"
             )
-        config = manifest["config"]
         db = cls(
             num_shards=int(manifest["num_shards"]),
             policy=str(manifest["policy"]),
             executor=executor,
-            omega=int(config["omega"]),
-            features=int(config["features"]),
-            page_size=int(config["page_size"]),
-            buffer_fraction=float(config["buffer_fraction"]),
-            p=float(config["p"]),
-            data_stride=config["data_stride"],
             backend=backend,
+            **manifest["config"],
         )
         psm = bool(manifest.get("psm", False))
         shards: Dict[int, SubsequenceDatabase] = {}
-        for key, name in sorted(
-            manifest["shard_dirs"].items(), key=lambda kv: int(kv[0])
+        for index, name in sorted(
+            (int(key), name) for key, name in manifest["shard_dirs"].items()
         ):
-            shards[int(key)] = SubsequenceDatabase.load(
-                root / name, psm=psm, backend=backend
+            # Names come from disk: only the canonical one is opened, so
+            # nothing outside the root loads and process workers (which
+            # derive the name from the index) read the same directory.
+            expected = shard_dir_name(index)
+            if not 0 <= index < db.num_shards or name != expected:
+                raise IntegrityError(
+                    f"{root}: manifest names {name!r} for shard {index} of "
+                    f"{db.num_shards}; expected {expected!r}"
+                )
+            shards[index] = SubsequenceDatabase.load(
+                root / expected, psm=psm, backend=backend
             )
         assignment = {
             int(sid): int(shard)
@@ -700,22 +582,19 @@ class ShardedDatabase:
         db.shards = shards
         db._psm = psm
         db._root = root
-        db._staged = {}
         db._executor = create_executor(executor, db.num_shards)
         return db
 
     def close(self) -> None:
-        """Release the executor pool and shard backends (idempotent)."""
-        executor = self._executor
-        self._executor = None
+        """Release the executor pool and shard backends (idempotent).
+
+        The pool is gone afterwards, so later queries raise
+        :class:`~repro.exceptions.UsageError`.
+        """
+        self._closed = True
+        executor, self._executor = self._executor, None
         if executor is not None:
             executor.close()
         if self.shards is not None:
             for db in self.shards.values():
                 db.close()
-
-    def __enter__(self) -> "ShardedDatabase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

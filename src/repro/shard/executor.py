@@ -81,12 +81,6 @@ class SerialShardExecutor:
     def close(self) -> None:
         """Nothing to release."""
 
-    def __enter__(self) -> "SerialShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 @shared_across_queries
 @guarded_by("_lock", "_pool")
@@ -138,12 +132,6 @@ class ThreadShardExecutor:
             self._pool = None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ThreadShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class ProcessShardExecutor(ThreadShardExecutor):

@@ -11,7 +11,8 @@ exactness argument is the same as for the in-process union:
   one).  Concatenating per-shard top-ks and keeping the ``k`` smallest
   under the total order ``(distance, sid, start)`` therefore yields
   exactly the unsharded answer, ties included.
-* **Streams** — per-shard :class:`~repro.api.MatchStream` emission is
+* **Streams** — per-shard
+  :class:`~repro.engines.ranked_union.MatchStream` emission is
   nondecreasing in that total order, so a k-way heap over the stream
   heads emits the global ranked sequence, also nondecreasing.
 * **Certificates** — when shard ``i`` is interrupted, its certificate
@@ -27,19 +28,19 @@ exactness argument is the same as for the in-process union:
 
 Merged :class:`~repro.core.metrics.QueryStats` are *sums* over shards
 (``wall_time_s`` included — it measures aggregate work, not latency);
-the per-shard breakdown rides along in ``shard_stats`` so callers and
-tests can check that per-shard NUM_IO adds up to the merged counter.
+the per-shard breakdown rides along in the result's ``shard_stats`` so
+callers and tests can check that per-shard NUM_IO adds up to the merged
+counter.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency import single_query
-from repro.api import MatchStream
 from repro.core.metrics import QueryStats
 from repro.core.results import Match
 from repro.engines.base import (
@@ -50,31 +51,11 @@ from repro.engines.base import (
     SearchResult,
     prefix_certificate,
 )
+from repro.engines.ranked_union import MatchStream
 
 #: Interrupt reason recorded when an entire shard failed and the
 #: degrade policy kept the query alive on the survivors.
 REASON_SHARD_LOST = "shard:lost"
-
-
-@dataclass
-class ShardedSearchResult(SearchResult):
-    """A merged exact result, with the per-shard counter breakdown."""
-
-    shard_stats: Dict[int, QueryStats] = field(default_factory=dict)
-
-
-@dataclass
-class ShardedPartialResult(PartialResult):
-    """A merged result where at least one shard stopped early.
-
-    ``certificate`` composes shard-wise (min over per-shard
-    certificates; a lost shard contributes 0.0) and keeps the
-    :class:`~repro.engines.base.PartialResult` contract: every
-    unexamined candidate anywhere in the sharded store has true
-    distance at or above it.
-    """
-
-    shard_stats: Dict[int, QueryStats] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -111,9 +92,13 @@ def merge_search_results(
 ) -> SearchResult:
     """Compose per-shard (shard, result) pairs into the global answer.
 
-    ``k=None`` merges without truncation (range search).  Returns a
-    :class:`ShardedPartialResult` when any shard was interrupted or
-    lost, otherwise a :class:`ShardedSearchResult`.
+    ``k=None`` merges without truncation (range search).  The result
+    carries the per-shard counters in ``shard_stats``.  It is a
+    :class:`~repro.engines.base.PartialResult` when any shard was
+    interrupted or lost: the ``certificate`` composes shard-wise (min
+    over per-shard certificates; a lost shard contributes 0.0) and keeps
+    that class's contract — every unexamined candidate anywhere in the
+    sharded store has true distance at or above it.
     """
     matches: List[Match] = []
     stats = QueryStats()
@@ -137,23 +122,20 @@ def merge_search_results(
         certificate = 0.0
         if REASON_SHARD_LOST not in reasons:
             reasons.append(REASON_SHARD_LOST)
-    if not reasons and math.isinf(certificate):
-        return ShardedSearchResult(
-            matches=matches,
-            stats=stats,
-            degraded=degraded,
-            fault_report=report,
-            shard_stats=shard_stats,
-        )
-    stats.interrupted = max(stats.interrupted, 1)
-    return ShardedPartialResult(
+    merged = SearchResult(
         matches=matches,
         stats=stats,
         degraded=degraded,
         fault_report=report,
+        shard_stats=shard_stats,
+    )
+    if not reasons and math.isinf(certificate):
+        return merged
+    stats.interrupted = max(stats.interrupted, 1)
+    return PartialResult(
+        **vars(merged),
         reason=",".join(sorted(reasons)),
         certificate=certificate,
-        shard_stats=shard_stats,
     )
 
 
@@ -161,7 +143,8 @@ def merge_search_results(
 class ShardedMatchStream(RankedStream):
     """K-way ranked-union merge over per-shard match streams.
 
-    The sharded analogue of :class:`repro.api.MatchStream`: iterate
+    The sharded analogue of
+    :class:`~repro.engines.ranked_union.MatchStream`: iterate
     for up to ``k`` globally ranked matches (nondecreasing in
     ``(distance, sid, start)``); after the stream ends — naturally,
     via :meth:`close`, or because shards were interrupted or ``lost``
@@ -212,7 +195,7 @@ class ShardedMatchStream(RankedStream):
     @property
     def shard_stats(self) -> Dict[int, QueryStats]:
         """Per-shard counters (empty until the stream ends)."""
-        return getattr(self.result, "shard_stats", {})
+        return {} if self.result is None else self.result.shard_stats
 
     def _finalize(self) -> None:
         outcomes: List[Tuple[int, SearchResult]] = []

@@ -59,15 +59,6 @@ class ShardPlan:
     #: ``sid -> shard index`` for every planned sequence.
     assignment: Dict[int, int]
 
-    def shard_of(self, sid: int) -> int:
-        """The shard holding ``sid`` (raises on unknown ids)."""
-        try:
-            return self.assignment[sid]
-        except KeyError:
-            raise ConfigurationError(
-                f"sequence {sid} is not part of this shard plan"
-            ) from None
-
     def members(self, shard: int) -> List[int]:
         """Sequence ids assigned to ``shard``, in ascending order."""
         return sorted(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.envelope import Envelope, envelope_bounds, query_envelope
+from repro.core.envelope import Envelope, query_envelope
 from repro.exceptions import QueryError
 
 
@@ -87,8 +87,3 @@ class TestSlice:
     def test_mismatched_halves_rejected(self):
         with pytest.raises(QueryError):
             Envelope(lower=np.zeros(3), upper=np.zeros(4))
-
-
-def test_envelope_bounds():
-    env = query_envelope([1.0, 5.0, -2.0], rho=1)
-    assert envelope_bounds(env) == (-2.0, 5.0)

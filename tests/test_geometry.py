@@ -17,12 +17,6 @@ class TestBasics:
         assert geometry.area(r) == 6.0
         assert geometry.margin(r) == 5.0
 
-    def test_degenerate_point_rect(self):
-        point = np.array([1.0, 2.0])
-        r = geometry.rect_of_point(point)
-        assert geometry.area(r) == 0.0
-        assert geometry.contains_point(r, point)
-
     def test_union(self):
         low, high = geometry.union(rect([0, 0], [1, 1]), rect([2, -1], [3, 0]))
         assert low.tolist() == [0.0, -1.0]
@@ -76,14 +70,4 @@ class TestCentersAndDistances:
         b = rect([3, 4], [3, 4])
         assert geometry.center_distance_sq(a, b) == pytest.approx(
             (3 - 1) ** 2 + (4 - 1) ** 2
-        )
-
-    def test_mindist_point_inside_is_zero(self):
-        r = rect([0, 0], [2, 2])
-        assert geometry.mindist_point_sq(r, np.array([1.0, 1.0])) == 0.0
-
-    def test_mindist_point_outside(self):
-        r = rect([0, 0], [1, 1])
-        assert geometry.mindist_point_sq(r, np.array([4.0, 5.0])) == (
-            pytest.approx(3.0**2 + 4.0**2)
         )

@@ -133,6 +133,20 @@ class TestRS002ExceptionTaxonomy:
         )
         assert findings == []
 
+    def test_stop_iteration_is_the_protocol_only_inside_next(self):
+        findings = lint_snippet(
+            """
+            class Stream:
+                def __next__(self):
+                    raise StopIteration
+
+                def pull(self):
+                    raise StopIteration
+            """,
+            "repro/engines/ranked_union.py",
+        )
+        assert [(f.code, f.line) for f in findings] == [("RS002", 7)]
+
 
 class TestRS003FloatEquality:
     def test_float_literal_equality_is_flagged(self):

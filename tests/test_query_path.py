@@ -10,8 +10,13 @@ executors, a direct :func:`run_shard_request` call on a saved root (the
 process executor's worker path, without a pool), and
 :class:`QueryService` for what the wire carries.  Matches must be
 identical everywhere; with one shard the NUM_IO counters must be too.
+
+Both facades inherit the keyword API, ``search_scaled`` and the
+lifecycle from :class:`~repro.api.QueryFacade`; the last tests pin that
+there is one definition and one ``close()`` contract.
 """
 
+import inspect
 import pickle
 
 import pytest
@@ -26,7 +31,7 @@ from repro import (
     SubsequenceDatabase,
 )
 from repro.engines.base import PartialResult, default_rho
-from repro.exceptions import ConfigurationError, QueryError
+from repro.exceptions import ConfigurationError, QueryError, UsageError
 from repro.shard.database import shard_dir_name
 from repro.shard.executor import _worker_shard, run_shard_request
 from tests.conftest import make_walk
@@ -104,6 +109,14 @@ def _counters(result):
     return (result.stats.page_accesses, result.stats.candidates)
 
 
+def _shard_sums(result):
+    parts = result.shard_stats.values()
+    return (
+        sum(stats.page_accesses for stats in parts),
+        sum(stats.candidates for stats in parts),
+    )
+
+
 @pytest.mark.parametrize("label,normalize", CASES)
 def test_every_entry_agrees(world, label, normalize):
     oracle, sharded, shard_dir, query = world
@@ -115,6 +128,7 @@ def test_every_entry_agrees(world, label, normalize):
 
     gold = _by_keywords(oracle, kind, query, kwargs, normalize)
     assert gold.matches
+    assert gold.shard_stats == {}
     assert pickle.loads(pickle.dumps(gold)) == gold
 
     # The keyword methods are shims over the spec entry.
@@ -128,6 +142,8 @@ def test_every_entry_agrees(world, label, normalize):
             _by_spec(sdb, query, spec),
         ):
             assert got.matches == gold.matches
+            assert got.shard_stats and _shard_sums(got) == _counters(got)
+            assert pickle.loads(pickle.dumps(got)) == got
             if n == 1:
                 assert _counters(got) == _counters(gold)
 
@@ -224,3 +240,91 @@ def test_partial_results_and_limits_survive_pickling(world):
     assert isinstance(remote, PartialResult)
     assert remote.matches == partial.matches
     assert remote.certificate == partial.certificate
+
+
+#: The keyword signatures as they were when each facade had its own copy.
+KEYWORD_SIGNATURES = {
+    "search": (
+        "(self, query: 'Sequence[float]', k: 'int' = 10, "
+        "rho: 'Optional[int]' = None, method: 'str' = 'ru-cost', "
+        "deferred: 'bool' = False, "
+        "cost_config: 'Optional[CostDensityConfig]' = None, "
+        "on_fault: 'str' = 'raise', budget: 'Optional[QueryBudget]' = None, "
+        "deadline: 'Optional[Deadline]' = None, "
+        "token: 'Optional[CancellationToken]' = None, "
+        "normalize: 'bool' = False)"
+    ),
+    "range_search": (
+        "(self, query: 'Sequence[float]', epsilon: 'float', "
+        "rho: 'Optional[int]' = None, on_fault: 'str' = 'raise', "
+        "budget: 'Optional[QueryBudget]' = None, "
+        "deadline: 'Optional[Deadline]' = None, "
+        "token: 'Optional[CancellationToken]' = None, "
+        "normalize: 'bool' = False)"
+    ),
+    "iter_matches": (
+        "(self, query: 'Sequence[float]', k: 'int' = 10, "
+        "rho: 'Optional[int]' = None, scheduling: 'str' = 'max-delta', "
+        "on_fault: 'str' = 'raise', budget: 'Optional[QueryBudget]' = None, "
+        "deadline: 'Optional[Deadline]' = None, "
+        "token: 'Optional[CancellationToken]' = None, "
+        "normalize: 'bool' = False)"
+    ),
+}
+
+
+def test_the_keyword_api_is_defined_once():
+    for name in (*KEYWORD_SIGNATURES, "search_scaled"):
+        assert getattr(ShardedDatabase, name) is getattr(
+            SubsequenceDatabase, name
+        )
+    for name in (
+        *KEYWORD_SIGNATURES, "search_scaled", "tracer", "__enter__", "__exit__"
+    ):
+        assert name not in vars(ShardedDatabase)
+        assert name not in vars(SubsequenceDatabase)
+    for name, expected in KEYWORD_SIGNATURES.items():
+        signature = inspect.signature(getattr(ShardedDatabase, name))
+        assert str(
+            signature.replace(return_annotation=inspect.Signature.empty)
+        ) == expected
+
+
+def test_search_scaled_is_inherited_by_the_sharded_facade(world):
+    oracle, sharded, _shard_dir, query = world
+    oracle.reset_cache()
+    gold = oracle.search_scaled(query, k=5)
+    assert gold.matches
+    for (n, _executor), sdb in sharded.items():
+        sdb.reset_cache()
+        got = sdb.search_scaled(query, k=5)
+        assert got.matches == gold.matches
+        if n == 1:
+            assert _counters(got) == _counters(gold)
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_close_is_idempotent_and_never_reads_as_unbuilt(sharded):
+    db = _fill(
+        ShardedDatabase(num_shards=2, omega=16, features=4)
+        if sharded
+        else SubsequenceDatabase(omega=16, features=4, backend="mmap")
+    )
+    query = make_walk(LENGTHS[0], seed=40)[640:688]
+    with db as entered:
+        assert entered is db
+        gold = db.search(query, k=3, rho=RHO).matches
+    db.close()  # a second close is a no-op
+    # The contract of QueryFacade: what can still answer does, what
+    # cannot says "used after close()" — not "call build()".
+    if sharded:
+        for call in (
+            lambda: db.search(query, k=3, rho=RHO),
+            lambda: db.range_search(query, epsilon=4.0, rho=RHO),
+            lambda: db.iter_matches(query, k=3, rho=RHO),
+            db.describe,
+        ):
+            with pytest.raises(UsageError, match=r"used after close\(\)"):
+                call()
+    else:
+        assert db.search(query, k=3, rho=RHO).matches == gold

@@ -91,15 +91,6 @@ class TestScans:
         full = sorted(queue.iter_entries())
         assert prefix == full[:5]
 
-    def test_iter_leaf_records_only_leaves(self, queue):
-        while queue.expand_first_node():
-            pass
-        leaves = list(queue.iter_leaf_records())
-        assert len(leaves) == len(queue)
-        assert all(
-            hasattr(record, "window_index") for _dist, record in leaves
-        )
-
     def test_maxdist_at_least_mindist(self, queue):
         queue.expand_first_node()
         for dist_pow, _seq, kind, _payload, far_pow in queue.iter_entries():

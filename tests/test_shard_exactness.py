@@ -14,18 +14,19 @@ and therefore every golden NUM_IO counter — is identical to the
 unsharded database's.
 """
 
+import json
 import math
 import pathlib
 
 import pytest
 
-from repro.exceptions import ConfigurationError, StorageError
+from repro.engines.base import PartialResult
+from repro.exceptions import ConfigurationError, IntegrityError, StorageError
 from repro.shard import (
     POLICIES,
     REASON_SHARD_LOST,
+    SHARD_MANIFEST_NAME,
     ShardedDatabase,
-    ShardedPartialResult,
-    ShardedSearchResult,
     ShardPlanner,
     hash_shard,
 )
@@ -95,7 +96,8 @@ def sharded():
 
 
 def _num_io_adds_up(result):
-    assert isinstance(result, ShardedSearchResult)
+    assert not isinstance(result, PartialResult)
+    assert result.shard_stats
     assert result.stats.page_accesses == sum(
         stats.page_accesses for stats in result.shard_stats.values()
     )
@@ -202,9 +204,7 @@ class TestShardLoss:
             return sdb.range_search(query, epsilon=2.5, rho=2, **kwargs)
         stream = sdb.iter_matches(query, k=5, rho=2, **kwargs)
         matches = list(stream)
-        assert stream.interrupted == isinstance(
-            stream.result, ShardedPartialResult
-        )
+        assert stream.interrupted == isinstance(stream.result, PartialResult)
         assert stream.certificate == getattr(
             stream.result, "certificate", math.inf
         )
@@ -222,7 +222,7 @@ class TestShardLoss:
         sdb, victim = wounded
         query = query_from(oracle, 640, 48)
         result = self._run(sdb, kind, query, on_fault="degrade")
-        assert isinstance(result, ShardedPartialResult)
+        assert isinstance(result, PartialResult)
         assert result.certificate == 0.0
         assert result.reason == REASON_SHARD_LOST
         assert result.degraded
@@ -236,7 +236,8 @@ class TestShardLoss:
         assert {m.sid for m in result.matches} <= survivors
         sdb.heal_shard(victim)
         healed = self._run(sdb, kind, query, on_fault="degrade")
-        assert isinstance(healed, ShardedSearchResult)
+        assert not isinstance(healed, PartialResult)
+        assert victim in healed.shard_stats
 
 
 class TestPsmDifferential:
@@ -359,6 +360,35 @@ class TestPersistenceAndExecutors:
             result = reloaded.search(query, k=5, rho=2, method="ru")
             assert result.matches == gold
             _num_io_adds_up(result)
+
+    @pytest.mark.parametrize(
+        "key,name",
+        [
+            ("1", "../elsewhere"),
+            ("1", "{absolute}"),
+            ("7", "shard-0007"),
+        ],
+    )
+    def test_load_rejects_directory_names_it_did_not_write(
+        self, oracle, tmp_path, key, name
+    ):
+        # Every named directory exists and holds shard 1, so only the
+        # check on the name itself can refuse it.
+        root = tmp_path / "sharded"
+        with build_sharded_golden_db(2, "range") as sdb:
+            sdb.save(root)
+            sdb.shards[1].save(tmp_path / "elsewhere")
+            sdb.shards[1].save(root / "shard-0007")
+        manifest_path = root / SHARD_MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["shard_dirs"] == {"0": "shard-0000", "1": "shard-0001"}
+        del manifest["shard_dirs"]["1"]
+        manifest["shard_dirs"][key] = name.format(
+            absolute=tmp_path / "elsewhere"
+        )
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IntegrityError, match="expected 'shard-"):
+            ShardedDatabase.load(root, executor="serial")
 
     def test_failed_commit_leaves_previous_root_loadable(
         self, oracle, tmp_path, monkeypatch

@@ -7,20 +7,8 @@ from repro.core.windows import (
     QueryWindowSet,
     candidate_in_bounds,
     candidate_start,
-    num_disjoint_windows,
-    num_sliding_windows,
 )
 from repro.exceptions import QueryTooShortError
-
-
-class TestCounts:
-    def test_disjoint(self):
-        assert num_disjoint_windows(27, 4) == 6
-        assert num_disjoint_windows(3, 4) == 0
-
-    def test_sliding(self):
-        assert num_sliding_windows(11, 4) == 8
-        assert num_sliding_windows(3, 4) == 0
 
 
 class TestCandidateArithmetic:
