@@ -6,53 +6,51 @@ and *faithful I/O accounting* (every counted page access flows through
 the :class:`~repro.storage.buffer.BufferPool`, so the paper's
 ``NUM_IO`` / page-access metric means what it says).  Neither guarantee
 is enforced by the type system, and both can be silently violated by an
-innocent-looking refactor.  This package makes them machine-checked:
+innocent-looking refactor.  This package makes them, and the durability
+and locking disciplines built around them, machine-checked:
 
-* :mod:`repro.analysis.framework` — the rule registry (node-rules and
-  flow-rules), suppression comments (``# repro: ignore[RS001]``), and
-  the linting driver;
-* :mod:`repro.analysis.rules` — the per-node AST rules (RS001–RS009);
-* :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` — the
-  per-function control-flow graphs and the generic forward/backward
-  gen-kill worklist solver the flow-rules run on;
+* :mod:`repro.analysis.framework` — the rule registry, suppression
+  comments (``# repro: ignore[RS001]``), and the linting driver;
+* :mod:`repro.analysis.rules` — the six rules, all plain ``ast``
+  walks: RS001 buffer-bypass, RS005 lower-bound contract table, RS007
+  engine-loop checkpoints, RS009 WAL discipline, RS010 lock discipline
+  and RS013 service-loop discipline;
 * :mod:`repro.analysis.concurrency` — the sharing-contract vocabulary
   (``@shared_across_queries``, ``@guarded_by``, ``@single_query``,
   ``@requires_lock``), both runtime decorators and their AST reader;
-* :mod:`repro.analysis.flow_rules` — the CFG/dataflow rules
-  (RS010 lock-discipline, RS011 resource-lifecycle,
-  RS012 check-then-act);
 * :mod:`repro.analysis.contracts` — the static lower-bound contract
   table that RS005 cross-checks against ``repro/core/lower_bounds.py``;
-* :mod:`repro.analysis.cli` — output formatting (human, JSON, SARIF)
-  and the ``lint`` subcommand behind ``python -m repro lint``.
+* :mod:`repro.analysis.cli` — output formatting (human, JSON) and the
+  ``lint`` subcommand behind ``python -m repro lint``.
 
-The framework is intentionally self-contained (stdlib ``ast`` only) so
-the linter can gate CI without any third-party dependency.
+Everything is stdlib ``ast`` only, so the linter can gate CI without
+any third-party dependency.  Fifteen runtime modules import the
+decorators from :mod:`repro.analysis.concurrency`, so this ``__init__``
+imports nothing eagerly: the names below resolve on first access, and
+the rules register when the driver is first asked for them.
 """
 
 from __future__ import annotations
 
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.framework import (
-    FlowRule,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_source,
-    rule_registry,
-)
+import importlib
+from typing import Any
 
-# Importing the rule modules registers every built-in rule.
-from repro.analysis import rules as _rules  # noqa: F401  (side effect)
-from repro.analysis import flow_rules as _flow_rules  # noqa: F401  (side effect)
+#: Public name -> submodule that defines it.
+_EXPORTS = {
+    "Finding": "findings",
+    "Severity": "findings",
+    "Rule": "framework",
+    "all_rules": "framework",
+    "lint_paths": "framework",
+    "lint_source": "framework",
+    "rule_registry": "framework",
+}
 
-__all__ = [
-    "Finding",
-    "FlowRule",
-    "Rule",
-    "Severity",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "rule_registry",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)

@@ -12,10 +12,6 @@ from repro.analysis.findings import Severity
 from repro.analysis.framework import LintReport, all_rules, lint_paths
 from repro.exceptions import ConfigurationError
 
-# Importing the rule modules registers the built-in rules.
-from repro.analysis import rules as _rules  # noqa: F401  (side effect)
-from repro.analysis import flow_rules as _flow_rules  # noqa: F401  (side effect)
-
 
 def _split_codes(raw: Optional[str]) -> Optional[List[str]]:
     if raw is None:
@@ -61,71 +57,6 @@ def format_json(report: LintReport, stream: TextIO) -> None:
     stream.write("\n")
 
 
-#: SARIF 2.1.0 — the interchange format GitHub code scanning and most
-#: editors ingest.  One run, one driver, results referencing rule ids.
-_SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def format_sarif(report: LintReport, stream: TextIO) -> None:
-    """SARIF 2.1.0 output (``--format sarif``)."""
-    levels = {Severity.ERROR: "error", Severity.WARNING: "warning"}
-    rules = [
-        {
-            "id": rule.code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.name},
-            "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {
-                "level": levels.get(rule.severity, "warning")
-            },
-        }
-        for rule in all_rules()
-    ]
-    results = [
-        {
-            "ruleId": finding.code,
-            "level": levels.get(finding.severity, "warning"),
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in report.findings
-    ]
-    payload = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/"
-                            "static-analysis.md"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
 def list_rules(stream: TextIO) -> None:
     """Print the rule catalog (code, name, severity, rationale)."""
     for rule in all_rules():
@@ -142,9 +73,9 @@ def add_lint_parser(
         help="run the repo-specific static invariant checker",
         description=(
             "Statically check the repro-specific contracts (buffer-pool "
-            "I/O accounting, typed exceptions, float-equality hygiene, "
-            "lower-bound contract table, stats threading).  Exits 0 when "
-            "clean, 1 on errors, 2 on bad usage."
+            "I/O accounting, lower-bound contract table, engine and "
+            "service loop checkpoints, WAL and lock discipline).  Exits "
+            "0 when clean, 1 on errors, 2 on bad usage."
         ),
     )
     lint.add_argument(
@@ -155,7 +86,7 @@ def add_lint_parser(
     )
     lint.add_argument(
         "--format",
-        choices=("human", "json", "sarif"),
+        choices=("human", "json"),
         default="human",
         help="output format (default: human)",
     )
@@ -207,8 +138,6 @@ def run_lint(args: argparse.Namespace) -> int:
     report = lint_paths(paths, rules=rules)
     if args.format == "json":
         format_json(report, sys.stdout)
-    elif args.format == "sarif":
-        format_sarif(report, sys.stdout)
     else:
         format_human(report, sys.stdout)
     failing = [

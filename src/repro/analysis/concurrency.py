@@ -5,33 +5,34 @@ The multi-query era (ROADMAP item 1) needs a machine-checked answer to
 lock?".  The vocabulary is deliberately tiny:
 
 ``@shared_across_queries``
-    Class marker: instances may be reached by several queries at once.
-    Every check-then-act sequence on its attributes must be inside a
-    lock (RS012), and any attribute listed in a ``@guarded_by``
-    contract must only be touched with its lock held (RS010).
+    Class marker: instances may be reached by several queries at once,
+    so any attribute listed in a ``@guarded_by`` contract must only be
+    touched with its lock held (RS010).
 
 ``@guarded_by("_lock", "_frames", "stats")``
     Class decorator declaring that the listed attributes are protected
     by the lock stored in the first argument's attribute.  RS010
-    verifies every read/write of a guarded attribute happens with the
-    lock held on *all* CFG paths, exceptional ones included.
+    verifies every read/write of a guarded attribute sits lexically
+    inside ``with self._lock:`` (or a ``@requires_lock`` method).
 
 ``@single_query``
     Escape hatch: instances are owned by exactly one query at a time
-    (per-query stats, result accumulators).  Documents intent and
-    turns off the sharing rules for the class.
+    (per-query stats, result accumulators).  Documents that their
+    unlocked check-then-act code is intentional.
 
 ``@requires_lock("_lock")``
     Method marker: callers must already hold the named lock.  RS010
-    seeds the method's entry state with the lock and flags calls to
-    such helpers from contexts where the lock is not held.
+    starts the method's walk with the lock held and flags calls to
+    such helpers from outside a ``with`` block on it.
 
 The decorators are runtime no-wrappers — they only attach dunder
 attributes (``__repro_shared__``, ``__repro_guards__``,
 ``__repro_requires_lock__``) so annotated classes pay zero overhead
 and the contracts are introspectable at runtime.  The static half
 (:func:`module_contracts`) re-reads the same decorators from the AST,
-by name, so the linter needs no imports to resolve.
+by name, so the linter needs no imports to resolve.  Fifteen runtime
+modules import this one, so it (and the package ``__init__``) imports
+nothing of the linter.
 """
 
 from __future__ import annotations

@@ -6,9 +6,13 @@ A rule is a class with a unique ``code`` (``RSnnn``), registered via the
 objects; the driver then filters findings through inline suppression
 comments::
 
-    pager.read(page_id)        # repro: ignore[RS001]
-    x == 2.0                   # repro: ignore[RS003, RS004]
-    anything_at_all()          # repro: ignore
+    pager.read(page_id)          # repro: ignore[RS001]
+    pager.write(page_id, node)   # repro: ignore[RS001, RS009]
+    anything_at_all()            # repro: ignore
+
+A coded marker must earn its place: one that names an unregistered
+code, or that silenced nothing in a full (unfiltered) run, is itself
+reported under ``RS000``, so suppressions cannot outlive their rule.
 
 Scoping is by *virtual path*: the path of the module relative to (and
 including) the ``repro`` package root, in POSIX form — for example
@@ -26,7 +30,6 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -41,11 +44,8 @@ from typing import (
 from repro.analysis.findings import Finding, Severity
 from repro.exceptions import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.cfg import CFG, FunctionNode
-
 #: Matches one suppression comment.  ``# repro: ignore`` suppresses every
-#: rule on the line; ``# repro: ignore[RS001, RS003]`` only those codes.
+#: rule on the line; with ``[RS001, RS009]`` appended, only those codes.
 _SUPPRESSION_RE = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<codes>[A-Z0-9,\s]*)\])?"
 )
@@ -84,52 +84,6 @@ class ModuleSource:
         for node in ast.walk(self.tree):
             if isinstance(node, ast.FunctionDef):
                 yield node
-
-    def function_contexts(
-        self,
-    ) -> Iterator[Tuple[Optional[ast.ClassDef], "FunctionNode"]]:
-        """Every function definition with its owning class, if any.
-
-        The owner is the class whose *body* directly contains the
-        ``def`` — functions nested inside methods have ``None`` (they
-        do not define methods, and ``self`` inside them is a closure
-        variable the flow rules deliberately do not chase).
-        """
-
-        def visit(
-            body: Sequence[ast.stmt], owner: Optional[ast.ClassDef]
-        ) -> Iterator[Tuple[Optional[ast.ClassDef], "FunctionNode"]]:
-            for node in body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield owner, node
-                    yield from visit(node.body, None)
-                elif isinstance(node, ast.ClassDef):
-                    yield from visit(node.body, node)
-                elif isinstance(node, (ast.If, ast.Try)):
-                    # Conditionally-defined functions still get checked.
-                    yield from visit(getattr(node, "body", []), owner)
-                    yield from visit(getattr(node, "orelse", []), owner)
-                    yield from visit(getattr(node, "finalbody", []), owner)
-                    for handler in getattr(node, "handlers", []):
-                        yield from visit(handler.body, owner)
-
-        yield from visit(self.tree.body, None)
-
-    def cfg(self, func: "FunctionNode") -> "CFG":
-        """Build (and cache) the control-flow graph of one function.
-
-        Cached per :class:`ModuleSource` so several flow rules can
-        analyze the same module without rebuilding graphs.
-        """
-        from repro.analysis.cfg import build_cfg
-
-        cache: Dict[int, "CFG"] = self.__dict__.get("_cfg_cache", {})
-        if "_cfg_cache" not in self.__dict__:
-            object.__setattr__(self, "_cfg_cache", cache)
-        key = id(func)
-        if key not in cache:
-            cache[key] = build_cfg(func)
-        return cache[key]
 
 
 class Rule(abc.ABC):
@@ -177,27 +131,6 @@ class Rule(abc.ABC):
         )
 
 
-class FlowRule(Rule):
-    """Base class for rules that reason over control flow.
-
-    Node-rules (RS001–RS009) pattern-match single AST nodes; flow-rules
-    (RS010+) need the per-function CFGs from
-    :mod:`repro.analysis.cfg` and the dataflow solver from
-    :mod:`repro.analysis.dataflow` to make path-sensitive claims
-    ("this lock is held on *every* path reaching the access",
-    "this resource escapes *some* path unclosed").  Both kinds live in
-    the same registry and run through the same driver; this base class
-    only adds the CFG plumbing.
-    """
-
-    def function_cfgs(
-        self, module: ModuleSource
-    ) -> Iterator[Tuple[Optional[ast.ClassDef], "FunctionNode", "CFG"]]:
-        """Every function in the module with its owner class and CFG."""
-        for owner, func in module.function_contexts():
-            yield owner, func, module.cfg(func)
-
-
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -218,9 +151,20 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
     return rule_class
 
 
+def _loaded_registry() -> Dict[str, Type[Rule]]:
+    """The registry, with the built-in rules registered on first use.
+
+    Deferred so that importing the package for its runtime decorators
+    (:mod:`repro.analysis.concurrency`) does not load the linter.
+    """
+    import repro.analysis.rules  # noqa: F401  (side effect: registers)
+
+    return _REGISTRY
+
+
 def rule_registry() -> Dict[str, Type[Rule]]:
     """A copy of the code -> rule-class registry."""
-    return dict(_REGISTRY)
+    return dict(_loaded_registry())
 
 
 def all_rules(
@@ -234,7 +178,8 @@ def all_rules(
     :class:`~repro.exceptions.ConfigurationError` so typos in CI
     configuration fail loudly instead of silently disabling a gate.
     """
-    known = set(_REGISTRY)
+    registry = _loaded_registry()
+    known = set(registry)
     chosen = set(known)
     if select is not None:
         wanted = {code.strip() for code in select if code.strip()}
@@ -252,7 +197,7 @@ def all_rules(
                 f"unknown rule code(s): {', '.join(sorted(unknown))}"
             )
         chosen -= dropped
-    return [_REGISTRY[code]() for code in sorted(chosen)]
+    return [registry[code]() for code in sorted(chosen)]
 
 
 def parse_suppressions(source: str) -> Dict[int, Set[str]]:
@@ -389,19 +334,60 @@ def lint_source(
     suppressions = parse_suppressions(source)
     aliases = suppression_aliases(tree) if suppressions else {}
     kept: List[Finding] = []
+    #: (comment line, code) markers that silenced at least one finding.
+    used: Set[Tuple[int, str]] = set()
     for rule in rules:
         for finding in rule.check(module):
             lines = {finding.line} | aliases.get(finding.line, set())
-            suppressed_here: Set[str] = set()
-            for line in lines:
-                suppressed_here |= suppressions.get(line, set())
-            if _ALL_CODES in suppressed_here or finding.code in suppressed_here:
+            hits = {
+                (line, code)
+                for line in lines
+                for code in (finding.code, _ALL_CODES)
+                if code in suppressions.get(line, ())
+            }
+            if hits:
+                used |= hits
                 report.suppressed += 1
                 continue
             kept.append(finding)
+    kept.extend(_stale_suppressions(path, suppressions, used, rules))
     kept.sort()
     report.findings.extend(kept)
     return kept
+
+
+def _stale_suppressions(
+    path: str,
+    suppressions: Dict[int, Set[str]],
+    used: Set[Tuple[int, str]],
+    rules: Sequence[Rule],
+) -> Iterator[Finding]:
+    """``RS000`` findings for coded markers that silence nothing.
+
+    A marker naming an unregistered code can never match and is always
+    reported.  A marker for a registered code is reported when it
+    silenced no finding — but only in a full run: under ``--select`` /
+    ``--ignore`` its rule may simply not have been asked.  Blanket
+    ``# repro: ignore`` markers name no code and are left alone.
+    """
+    registry = _loaded_registry()
+    full_run = {rule.code for rule in rules} >= set(registry)
+    for line, codes in sorted(suppressions.items()):
+        for code in sorted(codes - {_ALL_CODES}):
+            if code not in registry:
+                reason = f"names unregistered rule code {code}"
+            elif full_run and (line, code) not in used:
+                reason = f"silences no {code} finding"
+            else:
+                continue
+            yield Finding(
+                path=path,
+                line=line,
+                col=1,
+                code="RS000",
+                message=f"stale suppression: marker {reason}; delete it",
+                severity=Severity.ERROR,
+            )
 
 
 def virtual_path(file_path: pathlib.Path) -> str:

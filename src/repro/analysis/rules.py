@@ -1,16 +1,29 @@
-"""The built-in repo-specific rules (RS001–RS009).
+"""The built-in repo-specific rules.
 
 Each rule polices one contract that the paper's guarantees rest on but
-that Python cannot express in the type system.  The catalog with full
-rationale lives in ``docs/static-analysis.md``; the one-line versions
-are in each rule's ``rationale`` attribute (shown by ``--list-rules``).
+that Python cannot express in the type system.  All six are plain
+``ast`` walks; the two lock rules (RS010, RS013) share one lexical walk
+over ``with self.<lock>:`` nesting, :func:`_walk_held`.  The per-rule
+table with hit counts and recorded catches lives in
+``docs/static-analysis.md``; the one-line versions are in each rule's
+``rationale`` attribute (shown by ``--list-rules``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
+from repro.analysis.concurrency import ClassContract, module_contracts
 from repro.analysis.contracts import (
     LOWER_BOUND_CONTRACTS,
     is_bound_name,
@@ -45,6 +58,35 @@ def _terminal_name(expr: ast.expr) -> Optional[str]:
     if isinstance(expr, ast.Attribute):
         return expr.attr
     return None
+
+
+def _outermost_loops(
+    func: AnyFunction,
+) -> Iterator[Union[ast.For, ast.While]]:
+    """Top-level loops of a function body (nested functions excluded)."""
+    stack: List[ast.AST] = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.For, ast.While)):
+            yield node
+            continue  # nested loops belong to this loop's subtree
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _has_checkpoint(loop: Union[ast.For, ast.While]) -> bool:
+    """Whether a ``.checkpoint()`` call appears anywhere under ``loop``."""
+    for node in ast.walk(loop):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "checkpoint"
+        ):
+            return True
+    return False
 
 
 @register
@@ -102,188 +144,6 @@ class BufferBypassRule(Rule):
 
 
 @register
-class ExceptionTaxonomyRule(Rule):
-    """RS002: generic builtin exceptions raised inside the library layers.
-
-    ``repro/exceptions.py`` defines the typed hierarchy that the
-    degradation machinery keys off: engines catch ``StorageError`` to
-    decide raise-vs-degrade, persistence distinguishes
-    ``PartialSaveError`` from ``IntegrityError``, and the CLI maps
-    ``ReproError`` to exit codes.  A bare ``ValueError`` or
-    ``RuntimeError`` raised inside ``storage/``/``engines/`` escapes all
-    of that: it aborts degraded queries that should have skipped a page
-    and is indistinguishable from a genuine bug at API boundaries.
-    ``raise StopIteration`` inside a ``__next__`` method is the iterator
-    protocol, not an error, and stays allowed.
-    """
-
-    code = "RS002"
-    name = "exception-taxonomy"
-    rationale = (
-        "Generic builtin raises in library layers escape the typed "
-        "ReproError hierarchy that fault degradation keys off."
-    )
-
-    scope = ("repro/core/", "repro/storage/", "repro/engines/", "repro/index/")
-
-    #: Builtin exception classes that must not be raised by library code.
-    #: ``FileNotFoundError`` is deliberately allowed (it is precise, and
-    #: the CLI handles it as "no such database"); ``NotImplementedError``
-    #: is the standard abstract-stub idiom.
-    disallowed = frozenset(
-        {
-            "BaseException",
-            "Exception",
-            "ValueError",
-            "TypeError",
-            "RuntimeError",
-            "KeyError",
-            "IndexError",
-            "LookupError",
-            "ArithmeticError",
-            "ZeroDivisionError",
-            "AssertionError",
-            "OSError",
-            "IOError",
-            "StopIteration",
-        }
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scope):
-            return
-        inside_next = {
-            id(inner)
-            for function in ast.walk(module.tree)
-            if isinstance(function, ast.FunctionDef)
-            and function.name == "__next__"
-            for inner in ast.walk(function)
-        }
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            exc = node.exc
-            if isinstance(exc, ast.Call):
-                exc = exc.func
-            name = exc.id if isinstance(exc, ast.Name) else None
-            if name == "StopIteration" and id(node) in inside_next:
-                continue
-            if name in self.disallowed:
-                yield self.finding(
-                    module,
-                    node,
-                    f"raise of builtin {name} in a library layer: raise "
-                    f"a typed subclass of ReproError from "
-                    f"repro/exceptions.py instead",
-                )
-
-
-@register
-class FloatEqualityRule(Rule):
-    """RS003: ``==``/``!=`` against float constants in ``core/``.
-
-    The distance and lower-bound code is the exactness-critical layer:
-    a float equality test against a computed value (e.g. comparing a
-    distance to ``0.0`` or a bound to a literal) silently becomes a
-    nondeterministic branch under reassociation, differing BLAS builds,
-    or ``p`` values that do not round-trip.  Compare against tolerances,
-    use ``math.isinf``/``math.isnan`` for sentinels, or — for genuinely
-    exact dispatch on a *user-supplied parameter* — suppress with an
-    inline ``# repro: ignore[RS003]`` stating the intent.
-    """
-
-    code = "RS003"
-    name = "float-equality"
-    rationale = (
-        "Float == in distance/lower-bound code turns exactness-critical "
-        "branches nondeterministic; use isinf/isnan or tolerances."
-    )
-
-    scope = ("repro/core/",)
-
-    def _is_float_operand(self, expr: ast.expr) -> bool:
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, float):
-            return True
-        if isinstance(expr, ast.Name) and expr.id == "_INF":
-            return True
-        if isinstance(expr, ast.Attribute) and expr.attr in ("inf", "nan"):
-            return True
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Name) and func.id == "float":
-                return True
-        return False
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scope):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            operands = [node.left, *node.comparators]
-            if any(self._is_float_operand(operand) for operand in operands):
-                yield self.finding(
-                    module,
-                    node,
-                    "float equality comparison in exactness-critical "
-                    "code: use math.isinf/math.isnan for sentinels or a "
-                    "tolerance for computed values (suppress only for "
-                    "intentional exact parameter dispatch)",
-                )
-
-
-@register
-class MutableDefaultRule(Rule):
-    """RS004: mutable default argument values.
-
-    A list/dict/set default is created once at definition time and
-    shared across calls.  In this codebase that is how a stray
-    candidate list or stats accumulator leaks state *between queries*,
-    which corrupts the per-query counters the benchmarks report.
-    """
-
-    code = "RS004"
-    name = "mutable-default"
-    rationale = (
-        "Mutable defaults share state across calls — in this repo that "
-        "leaks candidates/counters between queries."
-    )
-
-    _mutable_calls = frozenset({"list", "dict", "set", "bytearray"})
-
-    def _is_mutable(self, expr: ast.expr) -> bool:
-        if isinstance(
-            expr,
-            (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-             ast.SetComp),
-        ):
-            return True
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Name) and func.id in self._mutable_calls:
-                return True
-        return False
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for func in module.functions():
-            defaults: List[Optional[ast.expr]] = [
-                *func.args.defaults,
-                *func.args.kw_defaults,
-            ]
-            for default in defaults:
-                if default is not None and self._is_mutable(default):
-                    yield self.finding(
-                        module,
-                        default,
-                        f"mutable default argument in {func.name}(): "
-                        f"evaluated once and shared across calls; default "
-                        f"to None and create inside the function",
-                    )
-
-
-@register
 class LowerBoundContractRule(Rule):
     """RS005: bound functions must match the static contract table.
 
@@ -333,87 +193,6 @@ class LowerBoundContractRule(Rule):
 
 
 @register
-class StatsDisciplineRule(Rule):
-    """RS006: engine code that fetches pages must thread ``QueryStats``.
-
-    The paper's three reported metrics (candidates, page accesses, wall
-    time) are only comparable across engines because every fetch path
-    updates the same :class:`~repro.core.metrics.QueryStats` object.  An
-    engine function that reads index nodes (``read_node``) or candidate
-    values (``get_subsequence``) without access to the query's stats —
-    no ``stats``/``evaluator`` parameter and no ``.stats`` attribute —
-    is doing unaccounted work that silently skews Figure 8-style
-    comparisons.
-    """
-
-    code = "RS006"
-    name = "missing-stats"
-    rationale = (
-        "Engine fetch paths without QueryStats access do unaccounted "
-        "I/O work, skewing the paper's per-engine metrics."
-    )
-
-    scope = ("repro/engines/",)
-
-    #: Method names whose invocation implies page fetches.
-    fetching_calls = frozenset({"read_node", "get_subsequence"})
-
-    #: Parameter names / annotation substrings that prove stats access.
-    _stat_params = frozenset({"stats", "evaluator", "recorder"})
-    _stat_annotations = ("QueryStats", "CandidateEvaluator", "StatsRecorder")
-    _stat_attrs = frozenset({"stats", "_stats"})
-
-    def _fetch_calls(self, func: AnyFunction) -> List[ast.Call]:
-        calls = []
-        for node in _own_nodes(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.fetching_calls
-            ):
-                calls.append(node)
-        return calls
-
-    def _has_stats_access(self, func: AnyFunction) -> bool:
-        args = func.args
-        params = [
-            *args.posonlyargs,
-            *args.args,
-            *args.kwonlyargs,
-        ]
-        for param in params:
-            if param.arg in self._stat_params:
-                return True
-            if param.annotation is not None:
-                annotation = ast.unparse(param.annotation)
-                if any(hint in annotation for hint in self._stat_annotations):
-                    return True
-        for node in _own_nodes(func):
-            if isinstance(node, ast.Name) and node.id in self._stat_params:
-                return True
-            if isinstance(node, ast.Attribute) and node.attr in self._stat_attrs:
-                return True
-        return False
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scope):
-            return
-        for func in module.functions():
-            calls = self._fetch_calls(func)
-            if not calls or self._has_stats_access(func):
-                continue
-            for call in calls:
-                assert isinstance(call.func, ast.Attribute)
-                yield self.finding(
-                    module,
-                    call,
-                    f"{func.name}() fetches pages via "
-                    f".{call.func.attr}() but has no QueryStats access "
-                    f"(no stats/evaluator parameter or .stats attribute): "
-                    f"thread the query's stats so page work is accounted",
-                )
-
-@register
 class CheckpointDisciplineRule(Rule):
     """RS007: engine traversal loops must call ``checkpoint()``.
 
@@ -441,41 +220,14 @@ class CheckpointDisciplineRule(Rule):
     #: Function names that constitute an engine's main traversal.
     loop_functions = frozenset({"_run", "search", "_probe_window"})
 
-    def _outermost_loops(
-        self, func: AnyFunction
-    ) -> Iterator[Union[ast.For, ast.While]]:
-        """Top-level loops of a function body (nested functions excluded)."""
-        stack: List[ast.AST] = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.For, ast.While)):
-                yield node
-                continue  # nested loops belong to this loop's subtree
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _has_checkpoint(loop: Union[ast.For, ast.While]) -> bool:
-        for node in ast.walk(loop):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "checkpoint"
-            ):
-                return True
-        return False
-
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if not module.in_package(*self.scope):
             return
         for func in module.functions():
             if func.name not in self.loop_functions:
                 continue
-            for loop in self._outermost_loops(func):
-                if not self._has_checkpoint(loop):
+            for loop in _outermost_loops(func):
+                if not _has_checkpoint(loop):
                     keyword = "for" if isinstance(loop, ast.For) else "while"
                     yield self.finding(
                         module,
@@ -486,75 +238,6 @@ class CheckpointDisciplineRule(Rule):
                         f"checkpoint at the loop boundary (see "
                         f"repro.control)",
                     )
-
-
-@register
-class SpanDisciplineRule(Rule):
-    """RS008: tracer spans must be opened via ``with`` context managers.
-
-    The observability plane's conformance guarantee — every span
-    closed, the tree well-nested, ``buffer.fetch`` span counts summing
-    exactly to NUM_IO — rests on spans being closed on *every* exit
-    path, including exceptions (budget interrupts unwind straight
-    through engine loops).  A bare ``tracer.start_span(...)`` /
-    ``tracer.span(...)`` call whose result is not a ``with`` context
-    leaks an open span: every later span nests under it, the exporter
-    reports an unclosed tree, and the conformance suite fails far from
-    the actual bug.  Long-lived spans that genuinely cannot be a
-    ``with`` block (e.g. a stream's root span closed in a finalizer)
-    must pair ``start_span`` with a guaranteed ``close()`` and suppress
-    with ``# repro: ignore[RS008]`` stating where the close happens.
-    """
-
-    code = "RS008"
-    name = "span-discipline"
-    rationale = (
-        "Bare start_span()/span() calls outside a with-statement leak "
-        "open spans, breaking span-tree nesting and NUM_IO conformance."
-    )
-
-    #: The tracer implementation itself manages span lifetimes by hand.
-    whitelist = ("repro/obs/tracer.py",)
-
-    def _is_tracer_receiver(self, expr: ast.expr) -> bool:
-        name = _terminal_name(expr)
-        return name is not None and "tracer" in name.lower()
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.path.startswith("repro/"):
-            return
-        if module.path in self.whitelist:
-            return
-        with_contexts: Set[ast.AST] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    with_contexts.add(item.context_expr)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr == "start_span":
-                pass  # any receiver: the raw opener is always suspect
-            elif func.attr == "span" and self._is_tracer_receiver(
-                func.value
-            ):
-                pass
-            else:
-                continue
-            if node in with_contexts:
-                continue
-            yield self.finding(
-                module,
-                node,
-                f"span opened without a with-statement "
-                f"({ast.unparse(func)}(...)): use "
-                f"'with tracer.span(...):' so the span closes on every "
-                f"exit path; a deliberately long-lived span must "
-                f"guarantee close() and suppress this line",
-            )
 
 
 @register
@@ -661,4 +344,268 @@ class WalDisciplineRule(Rule):
                     f"(no wal/session parameter or self._wal reference): "
                     f"log intent to the WAL before applying, or funnel "
                     f"through a session-threaded path (see repro.ingest)",
+                )
+
+
+# ---------------------------------------------------------------------------
+# Lock discipline (RS010, RS013): one lexical walk over ``with`` nesting
+# ---------------------------------------------------------------------------
+
+#: Methods allowed to touch guarded state without the lock: the object
+#: is not yet (or no longer) reachable by other queries while they run.
+_LIFECYCLE_METHODS = {"__init__", "__post_init__", "__new__", "__del__"}
+
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _self_attr(node: Optional[ast.AST]) -> Optional[str]:
+    """``self.X`` -> ``"X"`` (None for anything else)."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _bare_lock_call(node: ast.AST) -> Optional[Tuple[str, str]]:
+    """``self.<attr>.acquire(...)`` / ``.release()`` -> ``(attr, method)``."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("acquire", "release")
+    ):
+        attr = _self_attr(node.func.value)
+        if attr is not None:
+            return attr, node.func.attr
+    return None
+
+
+def _walk_held(
+    nodes: Iterable[ast.AST],
+    held: FrozenSet[str],
+    locks: Optional[FrozenSet[str]],
+) -> Iterator[Tuple[ast.AST, FrozenSet[str]]]:
+    """Every node under ``nodes`` with the locks lexically held there.
+
+    A lock ``self.<attr>`` (any attribute when ``locks`` is None, else
+    only the named ones) is held inside the body of ``with
+    self.<attr>:`` — ``__exit__`` releases it on every way out, so
+    nesting alone decides, with no path reasoning.  ``held`` seeds the
+    walk (a ``@requires_lock`` method starts with its lock).  A bare
+    ``self.<attr>.acquire()`` statement counts as holding the lock for
+    the statements after it in the same suite, until a bare
+    ``.release()``: RS010 reports the pair itself, and RS013 must still
+    see an engine call made between them.
+
+    Deliberate blind spots: nested ``def``/``class`` bodies are not
+    chased (they run later; ``self`` there is a closure variable),
+    ``lambda`` bodies count as running where they are written (true for
+    ``self._lock.wait_for(lambda: ...)``, the shape the service code
+    uses), and aliased locks (``lock = self._lock``) are not tracked.
+    """
+    for node in nodes:
+        if isinstance(node, _NESTED_SCOPES):
+            continue
+        yield node, held
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            inner = held
+            for item in node.items:
+                yield from _walk_held(ast.iter_child_nodes(item), inner, locks)
+                attr = _self_attr(item.context_expr)
+                if attr is not None and (locks is None or attr in locks):
+                    inner = inner | {attr}
+            yield from _walk_held(node.body, inner, locks)
+            continue
+        yield from _walk_held(ast.iter_child_nodes(node), held, locks)
+        if isinstance(node, ast.Expr):
+            call = _bare_lock_call(node.value)
+            if call is not None and (locks is None or call[0] in locks):
+                lock, method = call
+                held = held | {lock} if method == "acquire" else held - {lock}
+
+
+def _entry_locks(contract: ClassContract, func: AnyFunction) -> FrozenSet[str]:
+    """Locks a method may assume held on entry (``@requires_lock``)."""
+    lock = contract.requires.get(func.name)
+    return frozenset() if lock is None else frozenset({lock})
+
+
+@register
+class LockDisciplineRule(Rule):
+    """RS010: guarded attributes only touched with their lock held.
+
+    In every method of a class that declares a ``@guarded_by`` /
+    ``@requires_lock`` contract (lifecycle methods exempt), three
+    things are findings: a read or write of a guarded attribute, or a
+    call to a ``@requires_lock`` helper, that is not lexically inside
+    ``with self.<lock>:`` (or a method that itself requires the lock);
+    and a bare ``.acquire()`` / ``.release()`` on a declared lock, which
+    the walk cannot pair up and a ``with`` block makes unnecessary.
+    """
+
+    code = "RS010"
+    name = "lock-discipline"
+    rationale = (
+        "a @guarded_by attribute read/written outside 'with "
+        "self.<lock>:' is a data race once queries run concurrently"
+    )
+
+    def __init__(self) -> None:
+        #: Non-vacuity evidence for the self-check test: how many
+        #: contract classes and guarded accesses this instance visited.
+        self.classes_visited = 0
+        self.accesses_visited = 0
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        for contract in module_contracts(module.tree):
+            if not contract.guards and not contract.requires:
+                continue
+            self.classes_visited += 1
+            locks = frozenset(contract.lock_attrs)
+            for method in contract.node.body:
+                if (
+                    isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and method.name not in _LIFECYCLE_METHODS
+                ):
+                    entry = _entry_locks(contract, method)
+                    for node, held in _walk_held(method.body, entry, locks):
+                        yield from self._check_node(
+                            module, contract, node, held
+                        )
+
+    def _check_node(
+        self,
+        module: ModuleSource,
+        contract: ClassContract,
+        node: ast.AST,
+        held: FrozenSet[str],
+    ) -> Iterator[Finding]:
+        attr = _self_attr(node)
+        if attr is not None and attr in contract.guards:
+            self.accesses_visited += 1
+            lock = contract.guards[attr]
+            if lock not in held:
+                yield self.finding(
+                    module,
+                    node,
+                    f"access to 'self.{attr}' (guarded by 'self.{lock}') "
+                    f"outside 'with self.{lock}:'; wrap it, or mark the "
+                    f"method @requires_lock(\"{lock}\")",
+                )
+        method = _self_attr(node.func) if isinstance(node, ast.Call) else None
+        if method is not None and method in contract.requires:
+            lock = contract.requires[method]
+            if lock not in held:
+                yield self.finding(
+                    module,
+                    node,
+                    f"call to 'self.{method}()' requires 'self.{lock}' "
+                    f"held (declared via @requires_lock) but is outside "
+                    f"'with self.{lock}:'",
+                )
+        call = _bare_lock_call(node)
+        if call is not None and call[0] in contract.lock_attrs:
+            yield self.finding(
+                module,
+                node,
+                f"bare 'self.{call[0]}.{call[1]}()' on a declared lock: "
+                f"hold it with 'with self.{call[0]}:' so the release "
+                f"happens on every exit and this rule can see the scope",
+            )
+
+
+#: Terminal attribute names that constitute engine execution: calling
+#: any of these runs (part of) a query against the database.
+_ENGINE_EXECUTION_CALLS = frozenset(
+    {
+        "search",
+        "range_search",
+        "iter_matches",
+        "run_query",
+        "open_stream",
+        "get_next",
+    }
+)
+
+
+@register
+class ServiceLoopDisciplineRule(Rule):
+    """RS013: serve loops checkpoint; no lock held across engine calls.
+
+    The query service is built from daemon loops (worker, accept,
+    connection handlers) that only terminate cooperatively: an
+    unbounded ``while True`` loop that never polls ``checkpoint()``
+    keeps its thread alive through :meth:`QueryService.shutdown`
+    forever.  And because the service multiplexes many queries over a
+    few locks, holding *any* service lock across an engine-execution
+    call (``search`` / ``range_search`` / ``iter_matches`` /
+    ``run_query`` / ``open_stream`` / ``get_next``) serializes every
+    other request behind one query's I/O — the exact convoy the bounded
+    queue and admission controller exist to prevent.  The lock half
+    shares :func:`_walk_held` with RS010, treating every ``with
+    self.<attr>:`` as a lock.
+    """
+
+    code = "RS013"
+    name = "service-loop-discipline"
+    rationale = (
+        "an uncheckpointed while-True service loop never observes "
+        "shutdown, and a lock held across engine execution convoys "
+        "every concurrent request behind one query"
+    )
+
+    scope = ("repro/serve/",)
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        if not module.in_package(*self.scope):
+            return
+        entry: Dict[ast.AST, FrozenSet[str]] = {
+            method: _entry_locks(contract, method)
+            for contract in module_contracts(module.tree)
+            for method in contract.node.body
+            if isinstance(method, ast.FunctionDef)
+        }
+        for func in module.functions():
+            yield from self._check_loops(module, func)
+            held_at_entry = entry.get(func, frozenset())
+            for node, held in _walk_held(func.body, held_at_entry, None):
+                if (
+                    held
+                    and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _ENGINE_EXECUTION_CALLS
+                ):
+                    held_names = ", ".join(
+                        sorted(f"'self.{name}'" for name in held)
+                    )
+                    yield self.finding(
+                        module,
+                        node,
+                        f"engine-execution call '.{node.func.attr}()' "
+                        f"with {held_names} held: a lock held across "
+                        f"engine execution serializes all concurrent "
+                        f"requests behind this query; release before "
+                        f"dispatching",
+                    )
+
+    def _check_loops(
+        self, module: ModuleSource, func: AnyFunction
+    ) -> Iterator[Finding]:
+        for loop in _outermost_loops(func):
+            if not (
+                isinstance(loop, ast.While)
+                and isinstance(loop.test, ast.Constant)
+                and loop.test.value
+            ):
+                continue  # bounded loops terminate on their own
+            if not _has_checkpoint(loop):
+                yield self.finding(
+                    module,
+                    loop,
+                    f"unbounded 'while True' loop in {func.name}() never "
+                    f"calls checkpoint(): the thread outlives shutdown "
+                    f"and the service cannot drain; poll "
+                    f"shutdown_control.checkpoint() each iteration",
                 )

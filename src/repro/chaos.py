@@ -706,7 +706,7 @@ def _crash_recover_compare(
     # The crash handle is deliberately never closed: it stands in for a
     # process that died mid-write, and close() would flush/fsync state
     # the "crash" is supposed to lose.
-    crash_wal = create_durable(crash_db, crash_root, sync=False)  # repro: ignore[RS011]
+    crash_wal = create_durable(crash_db, crash_root, sync=False)
     fired = {"point": None}
     count = {"n": 0}
 

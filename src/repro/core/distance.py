@@ -125,7 +125,7 @@ def lp_distance(a: Sequence[float], b: Sequence[float], p: float = 2.0) -> float
         )
     gaps = np.abs(array_a - array_b)
     # Exact dispatch on the user-supplied norm order, not a computed float.
-    if p == 2.0:  # repro: ignore[RS003]
+    if p == 2.0:
         return float(math.sqrt(float(np.dot(gaps, gaps))))
     return float(np.sum(gaps**p) ** (1.0 / p))
 
@@ -141,7 +141,7 @@ def _dtw_pow_scalar(
     n = len(qs)
     m = len(ss)
     # Exact dispatch on the user-supplied norm order, not a computed float.
-    squared = p == 2.0  # repro: ignore[RS003]
+    squared = p == 2.0
 
     # prev[j] holds row i-1 of the DP matrix; positions outside the band
     # stay infinite.  Row i covers data columns [i - rho, i + rho].
@@ -239,7 +239,7 @@ def dtw_pow_batch(
         return np.full(lanes, _INF, dtype=np.float64)
 
     # Exact dispatch on the user-supplied norm order, not a computed float.
-    squared = p == 2.0  # repro: ignore[RS003]
+    squared = p == 2.0
     limited = not math.isinf(threshold_pow)
 
     # A band wider than the matrix constrains nothing more.

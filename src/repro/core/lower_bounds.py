@@ -63,7 +63,7 @@ def _pow_sum(gaps: np.ndarray, p: float) -> float:
     differ by an ULP), so scalar and batched bounds stay bit-identical.
     """
     # Exact dispatch on the user-supplied norm order, not a computed float.
-    if p == 2.0:  # repro: ignore[RS003]
+    if p == 2.0:
         return float(np.einsum("i,i->", gaps, gaps))
     return float(np.sum(gaps**p))
 
@@ -71,7 +71,7 @@ def _pow_sum(gaps: np.ndarray, p: float) -> float:
 def _pow_sum_batch(gaps: np.ndarray, p: float) -> np.ndarray:
     """Row-wise ``sum(gaps ** p)`` for a ``(B, n)`` gap matrix."""
     # Exact dispatch on the user-supplied norm order, not a computed float.
-    if p == 2.0:  # repro: ignore[RS003]
+    if p == 2.0:
         return np.einsum("ij,ij->i", gaps, gaps)
     return np.sum(gaps**p, axis=1)
 

@@ -67,7 +67,7 @@ def reference_dtw_pow(
     qs = _as_float_list(q)
     ss = _as_float_list(s)
     # Exact dispatch on the user-supplied norm order, not a computed float.
-    squared = p == 2.0  # repro: ignore[RS003]
+    squared = p == 2.0
 
     # prev[j] holds row i-1 of the DP matrix; positions outside the band
     # stay infinite.  Row i covers data columns [i - rho, i + rho].
@@ -210,7 +210,7 @@ def reference_lb_keogh_pow(
     total = 0.0
     for lo, up, value in zip(los, ups, vals):
         gap = _reference_gap(lo, up, value)
-        total += gap * gap if p == 2.0 else gap**p  # repro: ignore[RS003]
+        total += gap * gap if p == 2.0 else gap**p
     return total
 
 
@@ -248,7 +248,7 @@ def reference_mindist_pow(
         _as_float_list(rect_high),
     ):
         gap = max(rect_lo - up, lo - rect_hi, 0.0)
-        total += gap * gap if p == 2.0 else gap**p  # repro: ignore[RS003]
+        total += gap * gap if p == 2.0 else gap**p
     return seg_len * total
 
 
@@ -273,7 +273,7 @@ def reference_maxdist_pow(
         gap = max(
             _reference_gap(lo, up, rect_lo), _reference_gap(lo, up, rect_hi)
         )
-        total += gap * gap if p == 2.0 else gap**p  # repro: ignore[RS003]
+        total += gap * gap if p == 2.0 else gap**p
     return seg_len * total
 
 

@@ -720,7 +720,7 @@ class QueryRun:
         # A stream's root span stays open across ``__next__`` calls, so
         # it cannot be a ``with`` block; finish() or __exit__ closes it
         # exactly once.
-        self._root = tracer.start_span(  # repro: ignore[RS008]
+        self._root = tracer.start_span(
             "engine.search", engine=engine, rho=spec.rho, **size
         )
         try:

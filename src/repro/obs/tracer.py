@@ -20,13 +20,13 @@ Two design rules keep the disabled tracer free:
   digests prove the disabled tracer is behaviour-identical.
 
 Spans must be opened with a ``with`` statement (``with tracer.span(
-"buffer.fetch", page=pid):``) — lint rule RS008 flags a bare
-``start_span`` call, because a span opened without ``with`` stays on the
-stack and corrupts the nesting of everything recorded after it.  The
-one legitimate exception is a span covering a generator's lifetime
+"buffer.fetch", page=pid):``), because a span opened without ``with``
+stays on the stack and corrupts the nesting of everything recorded
+after it; :func:`validate_span_tree`, run over every golden config by
+the trace-conformance suite, is what fails when one leaks.  The one
+legitimate exception is a span covering a generator's lifetime
 (:class:`~repro.engines.ranked_union.MatchStream`), which pairs
-``start_span`` with ``end_span`` across calls under an explicit
-suppression.
+``start_span`` with ``end_span`` across calls.
 
 Timestamps come from an injectable :class:`~repro.core.clock.Clock`;
 with ``FakeClock(auto_advance=...)`` every enter/exit tick is distinct,
@@ -261,8 +261,7 @@ class Tracer:
         """Open a span now; close it with ``with`` or ``end_span``.
 
         Prefer ``with tracer.span(...)``: a span left open corrupts the
-        nesting of everything recorded after it (RS008 enforces this in
-        ``src/repro``).
+        nesting of everything recorded after it.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -282,7 +281,7 @@ class Tracer:
         return span
 
     #: ``span`` is the public spelling used at instrumentation sites;
-    #: ``start_span`` is the primitive RS008 polices.
+    #: ``start_span`` is the primitive.
     def span(self, name: str, **attrs: Any) -> AnySpan:
         return self.start_span(name, **attrs)
 

@@ -12,7 +12,7 @@ carries three pieces of admission state:
   storage is cut off early instead of burning worker time.
 
 All classes here are shared across every service thread and annotated
-with the PR 7 concurrency contracts; lint rules RS010–RS012 verify the
+with the PR 7 concurrency contracts; lint rule RS010 verifies the
 locking discipline statically.
 """
 

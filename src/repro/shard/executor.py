@@ -32,7 +32,7 @@ the per-shard work runs:
 Thread safety: executors are ``@shared_across_queries`` — one instance
 serves every concurrent query on the facade.  The pool handle is
 ``@guarded_by`` the executor lock so close/submit races are impossible
-(RS010/RS012).
+(RS010).
 """
 
 from __future__ import annotations

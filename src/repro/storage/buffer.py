@@ -13,8 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from types import TracebackType
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Type
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.analysis.concurrency import (
     guarded_by,
@@ -94,46 +93,14 @@ class BufferStats:
         self.retries = 0
 
 
-class PagePin:
-    """Guard holding one page resident; release via ``with`` or
-    :meth:`release` (idempotent).  RS011 checks that pins taken outside
-    a ``with`` are released on every path out of the taking function.
-    """
-
-    __slots__ = ("_pool", "page_id", "_released")
-
-    def __init__(self, pool: "BufferPool", page_id: int) -> None:
-        self._pool = pool
-        self.page_id = page_id
-        self._released = False
-
-    def release(self) -> None:
-        """Drop this pin (safe to call more than once)."""
-        if not self._released:
-            self._released = True
-            self._pool.unpin(self.page_id)
-
-    def __enter__(self) -> "PagePin":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.release()
-
-
 @shared_across_queries
-@guarded_by("_lock", "_frames", "_capacity", "_pins", "stats")
+@guarded_by("_lock", "_frames", "_capacity", "stats")
 class BufferPool:
     """A fixed-capacity LRU cache of pages in front of a :class:`Pager`.
 
-    Thread-safety contract (machine-checked by RS010/RS012): instances
-    are shared across in-flight queries once the serve layer lands, so
-    every touch of the frame table, pin table, capacity, and hit/miss
-    stats happens under ``_lock`` (an ``RLock``; uncontended today —
+    Thread-safety contract (machine-checked by RS010): instances are
+    shared across in-flight queries, so every touch of the frame table,
+    capacity, and hit/miss stats happens under ``_lock`` (an ``RLock``;
     single-query paths pay one uncontested acquire per page request).
     A cache miss performs the physical read while holding the lock,
     serializing concurrent misses; sharding the pool is ROADMAP work,
@@ -174,7 +141,6 @@ class BufferPool:
         self._pager = pager
         self._capacity = capacity_pages
         self._frames: "OrderedDict[int, Any]" = OrderedDict()
-        self._pins: Dict[int, int] = {}
         self._lock = threading.RLock()
         self.retry_policy = retry_policy or RetryPolicy()
         self._clock = clock if clock is not None else MONOTONIC_CLOCK
@@ -299,43 +265,11 @@ class BufferPool:
                 1 for page_id in set(page_ids) if page_id not in self._frames
             )
 
-    def pin(self, page_id: int) -> PagePin:
-        """Fault a page in and hold it resident until the pin releases.
-
-        Counts as a normal page request (hit or miss) for stats and
-        NUM_IO.  Pinned pages are skipped by LRU eviction; a pool whose
-        resident pages are all pinned may temporarily exceed capacity
-        until a pin is released.  Pins nest: a page is evictable again
-        once every :class:`PagePin` taken on it has been released.
-        """
-        with self._lock:
-            self.get(page_id)
-            self._pins[page_id] = self._pins.get(page_id, 0) + 1
-            return PagePin(self, page_id)
-
-    def unpin(self, page_id: int) -> None:
-        """Release one pin on a page (no-op when not pinned)."""
-        with self._lock:
-            count = self._pins.get(page_id, 0)
-            if count <= 1:
-                self._pins.pop(page_id, None)
-            else:
-                self._pins[page_id] = count - 1
-
-    def pinned(self, page_id: int) -> bool:
-        """Whether at least one pin currently holds the page."""
-        with self._lock:
-            return self._pins.get(page_id, 0) > 0
-
     @requires_lock("_lock")
-    def _evict_one(self) -> bool:
-        """Evict the least-recently-used unpinned page, if any."""
-        for page_id in self._frames:
-            if self._pins.get(page_id, 0) == 0:
-                del self._frames[page_id]
-                self.stats.evictions += 1
-                return True
-        return False  # every resident page is pinned; stay overfull
+    def _evict_one(self) -> None:
+        """Evict the least-recently-used page."""
+        self._frames.popitem(last=False)
+        self.stats.evictions += 1
 
     def put(self, page_id: int, payload: Any) -> None:
         """Install a payload (write-through), evicting LRU if needed."""
@@ -347,31 +281,17 @@ class BufferPool:
                 self._evict_one()
 
     def invalidate(self, page_id: int) -> None:
-        """Drop a page from the pool if resident (used after rebuilds).
-
-        Staleness wins over pinning: a rebuilt page's old payload must
-        go even while pinned — the pin keeps the *slot* hot, so the
-        next request re-faults fresh bytes.
-        """
+        """Drop a page from the pool if resident (used after rebuilds)."""
         with self._lock:
             self._frames.pop(page_id, None)
 
     def clear(self) -> None:
-        """Empty the pool (cold-cache state for a fresh experiment run).
-
-        Pinned pages stay resident — callers holding a
-        :class:`PagePin` were promised the page would not vanish.
-        """
+        """Empty the pool (cold-cache state for a fresh experiment run)."""
         with self._lock:
-            if not self._pins:
-                self._frames.clear()
-                return
-            for page_id in list(self._frames):
-                if self._pins.get(page_id, 0) == 0:
-                    del self._frames[page_id]
+            self._frames.clear()
 
     def resize(self, capacity_pages: int) -> None:
-        """Change capacity, evicting LRU (unpinned) pages if shrinking."""
+        """Change capacity, evicting LRU pages if shrinking."""
         if capacity_pages < 1:
             raise BufferPoolError(
                 f"buffer capacity must be >= 1 page, got {capacity_pages}"
@@ -379,5 +299,4 @@ class BufferPool:
         with self._lock:
             self._capacity = capacity_pages
             while len(self._frames) > self._capacity:
-                if not self._evict_one():
-                    break
+                self._evict_one()

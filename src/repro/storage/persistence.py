@@ -394,28 +394,33 @@ def _verify_on_disk(path: pathlib.Path) -> Dict[str, Any]:
 
 def _load_npz(
     path: pathlib.Path, meta: Dict[str, Any], name: str
-) -> Any:
-    """Open one ``.npz`` archive and verify its array-shape manifest."""
+) -> Dict[str, np.ndarray]:
+    """Read one ``.npz`` archive and verify its array-shape manifest.
+
+    Every stored array is inflated exactly once, here:
+    ``NpzFile.__getitem__`` re-reads and decompresses the whole member
+    on each call, so callers index the returned dict, never the archive.
+    """
     try:
-        data = np.load(path / name)
+        with np.load(path / name) as data:
+            arrays = {key: data[key] for key in data.files}
     except Exception as error:  # zipfile/zlib errors are not one class
         raise IntegrityError(f"cannot open {name}: {error}") from None
     recorded_shapes = meta.get("array_shapes", {}).get(name)
     if recorded_shapes is not None:
-        on_disk = set(data.files)
         for array_name, shape in recorded_shapes.items():
-            if array_name not in on_disk:
+            if array_name not in arrays:
                 raise IntegrityError(
                     f"{name} is missing array {array_name!r} recorded in "
                     f"the meta.json shape manifest"
                 )
-            actual = list(data[array_name].shape)
+            actual = list(arrays[array_name].shape)
             if actual != shape:
                 raise IntegrityError(
                     f"{name}:{array_name} has shape {actual}, manifest "
                     f"records {shape}"
                 )
-    return data
+    return arrays
 
 
 def _sequence_pages(seq: Dict[str, Any]) -> List[int]:
@@ -451,32 +456,20 @@ def load_database(
     """
     path = pathlib.Path(directory)
     meta = _verify_on_disk(path)
-
-    # NpzFile objects hold open zip handles; close them deterministically
-    # (the arrays below are materialised copies) so long-lived processes
-    # do not leak file descriptors or trip ResourceWarning.
     values = _load_npz(path, meta, "values.npz")
-    try:
-        index_data = _load_npz(path, meta, "index.npz")
-        try:
-            return _reconstruct(
-                path, meta, values, index_data, psm, backend
-            )
-        finally:
-            index_data.close()
-    finally:
-        values.close()
+    index_data = _load_npz(path, meta, "index.npz")
+    return _reconstruct(path, meta, values, index_data, psm, backend)
 
 
 def _reconstruct(
     path: pathlib.Path,
     meta: Dict[str, Any],
-    values: Any,
-    index_data: Any,
+    values: Dict[str, np.ndarray],
+    index_data: Dict[str, np.ndarray],
     psm: bool,
     backend: Any,
 ) -> "SubsequenceDatabase":
-    """Rebuild the database object from verified, open archives."""
+    """Rebuild the database object from verified, fully read archives."""
     from repro.api import SubsequenceDatabase
     from repro.index.builder import DualMatchIndex
     from repro.storage.sequences import SequenceStore
@@ -492,7 +485,7 @@ def _reconstruct(
         "record_windows",
     )
     for column in required_columns:
-        if column not in index_data.files:
+        if column not in index_data:
             raise IntegrityError(
                 f"index.npz is missing required array {column!r}"
             )
@@ -511,6 +504,10 @@ def _reconstruct(
 
     # Rebuild node objects keyed by their original page id.
     nodes: Dict[int, RStarNode] = {}
+    lows, highs = index_data["lows"], index_data["highs"]
+    children = index_data["children"]
+    record_sids = index_data["record_sids"]
+    record_windows = index_data["record_windows"]
     cursor = 0
     for page_id, level, count in zip(
         index_data["node_pages"],
@@ -519,13 +516,13 @@ def _reconstruct(
     ):
         entries = []
         for offset in range(cursor, cursor + int(count)):
-            low = index_data["lows"][offset]
-            high = index_data["highs"][offset]
-            child = int(index_data["children"][offset])
+            low = lows[offset]
+            high = highs[offset]
+            child = int(children[offset])
             if child < 0:
                 record = LeafRecord(
-                    sid=int(index_data["record_sids"][offset]),
-                    window_index=int(index_data["record_windows"][offset]),
+                    sid=int(record_sids[offset]),
+                    window_index=int(record_windows[offset]),
                 )
                 entries.append(Entry(low=low, high=high, record=record))
             else:
@@ -538,7 +535,7 @@ def _reconstruct(
     arrays: Dict[int, np.ndarray] = {}
     for seq in meta["sequences"]:
         key = f"sid_{seq['sid']}"
-        if key not in values.files:
+        if key not in values:
             raise SequenceNotFoundError(
                 f"meta.json lists sequence {seq['sid']} but values.npz "
                 f"has no array {key!r}"

@@ -20,11 +20,15 @@ suite that actually goes red under load.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 from typing import Callable, List
 
 import pytest
 
+import repro
 from repro.analysis.concurrency import (
     guarded_by,
     requires_lock,
@@ -116,6 +120,26 @@ class TestContractDecorators:
             pass
 
         assert helper.__repro_requires_lock__ == "_lock"
+
+    def test_import_repro_does_not_load_the_linter(self) -> None:
+        # Fifteen runtime modules import the decorators; every pool
+        # worker and the `repro serve` child pays for what that pulls in.
+        probe = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.analysis.')))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "['repro.analysis.concurrency']"
 
     def test_production_classes_declare_contracts(self) -> None:
         # The concrete contract map docs/concurrency-contracts.md

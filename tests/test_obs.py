@@ -96,8 +96,8 @@ class TestSpanLifecycle:
 
     def test_out_of_order_close_raises(self):
         tracer = make_tracer()
-        outer = tracer.start_span("outer")  # repro: ignore[RS008]
-        tracer.start_span("inner")  # repro: ignore[RS008]
+        outer = tracer.start_span("outer")
+        tracer.start_span("inner")
         with pytest.raises(UsageError, match="out-of-order"):
             outer.close()
 
@@ -122,7 +122,7 @@ class TestSpanLifecycle:
 
     def test_open_span_validation_reports_problem(self):
         tracer = make_tracer()
-        root = tracer.start_span("root")  # repro: ignore[RS008]
+        root = tracer.start_span("root")
         assert isinstance(root, Span)
         problems = validate_span_tree(root)
         assert problems == ["span 'root' never closed"]

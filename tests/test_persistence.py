@@ -71,6 +71,29 @@ class TestRoundTrip:
         assert loaded.p == built_db.p
         assert loaded.describe() == built_db.describe()
 
+    def test_load_inflates_each_stored_array_once(
+        self, built_db, tmp_path, monkeypatch
+    ):
+        # NpzFile.__getitem__ re-reads and decompresses the whole member
+        # on every call; indexing the archive inside the per-entry loop
+        # made load quadratic (12 663 calls on a 40k-point save).
+        built_db.save(tmp_path / "db")
+        stored = 0
+        for name in ("values.npz", "index.npz"):
+            with np.load(tmp_path / "db" / name) as data:
+                stored += len(data.files)
+                npz_type = type(data)
+        calls = []
+        inflate = npz_type.__getitem__
+
+        def counting(archive, key):
+            calls.append(key)
+            return inflate(archive, key)
+
+        monkeypatch.setattr(npz_type, "__getitem__", counting)
+        SubsequenceDatabase.load(tmp_path / "db")
+        assert 0 < len(calls) <= stored
+
     def test_load_with_psm_rebuilds_sliding_index(self, tmp_path):
         db = SubsequenceDatabase(omega=8, features=4)
         db.insert(0, make_walk(400, seed=33))
