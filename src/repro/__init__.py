@@ -24,7 +24,6 @@ Quickstart::
 
 from repro.api import QueryFacade, SubsequenceDatabase
 from repro.control import (
-    AdmissionController,
     CancellationToken,
     Deadline,
     ExecutionControl,
@@ -44,7 +43,6 @@ from repro.engines.base import (
 from repro.engines.cost_density import CostDensityConfig
 from repro.engines.ranked_union import MatchStream
 from repro.exceptions import (
-    AdmissionRejectedError,
     CircuitOpenError,
     ConfigurationError,
     CorruptPageError,
@@ -83,7 +81,7 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "QueryFacade",
@@ -107,7 +105,6 @@ __all__ = [
     "Deadline",
     "CancellationToken",
     "ExecutionControl",
-    "AdmissionController",
     "CircuitBreaker",
     "QosClass",
     "QueryRequest",
@@ -129,7 +126,6 @@ __all__ = [
     "PartialSaveError",
     "ExecutionInterrupted",
     "CircuitOpenError",
-    "AdmissionRejectedError",
     "ProtocolError",
     "ServiceOverloadedError",
     "FaultInjector",

@@ -50,7 +50,6 @@ from typing import (
 )
 
 from repro.control import (
-    AdmissionController,
     CancellationToken,
     Deadline,
     ExecutionControl,
@@ -430,13 +429,6 @@ class SubsequenceDatabase(QueryFacade):
         crosses its threshold, fetches fail fast with
         :class:`~repro.exceptions.CircuitOpenError` until the device
         proves healthy again.
-    admission:
-        Optional :class:`~repro.control.AdmissionController` limiting
-        concurrent (and queued) :meth:`search` / :meth:`range_search`
-        calls; excess queries are rejected with
-        :class:`~repro.exceptions.AdmissionRejectedError`.  Lazy
-        streams (:meth:`iter_matches`) are not admitted: they hold no
-        slot between pulls.
     tracer:
         Optional :class:`~repro.obs.Tracer`.  When given (and enabled)
         every query records a structured span tree and metrics into it,
@@ -465,7 +457,6 @@ class SubsequenceDatabase(QueryFacade):
         retry_policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
         circuit_breaker: Optional[CircuitBreaker] = None,
-        admission: Optional[AdmissionController] = None,
         tracer: Optional[Tracer] = None,
         backend: Union[None, str, StorageBackend] = None,
     ) -> None:
@@ -490,7 +481,6 @@ class SubsequenceDatabase(QueryFacade):
             clock=clock,
             circuit_breaker=circuit_breaker,
         )
-        self.admission = admission
         self.store = SequenceStore(self.pager, self.buffer)
         self.index: Optional[DualMatchIndex] = None
         self._engines: Dict[str, Engine] = {}
@@ -645,7 +635,7 @@ class SubsequenceDatabase(QueryFacade):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> SearchResult:
-        """Answer one ``knn`` or ``range`` spec — the admitted entry.
+        """Answer one ``knn`` or ``range`` spec.
 
         The sharded fan-out and the query service call it with a spec
         they built themselves.
@@ -653,10 +643,7 @@ class SubsequenceDatabase(QueryFacade):
         engine = self._engine(
             "range" if spec.kind == "range" else spec.method
         )
-        if self.admission is None:
-            return engine.search(query, spec, control)
-        with self.admission.admit():
-            return engine.search(query, spec, control)
+        return engine.search(query, spec, control)
 
     def open_stream(
         self,
@@ -664,7 +651,7 @@ class SubsequenceDatabase(QueryFacade):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> MatchStream:
-        """Open one ``stream`` spec lazily (not an admitted entry)."""
+        """Open one ``stream`` spec lazily."""
         if self.index is None:
             raise IndexNotBuiltError("call build() before iter_matches()")
         return MatchStream(self.index, query, spec, control)

@@ -58,7 +58,7 @@ from repro.control import CancellationToken, Deadline, QueryBudget
 from repro.core.clock import FakeClock
 from repro.core.reference import brute_force_topk
 from repro.core.results import Match
-from repro.engines.base import PartialResult, SearchResult
+from repro.engines.base import PartialResult, QuerySpec, SearchResult
 from repro.exceptions import (
     ReproError,
     ServiceOverloadedError,
@@ -294,6 +294,37 @@ def _check_certificate(
     return None
 
 
+def _judge(
+    report: ChaosReport,
+    it: Any,
+    label: str,
+    result: SearchResult,
+    gold: List[Match],
+    truth: Dict[Tuple[int, int], float],
+    k: int,
+    complete_is_exact: bool = True,
+) -> None:
+    """The verdict on one possibly interrupted or degraded answer.
+
+    Reported distances are true and never beat brute force; a partial
+    then carries a sound certificate and a reason, and a complete run
+    is exact unless ``complete_is_exact`` is false (a flagged-degraded
+    or budget-squeezed run may legitimately omit).
+    """
+    report.record(it, label, _check_reported_distances(result, truth))
+    report.record(it, label, _check_prefix(result, gold))
+    if isinstance(result, PartialResult):
+        report.partials += 1
+        report.record(it, label, _check_certificate(result, gold, k))
+        report.record(
+            it,
+            label,
+            None if result.reason else "partial result carries no reason",
+        )
+    elif complete_is_exact:
+        report.record(it, label, _check_exact(result, gold, k))
+
+
 def _campaign(
     seed: int,
     iterations: int,
@@ -458,29 +489,13 @@ def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
             kwargs["on_fault"] = "degrade"
 
         result = db.search(query, **kwargs)  # type: ignore[arg-type]
-        report.record(it, engine, _check_reported_distances(result, truth))
-        report.record(it, engine, _check_prefix(result, gold))
-
-        if isinstance(result, PartialResult):
-            report.partials += 1
-            report.record(it, engine, _check_certificate(result, gold, k))
-            report.record(
-                it,
-                engine,
-                None
-                if result.reason
-                else "partial result carries no reason",
-            )
-        elif scenario in (
-            "budget-pages",
-            "budget-candidates",
-            "deadline",
-            "cancel",
-            "faults-transient",
-        ):
-            # The limit never tripped (or every fault was retried
-            # away): the run must then be exact.
-            report.record(it, engine, _check_exact(result, gold, k))
+        # Where the limit never tripped (or every fault was retried
+        # away) the run must be exact; only the degrading scenarios
+        # may complete short.
+        _judge(
+            report, it, engine, result, gold, truth, k,
+            complete_is_exact=scenario not in ("faults-degrade", "circuit"),
+        )
 
         if scenario == "faults-degrade":
             fired = db.fault_injector is not None and (
@@ -874,7 +889,6 @@ def _run_serve_iteration(it: _Iteration, report: ChaosReport) -> None:
         config = ServiceConfig(
             workers=2,
             queue_capacity=3,
-            max_concurrent=2,
             retry_after_hint_s=0.05,
         )
     else:
@@ -929,17 +943,21 @@ def _run_serve_iteration(it: _Iteration, report: ChaosReport) -> None:
             if it.scenario == "deadline":
                 timeout_s = rng.uniform(0.01, 0.4)
             request = QueryRequest(
-                kind=kind,
                 query=tuple(float(v) for v in query),
+                spec=QuerySpec(
+                    rho=rho,
+                    kind=kind,
+                    k=k,
+                    method=rng.choice(_ENGINES),
+                    on_fault=(
+                        "degrade" if it.scenario == "faults" else "raise"
+                    ),
+                ),
                 tenant=f"tenant-{index}",
                 request_id=(index, turn),
-                k=k,
-                method=rng.choice(_ENGINES),
-                rho=rho,
                 timeout_s=timeout_s,
-                on_fault="degrade" if it.scenario == "faults" else "raise",
             )
-            label = f"{kind}/{request.method}"
+            label = f"{kind}/{request.spec.method}"
             try:
                 pending = service.submit(request)
                 if it.scenario == "cancel" and rng.random() < 0.6:
@@ -1020,24 +1038,12 @@ def _run_serve_iteration(it: _Iteration, report: ChaosReport) -> None:
         else:
             label, k, gold, truth, response = payload  # type: ignore[misc]
             result = response.result
-            report.record(
-                it, str(label), _check_reported_distances(result, truth)
+            _judge(
+                report, it, str(label), result, gold, truth, k,
+                complete_is_exact=(
+                    not result.degraded and response.degradation_tier == 0
+                ),
             )
-            report.record(it, str(label), _check_prefix(result, gold))
-            if isinstance(result, PartialResult):
-                report.partials += 1
-                report.record(
-                    it, str(label), _check_certificate(result, gold, k)
-                )
-                report.record(
-                    it,
-                    str(label),
-                    None
-                    if result.reason
-                    else "partial result carries no reason",
-                )
-            elif not result.degraded and response.degradation_tier == 0:
-                report.record(it, str(label), _check_exact(result, gold, k))
 
 
 # ---------------------------------------------------------------------------
@@ -1325,19 +1331,10 @@ def _run_shard_iteration(it: _ShardIteration, report: ChaosReport) -> None:
                     # Recoverable faults must be invisible.
                     report.record(it, engine, _check_exact(result, gold, k))
                 else:
-                    report.record(
-                        it, engine, _check_reported_distances(result, truth)
+                    _judge(
+                        report, it, engine, result, gold, truth, k,
+                        complete_is_exact=not result.degraded,
                     )
-                    report.record(it, engine, _check_prefix(result, gold))
-                    if isinstance(result, PartialResult):
-                        report.partials += 1
-                        report.record(
-                            it, engine, _check_certificate(result, gold, k)
-                        )
-                    elif not result.degraded:
-                        report.record(
-                            it, engine, _check_exact(result, gold, k)
-                        )
             return
 
         # budget / deadline: interruption of a data-dependent shard
@@ -1359,21 +1356,9 @@ def _run_shard_iteration(it: _ShardIteration, report: ChaosReport) -> None:
                 it.rng.uniform(0.0, 0.2), clock=clock
             )
         result = sdb.search(query, **kwargs)  # type: ignore[arg-type]
-        report.record(it, engine, _check_reported_distances(result, truth))
-        report.record(it, engine, _check_prefix(result, gold))
+        _judge(report, it, engine, result, gold, truth, k)
         if isinstance(result, PartialResult):
-            report.partials += 1
-            report.record(it, engine, _check_certificate(result, gold, k))
-            report.record(
-                it,
-                engine,
-                None
-                if result.reason
-                else "partial result carries no reason",
-            )
             report.record(it, engine, _num_io_message(result))
-        else:
-            report.record(it, engine, _check_exact(result, gold, k))
 
         # The same interruption applied mid-merge to the streaming
         # path: the emitted prefix must stay ranked and certified.
@@ -1392,10 +1377,7 @@ def _run_shard_iteration(it: _ShardIteration, report: ChaosReport) -> None:
             if keys == sorted(keys)
             else "interrupted stream emission is not nondecreasing",
         )
-        if isinstance(stream.result, PartialResult):
-            report.partials += 1
-            report.record(
-                it, "stream", _check_certificate(stream.result, gold, k)
-            )
+        assert stream.result is not None  # set by exhaustion
+        _judge(report, it, "stream", stream.result, gold, truth, k)
     finally:
         sdb.close()

@@ -21,9 +21,6 @@ every engine.
   tightest known lower bound on any unexamined candidate — so an early
   exit never silently pretends to be exact (the anytime analogue of the
   paper's Section 3 no-false-dismissal contract).
-* :class:`AdmissionController` provides simple service-side admission
-  control (max concurrent + max queued queries) in front of
-  :meth:`repro.api.SubsequenceDatabase.search`.
 
 Checkpoints are *cooperative*: limits are checked between units of
 engine work, so a budget may be overshot by at most one loop iteration.
@@ -32,32 +29,17 @@ Every limit object is per-query; construct fresh ones per search.
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
-from types import TracebackType
-from typing import Any, Callable, List, Optional, Tuple, Type
+from typing import Any, Callable, Optional, Tuple
 
-from repro.analysis.concurrency import (
-    guarded_by,
-    requires_lock,
-    shared_across_queries,
-    single_query,
-)
+from repro.analysis.concurrency import single_query
 from repro.core.clock import MONOTONIC_CLOCK, Clock, FakeClock, MonotonicClock
 from repro.core.metrics import QueryStats
-from repro.exceptions import (
-    AdmissionRejectedError,
-    ConfigurationError,
-    ExecutionInterrupted,
-    UsageError,
-)
+from repro.exceptions import ConfigurationError, ExecutionInterrupted
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionStats",
     "CancellationToken",
     "Clock",
     "Deadline",
@@ -302,182 +284,6 @@ class ExecutionControl:
         if self.tracer.enabled:
             self.tracer.event("control.interrupted", reason=reason)
         raise ExecutionInterrupted(reason)
-
-
-@dataclass
-class AdmissionStats:
-    """Counters for one :class:`AdmissionController`."""
-
-    admitted: int = 0
-    rejected: int = 0
-    #: Admissions that had to wait in the queue first.
-    queued: int = 0
-    peak_active: int = 0
-
-
-class _AdmissionTicket:
-    """Context manager releasing one admitted slot on exit."""
-
-    def __init__(self, controller: "AdmissionController") -> None:
-        self._controller = controller
-        self._released = False
-
-    def __enter__(self) -> "_AdmissionTicket":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.release()
-
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self._controller._release()
-
-
-@shared_across_queries
-@guarded_by("_condition", "_active", "_waiting", "_waiters", "_next_seq", "stats")
-class AdmissionController:
-    """Bounded-concurrency admission control for query execution.
-
-    At most ``max_concurrent`` queries run at once; up to ``max_queued``
-    more may wait (``queue_timeout_s`` bounds the wait).  Anything
-    beyond that is rejected immediately with
-    :class:`~repro.exceptions.AdmissionRejectedError` — fail-fast
-    back-pressure instead of unbounded queueing, which is what the
-    ROADMAP's heavy-traffic scenario needs from a front door.
-
-    Wakeup order is **deterministic**: waiters are granted slots in
-    ``(priority, arrival)`` order, so equal-priority waiters are FIFO
-    and a lower ``priority`` value always wins the next free slot.
-    (Pre-serve versions woke an *arbitrary* ``Condition`` waiter, which
-    silently undid any queue-level ordering upstream — the aging
-    guarantees of :mod:`repro.serve.queue` rely on this fix holding
-    end to end.)  A newcomer never barges past existing waiters, even
-    when a slot is momentarily free between a release and the head
-    waiter's wakeup.
-
-    Thread safety: the slot counters, waiter list, and stats are
-    guarded by ``_condition`` (a :class:`threading.Condition` doubling
-    as the mutex); ``admit``/``_release`` block on it, and the
-    ``active`` / ``waiting`` properties take it so monitors never see
-    torn state.
-    """
-
-    def __init__(
-        self,
-        max_concurrent: int,
-        max_queued: int = 0,
-        queue_timeout_s: Optional[float] = None,
-    ) -> None:
-        if max_concurrent < 1:
-            raise ConfigurationError(
-                f"max_concurrent must be >= 1, got {max_concurrent}"
-            )
-        if max_queued < 0:
-            raise ConfigurationError(
-                f"max_queued must be >= 0, got {max_queued}"
-            )
-        if queue_timeout_s is not None and queue_timeout_s < 0:
-            raise ConfigurationError(
-                f"queue_timeout_s must be >= 0, got {queue_timeout_s}"
-            )
-        self.max_concurrent = max_concurrent
-        self.max_queued = max_queued
-        self.queue_timeout_s = queue_timeout_s
-        self.stats = AdmissionStats()
-        self._condition = threading.Condition()
-        self._active = 0
-        self._waiting = 0
-        #: Sorted (priority, seq) entries, head = next waiter to admit.
-        self._waiters: List[Tuple[int, int]] = []
-        self._next_seq = 0
-
-    @property
-    def active(self) -> int:
-        """Queries currently admitted and running."""
-        with self._condition:
-            return self._active
-
-    @property
-    def waiting(self) -> int:
-        """Queries currently waiting in the admission queue."""
-        with self._condition:
-            return self._waiting
-
-    def admit(self, priority: int = 0) -> _AdmissionTicket:
-        """Acquire one execution slot (blocking in the queue if allowed).
-
-        ``priority`` orders the wait queue: lower values are admitted
-        first, ties break FIFO by arrival.  The default of 0 gives pure
-        FIFO semantics for callers that never pass a priority.
-
-        Returns a context manager releasing the slot; raises
-        :class:`~repro.exceptions.AdmissionRejectedError` when both the
-        concurrency and queue limits are full, or the queue wait times
-        out.
-        """
-        with self._condition:
-            if self._active < self.max_concurrent and not self._waiters:
-                self._admit_locked()
-                return _AdmissionTicket(self)
-            if self._waiting >= self.max_queued:
-                self.stats.rejected += 1
-                raise AdmissionRejectedError(
-                    f"admission rejected: {self._active} active and "
-                    f"{self._waiting} queued queries (limits: "
-                    f"{self.max_concurrent} concurrent, "
-                    f"{self.max_queued} queued)"
-                )
-            entry = (priority, self._next_seq)
-            self._next_seq += 1
-            bisect.insort(self._waiters, entry)
-            self._waiting += 1
-            self.stats.queued += 1
-            try:
-                granted = self._condition.wait_for(
-                    lambda: (
-                        self._active < self.max_concurrent
-                        and self._waiters[0] == entry
-                    ),
-                    timeout=self.queue_timeout_s,
-                )
-            finally:
-                self._waiting -= 1
-                self._waiters.remove(entry)
-                # The head may have changed (we left the queue either
-                # admitted or timed out); let the new head re-evaluate.
-                self._condition.notify_all()
-            if not granted:
-                self.stats.rejected += 1
-                raise AdmissionRejectedError(
-                    f"admission queue wait exceeded "
-                    f"{self.queue_timeout_s} s"
-                )
-            self._admit_locked()
-            return _AdmissionTicket(self)
-
-    @requires_lock("_condition")
-    def _admit_locked(self) -> None:
-        self._active += 1
-        self.stats.admitted += 1
-        self.stats.peak_active = max(self.stats.peak_active, self._active)
-
-    def _release(self) -> None:
-        with self._condition:
-            if self._active <= 0:
-                raise UsageError(
-                    "AdmissionController released more slots than admitted"
-                )
-            self._active -= 1
-            # notify_all, not notify: only the (priority, arrival) head
-            # may take the slot, and an arbitrary single wakeup could
-            # land on a non-head waiter that just goes back to sleep.
-            self._condition.notify_all()
 
 
 def certificate_from_pow(certificate_pow: float, p: float) -> float:

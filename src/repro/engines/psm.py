@@ -49,6 +49,7 @@ from repro.exceptions import (
     StorageError,
 )
 from repro.index.bloom import BloomFilter
+from repro.index.builder import iter_window_entries
 from repro.index.rstar import LeafRecord, RStarTree
 from repro.storage.sequences import SequenceStore
 
@@ -105,8 +106,6 @@ def build_sliding_index(
     """
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    from repro.core.paa import paa  # local import avoids cycle at startup
-
     tree = RStarTree(
         pager=store.pager,
         buffer=store.buffer,
@@ -118,11 +117,12 @@ def build_sliding_index(
     points = []
     records = []
     for sid, values in store.iter_sequences():
-        seg = values.size - omega + 1
-        for offset in range(0, seg, stride):
-            points.append(paa(values[offset : offset + omega], features))
-            records.append(LeafRecord(sid=sid, window_index=offset))
-            bloom.add((sid, offset))
+        for point, record in iter_window_entries(
+            sid, values, omega, features, stride, by_offset=True
+        ):
+            points.append(point)
+            records.append(record)
+            bloom.add((sid, record.window_index))
     if bulk and points:
         tree.bulk_load(points, records)
     else:

@@ -157,16 +157,6 @@ class CircuitOpenError(StorageError):
     """
 
 
-class AdmissionRejectedError(ReproError):
-    """A query was refused admission (concurrency + queue limits full).
-
-    Raised by :class:`~repro.control.AdmissionController` when
-    ``max_concurrent`` queries are running and the wait queue already
-    holds ``max_queued`` more (or the queue wait timed out).  Callers
-    should treat this as back-pressure: retry later or shed load.
-    """
-
-
 class ProtocolError(ReproError):
     """A service request is malformed at the wire-protocol level.
 

@@ -12,14 +12,53 @@ the sequence store, which is everything an engine needs to run a query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.paa import paa, segment_length
+from repro.core.paa import paa_batch, segment_length
 from repro.exceptions import ConfigurationError
 from repro.index.rstar import LeafRecord, RStarTree
 from repro.storage.sequences import SequenceStore
+
+
+#: Windows PAA-transformed per :func:`~repro.core.paa.paa_batch` call;
+#: bounds the scratch copy of overlapping windows to a few megabytes.
+_WINDOW_BLOCK = 4096
+
+
+def iter_window_entries(
+    sid: int,
+    values: np.ndarray,
+    omega: int,
+    features: int,
+    stride: int,
+    first_window: int = 0,
+    by_offset: bool = False,
+) -> Iterator[Tuple[np.ndarray, LeafRecord]]:
+    """``(PAA point, leaf record)`` of a sequence's grid windows, in order.
+
+    Window ``w`` covers ``values[w * stride : w * stride + omega]``; the
+    complete windows from ``first_window`` on are yielded (none when the
+    sequence is shorter than ``omega``).  A record is labelled by its
+    grid position ``w``, or under ``by_offset`` by its start offset
+    ``w * stride`` (PSM's sliding index).  Every index build and every
+    ingest op enumerates its windows here, so the windows are
+    transformed a block at a time by :func:`~repro.core.paa.paa_batch`,
+    whose rows are bit-for-bit equal to :func:`~repro.core.paa.paa`.
+    """
+    if values.size < omega:
+        return
+    windows = sliding_window_view(values, omega)[::stride]
+    for block_start in range(first_window, len(windows), _WINDOW_BLOCK):
+        points = paa_batch(
+            windows[block_start : block_start + _WINDOW_BLOCK], features
+        )
+        for window, point in enumerate(points, block_start):
+            yield point, LeafRecord(
+                sid=sid, window_index=window * stride if by_offset else window
+            )
 
 
 @dataclass
@@ -171,14 +210,11 @@ def build_index(
     points = []
     records = []
     for sid, values in store.iter_sequences():
-        if values.size < omega:
-            continue
-        num_windows = (values.size - omega) // stride + 1
-        for window_index in range(num_windows):
-            start = window_index * stride
-            window = values[start : start + omega]
-            points.append(paa(window, features))
-            records.append(LeafRecord(sid=sid, window_index=window_index))
+        for point, record in iter_window_entries(
+            sid, values, omega, features, stride
+        ):
+            points.append(point)
+            records.append(record)
     if bulk and points:
         tree.bulk_load(points, records)
     else:

@@ -76,7 +76,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.paa import paa
 from repro.exceptions import (
     ConfigurationError,
     IndexNotBuiltError,
@@ -84,7 +83,7 @@ from repro.exceptions import (
     SequenceNotFoundError,
     UsageError,
 )
-from repro.index.rstar import LeafRecord
+from repro.index.builder import iter_window_entries
 from repro.storage.buffer import RetryPolicy
 from repro.storage.sequences import SequenceStore
 from repro.storage.wal import WriteAheadLog
@@ -124,29 +123,22 @@ def _index_new_windows(
     values = db.store.peek_full_sequence(sid)
     omega = index.omega
     stride = index.data_stride or omega
-
-    def grid_windows(length: int) -> int:
-        return 0 if length < omega else (length - omega) // stride + 1
-
-    for window_index in range(grid_windows(old_length), grid_windows(values.size)):
-        start = window_index * stride
-        point = paa(values[start : start + omega], index.features)
-        record = LeafRecord(sid=sid, window_index=window_index)
+    old_windows = max(0, (old_length - omega) // stride + 1)
+    for point, record in iter_window_entries(
+        sid, values, omega, index.features, stride, first_window=old_windows
+    ):
         index.tree.insert(point, record)
         index.note_window(record, point)
 
     sliding = db._sliding_index  # noqa: SLF001 — package-internal plane
     if sliding is not None:
         old_span = max(0, old_length - sliding.omega + 1)
-        first_new = -(-old_span // sliding.stride) * sliding.stride
-        for offset in range(
-            first_new, values.size - sliding.omega + 1, sliding.stride
+        for point, record in iter_window_entries(
+            sid, values, sliding.omega, sliding.features, sliding.stride,
+            first_window=-(-old_span // sliding.stride), by_offset=True,
         ):
-            point = paa(
-                values[offset : offset + sliding.omega], sliding.features
-            )
-            sliding.tree.insert(point, LeafRecord(sid=sid, window_index=offset))
-            sliding.bloom.add((sid, offset))
+            sliding.tree.insert(point, record)
+            sliding.bloom.add((sid, record.window_index))
 
 
 def _apply_append(
@@ -176,28 +168,19 @@ def _apply_delete(
     index = db.index
     assert index is not None
     values = db.store.peek_full_sequence(sid)
-    omega = index.omega
-    stride = index.data_stride or omega
-    if values.size >= omega:
-        num_windows = (values.size - omega) // stride + 1
-        for window_index in range(num_windows):
-            start = window_index * stride
-            point = paa(values[start : start + omega], index.features)
-            index.tree.delete(
-                point, LeafRecord(sid=sid, window_index=window_index)
-            )
+    for point, record in iter_window_entries(
+        sid, values, index.omega, index.features,
+        index.data_stride or index.omega,
+    ):
+        index.tree.delete(point, record)
     index.forget_sequence(sid)
     sliding = db._sliding_index  # noqa: SLF001
-    if sliding is not None and values.size >= sliding.omega:
-        for offset in range(
-            0, values.size - sliding.omega + 1, sliding.stride
+    if sliding is not None:
+        for point, record in iter_window_entries(
+            sid, values, sliding.omega, sliding.features, sliding.stride,
+            by_offset=True,
         ):
-            point = paa(
-                values[offset : offset + sliding.omega], sliding.features
-            )
-            sliding.tree.delete(
-                point, LeafRecord(sid=sid, window_index=offset)
-            )
+            sliding.tree.delete(point, record)
         # The bloom filter keeps the deleted keys' bits: plain blooms
         # cannot unset, and a stale positive only costs PSM a probe —
         # the final alignment check is exact, so results are unaffected.

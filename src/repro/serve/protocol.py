@@ -30,16 +30,11 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engines.base import (
-    KINDS,
-    METHODS,
-    ON_FAULT,
-    PartialResult,
-    SearchResult,
-)
+from repro.engines.base import PartialResult, QuerySpec, SearchResult
 from repro.exceptions import (
-    AdmissionRejectedError,
+    ConfigurationError,
     ProtocolError,
+    QueryError,
     ReproError,
     ServiceOverloadedError,
 )
@@ -47,21 +42,20 @@ from repro.exceptions import (
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """One validated service request (wire or in-process)."""
+    """One validated service request (wire or in-process).
 
-    kind: str
+    ``spec`` says what is asked (built once, here at the protocol
+    edge; the service only stamps the database's norm order onto it);
+    the remaining fields say for whom and under which limits.
+    """
+
     query: Tuple[float, ...]
+    spec: QuerySpec
     tenant: str = "default"
     request_id: Optional[Any] = None
-    k: int = 10
-    epsilon: float = 0.0
-    method: str = "ru-cost"
-    rho: Optional[int] = None
-    deferred: bool = False
     timeout_s: Optional[float] = None
     max_pages: Optional[int] = None
     max_candidates: Optional[int] = None
-    on_fault: str = "degrade"
     profile: bool = False
 
 
@@ -99,18 +93,31 @@ def _int_field(
     return value
 
 
+def _str_field(obj: Dict[str, Any], name: str, default: str) -> str:
+    value = obj.get(name, default)
+    _require(
+        isinstance(value, str),
+        f"{name!r} must be a string, got {type(value).__name__}",
+    )
+    return value
+
+
+def _bool_field(obj: Dict[str, Any], name: str) -> bool:
+    value = obj.get(name, False)
+    _require(isinstance(value, bool), f"{name!r} must be a boolean")
+    return value
+
+
 def parse_request(obj: Any) -> QueryRequest:
     """Validate one decoded JSON object into a :class:`QueryRequest`.
 
     Raises :class:`~repro.exceptions.ProtocolError` on any shape,
     type, or range violation; the error message names the offending
-    field.
+    field.  Shape, type and finiteness are checked here; the value
+    ranges are :class:`~repro.engines.base.QuerySpec`'s own, so the
+    wire accepts exactly what the library accepts.
     """
     _require(isinstance(obj, dict), "request must be a JSON object")
-    kind = obj.get("kind", "knn")
-    _require(
-        kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}"
-    )
     raw_query = obj.get("query")
     _require(
         isinstance(raw_query, (list, tuple)) and len(raw_query) > 0,
@@ -126,38 +133,37 @@ def parse_request(obj: Any) -> QueryRequest:
         _require(math.isfinite(item), f"query[{index}] must be finite")
         query.append(item)
 
-    tenant = obj.get("tenant", "default")
-    _require(
-        isinstance(tenant, str) and tenant != "",
-        "tenant must be a non-empty string",
-    )
+    tenant = _str_field(obj, "tenant", "default")
+    _require(tenant != "", "tenant must be a non-empty string")
 
-    k = _int_field(obj, "k", 10)
-    assert k is not None
-    _require(k >= 1, f"k must be >= 1, got {k}")
-
-    epsilon = 0.0
+    kind = _str_field(obj, "kind", "knn")
+    fields: Dict[str, Any] = {
+        "kind": kind,
+        "method": _str_field(obj, "method", "ru-cost"),
+        "scheduling": _str_field(obj, "scheduling", "max-delta"),
+        # Streams emit incrementally, which deferral's batching would
+        # defeat: the wire flag only ever applied to knn.
+        "deferred": _bool_field(obj, "deferred") and kind == "knn",
+        "on_fault": _str_field(obj, "on_fault", "degrade"),
+        "normalize": _bool_field(obj, "normalize"),
+    }
+    k = _int_field(obj, "k", None)
+    if k is not None:
+        fields["k"] = k
     if kind == "range":
-        parsed_epsilon = _float_field(obj, "epsilon", allow_none=False)
-        assert parsed_epsilon is not None
-        epsilon = parsed_epsilon
-        _require(epsilon >= 0, f"epsilon must be >= 0, got {epsilon}")
-
-    method = obj.get("method", "ru-cost")
-    _require(
-        method in METHODS,
-        f"method must be one of {METHODS}, got {method!r}",
-    )
-
-    rho = _int_field(obj, "rho", None)
-    _require(rho is None or rho >= 0, f"rho must be >= 0, got {rho}")
+        fields["epsilon"] = _float_field(obj, "epsilon", allow_none=False)
+    try:
+        spec = QuerySpec.for_query(
+            query, _int_field(obj, "rho", None), **fields
+        )
+    except (ConfigurationError, QueryError) as error:
+        raise ProtocolError(str(error)) from None
 
     timeout_s = _float_field(obj, "timeout_s")
     _require(
         timeout_s is None or timeout_s > 0,
         f"timeout_s must be > 0, got {timeout_s}",
     )
-
     max_pages = _int_field(obj, "max_pages", None)
     _require(
         max_pages is None or max_pages >= 0,
@@ -169,32 +175,15 @@ def parse_request(obj: Any) -> QueryRequest:
         f"max_candidates must be >= 0, got {max_candidates}",
     )
 
-    on_fault = obj.get("on_fault", "degrade")
-    _require(
-        on_fault in ON_FAULT,
-        f"on_fault must be one of {ON_FAULT}, got {on_fault!r}",
-    )
-
-    deferred = obj.get("deferred", False)
-    _require(isinstance(deferred, bool), "deferred must be a boolean")
-    profile = obj.get("profile", False)
-    _require(isinstance(profile, bool), "profile must be a boolean")
-
     return QueryRequest(
-        kind=kind,
         query=tuple(query),
+        spec=spec,
         tenant=tenant,
         request_id=obj.get("id"),
-        k=k,
-        epsilon=epsilon,
-        method=method,
-        rho=rho,
-        deferred=deferred,
         timeout_s=timeout_s,
         max_pages=max_pages,
         max_candidates=max_candidates,
-        on_fault=on_fault,
-        profile=profile,
+        profile=_bool_field(obj, "profile"),
     )
 
 
@@ -287,13 +276,6 @@ def encode_error(
 # Decoding (client side)
 # ----------------------------------------------------------------------
 
-#: Error names mapped back to typed exceptions on the client.
-_ERROR_TYPES = {
-    "ProtocolError": ProtocolError,
-    "ServiceOverloadedError": ServiceOverloadedError,
-    "AdmissionRejectedError": AdmissionRejectedError,
-}
-
 
 def decode_response(obj: Dict[str, Any]) -> Dict[str, Any]:
     """Interpret one decoded response object on the client side.
@@ -320,5 +302,6 @@ def decode_response(obj: Dict[str, Any]) -> Dict[str, Any]:
             retry_after_s=obj.get("retry_after_s"),
             message=message,
         )
-    exc_type = _ERROR_TYPES.get(name, ReproError)
-    raise exc_type(message)
+    if name == "ProtocolError":
+        raise ProtocolError(message)
+    raise ReproError(message)

@@ -5,9 +5,9 @@ clients and one :class:`~repro.api.SubsequenceDatabase`:
 
 * Requests enter through per-tenant gates (token bucket, circuit
   breaker), land in an :class:`~repro.serve.queue.AgingPriorityQueue`,
-  and are executed by a fixed worker pool behind the shared
-  :class:`~repro.control.AdmissionController` — whose wakeup order is
-  ``(priority, arrival)``, so queue-level aging survives end to end.
+  and are executed by a fixed worker pool.  That is the one gate:
+  the worker count bounds concurrency, the queue capacity bounds
+  waiting, and the queue's key is the one dispatch order.
 * QoS classes map onto the library's cooperative control plane:
   deadlines start at *submit* time (queue wait counts against the
   client's timeout), budgets tighten under saturation, and every
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.concurrency import (
@@ -37,7 +37,6 @@ from repro.analysis.concurrency import (
 )
 from repro.api import QueryFacade
 from repro.control import (
-    AdmissionController,
     CancellationToken,
     Deadline,
     ExecutionControl,
@@ -45,67 +44,61 @@ from repro.control import (
 )
 from repro.core.clock import MONOTONIC_CLOCK, Clock
 from repro.core.results import Match
-from repro.engines.base import PartialResult, QuerySpec, SearchResult
+from repro.engines.base import PartialResult, SearchResult
 from repro.exceptions import (
-    AdmissionRejectedError,
     CircuitOpenError,
     ConfigurationError,
     ExecutionInterrupted,
-    ReproError,
     ServiceOverloadedError,
     StorageError,
 )
-from repro.serve.protocol import QueryRequest
+from repro.serve.protocol import QueryRequest, parse_request
 from repro.serve.queue import AgingPriorityQueue
 from repro.serve.tenants import QosClass, TenantRegistry, TenantState
 
-#: Default saturation budgets: pages a query may touch, per QoS class,
-#: once the queue crosses the degradation watermark.  ``None`` =
-#: uncapped (interactive traffic keeps full exactness; batch traffic
-#: absorbs the squeeze and gets certificate-carrying partials).
-DEFAULT_DEGRADED_PAGE_BUDGETS: Dict[QosClass, Optional[int]] = {
+#: Seconds of queue age that equal one QoS class step (see
+#: :mod:`repro.serve.queue`).
+AGING_INTERVAL_S = 0.25
+
+#: Deadline applied when a request carries no ``timeout_s`` (``None`` =
+#: no server-side deadline).
+DEFAULT_TIMEOUT_S: Optional[float] = None
+
+#: Queue-depth fraction at which degradation tier 1 engages and the
+#: per-QoS page budgets below apply.
+SATURATION_WATERMARK = 0.5
+
+#: Tier-1 budgets: pages a query may touch, per QoS class, once the
+#: queue crosses the watermark.  ``None`` = uncapped (interactive
+#: traffic keeps full exactness; batch traffic absorbs the squeeze and
+#: gets certificate-carrying partials).
+DEGRADED_PAGE_BUDGETS: Dict[QosClass, Optional[int]] = {
     QosClass.INTERACTIVE: None,
     QosClass.STANDARD: 4096,
     QosClass.BATCH: 1024,
 }
 
+#: Worker poll interval on the queue — bounds shutdown latency.
+QUEUE_POLL_S = 0.05
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning for one :class:`QueryService`.
+    """Sizing for one :class:`QueryService`.
 
     Attributes
     ----------
     workers:
-        Executor threads (also the admission concurrency unless
-        ``max_concurrent`` overrides it).
+        Executor threads — the bound on concurrently running queries.
     queue_capacity:
-        Bounded depth of the aging priority queue.
-    aging_interval_s:
-        Seconds of queue age that equal one QoS class step (see
-        :mod:`repro.serve.queue`).
-    default_timeout_s:
-        Deadline applied when a request carries none (``None`` = no
-        server-side deadline).
-    saturation_watermark:
-        Queue-depth fraction at which degradation tier 1 engages and
-        per-QoS page budgets apply.
-    degraded_page_budgets:
-        Tier-1 page caps per QoS class (``None`` value = uncapped).
-    queue_poll_s:
-        Worker poll interval on the queue — bounds shutdown latency.
+        Bounded depth of the aging priority queue — the bound on
+        waiting queries.
     retry_after_hint_s:
         Base back-off hint attached to queue-full / shed rejections.
     """
 
     workers: int = 4
     queue_capacity: int = 64
-    aging_interval_s: float = 0.25
-    default_timeout_s: Optional[float] = None
-    max_concurrent: Optional[int] = None
-    saturation_watermark: float = 0.5
-    degraded_page_budgets: Optional[Dict[QosClass, Optional[int]]] = None
-    queue_poll_s: float = 0.05
     retry_after_hint_s: float = 0.1
 
     def __post_init__(self) -> None:
@@ -113,20 +106,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if not 0.0 < self.saturation_watermark <= 1.0:
-            raise ConfigurationError(
-                f"saturation_watermark must be in (0, 1], got "
-                f"{self.saturation_watermark}"
-            )
-        if self.queue_poll_s <= 0:
-            raise ConfigurationError(
-                f"queue_poll_s must be > 0, got {self.queue_poll_s}"
-            )
-
-    def page_budgets(self) -> Dict[QosClass, Optional[int]]:
-        if self.degraded_page_budgets is not None:
-            return self.degraded_page_budgets
-        return DEFAULT_DEGRADED_PAGE_BUDGETS
 
 
 @dataclass
@@ -241,9 +220,8 @@ class QueryService:
     Use as a context manager, or call :meth:`start` / :meth:`shutdown`
     explicitly.  Thread safety: the lifecycle flag, in-flight count,
     and stats are guarded by ``_lock`` (a :class:`threading.Condition`
-    used by drain waits); the queue, tenants, and admission controller
-    are internally locked.  No service lock is held across engine
-    execution (RS013).
+    used by drain waits); the queue and tenants are internally locked.
+    No service lock is held across engine execution (RS013).
     """
 
     def __init__(
@@ -263,18 +241,9 @@ class QueryService:
         )
         self._queue = AgingPriorityQueue(
             capacity=self.config.queue_capacity,
-            aging_interval_s=self.config.aging_interval_s,
+            aging_interval_s=AGING_INTERVAL_S,
             clock=self._clock,
             retry_after_hint_s=self.config.retry_after_hint_s,
-        )
-        max_concurrent = (
-            self.config.max_concurrent
-            if self.config.max_concurrent is not None
-            else self.config.workers
-        )
-        self._admission = AdmissionController(
-            max_concurrent=max_concurrent,
-            max_queued=self.config.workers,
         )
         self.shutdown_control = ShutdownControl()
         self._lock = threading.Condition()
@@ -321,10 +290,6 @@ class QueryService:
     @property
     def queue(self) -> AgingPriorityQueue:
         return self._queue
-
-    @property
-    def admission(self) -> AdmissionController:
-        return self._admission
 
     @property
     def inflight(self) -> int:
@@ -417,7 +382,7 @@ class QueryService:
 
         timeout_s = request.timeout_s
         if timeout_s is None:
-            timeout_s = self.config.default_timeout_s
+            timeout_s = DEFAULT_TIMEOUT_S
         deadline = (
             Deadline.after(timeout_s, clock=self._clock)
             if timeout_s is not None
@@ -457,8 +422,6 @@ class QueryService:
         timeout: Optional[float] = None,
     ) -> ServiceResponse:
         """Synchronous convenience: submit and wait for the response."""
-        from repro.serve.protocol import parse_request
-
         if isinstance(request, dict):
             request = parse_request(request)
         return self.submit(request).result(timeout=timeout)
@@ -477,15 +440,13 @@ class QueryService:
                 self.shutdown_control.checkpoint()
             except ExecutionInterrupted:
                 break
-            pending = self._queue.get(timeout=self.config.queue_poll_s)
+            pending = self._queue.get(timeout=QUEUE_POLL_S)
             if pending is None:
                 continue
             self._run_pending(pending)
 
     def _current_tier(self) -> int:
-        watermark = (
-            self.config.saturation_watermark * self.config.queue_capacity
-        )
+        watermark = SATURATION_WATERMARK * self.config.queue_capacity
         return 1 if self._queue.depth >= watermark else 0
 
     def _effective_budget(
@@ -493,7 +454,7 @@ class QueryService:
     ) -> Optional[QueryBudget]:
         pages = request.max_pages
         if tier >= 1:
-            cap = self.config.page_budgets().get(qos)
+            cap = DEGRADED_PAGE_BUDGETS.get(qos)
             if cap is not None:
                 pages = cap if pages is None else min(pages, cap)
         if pages is None and request.max_candidates is None:
@@ -510,33 +471,17 @@ class QueryService:
         budget = self._effective_budget(pending.request, pending.qos, tier)
         self._note_start(pending)
         try:
-            try:
-                with self._admission.admit(priority=int(pending.qos)):
-                    result = self._dispatch(pending, budget)
-            except AdmissionRejectedError as error:
-                self._fail(
-                    pending,
-                    ServiceOverloadedError(
-                        "queue-full",
-                        retry_after_s=self.config.retry_after_hint_s
-                        * max(1, self._queue.depth),
-                        message=f"admission rejected: {error}",
-                    ),
-                )
-                return
-            except (CircuitOpenError, StorageError) as error:
-                pending.tenant.breaker.record_failure()
-                pending.tenant.count("faults")
-                self._fail(pending, error)
-                return
-            except ReproError as error:
-                # Bad parameters that only the engine could detect
-                # (query too short for omega, missing PSM index, ...).
-                self._fail(pending, error)
-                return
-            except BaseException as error:  # never kill a worker
-                self._fail(pending, error)
-                return
+            result = self._dispatch(pending, budget)
+        except (CircuitOpenError, StorageError) as error:
+            pending.tenant.breaker.record_failure()
+            pending.tenant.count("faults")
+            self._fail(pending, error)
+        except BaseException as error:  # never kill a worker
+            # Typed or not: bad parameters only the engine could detect
+            # (query too short for omega, missing PSM index, ...) end
+            # the request the same way a bug does, with its exception.
+            self._fail(pending, error)
+        else:
             self._complete(pending, result, queue_wait, started, tier)
         finally:
             self._note_done(pending)
@@ -544,23 +489,11 @@ class QueryService:
     def _dispatch(
         self, pending: PendingQuery, budget: Optional[QueryBudget]
     ) -> SearchResult:
-        """Build the request's spec + control and hand them to the facade."""
+        """Hand the request's spec and a fresh control to the facade."""
         request = pending.request
         db = self._db
         query = list(request.query)
-        spec = QuerySpec.for_query(
-            query,
-            request.rho,
-            kind=request.kind,
-            k=request.k,
-            epsilon=request.epsilon,
-            method=request.method,
-            # Streams emit incrementally, which deferral's batching
-            # would defeat: the wire flag only ever applied to knn.
-            deferred=request.deferred and request.kind == "knn",
-            p=db.p,
-            on_fault=request.on_fault,
-        )
+        spec = replace(request.spec, p=db.p)
         control = ExecutionControl(
             budget=budget,
             deadline=pending.deadline,
@@ -604,7 +537,7 @@ class QueryService:
                 self.stats.partial += 1
         response = ServiceResponse(
             request_id=pending.request.request_id,
-            kind=pending.request.kind,
+            kind=pending.request.spec.kind,
             tenant=pending.tenant.name,
             result=result,
             queue_wait_s=queue_wait,

@@ -171,7 +171,7 @@ class SocketServer:
                 request_id = obj.get("id")
             request = protocol.parse_request(obj)
             pending = self._service.submit(request)
-            if request.kind == "stream":
+            if request.spec.kind == "stream":
                 self._attach_stream_writer(conn, pending)
             response = pending.result()
             return self._send(conn, protocol.encode_response(response))

@@ -12,9 +12,9 @@ the per-shard work runs:
     shards share the process, so per-shard subqueries see the parent's
     in-memory shard databases directly (and the parent's tracer — each
     worker thread records its own span subtree via the tracer's
-    thread-local stacks).  This is the default: the engines spend much
-    of their time in numpy kernels that release the GIL, and on a
-    single-core host it degrades gracefully to interleaved execution.
+    thread-local stacks).  This is the default because it needs no
+    saved root, not for speed: the engine loop is Python under the GIL
+    (``shard.speedup_vs_unsharded`` 0.275; two serve workers scale 0.94x).
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` over a
     *persisted* shard root (see :meth:`~repro.shard.database.

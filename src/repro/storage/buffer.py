@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, TypeVar
 
 from repro.analysis.concurrency import (
     guarded_by,
@@ -28,12 +28,15 @@ from repro.storage.pager import Pager
 if TYPE_CHECKING:
     from repro.storage.circuit import CircuitBreaker
 
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff for *transient* read failures.
+    """Bounded exponential backoff for *transient* I/O failures.
 
-    Consulted by :meth:`BufferPool.fetch`: a read raising
+    :meth:`run` drives :meth:`BufferPool.fetch` and the write-ahead
+    log's durable steps: an attempt raising
     :class:`~repro.exceptions.TransientIOError` is retried up to
     ``max_attempts`` total attempts, sleeping ``backoff_s`` before the
     first retry and multiplying the delay by ``multiplier`` after each.
@@ -63,6 +66,51 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"multiplier must be >= 1, got {self.multiplier}"
             )
+
+    def run(
+        self,
+        attempt: Callable[[], _T],
+        breaker: Optional["CircuitBreaker"],
+        clock: Clock,
+        on_retry: Optional[Callable[[], None]] = None,
+    ) -> _T:
+        """Call ``attempt`` until it succeeds or the budget is spent.
+
+        Each :class:`~repro.exceptions.TransientIOError` within the
+        attempt budget calls ``on_retry`` and retries after the
+        backoff (slept on ``clock``); the last failure propagates, and
+        every other error propagates immediately.
+
+        With a ``breaker``, every attempt is gated by
+        :meth:`~repro.storage.circuit.CircuitBreaker.before_attempt`
+        (which raises :class:`~repro.exceptions.CircuitOpenError` while
+        the device is quarantined) and every outcome is reported back
+        to it.  A trip mid-loop aborts the remaining attempts — the
+        breaker's reset timeout, not the retry budget, decides when the
+        device is probed again.
+        """
+        delay = self.backoff_s
+        attempts = 1
+        while True:
+            if breaker is not None:
+                breaker.before_attempt()
+            try:
+                result = attempt()
+            except TransientIOError:
+                if breaker is not None:
+                    breaker.record_failure()
+                if attempts >= self.max_attempts:
+                    raise
+                if on_retry is not None:
+                    on_retry()
+                if delay > 0:
+                    clock.sleep(delay)
+                    delay *= self.multiplier
+                attempts += 1
+            else:
+                if breaker is not None:
+                    breaker.record_success()
+                return result
 
 
 @dataclass
@@ -189,46 +237,22 @@ class BufferPool:
             return payload
 
     def fetch(self, page_id: int) -> Any:
-        """Physically read a page, retrying transient faults.
+        """Physically read a page under the retry policy and breaker.
 
-        Each :class:`~repro.exceptions.TransientIOError` within the
-        retry policy's attempt budget increments ``stats.retries`` and
-        retries after the policy's backoff; the last failure propagates.
-        Permanent errors (including checksum mismatches) propagate
-        immediately.
-
-        When a circuit breaker is attached, every attempt is gated by
-        :meth:`~repro.storage.circuit.CircuitBreaker.before_attempt`
-        (which raises :class:`~repro.exceptions.CircuitOpenError` while
-        the device is quarantined) and every outcome is reported back to
-        the breaker.  A trip mid-retry-loop aborts the remaining
-        attempts — the breaker's reset timeout, not the retry budget,
-        decides when the device is probed again.
+        A retried transient fault increments ``stats.retries``; see
+        :meth:`RetryPolicy.run` for what is retried and how the circuit
+        breaker gates the attempts.
         """
-        policy = self.retry_policy
-        breaker = self.circuit_breaker
-        delay = policy.backoff_s
-        attempt = 1
-        while True:
-            if breaker is not None:
-                breaker.before_attempt()
-            try:
-                payload = self._read_attempt(page_id)
-            except TransientIOError:
-                if breaker is not None:
-                    breaker.record_failure()
-                if attempt >= policy.max_attempts:
-                    raise
-                with self._lock:
-                    self.stats.retries += 1
-                if delay > 0:
-                    self._clock.sleep(delay)
-                    delay *= policy.multiplier
-                attempt += 1
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return payload
+        return self.retry_policy.run(
+            lambda: self._read_attempt(page_id),
+            self.circuit_breaker,
+            self._clock,
+            on_retry=self._count_retry,
+        )
+
+    def _count_retry(self) -> None:
+        with self._lock:
+            self.stats.retries += 1
 
     def _read_attempt(self, page_id: int) -> Any:
         """One physical read, traced as one ``buffer.fetch`` span.

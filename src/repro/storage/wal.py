@@ -80,11 +80,7 @@ from repro.analysis.concurrency import (
     shared_across_queries,
 )
 from repro.core.clock import MONOTONIC_CLOCK, Clock
-from repro.exceptions import (
-    TransientIOError,
-    WalCorruptError,
-    WalError,
-)
+from repro.exceptions import WalCorruptError, WalError
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.buffer import RetryPolicy
 
@@ -390,29 +386,12 @@ class WriteAheadLog:
     @requires_lock("_lock")
     def _io(self, point: str, step: Callable[[], None]) -> None:
         """Run one durable step under the retry policy and breaker."""
-        policy = self.retry_policy
-        breaker = self.circuit_breaker
-        delay = policy.backoff_s
-        attempt = 1
-        while True:
-            if breaker is not None:
-                breaker.before_attempt()
-            try:
-                self.crash_point(point)
-                step()
-            except TransientIOError:
-                if breaker is not None:
-                    breaker.record_failure()
-                if attempt >= policy.max_attempts:
-                    raise
-                if delay > 0:
-                    self._clock.sleep(delay)
-                    delay *= policy.multiplier
-                attempt += 1
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return
+
+        def attempt() -> None:
+            self.crash_point(point)
+            step()
+
+        self.retry_policy.run(attempt, self.circuit_breaker, self._clock)
 
     # ------------------------------------------------------------------
     # Appending

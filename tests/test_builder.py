@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.paa import paa
 from repro.exceptions import ConfigurationError
-from repro.index.builder import build_index
+from repro.index import builder
+from repro.index.builder import build_index, iter_window_entries
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 from repro.storage.sequences import SequenceStore
@@ -19,6 +20,35 @@ def make_store(lengths, seed=0, page_size=512):
     for sid, length in enumerate(lengths):
         store.add_sequence(sid, rng.standard_normal(length).cumsum())
     return store
+
+
+class TestIterWindowEntries:
+    @pytest.mark.parametrize(
+        "stride, first_window, by_offset",
+        [(16, 0, False), (4, 3, False), (1, 0, True), (3, 5, True)],
+    )
+    def test_equals_per_window_paa_bit_for_bit(
+        self, monkeypatch, stride, first_window, by_offset
+    ):
+        # A block of 7 windows makes every case cross block boundaries.
+        monkeypatch.setattr(builder, "_WINDOW_BLOCK", 7)
+        values = np.random.default_rng(3).standard_normal(150).cumsum()
+        got = list(
+            iter_window_entries(
+                9, values, 16, 4, stride,
+                first_window=first_window, by_offset=by_offset,
+            )
+        )
+        windows = range(first_window, (150 - 16) // stride + 1)
+        assert [(r.sid, r.window_index) for _, r in got] == [
+            (9, w * stride if by_offset else w) for w in windows
+        ]
+        for (point, _), w in zip(got, windows):
+            expected = paa(values[w * stride : w * stride + 16], 4)
+            assert point.tobytes() == expected.tobytes()
+
+    def test_short_sequence_has_no_windows(self):
+        assert list(iter_window_entries(0, np.zeros(15), 16, 4, 16)) == []
 
 
 class TestBuildIndex:

@@ -35,7 +35,7 @@ from repro.analysis.concurrency import (
     shared_across_queries,
     single_query,
 )
-from repro.control import AdmissionController, ExecutionControl
+from repro.control import ExecutionControl
 from repro.core.metrics import QueryStats, StatsRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
@@ -161,10 +161,6 @@ class TestContractDecorators:
             assert guards, cls.__name__
             # Every guard in a class maps to a real lock attribute name.
             assert all(lock.startswith("_") for lock in guards.values())
-        assert AdmissionController.__repro_shared__ is True
-        assert (
-            AdmissionController.__repro_guards__["_active"] == "_condition"
-        )
         assert QueryStats.__repro_shared__ is False
         assert StatsRecorder.__repro_shared__ is False
         assert ExecutionControl.__repro_shared__ is False
@@ -199,10 +195,6 @@ class TestContractDecorators:
         assert TokenBucket._refill_locked.__repro_requires_lock__ == "_lock"
         assert (
             MetricsRegistry._check_free.__repro_requires_lock__ == "_lock"
-        )
-        assert (
-            AdmissionController._admit_locked.__repro_requires_lock__
-            == "_condition"
         )
 
 

@@ -1,21 +1,19 @@
 """Tests for the budget/deadline/cancellation control plane.
 
 Unit coverage for :mod:`repro.control` plus engine integration: partial
-results, exactness certificates, zero-overhead parity for unlimited
-controls, and the admission controller in front of the API.
+results, exactness certificates and zero-overhead parity for unlimited
+controls.
 """
 
 import math
 
 import pytest
 
-from repro import SubsequenceDatabase
 from repro.control import (
     REASON_CANCELLED,
     REASON_CANDIDATE_BUDGET,
     REASON_DEADLINE,
     REASON_PAGE_BUDGET,
-    AdmissionController,
     CancellationToken,
     Deadline,
     ExecutionControl,
@@ -26,7 +24,6 @@ from repro.core.clock import FakeClock
 from repro.core.metrics import QueryStats
 from repro.engines.base import PartialResult
 from repro.exceptions import (
-    AdmissionRejectedError,
     ConfigurationError,
     ExecutionInterrupted,
 )
@@ -404,72 +401,3 @@ class TestInterruptInsideDrain:
             for polls in range(2, 120, 3)
         ]
         assert self._sweep(walk_db, drain_events, method, limits) > 0
-
-
-class TestAdmissionController:
-    def test_rejects_beyond_concurrency(self):
-        controller = AdmissionController(max_concurrent=1)
-        ticket = controller.admit()
-        with pytest.raises(AdmissionRejectedError):
-            controller.admit()
-        ticket.release()
-        with controller.admit():
-            pass
-        assert controller.stats.admitted == 2
-        assert controller.stats.rejected == 1
-
-    def test_release_is_idempotent(self):
-        controller = AdmissionController(max_concurrent=1)
-        ticket = controller.admit()
-        ticket.release()
-        ticket.release()
-        assert controller.active == 0
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AdmissionController(max_concurrent=0)
-        with pytest.raises(ConfigurationError):
-            AdmissionController(max_concurrent=1, max_queued=-1)
-
-    def test_database_search_respects_admission(self):
-        db = SubsequenceDatabase(
-            omega=16,
-            features=4,
-            buffer_fraction=0.1,
-            admission=AdmissionController(max_concurrent=1),
-        )
-        db.insert(0, make_walk(600, seed=81))
-        db.build()
-        query = make_walk(40, seed=82)
-        result = db.search(query, k=3, method="ru")
-        assert len(result.matches) == 3
-        # The slot is released even though the search raised nothing,
-        # so a saturated controller is the only way to get rejected.
-        assert db.admission is not None
-        assert db.admission.active == 0
-        blocker = db.admission.admit()
-        with pytest.raises(AdmissionRejectedError):
-            db.search(query, k=3, method="ru")
-        blocker.release()
-        assert len(db.search(query, k=3, method="ru").matches) == 3
-
-    def test_range_search_shares_the_admitted_entry(self):
-        db = SubsequenceDatabase(
-            omega=16,
-            features=4,
-            buffer_fraction=0.1,
-            admission=AdmissionController(max_concurrent=1, max_queued=0),
-        )
-        db.insert(0, make_walk(600, seed=81))
-        db.build()
-        query = make_walk(40, seed=82)
-        assert db.admission is not None
-        blocker = db.admission.admit()
-        with pytest.raises(AdmissionRejectedError):
-            db.range_search(query, epsilon=5.0)
-        # Lazy streams hold no slot between pulls, so they are not
-        # admitted (documented on the ``admission`` parameter).
-        assert len(list(db.iter_matches(query, k=2))) == 2
-        blocker.release()
-        db.range_search(query, epsilon=5.0)
-        assert db.admission.active == 0

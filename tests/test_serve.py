@@ -8,8 +8,9 @@ Organised by layer, bottom up:
   maths on a :class:`FakeClock`, per-tenant isolation.
 * :class:`QueryService` in-process — exactness against the direct
   library oracle, typed overload rejections with retry-after hints,
-  server-side timeout to :class:`PartialResult` conversion under an
-  8-thread hammer, and drain/cancel shutdown semantics.
+  end-to-end dispatch order behind one busy worker, saturation
+  brownout, server-side timeout to :class:`PartialResult` conversion
+  under an 8-thread hammer, and drain/cancel shutdown semantics.
 * The JSON-lines protocol and :class:`SocketServer` end to end.
 
 These are the runtime counterparts of the chaos `serve` campaign: the
@@ -29,12 +30,13 @@ import pytest
 
 from repro import SubsequenceDatabase
 from repro.core.clock import FakeClock
-from repro.engines.base import PartialResult
+from repro.engines.base import PartialResult, QuerySpec
 from repro.exceptions import (
     ConfigurationError,
     ProtocolError,
     ServiceOverloadedError,
 )
+from repro.serve import service as service_module
 from repro.serve import (
     AgingPriorityQueue,
     QosClass,
@@ -83,6 +85,48 @@ def _make_db(size: int = 2000, omega: int = 16) -> SubsequenceDatabase:
     db.insert(1, np.asarray(rng.standard_normal(size // 2).cumsum()))
     db.build()
     return db
+
+
+def _request(
+    query: List[float], tenant: str = "default", timeout_s=None, **spec: Any
+) -> QueryRequest:
+    """An in-process request; ``spec`` holds :class:`QuerySpec` fields."""
+    return QueryRequest(
+        query=tuple(query),
+        spec=QuerySpec(rho=2, **spec),
+        tenant=tenant,
+        timeout_s=timeout_s,
+    )
+
+
+class _HeldWorker:
+    """Park a one-worker service's only worker inside a stream request.
+
+    The stream's ``on_match`` hook blocks on an event, so everything
+    submitted inside the ``with`` block queues up behind it; leaving
+    the block releases the worker.  The service is started here, after
+    the hook is attached, so the worker cannot outrun the hook.
+    """
+
+    def __init__(self, service: QueryService, query: List[float]) -> None:
+        self._service = service
+        self._entered = threading.Event()
+        self._release = threading.Event()
+        self.pending = service.submit(_request(query, kind="stream", k=2))
+        self.pending.on_match = self._hold
+
+    def _hold(self, match: Any) -> None:
+        self._entered.set()
+        assert self._release.wait(timeout=30.0)
+
+    def __enter__(self) -> "_HeldWorker":
+        self._service.start()
+        assert self._entered.wait(timeout=30.0)
+        assert self._service.queue.depth == 0
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._release.set()
 
 
 @pytest.fixture(scope="module")
@@ -218,11 +262,7 @@ class TestQueryService:
         direct = db.search(query, k=5, rho=2, method="ru-cost")
         with QueryService(db) as service:
             response = service.query(
-                QueryRequest(
-                    kind="knn", query=tuple(query), k=5, rho=2,
-                    method="ru-cost",
-                ),
-                timeout=30.0,
+                _request(query, k=5, method="ru-cost"), timeout=30.0
             )
         assert response.exact and not response.partial
         assert [(m.sid, m.start, m.distance) for m in response.result.matches] \
@@ -233,9 +273,8 @@ class TestQueryService:
             default_policy=TenantPolicy(rate=1.0, burst=1.0)
         )
         with QueryService(db, tenants=tenants) as service:
-            request = QueryRequest(
-                kind="knn", query=tuple(query), tenant="greedy", k=3,
-                rho=2, method="seqscan",
+            request = _request(
+                query, tenant="greedy", k=3, method="seqscan"
             )
             service.query(request, timeout=30.0)
             with pytest.raises(ServiceOverloadedError) as info:
@@ -259,12 +298,7 @@ class TestQueryService:
         assert state.breaker.state == "open"
         with QueryService(db, tenants=tenants) as service:
             with pytest.raises(ServiceOverloadedError) as info:
-                service.submit(
-                    QueryRequest(
-                        kind="knn", query=tuple(query), tenant="flaky",
-                        k=3, rho=2,
-                    )
-                )
+                service.submit(_request(query, tenant="flaky", k=3))
         assert info.value.reason == "tenant-circuit-open"
         assert info.value.retry_after_s == pytest.approx(30.0)
 
@@ -285,10 +319,9 @@ class TestQueryService:
 
             def worker(index: int) -> None:
                 response = service.query(
-                    QueryRequest(
-                        kind="knn", query=tuple(query),
-                        tenant=f"t{index}", k=4, rho=2, method="seqscan",
-                        timeout_s=0.0005,
+                    _request(
+                        query, tenant=f"t{index}", timeout_s=0.0005,
+                        k=4, method="seqscan",
                     ),
                     timeout=60.0,
                 )
@@ -309,56 +342,125 @@ class TestQueryService:
                     assert key in reported
 
     def test_queue_full_rejection_carries_retry_after(self, db, query) -> None:
-        # One worker, capacity-1 queue, and a held admission slot force
-        # the second enqueue to bounce with "queue-full".
+        # One held worker and a capacity-1 queue force the second
+        # enqueue to bounce with "queue-full".
         config = ServiceConfig(
             workers=1, queue_capacity=1, retry_after_hint_s=0.2
         )
-        with QueryService(db, config=config) as service:
-            with service.admission.admit():  # starve the worker
-                first = QueryRequest(
-                    kind="knn", query=tuple(query), k=3, rho=2,
-                )
-                service.submit(first)
-                # Wait for the worker to dequeue it (it then parks
-                # inside admission, which we hold).
-                deadline = 100
-                while service.queue.depth > 0 and deadline > 0:
-                    deadline -= 1
-                    threading.Event().wait(0.02)
-                assert service.queue.depth == 0
-                service.submit(first)  # refills the queue slot
+        service = QueryService(db, config=config)
+        try:
+            with _HeldWorker(service, query):
+                service.submit(_request(query, k=3))  # fills the queue
                 with pytest.raises(ServiceOverloadedError) as info:
-                    service.submit(first)
-            assert info.value.reason == "queue-full"
-            assert info.value.retry_after_s is not None
-            assert info.value.retry_after_s > 0.0
+                    service.submit(_request(query, k=3))
+        finally:
+            service.shutdown(timeout=30.0)
+        assert info.value.reason == "queue-full"
+        assert info.value.retry_after_s is not None
+        assert info.value.retry_after_s > 0.0
+
+    @pytest.mark.parametrize(
+        "batch_age_s, expected",
+        [
+            # Same age: the better class runs first, whatever the
+            # submission order.
+            (0.0, ["interactive", "batch"]),
+            # A BATCH request older than two aging intervals outranks
+            # an INTERACTIVE one that has only just arrived.
+            (0.6, ["batch", "interactive"]),
+        ],
+    )
+    def test_dispatch_order_behind_one_busy_worker(
+        self, db, query, batch_age_s, expected
+    ) -> None:
+        clock = FakeClock()
+        tenants = TenantRegistry(clock=clock)
+        tenants.set_policy("batch", TenantPolicy(qos=QosClass.BATCH))
+        tenants.set_policy(
+            "interactive", TenantPolicy(qos=QosClass.INTERACTIVE)
+        )
+        service = QueryService(
+            db, ServiceConfig(workers=1), tenants=tenants, clock=clock
+        )
+        executed: List[str] = []
+        try:
+            with _HeldWorker(service, query):
+                for name in ("batch", "interactive"):
+                    pending = service.submit(
+                        _request(query, tenant=name, k=2, method="seqscan")
+                    )
+                    # One worker, so completion order is execution order.
+                    pending.future.add_done_callback(
+                        lambda _future, name=name: executed.append(name)
+                    )
+                    clock.advance(batch_age_s)
+        finally:
+            service.shutdown(timeout=30.0)
+        assert executed == expected
+
+    def test_saturation_squeezes_standard_but_not_interactive(
+        self, query, monkeypatch
+    ) -> None:
+        # Tier 1 engages when the queue behind a starting request is at
+        # least half full; STANDARD then runs under the (here: tiny)
+        # page budget and must come back as a certified partial, while
+        # INTERACTIVE is never capped.
+        monkeypatch.setitem(
+            service_module.DEGRADED_PAGE_BUDGETS, QosClass.STANDARD, 1
+        )
+        db = _make_db()
+        gold = db.search(query, k=4, rho=2, method="seqscan")
+        clock = FakeClock()
+        tenants = TenantRegistry(clock=clock)
+        tenants.set_policy("vip", TenantPolicy(qos=QosClass.INTERACTIVE))
+        service = QueryService(
+            db,
+            ServiceConfig(workers=1, queue_capacity=4),
+            tenants=tenants,
+            clock=clock,
+        )
+        try:
+            with _HeldWorker(service, query):
+                squeezed = service.submit(
+                    _request(query, k=4, method="seqscan")
+                )
+                vip = service.submit(
+                    _request(query, tenant="vip", k=4, method="seqscan")
+                )
+                for _ in range(2):  # keep the queue past the watermark
+                    service.submit(_request(query, k=1, method="seqscan"))
+            vip_response = vip.result(timeout=30.0)
+            squeezed_response = squeezed.result(timeout=30.0)
+        finally:
+            service.shutdown(timeout=30.0)
+        assert vip_response.degradation_tier == 1
+        assert vip_response.exact and not vip_response.partial
+        assert vip_response.result.matches == gold.matches
+        assert squeezed_response.degradation_tier == 1
+        result = squeezed_response.result
+        assert isinstance(result, PartialResult)
+        assert result.reason == "budget:pages"
+        reported = {(m.sid, m.start) for m in result.matches}
+        for match in gold.matches:
+            if match.distance < result.certificate - 1e-9:
+                assert (match.sid, match.start) in reported
 
     def test_shutdown_fails_queued_requests_with_typed_error(
         self, db, query
     ) -> None:
         config = ServiceConfig(workers=1, queue_capacity=8)
         service = QueryService(db, config=config)  # never started
-        pending = service.submit(
-            QueryRequest(kind="knn", query=tuple(query), k=3, rho=2)
-        )
+        pending = service.submit(_request(query, k=3))
         service.shutdown(drain=False, timeout=1.0)
         with pytest.raises(ServiceOverloadedError) as info:
             pending.result(timeout=5.0)
         assert info.value.reason == "shutdown"
         with pytest.raises(ServiceOverloadedError):
-            service.submit(
-                QueryRequest(kind="knn", query=tuple(query), k=3, rho=2)
-            )
+            service.submit(_request(query, k=3))
 
     def test_cancel_resolves_as_partial(self, db, query) -> None:
         with QueryService(db) as service:
-            pending = service.submit(
-                QueryRequest(
-                    kind="knn", query=tuple(query), k=4, rho=2,
-                    method="seqscan",
-                )
-            )
+            pending = service.submit(_request(query, k=4, method="seqscan"))
             pending.cancel()
             # Either the cancel landed before execution finished
             # (partial, reason "cancelled") or the query won the race
@@ -376,9 +478,8 @@ class TestQueryService:
         clock = FakeClock(auto_advance=0.001)
         with QueryService(db, clock=clock) as service:
             response = service.query(
-                QueryRequest(
-                    kind="stream", query=tuple(query), k=6, rho=2,
-                    method="ru", timeout_s=0.2,
+                _request(
+                    query, timeout_s=0.2, kind="stream", k=6, method="ru"
                 ),
                 timeout=60.0,
             )
@@ -388,87 +489,6 @@ class TestQueryService:
                 assert result.certificate <= result.matches[-1].distance + 1e-9
             else:
                 assert result.certificate == 0.0
-
-
-# ---------------------------------------------------------------------------
-# AdmissionController fairness (the serve-layer wakeup contract)
-# ---------------------------------------------------------------------------
-
-
-class TestAdmissionFairness:
-    def _drain_order(self, priorities: List[int]) -> List[int]:
-        """Park one waiter per priority behind a held slot; return the
-        order (by arrival index) in which slots were granted."""
-        from repro.control import AdmissionController
-
-        controller = AdmissionController(
-            max_concurrent=1, max_queued=len(priorities)
-        )
-        order: List[int] = []
-        order_lock = threading.Lock()
-        release = threading.Semaphore(0)
-        threads: List[threading.Thread] = []
-        with controller.admit():
-
-            def waiter(index: int, priority: int) -> None:
-                with controller.admit(priority=priority):
-                    with order_lock:
-                        order.append(index)
-                    release.acquire()
-
-            for index, priority in enumerate(priorities):
-                thread = threading.Thread(target=waiter, args=(index, priority))
-                thread.start()
-                threads.append(thread)
-                # Arrival order must be deterministic: wait until this
-                # waiter is actually parked before starting the next.
-                for _ in range(500):
-                    if controller.waiting == index + 1:
-                        break
-                    threading.Event().wait(0.005)
-                assert controller.waiting == index + 1
-        for _ in priorities:
-            release.release()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not any(thread.is_alive() for thread in threads)
-        return order
-
-    def test_equal_priority_is_fifo(self) -> None:
-        assert self._drain_order([0, 0, 0, 0]) == [0, 1, 2, 3]
-
-    def test_lower_priority_value_wins(self) -> None:
-        # Arrivals: BATCH(2), INTERACTIVE(0), STANDARD(1), INTERACTIVE(0)
-        # → both interactives (FIFO among themselves), standard, batch.
-        assert self._drain_order([2, 0, 1, 0]) == [1, 3, 2, 0]
-
-    def test_newcomer_does_not_barge(self) -> None:
-        # A slot is momentarily free between a release and the parked
-        # head waiter's wakeup; an equal-priority newcomer arriving in
-        # that window must queue behind the waiter, not grab the slot.
-        from repro.control import AdmissionController
-
-        controller = AdmissionController(max_concurrent=1, max_queued=2)
-        order: List[str] = []
-        ticket = controller.admit()
-
-        def parked_waiter() -> None:
-            with controller.admit(priority=0):
-                order.append("waiter")
-
-        thread = threading.Thread(target=parked_waiter)
-        thread.start()
-        for _ in range(500):
-            if controller.waiting == 1:
-                break
-            threading.Event().wait(0.005)
-        assert controller.waiting == 1
-        ticket.release()
-        # Race the parked waiter for the freed slot from this thread.
-        with controller.admit(priority=0):
-            order.append("newcomer")
-        thread.join(timeout=10.0)
-        assert order == ["waiter", "newcomer"]
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +506,39 @@ class TestProtocol:
             parse_request({"kind": "knn", "query": "not-a-list"})
         with pytest.raises(ProtocolError):
             parse_request([1, 2, 3])  # not an object
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("method", "nope"),
+            ("scheduling", "nope"),
+            ("on_fault", "nope"),
+            ("k", 0),
+            ("rho", -1),
+            ("k", "3"),
+            ("method", 7),
+            ("normalize", 1),
+        ],
+    )
+    def test_spec_violations_are_protocol_errors(self, field, value) -> None:
+        with pytest.raises(ProtocolError, match=field):
+            parse_request({"query": [0.0] * 32, field: value})
+        with pytest.raises(ProtocolError, match="epsilon"):
+            parse_request({"kind": "range", "query": [0.0], "epsilon": -1})
+
+    def test_parse_builds_the_spec_once(self) -> None:
+        request = parse_request(
+            {
+                "kind": "stream", "query": [0.0] * 40, "k": 2,
+                "scheduling": "cost-aware", "normalize": True,
+                "deferred": True,
+            }
+        )
+        assert request.spec == QuerySpec(
+            rho=2, kind="stream", k=2, scheduling="cost-aware",
+            normalize=True, on_fault="degrade",
+            deferred=False,  # the wire flag only applies to knn
+        )
 
     def test_decode_reconstructs_overload_error(self) -> None:
         obj = {
@@ -507,10 +560,7 @@ class TestProtocol:
         from repro.serve.protocol import encode_response
 
         with QueryService(db) as service:
-            response = service.query(
-                QueryRequest(kind="knn", query=tuple(query), k=3, rho=2),
-                timeout=30.0,
-            )
+            response = service.query(_request(query, k=3), timeout=30.0)
         encoded = encode_response(response)
         assert encoded["status"] == "exact"
         assert "certificate" not in encoded  # only partials carry one
@@ -557,6 +607,33 @@ class TestSocketServer:
 
                 _run_threads(worker)
         assert failures == []
+
+    def test_normalize_over_the_wire_equals_direct_search(
+        self, db, query
+    ) -> None:
+        direct = db.search(query, k=4, rho=2, normalize=True)
+        with QueryService(db) as service:
+            with SocketServer(service) as server:
+                with ServeClient(*server.address) as client:
+                    out = client.request(
+                        {"query": list(query), "k": 4, "rho": 2,
+                         "normalize": True}
+                    )
+                    for field in ("method", "scheduling"):
+                        with pytest.raises(ProtocolError, match=field):
+                            client.request(
+                                {"query": list(query), field: "nope"}
+                            )
+            # The bad requests never reached a worker.
+            assert service.stats.submitted == 1
+            assert service.stats.errors == 0
+        assert out["status"] == "exact"
+        assert [
+            (row[0], row[1], row[2], repr(row[3])) for row in out["matches"]
+        ] == [
+            (m.sid, m.start, m.length, repr(m.distance))
+            for m in direct.matches
+        ]
 
     def test_stream_interleaves_match_lines(self, db, query) -> None:
         with QueryService(db) as service:
