@@ -32,7 +32,8 @@ ru-cost    ranked union, cost-aware density scheduling (this paper)
 ========== ===========================================================
 
 ``psm`` requires ``build(psm=True)``, which additionally builds the
-FRM-style sliding-window index PSM joins over.
+FRM-style sliding-window index (the ``J = 1`` DualMatch index plus a
+bloom filter) PSM joins over.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import abc
 import pathlib
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Optional,
@@ -59,7 +61,6 @@ from repro.core.clock import Clock
 from repro.core.metrics import QueryStats
 from repro.core.results import Match
 from repro.engines.base import (
-    METHODS,
     Engine,
     QuerySpec,
     RankedStream,
@@ -87,17 +88,29 @@ if TYPE_CHECKING:
 
 _Facade = TypeVar("_Facade", bound="QueryFacade")
 
+#: ``name -> factory(index)`` for every
+#: :data:`~repro.engines.base.METHODS` entry plus the ``"range"`` kind
+#: (``psm`` takes the sliding index, not the DualMatch one).
+_ENGINES: Dict[str, Callable[[DualMatchIndex], Engine]] = {
+    "seqscan": SeqScanEngine,
+    "hlmj": HlmjEngine,
+    "hlmj-wg": lambda index: HlmjEngine(index, use_window_group=True),
+    "psm": PsmEngine,
+    "ru": lambda index: RankedUnionEngine(index, scheduling="max-delta"),
+    "ru-cost": lambda index: RankedUnionEngine(index, scheduling="cost-aware"),
+    "range": RangeSearchEngine,
+}
+
 
 class QueryFacade(abc.ABC):
     """The public query surface, defined once for every database shape.
 
     A subclass supplies the two query entries — :meth:`run_query` (one
     ``knn`` / ``range`` spec to completion) and :meth:`open_stream` (one
-    ``stream`` spec, lazily) — plus :meth:`set_tracer`,
-    :meth:`warm_engines` and :meth:`close`, and the attributes ``omega``,
-    ``p`` and ``_tracer``.  Everything a caller types is written here
-    over those: the keyword methods each build one
-    :class:`~repro.engines.base.QuerySpec` and one
+    ``stream`` spec, lazily) — plus :meth:`set_tracer` and
+    :meth:`close`, and the attributes ``omega``, ``p`` and ``_tracer``.
+    Everything a caller types is written here over those: the keyword
+    methods each build one :class:`~repro.engines.base.QuerySpec` and one
     :class:`~repro.control.ExecutionControl` and hand them to an entry
     unchanged.  :class:`SubsequenceDatabase` answers from one index;
     :class:`~repro.shard.ShardedDatabase` fans the same spec out and
@@ -125,10 +138,6 @@ class QueryFacade(abc.ABC):
     @abc.abstractmethod
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach (or swap) the tracer across the whole stack."""
-
-    @abc.abstractmethod
-    def warm_engines(self) -> None:
-        """Pre-construct the engine caches before queries run concurrently."""
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -189,7 +198,9 @@ class QueryFacade(abc.ABC):
         Parameters
         ----------
         query:
-            Query sequence; must satisfy ``len >= 2 * omega - 1``.
+            Query sequence; must satisfy ``len >= omega + J - 1`` for
+            the index's data stride ``J`` — ``2 * omega - 1`` by default,
+            ``omega`` for ``method="psm"`` (whose index has ``J = 1``).
         k:
             Number of results.
         rho:
@@ -483,7 +494,6 @@ class SubsequenceDatabase(QueryFacade):
         )
         self.store = SequenceStore(self.pager, self.buffer)
         self.index: Optional[DualMatchIndex] = None
-        self._engines: Dict[str, Engine] = {}
         self._sliding_index = None
         self._wal = None
         self._durable_root = None
@@ -590,44 +600,19 @@ class SubsequenceDatabase(QueryFacade):
     # ------------------------------------------------------------------
 
     def _engine(self, name: str) -> Engine:
-        """The cached engine ``name``: a ``METHODS`` entry or ``"range"``."""
+        """A fresh engine ``name``: a ``METHODS`` entry or ``"range"``.
+
+        Engines hold nothing but a reference to their index, so one is
+        built per query and threads share none.
+        """
         if self.index is None:
             raise IndexNotBuiltError("call build() before querying")
-        cached = self._engines.get(name)
-        if cached is None:
-            if name == "psm":
-                if self._sliding_index is None:
-                    raise IndexNotBuiltError(
-                        "psm requires build(psm=True) for the sliding index"
-                    )
-                cached = PsmEngine(self._sliding_index)
-            elif name == "range":
-                cached = RangeSearchEngine(self.index)
-            elif name == "seqscan":
-                cached = SeqScanEngine(self.index)
-            elif name == "hlmj":
-                cached = HlmjEngine(self.index)
-            elif name == "hlmj-wg":
-                cached = HlmjEngine(self.index, use_window_group=True)
-            elif name == "ru":
-                cached = RankedUnionEngine(self.index, scheduling="max-delta")
-            else:
-                cached = RankedUnionEngine(
-                    self.index, scheduling="cost-aware"
-                )
-            self._engines[name] = cached
-        return cached
-
-    def warm_engines(self) -> None:
-        """Pre-construct the engine cache.
-
-        Engines are cached in a plain dict; warming it once from the
-        building thread means concurrent queries (the serve layer, the
-        sharded fan-out) never race the first construction.
-        """
-        for name in METHODS + ("range",):
-            if name != "psm" or self._sliding_index is not None:
-                self._engine(name)
+        index = self._sliding_index if name == "psm" else self.index
+        if index is None:
+            raise IndexNotBuiltError(
+                "psm requires build(psm=True) for the sliding index"
+            )
+        return _ENGINES[name](index)
 
     def run_query(
         self,

@@ -44,9 +44,14 @@ from repro.core.distance import dtw_pow, dtw_pow_batch
 from repro.core.envelope import Envelope
 from repro.core.lower_bounds import lb_keogh_pow, lb_keogh_pow_batch
 from repro.core.metrics import QueryStats, StatsRecorder
-from repro.core.normalize import NormalizationContext, znormalize
+from repro.core.normalize import (
+    NormalizationContext,
+    WindowNormalizer,
+    znormalize,
+)
 from repro.core.results import Match, RangeCollector, TopKCollector
-from repro.core.windows import QueryWindowSet
+from repro.core.windows import QueryWindow, QueryWindowSet
+from repro.engines.bounds import WindowProbe
 from repro.engines.cost_density import CostDensityConfig
 from repro.exceptions import (
     ConfigurationError,
@@ -344,9 +349,8 @@ class CandidateEvaluator:
         self._spec = spec
         self.stats = stats
         #: Per-query candidate statistics when matching in z-normalized
-        #: space (``None`` on the raw path).  Engines read this to build
-        #: their per-window :class:`~repro.core.normalize.WindowNormalizer`
-        #: adapters so bounds and verification share the same stats.
+        #: space (``None`` on the raw path).  :meth:`probe` adapts it per
+        #: query window, so bounds and verification share the same stats.
         self.norm = norm
         #: The query's budget/deadline/cancellation checkpoints.  Engines
         #: bind this as their local ``budget`` and checkpoint at every
@@ -403,6 +407,32 @@ class CandidateEvaluator:
             raise error
         self.stats.faults_skipped += 1
         self.fault_report.record(error, page_id=page_id, candidate=candidate)
+
+    def probe(
+        self, window: QueryWindow, include_far: bool = False
+    ) -> WindowProbe:
+        """The node step of ``window`` over this run's index.
+
+        Engines build one per query window, up front: the run's stats,
+        fault policy and — chosen here, once — the window's
+        normalization adapter ride along on every expansion.
+        """
+        index = self._index
+        norm: Optional[WindowNormalizer] = None
+        if self.norm is not None:
+            norm = self.norm.for_window(
+                window.sliding_offset, index.data_stride
+            )
+        return WindowProbe(
+            window,
+            index.tree,
+            index.seg_len,
+            self._spec.p,
+            self.stats,
+            on_fault=self.fault,
+            norm=norm,
+            include_far=include_far,
+        )
 
     def already_seen(self, sid: int, start: int) -> bool:
         """Whether a candidate was already submitted (no side effects)."""
@@ -542,10 +572,7 @@ class CandidateEvaluator:
         counted in ``stats.candidates`` and already z-normalized when
         the query is.
         """
-        if self.tracer.enabled:
-            with self.tracer.span("candidate.verify", n=int(rows.shape[0])):
-                self._cascade(rows, sids, starts)
-        else:
+        with self.tracer.span("candidate.verify", n=int(rows.shape[0])):
             self._cascade(rows, sids, starts)
 
     def _cascade(
@@ -615,28 +642,19 @@ class CandidateEvaluator:
         if self._deferred is None or len(self._deferred) == 0:
             return
         self.stats.deferred_flushes += 1
-        if self.tracer.enabled:
-            with self.tracer.span("deferred.drain", pending=len(self._deferred)):
-                self._drain_now()
-        else:
-            self._drain_now()
-
-    def _drain_now(self) -> None:
-        assert self._deferred is not None
-        requests = list(self._deferred.drain(threshold=self.threshold_pow))
-        if self.tracer.enabled:
-            self.tracer.metrics.histogram("deferred.batch_size").observe(
-                len(requests)
-            )
-        for first in range(0, len(requests), _DRAIN_ROWS):
-            if self.tracer.enabled:
-                with self.tracer.span(
+        tracer = self.tracer
+        with tracer.span("deferred.drain", pending=len(self._deferred)):
+            requests = list(self._deferred.drain(threshold=self.threshold_pow))
+            if tracer.enabled:
+                tracer.metrics.histogram("deferred.batch_size").observe(
+                    len(requests)
+                )
+            for first in range(0, len(requests), _DRAIN_ROWS):
+                with tracer.span(
                     "candidate.verify",
                     n=min(_DRAIN_ROWS, len(requests) - first),
                 ):
                     self._verify_requests(requests, first)
-            else:
-                self._verify_requests(requests, first)
 
     def _verify_requests(
         self, requests: List[CandidateRequest], first: int
@@ -730,7 +748,7 @@ class QueryRun:
                 features=index.features,
                 rho=spec.rho,
                 p=spec.p,
-                data_stride=getattr(index, "data_stride", None),
+                data_stride=index.data_stride,
                 normalize=spec.normalize,
             )
             # Candidate stats are priced before I/O accounting starts:

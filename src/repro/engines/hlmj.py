@@ -25,6 +25,7 @@ quantifies both effects.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from typing import List, Optional, Tuple, cast
@@ -32,15 +33,13 @@ from typing import List, Optional, Tuple, cast
 from repro.core.lower_bounds import min_disjoint_windows
 from repro.core.normalize import NormalizationContext
 from repro.core.windows import (
-    QueryWindow,
     QueryWindowSet,
     candidate_in_bounds,
     candidate_start,
 )
 from repro.core.metrics import QueryStats
 from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
-from repro.engines.bounds import score_node, score_point
-from repro.exceptions import StorageError
+from repro.engines.bounds import WindowProbe, score_point
 from repro.index.builder import DualMatchIndex
 
 _NODE = 0
@@ -117,8 +116,8 @@ class HlmjEngine(Engine):
     ) -> None:
         tree = self.index.tree
         store = self.index.store
-        seg_len = self.index.seg_len
         stats = evaluator.stats
+        probes = [evaluator.probe(window) for window in window_set.windows]
         r = min_disjoint_windows(
             window_set.length, self.index.omega, self.index.data_stride
         )
@@ -133,6 +132,10 @@ class HlmjEngine(Engine):
         ]
         heapq.heapify(heap)
         budget = evaluator.control
+        # The run's state, bound once: a node pop names only its pair.
+        expand = functools.partial(
+            self._expand_pair, heap, tiebreak, probes, r, evaluator
+        )
 
         tracer = evaluator.tracer
         while heap:
@@ -145,7 +148,6 @@ class HlmjEngine(Engine):
             # r * dist_pow, so one failed check ends the search.
             if r * dist_pow > evaluator.threshold_pow:
                 break
-            window = window_set.windows[window_pos]
             if kind == _NODE:
                 page_id = cast(int, payload)
                 if tracer.enabled:
@@ -153,28 +155,11 @@ class HlmjEngine(Engine):
                         len(heap) + 1
                     )
                     with tracer.span("engine.heap_pop", kind="node"):
-                        self._expand_pair(
-                            heap,
-                            tiebreak,
-                            window,
-                            window_pos,
-                            page_id,
-                            r,
-                            evaluator,
-                            spec,
-                        )
+                        expand(window_pos, page_id)
                 else:
-                    self._expand_pair(
-                        heap,
-                        tiebreak,
-                        window,
-                        window_pos,
-                        page_id,
-                        r,
-                        evaluator,
-                        spec,
-                    )
+                    expand(window_pos, page_id)
                 continue
+            window = window_set.windows[window_pos]
             record = payload
             start = candidate_start(
                 record.window_index,
@@ -205,46 +190,23 @@ class HlmjEngine(Engine):
         self,
         heap: List[Tuple[float, int, int, int, object]],
         tiebreak: "itertools.count[int]",
-        window: QueryWindow,
-        window_pos: int,
-        page_id: int,
+        probes: List[WindowProbe],
         r: int,
         evaluator: CandidateEvaluator,
-        spec: QuerySpec,
+        window_pos: int,
+        page_id: int,
     ) -> None:
         """Expand one (window, node) pair into scored child pairs."""
-        tree = self.index.tree
-        seg_len = self.index.seg_len
-        stats = evaluator.stats
-        try:
-            node = tree.read_node(page_id)
-        except StorageError as error:
-            # Degrade: drop this (window, subtree) pair and keep
-            # draining the global queue.
-            evaluator.fault(error, page_id=page_id)
+        expanded = probes[window_pos].expand(page_id)
+        if expanded is None:
+            # Degrade: this (window, subtree) pair is dropped; the
+            # global queue keeps draining.
             return
-        stats.node_expansions += 1
         threshold_pow = evaluator.threshold_pow
-        entries = node.entries
-        if not entries:
-            return
-        norm = (
-            None
-            if evaluator.norm is None
-            else evaluator.norm.for_window(
-                window.sliding_offset, self.index.data_stride
-            )
-        )
-        child_pows, _far = score_node(
-            node, window, norm, seg_len, spec.p, evaluator.tracer
-        )
-        if node.is_leaf:
-            child_kind = _LEAF
-            payloads: List[object] = [entry.record for entry in entries]
-        else:
-            child_kind = _NODE
-            payloads = [entry.child_page for entry in entries]
-        for child_pow, child_payload in zip(child_pows.tolist(), payloads):
+        node, child_pows, _far = expanded
+        leaf = node.is_leaf
+        child_kind = _LEAF if leaf else _NODE
+        for entry, child_pow in zip(node.entries, child_pows.tolist()):
             if r * child_pow > threshold_pow:
                 continue
             heapq.heappush(
@@ -254,6 +216,6 @@ class HlmjEngine(Engine):
                     next(tiebreak),
                     window_pos,
                     child_kind,
-                    child_payload,
+                    entry.record if leaf else entry.child_page,
                 ),
             )

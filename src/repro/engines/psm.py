@@ -12,8 +12,10 @@ Adaptation to ranked subsequence matching (as in the paper's Experiment
 * The query is cut into ``n = Len(Q) // omega`` **disjoint** windows;
   each acts as one join attribute.
 * Data sequences are indexed FRM-style [7]: every **sliding** window is
-  PAA-transformed and stored in an R*-tree (:func:`build_sliding_index`),
-  so that disjoint query windows can align at arbitrary candidate
+  PAA-transformed and stored in an R*-tree — the GeneralMatch stride
+  ``J = 1`` of :func:`~repro.index.builder.build_index`, where a leaf
+  record's window number *is* its offset (:func:`build_sliding_index`)
+  — so that disjoint query windows can align at arbitrary candidate
   offsets.  The join condition is alignment: component ``t`` must hit
   the window at offset ``start + t * omega`` of the same sequence.
 * The bloom filter is populated with every indexed ``(sid, offset)``
@@ -24,33 +26,23 @@ Adaptation to ranked subsequence matching (as in the paper's Experiment
   reports for ``n > 3`` falls out of the state tree.
 
 The final all-leaf alignment check is exact, so bloom false positives
-never corrupt the result; exactness additionally requires the sliding
-index to be built with ``stride=1``.
+never corrupt the result.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.core.paa import segment_length
-from repro.core.windows import (
-    QueryWindow,
-    QueryWindowSet,
-    candidate_in_bounds,
-)
+from repro.core.windows import QueryWindowSet, candidate_in_bounds
 from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
-from repro.engines.bounds import score_node
-from repro.exceptions import (
-    BudgetExceededError,
-    ConfigurationError,
-    StorageError,
-)
+from repro.engines.bounds import WindowProbe
+from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.index.bloom import BloomFilter
-from repro.index.builder import iter_window_entries
-from repro.index.rstar import LeafRecord, RStarTree
+from repro.index.builder import DualMatchIndex, build_index
+from repro.index.rstar import LeafRecord
 from repro.storage.sequences import SequenceStore
 
 _NODE = 0
@@ -65,78 +57,33 @@ Component = Tuple[int, object, float]
 JoinHeapEntry = Tuple[float, int, Tuple[Component, ...]]
 
 
-@dataclass
-class SlidingWindowIndex:
-    """FRM-style index: every sliding data window as an R*-tree point.
-
-    Structurally compatible with
-    :class:`~repro.index.builder.DualMatchIndex` (same attribute set) so
-    the shared engine template can drive candidate evaluation, but leaf
-    records carry sliding-window **offsets**, not disjoint-window
-    numbers.
-    """
-
-    tree: RStarTree
-    store: SequenceStore
-    omega: int
-    features: int
-    bloom: BloomFilter
-    stride: int = 1
-    p: float = 2.0
-
-    @property
-    def seg_len(self) -> int:
-        return segment_length(self.omega, self.features)
-
-
 def build_sliding_index(
     store: SequenceStore,
     omega: int,
     features: int,
-    stride: int = 1,
     p: float = 2.0,
     max_entries: Optional[int] = None,
     bulk: bool = True,
-) -> SlidingWindowIndex:
+) -> DualMatchIndex:
     """Index every sliding window of every sequence (offline build).
 
-    ``stride > 1`` subsamples offsets and breaks the no-false-dismissal
-    guarantee; it exists only for index-size experiments.  ``bulk``
-    selects STR packing (default) versus one-at-a-time insertion.
+    The ``J = 1`` :func:`~repro.index.builder.build_index`, plus the
+    bloom filter over every indexed ``(sid, offset)`` key that PSM's
+    join signatures probe.
     """
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    tree = RStarTree(
-        pager=store.pager,
-        buffer=store.buffer,
-        dimensions=features,
-        max_entries=max_entries,
-    )
-    expected = max(1, store.total_values // stride)
-    bloom = BloomFilter.with_capacity(expected)
-    points = []
-    records = []
-    for sid, values in store.iter_sequences():
-        for point, record in iter_window_entries(
-            sid, values, omega, features, stride, by_offset=True
-        ):
-            points.append(point)
-            records.append(record)
-            bloom.add((sid, record.window_index))
-    if bulk and points:
-        tree.bulk_load(points, records)
-    else:
-        for point, record in zip(points, records):
-            tree.insert(point, record)
-    return SlidingWindowIndex(
-        tree=tree,
-        store=store,
-        omega=omega,
-        features=features,
-        bloom=bloom,
-        stride=stride,
+    index = build_index(
+        store,
+        omega,
+        features,
         p=p,
+        max_entries=max_entries,
+        bulk=bulk,
+        data_stride=1,
     )
+    index.bloom = BloomFilter.with_capacity(max(1, store.total_values))
+    for entry in index.tree.iter_leaf_entries():
+        index.bloom.add((entry.record.sid, entry.record.window_index))
+    return index
 
 
 class PsmEngine(Engine):
@@ -163,11 +110,15 @@ class PsmEngine(Engine):
 
     def __init__(
         self,
-        index: SlidingWindowIndex,
+        index: DualMatchIndex,
         max_heap_pops: Optional[int] = None,
         budget_action: str = "raise",
     ) -> None:
-        super().__init__(index)  # type: ignore[arg-type]
+        super().__init__(index)
+        if index.bloom is None:
+            raise ConfigurationError(
+                "PSM joins over a build_sliding_index() result"
+            )
         if budget_action not in ("raise", "stop"):
             raise ConfigurationError(
                 f"budget_action must be 'raise' or 'stop', got "
@@ -182,17 +133,16 @@ class PsmEngine(Engine):
         evaluator: CandidateEvaluator,
         spec: QuerySpec,
     ) -> None:
-        index: SlidingWindowIndex = self.index  # type: ignore[assignment]
-        omega = index.omega
-        num_joins = window_set.length // omega
-        # Disjoint query windows live at sliding offsets 0, omega, ... —
-        # exactly the mseq_position-th windows of class 0.
-        join_windows = [
-            window_set.window_at(t * omega) for t in range(num_joins)
-        ]
-        seg_len = index.seg_len
+        # Under J = 1 the used query windows are exactly the disjoint
+        # ones at sliding offsets 0, omega, ...: one join attribute each.
+        # A leaf record's window number is its raw offset, so the
+        # candidate it implies under a join window starts at ``offset -
+        # sliding_offset`` — aligned states therefore score every
+        # component under the *same* candidate stats.
+        probes = [evaluator.probe(window) for window in window_set.windows]
+        num_joins = len(probes)
         stats = evaluator.stats
-        tree = index.tree
+        tree = self.index.tree
         tiebreak = itertools.count()
 
         root_state: Tuple[Component, ...] = tuple(
@@ -201,6 +151,10 @@ class PsmEngine(Engine):
         heap: List[JoinHeapEntry] = [(0.0, next(tiebreak), root_state)]
         budget = evaluator.control
         tracer = evaluator.tracer
+        # The run's state, bound once: a pop names only its join state.
+        expand = functools.partial(
+            self._expand_state, heap, tiebreak, probes, evaluator
+        )
 
         while heap:
             # Join states pop in non-decreasing combined-lower-bound
@@ -239,71 +193,31 @@ class PsmEngine(Engine):
                 with tracer.span(
                     "engine.heap_pop", kind="state", expand_at=expand_at
                 ):
-                    self._expand_state(
-                        heap,
-                        tiebreak,
-                        state,
-                        score_pow,
-                        expand_at,
-                        join_windows,
-                        seg_len,
-                        evaluator,
-                        spec,
-                    )
+                    expand(state, score_pow, expand_at)
             else:
-                self._expand_state(
-                    heap,
-                    tiebreak,
-                    state,
-                    score_pow,
-                    expand_at,
-                    join_windows,
-                    seg_len,
-                    evaluator,
-                    spec,
-                )
+                expand(state, score_pow, expand_at)
 
     def _expand_state(
         self,
         heap: List[JoinHeapEntry],
         tiebreak: Iterator[int],
+        probes: List[WindowProbe],
+        evaluator: CandidateEvaluator,
         state: Tuple[Component, ...],
         score_pow: float,
         expand_at: int,
-        join_windows: Sequence[QueryWindow],
-        seg_len: int,
-        evaluator: CandidateEvaluator,
-        spec: QuerySpec,
     ) -> None:
-        index: SlidingWindowIndex = self.index  # type: ignore[assignment]
-        page_id = state[expand_at][1]
-        try:
-            node = index.tree.read_node(page_id)
-        except StorageError as error:
+        """Expand the first unresolved component of one join state."""
+        page_id: int = state[expand_at][1]  # type: ignore[assignment]
+        expanded = probes[expand_at].expand(page_id)
+        if expanded is None:
             # Degrade: this join state (and every state it would spawn)
             # is dropped; other states keep merging.
-            evaluator.fault(error, page_id=page_id)  # type: ignore[arg-type]
             return
-        evaluator.stats.node_expansions += 1
-        window = join_windows[expand_at]
+        node, dist_pows, _far = expanded
         old_pow = state[expand_at][2]
         threshold_pow = evaluator.threshold_pow
-        entries = node.entries
-        if not entries:
-            return
-        # Sliding leaf records hold raw offsets (stride 1), so the
-        # candidate a record implies under this join window starts at
-        # ``offset - sliding_offset`` — aligned states therefore score
-        # every component under the *same* candidate stats.
-        norm = (
-            None
-            if evaluator.norm is None
-            else evaluator.norm.for_window(window.sliding_offset, 1)
-        )
-        dist_pows, _far = score_node(
-            node, window, norm, seg_len, spec.p, evaluator.tracer
-        )
-        for entry, dist_pow in zip(entries, dist_pows.tolist()):
+        for entry, dist_pow in zip(node.entries, dist_pows.tolist()):
             if node.is_leaf:
                 component: Component = (_LEAF, entry.record, dist_pow)
             else:
@@ -327,8 +241,7 @@ class PsmEngine(Engine):
         component must eventually produce; leaf/leaf conflicts are exact
         checks, leaf/node requirements are bloom probes.
         """
-        index: SlidingWindowIndex = self.index  # type: ignore[assignment]
-        omega = index.omega
+        omega = self.index.omega
         anchor: Optional[Tuple[int, int, int]] = None  # (pos, sid, offset)
         for position, (kind, payload, _dist) in enumerate(state):
             if kind != _LEAF:
@@ -343,7 +256,7 @@ class PsmEngine(Engine):
         if anchor is None:
             return True
         anchor_pos, sid, offset = anchor
-        bloom = index.bloom
+        bloom = self.index.bloom
         stats = evaluator.stats
         for position, (kind, _payload, _dist) in enumerate(state):
             if kind == _LEAF:
@@ -361,8 +274,7 @@ class PsmEngine(Engine):
         evaluator: CandidateEvaluator,
         score_pow: float,
     ) -> None:
-        index: SlidingWindowIndex = self.index  # type: ignore[assignment]
-        omega = index.omega
+        omega = self.index.omega
         first: LeafRecord = state[0][1]  # type: ignore[assignment]
         sid = first.sid
         start = first.window_index
@@ -374,7 +286,7 @@ class PsmEngine(Engine):
             ):
                 return  # exact alignment check (bloom false positive)
         if not candidate_in_bounds(
-            start, window_set.length, index.store.length(sid)
+            start, window_set.length, self.index.store.length(sid)
         ):
             return
         evaluator.submit(sid, start, score_pow)

@@ -22,19 +22,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.core.metrics import QueryStats
-from repro.core.normalize import WindowNormalizer
-from repro.core.windows import QueryWindow
-from repro.engines.bounds import score_node
-from repro.exceptions import StorageError
-from repro.index.rstar import RStarNode, RStarTree
-
-#: Signature of a fault handler: ``(error, page_id) -> None``.  The
-#: handler either re-raises (``on_fault="raise"``) or records the fault
-#: and returns, in which case the unreadable subtree is dropped.
-FaultHandler = Callable[[StorageError, int], None]
+from repro.engines.bounds import WindowProbe
 
 NODE = 0
 LEAF = 1
@@ -48,27 +38,13 @@ _counter = itertools.count()
 class WindowQueue:
     """Priority queue of matching pairs for one query window."""
 
-    def __init__(
-        self,
-        window: QueryWindow,
-        tree: RStarTree,
-        seg_len: int,
-        p: float,
-        stats: QueryStats,
-        on_fault: Optional[FaultHandler] = None,
-        norm: Optional[WindowNormalizer] = None,
-    ) -> None:
-        self.window = window
-        self._tree = tree
-        self._seg_len = seg_len
-        self._p = p
-        self._stats = stats
-        self._on_fault = on_fault
-        #: When matching in z-normalized space: per-candidate stats for
-        #: leaf entries, global stat ranges for internal-node MBRs.
-        self._norm = norm
+    def __init__(self, probe: WindowProbe) -> None:
+        #: The node step of this queue's window; built with
+        #: ``include_far`` for the MAXDIST of every node entry.
+        self._probe = probe
+        self.window = probe.window
         self._heap: List[QueueEntry] = [
-            (0.0, next(_counter), NODE, tree.root_page, math.inf)
+            (0.0, next(_counter), NODE, probe.tree.root_page, math.inf)
         ]
         #: LB_PAA (p-th power) of the most recently popped leaf entry —
         #: ``le_p`` in Definitions 7 and 8.
@@ -92,7 +68,7 @@ class WindowQueue:
 
     def pop(self) -> QueueEntry:
         """Pop the minimum entry, updating pop-side bookkeeping."""
-        tracer = self._tree.tracer
+        tracer = self._probe.tree.tracer
         if tracer.enabled:
             # Depth *before* the pop: the queue pressure the scheduler
             # saw when it chose this queue.
@@ -103,30 +79,28 @@ class WindowQueue:
             self.last_popped_leaf_pow = entry[0]
         return entry
 
-    def _score_and_push(self, node: RStarNode, cap_pow: float) -> None:
-        """Score all of a node's entries in one batched kernel call.
+    def expand_node(self, page_id: int, cap_pow: float = math.inf) -> None:
+        """Take one node step and push the node's scored children.
 
-        Entries are pushed in storage order with tie-break counters
-        consumed only for surviving entries, so heap contents (and every
-        downstream pop order) are identical to scoring one entry at a
-        time.
+        Children whose pair distance exceeds ``cap_pow`` — the headroom
+        ``delta_cur^p`` minus the sibling-queue frontier (the push-time
+        MSEQ prune of Section 3.2.2) — are dropped.  Entries are pushed
+        in storage order with tie-break counters consumed only for
+        surviving entries, so heap contents (and every downstream pop
+        order) are identical to scoring one entry at a time.
+
+        An unreadable node's subtree is dropped from this queue (see
+        :meth:`~repro.engines.bounds.WindowProbe.expand`) and the search
+        continues on what is readable.
         """
-        entries = node.entries
-        if not entries:
+        expanded = self._probe.expand(page_id)
+        self.version += 1
+        if expanded is None:
             return
-        near, far = score_node(
-            node,
-            self.window,
-            self._norm,
-            self._seg_len,
-            self._p,
-            self._tree.tracer,
-            include_far=True,
-        )
-        near_pows = near.tolist()
-        if far is None:
+        node, near, far = expanded
+        if node.is_leaf:
             # Leaf points: MAXDIST equals the distance itself.
-            for entry, dist_pow in zip(entries, near_pows):
+            for entry, dist_pow in zip(node.entries, near.tolist()):
                 if dist_pow > cap_pow:
                     continue
                 heapq.heappush(
@@ -134,36 +108,15 @@ class WindowQueue:
                     (dist_pow, next(_counter), LEAF, entry.record, dist_pow),
                 )
             return
-        for entry, dist_pow, far_pow in zip(entries, near_pows, far.tolist()):
+        for entry, dist_pow, far_pow in zip(
+            node.entries, near.tolist(), far.tolist()
+        ):
             if dist_pow > cap_pow:
                 continue
             heapq.heappush(
                 self._heap,
                 (dist_pow, next(_counter), NODE, entry.child_page, far_pow),
             )
-
-    def expand_node(self, page_id: int, cap_pow: float = math.inf) -> None:
-        """Read one node (counted I/O) and push its scored children.
-
-        Children whose pair distance exceeds ``cap_pow`` — the headroom
-        ``delta_cur^p`` minus the sibling-queue frontier (the push-time
-        MSEQ prune of Section 3.2.2) — are dropped.
-
-        An unreadable node is routed to the fault handler; when the
-        handler returns (degrade policy) the node's subtree is dropped
-        from this queue and the search continues on what is readable.
-        """
-        try:
-            node = self._tree.read_node(page_id)
-        except StorageError as error:
-            if self._on_fault is None:
-                raise
-            self._on_fault(error, page_id)
-            self.version += 1
-            return
-        self._stats.node_expansions += 1
-        self._score_and_push(node, cap_pow)
-        self.version += 1
 
     def expand_first_node(self, cap_pow: float = math.inf) -> bool:
         """Expand the nearest *node* entry in place (selective expansion).

@@ -26,14 +26,12 @@ from repro.core.distance import dtw_pow
 from repro.core.normalize import NormalizationContext, znormalize
 from repro.core.results import Match
 from repro.core.windows import (
-    QueryWindow,
     QueryWindowSet,
     candidate_in_bounds,
     candidate_start,
 )
 from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
-from repro.engines.bounds import score_node
-from repro.exceptions import StorageError
+from repro.engines.bounds import WindowProbe
 from repro.storage.sequences import SequenceStore
 
 
@@ -64,65 +62,37 @@ class RangeSearchEngine(Engine):
         # Every sliding query window issues one range probe (DualMatch).
         for window in window_set.windows:
             budget.checkpoint()
-            if tracer.enabled:
-                with tracer.span(
-                    "range.window", offset=window.sliding_offset
-                ):
-                    self._probe_window(window, window_set, evaluator, spec)
-            else:
-                self._probe_window(window, window_set, evaluator, spec)
+            with tracer.span("range.window", offset=window.sliding_offset):
+                self._probe_window(
+                    evaluator.probe(window), window_set, evaluator
+                )
 
     def _probe_window(
         self,
-        window: QueryWindow,
+        probe: WindowProbe,
         window_set: QueryWindowSet,
         evaluator: CandidateEvaluator,
-        spec: QuerySpec,
     ) -> None:
-        tree = self.index.tree
         store = self.index.store
         stride = self.index.data_stride
+        offset = probe.window.sliding_offset
         budget = evaluator.control
         epsilon_pow = evaluator.threshold_pow
-        norm = (
-            None
-            if evaluator.norm is None
-            else evaluator.norm.for_window(window.sliding_offset, stride)
-        )
-        stack = [tree.root_page]
+        stack = [probe.tree.root_page]
         while stack:
             budget.checkpoint()
-            page_id = stack.pop()
-            try:
-                node = tree.read_node(page_id)
-            except StorageError as error:
-                # Degrade: drop the unreadable subtree, keep probing.
-                evaluator.fault(error, page_id=page_id)
-                continue
-            evaluator.stats.node_expansions += 1
-            entries = node.entries
-            if not entries:
-                continue
-            # One batched kernel call scores every entry of the node;
-            # the loop below keeps the original visit order.
-            gap_pows, _far = score_node(
-                node,
-                window,
-                norm,
-                self.index.seg_len,
-                spec.p,
-                evaluator.tracer,
-            )
-            for entry, gap_pow in zip(entries, gap_pows.tolist()):
+            expanded = probe.expand(stack.pop())
+            if expanded is None:
+                continue  # degrade: unreadable subtree, keep probing
+            node, gap_pows, _far = expanded
+            for entry, gap_pow in zip(node.entries, gap_pows.tolist()):
                 if gap_pow > epsilon_pow:
                     continue
                 if not node.is_leaf:
                     stack.append(entry.child_page)
                     continue
                 record = entry.record
-                start = candidate_start(
-                    record.window_index, window.sliding_offset, stride
-                )
+                start = candidate_start(record.window_index, offset, stride)
                 if not evaluator.first_sighting(record.sid, start):
                     continue
                 if candidate_in_bounds(

@@ -91,23 +91,8 @@ class PhiOperator(ExtendedIterator):
         self._index = index
         self._evaluator = evaluator
         self._query_length = window_set.length
-        norm = evaluator.norm
         self.queues = [
-            WindowQueue(
-                window=window,
-                tree=index.tree,
-                seg_len=index.seg_len,
-                p=spec.p,
-                stats=evaluator.stats,
-                on_fault=evaluator.fault,
-                norm=(
-                    None
-                    if norm is None
-                    else norm.for_window(
-                        window.sliding_offset, index.data_stride
-                    )
-                ),
-            )
+            WindowQueue(evaluator.probe(window, include_far=True))
             for window in window_set.classes[class_index]
         ]
         #: ``candMinQ_Φ``: fully evaluated candidates awaiting emission,

@@ -48,10 +48,7 @@ class SeqScanEngine(Engine):
             budget.checkpoint()
             if store.length(sid) < length:
                 continue
-            if tracer.enabled:
-                with tracer.span("scan.sequence", sid=sid):
-                    self._scan_sequence(sid, window_set, evaluator)
-            else:
+            with tracer.span("scan.sequence", sid=sid):
                 self._scan_sequence(sid, window_set, evaluator)
 
     def _scan_sequence(

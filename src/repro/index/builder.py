@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.paa import paa_batch, segment_length
 from repro.exceptions import ConfigurationError
+from repro.index.bloom import BloomFilter
 from repro.index.rstar import LeafRecord, RStarTree
 from repro.storage.sequences import SequenceStore
 
@@ -35,18 +36,17 @@ def iter_window_entries(
     features: int,
     stride: int,
     first_window: int = 0,
-    by_offset: bool = False,
 ) -> Iterator[Tuple[np.ndarray, LeafRecord]]:
     """``(PAA point, leaf record)`` of a sequence's grid windows, in order.
 
     Window ``w`` covers ``values[w * stride : w * stride + omega]``; the
     complete windows from ``first_window`` on are yielded (none when the
     sequence is shorter than ``omega``).  A record is labelled by its
-    grid position ``w``, or under ``by_offset`` by its start offset
-    ``w * stride`` (PSM's sliding index).  Every index build and every
-    ingest op enumerates its windows here, so the windows are
-    transformed a block at a time by :func:`~repro.core.paa.paa_batch`,
-    whose rows are bit-for-bit equal to :func:`~repro.core.paa.paa`.
+    grid position ``w`` — its start offset under PSM's stride 1.  Every
+    index build and every ingest op enumerates its windows here, so the
+    windows are transformed a block at a time by
+    :func:`~repro.core.paa.paa_batch`, whose rows are bit-for-bit equal
+    to :func:`~repro.core.paa.paa`.
     """
     if values.size < omega:
         return
@@ -56,9 +56,7 @@ def iter_window_entries(
             windows[block_start : block_start + _WINDOW_BLOCK], features
         )
         for window, point in enumerate(points, block_start):
-            yield point, LeafRecord(
-                sid=sid, window_index=window * stride if by_offset else window
-            )
+            yield point, LeafRecord(sid=sid, window_index=window)
 
 
 @dataclass
@@ -84,8 +82,13 @@ class DualMatchIndex:
     omega: int
     features: int
     p: float = 2.0
-    #: GeneralMatch data-window stride ``J`` (``omega`` = DualMatch).
+    #: GeneralMatch data-window stride ``J`` (``omega`` = DualMatch,
+    #: 1 = FRM's sliding index, which PSM joins over).
     data_stride: Optional[int] = None
+    #: Join-signature filter over every indexed ``(sid, window_index)``
+    #: key; only PSM's index carries one
+    #: (:func:`~repro.engines.psm.build_sliding_index`).
+    bloom: Optional[BloomFilter] = None
     _window_points: Optional[Dict[Tuple[int, int], np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
@@ -117,20 +120,28 @@ class DualMatchIndex:
         return self._window_points
 
     def note_window(self, record: LeafRecord, point: np.ndarray) -> None:
-        """Record a newly indexed window in the lazy point table.
+        """Record a newly indexed window in the bloom and point table.
 
-        Called by the ingest path after inserting a leaf entry so that a
-        previously materialised :meth:`window_point_table` stays in sync
-        (a ``None`` table will simply be rebuilt from the tree on first
-        use, so nothing to do then).
+        Called by the ingest path after inserting a leaf entry so that
+        the join signatures and a previously materialised
+        :meth:`window_point_table` stay in sync (a ``None`` table will
+        simply be rebuilt from the tree on first use, so nothing to do
+        then).
         """
+        if self.bloom is not None:
+            self.bloom.add((record.sid, record.window_index))
         if self._window_points is not None:
             self._window_points[
                 (record.sid, record.window_index)
             ] = np.asarray(point, dtype=np.float64)
 
     def forget_sequence(self, sid: int) -> None:
-        """Drop every cached window point of one sequence (on delete)."""
+        """Drop every cached window point of one sequence (on delete).
+
+        A bloom filter keeps the deleted keys' bits: plain blooms cannot
+        unset, and a stale positive only costs PSM a probe — the final
+        alignment check is exact, so results are unaffected.
+        """
         if self._window_points is not None:
             for key in [k for k in self._window_points if k[0] == sid]:
                 del self._window_points[key]

@@ -72,7 +72,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,7 +83,7 @@ from repro.exceptions import (
     SequenceNotFoundError,
     UsageError,
 )
-from repro.index.builder import iter_window_entries
+from repro.index.builder import DualMatchIndex, iter_window_entries
 from repro.storage.buffer import RetryPolicy
 from repro.storage.sequences import SequenceStore
 from repro.storage.wal import WriteAheadLog
@@ -108,6 +108,13 @@ PathLike = Union[str, pathlib.Path]
 # ----------------------------------------------------------------------
 
 
+def _indexes(db: "SubsequenceDatabase") -> List[DualMatchIndex]:
+    """The database's indexes, in the order their pages are allocated."""
+    assert db.index is not None
+    sliding = db._sliding_index  # noqa: SLF001 — package-internal plane
+    return [db.index] if sliding is None else [db.index, sliding]
+
+
 def _index_new_windows(
     db: "SubsequenceDatabase", sid: int, old_length: int
 ) -> None:
@@ -115,30 +122,21 @@ def _index_new_windows(
 
     Appending values never moves existing grid windows (they cover
     prefixes of the unchanged old values), so maintenance is purely
-    additive: windows ``[old_windows, new_windows)`` of the DualMatch
-    tree, and sliding offsets past the old coverage for PSM.
+    additive: windows ``[old_windows, new_windows)`` of each index's
+    grid (stride ``omega`` or ``J`` for the DualMatch tree, 1 for
+    PSM's).
     """
-    index = db.index
-    assert index is not None
     values = db.store.peek_full_sequence(sid)
-    omega = index.omega
-    stride = index.data_stride or omega
-    old_windows = max(0, (old_length - omega) // stride + 1)
-    for point, record in iter_window_entries(
-        sid, values, omega, index.features, stride, first_window=old_windows
-    ):
-        index.tree.insert(point, record)
-        index.note_window(record, point)
-
-    sliding = db._sliding_index  # noqa: SLF001 — package-internal plane
-    if sliding is not None:
-        old_span = max(0, old_length - sliding.omega + 1)
+    for index in _indexes(db):
+        omega = index.omega
+        stride = index.data_stride
+        old_windows = max(0, (old_length - omega) // stride + 1)
         for point, record in iter_window_entries(
-            sid, values, sliding.omega, sliding.features, sliding.stride,
-            first_window=-(-old_span // sliding.stride), by_offset=True,
+            sid, values, omega, index.features, stride,
+            first_window=old_windows,
         ):
-            sliding.tree.insert(point, record)
-            sliding.bloom.add((sid, record.window_index))
+            index.tree.insert(point, record)
+            index.note_window(record, point)
 
 
 def _apply_append(
@@ -165,25 +163,13 @@ def _apply_extend(
 def _apply_delete(
     db: "SubsequenceDatabase", sid: int, session: Optional[object]
 ) -> None:
-    index = db.index
-    assert index is not None
     values = db.store.peek_full_sequence(sid)
-    for point, record in iter_window_entries(
-        sid, values, index.omega, index.features,
-        index.data_stride or index.omega,
-    ):
-        index.tree.delete(point, record)
-    index.forget_sequence(sid)
-    sliding = db._sliding_index  # noqa: SLF001
-    if sliding is not None:
+    for index in _indexes(db):
         for point, record in iter_window_entries(
-            sid, values, sliding.omega, sliding.features, sliding.stride,
-            by_offset=True,
+            sid, values, index.omega, index.features, index.data_stride
         ):
-            sliding.tree.delete(point, record)
-        # The bloom filter keeps the deleted keys' bits: plain blooms
-        # cannot unset, and a stale positive only costs PSM a probe —
-        # the final alignment check is exact, so results are unaffected.
+            index.tree.delete(point, record)
+        index.forget_sequence(sid)
     db.store.remove_sequence(sid, session=session)
 
 
@@ -459,8 +445,7 @@ def _finish_recovery(
     replayed_records = 0
     effective_lsn = checkpoint_lsn
 
-    def replay() -> None:
-        nonlocal replayed_batches, replayed_records, effective_lsn
+    with tracer.span("recover.replay", root=str(root_path)):
         for batch in wal.replay():
             if batch.commit_lsn <= checkpoint_lsn:
                 continue  # already inside the checkpoint
@@ -490,12 +475,6 @@ def _finish_recovery(
                     tracer.metrics.counter("recover.replay").inc()
             replayed_batches += 1
             effective_lsn = batch.commit_lsn
-
-    if tracer.enabled:
-        with tracer.span("recover.replay", root=str(root_path)):
-            replay()
-    else:
-        replay()
 
     db._last_applied_lsn = effective_lsn  # noqa: SLF001
     db.attach_wal(wal, root_path)

@@ -253,10 +253,6 @@ class QueryService:
         self.stats = ServiceStats()
         self._workers: List[threading.Thread] = []
         self._started = False
-        # Engines are constructed lazily by the database and cached in
-        # a plain dict; warm the cache up front so worker threads never
-        # race the first construction.
-        db.warm_engines()
 
     # ------------------------------------------------------------------
     # Lifecycle

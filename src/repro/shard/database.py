@@ -234,16 +234,6 @@ class ShardedDatabase(QueryFacade):
         for db in self._live_shards().values():
             db.reset_cache()
 
-    def warm_engines(self) -> None:
-        """Pre-construct every shard's engine cache.
-
-        Engines are cached in a plain per-shard dict; warming them once
-        from the building thread means concurrent queries never race
-        the first construction (same pattern as the serve layer).
-        """
-        for db in self._live_shards().values():
-            db.warm_engines()
-
     def inject_shard_failure(self, shard: int) -> None:
         """Chaos/test hook: make ``shard`` fail wholesale at query time.
 
@@ -442,11 +432,8 @@ class ShardedDatabase(QueryFacade):
         control: ExecutionControl,
     ) -> SearchResult:
         """One in-process shard subquery (serial / thread executors)."""
-        tracer = control.tracer
-        if tracer.enabled:
-            with tracer.span("shard.subquery", shard=index):
-                return db.run_query(query, spec, control)
-        return db.run_query(query, spec, control)
+        with control.tracer.span("shard.subquery", shard=index):
+            return db.run_query(query, spec, control)
 
     def _record_shard_metrics(
         self, outcomes: Sequence[Tuple[int, SearchResult]]

@@ -302,7 +302,7 @@ def _write_database(
             "root_page": sliding.tree.root_page,
             "max_entries": sliding.tree.max_entries,
             "tree_size": len(sliding.tree),
-            "stride": sliding.stride,
+            "stride": sliding.data_stride,
             "bloom": sliding.bloom.to_state(),
         }
     if extra_meta:
@@ -461,6 +461,32 @@ def load_database(
     return _reconstruct(path, meta, values, index_data, psm, backend)
 
 
+def _attach_tree(
+    db: "SubsequenceDatabase", tree_meta: Dict[str, Any], block: str = ""
+) -> RStarTree:
+    """An R*-tree handle over node pages already replayed into the pager.
+
+    ``tree_meta`` carries ``root_page`` / ``max_entries`` / ``tree_size``:
+    ``meta.json`` itself for the DualMatch tree, its ``block`` (named in
+    the error message) for PSM's.
+    """
+    root_page = tree_meta["root_page"]
+    if not 0 <= root_page < db.pager.num_pages:
+        raise IntegrityError(
+            f"meta.json {block}root_page {root_page} is outside the "
+            f"page file [0, {db.pager.num_pages})"
+        )
+    tree = RStarTree.__new__(RStarTree)
+    tree._pager = db.pager  # noqa: SLF001
+    tree._buffer = db.buffer  # noqa: SLF001
+    tree.dimensions = db.features
+    tree.max_entries = tree_meta["max_entries"]
+    tree.min_entries = max(2, int(tree_meta["max_entries"] * 0.4))
+    tree._size = tree_meta["tree_size"]  # noqa: SLF001
+    tree.root_page = root_page
+    return tree
+
+
 def _reconstruct(
     path: pathlib.Path,
     meta: Dict[str, Any],
@@ -591,23 +617,8 @@ def _reconstruct(
         )
         store._arrays[seq["sid"]] = arrays[seq["sid"]]  # noqa: SLF001
 
-    if not 0 <= meta["root_page"] < pager.num_pages:
-        raise IntegrityError(
-            f"meta.json root_page {meta['root_page']} is outside the "
-            f"page file [0, {pager.num_pages})"
-        )
-
-    tree = RStarTree.__new__(RStarTree)
-    tree._pager = pager  # noqa: SLF001
-    tree._buffer = db.buffer  # noqa: SLF001
-    tree.dimensions = meta["features"]
-    tree.max_entries = meta["max_entries"]
-    tree.min_entries = max(2, int(meta["max_entries"] * 0.4))
-    tree._size = meta["tree_size"]  # noqa: SLF001
-    tree.root_page = meta["root_page"]
-
     db.index = DualMatchIndex(
-        tree=tree,
+        tree=_attach_tree(db, meta),
         store=store,
         omega=meta["omega"],
         features=meta["features"],
@@ -617,33 +628,16 @@ def _reconstruct(
     if psm:
         sliding_meta = meta.get("sliding")
         if sliding_meta is not None:
-            from repro.engines.psm import SlidingWindowIndex
             from repro.index.bloom import BloomFilter
 
-            if not 0 <= sliding_meta["root_page"] < pager.num_pages:
-                raise IntegrityError(
-                    f"meta.json sliding root_page "
-                    f"{sliding_meta['root_page']} is outside the page "
-                    f"file [0, {pager.num_pages})"
-                )
-            sliding_tree = RStarTree.__new__(RStarTree)
-            sliding_tree._pager = pager  # noqa: SLF001
-            sliding_tree._buffer = db.buffer  # noqa: SLF001
-            sliding_tree.dimensions = meta["features"]
-            sliding_tree.max_entries = sliding_meta["max_entries"]
-            sliding_tree.min_entries = max(
-                2, int(sliding_meta["max_entries"] * 0.4)
-            )
-            sliding_tree._size = sliding_meta["tree_size"]  # noqa: SLF001
-            sliding_tree.root_page = sliding_meta["root_page"]
-            db._sliding_index = SlidingWindowIndex(  # noqa: SLF001
-                tree=sliding_tree,
+            db._sliding_index = DualMatchIndex(  # noqa: SLF001
+                tree=_attach_tree(db, sliding_meta, "sliding "),
                 store=store,
                 omega=meta["omega"],
                 features=meta["features"],
-                bloom=BloomFilter.from_state(sliding_meta["bloom"]),
-                stride=sliding_meta["stride"],
                 p=meta["p"],
+                data_stride=sliding_meta["stride"],
+                bloom=BloomFilter.from_state(sliding_meta["bloom"]),
             )
         else:
             # Pre-ingest saves recorded no sliding metadata: rebuild

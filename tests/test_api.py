@@ -105,7 +105,3 @@ class TestMaintenance:
         assert walk_db.buffer.num_resident == 0
         assert walk_db.pager.stats.physical_reads == 0
 
-    def test_engines_are_cached(self, walk_db):
-        first = walk_db._engine("ru")
-        second = walk_db._engine("ru")
-        assert first is second

@@ -24,25 +24,31 @@ def make_store(lengths, seed=0, page_size=512):
 
 class TestIterWindowEntries:
     @pytest.mark.parametrize(
-        "stride, first_window, by_offset",
-        [(16, 0, False), (4, 3, False), (1, 0, True), (3, 5, True)],
+        "stride, first_window, label_is_offset",
+        [(16, 0, False), (4, 3, False), (1, 0, True), (1, 5, True)],
     )
     def test_equals_per_window_paa_bit_for_bit(
-        self, monkeypatch, stride, first_window, by_offset
+        self, monkeypatch, stride, first_window, label_is_offset
     ):
         # A block of 7 windows makes every case cross block boundaries.
         monkeypatch.setattr(builder, "_WINDOW_BLOCK", 7)
         values = np.random.default_rng(3).standard_normal(150).cumsum()
         got = list(
             iter_window_entries(
-                9, values, 16, 4, stride,
-                first_window=first_window, by_offset=by_offset,
+                9, values, 16, 4, stride, first_window=first_window
             )
         )
         windows = range(first_window, (150 - 16) // stride + 1)
         assert [(r.sid, r.window_index) for _, r in got] == [
-            (9, w * stride if by_offset else w) for w in windows
+            (9, w) for w in windows
         ]
+        # Only under stride 1 (PSM's index) is a record's grid position
+        # also the start offset of the window it labels.
+        assert label_is_offset == all(
+            point.tobytes()
+            == paa(values[r.window_index : r.window_index + 16], 4).tobytes()
+            for point, r in got
+        )
         for (point, _), w in zip(got, windows):
             expected = paa(values[w * stride : w * stride + 16], 4)
             assert point.tobytes() == expected.tobytes()

@@ -78,6 +78,7 @@ class TestSchedulerOnRealQueues(object):
         """Lemma 7, checked empirically on live queues."""
         from repro.core.windows import QueryWindowSet
         from repro.engines.base import CandidateEvaluator, QuerySpec
+        from repro.engines.bounds import WindowProbe
         from repro.engines.queues import WindowQueue
         from repro.core.metrics import QueryStats
 
@@ -88,11 +89,14 @@ class TestSchedulerOnRealQueues(object):
         stats = QueryStats()
         queues = [
             WindowQueue(
-                window,
-                walk_db.index.tree,
-                walk_db.index.seg_len,
-                2.0,
-                stats,
+                WindowProbe(
+                    window,
+                    walk_db.index.tree,
+                    walk_db.index.seg_len,
+                    2.0,
+                    stats,
+                    include_far=True,
+                )
             )
             for window in window_set.classes[0]
         ]
@@ -116,6 +120,7 @@ class TestSchedulerOnRealQueues(object):
 
     def test_select_returns_live_queue(self, walk_db):
         from repro.core.windows import QueryWindowSet
+        from repro.engines.bounds import WindowProbe
         from repro.engines.queues import WindowQueue
         from repro.core.metrics import QueryStats
 
@@ -126,11 +131,14 @@ class TestSchedulerOnRealQueues(object):
         stats = QueryStats()
         queues = [
             WindowQueue(
-                window,
-                walk_db.index.tree,
-                walk_db.index.seg_len,
-                2.0,
-                stats,
+                WindowProbe(
+                    window,
+                    walk_db.index.tree,
+                    walk_db.index.seg_len,
+                    2.0,
+                    stats,
+                    include_far=True,
+                )
             )
             for window in window_set.classes[1]
         ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import SubsequenceDatabase
+from repro.core.distance import dtw_distance
 from repro.core.reference import brute_force_topk
 from repro.exceptions import (
     ConfigurationError,
@@ -421,28 +422,57 @@ class TestDegradedQueries:
         ]
 
     def test_degrade_survives_corrupt_index_leaves(self):
+        self.check_index_fault_arm("ru")
+
+    @pytest.mark.parametrize(
+        "method", ["ru-cost", "hlmj", "hlmj-wg", "psm", "range_search"]
+    )
+    def test_every_traversal_drops_unreadable_index_pages(self, method):
+        self.check_index_fault_arm(method)
+
+    @staticmethod
+    def check_index_fault_arm(method):
+        """Every traversal reads index pages through the one node step:
+        under ``degrade`` it drops the unreadable subtrees and reports
+        them, under the default ``raise`` the corruption propagates."""
         injector = FaultInjector(seed=2)
-        db = make_faulty_db(injector=injector)
+        db = make_faulty_db(injector=injector, psm=method == "psm")
+        # Every second leaf (of every tree): the searches lose subtrees
+        # but still reach candidates.
         leaves = [
             page_id
             for page_id in range(db.pager.num_pages)
             if db.pager.kind_of(page_id) == PageKind.INDEX_LEAF
-        ]
+        ][::2]
         injector.add(FaultSpec(fault=CORRUPT, page_ids=leaves))
         query = db.store.peek_subsequence(0, 400, 64).copy()
-        db.reset_cache()
-        result = db.search(
-            query, k=5, rho=2, method="ru", on_fault="degrade"
-        )
-        # Every leaf expansion failed: the search degrades to whatever
-        # candidates it can still reach (possibly none) instead of
-        # aborting, and reports the pages it lost.
+
+        def run(on_fault):
+            db.reset_cache()
+            if method == "range_search":
+                return db.range_search(
+                    query, epsilon=12.0, rho=2, on_fault=on_fault
+                )
+            return db.search(
+                query, k=5, rho=2, method=method, on_fault=on_fault
+            )
+
+        result = run("degrade")
         assert result.degraded
-        assert set(result.fault_report.failed_pages) <= set(leaves)
         assert result.fault_report.total > 0
+        assert set(result.fault_report.failed_pages) <= set(leaves)
+        assert result.stats.faults_skipped == result.fault_report.total
         distances = [m.distance for m in result.matches]
         assert distances == sorted(distances)
-        assert len(result.matches) <= 5
+        for match in result.matches:
+            values = db.store.peek_subsequence(match.sid, match.start, 64)
+            assert match.distance == pytest.approx(
+                dtw_distance(values, query, 2)
+            )
+        if method != "range_search":
+            assert len(result.matches) <= 5
+        with pytest.raises(CorruptPageError):
+            run("raise")
 
     def test_degrade_psm(self):
         injector = FaultInjector(seed=3)

@@ -6,20 +6,25 @@ import pytest
 from repro.engines.base import QuerySpec
 from repro.engines.psm import PsmEngine, build_sliding_index
 from repro.exceptions import BudgetExceededError, ConfigurationError
+from repro.index.builder import build_index
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 from repro.storage.sequences import SequenceStore
 from tests.conftest import make_walk
 
 
-def make_sliding(lengths, omega=8, features=4, seed=0, stride=1):
+def make_store(lengths, seed=0):
     pager = Pager(page_size=1024)
     buffer = BufferPool(pager, capacity_pages=16)
     store = SequenceStore(pager, buffer)
     for sid, length in enumerate(lengths):
         store.add_sequence(sid, make_walk(length, seed=seed + sid))
+    return store
+
+
+def make_sliding(lengths, omega=8, features=4, seed=0):
     return build_sliding_index(
-        store, omega=omega, features=features, stride=stride
+        make_store(lengths, seed), omega=omega, features=features
     )
 
 
@@ -35,14 +40,29 @@ class TestBuildSlidingIndex:
         for offset in range(60 - 8 + 1):
             assert index.bloom.might_contain((0, offset))
 
-    def test_stride_subsamples(self):
-        dense = make_sliding([100])
-        coarse = make_sliding([100], stride=4)
-        assert len(coarse.tree) < len(dense.tree)
+    def test_is_the_stride_one_dualmatch_index(self):
+        """Entry for entry the ``J = 1`` ``build_index``, plus a bloom."""
+        sliding = make_sliding([100, 50])
+        plain = build_index(make_store([100, 50]), 8, 4, data_stride=1)
+        assert type(sliding) is type(plain)
+        assert sliding.data_stride == plain.data_stride == 1
+        assert plain.bloom is None
 
-    def test_bad_stride(self):
+        def rows(index):
+            return [
+                (entry.record, entry.low.tobytes())
+                for entry in index.tree.iter_leaf_entries()
+            ]
+
+        assert rows(sliding) == rows(plain)
+        assert sliding.tree.root_page == plain.tree.root_page
+        assert sliding.tree.node_count() == plain.tree.node_count()
+
+    def test_engine_rejects_an_index_without_bloom(self):
+        index = make_sliding([50])
+        index.bloom = None
         with pytest.raises(ConfigurationError):
-            make_sliding([50], stride=0)
+            PsmEngine(index)
 
     def test_seg_len(self):
         assert make_sliding([50]).seg_len == 2

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.metrics import QueryStats
 from repro.core.windows import QueryWindowSet
+from repro.engines.bounds import WindowProbe
 from repro.engines.queues import LEAF, NODE, WindowQueue
 from tests.conftest import make_walk
 
@@ -17,11 +18,14 @@ def queue(walk_db):
         query, omega=16, features=4, rho=2
     )
     return WindowQueue(
-        window=window_set.windows[0],
-        tree=walk_db.index.tree,
-        seg_len=walk_db.index.seg_len,
-        p=2.0,
-        stats=QueryStats(),
+        WindowProbe(
+            window=window_set.windows[0],
+            tree=walk_db.index.tree,
+            seg_len=walk_db.index.seg_len,
+            p=2.0,
+            stats=QueryStats(),
+            include_far=True,
+        )
     )
 
 

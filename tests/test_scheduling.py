@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.metrics import QueryStats
 from repro.core.windows import QueryWindowSet
+from repro.engines.bounds import WindowProbe
 from repro.engines.queues import WindowQueue
 from repro.engines.scheduling import (
     GlobalMinStrategy,
@@ -96,11 +97,14 @@ class TestStickiness:
         stats = QueryStats()
         queues = [
             WindowQueue(
-                window,
-                walk_db.index.tree,
-                walk_db.index.seg_len,
-                2.0,
-                stats,
+                WindowProbe(
+                    window,
+                    walk_db.index.tree,
+                    walk_db.index.seg_len,
+                    2.0,
+                    stats,
+                    include_far=True,
+                )
             )
             for window in window_set.classes[0]
         ]
