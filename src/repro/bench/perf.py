@@ -1,8 +1,9 @@
 """Seeded kernel perf-regression gate: ``python -m repro bench``.
 
 One suite, ``kernels``: micro-benchmarks of the vectorized kernels
-(wavefront/batch DTW, batched LB_Keogh/LB_PAA/MINDIST, batched envelope
-and PAA construction) against the scalar oracles in
+(wavefront/batch DTW, batched LB_Keogh/LB_PAA/MINDIST, one node scored
+against every window of a query, batched envelope and PAA construction)
+against the scalar oracles in
 :mod:`repro.core.reference`.  Every benchmark first *re-verifies
 exactness* on its own inputs (which are seeded, so the measured work is
 deterministic), then times both sides and reports the speedup ratio.
@@ -41,6 +42,7 @@ import numpy as np
 from repro.core.distance import dtw_pow_batch
 from repro.core.envelope import envelope_batch, query_envelope
 from repro.core.lower_bounds import (
+    batch_lower_bounds,
     lb_keogh_pow,
     lb_keogh_pow_batch,
     lb_paa_pow,
@@ -78,6 +80,7 @@ SPEEDUP_FLOORS: Dict[str, float] = {
     "dtw_wavefront_8lanes": 5.0,
     "lb_keogh_block": 10.0,
     "lb_paa_mindist_block": 40.0,
+    "node_grid": 3.5,
     "envelope_batch": 2.5,
     "paa_batch": 15.0,
 }
@@ -283,6 +286,42 @@ def _bench_lb_paa(rng: np.random.Generator, quick: bool) -> Dict[str, Any]:
     }
 
 
+def _bench_node_grid(rng: np.random.Generator, quick: bool) -> Dict[str, Any]:
+    """A 53-entry node against 193 windows: one grid call vs 193 calls.
+
+    The node step's first touch (``batch_lower_bounds`` with MAXDIST on
+    a ``(193, 4)`` envelope stack); exact only if every grid element is
+    bit-equal to its one-window call.
+    """
+    windows, entries = 193, 53
+    repeats = 3 if quick else 7
+    lower, upper = np.sort(rng.standard_normal((2, windows, 4)), axis=0)
+    lows, highs = np.sort(rng.standard_normal((2, entries, 4)), axis=0)
+
+    def score(rows: Any) -> Any:
+        return batch_lower_bounds(
+            lower[rows], upper[rows], lows, highs, 16, include_far=True
+        )
+
+    near, far = score(slice(None))
+    exact = all(
+        np.array_equal(near[w], one[0]) and np.array_equal(far[w], one[1])
+        for w, one in enumerate(map(score, range(windows)))
+    )
+    scalar_s = _best_seconds(lambda: list(map(score, range(windows))), repeats)
+    batch_s = _best_seconds(
+        lambda: score(slice(None)), _batch_repeats(repeats)
+    )
+    return {
+        "windows": windows,
+        "entries": entries,
+        "exact": exact,
+        "scalar_ms": scalar_s * 1e3,
+        "batch_ms": batch_s * 1e3,
+        "speedup": scalar_s / batch_s,
+    }
+
+
 def _bench_envelope(
     rng: np.random.Generator, quick: bool
 ) -> Dict[str, Any]:
@@ -364,6 +403,7 @@ _KERNEL_BENCHES: Dict[
     "dtw_wavefront_8lanes": functools.partial(_bench_dtw, lanes=8, rho=12),
     "lb_keogh_block": _bench_lb_keogh,
     "lb_paa_mindist_block": _bench_lb_paa,
+    "node_grid": _bench_node_grid,
     "envelope_batch": _bench_envelope,
     "paa_batch": _bench_paa,
 }

@@ -25,12 +25,18 @@ forms share the same gap construction and the same einsum reduction, so
 a scalar call and the matching lane of a batch call are bit-for-bit
 identical; ``tests/test_kernel_conformance.py`` enforces this against
 the scalar oracles in :mod:`repro.core.reference`.
+
+The PAA-space batch kernels (``LB_PAA``, ``MINDIST``, ``MAXDIST``, their
+``*_znorm`` twins, ``batch_lower_bounds*``) also take a ``(W, f)`` stack
+of window envelopes and return the ``(W, n)`` grid, element ``[w, b]``
+bit for bit the one-window call's element ``b``: an index node scored
+against every window of a query in one call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +52,7 @@ def _gaps_outside_envelope(
     """Per-element distance from ``values`` to the band ``[lower, upper]``.
 
     Broadcasts: ``values`` may be one sequence ``(n,)`` or a batch
-    ``(B, n)`` against an ``(n,)`` envelope.
+    ``(B, n)`` against an ``(n,)`` envelope, or laid out by :func:`_cells`.
     """
     above = values - upper
     below = lower - values
@@ -69,11 +75,34 @@ def _pow_sum(gaps: np.ndarray, p: float) -> float:
 
 
 def _pow_sum_batch(gaps: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise ``sum(gaps ** p)`` for a ``(B, n)`` gap matrix."""
+    """Row-wise ``sum(gaps ** p)`` of a ``(B, f)`` matrix, or of a
+    ``(W, B, f)`` grid reduced as one ``(W * B, f)`` matrix."""
+    rows = gaps.reshape(-1, gaps.shape[-1])
     # Exact dispatch on the user-supplied norm order, not a computed float.
     if p == 2.0:
-        return np.einsum("ij,ij->i", gaps, gaps)
-    return np.sum(gaps**p, axis=1)
+        sums = np.einsum("ij,ij->i", rows, rows)
+    else:
+        sums = np.sum(rows**p, axis=1)
+    return sums.reshape(gaps.shape[:-1])
+
+
+def _cells(
+    paa_lower: np.ndarray, paa_upper: np.ndarray, *entries: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], Tuple[int, ...]]:
+    """Envelope and entries laid out to meet cell by cell, and the cells.
+
+    An ``(f,)`` envelope meets ``(n, f)`` entries as given.  A ``(W, f)``
+    stack meets them on a flat ``(W, n * f)`` layout of the ``(W, n, f)``
+    cells — envelopes tiled, entries flattened — so elementwise ops run
+    along contiguous rows, not ``f``-long broadcast loops.
+    """
+    lower = np.asarray(paa_lower, dtype=np.float64)
+    upper = np.asarray(paa_upper, dtype=np.float64)
+    if lower.ndim != 2:
+        return lower, upper, list(entries), entries[0].shape
+    n, f = entries[0].shape[-2:]
+    flat = [values.reshape(values.shape[:-2] + (n * f,)) for values in entries]
+    return np.tile(lower, n), np.tile(upper, n), flat, (len(lower), n, f)
 
 
 def _as_batch(rows: Sequence[Sequence[float]], label: str) -> np.ndarray:
@@ -82,6 +111,19 @@ def _as_batch(rows: Sequence[Sequence[float]], label: str) -> np.ndarray:
     if array.ndim != 2:
         raise QueryError(f"{label} must be 2-D (batch, length), got shape {array.shape}")
     return array
+
+
+def _rects(
+    rect_lows: Sequence[Sequence[float]], rect_highs: Sequence[Sequence[float]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate and coerce the two halves of a ``(B, n)`` rectangle batch."""
+    lows = _as_batch(rect_lows, "rectangle lows")
+    highs = _as_batch(rect_highs, "rectangle highs")
+    if lows.shape != highs.shape:
+        raise QueryError(
+            f"rectangle halves differ in shape: {lows.shape} vs {highs.shape}"
+        )
+    return lows, highs
 
 
 def lb_keogh_pow(envelope: Envelope, values: Sequence[float], p: float = 2.0) -> float:
@@ -204,17 +246,22 @@ def lb_paa_pow_batch(
     """``LB_PAA(P(E(Q)), P(S_b)) ** p`` for a batch of PAA points.
 
     Row ``b`` is bit-for-bit equal to ``lb_paa_pow(paa_lower, paa_upper,
-    paa_rows[b], seg_len, p)``.
+    paa_rows[b], seg_len, p)``; a ``(W, f)`` envelope stack gives ``(W, n)``.
     """
+    array = _as_batch(paa_rows, "PAA batch")
+    return _paa_gap_pow(paa_lower, paa_upper, array, seg_len, p)
+
+
+def _paa_gap_pow(
+    paa_lower: np.ndarray, paa_upper: np.ndarray, points: np.ndarray,
+    seg_len: int, p: float,
+) -> np.ndarray:
+    """``seg_len * sum(gap ** p)`` of ``(n, f)`` or ``(W, n, f)`` points."""
     if seg_len < 1:
         raise QueryError(f"seg_len must be >= 1, got {seg_len}")
-    array = _as_batch(paa_rows, "PAA batch")
-    gaps = _gaps_outside_envelope(
-        np.asarray(paa_lower, dtype=np.float64),
-        np.asarray(paa_upper, dtype=np.float64),
-        array,
-    )
-    return seg_len * _pow_sum_batch(gaps, p)
+    lower, upper, (values,), cells = _cells(paa_lower, paa_upper, points)
+    gaps = _gaps_outside_envelope(lower, upper, values)
+    return seg_len * _pow_sum_batch(gaps.reshape(cells), p)
 
 
 def mindist_pow_batch(
@@ -232,21 +279,19 @@ def mindist_pow_batch(
     entry's PAA point) makes this identical — same subtractions, same
     reduction — to ``lb_paa_pow`` of that point, which is how
     :func:`batch_lower_bounds` scores mixed leaf/internal entry blocks
-    with one kernel.
+    with one kernel.  A ``(W, f)`` envelope stack returns ``(W, n)``.
     """
     if seg_len < 1:
         raise QueryError(f"seg_len must be >= 1, got {seg_len}")
-    lows = _as_batch(rect_lows, "rectangle lows")
-    highs = _as_batch(rect_highs, "rectangle highs")
-    if lows.shape != highs.shape:
-        raise QueryError(
-            f"rectangle halves differ in shape: {lows.shape} vs {highs.shape}"
-        )
-    gap_above = lows - np.asarray(paa_upper, dtype=np.float64)
-    gap_below = np.asarray(paa_lower, dtype=np.float64) - highs
+    lows, highs = _rects(rect_lows, rect_highs)
+    lower, upper, (lows, highs), cells = _cells(
+        paa_lower, paa_upper, lows, highs
+    )
+    gap_above = lows - upper
+    gap_below = lower - highs
     gaps = np.maximum(gap_above, gap_below)
     np.maximum(gaps, 0.0, out=gaps)
-    return seg_len * _pow_sum_batch(gaps, p)
+    return seg_len * _pow_sum_batch(gaps.reshape(cells), p)
 
 
 def maxdist_pow_batch(
@@ -261,22 +306,19 @@ def maxdist_pow_batch(
 
     Row ``b`` is bit-for-bit equal to ``maxdist_pow(...)`` on rectangle
     ``b``; on a degenerate rectangle it equals the point's
-    envelope-gap distance, i.e. ``lb_paa_pow`` of the point.
+    envelope-gap distance, i.e. ``lb_paa_pow`` of the point.  A
+    ``(W, f)`` envelope stack returns ``(W, n)``.
     """
     if seg_len < 1:
         raise QueryError(f"seg_len must be >= 1, got {seg_len}")
-    lows = _as_batch(rect_lows, "rectangle lows")
-    highs = _as_batch(rect_highs, "rectangle highs")
-    if lows.shape != highs.shape:
-        raise QueryError(
-            f"rectangle halves differ in shape: {lows.shape} vs {highs.shape}"
-        )
-    lo64 = np.asarray(paa_lower, dtype=np.float64)
-    up64 = np.asarray(paa_upper, dtype=np.float64)
-    gaps_at_low = _gaps_outside_envelope(lo64, up64, lows)
-    gaps_at_high = _gaps_outside_envelope(lo64, up64, highs)
+    lows, highs = _rects(rect_lows, rect_highs)
+    lower, upper, (lows, highs), cells = _cells(
+        paa_lower, paa_upper, lows, highs
+    )
+    gaps_at_low = _gaps_outside_envelope(lower, upper, lows)
+    gaps_at_high = _gaps_outside_envelope(lower, upper, highs)
     gaps = np.maximum(gaps_at_low, gaps_at_high)
-    return seg_len * _pow_sum_batch(gaps, p)
+    return seg_len * _pow_sum_batch(gaps.reshape(cells), p)
 
 
 def mdmwp_pow_batch(min_pair_pows: Sequence[float], r: int) -> np.ndarray:
@@ -295,10 +337,11 @@ def batch_lower_bounds(
     p: float = 2.0,
     include_far: bool = False,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Score a block of R*-tree entries against one query-window envelope.
+    """Score a block of R*-tree entries against query-window envelopes.
 
     The engines' batched pruning entry point: given the PAA envelope of
-    a query window and the stacked rectangles of a node's entries
+    a query window — or a ``(W, f)`` stack of them, giving ``(W, n)``
+    grids — and the stacked rectangles of a node's entries
     (leaf entries contribute their PAA point as a degenerate ``low ==
     high`` rectangle), returns the per-entry *near* bound (``MINDIST **
     p``, which for leaf points equals ``LB_PAA ** p`` bit for bit) and,
@@ -424,19 +467,23 @@ def lb_paa_znorm_pow_batch(
     own ``(mu_b, sigma_b)`` — exact by PAA affine-equivariance up to
     float rounding, which the deflation absorbs — then scored against
     the normalized query's PAA envelope.
+
+    Against a ``(W, f)`` envelope stack the stats are ``(W, n)``: cell
+    ``[w, b]`` transforms point ``b`` by ``(mus[w, b], sigmas[w, b])``.
     """
     array = _as_batch(paa_rows, "PAA batch")
     mus64 = np.asarray(mus, dtype=np.float64)
     sigmas64 = np.asarray(sigmas, dtype=np.float64)
-    if mus64.shape != (array.shape[0],) or sigmas64.shape != (array.shape[0],):
+    shape = np.shape(paa_lower)[:-1] + (array.shape[0],)
+    if mus64.shape != shape or sigmas64.shape != shape:
         raise QueryError(
-            f"per-row stats must have shape ({array.shape[0]},), got "
+            f"per-row stats must have shape {shape}, got "
             f"{mus64.shape} and {sigmas64.shape}"
         )
     if not bool(np.all(sigmas64 > 0.0)):
         raise QueryError("sigmas must all be positive")
-    norm_rows = (array - mus64[:, None]) / sigmas64[:, None]
-    return _ZNORM_DEFLATE * lb_paa_pow_batch(
+    norm_rows = (array - mus64[..., None]) / sigmas64[..., None]
+    return _ZNORM_DEFLATE * _paa_gap_pow(
         paa_lower, paa_upper, norm_rows, seg_len, p
     )
 
@@ -459,12 +506,7 @@ def mindist_znorm_pow_batch(
     MINDIST, so the result lower-bounds ``lb_paa_znorm_pow_batch`` of
     every candidate inside the subtree whose stats lie in the box.
     """
-    lows = _as_batch(rect_lows, "rectangle lows")
-    highs = _as_batch(rect_highs, "rectangle highs")
-    if lows.shape != highs.shape:
-        raise QueryError(
-            f"rectangle halves differ in shape: {lows.shape} vs {highs.shape}"
-        )
+    lows, highs = _rects(rect_lows, rect_highs)
     hull_low, hull_high = _znorm_rect_hull(lows, highs, mu_range, sigma_range)
     return _ZNORM_DEFLATE * mindist_pow_batch(
         paa_lower, paa_upper, hull_low, hull_high, seg_len, p
@@ -487,12 +529,7 @@ def maxdist_znorm_pow_batch(
     upper bound on every in-box candidate's normalized ``LB_PAA``; it
     only feeds RU-COST's density ordering, never pruning.
     """
-    lows = _as_batch(rect_lows, "rectangle lows")
-    highs = _as_batch(rect_highs, "rectangle highs")
-    if lows.shape != highs.shape:
-        raise QueryError(
-            f"rectangle halves differ in shape: {lows.shape} vs {highs.shape}"
-        )
+    lows, highs = _rects(rect_lows, rect_highs)
     hull_low, hull_high = _znorm_rect_hull(lows, highs, mu_range, sigma_range)
     return _ZNORM_INFLATE * maxdist_pow_batch(
         paa_lower, paa_upper, hull_low, hull_high, seg_len, p

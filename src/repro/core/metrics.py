@@ -10,7 +10,7 @@ pager/buffer counters around one query so engines report *deltas*.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from repro.analysis.concurrency import single_query
@@ -52,6 +52,9 @@ class QueryStats:
     heap_pops: int = 0
     #: R*-tree node expansions.
     node_expansions: int = 0
+    #: Node scorings: one kernel call per node the query touched, scoring
+    #: it against every query window (later expansions reuse it).
+    node_scorings: int = 0
     #: Bloom filter invocations (PSM only).
     bloom_calls: int = 0
     #: Deferred-retrieval buffer flushes ("(D)" variants only).
@@ -81,30 +84,8 @@ class QueryStats:
     interrupted: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat dict for reporting layers."""
-        return {
-            "candidates": self.candidates,
-            "page_accesses": self.page_accesses,
-            "sequential_page_accesses": self.sequential_page_accesses,
-            "random_page_accesses": self.random_page_accesses,
-            "logical_reads": self.logical_reads,
-            "wall_time_s": self.wall_time_s,
-            "dtw_computations": self.dtw_computations,
-            "lb_keogh_computations": self.lb_keogh_computations,
-            "heap_pops": self.heap_pops,
-            "node_expansions": self.node_expansions,
-            "bloom_calls": self.bloom_calls,
-            "deferred_flushes": self.deferred_flushes,
-            "pruned_by_lower_bound": self.pruned_by_lower_bound,
-            "pruned_by_lb_keogh": self.pruned_by_lb_keogh,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "window_group_evaluations": self.window_group_evaluations,
-            "budget_exhausted": self.budget_exhausted,
-            "retries": self.retries,
-            "faults_skipped": self.faults_skipped,
-            "checkpoints": self.checkpoints,
-            "interrupted": self.interrupted,
-        }
+        """Flat dict of every counter, in declaration order."""
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another query's counters into this one (for means)."""

@@ -19,12 +19,12 @@ Three layers:
 * :func:`znormalize` — apply ``(x - mu) / sigma`` (computing
   whole-array stats through the same kernel when none are given, so
   query and candidate normalization share one arithmetic).
-* :class:`NormalizationContext` / :class:`WindowNormalizer` — the
-  engine-facing plane: per-sequence precomputed stats vectors, scalar
-  and batched lookup keyed by ``(sid, start)``, the global
-  ``(mu, sigma)`` ranges that make R*-tree MBR bounds sound under
-  per-candidate normalization, and the per-query-window adapter the
-  priority queues use to transform leaf PAA points.
+* :class:`NormalizationContext` — the engine-facing plane:
+  per-sequence precomputed stats vectors, scalar and batched lookup
+  keyed by ``(sid, start)``, the ``(windows, records)`` lookup that
+  transforms an index leaf's PAA points under every query window, and
+  the global ``(mu, sigma)`` ranges that make R*-tree MBR bounds sound
+  under per-candidate normalization.
 
 Numerical contract
 ------------------
@@ -39,7 +39,7 @@ the transform defined and the bounds finite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,13 +50,6 @@ from repro.storage.sequences import SequenceStore
 #: window is normalized as a constant (``sigma_eff = 1``).  Mirrored by
 #: the scalar oracle in :mod:`repro.core.reference`.
 SIGMA_FLOOR = 1e-10
-
-
-class _WindowRecord(Protocol):
-    """Structural type of an R*-tree leaf record (sid + window index)."""
-
-    sid: int
-    window_index: int
 
 
 def rolling_stats(
@@ -182,13 +175,13 @@ class NormalizationContext:
     def stats_array(
         self, sid: int, starts: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`stats` over an int array of starts."""
+        """Vectorized :meth:`stats` over an int array of starts (any shape)."""
         starts = np.asarray(starts, dtype=np.int64)
         pair = self._stats.get(sid)
         if pair is None:
             return (
-                np.zeros(starts.size, dtype=np.float64),
-                np.ones(starts.size, dtype=np.float64),
+                np.zeros(starts.shape, dtype=np.float64),
+                np.ones(starts.shape, dtype=np.float64),
             )
         mus, sigmas = pair
         valid = (starts >= 0) & (starts < mus.size)
@@ -197,64 +190,29 @@ class NormalizationContext:
         out_sigma = np.where(valid, sigmas[safe], 1.0)
         return out_mu, out_sigma
 
-    def for_window(
-        self, sliding_offset: int, data_stride: int
-    ) -> "WindowNormalizer":
-        """Adapter for one query window (class ``j``, stride ``J``)."""
-        return WindowNormalizer(self, sliding_offset, data_stride)
-
-
-class WindowNormalizer:
-    """Per-query-window stats lookup for R*-tree leaf batches.
-
-    A leaf record ``(sid, m)`` joined against query window ``j`` implies
-    candidate start ``m * J - j`` (the GeneralMatch alignment, with
-    ``J = 1`` covering PSM's sliding windows); this adapter maps a block
-    of leaf records to the ``(mu, sigma)`` of the candidates they imply
-    and carries the global ranges internal-node bounds transform with.
-    """
-
-    __slots__ = ("context", "sliding_offset", "data_stride")
-
-    def __init__(
+    def grid_stats(
         self,
-        context: NormalizationContext,
-        sliding_offset: int,
+        sids: np.ndarray,
+        window_indices: np.ndarray,
+        sliding_offsets: np.ndarray,
         data_stride: int,
-    ) -> None:
-        if data_stride < 1:
-            raise QueryError(
-                f"data_stride must be >= 1, got {data_stride}"
-            )
-        self.context = context
-        self.sliding_offset = sliding_offset
-        self.data_stride = data_stride
-
-    def candidate_start(self, window_index: int) -> int:
-        """Start implied by data window ``m`` under this query window."""
-        return window_index * self.data_stride - self.sliding_offset
-
-    def leaf_stats(
-        self, records: Iterable[_WindowRecord]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(mus, sigmas)`` for the candidates a leaf block implies."""
-        mus: List[float] = []
-        sigmas: List[float] = []
-        for record in records:
-            mu, sigma = self.context.stats(
-                record.sid, self.candidate_start(record.window_index)
-            )
-            mus.append(mu)
-            sigmas.append(sigma)
-        return (
-            np.asarray(mus, dtype=np.float64),
-            np.asarray(sigmas, dtype=np.float64),
+        """``(mus, sigmas)``, ``(W, n)``, of the candidates a leaf implies.
+
+        Record ``b`` under the query window at ``sliding_offsets[w]``
+        implies start ``window_indices[b] * J - sliding_offsets[w]`` (the
+        GeneralMatch alignment); read per sid through :meth:`stats_array`.
+        """
+        offsets = np.asarray(sliding_offsets, dtype=np.int64)
+        starts = (
+            np.asarray(window_indices, dtype=np.int64) * data_stride
+            - offsets[:, None]
         )
-
-    @property
-    def mu_range(self) -> Tuple[float, float]:
-        return self.context.mu_range
-
-    @property
-    def sigma_range(self) -> Tuple[float, float]:
-        return self.context.sigma_range
+        mus = np.empty(starts.shape, dtype=np.float64)
+        sigmas = np.empty(starts.shape, dtype=np.float64)
+        for sid in np.unique(sids).tolist():
+            columns = sids == sid
+            mus[:, columns], sigmas[:, columns] = self.stats_array(
+                sid, starts[:, columns]
+            )
+        return mus, sigmas

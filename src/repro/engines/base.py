@@ -41,17 +41,12 @@ import numpy as np
 
 from repro.control import ExecutionControl, certificate_from_pow
 from repro.core.distance import dtw_pow, dtw_pow_batch
-from repro.core.envelope import Envelope
 from repro.core.lower_bounds import lb_keogh_pow, lb_keogh_pow_batch
 from repro.core.metrics import QueryStats, StatsRecorder
-from repro.core.normalize import (
-    NormalizationContext,
-    WindowNormalizer,
-    znormalize,
-)
+from repro.core.normalize import NormalizationContext, znormalize
 from repro.core.results import Match, RangeCollector, TopKCollector
 from repro.core.windows import QueryWindow, QueryWindowSet
-from repro.engines.bounds import WindowProbe
+from repro.engines.bounds import NodeGrid, WindowProbe
 from repro.engines.cost_density import CostDensityConfig
 from repro.exceptions import (
     ConfigurationError,
@@ -336,22 +331,25 @@ class CandidateEvaluator:
     def __init__(
         self,
         index: DualMatchIndex,
-        envelope: Envelope,
-        query: np.ndarray,
+        window_set: QueryWindowSet,
         spec: QuerySpec,
         stats: QueryStats,
         control: Optional[ExecutionControl] = None,
         norm: Optional[NormalizationContext] = None,
     ) -> None:
         self._index = index
-        self._envelope = envelope
-        self._query = query
+        self._windows = window_set.windows
+        self._envelope = window_set.envelope
+        self._query = window_set.query
         self._spec = spec
         self.stats = stats
         #: Per-query candidate statistics when matching in z-normalized
-        #: space (``None`` on the raw path).  :meth:`probe` adapts it per
-        #: query window, so bounds and verification share the same stats.
+        #: space (``None`` on the raw path).  Index bounds (:meth:`probe`)
+        #: and verification read the same stats.
         self.norm = norm
+        #: The query's node grids, one per ``include_far`` flag, built
+        #: by the first :meth:`probe` that asks for one.
+        self._grids: Dict[bool, NodeGrid] = {}
         #: The query's budget/deadline/cancellation checkpoints.  Engines
         #: bind this as their local ``budget`` and checkpoint at every
         #: traversal-loop boundary (lint rule RS007).  A default
@@ -413,26 +411,32 @@ class CandidateEvaluator:
     ) -> WindowProbe:
         """The node step of ``window`` over this run's index.
 
-        Engines build one per query window, up front: the run's stats,
-        fault policy and — chosen here, once — the window's
-        normalization adapter ride along on every expansion.
+        Every probe of the run with the same ``include_far`` is a row of
+        one :class:`~repro.engines.bounds.NodeGrid` over all the query's
+        windows, carrying the run's stats, fault policy and
+        normalization: a node is scored once per query, for every
+        window, however many windows expand it.
         """
-        index = self._index
-        norm: Optional[WindowNormalizer] = None
-        if self.norm is not None:
-            norm = self.norm.for_window(
-                window.sliding_offset, index.data_stride
+        grid = self._grids.get(include_far)
+        if grid is None:
+            grid = self._grids[include_far] = NodeGrid(
+                self._windows,
+                self._index,
+                self._spec.p,
+                self.stats,
+                on_fault=self.fault,
+                norm=self.norm,
+                include_far=include_far,
             )
-        return WindowProbe(
-            window,
-            index.tree,
-            index.seg_len,
-            self._spec.p,
-            self.stats,
-            on_fault=self.fault,
-            norm=norm,
-            include_far=include_far,
-        )
+        return grid.probe(window)
+
+    def release(self) -> None:
+        """Drop the node grids' memos: a finished run is cyclic garbage
+        (probes and queues refer back here) that the memo need not wait in.
+        """
+        for grid in self._grids.values():
+            grid.memo.clear()
+        self._grids.clear()
 
     def already_seen(self, sid: int, start: int) -> bool:
         """Whether a candidate was already submitted (no side effects)."""
@@ -769,8 +773,7 @@ class QueryRun:
             )
             self.evaluator = CandidateEvaluator(
                 index=index,
-                envelope=self.window_set.envelope,
-                query=self.window_set.query,
+                window_set=self.window_set,
                 spec=spec,
                 stats=self._recorder.stats,
                 control=control,
@@ -799,6 +802,7 @@ class QueryRun:
         """
         stats = self._recorder.finish()
         stats.checkpoints = self.control.checkpoints
+        self.evaluator.release()
         report = self.evaluator.fault_report
         result = SearchResult(
             matches=matches,

@@ -25,8 +25,8 @@ Adaptation to ranked subsequence matching (as in the paper's Experiment
   ``f * (n - 1)`` probes — the ``f^n`` signature blow-up the paper
   reports for ``n > 3`` falls out of the state tree.
 
-The final all-leaf alignment check is exact, so bloom false positives
-never corrupt the result.
+Leaf/leaf alignment is checked exactly before a state is pushed, so
+bloom false positives never corrupt the result.
 """
 
 from __future__ import annotations
@@ -274,17 +274,10 @@ class PsmEngine(Engine):
         evaluator: CandidateEvaluator,
         score_pow: float,
     ) -> None:
-        omega = self.index.omega
+        # Aligned: _signature_allows checked every leaf against position 0.
         first: LeafRecord = state[0][1]  # type: ignore[assignment]
         sid = first.sid
         start = first.window_index
-        for position, (_kind, payload, _dist) in enumerate(state):
-            record: LeafRecord = payload  # type: ignore[assignment]
-            if (
-                record.sid != sid
-                or record.window_index != start + position * omega
-            ):
-                return  # exact alignment check (bloom false positive)
         if not candidate_in_bounds(
             start, window_set.length, self.index.store.length(sid)
         ):

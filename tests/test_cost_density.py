@@ -78,7 +78,7 @@ class TestSchedulerOnRealQueues(object):
         """Lemma 7, checked empirically on live queues."""
         from repro.core.windows import QueryWindowSet
         from repro.engines.base import CandidateEvaluator, QuerySpec
-        from repro.engines.bounds import WindowProbe
+        from repro.engines.bounds import NodeGrid
         from repro.engines.queues import WindowQueue
         from repro.core.metrics import QueryStats
 
@@ -86,18 +86,12 @@ class TestSchedulerOnRealQueues(object):
         window_set = QueryWindowSet.from_query(
             query, omega=16, features=4, rho=2
         )
-        stats = QueryStats()
+        grid = NodeGrid(
+            window_set.windows, walk_db.index, 2.0, QueryStats(),
+            include_far=True,
+        )
         queues = [
-            WindowQueue(
-                WindowProbe(
-                    window,
-                    walk_db.index.tree,
-                    walk_db.index.seg_len,
-                    2.0,
-                    stats,
-                    include_far=True,
-                )
-            )
+            WindowQueue(grid.probe(window))
             for window in window_set.classes[0]
         ]
         scheduler = CostAwareDensityScheduler(
@@ -120,7 +114,7 @@ class TestSchedulerOnRealQueues(object):
 
     def test_select_returns_live_queue(self, walk_db):
         from repro.core.windows import QueryWindowSet
-        from repro.engines.bounds import WindowProbe
+        from repro.engines.bounds import NodeGrid
         from repro.engines.queues import WindowQueue
         from repro.core.metrics import QueryStats
 
@@ -128,18 +122,12 @@ class TestSchedulerOnRealQueues(object):
         window_set = QueryWindowSet.from_query(
             query, omega=16, features=4, rho=2
         )
-        stats = QueryStats()
+        grid = NodeGrid(
+            window_set.windows, walk_db.index, 2.0, QueryStats(),
+            include_far=True,
+        )
         queues = [
-            WindowQueue(
-                WindowProbe(
-                    window,
-                    walk_db.index.tree,
-                    walk_db.index.seg_len,
-                    2.0,
-                    stats,
-                    include_far=True,
-                )
-            )
+            WindowQueue(grid.probe(window))
             for window in window_set.classes[1]
         ]
         scheduler = CostAwareDensityScheduler(

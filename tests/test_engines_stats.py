@@ -159,6 +159,7 @@ GOLDEN_STAT_KEYS = (
     "lb_keogh_computations",
     "heap_pops",
     "node_expansions",
+    "node_scorings",
     "bloom_calls",
     "deferred_flushes",
     "pruned_by_lower_bound",
@@ -167,14 +168,15 @@ GOLDEN_STAT_KEYS = (
     "window_group_evaluations",
 )
 
-# Only non-zero counters are listed; every key absent from a row is
-# asserted to be exactly zero.
+# Only non-zero counters are listed, and ``node_scorings`` on every row;
+# every key absent from a row is asserted to be exactly zero.
 GOLDEN_COUNTERS = {
     "seqscan": {
         "candidates": 5106, "page_accesses": 11,
         "sequential_page_accesses": 10, "random_page_accesses": 1,
         "logical_reads": 11, "dtw_computations": 16,
         "lb_keogh_computations": 5106, "pruned_by_lb_keogh": 5090,
+        "node_scorings": 0,
     },
     "hlmj": {
         "candidates": 228, "page_accesses": 179,
@@ -183,6 +185,7 @@ GOLDEN_COUNTERS = {
         "lb_keogh_computations": 228, "heap_pops": 350,
         "node_expansions": 110, "pruned_by_lb_keogh": 204,
         "duplicates_suppressed": 11,
+        "node_scorings": 4,
     },
     "hlmj-d": {
         "candidates": 228, "page_accesses": 124,
@@ -191,6 +194,7 @@ GOLDEN_COUNTERS = {
         "lb_keogh_computations": 228, "heap_pops": 350,
         "node_expansions": 110, "deferred_flushes": 18,
         "pruned_by_lb_keogh": 197, "duplicates_suppressed": 11,
+        "node_scorings": 4,
     },
     "hlmj-wg": {
         "candidates": 46, "page_accesses": 45,
@@ -200,6 +204,7 @@ GOLDEN_COUNTERS = {
         "node_expansions": 110, "pruned_by_lower_bound": 182,
         "pruned_by_lb_keogh": 22, "duplicates_suppressed": 11,
         "window_group_evaluations": 228,
+        "node_scorings": 4,
     },
     "hlmj-wg-d": {
         "candidates": 60, "page_accesses": 39,
@@ -209,6 +214,7 @@ GOLDEN_COUNTERS = {
         "node_expansions": 110, "deferred_flushes": 5,
         "pruned_by_lower_bound": 168, "pruned_by_lb_keogh": 28,
         "duplicates_suppressed": 11, "window_group_evaluations": 228,
+        "node_scorings": 4,
     },
     "ru": {
         "candidates": 216, "page_accesses": 229,
@@ -216,6 +222,7 @@ GOLDEN_COUNTERS = {
         "logical_reads": 317, "dtw_computations": 24,
         "lb_keogh_computations": 216, "heap_pops": 273,
         "node_expansions": 57, "pruned_by_lb_keogh": 192,
+        "node_scorings": 4,
     },
     "ru-d": {
         "candidates": 216, "page_accesses": 149,
@@ -224,6 +231,7 @@ GOLDEN_COUNTERS = {
         "lb_keogh_computations": 216, "heap_pops": 273,
         "node_expansions": 57, "deferred_flushes": 17,
         "pruned_by_lb_keogh": 185,
+        "node_scorings": 4,
     },
     "ru-cost": {
         "candidates": 214, "page_accesses": 248,
@@ -232,6 +240,7 @@ GOLDEN_COUNTERS = {
         "lb_keogh_computations": 214, "heap_pops": 255,
         "node_expansions": 99, "pruned_by_lb_keogh": 190,
         "duplicates_suppressed": 3,
+        "node_scorings": 4,
     },
     "ru-cost-d": {
         "candidates": 212, "page_accesses": 161,
@@ -240,6 +249,7 @@ GOLDEN_COUNTERS = {
         "lb_keogh_computations": 212, "heap_pops": 252,
         "node_expansions": 98, "deferred_flushes": 17,
         "pruned_by_lb_keogh": 181, "duplicates_suppressed": 2,
+        "node_scorings": 4,
     },
     "range": {
         "candidates": 431, "page_accesses": 517,
@@ -247,6 +257,7 @@ GOLDEN_COUNTERS = {
         "logical_reads": 635, "dtw_computations": 5,
         "lb_keogh_computations": 431, "node_expansions": 125,
         "pruned_by_lb_keogh": 426, "duplicates_suppressed": 44,
+        "node_scorings": 4,
     },
     "psm": {
         "candidates": 3, "page_accesses": 5,
@@ -254,6 +265,7 @@ GOLDEN_COUNTERS = {
         "logical_reads": 37, "dtw_computations": 3,
         "lb_keogh_computations": 3, "heap_pops": 38,
         "node_expansions": 34, "bloom_calls": 882,
+        "node_scorings": 4,
     },
 }
 
@@ -328,3 +340,47 @@ class TestGoldenCounters:
         assert_golden(
             result, "psm", GOLDEN_PSM_DISTANCES, GOLDEN_PSM_MATCHES
         )
+
+
+class TestNodeScorings:
+    """Each touched node is scored once per query, against every window."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize(
+        "method", ["hlmj", "hlmj-wg", "ru", "ru-cost", "range", "psm"]
+    )
+    def test_at_most_one_scoring_per_node(
+        self, golden_db, golden_psm_db, method, normalize
+    ):
+        from repro.engines.base import QuerySpec
+        from repro.engines.range_search import RangeSearchEngine
+
+        psm = method == "psm"
+        db = golden_psm_db if psm else golden_db
+        query = query_from(db, 200, 32) if psm else query_from(db, 640, 48)
+        db.reset_cache()
+        if method == "range":
+            result = RangeSearchEngine(db.index).search(
+                query,
+                QuerySpec(
+                    kind="range", epsilon=2.5, rho=2, normalize=normalize
+                ),
+            )
+        else:
+            result = db.search(
+                query, k=5, rho=2, method=method, normalize=normalize
+            )
+        # PSM runs on its own J = 1 tree.
+        index = db._sliding_index if psm else db.index
+        stats = result.stats
+        assert 0 < stats.node_scorings <= min(
+            stats.node_expansions, index.tree.node_count()
+        )
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_seqscan_scores_no_node(self, golden_db, normalize):
+        query = query_from(golden_db, 640, 48)
+        result = golden_db.search(
+            query, k=5, rho=2, method="seqscan", normalize=normalize
+        )
+        assert result.stats.node_scorings == 0

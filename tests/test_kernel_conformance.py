@@ -34,10 +34,12 @@ from repro.core.distance import (
 from repro.core.envelope import envelope_batch, query_envelope
 from repro.core.lower_bounds import (
     batch_lower_bounds,
+    batch_lower_bounds_znorm,
     lb_keogh_pow,
     lb_keogh_pow_batch,
     lb_paa_pow,
     lb_paa_pow_batch,
+    lb_paa_znorm_pow_batch,
     maxdist_pow,
     maxdist_pow_batch,
     mdmwp_pow,
@@ -476,6 +478,95 @@ class TestLowerBoundConformance:
         with pytest.raises(QueryError):
             maxdist_pow_batch(
                 np.zeros(4), np.zeros(4), np.zeros((2, 4)), np.zeros((2, 3)), 1
+            )
+
+
+def _grid_inputs(windows, entries=53, features=4, seed=7):
+    """A stack of ``windows`` envelopes, one node's entries, (W, n) stats."""
+    rng = np.random.default_rng(seed)
+    halves = np.sort(rng.standard_normal((2, windows, features)), axis=0)
+    points = rng.standard_normal((entries, features))
+    rects = np.sort(rng.standard_normal((2, entries, features)), axis=0)
+    mus = rng.standard_normal((windows, entries))
+    sigmas = rng.uniform(0.1, 3.0, (windows, entries))
+    return halves[0], halves[1], points, rects[0], rects[1], mus, sigmas
+
+
+class TestWindowGrid:
+    """A ``(W, f)`` envelope stack scores a node's entries to ``(W, n)``;
+    row ``w`` equals the ``(f,)``-envelope call for window ``w``."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("windows", [1, 7, 193])
+    def test_raw_rows_equal_single_window_calls(self, windows, p):
+        lower, upper, points, lows, highs, _, _ = _grid_inputs(windows)
+        leaf = lb_paa_pow_batch(lower, upper, points, 4, p)
+        near, far = batch_lower_bounds(
+            lower, upper, lows, highs, 4, p, include_far=True
+        )
+        assert leaf.shape == near.shape == far.shape == (windows, 53)
+        for w in range(windows):
+            assert np.array_equal(
+                leaf[w], lb_paa_pow_batch(lower[w], upper[w], points, 4, p)
+            )
+            one_near, one_far = batch_lower_bounds(
+                lower[w], upper[w], lows, highs, 4, p, include_far=True
+            )
+            assert np.array_equal(near[w], one_near)
+            assert np.array_equal(far[w], one_far)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("windows", [1, 7, 193])
+    def test_znorm_rows_equal_single_window_calls(self, windows, p):
+        lower, upper, points, lows, highs, mus, sigmas = _grid_inputs(windows)
+        box = ((-1.0, 2.0), (0.5, 3.0))
+        leaf = lb_paa_znorm_pow_batch(
+            lower, upper, points, mus, sigmas, 4, p
+        )
+        near, far = batch_lower_bounds_znorm(
+            lower, upper, lows, highs, *box, 4, p, include_far=True
+        )
+        assert leaf.shape == near.shape == far.shape == (windows, 53)
+        for w in range(windows):
+            assert np.array_equal(
+                leaf[w],
+                lb_paa_znorm_pow_batch(
+                    lower[w], upper[w], points, mus[w], sigmas[w], 4, p
+                ),
+            )
+            one_near, one_far = batch_lower_bounds_znorm(
+                lower[w], upper[w], lows, highs, *box, 4, p, include_far=True
+            )
+            assert np.array_equal(near[w], one_near)
+            assert np.array_equal(far[w], one_far)
+
+    def test_validation_errors_survive_the_stack(self):
+        lower, upper, points, lows, highs, mus, sigmas = _grid_inputs(3, 5)
+        box = ((-1.0, 2.0), (0.5, 3.0))
+        with pytest.raises(QueryError, match="seg_len"):
+            lb_paa_pow_batch(lower, upper, points, 0)
+        with pytest.raises(QueryError, match="seg_len"):
+            batch_lower_bounds(lower, upper, lows, highs, 0)
+        with pytest.raises(QueryError, match="seg_len"):
+            lb_paa_znorm_pow_batch(lower, upper, points, mus, sigmas, 0)
+        with pytest.raises(QueryError, match="seg_len"):
+            batch_lower_bounds_znorm(lower, upper, lows, highs, *box, 0)
+        with pytest.raises(QueryError, match="shape"):
+            batch_lower_bounds(lower, upper, lows, highs[:4], 1)
+        with pytest.raises(QueryError, match="shape"):
+            batch_lower_bounds_znorm(lower, upper, lows[:4], highs, *box, 1)
+        with pytest.raises(QueryError, match="shape"):
+            # One window's (n,) stats against a three-window stack.
+            lb_paa_znorm_pow_batch(lower, upper, points, mus[0], sigmas[0], 1)
+        with pytest.raises(QueryError, match="shape"):
+            lb_paa_znorm_pow_batch(lower[0], upper[0], points, mus, sigmas, 1)
+        bad = sigmas.copy()
+        bad[2, 4] = 0.0
+        with pytest.raises(QueryError, match="positive"):
+            lb_paa_znorm_pow_batch(lower, upper, points, mus, bad, 1)
+        with pytest.raises(QueryError, match="positive"):
+            batch_lower_bounds_znorm(
+                lower, upper, lows, highs, (-1.0, 2.0), (0.0, 3.0), 1
             )
 
 

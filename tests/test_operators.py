@@ -17,8 +17,7 @@ def make_phi(db, query, class_index=0, k=3, scheduling="max-delta"):
     )
     evaluator = CandidateEvaluator(
         index=db.index,
-        envelope=window_set.envelope,
-        query=window_set.query,
+        window_set=window_set,
         spec=config,
         stats=__import__(
             "repro.core.metrics", fromlist=["QueryStats"]
@@ -105,8 +104,7 @@ class TestUnionOperator:
 
         evaluator = CandidateEvaluator(
             index=walk_db.index,
-            envelope=window_set.envelope,
-            query=window_set.query,
+            window_set=window_set,
             spec=config,
             stats=QueryStats(),
         )

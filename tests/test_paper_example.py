@@ -76,8 +76,7 @@ class TestLemma5:
         config = QuerySpec(k=1, rho=2)
         evaluator = CandidateEvaluator(
             index=db.index,
-            envelope=window_set.envelope,
-            query=window_set.query,
+            window_set=window_set,
             spec=config,
             stats=QueryStats(),
         )

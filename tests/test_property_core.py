@@ -167,6 +167,40 @@ def test_batched_mindist_sandwich_over_rect_points(seed, seg_len):
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([1, 7, 193]),
+    st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_window_grid_rows_are_single_window_calls(seed, windows, p):
+    # A node scored against a stack of window envelopes: every row of
+    # the (W, n) grid is the one-envelope call for that window, bit for
+    # bit, for leaf points and internal rectangles alike.
+    rng = np.random.default_rng(seed)
+    f = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 60))
+    seg_len = int(rng.integers(1, 9))
+    env = np.sort(rng.standard_normal((2, windows, f)), axis=0)
+    points = rng.standard_normal((n, f))
+    lows = rng.standard_normal((n, f))
+    highs = lows + rng.random((n, f)) * 3
+    leaf = lb_paa_pow_batch(env[0], env[1], points, seg_len, p)
+    near = mindist_pow_batch(env[0], env[1], lows, highs, seg_len, p)
+    far = maxdist_pow_batch(env[0], env[1], lows, highs, seg_len, p)
+    for w in range(windows):
+        lower, upper = env[0, w], env[1, w]
+        assert np.array_equal(
+            leaf[w], lb_paa_pow_batch(lower, upper, points, seg_len, p)
+        )
+        assert np.array_equal(
+            near[w], mindist_pow_batch(lower, upper, lows, highs, seg_len, p)
+        )
+        assert np.array_equal(
+            far[w], maxdist_pow_batch(lower, upper, lows, highs, seg_len, p)
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

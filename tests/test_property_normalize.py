@@ -233,6 +233,69 @@ def test_znorm_bound_sandwich(seed, features_exp, rho):
     np.testing.assert_array_equal(both_far, far)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([1, 7, 193]),
+    st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_znorm_window_grid_rows_are_single_window_calls(seed, windows, p):
+    # Leaf points transform by per-(window, entry) stats, internal
+    # rectangles by the one stats box: each grid row is bit for bit the
+    # one-envelope call for its window.
+    rng = np.random.default_rng(seed)
+    f = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 60))
+    seg_len = int(rng.integers(1, 9))
+    env = np.sort(rng.standard_normal((2, windows, f)), axis=0)
+    points = rng.standard_normal((n, f))
+    mus = rng.standard_normal((windows, n))
+    sigmas = rng.uniform(0.05, 4.0, (windows, n))
+    lows = rng.standard_normal((n, f))
+    highs = lows + rng.random((n, f)) * 3
+    box = ((float(mus.min()), float(mus.max())),
+           (float(sigmas.min()), float(sigmas.max())))
+    leaf = lb_paa_znorm_pow_batch(
+        env[0], env[1], points, mus, sigmas, seg_len, p
+    )
+    near, far = batch_lower_bounds_znorm(
+        env[0], env[1], lows, highs, *box, seg_len, p, include_far=True
+    )
+    for w in range(windows):
+        lower, upper = env[0, w], env[1, w]
+        assert np.array_equal(
+            leaf[w],
+            lb_paa_znorm_pow_batch(
+                lower, upper, points, mus[w], sigmas[w], seg_len, p
+            ),
+        )
+        one_near, one_far = batch_lower_bounds_znorm(
+            lower, upper, lows, highs, *box, seg_len, p, include_far=True
+        )
+        assert np.array_equal(near[w], one_near)
+        assert np.array_equal(far[w], one_far)
+
+
+@pytest.mark.parametrize("stride", [1, 4, 16])
+def test_grid_stats_equal_scalar_lookups(golden_db, stride):
+    """Every ``(window, record)`` cell is :meth:`stats` of its start,
+    out-of-range starts and an unknown sid included."""
+    context = NormalizationContext(golden_db.store, 48)
+    rng = np.random.default_rng(stride)
+    n = 40
+    sids = rng.integers(0, 3, n)  # sid 2 does not exist
+    window_indices = rng.integers(0, 1600 // stride, n)
+    offsets = rng.integers(0, 48, 9)
+    mus, sigmas = context.grid_stats(sids, window_indices, offsets, stride)
+    assert mus.shape == sigmas.shape == (9, n)
+    for w, offset in enumerate(offsets.tolist()):
+        for b in range(n):
+            start = int(window_indices[b]) * stride - offset
+            assert (mus[w, b], sigmas[w, b]) == context.stats(
+                int(sids[b]), start
+            )
+
+
 # ----------------------------------------------------------------------
 # 3. Engine differential versus normalized brute force
 # ----------------------------------------------------------------------

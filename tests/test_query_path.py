@@ -105,15 +105,17 @@ def _by_spec(db, query, spec):
     return stream.result
 
 
+_SUMMED = ("page_accesses", "candidates", "node_scorings")
+
+
 def _counters(result):
-    return (result.stats.page_accesses, result.stats.candidates)
+    return tuple(getattr(result.stats, key) for key in _SUMMED)
 
 
 def _shard_sums(result):
     parts = result.shard_stats.values()
-    return (
-        sum(stats.page_accesses for stats in parts),
-        sum(stats.candidates for stats in parts),
+    return tuple(
+        sum(getattr(stats, key) for stats in parts) for key in _SUMMED
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.metrics import QueryStats
 from repro.core.windows import QueryWindowSet
-from repro.engines.bounds import WindowProbe
+from repro.engines.bounds import NodeGrid
 from repro.engines.queues import LEAF, NODE, WindowQueue
 from tests.conftest import make_walk
 
@@ -17,16 +17,10 @@ def queue(walk_db):
     window_set = QueryWindowSet.from_query(
         query, omega=16, features=4, rho=2
     )
-    return WindowQueue(
-        WindowProbe(
-            window=window_set.windows[0],
-            tree=walk_db.index.tree,
-            seg_len=walk_db.index.seg_len,
-            p=2.0,
-            stats=QueryStats(),
-            include_far=True,
-        )
+    grid = NodeGrid(
+        window_set.windows, walk_db.index, 2.0, QueryStats(), include_far=True
     )
+    return WindowQueue(grid.probe(window_set.windows[0]))
 
 
 class TestInitialState:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.metrics import QueryStats
 from repro.core.windows import QueryWindowSet
-from repro.engines.bounds import WindowProbe
+from repro.engines.bounds import NodeGrid
 from repro.engines.queues import WindowQueue
 from repro.engines.scheduling import (
     GlobalMinStrategy,
@@ -94,18 +94,12 @@ class TestStickiness:
         window_set = QueryWindowSet.from_query(
             query, omega=16, features=4, rho=2
         )
-        stats = QueryStats()
+        grid = NodeGrid(
+            window_set.windows, walk_db.index, 2.0, QueryStats(),
+            include_far=True,
+        )
         queues = [
-            WindowQueue(
-                WindowProbe(
-                    window,
-                    walk_db.index.tree,
-                    walk_db.index.seg_len,
-                    2.0,
-                    stats,
-                    include_far=True,
-                )
-            )
+            WindowQueue(grid.probe(window))
             for window in window_set.classes[0]
         ]
         calls = {"count": 0}

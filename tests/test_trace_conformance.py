@@ -119,6 +119,40 @@ class TestNumIoConformance:
         assert profile.span.attrs["engine"] == "RU-STREAM"
 
 
+class TestNormalizedTracing:
+    """``normalize=True`` under the tracer: fetch spans are NUM_IO, and
+    the node step traces one ``engine.lb_batch`` per node scoring."""
+
+    @pytest.mark.parametrize(
+        "label", ["ru-cost", "ru-cost-d", "hlmj", "range_search"]
+    )
+    def test_spans_equal_counters(self, traced_db, label):
+        query = query_from(traced_db, 640, 48)
+        traced_db.reset_cache()
+        traced_db.tracer.reset()
+        if label == "range_search":
+            result = RangeSearchEngine(traced_db.index).search(
+                query,
+                QuerySpec(kind="range", epsilon=2.5, rho=2, normalize=True),
+                ExecutionControl(tracer=traced_db.tracer),
+            )
+        else:
+            result = traced_db.search(
+                query, k=5, rho=2, method=label.removesuffix("-d"),
+                deferred=label.endswith("-d"), normalize=True,
+            )
+        profile = result.profile
+        assert_conformant(profile, result.stats.page_accesses)
+        node_steps = [
+            span
+            for span in profile.span.iter_tree()
+            if span.name == "engine.lb_batch" and "windows" in span.attrs
+        ]
+        assert len(node_steps) == result.stats.node_scorings > 0
+        # Len(Q) = 48, omega = 16: every node is scored for 33 windows.
+        assert {span.attrs["windows"] for span in node_steps} == {33}
+
+
 class TestGoldensUnchangedUnderTracing:
     """Tracing ON must not move a single counter or result digest."""
 

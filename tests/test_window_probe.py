@@ -1,9 +1,10 @@
-"""The node step every traversal shares (repro.engines.bounds.WindowProbe)."""
+"""The node step every traversal shares (repro.engines.bounds)."""
+
+import copy
 
 import numpy as np
 import pytest
 
-from repro.core import normalize
 from repro.core.lower_bounds import (
     batch_lower_bounds,
     batch_lower_bounds_znorm,
@@ -14,7 +15,7 @@ from repro.core.metrics import QueryStats
 from repro.core.normalize import NormalizationContext
 from repro.core.reference import brute_force_topk
 from repro.core.windows import QueryWindowSet
-from repro.engines.bounds import WindowProbe
+from repro.engines.bounds import NodeGrid
 from repro.exceptions import CorruptPageError, QueryTooShortError
 from repro.storage.page import PageKind
 from tests.conftest import query_from
@@ -31,9 +32,42 @@ def tree_pages(db):
     return pages
 
 
+def direct_bounds(index, window, node, norm):
+    """One window's ``(near, far)`` for ``node`` from the 1-D kernels."""
+    lower, upper = window.paa_lower, window.paa_upper
+    lows = np.stack([entry.low for entry in node.entries])
+    if node.is_leaf and norm is None:
+        return lb_paa_pow_batch(lower, upper, lows, 4, 2.0), None
+    if node.is_leaf:
+        # Scalar lookups: the oracle for the grid's per-window stats.
+        stats = [
+            norm.stats(
+                entry.record.sid,
+                entry.record.window_index * index.data_stride
+                - window.sliding_offset,
+            )
+            for entry in node.entries
+        ]
+        mus, sigmas = (np.array(column) for column in zip(*stats))
+        return (
+            lb_paa_znorm_pow_batch(lower, upper, lows, mus, sigmas, 4, 2.0),
+            None,
+        )
+    highs = np.stack([entry.high for entry in node.entries])
+    if norm is None:
+        return batch_lower_bounds(
+            lower, upper, lows, highs, 4, 2.0, include_far=True
+        )
+    return batch_lower_bounds_znorm(
+        lower, upper, lows, highs, norm.mu_range, norm.sigma_range,
+        4, 2.0, include_far=True,
+    )
+
+
 @pytest.mark.parametrize("normalized", [False, True])
 def test_expand_equals_the_direct_kernel_calls(golden_db, normalized):
-    """Every node of the tree, bit for bit, one expansion counted each."""
+    """Every node of the tree against every window, bit for bit; each
+    expansion counted, each node scored once."""
     index = golden_db.index
     window_set = QueryWindowSet.from_query(
         query_from(golden_db, 700, 48),
@@ -42,77 +76,78 @@ def test_expand_equals_the_direct_kernel_calls(golden_db, normalized):
         rho=2,
         normalize=normalized,
     )
-    window = window_set.windows[5]
-    lower, upper = window.paa_lower, window.paa_upper
-    norm = None
-    if normalized:
-        norm = NormalizationContext(index.store, 48).for_window(
-            window.sliding_offset, index.data_stride
-        )
+    norm = NormalizationContext(index.store, 48) if normalized else None
     stats = QueryStats()
-    probe = WindowProbe(
-        window, index.tree, index.seg_len, 2.0, stats, norm=norm,
-        include_far=True,
+    grid = NodeGrid(
+        window_set.windows, index, 2.0, stats, norm=norm, include_far=True
     )
+    probes = [grid.probe(window) for window in window_set.windows]
     pages = tree_pages(golden_db)
     assert len(pages) == index.tree.node_count()
-    for expansions, page_id in enumerate(pages, 1):
-        node, near, far = probe.expand(page_id)
-        assert node is golden_db.pager.peek(page_id)
-        assert stats.node_expansions == expansions
-        lows = np.stack([entry.low for entry in node.entries])
-        highs = np.stack([entry.high for entry in node.entries])
-        if node.is_leaf and norm is None:
-            want, want_far = lb_paa_pow_batch(lower, upper, lows, 4, 2.0), None
-        elif node.is_leaf:
-            mus, sigmas = norm.leaf_stats(e.record for e in node.entries)
-            want = lb_paa_znorm_pow_batch(
-                lower, upper, lows, mus, sigmas, 4, 2.0
-            )
-            want_far = None
-        elif norm is None:
-            want, want_far = batch_lower_bounds(
-                lower, upper, lows, highs, 4, 2.0, include_far=True
-            )
-        else:
-            want, want_far = batch_lower_bounds_znorm(
-                lower, upper, lows, highs, norm.mu_range, norm.sigma_range,
-                4, 2.0, include_far=True,
-            )
-        assert near.tobytes() == want.tobytes()
-        assert (far is None) == (want_far is None)
-        if far is not None:
-            assert far.tobytes() == want_far.tobytes()
+    for page_id in pages:
+        for probe in probes:
+            node, near, far = probe.expand(page_id)
+            assert node is golden_db.pager.peek(page_id)
+            want, want_far = direct_bounds(index, probe.window, node, norm)
+            assert near.tobytes() == want.tobytes()
+            assert (far is None) == (want_far is None)
+            if far is not None:
+                assert far.tobytes() == want_far.tobytes()
+    assert stats.node_expansions == len(pages) * len(probes)
+    assert stats.node_scorings == len(pages)
 
 
 def test_far_bound_only_on_request(golden_db):
     index = golden_db.index
-    window = QueryWindowSet.from_query(
+    window_set = QueryWindowSet.from_query(
         query_from(golden_db, 700, 48), omega=16, features=4, rho=2
-    ).windows[0]
-    probe = WindowProbe(window, index.tree, index.seg_len, 2.0, QueryStats())
-    node, near, far = probe.expand(index.tree.root_page)
+    )
+    grid = NodeGrid(window_set.windows, index, 2.0, QueryStats())
+    node, near, far = grid.probe(window_set.windows[0]).expand(
+        index.tree.root_page
+    )
     assert not node.is_leaf and len(near) == len(node.entries)
     assert far is None
 
 
-def test_one_normalizer_per_query_window(golden_db, monkeypatch):
-    """Built with the probes, never again during the traversal."""
-    built = []
-    original = normalize.WindowNormalizer.__init__
+def record_reads(monkeypatch, tree, wrap=lambda node: node):
+    """Page ids of every successful ``read_node`` on ``tree``."""
+    read = tree.read_node
+    pages = []
 
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        original(self, *args, **kwargs)
+    def recording(page_id):
+        node = wrap(read(page_id))
+        pages.append(page_id)
+        return node
 
-    monkeypatch.setattr(normalize.WindowNormalizer, "__init__", counting)
+    monkeypatch.setattr(tree, "read_node", recording)
+    return pages
+
+
+def test_one_scoring_per_distinct_node(golden_db, monkeypatch):
+    """Every expansion reads; only a node's first expansion scores."""
+    pages = record_reads(monkeypatch, golden_db.index.tree)
     query = query_from(golden_db, 700, 48)
     result = golden_db.search(query, k=3, method="hlmj", normalize=True)
-    windows = QueryWindowSet.from_query(
-        query, omega=16, features=4, rho=2
-    ).windows
-    assert len(built) == len(windows)
-    assert result.stats.node_expansions > len(windows)
+    assert result.stats.node_expansions == len(pages)
+    assert result.stats.node_scorings == len(set(pages))
+    assert len(set(pages)) < len(pages)
+
+
+def test_a_replaced_node_is_scored_afresh(golden_db, monkeypatch):
+    """The memo is checked against node identity, not the page id alone."""
+    record_reads(monkeypatch, golden_db.index.tree, wrap=copy.copy)
+    window_set = QueryWindowSet.from_query(
+        query_from(golden_db, 700, 48), omega=16, features=4, rho=2
+    )
+    stats = QueryStats()
+    grid = NodeGrid(window_set.windows, golden_db.index, 2.0, stats)
+    root = golden_db.index.tree.root_page
+    first = grid.probe(window_set.windows[0]).expand(root)
+    again = grid.probe(window_set.windows[0]).expand(root)
+    assert first[0] is not again[0]
+    assert first[1].tobytes() == again[1].tobytes()
+    assert stats.node_scorings == stats.node_expansions == 2
 
 
 class TestUnreadablePage:
@@ -130,27 +165,29 @@ class TestUnreadablePage:
         )
         injector.add(FaultSpec(fault=CORRUPT, page_ids=[victim]))
         db.reset_cache()
-        window = QueryWindowSet.from_query(
+        window_set = QueryWindowSet.from_query(
             query_from(db, 400, 64), omega=16, features=4, rho=2
-        ).windows[0]
-        return db, window, victim
+        )
+        return db, window_set, victim
 
     def test_raises_without_a_handler(self, damaged):
-        db, window, victim = damaged
+        db, window_set, victim = damaged
         stats = QueryStats()
-        probe = WindowProbe(window, db.index.tree, 4, 2.0, stats)
+        grid = NodeGrid(window_set.windows, db.index, 2.0, stats)
         with pytest.raises(CorruptPageError):
-            probe.expand(victim)
+            grid.probe(window_set.windows[0]).expand(victim)
         assert stats.node_expansions == 0
+        assert stats.node_scorings == 0
 
     def test_handler_drops_the_subtree(self, damaged):
-        db, window, victim = damaged
+        db, window_set, victim = damaged
         stats = QueryStats()
         seen = []
-        probe = WindowProbe(
-            window, db.index.tree, 4, 2.0, stats,
+        grid = NodeGrid(
+            window_set.windows, db.index, 2.0, stats,
             on_fault=lambda error, page_id: seen.append((error, page_id)),
         )
+        probe = grid.probe(window_set.windows[0])
         assert probe.expand(victim) is None
         assert stats.node_expansions == 0
         [(error, page_id)] = seen
@@ -158,6 +195,72 @@ class TestUnreadablePage:
         # A readable page still expands on the same probe.
         assert probe.expand(db.index.tree.root_page) is not None
         assert stats.node_expansions == 1
+
+
+class TestFaultThenRead:
+    """A node whose first read faults and whose later read succeeds."""
+
+    @pytest.fixture()
+    def flaky(self):
+        from repro.storage.buffer import RetryPolicy
+        from repro.storage.faults import FaultInjector, FaultSpec, TRANSIENT
+        from tests.test_faults import make_faulty_db
+
+        injector = FaultInjector(seed=5)
+        db = make_faulty_db(
+            injector=injector, retry_policy=RetryPolicy(max_attempts=1)
+        )
+        # The leaf holding data window 25 of sequence 0, which every
+        # query below starts on (offset 400 = 25 * omega).
+        victim = next(
+            page_id
+            for page_id in tree_pages(db)
+            if db.pager.kind_of(page_id) == PageKind.INDEX_LEAF
+            and any(
+                entry.record == (0, 25)
+                for entry in db.pager.peek(page_id).entries
+            )
+        )
+        injector.add(
+            FaultSpec(fault=TRANSIENT, page_ids=[victim], max_per_page=1)
+        )
+        db.reset_cache()
+        return db, victim
+
+    def test_nothing_is_memoised_on_the_fault(self, flaky):
+        db, victim = flaky
+        window_set = QueryWindowSet.from_query(
+            query_from(db, 400, 64), omega=16, features=4, rho=2
+        )
+        stats = QueryStats()
+        seen = []
+        grid = NodeGrid(
+            window_set.windows, db.index, 2.0, stats,
+            on_fault=lambda error, page_id: seen.append(page_id),
+        )
+        first, second = (grid.probe(w) for w in window_set.windows[:2])
+        assert first.expand(victim) is None
+        assert seen == [victim]
+        assert stats.node_expansions == stats.node_scorings == 0
+        # The later read scores the node normally, for every window.
+        for probe in (second, first):
+            node, near, far = probe.expand(victim)
+            want, _ = direct_bounds(db.index, probe.window, node, None)
+            assert near.tobytes() == want.tobytes() and far is None
+        assert stats.node_expansions == 2
+        assert stats.node_scorings == 1
+
+    def test_a_degraded_query_scores_the_node_on_its_next_read(
+        self, flaky, monkeypatch
+    ):
+        db, victim = flaky
+        pages = record_reads(monkeypatch, db.index.tree)
+        query = query_from(db, 400, 64)
+        result = db.search(query, k=5, method="hlmj", on_fault="degrade")
+        assert result.degraded and result.stats.faults_skipped == 1
+        assert victim in pages  # read again after the fault
+        assert result.stats.node_expansions == len(pages)
+        assert result.stats.node_scorings == len(set(pages))
 
 
 class TestPsmMinimumQueryLength:
