@@ -792,16 +792,15 @@ class SubsequenceDatabase(QueryFacade):
                         f"{self.pager.kind_of(page_id).value}, expected data"
                     )
                     break
-        leaf_records = sum(
-            len(self.pager.peek(page_id).entries)
-            for page_id in range(self.pager.num_pages)
-            if self.pager.kind_of(page_id) == PageKind.INDEX_LEAF
-        )
-        if leaf_records < len(self.index.tree):
-            counter_errors.append(
-                f"leaf records ({leaf_records}) < tree size "
-                f"({len(self.index.tree)})"
+        if not report["tree_errors"]:  # the walk needs a sound tree
+            leaf_records = sum(
+                len(leaf.refs) for leaf in self.index.tree.iter_leaves()
             )
+            if leaf_records != len(self.index.tree):
+                counter_errors.append(
+                    f"leaf records ({leaf_records}) != tree size "
+                    f"({len(self.index.tree)})"
+                )
         report["counter_errors"] = counter_errors
         report["ok"] = (
             not report["corrupt_pages"]

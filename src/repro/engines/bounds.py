@@ -96,7 +96,7 @@ class NodeGrid:
             return memo
         self.stats.node_scorings += 1
         tracer = self.tree.tracer
-        count, windows = len(node.entries), len(self.windows)
+        count, windows = len(node.refs), len(self.windows)
         with tracer.span(
             "engine.lb_batch", n=count, leaf=node.is_leaf, windows=windows
         ):
@@ -107,7 +107,7 @@ class NodeGrid:
 
     def _score(self, node: RStarNode) -> Scores:
         kernel = self._kernel(node)
-        shape = (len(self.windows), len(node.entries))
+        shape = (len(self.windows), len(node.refs))
         near = np.empty(shape)
         far = None if node.is_leaf or not self._include_far else np.empty(shape)
         for first in range(0, shape[0], _GRID_ROWS):
@@ -119,8 +119,7 @@ class NodeGrid:
 
     def _kernel(self, node: RStarNode) -> Callable[[slice], Scores]:
         """``rows -> (near, far)``: ``node`` against those windows."""
-        entries = node.entries
-        lows = np.stack([entry.low for entry in entries])
+        lows, highs = node.lows, node.highs
         lower, upper, norm = self._lower, self._upper, self._norm
         seg_len, p, include_far = self._seg_len, self._p, self._include_far
         if node.is_leaf:
@@ -133,9 +132,7 @@ class NodeGrid:
                 )
             # Per-candidate stats: each record's point transforms by the
             # (mu, sigma) of the candidate it implies under each window.
-            sids, window_indices = np.array(
-                [entry.record for entry in entries], dtype=np.int64
-            ).T
+            sids, window_indices = np.array(node.refs, dtype=np.int64).T
             mus, sigmas = norm.grid_stats(
                 sids, window_indices, self._offsets, self._stride
             )
@@ -146,7 +143,6 @@ class NodeGrid:
                 ),
                 None,
             )
-        highs = np.stack([entry.high for entry in entries])
         if norm is None:
             return lambda rows: batch_lower_bounds(
                 lower[rows], upper[rows], lows, highs, seg_len, p,
@@ -181,7 +177,7 @@ class WindowProbe:
         """Read one node (counted I/O) and bound all of its entries.
 
         Returns ``(node, near, far)``: this window's p-th-power bounds,
-        lined up with ``node.entries``, so callers keep their
+        one per row, lined up with ``node.refs``, so callers keep their
         storage-order push loops and per-survivor tie-break draws —
         queue contents are identical to scoring one entry at a time.
         ``far`` is ``None`` unless the grid was built with
@@ -204,7 +200,7 @@ class WindowProbe:
             grid.on_fault(error, page_id)
             return None
         grid.stats.node_expansions += 1
-        if not node.entries:
+        if not node.refs:
             return node, _NO_BOUNDS, None
         _, near, far = grid.scores(page_id, node)
         return node, near[self.row], None if far is None else far[self.row]

@@ -16,10 +16,10 @@ MDMWP-distance grows very slowly (Figure 2; Experiments 2 and 4).
 
 ``use_window_group=True`` additionally enables [12]'s tighter
 *window-group distance*: before retrieving a candidate, the LB_PAA
-terms of **all** disjoint windows it contains are summed using the
-in-memory window-point table (the transformed windows the original
-system keeps alongside its index).  This prunes more candidates per
-pop but cannot fix the scheduling order itself — the ablation bench
+terms of **all** disjoint windows it contains are summed, each window
+PAA-transformed from the stored values (the original system keeps the
+transformed windows alongside its index).  This prunes more candidates
+per pop but cannot fix the scheduling order itself — the ablation bench
 quantifies both effects.
 """
 
@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple, cast
 
 from repro.core.lower_bounds import min_disjoint_windows
 from repro.core.normalize import NormalizationContext
+from repro.core.paa import paa
 from repro.core.windows import (
     QueryWindowSet,
     candidate_in_bounds,
@@ -80,31 +81,32 @@ class HlmjEngine(Engine):
         """Sum of LB_PAA terms over every class window the candidate
         fully contains (the window-group distance, p-th power).
 
-        Under normalized matching every contained window is a window of
-        the *same* candidate, so all terms transform by the candidate's
-        own ``(mu, sigma)`` — the stats the verification path will use.
+        Each contained data window's PAA point is re-derived from the
+        stored values, an offline read that is not counted, like the
+        index build's: :func:`~repro.core.paa.paa` is bit-equal to the
+        indexed point.  Under normalized matching every contained window
+        is a window of the *same* candidate, so all terms transform by
+        the candidate's own ``(mu, sigma)`` — the stats the verification
+        path will use.
         """
-        table = self.index.window_point_table()
         omega = self.index.omega
-        stride = self.index.data_stride
+        features = self.index.features
         seg_len = self.index.seg_len
+        peek = self.index.store.peek_subsequence
         stats.window_group_evaluations += 1
         candidate_stats = None if norm is None else norm.stats(sid, start)
         # The candidate's class residue: offset of its first grid window.
-        residue = (-start) % stride
+        residue = (-start) % self.index.data_stride
         total = 0.0
         offset = residue
         while offset + omega <= window_set.length:
-            data_window = (start + offset) // stride
-            point = table.get((sid, data_window))
-            if point is not None:
-                total += score_point(
-                    window_set.window_at(offset),
-                    point,
-                    candidate_stats,
-                    seg_len,
-                    p,
-                )
+            total += score_point(
+                window_set.window_at(offset),
+                paa(peek(sid, start + offset, omega), features),
+                candidate_stats,
+                seg_len,
+                p,
+            )
             offset += omega
         return total
 
@@ -204,18 +206,10 @@ class HlmjEngine(Engine):
             return
         threshold_pow = evaluator.threshold_pow
         node, child_pows, _far = expanded
-        leaf = node.is_leaf
-        child_kind = _LEAF if leaf else _NODE
-        for entry, child_pow in zip(node.entries, child_pows.tolist()):
+        child_kind = _LEAF if node.is_leaf else _NODE
+        for ref, child_pow in zip(node.refs, child_pows.tolist()):
             if r * child_pow > threshold_pow:
                 continue
             heapq.heappush(
-                heap,
-                (
-                    child_pow,
-                    next(tiebreak),
-                    window_pos,
-                    child_kind,
-                    entry.record if leaf else entry.child_page,
-                ),
+                heap, (child_pow, next(tiebreak), window_pos, child_kind, ref)
             )

@@ -81,8 +81,9 @@ def build_sliding_index(
         data_stride=1,
     )
     index.bloom = BloomFilter.with_capacity(max(1, store.total_values))
-    for entry in index.tree.iter_leaf_entries():
-        index.bloom.add((entry.record.sid, entry.record.window_index))
+    for leaf in index.tree.iter_leaves():
+        for record in leaf.refs:
+            index.bloom.add(record)
     return index
 
 
@@ -217,11 +218,9 @@ class PsmEngine(Engine):
         node, dist_pows, _far = expanded
         old_pow = state[expand_at][2]
         threshold_pow = evaluator.threshold_pow
-        for entry, dist_pow in zip(node.entries, dist_pows.tolist()):
-            if node.is_leaf:
-                component: Component = (_LEAF, entry.record, dist_pow)
-            else:
-                component = (_NODE, entry.child_page, dist_pow)
+        kind = _LEAF if node.is_leaf else _NODE
+        for ref, dist_pow in zip(node.refs, dist_pows.tolist()):
+            component: Component = (kind, ref, dist_pow)
             new_score = score_pow - old_pow + dist_pow
             if new_score > threshold_pow:
                 continue

@@ -100,22 +100,22 @@ class WindowQueue:
         node, near, far = expanded
         if node.is_leaf:
             # Leaf points: MAXDIST equals the distance itself.
-            for entry, dist_pow in zip(node.entries, near.tolist()):
+            for record, dist_pow in zip(node.refs, near.tolist()):
                 if dist_pow > cap_pow:
                     continue
                 heapq.heappush(
                     self._heap,
-                    (dist_pow, next(_counter), LEAF, entry.record, dist_pow),
+                    (dist_pow, next(_counter), LEAF, record, dist_pow),
                 )
             return
-        for entry, dist_pow, far_pow in zip(
-            node.entries, near.tolist(), far.tolist()
+        for child, dist_pow, far_pow in zip(
+            node.refs, near.tolist(), far.tolist()
         ):
             if dist_pow > cap_pow:
                 continue
             heapq.heappush(
                 self._heap,
-                (dist_pow, next(_counter), NODE, entry.child_page, far_pow),
+                (dist_pow, next(_counter), NODE, child, far_pow),
             )
 
     def expand_first_node(self, cap_pow: float = math.inf) -> bool:

@@ -85,20 +85,19 @@ class RangeSearchEngine(Engine):
             if expanded is None:
                 continue  # degrade: unreadable subtree, keep probing
             node, gap_pows, _far = expanded
-            for entry, gap_pow in zip(node.entries, gap_pows.tolist()):
+            for ref, gap_pow in zip(node.refs, gap_pows.tolist()):
                 if gap_pow > epsilon_pow:
                     continue
                 if not node.is_leaf:
-                    stack.append(entry.child_page)
+                    stack.append(ref)
                     continue
-                record = entry.record
-                start = candidate_start(record.window_index, offset, stride)
-                if not evaluator.first_sighting(record.sid, start):
+                start = candidate_start(ref.window_index, offset, stride)
+                if not evaluator.first_sighting(ref.sid, start):
                     continue
                 if candidate_in_bounds(
-                    start, window_set.length, store.length(record.sid)
+                    start, window_set.length, store.length(ref.sid)
                 ):
-                    evaluator.verify(record.sid, start)
+                    evaluator.verify(ref.sid, start)
 
 
 def brute_force_range(

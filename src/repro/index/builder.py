@@ -11,7 +11,7 @@ the sequence store, which is everything an engine needs to run a query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -89,9 +89,6 @@ class DualMatchIndex:
     #: key; only PSM's index carries one
     #: (:func:`~repro.engines.psm.build_sliding_index`).
     bloom: Optional[BloomFilter] = None
-    _window_points: Optional[Dict[Tuple[int, int], np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.data_stride is None:
@@ -101,50 +98,6 @@ class DualMatchIndex:
                 f"data_stride {self.data_stride} must divide omega "
                 f"{self.omega}"
             )
-
-    def window_point_table(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """In-memory map ``(sid, window_index) -> PAA point``.
-
-        HLMJ's *window-group distance* [12] needs random access to the
-        transformed windows of a candidate's disjoint windows.  The
-        original system keeps the transformed windows alongside the
-        index; we mirror that with a lazily built table (no page I/O is
-        charged — it is the same data the index leaves hold, resident
-        as in the authors' implementation).
-        """
-        if self._window_points is None:
-            self._window_points = {
-                (entry.record.sid, entry.record.window_index): entry.low
-                for entry in self.tree.iter_leaf_entries()
-            }
-        return self._window_points
-
-    def note_window(self, record: LeafRecord, point: np.ndarray) -> None:
-        """Record a newly indexed window in the bloom and point table.
-
-        Called by the ingest path after inserting a leaf entry so that
-        the join signatures and a previously materialised
-        :meth:`window_point_table` stay in sync (a ``None`` table will
-        simply be rebuilt from the tree on first use, so nothing to do
-        then).
-        """
-        if self.bloom is not None:
-            self.bloom.add((record.sid, record.window_index))
-        if self._window_points is not None:
-            self._window_points[
-                (record.sid, record.window_index)
-            ] = np.asarray(point, dtype=np.float64)
-
-    def forget_sequence(self, sid: int) -> None:
-        """Drop every cached window point of one sequence (on delete).
-
-        A bloom filter keeps the deleted keys' bits: plain blooms cannot
-        unset, and a stale positive only costs PSM a probe — the final
-        alignment check is exact, so results are unaffected.
-        """
-        if self._window_points is not None:
-            for key in [k for k in self._window_points if k[0] == sid]:
-                del self._window_points[key]
 
     @property
     def seg_len(self) -> int:

@@ -7,52 +7,16 @@ functions are pure.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.exceptions import UsageError
-
 Rect = Tuple[np.ndarray, np.ndarray]
-
-
-def union(a: Rect, b: Rect) -> Rect:
-    """Smallest rectangle covering both inputs."""
-    return np.minimum(a[0], b[0]), np.maximum(a[1], b[1])
-
-
-def union_all(rects: Iterable[Rect]) -> Rect:
-    """Smallest rectangle covering every input (at least one required)."""
-    iterator = iter(rects)
-    try:
-        low, high = next(iterator)
-    except StopIteration:
-        raise UsageError(
-            "union_all needs at least one rectangle"
-        ) from None
-    low = low.copy()
-    high = high.copy()
-    for other_low, other_high in iterator:
-        np.minimum(low, other_low, out=low)
-        np.maximum(high, other_high, out=high)
-    return low, high
 
 
 def area(rect: Rect) -> float:
     """Product of side lengths (0 for degenerate rectangles)."""
     return float(np.prod(rect[1] - rect[0]))
-
-
-def margin(rect: Rect) -> float:
-    """Sum of side lengths — the R* split criterion's "perimeter"."""
-    return float(np.sum(rect[1] - rect[0]))
-
-
-def enlargement(rect: Rect, addition: Rect) -> float:
-    """Area growth of ``rect`` needed to also cover ``addition``."""
-    grown_low = np.minimum(rect[0], addition[0])
-    grown_high = np.maximum(rect[1], addition[1])
-    return float(np.prod(grown_high - grown_low)) - area(rect)
 
 
 def overlap_area(a: Rect, b: Rect) -> float:

@@ -13,15 +13,18 @@ heuristics:
   30 % of entries farthest from the node center are removed and
   re-inserted, improving packing.
 
-Nodes live in pages of the shared :class:`~repro.storage.pager.Pager`;
-query-time node reads go through the buffer pool (counted), while build
+A node is columns — ``lows``, ``highs`` and ``refs``, one row per entry
+(:class:`RStarNode`) — so every heuristic above, every query-time bound
+and the on-disk format work on its arrays directly.  Nodes live in pages
+of the shared :class:`~repro.storage.pager.Pager`; query-time node reads
+go through the buffer pool (counted), while build
 runs offline through :meth:`Pager.peek` (the paper also excludes index
 construction from its query metrics).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -46,34 +49,65 @@ class LeafRecord(NamedTuple):
 
 
 @dataclass
-class Entry:
-    """One slot of a node: an MBR plus either a child page or a record."""
-
-    low: np.ndarray
-    high: np.ndarray
-    child_page: Optional[int] = None
-    record: Optional[LeafRecord] = None
-
-    @property
-    def rect(self) -> Rect:
-        return self.low, self.high
-
-
-@dataclass
 class RStarNode:
-    """A tree node; ``level`` 0 means leaf."""
+    """A tree node as columns; ``level`` 0 means leaf.
+
+    Row ``i`` is one entry: the MBR ``(lows[i], highs[i])`` and
+    ``refs[i]``, a child page id on an internal node or a
+    :class:`LeafRecord` on a leaf.  A leaf's entries are points, so its
+    ``highs`` is its ``lows``.
+    """
 
     level: int
-    entries: List[Entry] = field(default_factory=list)
+    lows: np.ndarray
+    highs: np.ndarray
+    refs: list
+
+    @classmethod
+    def leaf(cls, points: np.ndarray, records: list) -> "RStarNode":
+        """A leaf over ``(n, f)`` points; its ``highs`` is its ``lows``."""
+        return cls(0, points, points, records)
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
     def mbr(self) -> Rect:
-        if not self.entries:
+        if not self.refs:
             raise IndexError_("cannot take the MBR of an empty node")
-        return geometry.union_all(entry.rect for entry in self.entries)
+        return self.lows.min(axis=0), self.highs.max(axis=0)
+
+    def take(self, rows) -> "RStarNode":
+        """A new node of the same level holding ``rows``, in that order
+        (an index array, a boolean mask or a slice)."""
+        refs = [self.refs[i] for i in np.arange(len(self.refs))[rows]]
+        if self.is_leaf:
+            return RStarNode.leaf(self.lows[rows], refs)
+        return RStarNode(self.level, self.lows[rows], self.highs[rows], refs)
+
+    def keep(self, rows) -> None:
+        """Shrink this node, in place, to ``rows`` in the given order."""
+        kept = self.take(rows)
+        self.lows, self.highs, self.refs = kept.lows, kept.highs, kept.refs
+
+    def append(self, low: np.ndarray, high: np.ndarray, ref) -> None:
+        """Add one row at the end."""
+        self.lows = np.concatenate([self.lows, low[None, :]])
+        self.highs = (
+            self.lows
+            if self.is_leaf
+            else np.concatenate([self.highs, high[None, :]])
+        )
+        self.refs.append(ref)
+
+    def ref_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``refs`` as int64 ``children, record_sids, record_windows``;
+        ``-1`` marks the columns a row's kind does not use."""
+        unused = np.full(len(self.refs), -1, dtype=np.int64)
+        if not self.is_leaf:
+            return np.asarray(self.refs, dtype=np.int64), unused, unused
+        records = np.asarray(self.refs, dtype=np.int64).reshape(-1, 2)
+        return unused, records[:, 0], records[:, 1]
 
 
 class RStarTree:
@@ -118,7 +152,7 @@ class RStarTree:
             )
         self.min_entries = max(2, int(self.max_entries * MIN_FILL_FRACTION))
         self._size = 0
-        root = RStarNode(level=0)
+        root = RStarNode.leaf(np.empty((0, dimensions)), [])
         # Offline construction (pre-seal, pre-WAL by definition).
         self.root_page = self._pager.allocate(PageKind.INDEX_LEAF, root)  # repro: ignore[RS009]
 
@@ -189,23 +223,30 @@ class RStarTree:
 
     def insert(self, point: Sequence[float], record: LeafRecord) -> None:
         """Insert one point with its record (R* insert with reinsertion)."""
+        array = self._point(point)
+        self._insert_row(array, array, record, 0, reinserted_levels=set())
+        self._size += 1
+
+    def _point(self, point: Sequence[float]) -> np.ndarray:
         array = np.ascontiguousarray(point, dtype=np.float64)
         if array.shape != (self.dimensions,):
             raise IndexError_(
                 f"point shape {array.shape} does not match index "
                 f"dimensionality ({self.dimensions},)"
             )
-        entry = Entry(low=array, high=array, record=record)
-        self._insert_entry(entry, target_level=0, reinserted_levels=set())
-        self._size += 1
+        return array
 
-    def _insert_entry(
-        self, entry: Entry, target_level: int, reinserted_levels: Set[int]
+    def _insert_row(
+        self,
+        low: np.ndarray,
+        high: np.ndarray,
+        ref: object,
+        target_level: int,
+        reinserted_levels: Set[int],
     ) -> None:
-        path = self._choose_path(entry.rect, target_level)
+        path = self._choose_path((low, high), target_level)
         node_page = path[-1]
-        node = self._peek(node_page)
-        node.entries.append(entry)
+        self._peek(node_page).append(low, high, ref)
         self._write_back(node_page)
         self._handle_overflow(path, reinserted_levels)
 
@@ -214,18 +255,17 @@ class RStarTree:
         path = [self.root_page]
         node = self._peek(self.root_page)
         while node.level > target_level:
-            chosen = self._choose_subtree(node, rect)
-            path.append(chosen.child_page)  # type: ignore[arg-type]
-            node = self._peek(chosen.child_page)  # type: ignore[arg-type]
+            path.append(node.refs[self._choose_subtree(node, rect)])
+            node = self._peek(path[-1])
         return path
 
     #: R*'s published optimisation: evaluate overlap enlargement only for
     #: the entries with the smallest area enlargement.
     _OVERLAP_CANDIDATES = 32
 
-    def _choose_subtree(self, node: RStarNode, rect: Rect) -> Entry:
-        lows = np.stack([entry.low for entry in node.entries])
-        highs = np.stack([entry.high for entry in node.entries])
+    def _choose_subtree(self, node: RStarNode, rect: Rect) -> int:
+        """The row of ``node`` whose subtree should receive ``rect``."""
+        lows, highs = node.lows, node.highs
         grown_lows = np.minimum(lows, rect[0])
         grown_highs = np.maximum(highs, rect[1])
         areas = np.prod(highs - lows, axis=1)
@@ -233,8 +273,7 @@ class RStarTree:
 
         if node.level > 1:
             # Minimise area enlargement; break ties on smaller area.
-            order = np.lexsort((areas, enlargements))
-            return node.entries[int(order[0])]
+            return int(np.lexsort((areas, enlargements))[0])
 
         # Children are leaves: minimise overlap enlargement among the
         # least-enlarging candidates, breaking ties on enlargement, area.
@@ -258,7 +297,7 @@ class RStarTree:
             if best_key is None or key < best_key:
                 best_key = key
                 best_index = index
-        return node.entries[best_index]
+        return best_index
 
     @staticmethod
     def _total_overlap(
@@ -282,7 +321,7 @@ class RStarTree:
         for depth in range(len(path) - 1, -1, -1):
             node_page = path[depth]
             node = self._peek(node_page)
-            if len(node.entries) > self.max_entries:
+            if len(node.refs) > self.max_entries:
                 is_root = node_page == self.root_page
                 if not is_root and node.level not in reinserted_levels:
                     reinserted_levels.add(node.level)
@@ -295,15 +334,11 @@ class RStarTree:
     def _refresh_parent_mbr(self, parent_page: int, child_page: int) -> None:
         parent = self._peek(parent_page)
         child = self._peek(child_page)
-        if not child.entries:
+        if not child.refs or child_page not in parent.refs:
             return
-        low, high = child.mbr()
-        for entry in parent.entries:
-            if entry.child_page == child_page:
-                entry.low = low
-                entry.high = high
-                self._write_back(parent_page)
-                return
+        row = parent.refs.index(child_page)
+        parent.lows[row], parent.highs[row] = child.mbr()
+        self._write_back(parent_page)
 
     def _reinsert(
         self,
@@ -313,15 +348,16 @@ class RStarTree:
     ) -> None:
         node = self._peek(node_page)
         node_rect = node.mbr()
-        count = max(1, int(len(node.entries) * REINSERT_FRACTION))
-        # Farthest-from-center entries leave the node ("far reinsert").
-        node.entries.sort(
-            key=lambda entry: geometry.center_distance_sq(
-                entry.rect, node_rect
-            )
-        )
-        evicted = node.entries[-count:]
-        del node.entries[-count:]
+        count = max(1, int(len(node.refs) * REINSERT_FRACTION))
+        # Farthest-from-center rows leave the node ("far reinsert"); the
+        # stable sort keeps storage order among equal distances.
+        distances = [
+            geometry.center_distance_sq(rect, node_rect)
+            for rect in zip(node.lows, node.highs)
+        ]
+        order = np.argsort(distances, kind="stable")
+        evicted = node.take(order[-count:])
+        node.keep(order[:-count])
         # Structure maintenance beneath insert(); WAL-logged upstream.
         self._pager.write(node_page, node)  # repro: ignore[RS009]
         # Refresh ancestors before reinserting so choose-subtree sees
@@ -333,52 +369,59 @@ class RStarTree:
                 else node_page
             )
             self._refresh_parent_mbr(ancestor_path[depth], child)
-        for entry in evicted:
-            self._insert_entry(entry, node.level, reinserted_levels)
+        self._reinsert_rows(evicted, reinserted_levels)
+
+    def _reinsert_rows(
+        self, orphans: RStarNode, reinserted_levels: Set[int]
+    ) -> None:
+        """Insert every row of a detached node back at its level."""
+        for low, high, ref in zip(orphans.lows, orphans.highs, orphans.refs):
+            self._insert_row(low, high, ref, orphans.level, reinserted_levels)
 
     def _split(self, node_page: int, ancestor_path: List[int]) -> None:
         node = self._peek(node_page)
-        group_a, group_b = self._choose_split(node.entries)
-        node.entries = group_a
-        sibling = RStarNode(level=node.level, entries=group_b)
+        ordering, split_at = self._choose_split(node.lows, node.highs)
+        sibling = node.take(ordering[split_at:])
+        node.keep(ordering[:split_at])
         kind = PageKind.INDEX_LEAF if node.is_leaf else PageKind.INDEX_INTERNAL
         # Structure maintenance beneath insert(); WAL-logged upstream.
         sibling_page = self._pager.allocate(kind, sibling)  # repro: ignore[RS009]
         self._pager.write(node_page, node)  # repro: ignore[RS009]
         if node_page == self.root_page:
-            new_root = RStarNode(level=node.level + 1)
-            low_a, high_a = node.mbr()
-            low_b, high_b = sibling.mbr()
-            new_root.entries = [
-                Entry(low=low_a, high=high_a, child_page=node_page),
-                Entry(low=low_b, high=high_b, child_page=sibling_page),
-            ]
+            new_root = self._parent_node(
+                node.level + 1, [node_page, sibling_page]
+            )
             self.root_page = self._pager.allocate(  # repro: ignore[RS009]
                 PageKind.INDEX_INTERNAL, new_root
             )
             return
         parent_page = ancestor_path[-1]
-        parent = self._peek(parent_page)
         low_b, high_b = sibling.mbr()
-        parent.entries.append(
-            Entry(low=low_b, high=high_b, child_page=sibling_page)
-        )
+        self._peek(parent_page).append(low_b, high_b, sibling_page)
         self._refresh_parent_mbr(parent_page, node_page)
         # Parent overflow, if any, is handled by the caller's bottom-up walk.
 
+    def _parent_node(self, level: int, pages: List[int]) -> RStarNode:
+        """A node at ``level`` with one row per child page: its MBR."""
+        lows = np.empty((len(pages), self.dimensions), dtype=np.float64)
+        highs = np.empty_like(lows)
+        for row, page_id in enumerate(pages):
+            lows[row], highs[row] = self._peek(page_id).mbr()
+        return RStarNode(level, lows, highs, list(pages))
+
     def _choose_split(
-        self, entries: List[Entry]
-    ) -> Tuple[List[Entry], List[Entry]]:
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
         """R* split: margin-minimal axis, then overlap-minimal distribution.
 
-        All candidate distributions along an ordering share prefix/suffix
+        Returns a row ordering and the split position: rows
+        ``ordering[:split_at]`` stay, the rest move to a sibling.  All
+        candidate distributions along an ordering share prefix/suffix
         MBRs, so they are evaluated with running min/max scans instead of
         repeated unions.
         """
         m = self.min_entries
-        lows = np.stack([entry.low for entry in entries])
-        highs = np.stack([entry.high for entry in entries])
-        count = len(entries)
+        count = lows.shape[0]
 
         best_axis = 0
         best_axis_margin = None
@@ -411,10 +454,7 @@ class RStarTree:
                     best_key = key
                     best_split = (ordering, split_at)
         assert best_split is not None
-        ordering, split_at = best_split
-        group_a = [entries[int(i)] for i in ordering[:split_at]]
-        group_b = [entries[int(i)] for i in ordering[split_at:]]
-        return group_a, group_b
+        return best_split
 
     @staticmethod
     def _axis_orderings(
@@ -464,76 +504,66 @@ class RStarTree:
         an internal root left with a single child collapses, shrinking
         the tree.  Condensed-away node pages are freed.
         """
-        array = np.ascontiguousarray(point, dtype=np.float64)
-        if array.shape != (self.dimensions,):
-            raise IndexError_(
-                f"point shape {array.shape} does not match index "
-                f"dimensionality ({self.dimensions},)"
-            )
+        array = self._point(point)
         path = self._find_leaf(self.root_page, array, record)
         if path is None:
             return False
         leaf_page = path[-1]
         leaf = self._peek(leaf_page)
-        leaf.entries = [
-            entry
-            for entry in leaf.entries
-            if not (
-                entry.record == record and np.array_equal(entry.low, array)
-            )
-        ]
+        leaf.keep(~self._record_rows(leaf, array, record))
         self._write_back(leaf_page)
         self._condense(path)
         self._shrink_root()
         self._size -= 1
         return True
 
+    @staticmethod
+    def _record_rows(
+        leaf: RStarNode, array: np.ndarray, record: LeafRecord
+    ) -> np.ndarray:
+        """Mask of the leaf rows holding ``record`` at point ``array``."""
+        same_record = np.fromiter(
+            (ref == record for ref in leaf.refs), dtype=bool,
+            count=len(leaf.refs),
+        )
+        return same_record & np.all(leaf.lows == array, axis=1)
+
     def _find_leaf(
         self, page_id: int, array: np.ndarray, record: LeafRecord
     ) -> Optional[List[int]]:
-        """Root-to-leaf page path of the entry holding ``record``."""
+        """Root-to-leaf page path of the row holding ``record``."""
         node = self._peek(page_id)
         if node.is_leaf:
-            for entry in node.entries:
-                if entry.record == record and np.array_equal(
-                    entry.low, array
-                ):
-                    return [page_id]
-            return None
-        for entry in node.entries:
-            low, high = entry.rect
-            if np.all(low <= array) and np.all(array <= high):
-                below = self._find_leaf(entry.child_page, array, record)  # type: ignore[arg-type]
-                if below is not None:
-                    return [page_id, *below]
+            found = self._record_rows(node, array, record).any()
+            return [page_id] if found else None
+        inside = np.all(node.lows <= array, axis=1) & np.all(
+            array <= node.highs, axis=1
+        )
+        for row in np.flatnonzero(inside):
+            below = self._find_leaf(node.refs[row], array, record)
+            if below is not None:
+                return [page_id, *below]
         return None
 
     def _condense(self, path: List[int]) -> None:
         """Eliminate underfull nodes bottom-up, reinserting orphans."""
-        orphans: List[Tuple[int, List[Entry]]] = []
+        orphans: List[RStarNode] = []
         for depth in range(len(path) - 1, 0, -1):
             node_page = path[depth]
             parent_page = path[depth - 1]
             node = self._peek(node_page)
-            if len(node.entries) < self.min_entries:
+            if len(node.refs) < self.min_entries:
                 parent = self._peek(parent_page)
-                parent.entries = [
-                    entry
-                    for entry in parent.entries
-                    if entry.child_page != node_page
-                ]
+                parent.keep([ref != node_page for ref in parent.refs])
                 self._write_back(parent_page)
-                if node.entries:
-                    orphans.append((node.level, list(node.entries)))
+                if node.refs:
+                    orphans.append(node)
                 self._free_page(node_page)
             else:
                 self._refresh_parent_mbr(parent_page, node_page)
         reinserted: Set[int] = set()
-        for level, entries in orphans:
-            for entry in entries:
-                self._insert_entry(
-                    entry, target_level=level, reinserted_levels=reinserted
-                )
+        for orphan in orphans:
+            self._reinsert_rows(orphan, reinserted)
 
     def _shrink_root(self) -> None:
         """Collapse an internal root down to its single surviving child."""
@@ -541,15 +571,15 @@ class RStarTree:
             root = self._peek(self.root_page)
             if root.is_leaf:
                 return
-            if len(root.entries) == 1:
-                child_page = root.entries[0].child_page
+            if len(root.refs) == 1:
                 old_root = self.root_page
-                self.root_page = child_page  # type: ignore[assignment]
+                self.root_page = root.refs[0]
                 self._free_page(old_root)
                 continue
-            if not root.entries:
+            if not root.refs:
                 # Every subtree condensed away: become an empty leaf.
                 root.level = 0
+                root.highs = root.lows
                 self._write_back(self.root_page)
             return
 
@@ -589,15 +619,9 @@ class RStarTree:
         order = self._str_order(array)
         leaf_pages: List[int] = []
         for chunk in self._balanced_chunks(order.tolist()):
-            entries = [
-                Entry(
-                    low=array[index],
-                    high=array[index],
-                    record=records[index],
-                )
-                for index in chunk
-            ]
-            node = RStarNode(level=0, entries=entries)
+            node = RStarNode.leaf(
+                array[chunk], [records[index] for index in chunk]
+            )
             # Offline bulk load (pre-seal, pre-WAL by definition).
             leaf_pages.append(self._pager.allocate(PageKind.INDEX_LEAF, node))  # repro: ignore[RS009]
         self._size = array.shape[0]
@@ -608,13 +632,7 @@ class RStarTree:
             level += 1
             parents: List[int] = []
             for chunk in self._balanced_chunks(pages):
-                entries = []
-                for child_page in chunk:
-                    low, high = self._peek(child_page).mbr()
-                    entries.append(
-                        Entry(low=low, high=high, child_page=child_page)
-                    )
-                node = RStarNode(level=level, entries=entries)
+                node = self._parent_node(level, chunk)
                 parents.append(
                     self._pager.allocate(PageKind.INDEX_INTERNAL, node)  # repro: ignore[RS009]
                 )
@@ -664,40 +682,28 @@ class RStarTree:
     # Offline traversals (tests, stats)
     # ------------------------------------------------------------------
 
-    def iter_leaf_entries(self) -> Iterator[Entry]:
-        """Yield every leaf entry without I/O accounting."""
+    def _iter_nodes(self) -> Iterator[RStarNode]:
+        """Every node, depth first, without I/O accounting."""
         stack = [self.root_page]
         while stack:
             node = self._peek(stack.pop())
-            if node.is_leaf:
-                yield from node.entries
-            else:
-                stack.extend(
-                    entry.child_page
-                    for entry in node.entries
-                    if entry.child_page is not None
-                )
+            yield node
+            if not node.is_leaf:
+                stack.extend(node.refs)
+
+    def iter_leaves(self) -> Iterator[RStarNode]:
+        """Yield every leaf node without I/O accounting."""
+        return (node for node in self._iter_nodes() if node.is_leaf)
 
     def node_count(self) -> int:
         """Total number of nodes (offline walk)."""
-        count = 0
-        stack = [self.root_page]
-        while stack:
-            node = self._peek(stack.pop())
-            count += 1
-            if not node.is_leaf:
-                stack.extend(
-                    entry.child_page
-                    for entry in node.entries
-                    if entry.child_page is not None
-                )
-        return count
+        return sum(1 for _node in self._iter_nodes())
 
     def check_invariants(self) -> None:
-        """Validate structure: MBR containment, fill factors, levels.
+        """Validate structure: columns, MBR containment, fill, levels.
 
         Raises :class:`IndexError_` on the first violation.  Used heavily
-        by unit and property tests.
+        by unit and property tests, and by ``repro scrub``.
         """
         root = self._peek(self.root_page)
         self._check_node(self.root_page, root, is_root=True)
@@ -705,41 +711,50 @@ class RStarTree:
     def _check_node(
         self, page_id: int, node: RStarNode, is_root: bool
     ) -> None:
-        if not is_root and len(node.entries) < self.min_entries:
+        count = len(node.refs)
+        if node.lows.shape != (count, self.dimensions) or (
+            node.highs.shape != node.lows.shape
+        ):
             raise IndexError_(
-                f"node {page_id} underfull: {len(node.entries)} < "
-                f"{self.min_entries}"
+                f"node {page_id} columns disagree: lows {node.lows.shape}, "
+                f"highs {node.highs.shape}, {count} refs"
             )
-        if len(node.entries) > self.max_entries:
+        if not is_root and count < self.min_entries:
             raise IndexError_(
-                f"node {page_id} overfull: {len(node.entries)} > "
-                f"{self.max_entries}"
+                f"node {page_id} underfull: {count} < {self.min_entries}"
             )
-        if is_root and not node.is_leaf and len(node.entries) < 2:
+        if count > self.max_entries:
+            raise IndexError_(
+                f"node {page_id} overfull: {count} > {self.max_entries}"
+            )
+        if is_root and not node.is_leaf and count < 2:
             raise IndexError_("internal root must have >= 2 entries")
-        for entry in node.entries:
-            if node.is_leaf:
-                if entry.record is None or entry.child_page is not None:
-                    raise IndexError_(
-                        f"leaf node {page_id} holds a non-record entry"
-                    )
-                continue
-            if entry.child_page is None:
+        records = [isinstance(ref, LeafRecord) for ref in node.refs]
+        if node.is_leaf:
+            if not all(records):
                 raise IndexError_(
-                    f"internal node {page_id} holds a record entry"
+                    f"leaf node {page_id} holds a non-record entry"
                 )
-            child = self._peek(entry.child_page)
+            if not np.array_equal(node.highs, node.lows):
+                raise IndexError_(
+                    f"leaf node {page_id} highs differ from its lows"
+                )
+            return
+        if any(records):
+            raise IndexError_(f"internal node {page_id} holds a record entry")
+        for row, child_page in enumerate(node.refs):
+            child = self._peek(child_page)
             if child.level != node.level - 1:
                 raise IndexError_(
                     f"level mismatch: node {page_id} level {node.level} -> "
-                    f"child {entry.child_page} level {child.level}"
+                    f"child {child_page} level {child.level}"
                 )
             child_low, child_high = child.mbr()
-            if np.any(child_low < entry.low) or np.any(
-                child_high > entry.high
+            if np.any(child_low < node.lows[row]) or np.any(
+                child_high > node.highs[row]
             ):
                 raise IndexError_(
                     f"entry MBR of node {page_id} does not contain child "
-                    f"{entry.child_page}"
+                    f"{child_page}"
                 )
-            self._check_node(entry.child_page, child, is_root=False)
+            self._check_node(child_page, child, is_root=False)

@@ -136,7 +136,8 @@ def _index_new_windows(
             first_window=old_windows,
         ):
             index.tree.insert(point, record)
-            index.note_window(record, point)
+            if index.bloom is not None:
+                index.bloom.add(record)
 
 
 def _apply_append(
@@ -169,7 +170,8 @@ def _apply_delete(
             sid, values, index.omega, index.features, index.data_stride
         ):
             index.tree.delete(point, record)
-        index.forget_sequence(sid)
+    # PSM's bloom keeps the deleted keys: a bloom cannot unset, and a
+    # stale positive only costs PSM a probe, never a result.
     db.store.remove_sequence(sid, session=session)
 
 

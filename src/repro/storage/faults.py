@@ -34,7 +34,7 @@ specs can pin explicit page ids (``page_ids``) or filter by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -278,13 +278,8 @@ def _torn_payload(payload: Any) -> Any:
     """The prefix of a payload that "reached disk" before the crash."""
     if isinstance(payload, np.ndarray):
         return payload[: max(1, payload.shape[0] // 2)]
-    entries = getattr(payload, "entries", None)
-    if entries is not None:
-        import copy
-
-        torn = copy.copy(payload)
-        torn.entries = list(entries[: len(entries) // 2])
-        return torn
+    if hasattr(payload, "refs"):  # an R*-tree node: its leading rows
+        return payload.take(slice(0, len(payload.refs) // 2))
     return None
 
 
@@ -373,25 +368,18 @@ def _corrupt(payload: Any, injector: FaultInjector) -> Any:
         ).reshape(payload.shape)
         flipped.setflags(write=False)
         return flipped
-    entries = getattr(payload, "entries", None)
-    if entries:
-        # Flip a bit in one entry's MBR low corner.  Entry objects are
-        # replaced (not mutated) so arrays shared with sibling pages
+    lows = getattr(payload, "lows", None)
+    if lows is not None and len(lows):
+        # Flip a bit in one row's MBR low corner.  The node is replaced,
+        # not mutated, and the flipped ``lows`` is a copy: columns shared
+        # with the clean node (a leaf's ``highs`` is its clean ``lows``)
         # stay intact.
-        from repro.index.rstar import Entry
-
-        target = injector._rng.randrange(len(entries))
-        entry = entries[target]
-        raw = np.ascontiguousarray(entry.low, dtype=np.float64).tobytes()
+        target = injector._rng.randrange(len(lows))
+        raw = np.ascontiguousarray(lows[target], dtype=np.float64).tobytes()
         offset, bit = injector.choose_bit(len(raw))
-        low = np.frombuffer(
+        flipped = lows.copy()
+        flipped[target] = np.frombuffer(
             _flip_bit(raw, offset, bit), dtype=np.float64
-        ).copy()
-        entries[target] = Entry(
-            low=low,
-            high=entry.high,
-            child_page=entry.child_page,
-            record=entry.record,
         )
-        return payload
+        return replace(payload, lows=flipped)
     return None

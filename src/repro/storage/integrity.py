@@ -31,8 +31,9 @@ def payload_checksum(payload: object) -> int:
 
     Supports the three payload shapes the pager actually stores —
     ``None`` (freshly allocated), 1-D float64 numpy slices (data pages),
-    and R*-tree nodes (duck-typed on ``level``/``entries``) — plus a
-    ``repr`` fallback for anything tests stuff into pages.
+    and R*-tree nodes (duck-typed on ``ref_columns``: level, row count,
+    then the ``lows``, ``highs``, child page, sid and window columns) —
+    plus a ``repr`` fallback for anything tests stuff into pages.
     """
     if payload is None:
         return zlib.crc32(_NONE_SENTINEL)
@@ -40,26 +41,12 @@ def payload_checksum(payload: object) -> int:
         array = np.ascontiguousarray(payload)
         header = f"{array.dtype.str}:{array.shape}".encode()
         return zlib.crc32(array.tobytes(), zlib.crc32(header))
-    entries = getattr(payload, "entries", None)
-    level = getattr(payload, "level", None)
-    if entries is not None and level is not None:
-        crc = zlib.crc32(struct.pack("<qq", int(level), len(entries)))
-        for entry in entries:
-            crc = zlib.crc32(
-                np.ascontiguousarray(entry.low, dtype=np.float64).tobytes(),
-                crc,
-            )
-            crc = zlib.crc32(
-                np.ascontiguousarray(entry.high, dtype=np.float64).tobytes(),
-                crc,
-            )
-            child = -1 if entry.child_page is None else int(entry.child_page)
-            if entry.record is not None:
-                sid = int(entry.record.sid)
-                window = int(entry.record.window_index)
-            else:
-                sid = window = -1
-            crc = zlib.crc32(struct.pack("<qqq", child, sid, window), crc)
+    ref_columns = getattr(payload, "ref_columns", None)
+    if ref_columns is not None:
+        header = struct.pack("<qq", int(payload.level), len(payload.refs))
+        crc = zlib.crc32(header)
+        for column in (payload.lows, payload.highs, *ref_columns()):
+            crc = zlib.crc32(np.ascontiguousarray(column).tobytes(), crc)
         return crc
     return zlib.crc32(repr(payload).encode())
 

@@ -56,7 +56,7 @@ from repro.exceptions import (
     PartialSaveError,
     SequenceNotFoundError,
 )
-from repro.index.rstar import Entry, LeafRecord, RStarNode, RStarTree
+from repro.index.rstar import LeafRecord, RStarNode, RStarTree
 from repro.storage.integrity import bytes_checksum, file_checksum
 from repro.storage.page import PageKind
 from repro.storage.pager import Pager
@@ -203,50 +203,30 @@ def _write_database(
     np.savez_compressed(path / "values.npz", **values_arrays)
     _fsync_file(path / "values.npz")
 
+    nodes: List[RStarNode] = []
     node_pages: List[int] = []
-    node_levels: List[int] = []
-    node_counts: List[int] = []
-    lows: List[np.ndarray] = []
-    highs: List[np.ndarray] = []
-    children: List[int] = []
-    record_sids: List[int] = []
-    record_windows: List[int] = []
     for page_id in range(db.pager.num_pages):
         kind = db.pager.kind_of(page_id)
-        if kind not in (PageKind.INDEX_LEAF, PageKind.INDEX_INTERNAL):
-            continue
-        node: RStarNode = db.pager.peek(page_id)
-        node_pages.append(page_id)
-        node_levels.append(node.level)
-        node_counts.append(len(node.entries))
-        for entry in node.entries:
-            lows.append(entry.low)
-            highs.append(entry.high)
-            if entry.record is not None:
-                children.append(-1)
-                record_sids.append(entry.record.sid)
-                record_windows.append(entry.record.window_index)
-            else:
-                children.append(entry.child_page)
-                record_sids.append(-1)
-                record_windows.append(-1)
+        if kind in (PageKind.INDEX_LEAF, PageKind.INDEX_INTERNAL):
+            node_pages.append(page_id)
+            nodes.append(db.pager.peek(page_id))
+    children, record_sids, record_windows = (
+        np.concatenate(column)
+        for column in zip(*(node.ref_columns() for node in nodes))
+    )
     index_arrays = {
         "node_pages": np.asarray(node_pages, dtype=np.int64),
-        "node_levels": np.asarray(node_levels, dtype=np.int64),
-        "node_counts": np.asarray(node_counts, dtype=np.int64),
-        "lows": (
-            np.stack(lows)
-            if lows
-            else np.zeros((0, db.features), dtype=np.float64)
+        "node_levels": np.asarray(
+            [node.level for node in nodes], dtype=np.int64
         ),
-        "highs": (
-            np.stack(highs)
-            if highs
-            else np.zeros((0, db.features), dtype=np.float64)
+        "node_counts": np.asarray(
+            [len(node.refs) for node in nodes], dtype=np.int64
         ),
-        "children": np.asarray(children, dtype=np.int64),
-        "record_sids": np.asarray(record_sids, dtype=np.int64),
-        "record_windows": np.asarray(record_windows, dtype=np.int64),
+        "lows": np.concatenate([node.lows for node in nodes]),
+        "highs": np.concatenate([node.highs for node in nodes]),
+        "children": children,
+        "record_sids": record_sids,
+        "record_windows": record_windows,
     }
     np.savez_compressed(path / "index.npz", **index_arrays)
     _fsync_file(path / "index.npz")
@@ -487,6 +467,62 @@ def _attach_tree(
     return tree
 
 
+def _rebuild_nodes(index_data: Dict[str, np.ndarray]) -> Dict[int, RStarNode]:
+    """Node objects keyed by page id, each a row slice of the columns.
+
+    The columns must agree before any node is built: ``node_counts``
+    sums to the row count of every per-row column, and leaf rows carry
+    no child page (and repeat their ``lows`` as ``highs``) while internal
+    rows carry one.  An archive that breaks this passed the file
+    checksums but cannot be a save, so it raises :class:`IntegrityError`.
+    """
+    pages, levels = index_data["node_pages"], index_data["node_levels"]
+    counts, children = index_data["node_counts"], index_data["children"]
+    lows, highs = index_data["lows"], index_data["highs"]
+    if not len(pages) == len(levels) == len(counts) or np.any(counts < 0):
+        raise IntegrityError(
+            "index.npz node_pages / node_levels / node_counts disagree"
+        )
+    rows = int(counts.sum())
+    for name in ("lows", "highs", "children", "record_sids", "record_windows"):
+        if len(index_data[name]) != rows:
+            raise IntegrityError(
+                f"index.npz:{name} has {len(index_data[name])} rows, "
+                f"node_counts sums to {rows}"
+            )
+    leaf = np.repeat(levels == 0, counts)
+    if np.any(leaf & (children >= 0)):
+        raise IntegrityError("index.npz holds a leaf row with a child page")
+    if np.any(~leaf & (children < 0)):
+        raise IntegrityError(
+            "index.npz holds an internal row without a child page"
+        )
+    if not np.array_equal(highs[leaf], lows[leaf]):
+        raise IntegrityError(
+            "index.npz holds a leaf row whose highs differ from its lows"
+        )
+    refs = [
+        LeafRecord(sid, window) if child < 0 else child
+        for child, sid, window in zip(
+            children.tolist(),
+            index_data["record_sids"].tolist(),
+            index_data["record_windows"].tolist(),
+        )
+    ]
+    nodes: Dict[int, RStarNode] = {}
+    end = 0
+    for page_id, level, count in zip(
+        pages.tolist(), levels.tolist(), counts.tolist()
+    ):
+        start, end = end, end + count
+        node_lows = lows[start:end]
+        node_highs = node_lows if level == 0 else highs[start:end]
+        nodes[page_id] = RStarNode(
+            level, node_lows, node_highs, refs[start:end]
+        )
+    return nodes
+
+
 def _reconstruct(
     path: pathlib.Path,
     meta: Dict[str, Any],
@@ -528,33 +564,7 @@ def _reconstruct(
     pager: Pager = db.pager
     kinds = [PageKind(value) for value in meta["page_kinds"]]
 
-    # Rebuild node objects keyed by their original page id.
-    nodes: Dict[int, RStarNode] = {}
-    lows, highs = index_data["lows"], index_data["highs"]
-    children = index_data["children"]
-    record_sids = index_data["record_sids"]
-    record_windows = index_data["record_windows"]
-    cursor = 0
-    for page_id, level, count in zip(
-        index_data["node_pages"],
-        index_data["node_levels"],
-        index_data["node_counts"],
-    ):
-        entries = []
-        for offset in range(cursor, cursor + int(count)):
-            low = lows[offset]
-            high = highs[offset]
-            child = int(children[offset])
-            if child < 0:
-                record = LeafRecord(
-                    sid=int(record_sids[offset]),
-                    window_index=int(record_windows[offset]),
-                )
-                entries.append(Entry(low=low, high=high, record=record))
-            else:
-                entries.append(Entry(low=low, high=high, child_page=child))
-        cursor += int(count)
-        nodes[int(page_id)] = RStarNode(level=int(level), entries=entries)
+    nodes = _rebuild_nodes(index_data)
 
     # Replay page allocation in original order: data pages are slices
     # of the sequence arrays; index pages are the rebuilt nodes.

@@ -68,17 +68,17 @@ class TestBuildIndex:
     def test_leaf_points_are_window_paa(self):
         store = make_store([64])
         index = build_index(store, omega=16, features=4)
-        for entry in index.tree.iter_leaf_entries():
-            record = entry.record
-            window = store.peek_subsequence(
-                record.sid, record.window_index * 16, 16
-            )
-            np.testing.assert_allclose(entry.low, paa(window, 4))
+        for leaf in index.tree.iter_leaves():
+            for low, record in zip(leaf.lows, leaf.refs):
+                window = store.peek_subsequence(
+                    record.sid, record.window_index * 16, 16
+                )
+                np.testing.assert_allclose(low, paa(window, 4))
 
     def test_window_values_accessor(self):
         store = make_store([64])
         index = build_index(store, omega=16, features=4)
-        record = next(iter(index.tree.iter_leaf_entries())).record
+        record = next(index.tree.iter_leaves()).refs[0]
         values = index.window_values(record)
         assert values.size == 16
 
@@ -110,6 +110,8 @@ class TestBuildIndex:
         store = make_store([8, 64])
         index = build_index(store, omega=16, features=4)
         sids = {
-            entry.record.sid for entry in index.tree.iter_leaf_entries()
+            record.sid
+            for leaf in index.tree.iter_leaves()
+            for record in leaf.refs
         }
         assert sids == {1}

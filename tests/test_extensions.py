@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from repro import SubsequenceDatabase
+from repro.core.paa import paa
 from repro.core.reference import brute_force_topk
 from repro.index.builder import build_index
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 from repro.storage.sequences import SequenceStore
-from tests.conftest import engine_distances, gold_topk, make_walk
+from tests.conftest import (
+    build_golden_db,
+    engine_distances,
+    gold_topk,
+    make_walk,
+)
 
 
 class TestWindowGroupDistance:
@@ -37,11 +43,24 @@ class TestWindowGroupDistance:
             == "HLMJ-WG"
         )
 
-    def test_window_point_table_covers_all_windows(self, walk_db):
-        table = walk_db.index.window_point_table()
-        assert len(table) == walk_db.index.num_indexed_windows
-        # Cached: same object on second call.
-        assert walk_db.index.window_point_table() is table
+    def test_leaf_points_equal_the_store_derived_points(self):
+        """HLMJ-WG re-derives a contained window's point from the store;
+        every indexed point must be that point, bit for bit."""
+        db = build_golden_db()
+
+        def check():
+            index = db.index
+            rows = 0
+            for leaf in index.tree.iter_leaves():
+                for low, record in zip(leaf.lows, leaf.refs):
+                    point = paa(index.window_values(record), index.features)
+                    assert low.tobytes() == point.tobytes()
+                    rows += 1
+            assert rows == index.num_indexed_windows
+
+        check()
+        db.extend_sequence(1, make_walk(500, seed=15))
+        check()
 
 
 class TestIterMatches:
@@ -105,10 +124,12 @@ class TestBulkVersusInsertBuilds:
         incremental.tree.check_invariants()
         assert len(bulk.tree) == len(incremental.tree)
         bulk_records = sorted(
-            e.record for e in bulk.tree.iter_leaf_entries()
+            record for leaf in bulk.tree.iter_leaves() for record in leaf.refs
         )
         incremental_records = sorted(
-            e.record for e in incremental.tree.iter_leaf_entries()
+            record
+            for leaf in incremental.tree.iter_leaves()
+            for record in leaf.refs
         )
         assert bulk_records == incremental_records
 

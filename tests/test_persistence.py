@@ -1,21 +1,25 @@
 """Tests for database save/load (repro.storage.persistence)."""
 
+import functools
+import hashlib
 import json
 import zipfile
 
 import numpy as np
 import pytest
 
-from repro import SubsequenceDatabase
+from repro import SubsequenceDatabase, api
 from repro.exceptions import (
     ConfigurationError,
     IntegrityError,
     PartialSaveError,
     SequenceNotFoundError,
 )
+from repro.index.builder import build_index
+from repro.storage import persistence
 from repro.storage.integrity import bytes_checksum, file_checksum
 from repro.storage.persistence import MANIFEST_NAME
-from tests.conftest import make_walk
+from tests.conftest import build_golden_db, make_walk
 
 
 @pytest.fixture()
@@ -105,6 +109,71 @@ class TestRoundTrip:
         psm = loaded.search(query, k=3, rho=1, method="psm")
         assert [m.distance for m in psm.matches] == pytest.approx(
             [m.distance for m in reference.matches]
+        )
+
+
+def _index_digest(db, directory) -> str:
+    """sha256 over every ``index.npz`` array: name, dtype, shape, bytes.
+
+    Arrays, not file bytes: ``np.savez_compressed`` stamps zip times.
+    """
+    db.save(directory)
+    digest = hashlib.sha256()
+    with np.load(directory / "index.npz") as data:
+        for name in sorted(data.files):
+            array = data[name]
+            digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestTreeShapeGolden:
+    """The golden database's saved tree, pinned array for array.
+
+    Every R* decision (choose-subtree, split, forced reinsert, condense,
+    root growth and shrink, STR packing) and its tie-breaks shows up in
+    which rows land on which pages, so any drift changes a digest.
+    """
+
+    def test_bulk_build(self, tmp_path):
+        assert _index_digest(build_golden_db(), tmp_path / "db") == (
+            "1a0396821bc30c551c3c9d4b11bc83877ffc07f2a92aa49e7a1001612dbbd754"
+        )
+
+    def test_insert_build(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            api, "build_index", functools.partial(build_index, bulk=False)
+        )
+        assert _index_digest(build_golden_db(), tmp_path / "db") == (
+            "ff0e35dc6416a4925fa255cff7f287e279e417d954dcf3f2e2ce8b78223c1b04"
+        )
+
+    def test_after_append_extend_delete(self, tmp_path):
+        db = build_golden_db()
+        db.append_sequence(2, make_walk(700, seed=13))
+        db.extend_sequence(0, make_walk(300, seed=14))
+        db.delete_sequence(1)
+        db.index.tree.check_invariants()
+        assert _index_digest(db, tmp_path / "db") == (
+            "94133b38b10e160835e35a2aa1c8e89b9a8c5b4c9192ff083b28abe9194bef5f"
+        )
+
+    def test_small_pages_insert_build_and_ingest(self, tmp_path, monkeypatch):
+        # Six entries per node: a four-level tree whose inserts split and
+        # reinsert at every level, and whose delete condenses.
+        monkeypatch.setattr(
+            api, "build_index", functools.partial(build_index, bulk=False)
+        )
+        db = SubsequenceDatabase(omega=16, features=4, page_size=512)
+        db.insert(0, make_walk(3000, seed=11))
+        db.insert(1, make_walk(2200, seed=12))
+        db.build()
+        db.append_sequence(2, make_walk(700, seed=13))
+        db.delete_sequence(1)
+        db.index.tree.check_invariants()
+        assert db.index.tree.height >= 4
+        assert _index_digest(db, tmp_path / "db") == (
+            "656eedc40ce5a2d2fcc95f6d98f4457f9d935db45c60c76ced7ea8410a00454a"
         )
 
 
@@ -252,6 +321,82 @@ class TestCorruptionDetection:
         (saved / "values.npz").write_bytes(bytes(data))
         with pytest.raises(IntegrityError):
             SubsequenceDatabase.load(saved)
+
+
+class TestInconsistentColumns:
+    """``index.npz`` arrays that pass every file checksum but that no
+    save could have written: load refuses them by name."""
+
+    @pytest.fixture()
+    def load_doctored(self, built_db, tmp_path):
+        path = tmp_path / "db"
+        built_db.save(path)
+
+        def load(doctor):
+            meta = persistence._verify_on_disk(path)
+            values = persistence._load_npz(path, meta, "values.npz")
+            index = {
+                name: array.copy()
+                for name, array in persistence._load_npz(
+                    path, meta, "index.npz"
+                ).items()
+            }
+            doctor(index)
+            return persistence._reconstruct(
+                path, meta, values, index, psm=False, backend=None
+            )
+
+        return load
+
+    def test_undoctored_columns_load(self, load_doctored):
+        db = load_doctored(lambda index: None)
+        db.index.tree.check_invariants()
+
+    @pytest.mark.parametrize(
+        "column",
+        ["lows", "highs", "children", "record_sids", "record_windows"],
+    )
+    def test_column_rows_differ_from_node_counts(self, load_doctored, column):
+        def doctor(index):
+            index[column] = index[column][:-1]
+
+        with pytest.raises(IntegrityError, match=f"{column} has"):
+            load_doctored(doctor)
+
+    def test_node_counts_differ_from_column_rows(self, load_doctored):
+        def doctor(index):
+            index["node_counts"][-1] += 1
+
+        with pytest.raises(IntegrityError, match="node_counts sums to"):
+            load_doctored(doctor)
+
+    def test_node_arrays_differ_in_length(self, load_doctored):
+        def doctor(index):
+            index["node_levels"] = index["node_levels"][:-1]
+
+        with pytest.raises(IntegrityError, match="disagree"):
+            load_doctored(doctor)
+
+    def test_leaf_row_with_a_child_page(self, load_doctored):
+        def doctor(index):
+            index["children"][np.flatnonzero(index["children"] < 0)[0]] = 0
+
+        with pytest.raises(IntegrityError, match="leaf row with a child"):
+            load_doctored(doctor)
+
+    def test_internal_row_without_a_child_page(self, load_doctored):
+        def doctor(index):
+            index["children"][np.flatnonzero(index["children"] >= 0)[0]] = -1
+
+        with pytest.raises(IntegrityError, match="internal row without"):
+            load_doctored(doctor)
+
+    def test_leaf_row_highs_differ_from_lows(self, load_doctored):
+        def doctor(index):
+            index["highs"][np.flatnonzero(index["children"] < 0)[0]] += 1.0
+
+        with pytest.raises(IntegrityError, match="highs differ"):
+            load_doctored(doctor)
 
 
 class TestAtomicSave:

@@ -78,5 +78,9 @@ def test_rstar_invariants_under_random_inserts(
             LeafRecord(sid=0, window_index=index),
         )
     tree.check_invariants()
-    records = {e.record.window_index for e in tree.iter_leaf_entries()}
+    records = {
+        record.window_index
+        for leaf in tree.iter_leaves()
+        for record in leaf.refs
+    }
     assert records == set(range(count))

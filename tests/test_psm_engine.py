@@ -41,7 +41,7 @@ class TestBuildSlidingIndex:
             assert index.bloom.might_contain((0, offset))
 
     def test_is_the_stride_one_dualmatch_index(self):
-        """Entry for entry the ``J = 1`` ``build_index``, plus a bloom."""
+        """Row for row the ``J = 1`` ``build_index``, plus a bloom."""
         sliding = make_sliding([100, 50])
         plain = build_index(make_store([100, 50]), 8, 4, data_stride=1)
         assert type(sliding) is type(plain)
@@ -50,8 +50,9 @@ class TestBuildSlidingIndex:
 
         def rows(index):
             return [
-                (entry.record, entry.low.tobytes())
-                for entry in index.tree.iter_leaf_entries()
+                (record, low.tobytes())
+                for leaf in index.tree.iter_leaves()
+                for low, record in zip(leaf.lows, leaf.refs)
             ]
 
         assert rows(sliding) == rows(plain)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, IndexError_
-from repro.index.rstar import LeafRecord, RStarTree
+from repro.index.rstar import LeafRecord, RStarNode, RStarTree
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 
@@ -24,6 +24,15 @@ def insert_grid(tree, count, seed=0):
     for index, point in enumerate(points):
         tree.insert(point, LeafRecord(sid=0, window_index=index))
     return points
+
+
+def leaf_windows(tree):
+    """Window index of every leaf row."""
+    return {
+        record.window_index
+        for leaf in tree.iter_leaves()
+        for record in leaf.refs
+    }
 
 
 class TestConstruction:
@@ -53,8 +62,7 @@ class TestInsertion:
     def test_all_records_present_after_inserts(self):
         _pager, _buffer, tree = make_tree()
         insert_grid(tree, 200)
-        records = {entry.record.window_index for entry in tree.iter_leaf_entries()}
-        assert records == set(range(200))
+        assert leaf_windows(tree) == set(range(200))
         assert len(tree) == 200
 
     def test_invariants_hold_after_growth(self):
@@ -101,8 +109,7 @@ class TestBulkLoad:
         tree.bulk_load(points, records)
         tree.check_invariants()
         assert len(tree) == 500
-        got = {e.record.window_index for e in tree.iter_leaf_entries()}
-        assert got == set(range(500))
+        assert leaf_windows(tree) == set(range(500))
 
     def test_bulk_load_single_leaf(self):
         _pager, _buffer, tree = make_tree(max_entries=8)
@@ -147,7 +154,7 @@ class TestBulkLoad:
                     low, high = node.mbr()
                     total += float(np.prod(high - low))
                 else:
-                    stack.extend(e.child_page for e in node.entries)
+                    stack.extend(node.refs)
             return total
 
         assert leaf_area_sum(packed) < 2.0  # unit square, tight tiles
@@ -183,3 +190,68 @@ class TestReads:
         low, high = root.mbr()
         assert np.all(points >= low - 1e-12)
         assert np.all(points <= high + 1e-12)
+
+
+class TestNodeColumns:
+    def test_mbr_spans_every_row(self):
+        node = RStarNode(
+            1,
+            np.array([[0.0, 0.0], [5.0, 5.0], [-1.0, 2.0]]),
+            np.array([[1.0, 1.0], [6.0, 6.0], [0.0, 3.0]]),
+            [3, 4, 5],
+        )
+        low, high = node.mbr()
+        assert low.tolist() == [-1.0, 0.0]
+        assert high.tolist() == [6.0, 6.0]
+
+    def test_mbr_of_empty_node_rejected(self):
+        with pytest.raises(IndexError_):
+            RStarNode.leaf(np.empty((0, 2)), []).mbr()
+
+    def test_leaf_highs_is_lows(self):
+        _pager, _buffer, inserted = make_tree(max_entries=4)
+        insert_grid(inserted, 60)
+        _pager, _buffer, packed = make_tree(max_entries=4)
+        packed.bulk_load(
+            np.random.default_rng(4).random((60, 2)),
+            [LeafRecord(0, i) for i in range(60)],
+        )
+        for tree in (inserted, packed):
+            leaves = list(tree.iter_leaves())
+            assert sum(len(leaf.refs) for leaf in leaves) == 60
+            assert all(leaf.highs is leaf.lows for leaf in leaves)
+
+    def test_take_and_append_keep_the_leaf_share(self):
+        leaf = RStarNode.leaf(
+            np.arange(6.0).reshape(3, 2), [LeafRecord(0, i) for i in range(3)]
+        )
+        taken = leaf.take(np.array([2, 0]))
+        assert taken.lows.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+        assert taken.refs == [(0, 2), (0, 0)]
+        taken.append(np.array([9.0, 9.0]), np.array([9.0, 9.0]), (0, 7))
+        assert taken.highs is taken.lows and len(taken.refs) == 3
+        assert leaf.lows.shape == (3, 2)  # the source is untouched
+
+
+class TestInvariantColumns:
+    """``check_invariants`` (and so ``repro scrub``) reads the columns."""
+
+    @pytest.fixture()
+    def tree(self):
+        _pager, _buffer, tree = make_tree(max_entries=4)
+        insert_grid(tree, 40)
+        tree.check_invariants()
+        return tree
+
+    def test_columns_of_different_length(self, tree):
+        leaf = next(tree.iter_leaves())
+        leaf.refs = leaf.refs[:-1]
+        with pytest.raises(IndexError_, match="columns disagree"):
+            tree.check_invariants()
+
+    def test_leaf_highs_differ_from_lows(self, tree):
+        leaf = next(tree.iter_leaves())
+        # Lowered, so the parent's MBR still contains the leaf's.
+        leaf.highs = leaf.lows - 1e-3
+        with pytest.raises(IndexError_, match="highs differ"):
+            tree.check_invariants()

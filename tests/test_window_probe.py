@@ -28,32 +28,32 @@ def tree_pages(db):
         pages.append(stack.pop())
         node = db.pager.peek(pages[-1])
         if not node.is_leaf:
-            stack.extend(entry.child_page for entry in node.entries)
+            stack.extend(node.refs)
     return pages
 
 
 def direct_bounds(index, window, node, norm):
     """One window's ``(near, far)`` for ``node`` from the 1-D kernels."""
     lower, upper = window.paa_lower, window.paa_upper
-    lows = np.stack([entry.low for entry in node.entries])
+    lows = node.lows
     if node.is_leaf and norm is None:
         return lb_paa_pow_batch(lower, upper, lows, 4, 2.0), None
     if node.is_leaf:
         # Scalar lookups: the oracle for the grid's per-window stats.
         stats = [
             norm.stats(
-                entry.record.sid,
-                entry.record.window_index * index.data_stride
+                record.sid,
+                record.window_index * index.data_stride
                 - window.sliding_offset,
             )
-            for entry in node.entries
+            for record in node.refs
         ]
         mus, sigmas = (np.array(column) for column in zip(*stats))
         return (
             lb_paa_znorm_pow_batch(lower, upper, lows, mus, sigmas, 4, 2.0),
             None,
         )
-    highs = np.stack([entry.high for entry in node.entries])
+    highs = node.highs
     if norm is None:
         return batch_lower_bounds(
             lower, upper, lows, highs, 4, 2.0, include_far=True
@@ -106,7 +106,7 @@ def test_far_bound_only_on_request(golden_db):
     node, near, far = grid.probe(window_set.windows[0]).expand(
         index.tree.root_page
     )
-    assert not node.is_leaf and len(near) == len(node.entries)
+    assert not node.is_leaf and len(near) == len(node.refs)
     assert far is None
 
 
@@ -216,10 +216,7 @@ class TestFaultThenRead:
             page_id
             for page_id in tree_pages(db)
             if db.pager.kind_of(page_id) == PageKind.INDEX_LEAF
-            and any(
-                entry.record == (0, 25)
-                for entry in db.pager.peek(page_id).entries
-            )
+            and (0, 25) in db.pager.peek(page_id).refs
         )
         injector.add(
             FaultSpec(fault=TRANSIENT, page_ids=[victim], max_per_page=1)
