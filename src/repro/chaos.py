@@ -1069,6 +1069,12 @@ class _ShardIteration(_Iteration):
         )
         self.num_shards = self.rng.randint(2, 4)
         self.policy = self.rng.choice(POLICIES)
+        # Drawn from a stream of its own: the database is built before
+        # the scenario's last ``self.rng`` draw, and no earlier draw
+        # may shift.  Threads race the shards' shared k-th bound.
+        self.executor = random.Random(
+            f"{seed}:shard-executor:{iteration}"
+        ).choice(("serial", "thread"))
 
     def build_pair(
         self,
@@ -1085,7 +1091,7 @@ class _ShardIteration(_Iteration):
         sdb = ShardedDatabase(
             num_shards=self.num_shards,
             policy=self.policy,
-            executor="serial",
+            executor=self.executor,
             omega=self.omega,
             features=4,
             page_size=1024,
@@ -1135,8 +1141,9 @@ def run_shard_chaos(
     """Sharded execution vs the single-process oracle, under adversity.
 
     Per iteration: identical data goes into an unsharded oracle and a
-    2-4 shard :class:`~repro.shard.ShardedDatabase` (random policy),
-    then the scenario attacks the sharded side only —
+    2-4 shard :class:`~repro.shard.ShardedDatabase` (random policy,
+    serial or thread executor), then the scenario attacks the sharded
+    side only —
 
     ``parity``
         No faults: every engine's merged answer and the merged stream

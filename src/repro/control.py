@@ -11,6 +11,9 @@ every engine.
   for real).
 * :class:`CancellationToken` lets a caller abort a running query from
   outside the engine loop.
+* :class:`KthBound` is the one k-th-distance bound the shards of a
+  sharded fan-out share, so each prunes against the best ``k`` matches
+  any of them has verified.
 * :class:`ExecutionControl` bundles the three for one query run and
   exposes :meth:`~ExecutionControl.checkpoint`, which engines call at
   every traversal-loop boundary (lint rule RS007 enforces this).  When a
@@ -30,10 +33,15 @@ Every limit object is per-query; construct fresh ones per search.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from repro.analysis.concurrency import single_query
+from repro.analysis.concurrency import (
+    guarded_by,
+    shared_across_queries,
+    single_query,
+)
 from repro.core.clock import MONOTONIC_CLOCK, Clock, FakeClock, MonotonicClock
 from repro.core.metrics import QueryStats
 from repro.exceptions import ConfigurationError, ExecutionInterrupted
@@ -45,6 +53,7 @@ __all__ = [
     "Deadline",
     "ExecutionControl",
     "FakeClock",
+    "KthBound",
     "MONOTONIC_CLOCK",
     "MonotonicClock",
     "QueryBudget",
@@ -168,6 +177,37 @@ class CancellationToken:
         return self._cancelled
 
 
+@shared_across_queries
+@guarded_by("_lock", "value_pow")
+class KthBound:
+    """One monotone k-th-distance bound shared by the shards of a query.
+
+    A sharded ``knn`` / ``stream`` fan-out mints one and
+    :meth:`ExecutionControl.derive` hands it to every shard run.  Each
+    shard's evaluator prunes against ``min(own delta_cur, value_pow)``
+    and, whenever its own collector holds ``k`` verified matches,
+    :meth:`offer` s its k-th distance.  A value therefore always is the
+    k-th of ``k`` real matches, so it is never below the global k-th
+    distance, and every comparison against it is strict (``>``): no
+    member of the global top-k, ties included, is dismissed.
+
+    Writes take the lock, so the value never rises even when shard
+    threads race; reads are a plain attribute load.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: ``delta ** p`` of the best k matches any shard has verified;
+        #: ``inf`` until some shard holds ``k``.
+        self.value_pow = math.inf
+
+    def offer(self, value_pow: float) -> None:
+        """Lower the bound to ``value_pow`` if that is tighter."""
+        with self._lock:
+            if value_pow < self.value_pow:
+                self.value_pow = value_pow
+
+
 @single_query
 class ExecutionControl:
     """Runtime budget/deadline/cancellation state for one query.
@@ -205,23 +245,31 @@ class ExecutionControl:
         self.frontier_pow = 0.0
         #: Checkpoints executed (diagnostics; surfaced via QueryStats).
         self.checkpoints = 0
+        #: The k-th bound shared with the other shards of a fan-out;
+        #: ``None`` on every control :meth:`derive` did not make.
+        self.bound: Optional[KthBound] = None
         self._stats: Optional[QueryStats] = None
         self._page_count: Optional[Callable[[], int]] = None
 
-    def derive(self) -> "ExecutionControl":
+    def derive(self, bound: Optional[KthBound] = None) -> "ExecutionControl":
         """A fresh run state under the same limits and tracer.
 
         A sharded fan-out derives one per shard: the budget caps apply
-        to each shard's own counters, while the deadline and the token
-        are shared (see ``docs/sharding.md``).
+        to each shard's own counters, while the deadline, the token and
+        the fan-out's ``bound`` are shared (see ``docs/sharding.md``).
+        The bound is per fan-out, so a control reused across queries
+        never carries a stale one.
         """
-        return ExecutionControl(
+        control = ExecutionControl(
             self.budget, self.deadline, self.token, self.tracer
         )
+        control.bound = bound
+        return control
 
     def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
         # Crossing to a pool worker carries the limits only; the run
-        # state and the tracer belong to this process.
+        # state, the tracer and a shared k-th bound belong to this
+        # process (docs/sharding.md says why the bound stays behind).
         return (ExecutionControl, (self.budget, self.deadline, self.token))
 
     def bind(self, stats: QueryStats, page_count: Callable[[], int]) -> None:

@@ -358,6 +358,10 @@ class CandidateEvaluator:
         #: The query's tracer (disabled singleton unless the caller
         #: wired one through the control plane).
         self.tracer = self.control.tracer
+        #: The k-th bound this run shares with the other shards of a
+        #: fan-out (``None`` unsharded): read by :attr:`threshold_pow`,
+        #: fed by every collector offer.
+        self.bound = self.control.bound
         self.collector: Union[TopKCollector, RangeCollector] = (
             RangeCollector(spec.epsilon, p=spec.p)
             if spec.kind == "range"
@@ -377,8 +381,23 @@ class CandidateEvaluator:
 
     @property
     def threshold_pow(self) -> float:
-        """``delta_cur ** p`` — the current pruning threshold."""
-        return self.collector.threshold_pow
+        """``delta_cur ** p`` — the current pruning threshold.
+
+        Under a sharded fan-out, the tighter of this shard's own k-th
+        distance and the shared :class:`~repro.control.KthBound`.
+        """
+        if self.bound is None:
+            return self.collector.threshold_pow
+        return min(self.collector.threshold_pow, self.bound.value_pow)
+
+    def _publish(self) -> None:
+        """Offer this shard's k-th distance to the shared bound.
+
+        A collector short of ``k`` matches reads ``inf``, which the
+        bound ignores.
+        """
+        if self.bound is not None:
+            self.bound.offer(self.collector.threshold_pow)
 
     @property
     def query_length(self) -> int:
@@ -549,6 +568,7 @@ class CandidateEvaluator:
             pruned=0, dtws=1, abandoned=int(distance_pow > threshold_pow)
         )
         self.collector.offer_pow(distance_pow, sid, start)
+        self._publish()
         return distance_pow
 
     def _count_cascade(self, pruned: int, dtws: int, abandoned: int) -> None:
@@ -593,11 +613,12 @@ class CandidateEvaluator:
         verification: :class:`TopKCollector` is a pure function of the
         *set* offered to it under the ``(distance, sid, start)`` order,
         and a row is skipped (pruned or abandoned) only when its
-        distance strictly exceeds a threshold the collector held at the
-        time, which is never below the final k-th distance.  A chunk's
-        threshold is never tighter than the serial run's at the same
-        candidate, so this offers a superset of the serial run's
-        candidates whose extras lie strictly above the final k-th:
+        distance strictly exceeds a threshold held at the time (the
+        collector's, or a fan-out's shared bound), which is never below
+        the final k-th distance.  A chunk's threshold is never tighter
+        than the serial run's at the same candidate, so this offers a
+        superset of the serial run's candidates whose extras lie
+        strictly above the final k-th:
         matches and every counter but ``dtw_computations`` /
         ``pruned_by_lb_keogh`` are identical.
         """
@@ -629,6 +650,7 @@ class CandidateEvaluator:
             abandoned += int(np.count_nonzero(distance_pows > threshold_pow))
             for row, distance_pow in zip(chunk.tolist(), distance_pows.tolist()):
                 self.collector.offer_pow(distance_pow, sids[row], starts[row])
+            self._publish()
             done += int(chunk.size)
         self._count_cascade(pruned=count - done, dtws=done, abandoned=abandoned)
 

@@ -13,7 +13,8 @@ over ``ω`` subqueries, one per matching subsequence equivalence class
 * :class:`UnionOperator` (``∪_r``) repeatedly advances the child with
   the smallest current lower bound (optimal by Lemma 6) and stops as
   soon as ``delta_cur`` is at most every child's bound — the paper's
-  termination rule.
+  termination rule — or, on a shard, as soon as every child's bound
+  exceeds the fan-out's shared k-th bound.
 
 :class:`RankedUnionEngine` drives the operator tree to exhaustion of the
 top-k result.  Its ``scheduling`` parameter selects the
@@ -299,8 +300,13 @@ class UnionOperator(ExtendedIterator):
                 control.checkpoint()
             min_clb = self._min_alive_clb()
             collector = self._evaluator.collector
-            stop = min_clb == _INF or (
-                collector.is_full and min_clb >= collector.threshold_pow
+            bound = self._evaluator.bound
+            # Strict against the shared bound: a candidate tying the
+            # global k-th distance may still belong to this shard.
+            stop = (
+                min_clb == _INF
+                or (collector.is_full and min_clb >= collector.threshold_pow)
+                or (bound is not None and min_clb > bound.value_pow)
             )
             if stop and not self._children_drained:
                 # Children may still hold evaluated candidates whose

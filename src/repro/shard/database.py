@@ -16,9 +16,10 @@ One query path: the inherited keyword methods build one
 :class:`~repro.control.ExecutionControl`; :meth:`ShardedDatabase.
 run_query` fans the spec out unchanged — on every executor — with one
 :meth:`~repro.control.ExecutionControl.derive` of the control per
-shard.  How ``budget`` / ``deadline`` / ``token`` behave under that
-fan-out is stated once, in ``docs/sharding.md`` ("Control plane under
-fan-out").
+shard; the in-process shard runs of a ``knn`` / ``stream`` fan-out
+also share one :class:`~repro.control.KthBound`.  How ``budget`` /
+``deadline`` / ``token`` and the bound behave under that fan-out is
+stated once, in ``docs/sharding.md`` ("Control plane under fan-out").
 
 Shard faults: per-page storage faults inside a shard follow the normal
 ``on_fault`` policy *within* that shard.  A shard failing wholesale
@@ -47,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
-from repro.control import ExecutionControl
+from repro.control import ExecutionControl, KthBound
 from repro.engines.base import QuerySpec, SearchResult
 from repro.engines.ranked_union import MatchStream
 from repro.exceptions import (
@@ -336,13 +337,14 @@ class ShardedDatabase(QueryFacade):
         shards = self._live_shards()
         streams: List[Tuple[int, MatchStream]] = []
         lost: List[LostShard] = []
+        bound = KthBound()
         try:
             for index, db in shards.items():
                 if index in self._failed_shards:
                     lost.append(self._lose(index, spec))
                     continue
                 streams.append(
-                    (index, db.open_stream(query, spec, control.derive()))
+                    (index, db.open_stream(query, spec, control.derive(bound)))
                 )
         except StorageError:
             for _, stream in streams:
@@ -391,6 +393,9 @@ class ShardedDatabase(QueryFacade):
         live: List[int] = []
         jobs: List[Tuple[Any, ...]] = []
         lost: List[LostShard] = []
+        # Range queries prune against their fixed epsilon; only a top-k
+        # has a k-th distance to share.
+        bound = KthBound() if spec.kind == "knn" else None
         for index, db in shards.items():
             if index in self._failed_shards:
                 lost.append(self._lose(index, spec))
@@ -401,7 +406,7 @@ class ShardedDatabase(QueryFacade):
                 shard_dir = str(self._root / shard_dir_name(index))
                 jobs.append((shard_dir, self._psm, query, spec, control))
             else:
-                jobs.append((index, db, query, spec, control.derive()))
+                jobs.append((index, db, query, spec, control.derive(bound)))
         function: Callable[..., SearchResult] = (
             run_shard_request if remote else self._run_shard
         )

@@ -8,7 +8,10 @@ exactness argument is the same as for the in-process union:
 * **Top-k** — a shard's local top-k contains every *global* top-k
   member stored on that shard (local competition is a subset of global
   competition, so the local threshold is never tighter than the global
-  one).  Concatenating per-shard top-ks and keeping the ``k`` smallest
+  one; nor is the fan-out's shared
+  :class:`~repro.control.KthBound`, the k-th distance of ``k`` real
+  matches, and it only dismisses strictly above itself).
+  Concatenating per-shard top-ks and keeping the ``k`` smallest
   under the total order ``(distance, sid, start)`` therefore yields
   exactly the unsharded answer, ties included.
 * **Streams** — per-shard

@@ -35,7 +35,7 @@ from repro.analysis.concurrency import (
     shared_across_queries,
     single_query,
 )
-from repro.control import ExecutionControl
+from repro.control import ExecutionControl, KthBound
 from repro.core.metrics import QueryStats, StatsRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
@@ -73,7 +73,8 @@ def _run_threads(worker: Callable[[int], None], count: int = THREADS) -> None:
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "worker thread hung"
     if failures:
         raise failures[0]
 
@@ -179,6 +180,9 @@ class TestContractDecorators:
         for cls in (ThreadShardExecutor, ProcessShardExecutor):
             assert cls.__repro_shared__ is True, cls.__name__
             assert cls.__repro_guards__ == {"_pool": "_lock"}, cls.__name__
+        # One fan-out's shard threads lower one bound under its lock.
+        assert KthBound.__repro_shared__ is True
+        assert KthBound.__repro_guards__ == {"value_pow": "_lock"}
         # Shared but lock-free by construction (immutable after build).
         assert ShardedDatabase.__repro_shared__ is True
         assert SerialShardExecutor.__repro_shared__ is True
@@ -353,6 +357,38 @@ class TestCircuitBreakerUnderThreads:
         _run_threads(worker)
         assert len(breaker._outcomes) == THREADS * iters
         assert breaker.state == "closed"
+
+
+class TestKthBoundUnderThreads:
+    ITERS = 2000
+
+    def test_value_never_rises_and_ends_at_the_minimum(self) -> None:
+        bound = KthBound()
+        # Every thread descends through the same band at once, so most
+        # offers lower the value and the threads keep racing to write.
+        offers = [
+            [float((self.ITERS - step) * THREADS + index)
+             for step in range(self.ITERS)]
+            for index in range(THREADS)
+        ]
+
+        def worker(index: int) -> None:
+            seen = bound.value_pow
+            for value in offers[index]:
+                bound.offer(value)
+                now = bound.value_pow
+                # A lost update (check, then another thread lowers, then
+                # this write) would show as the value rising.
+                assert now <= seen and now <= value
+                seen = now
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert bound.value_pow == min(min(values) for values in offers)
 
 
 class TestShardedDatabaseUnderThreads:
