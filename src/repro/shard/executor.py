@@ -14,7 +14,8 @@ the per-shard work runs:
     worker thread records its own span subtree via the tracer's
     thread-local stacks).  This is the default because it needs no
     saved root, not for speed: the engine loop is Python under the GIL
-    (``shard.speedup_vs_unsharded`` 0.275; two serve workers scale 0.94x).
+    (``shard.speedup_vs_unsharded`` 0.646 with the shared k-th bound;
+    two serve workers scale 0.90x).
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` over a
     *persisted* shard root (see :meth:`~repro.shard.database.
