@@ -1071,7 +1071,7 @@ class _ShardIteration(_Iteration):
         self.policy = self.rng.choice(POLICIES)
         # Drawn from a stream of its own: the database is built before
         # the scenario's last ``self.rng`` draw, and no earlier draw
-        # may shift.  Threads race the shards' shared k-th bound.
+        # may shift.  Thread shards take turns at the shared k-th bound.
         self.executor = random.Random(
             f"{seed}:shard-executor:{iteration}"
         ).choice(("serial", "thread"))

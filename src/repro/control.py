@@ -13,7 +13,9 @@ every engine.
   outside the engine loop.
 * :class:`KthBound` is the one k-th-distance bound the shards of a
   sharded fan-out share, so each prunes against the best ``k`` matches
-  any of them has verified.
+  any of them has verified; a thread fan-out runs those shards in a
+  :class:`Rotation`, one at a time, so what each reads of the bound is
+  the same on every execution.
 * :class:`ExecutionControl` bundles the three for one query run and
   exposes :meth:`~ExecutionControl.checkpoint`, which engines call at
   every traversal-loop boundary (lint rule RS007 enforces this).  When a
@@ -39,6 +41,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from repro.analysis.concurrency import (
     guarded_by,
+    requires_lock,
     shared_across_queries,
     single_query,
 )
@@ -61,6 +64,8 @@ __all__ = [
     "REASON_CANDIDATE_BUDGET",
     "REASON_DEADLINE",
     "REASON_PAGE_BUDGET",
+    "Rotation",
+    "TURN_CHECKPOINTS",
     "certificate_from_pow",
 ]
 
@@ -191,8 +196,9 @@ class KthBound:
     distance, and every comparison against it is strict (``>``): no
     member of the global top-k, ties included, is dismissed.
 
-    Writes take the lock, so the value never rises even when shard
-    threads race; reads are a plain attribute load.
+    Writes take the lock, so the value never rises whoever offers it;
+    reads are a plain attribute load.  Shard threads do not race it:
+    the thread executor runs them in a :class:`Rotation`.
     """
 
     def __init__(self) -> None:
@@ -206,6 +212,63 @@ class KthBound:
         with self._lock:
             if value_pow < self.value_pow:
                 self.value_pow = value_pow
+
+
+#: Checkpoints a shard run executes per turn of a :class:`Rotation`.
+TURN_CHECKPOINTS = 64
+
+
+@shared_across_queries
+@guarded_by("_cond", "_holder", "_seated")
+class Rotation:
+    """The shard runs of one thread fan-out, one at a time, in turn.
+
+    Threads that raced a :class:`KthBound` would read it at moments the
+    OS scheduler picks, so a shard's pruning — and the query's NUM_IO —
+    would change from run to run.  In a rotation exactly one party (a
+    shard run, numbered in shard order) holds the turn.  It hands the
+    turn to the next seated party after every :data:`TURN_CHECKPOINTS`
+    of its own checkpoints and when it leaves, so every read of the
+    bound sees what the other parties published at the same logical
+    points on every execution, and the counters repeat exactly.
+
+    A party waits for the others, so every party must get a thread:
+    :meth:`~repro.shard.executor.ThreadShardExecutor.run` says why each
+    does.
+    """
+
+    def __init__(self, parties: int) -> None:
+        self._cond = threading.Condition()
+        #: Parties that have not left, in turn order.
+        self._seated = list(range(parties))
+        self._holder = 0
+
+    def take(self, party: int) -> None:
+        """Block until ``party`` holds the turn (its run's first step)."""
+        with self._cond:
+            self._await(party)
+
+    def hand_on(self, party: int) -> None:
+        """Give the turn to the next seated party; block until it is back."""
+        with self._cond:
+            self._advance(party)
+            self._await(party)
+
+    def leave(self, party: int) -> None:
+        """Give the turn on for good: ``party``'s run has ended."""
+        with self._cond:
+            self._advance(party)
+            self._seated.remove(party)
+
+    @requires_lock("_cond")
+    def _advance(self, party: int) -> None:
+        seated = self._seated
+        self._holder = seated[(seated.index(party) + 1) % len(seated)]
+        self._cond.notify_all()
+
+    @requires_lock("_cond")
+    def _await(self, party: int) -> None:
+        self._cond.wait_for(lambda: self._holder == party)
 
 
 @single_query
@@ -248,28 +311,39 @@ class ExecutionControl:
         #: The k-th bound shared with the other shards of a fan-out;
         #: ``None`` on every control :meth:`derive` did not make.
         self.bound: Optional[KthBound] = None
+        #: The rotation this run takes turns in, as party ``party``;
+        #: ``None`` outside a thread fan-out's top-k.
+        self.rotation: Optional[Rotation] = None
+        self.party = 0
         self._stats: Optional[QueryStats] = None
         self._page_count: Optional[Callable[[], int]] = None
 
-    def derive(self, bound: Optional[KthBound] = None) -> "ExecutionControl":
+    def derive(
+        self,
+        bound: Optional[KthBound] = None,
+        rotation: Optional[Rotation] = None,
+        party: int = 0,
+    ) -> "ExecutionControl":
         """A fresh run state under the same limits and tracer.
 
         A sharded fan-out derives one per shard: the budget caps apply
-        to each shard's own counters, while the deadline, the token and
-        the fan-out's ``bound`` are shared (see ``docs/sharding.md``).
-        The bound is per fan-out, so a control reused across queries
-        never carries a stale one.
+        to each shard's own counters, while the deadline, the token, the
+        fan-out's ``bound`` and its ``rotation`` are shared (see
+        ``docs/sharding.md``).  Both are per fan-out, so a control
+        reused across queries never carries a stale one.
         """
         control = ExecutionControl(
             self.budget, self.deadline, self.token, self.tracer
         )
         control.bound = bound
+        control.rotation = rotation
+        control.party = party
         return control
 
     def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
         # Crossing to a pool worker carries the limits only; the run
-        # state, the tracer and a shared k-th bound belong to this
-        # process (docs/sharding.md says why the bound stays behind).
+        # state, the tracer, a shared k-th bound and a rotation belong to
+        # this process (docs/sharding.md says why the bound stays behind).
         return (ExecutionControl, (self.budget, self.deadline, self.token))
 
     def bind(self, stats: QueryStats, page_count: Callable[[], int]) -> None:
@@ -301,6 +375,11 @@ class ExecutionControl:
         non-decreasing over a run).
         """
         self.checkpoints += 1
+        if (
+            self.rotation is not None
+            and self.checkpoints % TURN_CHECKPOINTS == 0
+        ):
+            self.rotation.hand_on(self.party)
         if frontier_pow is not None:
             self.frontier_pow = frontier_pow
         if self.tracer.enabled and self.limited:

@@ -300,13 +300,12 @@ class UnionOperator(ExtendedIterator):
                 control.checkpoint()
             min_clb = self._min_alive_clb()
             collector = self._evaluator.collector
-            bound = self._evaluator.bound
             # Strict against the shared bound: a candidate tying the
             # global k-th distance may still belong to this shard.
             stop = (
                 min_clb == _INF
                 or (collector.is_full and min_clb >= collector.threshold_pow)
-                or (bound is not None and min_clb > bound.value_pow)
+                or min_clb > self._evaluator.threshold_pow
             )
             if stop and not self._children_drained:
                 # Children may still hold evaluated candidates whose

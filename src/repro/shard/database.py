@@ -17,9 +17,11 @@ One query path: the inherited keyword methods build one
 run_query` fans the spec out unchanged — on every executor — with one
 :meth:`~repro.control.ExecutionControl.derive` of the control per
 shard; the in-process shard runs of a ``knn`` / ``stream`` fan-out
-also share one :class:`~repro.control.KthBound`.  How ``budget`` /
-``deadline`` / ``token`` and the bound behave under that fan-out is
-stated once, in ``docs/sharding.md`` ("Control plane under fan-out").
+also share one :class:`~repro.control.KthBound`, which the thread
+executor's shard runs take turns at in a
+:class:`~repro.control.Rotation`.  How ``budget`` / ``deadline`` /
+``token`` and the bound behave under that fan-out is stated once, in
+``docs/sharding.md`` ("Control plane under fan-out").
 
 Shard faults: per-page storage faults inside a shard follow the normal
 ``on_fault`` policy *within* that shard.  A shard failing wholesale
@@ -48,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
-from repro.control import ExecutionControl, KthBound
+from repro.control import ExecutionControl, KthBound, Rotation
 from repro.engines.base import QuerySpec, SearchResult
 from repro.engines.ranked_union import MatchStream
 from repro.exceptions import (
@@ -61,6 +63,7 @@ from repro.exceptions import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.shard.executor import (
     EXECUTOR_KINDS,
+    ThreadShardExecutor,
     create_executor,
     run_shard_request,
 )
@@ -390,23 +393,32 @@ class ShardedDatabase(QueryFacade):
                     "a persisted root (ShardedDatabase.load(..., "
                     "executor='process'))"
                 )
-        live: List[int] = []
-        jobs: List[Tuple[Any, ...]] = []
-        lost: List[LostShard] = []
+        lost = [
+            self._lose(index, spec)
+            for index in shards
+            if index in self._failed_shards
+        ]
+        live = [index for index in shards if index not in self._failed_shards]
         # Range queries prune against their fixed epsilon; only a top-k
-        # has a k-th distance to share.
-        bound = KthBound() if spec.kind == "knn" else None
-        for index, db in shards.items():
-            if index in self._failed_shards:
-                lost.append(self._lose(index, spec))
-                continue
-            live.append(index)
+        # has a k-th distance to share.  Thread shards sharing it take
+        # turns; serial ones already run one after the other.
+        bound = KthBound() if spec.kind == "knn" and not remote else None
+        rotation = (
+            Rotation(len(live))
+            if bound is not None and isinstance(executor, ThreadShardExecutor)
+            else None
+        )
+        jobs: List[Tuple[Any, ...]] = []
+        for party, index in enumerate(live):
             if remote:
                 assert self._root is not None
                 shard_dir = str(self._root / shard_dir_name(index))
                 jobs.append((shard_dir, self._psm, query, spec, control))
             else:
-                jobs.append((index, db, query, spec, control.derive(bound)))
+                jobs.append((
+                    index, shards[index], query, spec,
+                    control.derive(bound, rotation, party),
+                ))
         function: Callable[..., SearchResult] = (
             run_shard_request if remote else self._run_shard
         )
@@ -437,8 +449,15 @@ class ShardedDatabase(QueryFacade):
         control: ExecutionControl,
     ) -> SearchResult:
         """One in-process shard subquery (serial / thread executors)."""
-        with control.tracer.span("shard.subquery", shard=index):
-            return db.run_query(query, spec, control)
+        rotation = control.rotation
+        if rotation is not None:
+            rotation.take(control.party)
+        try:
+            with control.tracer.span("shard.subquery", shard=index):
+                return db.run_query(query, spec, control)
+        finally:
+            if rotation is not None:
+                rotation.leave(control.party)
 
     def _record_shard_metrics(
         self, outcomes: Sequence[Tuple[int, SearchResult]]

@@ -104,13 +104,6 @@ class ThreadShardExecutor:
             max_workers=max_workers, thread_name_prefix="repro-shard"
         )
 
-    def _live_pool(self) -> Executor:
-        with self._lock:
-            pool = self._pool
-        if pool is None:
-            raise UsageError("shard executor used after close()")
-        return pool
-
     def run(
         self, function: Callable[..., Any], jobs: Sequence[Job]
     ) -> List[Any]:
@@ -120,11 +113,22 @@ class ThreadShardExecutor:
         (a worker that died mid-job included), so one failing shard
         never poisons the whole fan-out — the facade applies its
         shard-fault policy to each slot.
+
+        A batch is submitted whole, under the lock: no other caller's
+        jobs land between its jobs, and :meth:`close` cannot cut it in
+        half.  That is what lets the shard runs of one
+        :class:`~repro.control.Rotation` wait on each other: the pool
+        starts jobs first in, first out and has a worker per shard, so
+        before any job of a later batch starts, every job of the batch
+        holding workers has started too.
         """
-        pool = self._live_pool()
-        futures: List["Future[Any]"] = [
-            pool.submit(function, *job) for job in jobs
-        ]
+        with self._lock:
+            pool = self._pool
+            if pool is None:
+                raise UsageError("shard executor used after close()")
+            futures: List["Future[Any]"] = [
+                pool.submit(function, *job) for job in jobs
+            ]
         return [_settled(future.result) for future in futures]
 
     def close(self) -> None:

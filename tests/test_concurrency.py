@@ -35,7 +35,8 @@ from repro.analysis.concurrency import (
     shared_across_queries,
     single_query,
 )
-from repro.control import ExecutionControl, KthBound
+import repro.control
+from repro.control import ExecutionControl, KthBound, Rotation
 from repro.core.metrics import QueryStats, StatsRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
@@ -180,9 +181,15 @@ class TestContractDecorators:
         for cls in (ThreadShardExecutor, ProcessShardExecutor):
             assert cls.__repro_shared__ is True, cls.__name__
             assert cls.__repro_guards__ == {"_pool": "_lock"}, cls.__name__
-        # One fan-out's shard threads lower one bound under its lock.
+        # One fan-out's shard threads lower one bound under its lock,
+        # and hand one turn around under the rotation's condition.
         assert KthBound.__repro_shared__ is True
         assert KthBound.__repro_guards__ == {"value_pow": "_lock"}
+        assert Rotation.__repro_shared__ is True
+        assert Rotation.__repro_guards__ == {
+            "_holder": "_cond", "_seated": "_cond"
+        }
+        assert Rotation._advance.__repro_requires_lock__ == "_cond"
         # Shared but lock-free by construction (immutable after build).
         assert ShardedDatabase.__repro_shared__ is True
         assert SerialShardExecutor.__repro_shared__ is True
@@ -391,6 +398,48 @@ class TestKthBoundUnderThreads:
         assert bound.value_pow == min(min(values) for values in offers)
 
 
+def _round_robin(hand_ons: List[int]) -> List[int]:
+    """Who holds the turn, step by step, when party ``i`` hands it on
+    ``hand_ons[i]`` times and then leaves."""
+    left = list(hand_ons)
+    seated = list(range(len(hand_ons)))
+    order: List[int] = []
+    at = 0
+    while seated:
+        party = seated[at]
+        order.append(party)
+        if left[party]:
+            left[party] -= 1
+            at = (at + 1) % len(seated)
+        else:
+            seated.remove(party)
+            at = at % len(seated) if seated else 0
+    return order
+
+
+class TestRotationUnderThreads:
+    def test_turns_go_round_in_party_order(self) -> None:
+        hand_ons = [3, 1, 5, 0, 2]
+        rotation = Rotation(len(hand_ons))
+        log: List[int] = []
+
+        def worker(party: int) -> None:
+            rotation.take(party)
+            for _ in range(hand_ons[party]):
+                log.append(party)
+                rotation.hand_on(party)
+            log.append(party)
+            rotation.leave(party)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(worker, count=len(hand_ons))
+        finally:
+            sys.setswitchinterval(interval)
+        assert log == _round_robin(hand_ons)
+
+
 class TestShardedDatabaseUnderThreads:
     """8 threads hammer one shared ShardedDatabase concurrently.
 
@@ -447,6 +496,62 @@ class TestShardedDatabaseUnderThreads:
                     )
 
             _run_threads(worker)
+        finally:
+            db.close()
+
+    def test_parallel_rotations_neither_hang_nor_drift(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        import numpy as np
+
+        from repro.shard import ShardedDatabase
+
+        # A hand-on at every checkpoint: the most waiting there can be.
+        monkeypatch.setattr(repro.control, "TURN_CHECKPOINTS", 1)
+        rng = np.random.default_rng(79)
+        db = ShardedDatabase(
+            num_shards=3,
+            policy="range",
+            executor="thread",
+            omega=8,
+            features=4,
+            buffer_fraction=0.2,
+        )
+        for sid, n in enumerate((400, 300, 350)):
+            db.insert(sid, rng.standard_normal(n).cumsum())
+        db.build()
+        try:
+            queries = [rng.standard_normal(24).cumsum() for _ in range(3)]
+
+            def answer(qi: int, method: str) -> tuple:
+                if method == "range":
+                    result = db.range_search(queries[qi], epsilon=3.0, rho=1)
+                else:
+                    result = db.search(queries[qi], k=5, rho=1, method=method)
+                # Candidates do not depend on what other queries left in
+                # the buffer pools; with turns, not on thread timing either.
+                return result.matches, result.stats.candidates
+
+            methods = ("hlmj", "ru-cost", "range")
+            golden = {
+                (qi, method): answer(qi, method)
+                for qi in range(len(queries))
+                for method in methods
+            }
+
+            def worker(index: int) -> None:
+                for qi in range(len(queries)):
+                    method = methods[(index + qi) % len(methods)]
+                    assert answer(qi, method) == golden[(qi, method)]
+
+            # Switch threads as often as possible, so that two callers'
+            # submissions would interleave if a batch were not atomic.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                _run_threads(worker)
+            finally:
+                sys.setswitchinterval(interval)
         finally:
             db.close()
 

@@ -11,6 +11,10 @@ what the sharing may and may not change:
   the unsharded one, byte for byte, for batch queries and streams.
 * **Counters** — merged ``page_accesses`` / ``candidates`` never exceed
   the sum of running each shard alone; the serial values are pinned.
+* **Thread executor** — its shards take turns in a
+  :class:`~repro.control.Rotation`, so its counters repeat exactly
+  from run to run, whatever the turn length, and a cancelled rotation
+  ends.
 * **Process executor** — workers get no bound, so their counters are
   exactly the independent per-shard sums.
 * **Lost after publishing** — a shard that fed the bound and then
@@ -22,8 +26,14 @@ import math
 
 import pytest
 
+import repro.control
 from repro import SubsequenceDatabase
-from repro.control import ExecutionControl, KthBound
+from repro.control import (
+    CancellationToken,
+    ExecutionControl,
+    KthBound,
+    REASON_CANCELLED,
+)
 from repro.engines.base import PartialResult, QuerySpec
 from repro.exceptions import StorageError
 from repro.shard import REASON_SHARD_LOST, ShardedDatabase, hash_shard
@@ -83,9 +93,9 @@ class TestBoundPlumbing:
         seen = []
         real = ExecutionControl.derive
 
-        def spy(self, bound=None):
+        def spy(self, bound=None, rotation=None, party=0):
             seen.append(bound)
-            return real(self, bound)
+            return real(self, bound, rotation, party)
 
         monkeypatch.setattr(ExecutionControl, "derive", spy)
         query = query_from(oracle, 640, 48)
@@ -100,6 +110,27 @@ class TestBoundPlumbing:
             list(sdb.iter_matches(query, k=5, rho=2))
             assert len(seen) == 2 and seen[0] is seen[1] is not None
             assert seen[0] is not first  # one bound per fan-out
+
+    def test_only_a_thread_top_k_takes_turns(self, oracle, monkeypatch):
+        seen = []
+        real = ExecutionControl.derive
+
+        def spy(self, bound=None, rotation=None, party=0):
+            seen.append((rotation, party))
+            return real(self, bound, rotation, party)
+
+        monkeypatch.setattr(ExecutionControl, "derive", spy)
+        query = query_from(oracle, 640, 48)
+        for executor in ("serial", "thread"):
+            with build_sharded_golden_db(2, "range", executor) as sdb:
+                sdb.search(query, k=5, rho=2)
+                sdb.range_search(query, epsilon=2.5, rho=2)
+                list(sdb.iter_matches(query, k=5, rho=2))
+        rotations = [rotation for rotation, _ in seen]
+        # serial knn, range, stream; thread knn (a rotation), range, stream
+        assert rotations[:6] == [None] * 6 and rotations[8:] == [None] * 4
+        assert rotations[6] is rotations[7] is not None
+        assert [party for _, party in seen[6:8]] == [0, 1]
 
 
 def _tied_sids(first_shard_holds_lower_sid):
@@ -120,15 +151,18 @@ def _tied_sids(first_shard_holds_lower_sid):
 class TestTiesAcrossShards:
     """The global k-th distance tied across the merge, both shard orders."""
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("lower_first", [True, False])
-    def test_duplicated_sequence_matches_the_oracle(self, lower_first):
+    def test_duplicated_sequence_matches_the_oracle(
+        self, lower_first, executor
+    ):
         low, high = _tied_sids(lower_first)
         walk = make_walk(1200, seed=33)
         oracle = SubsequenceDatabase(omega=16, features=4, buffer_fraction=0.1)
         sdb = ShardedDatabase(
             num_shards=2,
             policy="hash",
-            executor="serial",
+            executor=executor,
             omega=16,
             features=4,
             buffer_fraction=0.1,
@@ -237,6 +271,55 @@ class TestCountersUnderTheBound:
         assert shared.stats.candidates < candidates
 
 
+class TestThreadExecutorTakesTurns:
+    @pytest.fixture(scope="class")
+    def threaded(self):
+        dbs = {
+            cell: build_sharded_golden_db(cell[1], cell[0], "thread")
+            for cell in (("range", 2), ("hash", 3))
+        }
+        yield dbs
+        for db in dbs.values():
+            db.close()
+
+    @pytest.mark.parametrize("turn", [1, 7, 64])
+    @pytest.mark.parametrize("label", ENGINE_LABELS)
+    @pytest.mark.parametrize(
+        "cell", [("range", 2), ("hash", 3)], ids="{0[0]}-N{0[1]}".format
+    )
+    def test_counters_repeat_exactly(
+        self, oracle, threaded, monkeypatch, cell, label, turn
+    ):
+        monkeypatch.setattr(repro.control, "TURN_CHECKPOINTS", turn)
+        query = query_from(oracle, 640, 48)
+        sdb = threaded[cell]
+        spec = _spec(query, label)
+        gold = oracle.run_query(query, spec, ExecutionControl())
+        runs = set()
+        for _ in range(3):
+            sdb.reset_cache()
+            result = sdb.run_query(query, spec, ExecutionControl())
+            assert result.matches == gold.matches
+            runs.add((result.stats.page_accesses, result.stats.candidates))
+        assert len(runs) == 1
+        (got,) = runs
+        independent = _independent_sums(sdb, query, spec)
+        assert got[0] <= independent[0] and got[1] <= independent[1]
+
+    def test_a_cancelled_rotation_ends(self, oracle, threaded, monkeypatch):
+        monkeypatch.setattr(repro.control, "TURN_CHECKPOINTS", 1)
+        query = query_from(oracle, 640, 48)
+        sdb = threaded[("range", 2)]
+        sdb.reset_cache()
+        result = sdb.run_query(
+            query,
+            _spec(query, "ru-cost-d"),
+            ExecutionControl(token=CancellationToken(cancel_after_checks=9)),
+        )
+        assert isinstance(result, PartialResult)
+        assert result.reason == REASON_CANCELLED
+
+
 class TestProcessExecutorStaysIndependent:
     def test_counters_are_the_independent_sums(self, oracle, tmp_path):
         query = query_from(oracle, 640, 48)
@@ -264,9 +347,12 @@ class TestProcessExecutorStaysIndependent:
 
 
 class TestShardLostAfterPublishing:
-    def test_certificate_is_the_only_claim(self, oracle, monkeypatch):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_certificate_is_the_only_claim(
+        self, oracle, monkeypatch, executor
+    ):
         query = query_from(oracle, 640, 48)
-        with build_sharded_golden_db(2, "range") as sdb:
+        with build_sharded_golden_db(2, "range", executor) as sdb:
             victim = sdb.plan.assignment[0]  # holds the query's matches
             survivor = sdb.plan.assignment[1]
             real = sdb.shards[victim].run_query
@@ -293,5 +379,9 @@ class TestShardLostAfterPublishing:
             alone = sdb.shards[survivor].run_query(
                 query, _spec(query, "ru-cost"), ExecutionControl()
             )
-            assert len(result.matches) < len(alone.matches)
-            assert set(result.matches) <= set(alone.matches)
+            assert result.matches != alone.matches
+            if executor == "serial":
+                # The survivor ran after the victim had finished: every
+                # match it kept beat the bound from its first candidate.
+                assert len(result.matches) < len(alone.matches)
+                assert set(result.matches) <= set(alone.matches)
