@@ -14,8 +14,11 @@ the per-shard work runs:
     worker thread records its own span subtree via the tracer's
     thread-local stacks).  This is the default because it needs no
     saved root, not for speed: the engine loop is Python under the GIL
-    (``shard.speedup_vs_unsharded`` 0.646 with the shared k-th bound;
-    two serve workers scale 0.90x).
+    (``shard.speedup_vs_unsharded`` 0.442 with the shared k-th bound,
+    2 cores; two serve workers scale 1.15x).  A top-k fan-out's shard
+    runs take turns in a :class:`~repro.control.Rotation`, so their
+    counters repeat exactly; :meth:`ThreadShardExecutor.run` says why
+    every run of a rotation gets a thread.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` over a
     *persisted* shard root (see :meth:`~repro.shard.database.
