@@ -81,7 +81,7 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "QueryFacade",

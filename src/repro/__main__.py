@@ -318,7 +318,6 @@ def _serve_database(
         sdb = ShardedDatabase(
             num_shards=shards,
             policy=args.shard_policy,
-            executor="thread",
             omega=args.omega,
             features=4,
         )

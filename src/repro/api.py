@@ -118,7 +118,7 @@ class QueryFacade(abc.ABC):
     special case.
 
     Lifecycle: :meth:`close` releases what the facade holds (backend
-    maps, executor pools) and is idempotent; ``with facade: ...`` calls
+    maps, the shard thread pool) and is idempotent; ``with facade: ...`` calls
     it on exit.  A facade that can still answer after ``close()`` does
     (the unsharded database falls back to heap pages); one that cannot
     raises :class:`~repro.exceptions.UsageError` ("... used after

@@ -13,7 +13,7 @@ every engine.
   outside the engine loop.
 * :class:`KthBound` is the one k-th-distance bound the shards of a
   sharded fan-out share, so each prunes against the best ``k`` matches
-  any of them has verified; a thread fan-out runs those shards in a
+  any of them has verified; a top-k fan-out runs those shards in a
   :class:`Rotation`, one at a time, so what each reads of the bound is
   the same on every execution.
 * :class:`ExecutionControl` bundles the three for one query run and
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.analysis.concurrency import (
     guarded_by,
@@ -136,13 +136,6 @@ class Deadline:
         """Seconds left (never negative)."""
         return max(0.0, self.expires_at - self._clock.monotonic())
 
-    def __reduce__(
-        self,
-    ) -> Tuple[Callable[[float], "Deadline"], Tuple[float]]:
-        # Monotonic clocks are per-process: a pool worker rebuilds the
-        # deadline from the time left, on its own clock.
-        return (Deadline.after, (self.remaining(),))
-
 
 class CancellationToken:
     """Caller-side cancellation for one in-flight query.
@@ -198,7 +191,7 @@ class KthBound:
 
     Writes take the lock, so the value never rises whoever offers it;
     reads are a plain attribute load.  Shard threads do not race it:
-    the thread executor runs them in a :class:`Rotation`.
+    a top-k fan-out runs them in a :class:`Rotation`.
     """
 
     def __init__(self) -> None:
@@ -221,7 +214,7 @@ TURN_CHECKPOINTS = 64
 @shared_across_queries
 @guarded_by("_cond", "_holder", "_seated")
 class Rotation:
-    """The shard runs of one thread fan-out, one at a time, in turn.
+    """The shard runs of one top-k fan-out, one at a time, in turn.
 
     Threads that raced a :class:`KthBound` would read it at moments the
     OS scheduler picks, so a shard's pruning — and the query's NUM_IO —
@@ -312,7 +305,7 @@ class ExecutionControl:
         #: ``None`` on every control :meth:`derive` did not make.
         self.bound: Optional[KthBound] = None
         #: The rotation this run takes turns in, as party ``party``;
-        #: ``None`` outside a thread fan-out's top-k.
+        #: ``None`` outside a sharded top-k fan-out.
         self.rotation: Optional[Rotation] = None
         self.party = 0
         self._stats: Optional[QueryStats] = None
@@ -339,12 +332,6 @@ class ExecutionControl:
         control.rotation = rotation
         control.party = party
         return control
-
-    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
-        # Crossing to a pool worker carries the limits only; the run
-        # state, the tracer, a shared k-th bound and a rotation belong to
-        # this process (docs/sharding.md says why the bound stays behind).
-        return (ExecutionControl, (self.budget, self.deadline, self.token))
 
     def bind(self, stats: QueryStats, page_count: Callable[[], int]) -> None:
         """Attach the per-query counters the budget is enforced against.

@@ -100,8 +100,8 @@ class QuerySpec:
     The public keyword methods of both facades and the query service
     each build one spec (:meth:`for_query`) and hand it, unchanged and
     together with one :class:`~repro.control.ExecutionControl`, down
-    through the sharded fan-out and the executors to the engine.  It is
-    frozen and picklable, so the process executor ships it as is.
+    through the sharded fan-out to the engine.  It is frozen, so every
+    shard run of a fan-out can share it.
 
     Attributes
     ----------

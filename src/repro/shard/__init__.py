@@ -15,7 +15,8 @@ Public surface:
 * :func:`~repro.shard.merge.merge_search_results` and
   :class:`~repro.shard.merge.ShardedMatchStream` — ranked-union
   composition with shard-wise certificates and ``shard_stats``.
-* Executors — serial / thread / process subquery execution.
+* :class:`~repro.shard.executor.ThreadShardExecutor` — the one thread
+  pool every shard subquery runs on.
 """
 
 from repro.shard.database import (
@@ -23,13 +24,7 @@ from repro.shard.database import (
     ShardedDatabase,
     shard_dir_name,
 )
-from repro.shard.executor import (
-    EXECUTOR_KINDS,
-    ProcessShardExecutor,
-    SerialShardExecutor,
-    ThreadShardExecutor,
-    create_executor,
-)
+from repro.shard.executor import ThreadShardExecutor
 from repro.shard.merge import (
     REASON_SHARD_LOST,
     LostShard,
@@ -44,19 +39,15 @@ from repro.shard.planner import (
 )
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "LostShard",
     "POLICIES",
-    "ProcessShardExecutor",
     "REASON_SHARD_LOST",
     "SHARD_MANIFEST_NAME",
-    "SerialShardExecutor",
     "ShardPlan",
     "ShardPlanner",
     "ShardedDatabase",
     "ShardedMatchStream",
     "ThreadShardExecutor",
-    "create_executor",
     "hash_shard",
     "merge_search_results",
     "shard_dir_name",

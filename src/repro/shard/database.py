@@ -3,7 +3,7 @@
 :class:`ShardedDatabase` partitions the sequence store across ``N``
 independent :class:`~repro.api.SubsequenceDatabase` instances (each
 with its own pager, buffer pool, and DualMatch R*-tree), runs per-shard
-subqueries on a pluggable executor, and merges the answers through the
+subqueries on one thread pool, and merges the answers through the
 ranked-union rules of :mod:`repro.shard.merge`.  The query API *is*
 the unsharded one — both classes inherit it from
 :class:`~repro.api.QueryFacade` — and the differential suite holds the
@@ -14,18 +14,17 @@ shard-fault policy, and the ``SHARDS`` manifest.
 One query path: the inherited keyword methods build one
 :class:`~repro.engines.base.QuerySpec` and one
 :class:`~repro.control.ExecutionControl`; :meth:`ShardedDatabase.
-run_query` fans the spec out unchanged — on every executor — with one
+run_query` fans the spec out unchanged with one
 :meth:`~repro.control.ExecutionControl.derive` of the control per
-shard; the in-process shard runs of a ``knn`` / ``stream`` fan-out
-also share one :class:`~repro.control.KthBound`, which the thread
-executor's shard runs take turns at in a
-:class:`~repro.control.Rotation`.  How ``budget`` / ``deadline`` /
-``token`` and the bound behave under that fan-out is stated once, in
-``docs/sharding.md`` ("Control plane under fan-out").
+shard; the shard runs of a ``knn`` / ``stream`` fan-out also share one
+:class:`~repro.control.KthBound`, and those of a ``knn`` fan-out take
+turns at it in a :class:`~repro.control.Rotation`.  How ``budget`` /
+``deadline`` / ``token`` and the bound behave under that fan-out is
+stated once, in ``docs/sharding.md`` ("Control plane under fan-out").
 
 Shard faults: per-page storage faults inside a shard follow the normal
 ``on_fault`` policy *within* that shard.  A shard failing wholesale
-(worker crash, unreadable shard, an injected
+(a subquery that raised, an unreadable shard, an injected
 :meth:`inject_shard_failure`) follows the same policy one level up —
 ``"raise"`` propagates, ``"degrade"`` drops the shard and returns a
 :class:`~repro.engines.base.PartialResult` (for a stream: ends it
@@ -45,8 +44,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from concurrent.futures import BrokenExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
@@ -61,12 +59,7 @@ from repro.exceptions import (
     UsageError,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.shard.executor import (
-    EXECUTOR_KINDS,
-    ThreadShardExecutor,
-    create_executor,
-    run_shard_request,
-)
+from repro.shard.executor import ThreadShardExecutor
 from repro.shard.merge import (
     LostShard,
     ShardedMatchStream,
@@ -83,8 +76,6 @@ from repro.storage.persistence import save_directory_atomically
 SHARD_MANIFEST_NAME = "SHARDS"
 SHARD_MANIFEST_MAGIC = "repro-sharded-database"
 SHARD_FORMAT_VERSION = 1
-
-_ShardExecutor = Any  # Serial/Thread/ProcessShardExecutor
 
 
 def shard_dir_name(index: int) -> str:
@@ -108,9 +99,9 @@ class ShardedDatabase(QueryFacade):
         Partitioning policy, ``"hash"`` or ``"range"`` (see
         :mod:`repro.shard.planner`).
     executor:
-        ``"serial"``, ``"thread"`` (default), or ``"process"``.  The
-        process executor requires a database opened from a persisted
-        root (:meth:`load`) so workers can load shards from disk.
+        ``"thread"``, the only value accepted: shard runs execute on
+        one thread pool (``docs/sharding.md``, "Where shard runs
+        execute").
     fault_injectors:
         Optional ``{shard index -> FaultInjector}`` wiring per-shard
         fault schedules into the chaos harness.
@@ -143,11 +134,11 @@ class ShardedDatabase(QueryFacade):
                 "is resolved per shard); got "
                 f"{type(backend).__name__}"
             )
-        # Validate the executor kind eagerly, not at first search.
-        if executor not in EXECUTOR_KINDS:
+        if executor != "thread":
             raise ConfigurationError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{EXECUTOR_KINDS}"
+                f"executor {executor!r} is not supported: shard runs "
+                "execute on one thread pool (the 'serial' and 'process' "
+                "executors were removed)"
             )
         self.planner = ShardPlanner(num_shards, policy=policy)
         self.omega = omega
@@ -166,8 +157,7 @@ class ShardedDatabase(QueryFacade):
         self._fault_injectors = dict(fault_injectors or {})
         self._retry_policy = retry_policy
         self._backend_spec = backend
-        self._executor_kind = executor
-        self._executor: _ShardExecutor = None
+        self._executor: Optional[ThreadShardExecutor] = None
         self._closed = False
         #: Insertion-ordered staging area; emptied by :meth:`build`.
         self._staged: Dict[int, Any] = {}
@@ -175,9 +165,6 @@ class ShardedDatabase(QueryFacade):
         self.shards: Optional[Dict[int, SubsequenceDatabase]] = None
         self.plan: Optional[ShardPlan] = None
         self._psm = False
-        #: Persisted root this database was loaded from (process
-        #: executor jobs reference its shard subdirectories).
-        self._root: Optional[pathlib.Path] = None
         #: Chaos hook: shards that fail wholesale at the next query.
         self._failed_shards: Set[int] = set()
 
@@ -214,12 +201,6 @@ class ShardedDatabase(QueryFacade):
             raise IndexNotBuiltError("call build() before querying")
         return self.shards
 
-    @property
-    def executor(self) -> _ShardExecutor:
-        """The shard executor (created at build/load, gone at close)."""
-        self._live_shards()
-        return self._executor
-
     def describe(self) -> Dict[str, object]:
         """Topology summary plus per-shard Table 2-style descriptions."""
         shards = self._live_shards()
@@ -227,7 +208,6 @@ class ShardedDatabase(QueryFacade):
         return {
             "num_shards": self.num_shards,
             "policy": self.policy,
-            "executor": self._executor.kind,
             "empty_shards": self.plan.empty_shards,
             "sequences": self.num_sequences,
             "shards": {index: db.describe() for index, db in shards.items()},
@@ -296,7 +276,7 @@ class ShardedDatabase(QueryFacade):
         self.shards = dict(sorted(shards.items()))
         self._psm = psm
         self._staged = {}
-        self._executor = create_executor(self._executor_kind, self.num_shards)
+        self._executor = ThreadShardExecutor(max_workers=self.num_shards)
 
     def _make_shard(self, index: int) -> SubsequenceDatabase:
         return SubsequenceDatabase(
@@ -334,8 +314,7 @@ class ShardedDatabase(QueryFacade):
         """Open one ``stream`` spec on every live shard and merge lazily.
 
         Streaming pulls shards incrementally from the calling thread,
-        so it runs in-process regardless of the executor (the process
-        pool is for whole subqueries).
+        so it does not use the thread pool.
         """
         shards = self._live_shards()
         streams: List[Tuple[int, MatchStream]] = []
@@ -370,29 +349,16 @@ class ShardedDatabase(QueryFacade):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> Tuple[List[Tuple[int, SearchResult]], List[LostShard]]:
-        """Run ``spec`` on every non-empty shard via the executor.
+        """Run ``spec`` on every non-empty shard on the thread pool.
 
         Per-shard *storage* faults are already handled inside the shard
         by its ``on_fault`` policy; this layer applies the same policy
         to whole-shard failures (an injected failure, a shard whose
-        subquery raised a :class:`~repro.exceptions.StorageError`, a
-        pool worker that died).
+        subquery raised a :class:`~repro.exceptions.StorageError`).
         """
         shards = self._live_shards()
         executor = self._executor
-        remote = executor.kind == "process"
-        if remote:
-            if control.token is not None:
-                raise ConfigurationError(
-                    "cancellation tokens are not supported on the process "
-                    "executor; use executor='thread' or 'serial'"
-                )
-            if self._root is None:
-                raise ConfigurationError(
-                    "the process executor requires a database opened from "
-                    "a persisted root (ShardedDatabase.load(..., "
-                    "executor='process'))"
-                )
+        assert executor is not None  # made with the shards
         lost = [
             self._lose(index, spec)
             for index in shards
@@ -400,36 +366,17 @@ class ShardedDatabase(QueryFacade):
         ]
         live = [index for index in shards if index not in self._failed_shards]
         # Range queries prune against their fixed epsilon; only a top-k
-        # has a k-th distance to share.  Thread shards sharing it take
-        # turns; serial ones already run one after the other.
-        bound = KthBound() if spec.kind == "knn" and not remote else None
-        rotation = (
-            Rotation(len(live))
-            if bound is not None and isinstance(executor, ThreadShardExecutor)
-            else None
-        )
-        jobs: List[Tuple[Any, ...]] = []
-        for party, index in enumerate(live):
-            if remote:
-                assert self._root is not None
-                shard_dir = str(self._root / shard_dir_name(index))
-                jobs.append((shard_dir, self._psm, query, spec, control))
-            else:
-                jobs.append((
-                    index, shards[index], query, spec,
-                    control.derive(bound, rotation, party),
-                ))
-        function: Callable[..., SearchResult] = (
-            run_shard_request if remote else self._run_shard
-        )
-        settled = executor.run(function, jobs)
+        # has a k-th distance to share, and its shards take turns at it.
+        top_k = spec.kind == "knn"
+        bound = KthBound() if top_k else None
+        rotation = Rotation(len(live)) if top_k else None
+        settled = executor.run(self._run_shard, [
+            (index, shards[index], query, spec,
+             control.derive(bound, rotation, party))
+            for party, index in enumerate(live)
+        ])
         outcomes: List[Tuple[int, SearchResult]] = []
         for index, outcome in zip(live, settled):
-            if isinstance(outcome, BrokenExecutor):
-                # A pool worker that died is an unreadable shard.
-                outcome = StorageError(
-                    f"shard {index} subquery failed: {outcome}"
-                )
             if not isinstance(outcome, Exception):
                 outcomes.append((index, outcome))
             elif spec.on_fault == "degrade" and isinstance(
@@ -448,7 +395,7 @@ class ShardedDatabase(QueryFacade):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> SearchResult:
-        """One in-process shard subquery (serial / thread executors)."""
+        """One shard subquery, in its turn when the fan-out has a rotation."""
         rotation = control.rotation
         if rotation is not None:
             rotation.take(control.party)
@@ -530,16 +477,14 @@ class ShardedDatabase(QueryFacade):
     def load(
         cls,
         directory: "os.PathLike[str] | str",
-        executor: str = "thread",
         backend: Optional[str] = None,
     ) -> "ShardedDatabase":
         """Reconstruct a sharded database saved with :meth:`save`.
 
         Every shard reloads page-for-page, so a reloaded sharded
         database reproduces identical results *and* identical per-shard
-        I/O counts.  This is the entry point for
-        ``executor="process"`` — workers stream shards from this root.
-        ``backend`` is a storage backend name applied per shard.
+        I/O counts.  ``backend`` is a storage backend name applied per
+        shard.
         """
         root = pathlib.Path(directory)
         manifest_path = root / SHARD_MANIFEST_NAME
@@ -560,7 +505,6 @@ class ShardedDatabase(QueryFacade):
         db = cls(
             num_shards=int(manifest["num_shards"]),
             policy=str(manifest["policy"]),
-            executor=executor,
             backend=backend,
             **manifest["config"],
         )
@@ -570,8 +514,7 @@ class ShardedDatabase(QueryFacade):
             (int(key), name) for key, name in manifest["shard_dirs"].items()
         ):
             # Names come from disk: only the canonical one is opened, so
-            # nothing outside the root loads and process workers (which
-            # derive the name from the index) read the same directory.
+            # nothing outside the root loads.
             expected = shard_dir_name(index)
             if not 0 <= index < db.num_shards or name != expected:
                 raise IntegrityError(
@@ -592,8 +535,7 @@ class ShardedDatabase(QueryFacade):
         )
         db.shards = shards
         db._psm = psm
-        db._root = root
-        db._executor = create_executor(executor, db.num_shards)
+        db._executor = ThreadShardExecutor(max_workers=db.num_shards)
         return db
 
     def close(self) -> None:
@@ -603,9 +545,8 @@ class ShardedDatabase(QueryFacade):
         :class:`~repro.exceptions.UsageError`.
         """
         self._closed = True
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.close()
+        if self._executor is not None:
+            self._executor.close()
         if self.shards is not None:
             for db in self.shards.values():
                 db.close()

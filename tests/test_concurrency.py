@@ -169,18 +169,15 @@ class TestContractDecorators:
 
     def test_shard_classes_declare_contracts(self) -> None:
         from repro.shard import (
-            ProcessShardExecutor,
-            SerialShardExecutor,
             ShardedDatabase,
             ShardedMatchStream,
             ShardPlanner,
             ThreadShardExecutor,
         )
 
-        # Pool-holding executors guard the pool handle with the lock.
-        for cls in (ThreadShardExecutor, ProcessShardExecutor):
-            assert cls.__repro_shared__ is True, cls.__name__
-            assert cls.__repro_guards__ == {"_pool": "_lock"}, cls.__name__
+        # The executor guards the pool handle with its lock.
+        assert ThreadShardExecutor.__repro_shared__ is True
+        assert ThreadShardExecutor.__repro_guards__ == {"_pool": "_lock"}
         # One fan-out's shard threads lower one bound under its lock,
         # and hand one turn around under the rotation's condition.
         assert KthBound.__repro_shared__ is True
@@ -192,7 +189,6 @@ class TestContractDecorators:
         assert Rotation._advance.__repro_requires_lock__ == "_cond"
         # Shared but lock-free by construction (immutable after build).
         assert ShardedDatabase.__repro_shared__ is True
-        assert SerialShardExecutor.__repro_shared__ is True
         assert ShardPlanner.__repro_shared__ is True
         # One stream belongs to one query.
         assert ShardedMatchStream.__repro_shared__ is False
@@ -461,7 +457,6 @@ class TestShardedDatabaseUnderThreads:
         db = ShardedDatabase(
             num_shards=3,
             policy="hash",
-            executor="thread",
             omega=8,
             features=4,
             buffer_fraction=0.2,
@@ -512,7 +507,6 @@ class TestShardedDatabaseUnderThreads:
         db = ShardedDatabase(
             num_shards=3,
             policy="range",
-            executor="thread",
             omega=8,
             features=4,
             buffer_fraction=0.2,
@@ -564,7 +558,6 @@ class TestShardedDatabaseUnderThreads:
         db = ShardedDatabase(
             num_shards=2,
             policy="range",
-            executor="thread",
             omega=8,
             features=4,
             buffer_fraction=0.2,

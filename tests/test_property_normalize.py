@@ -424,7 +424,7 @@ class TestNormalizedSharded:
         from repro.shard import ShardedDatabase
 
         sharded = ShardedDatabase(
-            num_shards=2, policy="hash", executor="serial",
+            num_shards=2, policy="hash",
             omega=16, features=4, buffer_fraction=0.1,
         )
         oracle = build_golden_db()

@@ -43,7 +43,6 @@ def build_pair(rng, num_shards, policy, tracer=None):
     sdb = ShardedDatabase(
         num_shards=num_shards,
         policy=policy,
-        executor="serial",
         omega=8,
         features=4,
         buffer_fraction=0.2,

@@ -5,10 +5,8 @@ plus an :class:`~repro.control.ExecutionControl` — and handed unchanged
 from the API/protocol edge to the engines.  This module builds each
 spec kind once and pushes it through every entry that accepts it: the
 keyword methods and the spec entry of :class:`SubsequenceDatabase`,
-:class:`ShardedDatabase` for N in {1, 3} on the serial and thread
-executors, a direct :func:`run_shard_request` call on a saved root (the
-process executor's worker path, without a pool), and
-:class:`QueryService` for what the wire carries.  Matches must be
+:class:`ShardedDatabase` for N in {1, 3}, and :class:`QueryService`
+for what the wire carries.  Matches must be
 identical everywhere; with one shard the NUM_IO counters must be too.
 
 Both facades inherit the keyword API, ``search_scaled`` and the
@@ -22,7 +20,6 @@ import pickle
 import pytest
 
 from repro import (
-    Deadline,
     ExecutionControl,
     QueryBudget,
     QueryService,
@@ -32,8 +29,6 @@ from repro import (
 )
 from repro.engines.base import PartialResult, default_rho
 from repro.exceptions import ConfigurationError, QueryError, UsageError
-from repro.shard.database import shard_dir_name
-from repro.shard.executor import _worker_shard, run_shard_request
 from tests.conftest import make_walk
 
 #: (kind, the keyword arguments that select it) — built once per case.
@@ -59,27 +54,20 @@ def _fill(db):
 
 
 @pytest.fixture(scope="module")
-def world(tmp_path_factory):
+def world():
     oracle = _fill(
         SubsequenceDatabase(omega=16, features=4, buffer_fraction=0.1)
     )
     sharded = {
-        (n, executor): _fill(
+        n: _fill(
             ShardedDatabase(
-                num_shards=n,
-                executor=executor,
-                omega=16,
-                features=4,
-                buffer_fraction=0.1,
+                num_shards=n, omega=16, features=4, buffer_fraction=0.1
             )
         )
         for n in (1, 3)
-        for executor in ("serial", "thread")
     }
-    root = tmp_path_factory.mktemp("query-path") / "one-shard"
-    sharded[(1, "serial")].save(str(root))
     query = oracle.store.peek_subsequence(0, 640, 48).copy()
-    yield oracle, sharded, str(root / shard_dir_name(0)), query
+    yield oracle, sharded, query
     for sdb in sharded.values():
         sdb.close()
 
@@ -121,7 +109,7 @@ def _shard_sums(result):
 
 @pytest.mark.parametrize("label,normalize", CASES)
 def test_every_entry_agrees(world, label, normalize):
-    oracle, sharded, shard_dir, query = world
+    oracle, sharded, query = world
     kind, kwargs = KINDS[label]
     spec = QuerySpec.for_query(
         query, RHO, kind=kind, p=oracle.p, normalize=normalize, **kwargs
@@ -138,7 +126,7 @@ def test_every_entry_agrees(world, label, normalize):
     assert direct.matches == gold.matches
     assert _counters(direct) == _counters(gold)
 
-    for (n, _executor), sdb in sharded.items():
+    for n, sdb in sharded.items():
         for got in (
             _by_keywords(sdb, kind, query, kwargs, normalize),
             _by_spec(sdb, query, spec),
@@ -149,14 +137,6 @@ def test_every_entry_agrees(world, label, normalize):
             if n == 1:
                 assert _counters(got) == _counters(gold)
 
-    if kind != "stream":  # streams never leave the calling process
-        _worker_shard(shard_dir, False).reset_cache()
-        shipped = run_shard_request(
-            shard_dir, False, query, spec, ExecutionControl()
-        )
-        assert shipped.matches == gold.matches
-        assert _counters(shipped) == _counters(gold)
-
     if not normalize:  # the wire has no normalize field
         request = {"kind": kind, "query": list(query), "rho": RHO, **kwargs}
         with QueryService(oracle) as service:
@@ -164,19 +144,18 @@ def test_every_entry_agrees(world, label, normalize):
             served = service.query(request, timeout=30.0).result
             assert served.matches == gold.matches
             assert _counters(served) == _counters(gold)
-        for sdb in (sharded[(3, "serial")], sharded[(3, "thread")]):
-            with QueryService(sdb) as service:
-                served = service.query(request, timeout=30.0).result
-                assert served.matches == gold.matches
+        with QueryService(sharded[3]) as service:
+            served = service.query(request, timeout=30.0).result
+            assert served.matches == gold.matches
 
 
 def test_default_rho_is_resolved_once_at_the_edge(world):
-    oracle, sharded, _shard_dir, query = world
+    oracle, sharded, query = world
     spec = QuerySpec.for_query(query, k=3)
     assert spec.rho == default_rho(len(query)) == 2
     assert default_rho(10) == 1  # never below one
     explicit = oracle.search(query, k=3, rho=spec.rho)
-    for db in (oracle, sharded[(3, "thread")]):
+    for db in (oracle, sharded[3]):
         assert db.search(query, k=3).matches == explicit.matches
         ranged = db.range_search(query, epsilon=4.0)
         assert ranged.matches == db.range_search(
@@ -200,18 +179,18 @@ def test_default_rho_is_resolved_once_at_the_edge(world):
     ],
 )
 def test_validation_lives_in_the_spec(world, call, fields, error):
-    oracle, sharded, _shard_dir, query = world
+    oracle, sharded, query = world
     kind = {"search": "knn", "range_search": "range",
             "iter_matches": "stream"}[call]
     with pytest.raises(error):
         QuerySpec.for_query(query, kind=kind, **fields)
-    for db in (oracle, sharded[(3, "serial")]):
+    for db in (oracle, sharded[3]):
         with pytest.raises(error):
             getattr(db, call)(query, **fields)
 
 
-def test_partial_results_and_limits_survive_pickling(world):
-    oracle, _sharded, shard_dir, query = world
+def test_partial_results_survive_pickling(world):
+    oracle, _sharded, query = world
     oracle.reset_cache()
     partial = oracle.search(
         query, k=5, rho=RHO, method="hlmj",
@@ -223,25 +202,6 @@ def test_partial_results_and_limits_survive_pickling(world):
     assert (clone.reason, clone.certificate) == (
         partial.reason, partial.certificate
     )
-
-    # What the process executor ships: the limits cross, the run state
-    # and the tracer stay behind, the deadline keeps its time left.
-    control = ExecutionControl(
-        budget=QueryBudget(max_page_accesses=3),
-        deadline=Deadline.after(3600.0),
-        tracer=oracle.tracer,
-    )
-    control.checkpoint(1.5)
-    shipped = pickle.loads(pickle.dumps(control))
-    assert shipped.budget == control.budget
-    assert (shipped.checkpoints, shipped.frontier_pow) == (0, 0.0)
-    assert 3590.0 < shipped.deadline.remaining() <= 3600.0
-    _worker_shard(shard_dir, False).reset_cache()
-    spec = QuerySpec.for_query(query, RHO, k=5, method="hlmj")
-    remote = run_shard_request(shard_dir, False, query, spec, shipped)
-    assert isinstance(remote, PartialResult)
-    assert remote.matches == partial.matches
-    assert remote.certificate == partial.certificate
 
 
 #: The keyword signatures as they were when each facade had its own copy.
@@ -293,11 +253,11 @@ def test_the_keyword_api_is_defined_once():
 
 
 def test_search_scaled_is_inherited_by_the_sharded_facade(world):
-    oracle, sharded, _shard_dir, query = world
+    oracle, sharded, query = world
     oracle.reset_cache()
     gold = oracle.search_scaled(query, k=5)
     assert gold.matches
-    for (n, _executor), sdb in sharded.items():
+    for n, sdb in sharded.items():
         sdb.reset_cache()
         got = sdb.search_scaled(query, k=5)
         assert got.matches == gold.matches

@@ -14,6 +14,7 @@ and therefore every golden NUM_IO counter — is identical to the
 unsharded database's.
 """
 
+import inspect
 import json
 import math
 import pathlib
@@ -62,12 +63,11 @@ def _method_of(label):
     return (label[:-2] if deferred else label), deferred
 
 
-def build_sharded_golden_db(num_shards, policy, executor="serial"):
+def build_sharded_golden_db(num_shards, policy):
     """The golden workload, partitioned across ``num_shards``."""
     db = ShardedDatabase(
         num_shards=num_shards,
         policy=policy,
-        executor=executor,
         omega=16,
         features=4,
         buffer_fraction=0.1,
@@ -191,7 +191,7 @@ class TestShardLoss:
     def wounded(self):
         # "range" places the two golden sequences on different shards;
         # the query is cut from sequence 0, so lose the other one.
-        sdb = build_sharded_golden_db(2, "range", executor="serial")
+        sdb = build_sharded_golden_db(2, "range")
         victim = sdb.plan.assignment[1]
         sdb.inject_shard_failure(victim)
         yield sdb, victim
@@ -247,7 +247,6 @@ class TestPsmDifferential:
         sdb = ShardedDatabase(
             num_shards=num_shards,
             policy=policy,
-            executor="serial",
             omega=8,
             features=4,
             buffer_fraction=0.1,
@@ -292,7 +291,6 @@ class TestTieBreakRegression:
         sdb = ShardedDatabase(
             num_shards=num_shards,
             policy=policy,
-            executor="serial",
             omega=16,
             features=4,
             buffer_fraction=0.1,
@@ -354,7 +352,7 @@ class TestPersistenceAndExecutors:
         root = tmp_path / "sharded"
         sdb.save(str(root))
         sdb.close()
-        with ShardedDatabase.load(str(root), executor="serial") as reloaded:
+        with ShardedDatabase.load(str(root)) as reloaded:
             assert reloaded.plan.policy == "hash"
             assert reloaded.plan.num_shards == 3
             result = reloaded.search(query, k=5, rho=2, method="ru")
@@ -388,7 +386,7 @@ class TestPersistenceAndExecutors:
         )
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(IntegrityError, match="expected 'shard-"):
-            ShardedDatabase.load(root, executor="serial")
+            ShardedDatabase.load(root)
 
     def test_failed_commit_leaves_previous_root_loadable(
         self, oracle, tmp_path, monkeypatch
@@ -413,7 +411,7 @@ class TestPersistenceAndExecutors:
                 sdb.save(root)
             monkeypatch.undo()
         assert [entry.name for entry in tmp_path.iterdir()] == ["sharded"]
-        with ShardedDatabase.load(root, executor="serial") as reloaded:
+        with ShardedDatabase.load(root) as reloaded:
             result = reloaded.search(query, k=5, rho=2, method="ru")
             assert result.matches == gold
 
@@ -436,25 +434,21 @@ class TestPersistenceAndExecutors:
             with pytest.raises(ConfigurationError, match="MANIFEST"):
                 oracle.save(tmp_path / "sharded")
 
+    def test_only_the_thread_executor_is_accepted(self):
+        for removed in ("serial", "process"):
+            with pytest.raises(ConfigurationError, match="were removed"):
+                ShardedDatabase(num_shards=2, executor=removed)
+        with ShardedDatabase(num_shards=2, executor="thread", omega=16) as sdb:
+            sdb.insert(0, make_walk(600, seed=5))
+            sdb.build()
+            assert sdb.describe()["sequences"] == 1
+        parameters = inspect.signature(ShardedDatabase.load).parameters
+        assert "executor" not in parameters
+
     def test_thread_executor_identical(self, oracle):
         query = query_from(oracle, 640, 48)
-        with build_sharded_golden_db(3, "hash", executor="thread") as sdb:
+        with build_sharded_golden_db(3, "hash") as sdb:
             for method in ("ru", "ru-cost", "hlmj"):
                 gold = oracle.search(query, k=5, rho=2, method=method)
                 got = sdb.search(query, k=5, rho=2, method=method)
                 assert got.matches == gold.matches
-
-    def test_process_executor_identical(self, oracle, tmp_path):
-        query = query_from(oracle, 640, 48)
-        sdb = build_sharded_golden_db(2, "hash")
-        root = tmp_path / "sharded-proc"
-        sdb.save(str(root))
-        sdb.close()
-        reloaded = ShardedDatabase.load(str(root), executor="process")
-        try:
-            gold = oracle.search(query, k=5, rho=2, method="ru")
-            result = reloaded.search(query, k=5, rho=2, method="ru")
-            assert result.matches == gold.matches
-            _num_io_adds_up(result)
-        finally:
-            reloaded.close()

@@ -328,7 +328,6 @@ class TestShardedParity:
         db = ShardedDatabase(
             num_shards=2,
             policy="hash",
-            executor="serial",
             omega=16,
             features=4,
             buffer_fraction=0.1,
