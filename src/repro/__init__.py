@@ -56,14 +56,12 @@ from repro.exceptions import (
     TransientIOError,
 )
 from repro.serve import (
-    QosClass,
     QueryRequest,
     QueryService,
     ServeClient,
     ServiceConfig,
     ServiceResponse,
     SocketServer,
-    TenantPolicy,
 )
 from repro.shard import (
     ShardedDatabase,
@@ -81,7 +79,7 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "QueryFacade",
@@ -106,14 +104,12 @@ __all__ = [
     "CancellationToken",
     "ExecutionControl",
     "CircuitBreaker",
-    "QosClass",
     "QueryRequest",
     "QueryService",
     "ServeClient",
     "ServiceConfig",
     "ServiceResponse",
     "SocketServer",
-    "TenantPolicy",
     "Clock",
     "MonotonicClock",
     "FakeClock",

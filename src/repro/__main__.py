@@ -43,11 +43,10 @@ Subcommands
     Run one traced query and print the per-query profile: the hottest
     span names ranked by self time, plus the observability counters.
 ``serve``
-    Run the concurrent multi-tenant query service
-    (:mod:`repro.serve`): JSON-lines over a local TCP socket, QoS
-    classes mapped onto an aging priority queue, per-tenant token
-    buckets and circuit breakers, graceful degradation under load
-    (see ``docs/service.md``).  ``--self-test N`` instead drives N
+    Run the concurrent query service (:mod:`repro.serve`): JSON-lines
+    over a local TCP socket, one bounded FIFO admission queue in front
+    of a fixed worker pool, graceful degradation under load (see
+    ``docs/service.md``).  ``--self-test N`` instead drives N
     concurrent socket clients against the single-query oracle and
     exits 0/1 (the CI smoke mode).
 

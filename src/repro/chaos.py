@@ -67,7 +67,6 @@ from repro.exceptions import (
 from repro.ingest import create_durable, recover_database
 from repro.serve.protocol import QueryRequest
 from repro.serve.service import QueryService, ServiceConfig
-from repro.serve.tenants import QosClass, TenantPolicy, TenantRegistry
 from repro.shard import POLICIES, REASON_SHARD_LOST, ShardedDatabase
 from repro.storage.buffer import RetryPolicy
 from repro.storage.circuit import CircuitBreaker
@@ -816,15 +815,7 @@ SERVE_SCENARIOS = (
 _SERVE_HANG_S = 30.0
 
 #: Overload reasons a serve campaign may legitimately produce.
-_SERVE_REASONS = frozenset(
-    {
-        "queue-full",
-        "queue-shed",
-        "tenant-rate-limit",
-        "tenant-circuit-open",
-        "shutdown",
-    }
-)
+_SERVE_REASONS = frozenset({"queue-full", "shutdown"})
 
 
 def _serve_iteration(seed: int, iteration: int) -> _Iteration:
@@ -843,7 +834,7 @@ def run_serve_chaos(
     Per iteration: a seeded database plus a pool of concurrent client
     threads (>= 8) drive mixed k-NN / range / streaming requests through
     an in-process service while the scenario injects adversity —
-    overload (tiny queue, tight tenant rate limits, mixed QoS), corrupt
+    overload (a capacity-3 queue behind two workers), corrupt
     storage pages, racing deadlines on a fake clock, client-side
     cancellation, or a shutdown mid-flight.  Every outcome is checked
     against the single-query oracle:
@@ -894,21 +885,6 @@ def _run_serve_iteration(it: _Iteration, report: ChaosReport) -> None:
     else:
         config = ServiceConfig(workers=4, queue_capacity=64)
 
-    tenants = TenantRegistry(clock=clock)
-    qos_cycle = (QosClass.INTERACTIVE, QosClass.STANDARD, QosClass.BATCH)
-    for index in range(clients):
-        rate = 4.0 if scenario == "overload" and index == 0 else 500.0
-        burst = 2.0 if scenario == "overload" and index == 0 else 100.0
-        tenants.set_policy(
-            f"tenant-{index}",
-            TenantPolicy(
-                qos=qos_cycle[index % len(qos_cycle)],
-                rate=rate,
-                burst=burst,
-                breaker_reset_s=10.0,
-            ),
-        )
-
     # Shared query pool: few distinct queries keep the brute-force
     # oracle affordable while every client still races the same data.
     queries = []
@@ -918,7 +894,7 @@ def _run_serve_iteration(it: _Iteration, report: ChaosReport) -> None:
         gold = brute_force_topk(db.store, query, k=10**6, rho=rho, p=db.p)
         queries.append((query, rho, gold, _distance_table(gold)))
 
-    service = QueryService(db, config, tenants=tenants, clock=clock)
+    service = QueryService(db, config, clock=clock)
     service.start()
     outcomes: List[Tuple[str, object]] = []
     outcome_lock = threading.Lock()

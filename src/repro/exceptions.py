@@ -171,13 +171,11 @@ class ServiceOverloadedError(ReproError):
     """Typed back-pressure from the query service (``repro serve``).
 
     Raised (or returned as an ``"error"`` response over the wire) when
-    a request cannot even be *queued*: the admission queue is full, the
-    tenant's token bucket is empty, the tenant's circuit breaker is
-    open after repeated faults, or the service is shutting down.  The
-    carried fields make the rejection actionable instead of opaque:
+    a request cannot even be *queued*: the admission queue is full or
+    the service is shutting down.  The carried fields make the
+    rejection actionable instead of opaque:
 
-    * :attr:`reason` — machine-readable cause (``"queue-full"``,
-      ``"queue-shed"``, ``"tenant-rate-limit"``, ``"tenant-circuit-open"``,
+    * :attr:`reason` — machine-readable cause (``"queue-full"`` or
       ``"shutdown"``).
     * :attr:`retry_after_s` — the server's estimate of how long the
       caller should back off before retrying, or ``None`` when no
@@ -195,7 +193,10 @@ class ServiceOverloadedError(ReproError):
     ) -> None:
         detail = message or f"service overloaded: {reason}"
         if retry_after_s is not None:
-            detail += f" (retry after {retry_after_s:.3f}s)"
+            suffix = f" (retry after {retry_after_s:.3f}s)"
+            # A message decoded off the wire already ends in the suffix.
+            if not detail.endswith(suffix):
+                detail += suffix
         super().__init__(detail)
         #: Machine-readable cause of the rejection.
         self.reason = reason

@@ -1,16 +1,14 @@
 """Concurrent query service for the repro library (``repro serve``).
 
-Turns the single-query library into a multi-tenant front door while
+Turns the single-query library into a concurrent front door while
 keeping the paper's exactness contract intact under load:
 
-* :mod:`repro.serve.queue` — bounded admission queue with priority
-  **aging** (no starvation) and shed-lowest-QoS-first overflow.
-* :mod:`repro.serve.tenants` — QoS classes, per-tenant token buckets,
-  and per-tenant circuit breakers.
+* :mod:`repro.serve.queue` — the bounded FIFO admission queue, the
+  service's one gate.
 * :mod:`repro.serve.protocol` — the JSON-lines wire protocol.
 * :mod:`repro.serve.service` — :class:`QueryService`, the embeddable
-  threaded executor mapping QoS onto ``QueryBudget`` / ``Deadline`` /
-  ``CancellationToken``.
+  threaded executor mapping each request onto ``QueryBudget`` /
+  ``Deadline`` / ``CancellationToken``.
 * :mod:`repro.serve.session` — the localhost socket server and a small
   line-protocol client.
 
@@ -18,8 +16,8 @@ The headline property is graceful degradation: overload produces typed
 :class:`~repro.exceptions.ServiceOverloadedError` back-pressure with a
 retry-after hint, timeouts produce
 :class:`~repro.engines.base.PartialResult` responses with sound
-exactness certificates, and faults trip per-tenant breakers — never a
-crash, never a silent drop.  See ``docs/service.md``.
+exactness certificates, and storage faults come back as degraded or
+typed-error responses — never a crash, never a silent drop.  See ``docs/service.md``.
 """
 
 from repro.serve.protocol import (
@@ -29,7 +27,7 @@ from repro.serve.protocol import (
     encode_response,
     parse_request,
 )
-from repro.serve.queue import AgingPriorityQueue, QueueStats
+from repro.serve.queue import AdmissionQueue
 from repro.serve.service import (
     PendingQuery,
     QueryService,
@@ -38,30 +36,17 @@ from repro.serve.service import (
     ServiceStats,
 )
 from repro.serve.session import ServeClient, SocketServer
-from repro.serve.tenants import (
-    QosClass,
-    TenantPolicy,
-    TenantRegistry,
-    TenantState,
-    TokenBucket,
-)
 
 __all__ = [
-    "AgingPriorityQueue",
+    "AdmissionQueue",
     "PendingQuery",
-    "QosClass",
     "QueryRequest",
     "QueryService",
-    "QueueStats",
     "ServeClient",
     "ServiceConfig",
     "ServiceResponse",
     "ServiceStats",
     "SocketServer",
-    "TenantPolicy",
-    "TenantRegistry",
-    "TenantState",
-    "TokenBucket",
     "decode_response",
     "encode_error",
     "encode_response",

@@ -64,6 +64,20 @@ def _require(condition: bool, message: str) -> None:
         raise ProtocolError(message)
 
 
+def _finite(value: Any, name: str) -> float:
+    """``value`` (a JSON number) as a finite float.
+
+    A JSON integer may lie beyond float range; that is refused like an
+    infinity rather than escaping as :class:`OverflowError`.
+    """
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    _require(math.isfinite(result), f"{name} must be finite")
+    return result
+
+
 def _float_field(
     obj: Dict[str, Any], name: str, allow_none: bool = True
 ) -> Optional[float]:
@@ -75,9 +89,7 @@ def _float_field(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{name!r} must be a number, got {type(value).__name__}",
     )
-    result = float(value)
-    _require(math.isfinite(result), f"{name!r} must be finite")
-    return result
+    return _finite(value, repr(name))
 
 
 def _int_field(
@@ -129,9 +141,7 @@ def parse_request(obj: Any) -> QueryRequest:
             isinstance(value, (int, float)) and not isinstance(value, bool),
             f"query[{index}] must be a number",
         )
-        item = float(value)
-        _require(math.isfinite(item), f"query[{index}] must be finite")
-        query.append(item)
+        query.append(_finite(value, f"query[{index}]"))
 
     tenant = _str_field(obj, "tenant", "default")
     _require(tenant != "", "tenant must be a non-empty string")

@@ -1,157 +1,75 @@
-"""Bounded admission queue with priority aging and QoS-aware shedding.
+"""Bounded FIFO admission queue for the query service.
 
-The scheduling key is **static**: a request enqueued at time ``t`` with
-QoS class ``q`` is ordered by ``t + q * aging_interval_s`` (ties broken
-by arrival).  That single formula gives both properties the service
-needs, with heap-stable keys (no re-heapify, no priority churn):
-
-* *Priority*: at equal enqueue times, a better class (lower ``q``)
-  always dequeues first.
-* *No starvation*: a ``BATCH`` request enqueued at ``t`` outranks every
-  ``INTERACTIVE`` request that arrives after
-  ``t + 2 * aging_interval_s`` — waiting converts 1:1 into priority, so
-  any request's dequeue is bounded by the traffic ahead of it at
-  enqueue time plus a constant-size window of later arrivals.
-
-Overflow policy (``capacity`` reached) is shed-lowest-QoS-first: if the
-incoming request's class is strictly better than the worst class
-currently queued, the *newest* request of that worst class is evicted
-(the caller fails it with ``ServiceOverloadedError("queue-shed")``);
-otherwise the incoming request itself is rejected with
-``ServiceOverloadedError("queue-full")``.  Either way exactly one
-request loses, with a typed, retry-after-carrying error — never a
-silent drop.
+The queue is the service's one admission gate: a request is queued in
+arrival order, or, when ``capacity`` requests already wait, rejected
+with ``ServiceOverloadedError("queue-full")`` carrying a depth-scaled
+retry-after hint.  After :meth:`AdmissionQueue.close` every ``put``
+raises ``ServiceOverloadedError("shutdown")``.  Either way a request
+that is not queued gets a typed error — never a silent drop.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, List, Optional
 
 from repro.analysis.concurrency import (
     guarded_by,
     requires_lock,
     shared_across_queries,
 )
-from repro.core.clock import MONOTONIC_CLOCK, Clock
 from repro.exceptions import ConfigurationError, ServiceOverloadedError
-from repro.serve.tenants import QosClass
-
-
-@dataclass
-class QueueStats:
-    """Counters for one :class:`AgingPriorityQueue`."""
-
-    enqueued: int = 0
-    dequeued: int = 0
-    #: Queued requests evicted to make room for a better QoS class.
-    shed: int = 0
-    #: Incoming requests rejected because nothing worse could be shed.
-    rejected_full: int = 0
-    peak_depth: int = 0
 
 
 @shared_across_queries
-@guarded_by("_lock", "_heap", "_seq", "_closed", "stats")
-class AgingPriorityQueue:
-    """Bounded, starvation-free priority queue for pending queries.
+@guarded_by("_lock", "_items", "_closed")
+class AdmissionQueue:
+    """Bounded first-in, first-out queue of pending queries.
 
-    Items are opaque to the queue; each carries the :class:`QosClass`
-    it was enqueued under.  ``get`` blocks (with timeout) until an item
-    is available or the queue is closed.
+    Items are opaque to the queue.  ``get`` blocks (with timeout) until
+    an item is available or the queue is closed.
 
-    Thread safety: the heap, sequence counter, and stats are guarded by
+    Thread safety: the items and the closed flag are guarded by
     ``_lock`` (a :class:`threading.Condition` doubling as the mutex).
     Per lint rule RS013, no caller may hold this lock across engine
     execution — the queue hands items out and nothing more.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        aging_interval_s: float = 0.25,
-        clock: Optional[Clock] = None,
-        retry_after_hint_s: float = 0.1,
-    ) -> None:
+    def __init__(self, capacity: int, retry_after_hint_s: float = 0.1) -> None:
         if capacity < 1:
             raise ConfigurationError(
                 f"capacity must be >= 1, got {capacity}"
-            )
-        if aging_interval_s <= 0:
-            raise ConfigurationError(
-                f"aging_interval_s must be > 0, got {aging_interval_s}"
             )
         if retry_after_hint_s < 0:
             raise ConfigurationError(
                 f"retry_after_hint_s must be >= 0, got {retry_after_hint_s}"
             )
         self.capacity = capacity
-        self.aging_interval_s = float(aging_interval_s)
         self.retry_after_hint_s = float(retry_after_hint_s)
-        self._clock = clock if clock is not None else MONOTONIC_CLOCK
         self._lock = threading.Condition()
-        #: Heap of (key, seq, qos_value, item); key = enqueue time +
-        #: qos * aging_interval_s, fixed at enqueue (heap-stable).
-        self._heap: List[Tuple[float, int, int, Any]] = []
-        self._seq = 0
+        self._items: Deque[Any] = deque()
         self._closed = False
-        self.stats = QueueStats()
 
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
+    def put(self, item: Any) -> None:
+        """Append ``item``.
 
-    def put(self, item: Any, qos: QosClass) -> Optional[Any]:
-        """Enqueue ``item`` under ``qos``.
-
-        Returns ``None`` normally.  When the queue is full and ``item``
-        outranks the worst queued class, the evicted item is returned —
-        the caller must fail it with a ``"queue-shed"`` overload error
-        (completing a stranger's future is the caller's job; doing it
-        under the queue lock would violate RS013).  When nothing can be
-        shed, raises :class:`~repro.exceptions.ServiceOverloadedError`
-        with reason ``"queue-full"``.
+        Raises :class:`~repro.exceptions.ServiceOverloadedError` with
+        reason ``"queue-full"`` when ``capacity`` items wait, and with
+        reason ``"shutdown"`` after :meth:`close`.  The closed check
+        shares the lock with :meth:`close`, so a ``put`` racing a
+        shutdown either lands before the drain or is refused — it never
+        strands an item nobody will fail.
         """
         with self._lock:
             if self._closed:
                 raise ServiceOverloadedError("shutdown")
-            shed_item: Optional[Any] = None
-            if len(self._heap) >= self.capacity:
-                victim_index = self._worst_index_locked()
-                victim_qos = self._heap[victim_index][2]
-                if int(qos) < victim_qos:
-                    shed_item = self._heap[victim_index][3]
-                    self._heap[victim_index] = self._heap[-1]
-                    self._heap.pop()
-                    heapq.heapify(self._heap)
-                    self.stats.shed += 1
-                else:
-                    self.stats.rejected_full += 1
-                    raise ServiceOverloadedError(
-                        "queue-full",
-                        retry_after_s=self._retry_after_locked(),
-                    )
-            key = (
-                self._clock.monotonic() + int(qos) * self.aging_interval_s
-            )
-            heapq.heappush(self._heap, (key, self._seq, int(qos), item))
-            self._seq += 1
-            self.stats.enqueued += 1
-            self.stats.peak_depth = max(
-                self.stats.peak_depth, len(self._heap)
-            )
+            if len(self._items) >= self.capacity:
+                raise ServiceOverloadedError(
+                    "queue-full", retry_after_s=self._retry_after_locked()
+                )
+            self._items.append(item)
             self._lock.notify()
-            return shed_item
-
-    @requires_lock("_lock")
-    def _worst_index_locked(self) -> int:
-        """Heap index of the shed victim: worst class, newest arrival."""
-        return max(
-            range(len(self._heap)),
-            key=lambda i: (self._heap[i][2], self._heap[i][1]),
-        )
 
     @requires_lock("_lock")
     def _retry_after_locked(self) -> float:
@@ -160,33 +78,27 @@ class AgingPriorityQueue:
         Scales with depth: a caller bounced off a deep queue should
         wait proportionally longer than one bounced off a shallow one.
         """
-        return self.retry_after_hint_s * max(1, len(self._heap))
-
-    # ------------------------------------------------------------------
-    # Consumer side
-    # ------------------------------------------------------------------
+        return self.retry_after_hint_s * max(1, len(self._items))
 
     def get(self, timeout: Optional[float] = None) -> Optional[Any]:
-        """Dequeue the best-keyed item, blocking up to ``timeout``.
+        """Dequeue the oldest item, blocking up to ``timeout``.
 
         Returns ``None`` on timeout or when the queue is closed and
         drained — the worker loop treats both as "poll again / exit".
         """
         with self._lock:
             ready = self._lock.wait_for(
-                lambda: self._heap or self._closed, timeout=timeout
+                lambda: self._items or self._closed, timeout=timeout
             )
-            if not ready or not self._heap:
+            if not ready or not self._items:
                 return None
-            _, _, _, item = heapq.heappop(self._heap)
-            self.stats.dequeued += 1
-            return item
+            return self._items.popleft()
 
     @property
     def depth(self) -> int:
         """Items currently queued."""
         with self._lock:
-            return len(self._heap)
+            return len(self._items)
 
     @property
     def closed(self) -> bool:
@@ -194,16 +106,15 @@ class AgingPriorityQueue:
             return self._closed
 
     def close(self) -> List[Any]:
-        """Refuse new work and return every still-queued item (in key
-        order) so the caller can fail them with ``"shutdown"`` errors.
+        """Refuse new work and return every still-queued item (in
+        arrival order) so the caller can fail them with ``"shutdown"``
+        errors.
 
         Blocked :meth:`get` callers wake and observe ``None``.
         """
         with self._lock:
             self._closed = True
-            drained = [
-                entry[3] for entry in sorted(self._heap)
-            ]
-            self._heap.clear()
+            drained = list(self._items)
+            self._items.clear()
             self._lock.notify_all()
             return drained

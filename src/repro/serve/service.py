@@ -3,21 +3,21 @@
 :class:`QueryService` is the robustness layer between many concurrent
 clients and one :class:`~repro.api.SubsequenceDatabase`:
 
-* Requests enter through per-tenant gates (token bucket, circuit
-  breaker), land in an :class:`~repro.serve.queue.AgingPriorityQueue`,
-  and are executed by a fixed worker pool.  That is the one gate:
-  the worker count bounds concurrency, the queue capacity bounds
-  waiting, and the queue's key is the one dispatch order.
-* QoS classes map onto the library's cooperative control plane:
+* Requests land in a bounded FIFO
+  :class:`~repro.serve.queue.AdmissionQueue` and are executed by a
+  fixed worker pool.  That is the one gate: the worker count bounds
+  concurrency, the queue capacity bounds waiting, and arrival order
+  is the one dispatch order.  A request's ``tenant`` is an echoed
+  label; nothing is keyed on it.
+* Requests map onto the library's cooperative control plane:
   deadlines start at *submit* time (queue wait counts against the
-  client's timeout), budgets tighten under saturation, and every
-  limit trip surfaces as a :class:`~repro.engines.base.PartialResult`
-  with a sound exactness certificate — never a crash, never a silent
-  drop.
-* Every overload path raises a typed
-  :class:`~repro.exceptions.ServiceOverloadedError` carrying a
-  retry-after hint; storage faults feed the tenant's breaker so a
-  fault-hammering tenant is cut off instead of burning workers.
+  client's timeout), a page budget caps every query while the queue
+  is saturated, and every limit trip surfaces as a
+  :class:`~repro.engines.base.PartialResult` with a sound exactness
+  certificate — never a crash, never a silent drop.
+* Both overload paths — a full queue and a shutdown — raise a typed
+  :class:`~repro.exceptions.ServiceOverloadedError`; a full queue's
+  carries a retry-after hint.
 
 Worker loops follow lint rule RS013: each outer loop calls
 ``checkpoint()`` (so shutdown is cooperative and prompt) and no service
@@ -46,37 +46,25 @@ from repro.core.clock import MONOTONIC_CLOCK, Clock
 from repro.core.results import Match
 from repro.engines.base import PartialResult, SearchResult
 from repro.exceptions import (
-    CircuitOpenError,
     ConfigurationError,
     ExecutionInterrupted,
     ServiceOverloadedError,
-    StorageError,
 )
 from repro.serve.protocol import QueryRequest, parse_request
-from repro.serve.queue import AgingPriorityQueue
-from repro.serve.tenants import QosClass, TenantRegistry, TenantState
-
-#: Seconds of queue age that equal one QoS class step (see
-#: :mod:`repro.serve.queue`).
-AGING_INTERVAL_S = 0.25
+from repro.serve.queue import AdmissionQueue
 
 #: Deadline applied when a request carries no ``timeout_s`` (``None`` =
 #: no server-side deadline).
 DEFAULT_TIMEOUT_S: Optional[float] = None
 
-#: Queue-depth fraction at which degradation tier 1 engages and the
-#: per-QoS page budgets below apply.
+#: Queue-depth fraction at which degradation tier 1 engages and
+#: :data:`SATURATED_PAGE_BUDGET` applies.
 SATURATION_WATERMARK = 0.5
 
-#: Tier-1 budgets: pages a query may touch, per QoS class, once the
-#: queue crosses the watermark.  ``None`` = uncapped (interactive
-#: traffic keeps full exactness; batch traffic absorbs the squeeze and
-#: gets certificate-carrying partials).
-DEGRADED_PAGE_BUDGETS: Dict[QosClass, Optional[int]] = {
-    QosClass.INTERACTIVE: None,
-    QosClass.STANDARD: 4096,
-    QosClass.BATCH: 1024,
-}
+#: Tier-1 budget: pages any query may touch once the queue crosses the
+#: watermark.  A query that hits it returns a certificate-carrying
+#: partial.
+SATURATED_PAGE_BUDGET = 4096
 
 #: Worker poll interval on the queue — bounds shutdown latency.
 QUEUE_POLL_S = 0.05
@@ -91,10 +79,10 @@ class ServiceConfig:
     workers:
         Executor threads — the bound on concurrently running queries.
     queue_capacity:
-        Bounded depth of the aging priority queue — the bound on
+        Bounded depth of the FIFO admission queue — the bound on
         waiting queries.
     retry_after_hint_s:
-        Base back-off hint attached to queue-full / shed rejections.
+        Base back-off hint attached to queue-full rejections.
     """
 
     workers: int = 4
@@ -118,10 +106,8 @@ class ServiceStats:
     partial: int = 0
     #: Requests that completed with an exception (typed error response).
     errors: int = 0
-    #: Submissions rejected before enqueue (overload / tenant gates).
+    #: Submissions rejected before enqueue (queue full / shutdown).
     rejected: int = 0
-    #: Queued requests evicted for a better QoS class.
-    shed: int = 0
     peak_inflight: int = 0
 
 
@@ -135,7 +121,7 @@ class ServiceResponse:
     result: SearchResult
     queue_wait_s: float
     execution_s: float
-    #: 0 = normal, 1 = saturated (per-QoS page budgets applied).
+    #: 0 = normal, 1 = saturated (``SATURATED_PAGE_BUDGET`` applied).
     degradation_tier: int
     want_profile: bool = False
 
@@ -166,8 +152,6 @@ class PendingQuery:
     """
 
     request: QueryRequest
-    tenant: TenantState
-    qos: QosClass
     enqueue_time: float
     deadline: Optional[Deadline]
     token: CancellationToken
@@ -220,7 +204,7 @@ class QueryService:
     Use as a context manager, or call :meth:`start` / :meth:`shutdown`
     explicitly.  Thread safety: the lifecycle flag, in-flight count,
     and stats are guarded by ``_lock`` (a :class:`threading.Condition`
-    used by drain waits); the queue and tenants are internally locked.
+    used by drain waits); the queue is internally locked.
     No service lock is held across engine execution (RS013).
     """
 
@@ -228,21 +212,13 @@ class QueryService:
         self,
         db: QueryFacade,
         config: Optional[ServiceConfig] = None,
-        tenants: Optional[TenantRegistry] = None,
         clock: Optional[Clock] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
         self._db = db
         self._clock = clock if clock is not None else MONOTONIC_CLOCK
-        self._tenants = (
-            tenants
-            if tenants is not None
-            else TenantRegistry(clock=clock)
-        )
-        self._queue = AgingPriorityQueue(
+        self._queue = AdmissionQueue(
             capacity=self.config.queue_capacity,
-            aging_interval_s=AGING_INTERVAL_S,
-            clock=self._clock,
             retry_after_hint_s=self.config.retry_after_hint_s,
         )
         self.shutdown_control = ShutdownControl()
@@ -280,11 +256,7 @@ class QueryService:
         self.shutdown()
 
     @property
-    def tenants(self) -> TenantRegistry:
-        return self._tenants
-
-    @property
-    def queue(self) -> AgingPriorityQueue:
+    def queue(self) -> AdmissionQueue:
         return self._queue
 
     @property
@@ -341,41 +313,13 @@ class QueryService:
         """Admit one request; returns its :class:`PendingQuery`.
 
         Raises :class:`~repro.exceptions.ServiceOverloadedError` when
-        the request cannot even be queued (shutdown, rate limit, open
-        tenant breaker, full queue with nothing worse to shed).
+        the request cannot even be queued (shutdown, full queue).
         """
         with self._lock:
             if self._closed:
                 self.stats.rejected += 1
                 raise ServiceOverloadedError("shutdown")
             self.stats.submitted += 1
-        tenant = self._tenants.get_or_create(request.tenant)
-        tenant.count("submitted")
-
-        wait = tenant.bucket.try_acquire()
-        if wait > 0.0:
-            tenant.count("rejected_rate")
-            self._count_rejected()
-            raise ServiceOverloadedError(
-                "tenant-rate-limit",
-                retry_after_s=wait,
-                message=(
-                    f"tenant {tenant.name!r} exceeded "
-                    f"{tenant.policy.rate:g} req/s"
-                ),
-            )
-        if tenant.breaker.state == "open":
-            tenant.count("rejected_breaker")
-            self._count_rejected()
-            raise ServiceOverloadedError(
-                "tenant-circuit-open",
-                retry_after_s=tenant.policy.breaker_reset_s,
-                message=(
-                    f"tenant {tenant.name!r} breaker is open after "
-                    f"repeated query faults"
-                ),
-            )
-
         timeout_s = request.timeout_s
         if timeout_s is None:
             timeout_s = DEFAULT_TIMEOUT_S
@@ -386,30 +330,16 @@ class QueryService:
         )
         pending = PendingQuery(
             request=request,
-            tenant=tenant,
-            qos=tenant.policy.qos,
             enqueue_time=self._clock.monotonic(),
             deadline=deadline,
             token=CancellationToken(),
         )
         try:
-            shed = self._queue.put(pending, pending.qos)
+            self._queue.put(pending)
         except ServiceOverloadedError:
-            self._count_rejected()
-            raise
-        if shed is not None:
-            shed.tenant.count("shed")
             with self._lock:
-                self.stats.shed += 1
-            self._fail(
-                shed,
-                ServiceOverloadedError(
-                    "queue-shed",
-                    retry_after_s=self.config.retry_after_hint_s
-                    * max(1, self._queue.depth),
-                    message="evicted from a full queue by higher-QoS work",
-                ),
-            )
+                self.stats.rejected += 1
+            raise
         return pending
 
     def query(
@@ -421,10 +351,6 @@ class QueryService:
         if isinstance(request, dict):
             request = parse_request(request)
         return self.submit(request).result(timeout=timeout)
-
-    def _count_rejected(self) -> None:
-        with self._lock:
-            self.stats.rejected += 1
 
     # ------------------------------------------------------------------
     # Worker side
@@ -446,13 +372,15 @@ class QueryService:
         return 1 if self._queue.depth >= watermark else 0
 
     def _effective_budget(
-        self, request: QueryRequest, qos: QosClass, tier: int
+        self, request: QueryRequest, tier: int
     ) -> Optional[QueryBudget]:
         pages = request.max_pages
         if tier >= 1:
-            cap = DEGRADED_PAGE_BUDGETS.get(qos)
-            if cap is not None:
-                pages = cap if pages is None else min(pages, cap)
+            pages = (
+                SATURATED_PAGE_BUDGET
+                if pages is None
+                else min(pages, SATURATED_PAGE_BUDGET)
+            )
         if pages is None and request.max_candidates is None:
             return None
         return QueryBudget(
@@ -464,18 +392,15 @@ class QueryService:
         started = self._clock.monotonic()
         queue_wait = max(0.0, started - pending.enqueue_time)
         tier = self._current_tier()
-        budget = self._effective_budget(pending.request, pending.qos, tier)
+        budget = self._effective_budget(pending.request, tier)
         self._note_start(pending)
         try:
             result = self._dispatch(pending, budget)
-        except (CircuitOpenError, StorageError) as error:
-            pending.tenant.breaker.record_failure()
-            pending.tenant.count("faults")
-            self._fail(pending, error)
         except BaseException as error:  # never kill a worker
-            # Typed or not: bad parameters only the engine could detect
-            # (query too short for omega, missing PSM index, ...) end
-            # the request the same way a bug does, with its exception.
+            # Typed or not: storage faults under on_fault="raise" and
+            # bad parameters only the engine could detect (query too
+            # short for omega, missing PSM index, ...) end the request
+            # the same way a bug does, with its exception.
             self._fail(pending, error)
         else:
             self._complete(pending, result, queue_wait, started, tier)
@@ -520,13 +445,7 @@ class QueryService:
         started: float,
         tier: int,
     ) -> None:
-        if result.degraded:
-            pending.tenant.breaker.record_failure()
-            pending.tenant.count("faults")
-        else:
-            pending.tenant.breaker.record_success()
         partial = isinstance(result, PartialResult)
-        pending.tenant.count("partial" if partial else "completed")
         with self._lock:
             self.stats.completed += 1
             if partial:
@@ -534,7 +453,7 @@ class QueryService:
         response = ServiceResponse(
             request_id=pending.request.request_id,
             kind=pending.request.spec.kind,
-            tenant=pending.tenant.name,
+            tenant=pending.request.tenant,
             result=result,
             queue_wait_s=queue_wait,
             execution_s=max(0.0, self._clock.monotonic() - started),

@@ -5,7 +5,7 @@ per line and reads response lines back (stream requests interleave
 match lines before the final summary).  The server is deliberately
 boring — one daemon thread per connection, driven entirely by
 :class:`~repro.serve.service.QueryService` — because all the policy
-(queueing, QoS, degradation) lives in the service layer, where it is
+(queueing, degradation) lives in the service layer, where it is
 testable in-process.
 
 Robustness notes:

@@ -40,13 +40,7 @@ from repro.control import ExecutionControl, KthBound, Rotation
 from repro.core.metrics import QueryStats, StatsRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
-from repro.serve import (
-    AgingPriorityQueue,
-    QueryService,
-    TenantRegistry,
-    TenantState,
-    TokenBucket,
-)
+from repro.serve import AdmissionQueue, QueryService
 from repro.storage.buffer import BufferPool
 from repro.storage.circuit import CircuitBreaker
 from repro.storage.wal import WriteAheadLog
@@ -124,7 +118,7 @@ class TestContractDecorators:
         assert helper.__repro_requires_lock__ == "_lock"
 
     def test_import_repro_does_not_load_the_linter(self) -> None:
-        # Fifteen runtime modules import the decorators; every pool
+        # Fourteen runtime modules import the decorators; every pool
         # worker and the `repro serve` child pays for what that pulls in.
         probe = (
             "import sys, repro\n"
@@ -147,14 +141,11 @@ class TestContractDecorators:
         # The concrete contract map docs/concurrency-contracts.md
         # documents, introspectable at runtime.
         for cls in (
-            AgingPriorityQueue,
+            AdmissionQueue,
             BufferPool,
             CircuitBreaker,
             MetricsRegistry,
             QueryService,
-            TenantRegistry,
-            TenantState,
-            TokenBucket,
             Tracer,
             WriteAheadLog,
         ):
@@ -196,10 +187,9 @@ class TestContractDecorators:
     def test_requires_lock_on_production_helpers(self) -> None:
         assert BufferPool._evict_one.__repro_requires_lock__ == "_lock"
         assert (
-            AgingPriorityQueue._worst_index_locked.__repro_requires_lock__
+            AdmissionQueue._retry_after_locked.__repro_requires_lock__
             == "_lock"
         )
-        assert TokenBucket._refill_locked.__repro_requires_lock__ == "_lock"
         assert (
             MetricsRegistry._check_free.__repro_requires_lock__ == "_lock"
         )

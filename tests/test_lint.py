@@ -918,15 +918,16 @@ class TestSelfCheck:
         assert report.suppressed == 9  # the R*-tree's offline build path
 
     def test_lock_walk_over_src_is_not_vacuous(self):
-        # 0 findings means something only if the walk saw the code: 14
-        # contract classes, 202 guarded accesses measured at 1.15.0
-        # (15 / 227 before the admission controller went; nested defs,
-        # 4 accesses, are not chased).
+        # 0 findings means something only if the walk saw the code: 13
+        # contract classes, 174 guarded accesses measured at 1.21.0
+        # (16 / 208 before TokenBucket, TenantState and TenantRegistry
+        # went with serve/tenants.py; 15 / 227 before the admission
+        # controller went; nested defs, 4 accesses, are not chased).
         rule = LockDisciplineRule()
         report = lint_paths([SRC_PACKAGE], rules=[rule])
         assert report.findings == []
-        assert rule.classes_visited >= 14
-        assert rule.accesses_visited >= 200
+        assert rule.classes_visited >= 13
+        assert rule.accesses_visited >= 174
 
     def test_full_src_tree_under_five_seconds(self):
         # About 0.5 s in-process on the 2-core reference host; the
