@@ -43,7 +43,6 @@ from repro.engines.base import (
 from repro.engines.cost_density import CostDensityConfig
 from repro.engines.ranked_union import MatchStream
 from repro.exceptions import (
-    CircuitOpenError,
     ConfigurationError,
     CorruptPageError,
     ExecutionInterrupted,
@@ -69,17 +68,10 @@ from repro.shard import (
     ShardPlan,
     ShardPlanner,
 )
-from repro.storage.backends import (
-    FileBackend,
-    MmapBackend,
-    StorageBackend,
-    resolve_backend,
-)
 from repro.storage.buffer import RetryPolicy
-from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "QueryFacade",
@@ -103,7 +95,6 @@ __all__ = [
     "Deadline",
     "CancellationToken",
     "ExecutionControl",
-    "CircuitBreaker",
     "QueryRequest",
     "QueryService",
     "ServeClient",
@@ -121,7 +112,6 @@ __all__ = [
     "IntegrityError",
     "PartialSaveError",
     "ExecutionInterrupted",
-    "CircuitOpenError",
     "ProtocolError",
     "ServiceOverloadedError",
     "FaultInjector",
@@ -129,9 +119,5 @@ __all__ = [
     "FaultyPager",
     "FaultReport",
     "RetryPolicy",
-    "StorageBackend",
-    "FileBackend",
-    "MmapBackend",
-    "resolve_backend",
     "__version__",
 ]

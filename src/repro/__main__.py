@@ -132,7 +132,8 @@ def _scrub(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    report = db.verify_integrity()
+    with db:  # under --backend mmap, closing removes the scratch map
+        report = db.verify_integrity()
     if report["ok"]:
         print(
             f"scrub: {args.directory}: OK "
@@ -222,19 +223,23 @@ def _recover(args: argparse.Namespace) -> int:
         f"torn_bytes_discarded={report.torn_bytes_discarded}, "
         f"effective_lsn={report.effective_lsn}"
     )
-    integrity = db.verify_integrity()
-    if not integrity["ok"]:
-        for message in (
-            [f"page {p} failed checksum" for p in integrity["corrupt_pages"]]
-            + integrity["tree_errors"]
-            + integrity["counter_errors"]
-        ):
-            print(f"recover: {message}", file=sys.stderr)
-        print(f"recover: {args.root}: FAILED integrity", file=sys.stderr)
-        return 1
-    if args.checkpoint:
-        watermark = db.checkpoint()
-        print(f"recover: checkpointed at LSN {watermark}, WAL truncated")
+    with db:  # under --backend mmap, closing removes the scratch map
+        integrity = db.verify_integrity()
+        if not integrity["ok"]:
+            for message in (
+                [
+                    f"page {p} failed checksum"
+                    for p in integrity["corrupt_pages"]
+                ]
+                + integrity["tree_errors"]
+                + integrity["counter_errors"]
+            ):
+                print(f"recover: {message}", file=sys.stderr)
+            print(f"recover: {args.root}: FAILED integrity", file=sys.stderr)
+            return 1
+        if args.checkpoint:
+            watermark = db.checkpoint()
+            print(f"recover: checkpointed at LSN {watermark}, WAL truncated")
     print(f"recover: {args.root}: OK")
     return 0
 
@@ -533,7 +538,7 @@ def _profile(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.engines.base import METHODS
     from repro.shard.planner import POLICIES
-    from repro.storage.backends import BACKEND_NAMES
+    from repro.storage.sequences import BACKENDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -564,8 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scrub.add_argument("directory", help="database directory to verify")
     scrub.add_argument(
         "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
+        choices=BACKENDS,
+        default="file",
         help="storage backend to load under (default: file)",
     )
     scrub.set_defaults(func=_scrub)
@@ -590,8 +595,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     recover.add_argument(
         "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
+        choices=BACKENDS,
+        default="file",
         help="storage backend for the recovered database (default: file)",
     )
     recover.set_defaults(func=_recover)

@@ -13,7 +13,7 @@ de-vectorization gate: a kernel that falls back to a Python loop drops
 to ~1x and fails, one that stops matching its oracle fails outright.
 
 Nothing else is measured here.  Serve, shard fan-out, ingest/recovery,
-storage backends and tracing are timed on named workloads — with every
+the mmap backend and tracing are timed on named workloads — with every
 answer checked — by ``benchmarks/e2e`` (see its README), and the
 engines' deterministic counters are pinned once, in
 ``tests/test_engines_stats.py::TestGoldenCounters``.

@@ -31,10 +31,10 @@ Scenarios
     results must be well-formed, honestly flagged, and every reported
     distance must still be a true distance (degradation may omit,
     never fabricate).
-``circuit``
-    A persistently failing page region behind a circuit breaker: the
-    query must complete degraded, and once the breaker opens it must
-    reject fetches instead of hammering the device.
+``faults-exhausted``
+    Transient read failures on data pages frequent enough to outlast a
+    two-attempt retry budget, under ``on_fault="degrade"``: the query
+    must complete, possibly degraded, and never fabricate a distance.
 
 All randomness flows from ``random.Random(f"{seed}:{iteration}")`` and
 ``numpy`` generators seeded from it, so a failing iteration replays
@@ -69,7 +69,6 @@ from repro.serve.protocol import QueryRequest
 from repro.serve.service import QueryService, ServiceConfig
 from repro.shard import POLICIES, REASON_SHARD_LOST, ShardedDatabase
 from repro.storage.buffer import RetryPolicy
-from repro.storage.circuit import CircuitBreaker
 from repro.storage.faults import (
     CORRUPT,
     TRANSIENT,
@@ -91,8 +90,11 @@ SCENARIOS = (
     "cancel",
     "faults-transient",
     "faults-degrade",
-    "circuit",
+    "faults-exhausted",
 )
+
+#: Scenarios that run ``on_fault="degrade"``: a complete run may omit.
+_DEGRADING = ("faults-degrade", "faults-exhausted")
 
 _ENGINES = ("seqscan", "hlmj", "ru", "ru-cost")
 
@@ -390,7 +392,7 @@ def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
             )
         )
         db = it.build_db(fault_injector=injector)
-    elif scenario == "circuit":
+    elif scenario == "faults-exhausted":
         injector = FaultInjector(seed=it.rng.randrange(2**31))
         injector.add(
             FaultSpec(
@@ -399,17 +401,9 @@ def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
                 probability=0.8,
             )
         )
-        breaker = CircuitBreaker(
-            failure_threshold=0.5,
-            window=8,
-            min_samples=4,
-            reset_timeout_s=10_000.0,  # stays open for the whole query
-            clock=FakeClock(),
-        )
         db = it.build_db(
             fault_injector=injector,
             retry_policy=RetryPolicy(max_attempts=2),
-            circuit_breaker=breaker,
         )
     else:
         db = it.build_db()
@@ -484,7 +478,7 @@ def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
             kwargs["token"] = CancellationToken(
                 cancel_after_checks=it.rng.randint(0, 200)
             )
-        elif scenario in ("faults-degrade", "circuit"):
+        elif scenario in _DEGRADING:
             kwargs["on_fault"] = "degrade"
 
         result = db.search(query, **kwargs)  # type: ignore[arg-type]
@@ -493,7 +487,7 @@ def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
         # may complete short.
         _judge(
             report, it, engine, result, gold, truth, k,
-            complete_is_exact=scenario not in ("faults-degrade", "circuit"),
+            complete_is_exact=scenario not in _DEGRADING,
         )
 
         if scenario == "faults-degrade":
@@ -509,18 +503,6 @@ def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
                 else "faults fired but result is neither exact nor "
                 "flagged degraded",
             )
-
-    if scenario == "circuit":
-        breaker = db.circuit_breaker
-        assert breaker is not None
-        if breaker.stats.opens > 0 and breaker.stats.rejections == 0:
-            report.record(
-                it,
-                "circuit",
-                "breaker opened but never rejected a fetch",
-            )
-        else:
-            report.record(it, "circuit", None)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Everything in the library that reads or spends time — deadline checks in
 :mod:`repro.control`, retry backoff in :mod:`repro.storage.buffer`,
-circuit-breaker reset timers in :mod:`repro.storage.circuit`, latency
-faults in :mod:`repro.storage.faults` — goes through a :class:`Clock`
+latency faults in :mod:`repro.storage.faults` — goes through a :class:`Clock`
 so tests and the chaos harness can substitute :class:`FakeClock` and
 never block on real wall-clock time.
 

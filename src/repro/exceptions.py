@@ -145,18 +145,6 @@ class ExecutionInterrupted(ReproError):
         self.reason = reason
 
 
-class CircuitOpenError(StorageError):
-    """A page fetch was rejected because the circuit breaker is open.
-
-    Raised *before* touching the pager, so an unhealthy device is not
-    hammered while it recovers.  A :class:`StorageError` subclass: under
-    ``on_fault="degrade"`` engines skip the affected candidate or
-    subtree exactly as for any other storage fault.  Never retried by
-    :class:`~repro.storage.buffer.RetryPolicy` — the breaker's reset
-    timeout, not the retry loop, decides when the device is probed again.
-    """
-
-
 class ProtocolError(ReproError):
     """A service request is malformed at the wire-protocol level.
 

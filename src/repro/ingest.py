@@ -91,7 +91,6 @@ from repro.storage.wal import WriteAheadLog
 if TYPE_CHECKING:
     from repro.api import SubsequenceDatabase
     from repro.core.clock import Clock
-    from repro.storage.circuit import CircuitBreaker
 
 #: File name of the write-ahead log inside a durable root.
 WAL_NAME = "wal.log"
@@ -309,7 +308,6 @@ def create_durable(
     sync: bool = True,
     retry_policy: Optional[RetryPolicy] = None,
     clock: Optional["Clock"] = None,
-    circuit_breaker: Optional["CircuitBreaker"] = None,
 ) -> WriteAheadLog:
     """Persist a built database as a durable root and attach its WAL.
 
@@ -333,7 +331,6 @@ def create_durable(
         root_path / WAL_NAME,
         retry_policy=retry_policy,
         clock=clock,
-        circuit_breaker=circuit_breaker,
         sync=sync,
     )
     db.attach_wal(wal, root_path)
@@ -392,8 +389,7 @@ def recover_database(
     sync: bool = True,
     retry_policy: Optional[RetryPolicy] = None,
     clock: Optional["Clock"] = None,
-    circuit_breaker: Optional["CircuitBreaker"] = None,
-    backend: Optional[object] = None,
+    backend: str = "file",
 ):
     """Roll a durable root forward to its last committed state.
 
@@ -406,10 +402,10 @@ def recover_database(
     checkpoint's ``wal_lsn`` watermark (re-presented when a crash hit
     between checkpoint save and WAL truncation) are skipped.
 
-    ``backend`` selects the storage backend the recovered database
-    runs on (see :func:`repro.storage.backends.resolve_backend`);
-    replayed mutations land on heap pages regardless, so a zero-copy
-    backend only serves the checkpointed prefix from its map.
+    ``backend`` (``"file"`` or ``"mmap"``) is where the recovered
+    database keeps its values (see :func:`repro.storage.sequences.
+    map_values`); replayed mutations land on heap pages regardless, so
+    under ``"mmap"`` only the checkpointed prefix is served from the map.
     """
     from repro.storage.persistence import load_database
 
@@ -423,7 +419,6 @@ def recover_database(
         root_path / WAL_NAME,
         retry_policy=retry_policy,
         clock=clock,
-        circuit_breaker=circuit_breaker,
         sync=sync,
     )
     try:

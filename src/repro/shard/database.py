@@ -70,6 +70,7 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.faults import FaultInjector
 from repro.storage.page import PAGE_SIZE_DEFAULT
 from repro.storage.persistence import save_directory_atomically
+from repro.storage.sequences import check_backend
 
 #: Shard-manifest sentinel file (distinct from the per-shard format-v2
 #: ``MANIFEST`` so the two directory kinds are never confused).
@@ -106,10 +107,8 @@ class ShardedDatabase(QueryFacade):
         Optional ``{shard index -> FaultInjector}`` wiring per-shard
         fault schedules into the chaos harness.
     backend:
-        Storage backend *name* applied to every shard (``None``/
-        ``"file"``/``"mmap"``).  Backend instances are per-database
-        state, so the sharded facade accepts only specs it can resolve
-        freshly per shard.
+        ``"file"`` or ``"mmap"``, applied to every shard (see
+        :class:`~repro.api.SubsequenceDatabase`).
     """
 
     def __init__(
@@ -126,14 +125,8 @@ class ShardedDatabase(QueryFacade):
         tracer: Optional[Tracer] = None,
         fault_injectors: Optional[Dict[int, FaultInjector]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        backend: Optional[str] = None,
+        backend: str = "file",
     ) -> None:
-        if backend is not None and not isinstance(backend, str):
-            raise ConfigurationError(
-                "sharded databases take a backend *name* (one instance "
-                "is resolved per shard); got "
-                f"{type(backend).__name__}"
-            )
         if executor != "thread":
             raise ConfigurationError(
                 f"executor {executor!r} is not supported: shard runs "
@@ -156,7 +149,7 @@ class ShardedDatabase(QueryFacade):
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._fault_injectors = dict(fault_injectors or {})
         self._retry_policy = retry_policy
-        self._backend_spec = backend
+        self.backend = check_backend(backend)
         self._executor: Optional[ThreadShardExecutor] = None
         self._closed = False
         #: Insertion-ordered staging area; emptied by :meth:`build`.
@@ -284,7 +277,7 @@ class ShardedDatabase(QueryFacade):
             fault_injector=self._fault_injectors.get(index),
             retry_policy=self._retry_policy,
             tracer=self._tracer,
-            backend=self._backend_spec,
+            backend=self.backend,
         )
 
     # ------------------------------------------------------------------
@@ -477,14 +470,13 @@ class ShardedDatabase(QueryFacade):
     def load(
         cls,
         directory: "os.PathLike[str] | str",
-        backend: Optional[str] = None,
+        backend: str = "file",
     ) -> "ShardedDatabase":
         """Reconstruct a sharded database saved with :meth:`save`.
 
         Every shard reloads page-for-page, so a reloaded sharded
         database reproduces identical results *and* identical per-shard
-        I/O counts.  ``backend`` is a storage backend name applied per
-        shard.
+        I/O counts.  ``backend`` applies to every shard.
         """
         root = pathlib.Path(directory)
         manifest_path = root / SHARD_MANIFEST_NAME
@@ -539,7 +531,7 @@ class ShardedDatabase(QueryFacade):
         return db
 
     def close(self) -> None:
-        """Release the executor pool and shard backends (idempotent).
+        """Release the executor pool and each shard's map (idempotent).
 
         The pool is gone afterwards, so later queries raise
         :class:`~repro.exceptions.UsageError`.

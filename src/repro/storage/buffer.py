@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, TypeVar
+from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from repro.analysis.concurrency import (
     guarded_by,
@@ -24,9 +24,6 @@ from repro.core.clock import MONOTONIC_CLOCK, Clock
 from repro.exceptions import BufferPoolError, ConfigurationError, TransientIOError
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.pager import Pager
-
-if TYPE_CHECKING:
-    from repro.storage.circuit import CircuitBreaker
 
 _T = TypeVar("_T")
 
@@ -70,7 +67,6 @@ class RetryPolicy:
     def run(
         self,
         attempt: Callable[[], _T],
-        breaker: Optional["CircuitBreaker"],
         clock: Clock,
         on_retry: Optional[Callable[[], None]] = None,
     ) -> _T:
@@ -80,25 +76,13 @@ class RetryPolicy:
         attempt budget calls ``on_retry`` and retries after the
         backoff (slept on ``clock``); the last failure propagates, and
         every other error propagates immediately.
-
-        With a ``breaker``, every attempt is gated by
-        :meth:`~repro.storage.circuit.CircuitBreaker.before_attempt`
-        (which raises :class:`~repro.exceptions.CircuitOpenError` while
-        the device is quarantined) and every outcome is reported back
-        to it.  A trip mid-loop aborts the remaining attempts — the
-        breaker's reset timeout, not the retry budget, decides when the
-        device is probed again.
         """
         delay = self.backoff_s
         attempts = 1
         while True:
-            if breaker is not None:
-                breaker.before_attempt()
             try:
-                result = attempt()
+                return attempt()
             except TransientIOError:
-                if breaker is not None:
-                    breaker.record_failure()
                 if attempts >= self.max_attempts:
                     raise
                 if on_retry is not None:
@@ -107,10 +91,6 @@ class RetryPolicy:
                     clock.sleep(delay)
                     delay *= self.multiplier
                 attempts += 1
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return result
 
 
 @dataclass
@@ -167,11 +147,6 @@ class BufferPool:
         Injectable time source used for retry backoff sleeps (defaults
         to the real monotonic clock; tests inject a
         :class:`~repro.core.clock.FakeClock` so backoff never blocks).
-    circuit_breaker:
-        Optional :class:`~repro.storage.circuit.CircuitBreaker` gating
-        every physical read attempt.  While open, fetches fail fast
-        with :class:`~repro.exceptions.CircuitOpenError` instead of
-        hammering an unhealthy pager.
     """
 
     def __init__(
@@ -180,7 +155,6 @@ class BufferPool:
         capacity_pages: int,
         retry_policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
-        circuit_breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
         if capacity_pages < 1:
             raise BufferPoolError(
@@ -192,7 +166,6 @@ class BufferPool:
         self._lock = threading.RLock()
         self.retry_policy = retry_policy or RetryPolicy()
         self._clock = clock if clock is not None else MONOTONIC_CLOCK
-        self.circuit_breaker = circuit_breaker
         self.stats = BufferStats()
         #: Observability hook (attribute, not constructor argument, so
         #: the many bare ``BufferPool(pager, n)`` construction sites stay
@@ -237,15 +210,13 @@ class BufferPool:
             return payload
 
     def fetch(self, page_id: int) -> Any:
-        """Physically read a page under the retry policy and breaker.
+        """Physically read a page under the retry policy.
 
         A retried transient fault increments ``stats.retries``; see
-        :meth:`RetryPolicy.run` for what is retried and how the circuit
-        breaker gates the attempts.
+        :meth:`RetryPolicy.run` for what is retried.
         """
         return self.retry_policy.run(
             lambda: self._read_attempt(page_id),
-            self.circuit_breaker,
             self._clock,
             on_retry=self._count_retry,
         )

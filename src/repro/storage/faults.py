@@ -299,9 +299,8 @@ class FaultyPager(Pager):
         page_size: int = PAGE_SIZE_DEFAULT,
         injector: Optional[FaultInjector] = None,
         clock: Optional[Clock] = None,
-        verify_mode: str = "always",
     ) -> None:
-        super().__init__(page_size=page_size, verify_mode=verify_mode)
+        super().__init__(page_size=page_size)
         self.injector = injector or FaultInjector()
         #: Latency faults sleep on this clock, so chaos runs can inject
         #: simulated slowness via :class:`~repro.core.clock.FakeClock`

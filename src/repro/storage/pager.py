@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.exceptions import ConfigurationError, CorruptPageError, PageError
+from repro.exceptions import CorruptPageError, PageError
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.integrity import payload_checksum
 from repro.storage.page import PAGE_SIZE_DEFAULT, PageKind
@@ -70,16 +70,6 @@ class Pager:
     page_size:
         Page size in bytes.  Only used for geometry decisions by callers;
         the pager itself stores payloads as Python objects.
-    verify_mode:
-        ``"always"`` (default) checksum-verifies every sealed read —
-        the historical behaviour.  ``"first-touch"`` verifies each page
-        only on its *first* sealed read and trusts it afterwards until
-        it is written, freed, or the pager is re-sealed.  Zero-copy
-        backends use first-touch: their payloads are read-only views of
-        an immutable map, so re-hashing every fetch buys nothing, while
-        the first touch still catches media corruption introduced
-        before the query ran.  Never combined with fault injection
-        (injected corruption can land *after* the first read).
 
     Integrity
     ---------
@@ -91,26 +81,16 @@ class Pager:
     :meth:`~repro.api.SubsequenceDatabase.build` and ``load()`` both do.
     After sealing, :meth:`write` keeps the affected checksum current and
     every :meth:`read` verifies its payload, raising
-    :class:`~repro.exceptions.CorruptPageError` on a mismatch.
-    Verification happens on the already-fetched payload and therefore
-    never changes the physical read counters.
+    :class:`~repro.exceptions.CorruptPageError` on a mismatch.  Every
+    read, not only a page's first: a payload that is a view of a memory
+    map (:func:`~repro.storage.sequences.map_values`) changes when the
+    mapped file is rewritten underneath it.  Verification happens on
+    the already-fetched payload and therefore never changes the
+    physical read counters.
     """
 
-    #: Accepted ``verify_mode`` values.
-    VERIFY_MODES = ("always", "first-touch")
-
-    def __init__(
-        self,
-        page_size: int = PAGE_SIZE_DEFAULT,
-        verify_mode: str = "always",
-    ) -> None:
-        if verify_mode not in self.VERIFY_MODES:
-            raise ConfigurationError(
-                f"verify_mode must be one of {self.VERIFY_MODES}, "
-                f"got {verify_mode!r}"
-            )
+    def __init__(self, page_size: int = PAGE_SIZE_DEFAULT) -> None:
         self.page_size = page_size
-        self.verify_mode = verify_mode
         self.stats = PagerStats()
         #: Observability hook; the disabled default costs one branch per
         #: physical read.  ``pager.read`` spans nest inside the buffer
@@ -121,8 +101,6 @@ class Pager:
         self._kinds: List[PageKind] = []
         self._checksums: List[Optional[int]] = []
         self._sealed = False
-        #: Pages already verified since the last seal (first-touch mode).
-        self._verified: set = set()
 
     def __len__(self) -> int:
         return len(self._payloads)
@@ -169,20 +147,15 @@ class Pager:
         self.stats.record_read(page_id)
         payload = self._payloads[page_id]
         expected = self._checksums[page_id]
-        if self._sealed and expected is not None:
-            if self.verify_mode == "always":
-                if payload_checksum(payload) != expected:
-                    raise CorruptPageError(
-                        f"page {page_id} ({self._kinds[page_id].value}) "
-                        f"failed checksum verification"
-                    )
-            elif page_id not in self._verified:
-                if payload_checksum(payload) != expected:
-                    raise CorruptPageError(
-                        f"page {page_id} ({self._kinds[page_id].value}) "
-                        f"failed checksum verification"
-                    )
-                self._verified.add(page_id)
+        if (
+            self._sealed
+            and expected is not None
+            and payload_checksum(payload) != expected
+        ):
+            raise CorruptPageError(
+                f"page {page_id} ({self._kinds[page_id].value}) "
+                f"failed checksum verification"
+            )
         return payload
 
     def write(self, page_id: int, payload: Any) -> None:
@@ -190,7 +163,6 @@ class Pager:
         self._check(page_id)
         self.stats.record_write()
         self._payloads[page_id] = payload
-        self._verified.discard(page_id)
         if self._sealed:
             self._checksums[page_id] = payload_checksum(payload)
 
@@ -208,7 +180,6 @@ class Pager:
         self.stats.record_write()
         self._payloads[page_id] = None
         self._kinds[page_id] = PageKind.FREE
-        self._verified.discard(page_id)
         if self._sealed:
             self._checksums[page_id] = payload_checksum(None)
 
@@ -252,18 +223,7 @@ class Pager:
         self._checksums = [
             payload_checksum(payload) for payload in self._payloads
         ]
-        self._verified.clear()
         self._sealed = True
-
-    def close(self) -> None:
-        """Release any resources the pager holds.
-
-        The in-memory pager owns nothing beyond Python objects, so this
-        is a no-op hook; storage backends holding OS resources (memory
-        maps, file descriptors) release them when the owning
-        :class:`~repro.storage.backends.StorageBackend` closes.
-        Idempotent.
-        """
 
     def checksum_of(self, page_id: int) -> Optional[int]:
         """The stored checksum for a page (``None`` before sealing)."""

@@ -421,7 +421,7 @@ def _sequence_pages(seq: Dict[str, Any]) -> List[int]:
 def load_database(
     directory: PathLike,
     psm: bool = False,
-    backend: Any = None,
+    backend: str = "file",
 ) -> "SubsequenceDatabase":
     """Reconstruct a database saved by :func:`save_database`.
 
@@ -430,9 +430,8 @@ def load_database(
     references surface as :class:`SequenceNotFoundError` or
     :class:`IntegrityError` rather than raw ``KeyError``.
 
-    ``backend`` is a storage-backend spec (see
-    :func:`repro.storage.backends.resolve_backend`); the persisted
-    format is backend-independent, so any save loads under any backend.
+    ``backend`` is ``"file"`` or ``"mmap"`` (see
+    :class:`~repro.api.SubsequenceDatabase`); a save loads under either.
     """
     path = pathlib.Path(directory)
     meta = _verify_on_disk(path)
@@ -529,7 +528,7 @@ def _reconstruct(
     values: Dict[str, np.ndarray],
     index_data: Dict[str, np.ndarray],
     psm: bool,
-    backend: Any,
+    backend: str,
 ) -> "SubsequenceDatabase":
     """Rebuild the database object from verified, fully read archives."""
     from repro.api import SubsequenceDatabase
@@ -660,10 +659,7 @@ def _reconstruct(
                 features=meta["features"],
                 p=meta["p"],
             )
-    # As in build(): the backend installs its query-serving cache (e.g.
-    # zero-copy mmap views) before checksums snapshot the payloads.
-    db._backend.attach(db)  # noqa: SLF001
-    db.pager.seal()
+    db._seal()  # noqa: SLF001 — as build() does
     db.resize_buffer(meta["buffer_fraction"])
     db.reset_cache()
     return db

@@ -7,16 +7,28 @@ counters reflect exactly the page accesses the paper measures.
 
 Offsets are **0-based** throughout the library; the paper's 1-based
 ``S[i:j]`` notation is translated at the documentation level only.
+
+:func:`map_values` is what ``backend="mmap"`` selects: the same values,
+served from a read-only memory map instead of the heap.
 """
 
 from __future__ import annotations
 
+import mmap
+import pathlib
+import shutil
+import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import PageError, SequenceNotFoundError
+from repro.exceptions import (
+    ConfigurationError,
+    PageError,
+    SequenceNotFoundError,
+    StorageError,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageKind, values_per_page
 from repro.storage.pager import Pager
@@ -283,3 +295,86 @@ class SequenceStore:
         """Iterate ``(sid, values)`` without I/O accounting (offline)."""
         for sid in self._meta:
             yield sid, self._arrays[sid]
+
+
+#: Where a database keeps its sequence values at query time.
+BACKENDS = ("file", "mmap")
+
+
+def check_backend(backend: object) -> str:
+    """Return ``backend`` if it is one of :data:`BACKENDS`; raise
+    :class:`~repro.exceptions.ConfigurationError` otherwise."""
+    if not isinstance(backend, str) or backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown storage backend {backend!r}; expected one of {BACKENDS}"
+        )
+    return backend
+
+
+def map_values(store: SequenceStore) -> Callable[[], None]:
+    """Serve every stored sequence from a read-only memory map.
+
+    Writes all sequences, in insertion order, into ``values.bin`` under
+    a fresh ``repro-mmap-*`` scratch directory, maps it read-only, and
+    points each sequence array and each ``DATA`` page payload at a view
+    of the map.  The views equal the arrays they replace, so the
+    checksums sealed afterwards, the page counts and the answers are
+    those of heap pages.  Ingest after the map concatenates onto fresh
+    heap arrays, so mutated sequences leave the map.
+
+    Returns the detach: it copies views that are still installed back to
+    the heap (an identity check, since ingest may have replaced some),
+    unmaps the file and removes the scratch directory.
+    """
+    if store.total_values == 0:
+        return lambda: None
+    scratch = pathlib.Path(tempfile.mkdtemp(prefix="repro-mmap-"))
+    path = scratch / "values.bin"
+    try:
+        with open(path, "wb") as handle:
+            for _, values in store.iter_sequences():
+                handle.write(values.tobytes())
+        with open(path, "rb") as handle:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError as error:
+        shutil.rmtree(scratch, ignore_errors=True)
+        raise StorageError(f"failed to map {path}: {error}") from error
+    base = np.frombuffer(mapped, dtype=np.float64)
+    arrays = store._arrays  # noqa: SLF001
+    payloads = store.pager._payloads  # noqa: SLF001
+    vpp = store.values_per_page
+    installed_arrays: Dict[int, np.ndarray] = {}
+    installed_payloads: Dict[int, np.ndarray] = {}
+    offset = 0
+    for sid in store.sequence_ids():
+        view = base[offset : offset + store.length(sid)]
+        offset += view.size
+        arrays[sid] = installed_arrays[sid] = view
+        for index, page_id in enumerate(store.meta(sid).pages):
+            chunk = view[index * vpp : (index + 1) * vpp]
+            payloads[page_id] = installed_payloads[page_id] = chunk
+
+    def detach() -> None:
+        for sid, view in installed_arrays.items():
+            if arrays.get(sid) is view:
+                arrays[sid] = _heap_copy(view)
+        for page_id, chunk in installed_payloads.items():
+            if payloads[page_id] is chunk:
+                payloads[page_id] = _heap_copy(chunk)
+        installed_arrays.clear()
+        installed_payloads.clear()
+        try:
+            mapped.close()
+        except BufferError:
+            # A caller still holds a view; the map is freed when the
+            # last view is garbage-collected.
+            pass
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    return detach
+
+
+def _heap_copy(view: np.ndarray) -> np.ndarray:
+    copy = np.array(view)
+    copy.setflags(write=False)
+    return copy

@@ -42,7 +42,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
 from repro.serve import AdmissionQueue, QueryService
 from repro.storage.buffer import BufferPool
-from repro.storage.circuit import CircuitBreaker
 from repro.storage.wal import WriteAheadLog
 
 THREADS = 8
@@ -143,7 +142,6 @@ class TestContractDecorators:
         for cls in (
             AdmissionQueue,
             BufferPool,
-            CircuitBreaker,
             MetricsRegistry,
             QueryService,
             Tracer,
@@ -330,26 +328,6 @@ class TestTracerUnderThreads:
         assert tracer.span_total == 0
         # The resetting thread's own stack is fresh too.
         assert tracer.depth == 0
-
-
-class TestCircuitBreakerUnderThreads:
-    def test_concurrent_outcomes_are_all_recorded(self) -> None:
-        # A threshold of 1.0 with alternating outcomes keeps the
-        # breaker closed (failure rate stays at 0.5) so every record
-        # lands in the window.
-        breaker = CircuitBreaker(window=100_000, failure_threshold=1.0)
-        iters = 500
-
-        def worker(index: int) -> None:
-            for i in range(iters):
-                if (index + i) % 2:
-                    breaker.record_success()
-                else:
-                    breaker.record_failure()
-
-        _run_threads(worker)
-        assert len(breaker._outcomes) == THREADS * iters
-        assert breaker.state == "closed"
 
 
 class TestKthBoundUnderThreads:

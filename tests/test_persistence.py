@@ -343,7 +343,7 @@ class TestInconsistentColumns:
             }
             doctor(index)
             return persistence._reconstruct(
-                path, meta, values, index, psm=False, backend=None
+                path, meta, values, index, psm=False, backend="file"
             )
 
         return load
