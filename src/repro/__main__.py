@@ -156,7 +156,6 @@ def _chaos(args: argparse.Namespace) -> int:
         run_chaos,
         run_ingest_chaos,
         run_serve_chaos,
-        run_shard_chaos,
     )
 
     progress = None
@@ -166,8 +165,7 @@ def _chaos(args: argparse.Namespace) -> int:
         "search": (run_chaos,),
         "ingest": (run_ingest_chaos,),
         "serve": (run_serve_chaos,),
-        "shard": (run_shard_chaos,),
-        "all": (run_chaos, run_ingest_chaos, run_serve_chaos, run_shard_chaos),
+        "all": (run_chaos, run_ingest_chaos, run_serve_chaos),
     }[args.suite]
     exit_code = 0
     for runner in runners:
@@ -179,11 +177,10 @@ def _chaos(args: argparse.Namespace) -> int:
             f"iterations={report.iterations} checks={report.checks} "
             f"partials={report.partials}"
         )
-        for scenario in sorted(report.scenario_counts):
-            print(
-                f"chaos:   {scenario}: {report.scenario_counts[scenario]} "
-                f"iterations"
-            )
+        for (scenario, topology), count in sorted(report.cell_counts.items()):
+            print(f"chaos:   {scenario} [{topology}]: {count} iterations")
+        worlds = sorted(report.axis_counts.items())
+        print("chaos:   worlds: " + " ".join(f"{a}={n}" for a, n in worlds))
         if report.ok:
             print("chaos: OK — every invariant held")
             continue
@@ -606,14 +603,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     chaos.add_argument(
         "--suite",
-        choices=("search", "ingest", "serve", "shard", "all"),
+        choices=("search", "ingest", "serve", "all"),
         default="search",
-        help="search = query-path invariants (default); ingest = "
-        "crash-recovery exactness at seeded WAL/checkpoint crash points; "
-        "serve = many-client service campaign (overload, faults, "
-        "cancellation, deadlines) against the single-query oracle; "
-        "shard = sharded execution (worker loss, per-shard faults, "
-        "mid-merge deadlines) against the single-process oracle",
+        help="search = query-path invariants on unsharded and sharded "
+        "worlds, shard loss included (default); ingest = crash-recovery "
+        "exactness at seeded WAL/checkpoint crash points; serve = "
+        "many-client service campaign (overload, faults, cancellation, "
+        "deadlines) against the single-query oracle.  Every suite draws "
+        "raw or z-normalized matching and the file or mmap backend",
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--iterations", type=int, default=100)

@@ -18,13 +18,6 @@ congruent to ``-s`` modulo ``omega``, so — exactly as in DualMatch —
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
-
-from repro.core.distance import dtw_pow
-from repro.core.normalize import NormalizationContext, znormalize
-from repro.core.results import Match
 from repro.core.windows import (
     QueryWindowSet,
     candidate_in_bounds,
@@ -32,7 +25,6 @@ from repro.core.windows import (
 )
 from repro.engines.base import CandidateEvaluator, Engine, QuerySpec
 from repro.engines.bounds import WindowProbe
-from repro.storage.sequences import SequenceStore
 
 
 class RangeSearchEngine(Engine):
@@ -99,38 +91,3 @@ class RangeSearchEngine(Engine):
                 ):
                     evaluator.verify(ref.sid, start)
 
-
-def brute_force_range(
-    store: SequenceStore,
-    query: Sequence[float],
-    epsilon: float,
-    rho: int,
-    p: float = 2.0,
-    normalize: bool = False,
-) -> List[Match]:
-    """Exhaustive reference for range matching (tests only)."""
-    array = np.ascontiguousarray(query, dtype=np.float64)
-    norm_ctx: Optional[NormalizationContext] = None
-    if normalize:
-        norm_ctx = NormalizationContext(store, int(array.size))
-        array = np.ascontiguousarray(znormalize(array))
-    epsilon_pow = epsilon**p
-    results: List[Match] = []
-    for sid, values in store.iter_sequences():
-        for start in range(values.size - array.size + 1):
-            window_values = values[start : start + array.size]
-            if norm_ctx is not None:
-                mu, sigma = norm_ctx.stats(sid, start)
-                window_values = znormalize(window_values, mu, sigma)
-            distance_pow = dtw_pow(window_values, array, rho, p=p)
-            if distance_pow <= epsilon_pow:
-                results.append(
-                    Match(
-                        distance=distance_pow ** (1.0 / p),
-                        sid=sid,
-                        start=start,
-                        length=int(array.size),
-                    )
-                )
-    results.sort()
-    return results

@@ -1,27 +1,57 @@
 """Tests for the chaos / metamorphic exactness harness itself."""
 
+import pytest
+
 from repro.__main__ import main as cli_main
 from repro.chaos import (
     SCENARIOS,
     SERVE_SCENARIOS,
-    SHARD_SCENARIOS,
+    TOPOLOGIES,
     ChaosReport,
     run_chaos,
     run_serve_chaos,
-    run_shard_chaos,
 )
+
+#: Scenarios a search-suite world of each topology can be dealt.
+SHARDED_SCENARIOS = set(SCENARIOS)
+UNSHARDED_SCENARIOS = SHARDED_SCENARIOS - {"shard-crash"}
+
+
+# Sharded and unsharded worlds share every campaign, so the topology
+# tests read the same reports as the rest of the suite.
+@pytest.fixture(scope="module")
+def seed3_campaign():
+    return run_chaos(seed=3, iterations=8)
+
+
+@pytest.fixture(scope="module")
+def seed5_twice():
+    return run_chaos(seed=5, iterations=6), run_chaos(seed=5, iterations=6)
+
+
+@pytest.fixture(scope="module")
+def seed7_campaign():
+    # Two decks and more: every (scenario, topology) cell at least twice.
+    return run_chaos(seed=7, iterations=40)
+
+
+def scenarios_on(report, topology):
+    return {
+        scenario
+        for scenario, where in report.cell_counts
+        if where == topology
+    }
 
 
 class TestRunChaos:
-    def test_small_campaign_holds_every_invariant(self):
-        report = run_chaos(seed=3, iterations=8)
+    def test_small_campaign_holds_every_invariant(self, seed3_campaign):
+        report = seed3_campaign
         assert report.ok, [str(failure) for failure in report.failures]
         assert report.iterations == 8
         assert report.checks > 0
 
-    def test_deterministic_across_runs(self):
-        first = run_chaos(seed=5, iterations=6)
-        second = run_chaos(seed=5, iterations=6)
+    def test_deterministic_across_runs(self, seed5_twice):
+        first, second = seed5_twice
         assert first.scenario_counts == second.scenario_counts
         assert first.checks == second.checks
         assert first.partials == second.partials
@@ -37,8 +67,8 @@ class TestRunChaos:
             or first.checks != second.checks
         )
 
-    def test_scenarios_all_reachable(self):
-        report = run_chaos(seed=7, iterations=40)
+    def test_scenarios_all_reachable(self, seed7_campaign):
+        report = seed7_campaign
         assert report.ok
         assert set(report.scenario_counts) == set(SCENARIOS)
         assert report.partials > 0
@@ -50,6 +80,16 @@ class TestRunChaos:
 
     def test_empty_report_is_ok(self):
         assert ChaosReport(seed=0).ok
+
+    def test_every_scenario_on_each_topology_and_axis_value(
+        self, seed7_campaign
+    ):
+        report = seed7_campaign
+        assert report.ok, [str(failure) for failure in report.failures]
+        assert scenarios_on(report, "unsharded") == UNSHARDED_SCENARIOS
+        for axis in TOPOLOGIES + ("raw", "z-norm", "file", "mmap"):
+            assert report.axis_counts.get(axis, 0) > 0, axis
+        assert sum(report.cell_counts.values()) == report.iterations
 
 
 class TestRunServeChaos:
@@ -77,23 +117,27 @@ class TestRunServeChaos:
 
 
 class TestRunShardChaos:
-    def test_small_campaign_holds_every_invariant(self):
-        report = run_shard_chaos(seed=3, iterations=8)
+    """The sharded worlds of the search suite."""
+
+    def test_small_campaign_holds_every_invariant(self, seed3_campaign):
+        report = seed3_campaign
         assert report.ok, [str(failure) for failure in report.failures]
-        assert report.iterations == 8
+        assert report.axis_counts["sharded"] > 0
         assert report.checks > 0
 
-    def test_deterministic_across_runs(self):
-        first = run_shard_chaos(seed=5, iterations=6)
-        second = run_shard_chaos(seed=5, iterations=6)
-        assert first.scenario_counts == second.scenario_counts
+    def test_deterministic_across_runs(self, seed5_twice):
+        first, second = seed5_twice
+        assert first.axis_counts["sharded"] > 0
+        assert first.cell_counts == second.cell_counts
+        assert first.axis_counts == second.axis_counts
         assert first.checks == second.checks
         assert first.partials == second.partials
 
-    def test_scenarios_all_reachable(self):
-        report = run_shard_chaos(seed=7, iterations=40)
+    def test_scenarios_all_reachable(self, seed7_campaign):
+        report = seed7_campaign
         assert report.ok, [str(failure) for failure in report.failures]
-        assert set(report.scenario_counts) == set(SHARD_SCENARIOS)
+        assert scenarios_on(report, "sharded") == SHARDED_SCENARIOS
+        assert "shard-crash" not in scenarios_on(report, "unsharded")
         # Crashes, budgets, and deadlines must produce honest partials.
         assert report.partials > 0
 
@@ -125,20 +169,24 @@ class TestChaosCli:
         assert "run_serve_chaos" in out
 
     def test_shard_suite_exit_zero(self, capsys):
+        # Sharded worlds run in the search suite; "shard" is no suite.
         assert (
             cli_main(
                 [
                     "chaos",
                     "--suite",
-                    "shard",
+                    "search",
                     "--seed",
                     "3",
                     "--iterations",
-                    "4",
+                    "2",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "OK" in out
-        assert "run_shard_chaos" in out
+        assert "run_chaos" in out
+        assert " sharded=" in out
+        with pytest.raises(SystemExit):
+            cli_main(["chaos", "--suite", "shard"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import SubsequenceDatabase
 from repro.core.lower_bounds import min_disjoint_windows
-from repro.core.reference import brute_force_topk
+from repro.core.reference import brute_force_range, brute_force_topk
 from repro.core.windows import QueryWindowSet, candidate_start
 from repro.exceptions import ConfigurationError, QueryTooShortError
 from tests.conftest import make_walk
@@ -109,8 +109,6 @@ class TestExactness:
 
     @pytest.mark.parametrize("stride", [2, 8])
     def test_range_search_exact_at_stride(self, stride):
-        from repro.engines.range_search import brute_force_range
-
         db = build_db(stride)
         query = db.store.peek_subsequence(0, 600, 48).copy()
         gold = sorted(

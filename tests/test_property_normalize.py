@@ -16,8 +16,6 @@ Three layers of evidence, mirroring the raw pipeline's test stack:
    contract table in both directions.
 """
 
-import heapq
-
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,10 +43,11 @@ from repro.core.normalize import (
 )
 from repro.core.paa import paa, paa_envelope
 from repro.core.reference import (
+    brute_force_range,
+    brute_force_topk,
     reference_rolling_stats,
     reference_znormalize,
 )
-from repro.engines.range_search import brute_force_range
 from repro.exceptions import QueryError
 from tests.conftest import build_golden_db, make_walk, query_from
 
@@ -301,31 +300,6 @@ def test_grid_stats_equal_scalar_lookups(golden_db, stride):
 # ----------------------------------------------------------------------
 
 
-def normalized_brute_force_topk(db, query, k, rho):
-    """Exhaustive normalized top-k sharing zero code with the engines.
-
-    Every candidate window is normalized with its own rolling stats
-    (the same definition :class:`NormalizationContext` implements) and
-    scored with scalar banded DTW against the normalized query.
-    """
-    length = len(query)
-    q_hat = znormalize(np.asarray(query, dtype=np.float64))
-    heap = []
-    for sid in db.store.sequence_ids():
-        values = np.asarray(db.store.peek_full_sequence(sid))
-        if values.size < length:
-            continue
-        mus, sigmas = rolling_stats(values, length)
-        for start in range(values.size - length + 1):
-            window = (values[start : start + length] - mus[start]) / sigmas[
-                start
-            ]
-            # Match.distance is the p-th root of the power-p DTW.
-            d = dtw_pow(window, q_hat, rho) ** 0.5
-            heapq.heappush(heap, (d, sid, start))
-    return [heapq.heappop(heap) for _ in range(min(k, len(heap)))]
-
-
 @pytest.fixture(scope="module")
 def golden_db():
     return build_golden_db()
@@ -334,7 +308,12 @@ def golden_db():
 @pytest.fixture(scope="module")
 def znorm_oracle(golden_db):
     query = query_from(golden_db, 640, 48)
-    return normalized_brute_force_topk(golden_db, query, 5, 2)
+    return [
+        (m.distance, m.sid, m.start)
+        for m in brute_force_topk(
+            golden_db.store, query, 5, 2, normalize=True
+        )
+    ]
 
 
 class TestNormalizedEngineExactness:

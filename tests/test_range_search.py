@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SubsequenceDatabase
-from repro.engines.range_search import brute_force_range
+from repro.core.reference import brute_force_range
 from tests.conftest import make_walk
 
 

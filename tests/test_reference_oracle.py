@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.distance import dtw_pow
-from repro.core.reference import brute_force_topk
-from repro.engines.range_search import brute_force_range
+from repro.core.reference import brute_force_range, brute_force_topk
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 from repro.storage.sequences import SequenceStore
