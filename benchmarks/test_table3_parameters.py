@@ -17,7 +17,7 @@ from benchmarks.conftest import (
 )
 from repro.api import SubsequenceDatabase
 from repro.engines.base import QuerySpec
-from repro.engines.cost_density import CostDensityConfig
+from repro.engines import cost_density
 from repro.storage.page import PAGE_SIZE_DEFAULT
 
 
@@ -51,6 +51,5 @@ def test_table3_parameters(benchmark):
     assert db.buffer_fraction == 0.05
     config = QuerySpec(k=K_DEFAULT, rho=int(0.05 * LEN_Q))
     assert config.deferred_fraction == 0.005  # 0.5% deferred budget
-    cost = CostDensityConfig()
-    assert cost.alpha == 1.0 and cost.beta == 0.0
-    assert cost.lookahead_h is None  # blocking factor
+    # RU-COST's weights; its lookahead h is the index blocking factor.
+    assert cost_density.ALPHA == 1.0 and cost_density.BETA == 0.0

@@ -40,7 +40,6 @@ from repro.engines.base import (
     PartialResult,
     SearchResult,
 )
-from repro.engines.cost_density import CostDensityConfig
 from repro.engines.ranked_union import MatchStream
 from repro.exceptions import (
     ConfigurationError,
@@ -71,7 +70,7 @@ from repro.shard import (
 from repro.storage.buffer import RetryPolicy
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "QueryFacade",
@@ -84,7 +83,6 @@ __all__ = [
     "PartialResult",
     "MatchStream",
     "QuerySpec",
-    "CostDensityConfig",
     "Match",
     "QueryStats",
     "Envelope",

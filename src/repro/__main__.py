@@ -336,7 +336,8 @@ def _serve_database(
 def _serve_self_test(
     args: argparse.Namespace, db: "QueryFacade", dataset: "object"
 ) -> int:
-    """Concurrent mixed-engine socket clients vs the single-query oracle."""
+    """Concurrent socket clients (``knn`` and ``stream``, cycling the
+    methods) vs the in-process ``search`` / ``iter_matches`` oracle."""
     import threading
 
     import numpy as np  # noqa: F811 — keep function self-contained
@@ -357,38 +358,47 @@ def _serve_self_test(
     print(f"serve: self-test with {clients} concurrent clients on "
           f"{host}:{port}")
     rng = np.random.default_rng(args.seed + 1)
-    methods = ("seqscan", "hlmj", "ru", "ru-cost")
+    cycle = [
+        ("knn", method) for method in ("seqscan", "hlmj", "ru", "ru-cost")
+    ] + [("stream", method) for method in ("ru", "ru-cost")]
     jobs = []
     for index in range(clients):
         start = int(rng.integers(0, args.size - args.query_length))
         query = dataset.values[start : start + args.query_length].tolist()
-        jobs.append((index, methods[index % len(methods)], query))
+        jobs.append((index, *cycle[index % len(cycle)], query))
     failures: list = []
     barrier = threading.Barrier(clients)
 
-    def run_client(index: int, method: str, query: "list[float]") -> None:
+    def run_client(
+        index: int, kind: str, method: str, query: "list[float]"
+    ) -> None:
+        label = f"client {index} ({kind}/{method})"
         try:
             with ServeClient(host, port) as client:
                 barrier.wait(timeout=30)
                 out = client.request(
                     {
-                        "kind": "knn",
+                        "kind": kind,
                         "query": query,
                         "k": args.k,
                         "method": method,
                         "id": index,
                     }
                 )
-                gold = db.search(query, k=args.k, method=method)
-                got = [tuple(row[:2]) for row in out["matches"]]
-                want = [(m.sid, m.start) for m in gold.matches]
-                if out["status"] != "exact" or got != want:
-                    failures.append(
-                        f"client {index} ({method}): got {got!r}, "
-                        f"want {want!r}"
+                if kind == "stream":
+                    rows = out["streamed"]
+                    gold = list(
+                        db.iter_matches(query, k=args.k, method=method)
                     )
+                else:
+                    rows = out["matches"]
+                    gold = db.search(query, k=args.k, method=method).matches
+                got = [tuple(row[:2]) for row in rows]
+                want = [(m.sid, m.start) for m in gold]
+                if out["status"] != "exact" or got != want:
+                    failures.append(f"{label}: got {got!r}, want {want!r}")
         except Exception as error:  # noqa: BLE001 — reported below
-            failures.append(f"client {index} ({method}): {error!r}")
+            failures.append(f"{label}: {error!r}")
 
     threads = [
         threading.Thread(target=run_client, args=job, daemon=True)

@@ -27,7 +27,7 @@ seqscan    LB_Keogh-filtered sequential scan
 hlmj       global priority queue + MDMWP pruning (Han et al. [12])
 hlmj-wg    hlmj + the window-group distance of [12] (tighter prune)
 psm        progressive index merge + bloom signatures (Xin et al. [22])
-ru         ranked union, default max-delta scheduling (this paper)
+ru         ranked union, max-delta queue selection (this paper)
 ru-cost    ranked union, cost-aware density scheduling (this paper)
 ========== ===========================================================
 
@@ -65,7 +65,6 @@ from repro.engines.base import (
     RankedStream,
     SearchResult,
 )
-from repro.engines.cost_density import CostDensityConfig
 from repro.engines.hlmj import HlmjEngine
 from repro.engines.psm import PsmEngine, build_sliding_index
 from repro.engines.range_search import RangeSearchEngine
@@ -93,8 +92,8 @@ _ENGINES: Dict[str, Callable[[DualMatchIndex], Engine]] = {
     "hlmj": HlmjEngine,
     "hlmj-wg": lambda index: HlmjEngine(index, use_window_group=True),
     "psm": PsmEngine,
-    "ru": lambda index: RankedUnionEngine(index, scheduling="max-delta"),
-    "ru-cost": lambda index: RankedUnionEngine(index, scheduling="cost-aware"),
+    "ru": RankedUnionEngine,
+    "ru-cost": lambda index: RankedUnionEngine(index, method="ru-cost"),
     "range": RangeSearchEngine,
 }
 
@@ -184,7 +183,6 @@ class QueryFacade(abc.ABC):
         rho: Optional[int] = None,
         method: str = "ru-cost",
         deferred: bool = False,
-        cost_config: Optional[CostDensityConfig] = None,
         on_fault: str = "raise",
         budget: Optional[QueryBudget] = None,
         deadline: Optional[Deadline] = None,
@@ -208,8 +206,6 @@ class QueryFacade(abc.ABC):
             Engine name (see module docstring).
         deferred:
             Use the deferred retrieval mechanism (the "(D)" variants).
-        cost_config:
-            RU-COST tuning overrides (``method="ru-cost"`` only).
         on_fault:
             ``"raise"`` (default) propagates storage faults that survive
             buffer-pool retries; ``"degrade"`` skips unreadable pages,
@@ -248,7 +244,6 @@ class QueryFacade(abc.ABC):
             k=k,
             method=method,
             deferred=deferred,
-            cost_config=cost_config,
             p=self.p,
             on_fault=on_fault,
             normalize=normalize,
@@ -349,7 +344,7 @@ class QueryFacade(abc.ABC):
         query: Sequence[float],
         k: int = 10,
         rho: Optional[int] = None,
-        scheduling: str = "max-delta",
+        method: str = "ru-cost",
         on_fault: str = "raise",
         budget: Optional[QueryBudget] = None,
         deadline: Optional[Deadline] = None,
@@ -376,6 +371,11 @@ class QueryFacade(abc.ABC):
         ``stream.interrupted`` set with the reason and exactness
         certificate.
 
+        ``method`` is ``"ru-cost"`` (default) or ``"ru"``: the same
+        two ranked-union engines :meth:`search` runs, and each stream
+        emits exactly that method's top-``k``.  Any other method raises
+        :class:`~repro.exceptions.ConfigurationError`.
+
         Non-deferred only (deferral batches retrievals, which is
         incompatible with incremental emission).  A sharded database
         merges one such stream per shard through a ranked-union heap;
@@ -387,7 +387,7 @@ class QueryFacade(abc.ABC):
             rho,
             kind="stream",
             k=k,
-            scheduling=scheduling,
+            method=method,
             p=self.p,
             on_fault=on_fault,
             normalize=normalize,

@@ -36,7 +36,6 @@ from repro.core.metrics import QueryStats
 from repro.data.datasets import Dataset, load_dataset
 from repro.data.queries import dense_queries, pattern_queries, regular_queries
 from repro.engines.base import default_rho
-from repro.engines.cost_density import CostDensityConfig
 
 #: 2011-testbed unit costs (see module docstring).
 DTW_CELL_SECONDS = 50e-9
@@ -71,13 +70,9 @@ class EngineSpec:
 
     method: str
     deferred: bool = False
-    cost_config: Optional[CostDensityConfig] = None
-    label_override: Optional[str] = None
 
     @property
     def label(self) -> str:
-        if self.label_override:
-            return self.label_override
         base = {
             "seqscan": "SeqScan",
             "hlmj": "HLMJ",
@@ -242,7 +237,6 @@ class Harness:
                 rho=effective_rho,
                 method=spec.method,
                 deferred=spec.deferred,
-                cost_config=spec.cost_config,
             )
             totals.merge(result.stats)
             modeled_total += modeled_wall_time_s(

@@ -79,7 +79,12 @@ from repro.control import CancellationToken, Deadline, QueryBudget
 from repro.core.clock import FakeClock
 from repro.core.reference import brute_force_range, brute_force_topk
 from repro.core.results import Match
-from repro.engines.base import PartialResult, QuerySpec, SearchResult
+from repro.engines.base import (
+    RANKED_UNION_METHODS,
+    PartialResult,
+    QuerySpec,
+    SearchResult,
+)
 from repro.exceptions import (
     ReproError,
     ServiceOverloadedError,
@@ -107,6 +112,15 @@ _EPS = 1e-6
 
 #: Every engine each suite runs; ``psm`` joins when the world built it.
 _ENGINES = ("seqscan", "hlmj", "hlmj-wg", "ru", "ru-cost")
+
+
+def _stream_method(engine: str) -> str:
+    """The method a stream runs for a drawn ``engine``: itself if it is
+    ranked union, else ``ru`` / ``ru-cost`` by list position parity."""
+    if engine in RANKED_UNION_METHODS:
+        return engine
+    return RANKED_UNION_METHODS[(_ENGINES + ("psm",)).index(engine) % 2]
+
 
 _Draw = Callable[[random.Random], Dict[str, Any]]
 
@@ -681,15 +695,18 @@ def _run_iteration(it: _Iteration, report: ChaosReport) -> None:
             report.record(it, "range", _num_io_message(ranged))
 
     # The stream under the same adversity: its emission stays ranked,
-    # and its result is judged like a search's.
+    # and its result is judged like a search's.  Iterations alternate
+    # the two ranked-union methods.
+    method = RANKED_UNION_METHODS[it.iteration % len(RANKED_UNION_METHODS)]
+    label = f"stream/{method}"
     stream = db.iter_matches(
-        query, on_fault=adversity.on_fault, **adversity.limits(it.rng),
-        **base,
+        query, method=method, on_fault=adversity.on_fault,
+        **adversity.limits(it.rng), **base,
     )
     emitted = list(stream)
     assert stream.result is not None  # set by exhaustion
-    report.record(it, "stream", _check_stream(emitted, stream.result))
-    _judge_run(report, it, "stream", stream.result, gold, truth, k)
+    report.record(it, label, _check_stream(emitted, stream.result))
+    _judge_run(report, it, label, stream.result, gold, truth, k)
 
 
 def _crash_shard(
@@ -728,13 +745,17 @@ def _crash_shard(
     report.record(it, engine, _num_io_message(result))
 
     # The stream follows the same shard-fault policy.
-    stream = db.iter_matches(query, on_fault="degrade", **base)
+    method = _stream_method(engine)
+    label = f"stream/{method}"
+    stream = db.iter_matches(
+        query, method=method, on_fault="degrade", **base
+    )
     emitted = list(stream)
-    report.record(it, "stream", _lost_shard_message(stream.result))
-    report.record(it, "stream", _check_stream(emitted, stream.result))
+    report.record(it, label, _lost_shard_message(stream.result))
+    report.record(it, label, _check_stream(emitted, stream.result))
     report.record(
         it,
-        "stream",
+        label,
         None
         if emitted == result.matches
         else "stream did not degrade to the search's matches",
@@ -1097,13 +1118,16 @@ def _run_serve_iteration(it: _Iteration, report: ChaosReport) -> None:
             timeout_s = None
             if it.scenario == "deadline":
                 timeout_s = rng.uniform(0.01, 0.4)
+            method = rng.choice(it.engines())
+            if kind == "stream":
+                method = _stream_method(method)
             request = QueryRequest(
                 query=tuple(float(v) for v in query),
                 spec=QuerySpec(
                     rho=rho,
                     kind=kind,
                     k=k,
-                    method=rng.choice(it.engines()),
+                    method=method,
                     on_fault=adversity.on_fault,
                     normalize=it.normalize,
                 ),

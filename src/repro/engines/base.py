@@ -47,7 +47,6 @@ from repro.core.normalize import NormalizationContext, znormalize
 from repro.core.results import Match, RangeCollector, TopKCollector
 from repro.core.windows import QueryWindow, QueryWindowSet
 from repro.engines.bounds import NodeGrid, WindowProbe
-from repro.engines.cost_density import CostDensityConfig
 from repro.exceptions import (
     ConfigurationError,
     ExecutionInterrupted,
@@ -81,8 +80,8 @@ METHODS = ("seqscan", "hlmj", "hlmj-wg", "psm", "ru", "ru-cost")
 #: Query kinds: ranked top-k, epsilon range, lazily streamed top-k.
 KINDS = ("knn", "range", "stream")
 
-#: ``SelectPriorityQueue()`` policies of the ranked-union operators.
-SCHEDULINGS = ("max-delta", "cost-aware", "global-min", "round-robin")
+#: The ranked-union methods (RU, RU-COST): the only ones a stream runs.
+RANKED_UNION_METHODS = ("ru", "ru-cost")
 
 #: Storage-fault policies (see :attr:`QuerySpec.on_fault`).
 ON_FAULT = ("raise", "degrade")
@@ -110,23 +109,19 @@ class QuerySpec:
     kind:
         ``"knn"`` (top-``k`` by ``method``), ``"range"`` (everything
         within ``epsilon``), or ``"stream"`` (top-``k`` emitted lazily
-        by the ranked-union tree under ``scheduling``).
+        by the ranked-union tree of ``method``).
     k:
         Number of results (``knn`` / ``stream``).
     epsilon:
         Distance threshold (``range``).
     method:
-        Engine name for ``knn``, one of :data:`METHODS`.
-    scheduling:
-        Queue-selection policy for ``stream``, one of
-        :data:`SCHEDULINGS`.
+        Engine name, one of :data:`METHODS`; a ``stream`` accepts only
+        the :data:`RANKED_UNION_METHODS`.
     deferred:
         Enable the deferred retrieval mechanism (the "(D)" variants).
     deferred_fraction:
         Memory budget for delayed requests as a fraction of database
         bytes (paper: 0.005).
-    cost_config:
-        RU-COST tuning overrides (read by cost-aware scheduling only).
     p:
         Norm order.
     on_fault:
@@ -151,10 +146,8 @@ class QuerySpec:
     k: int = 10
     epsilon: float = 0.0
     method: str = "ru-cost"
-    scheduling: str = "max-delta"
     deferred: bool = False
     deferred_fraction: float = 0.005
-    cost_config: Optional[CostDensityConfig] = None
     p: float = 2.0
     on_fault: str = "raise"
     normalize: bool = False
@@ -174,10 +167,10 @@ class QuerySpec:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        if self.scheduling not in SCHEDULINGS:
+        if self.kind == "stream" and self.method not in RANKED_UNION_METHODS:
             raise ConfigurationError(
-                f"unknown scheduling policy {self.scheduling!r}; expected "
-                f"one of {SCHEDULINGS}"
+                f"a stream runs a ranked-union method, one of "
+                f"{RANKED_UNION_METHODS}; got method {self.method!r}"
             )
         if not 0 < self.deferred_fraction <= 1:
             raise ConfigurationError(

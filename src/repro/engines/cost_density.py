@@ -26,17 +26,16 @@ entries, which may hide behind unexpanded MBRs.  The scheduler therefore:
    pivot's density, adopting any queue whose exact density beats the
    pivot.
 
-The lookahead ``h`` defaults to the index blocking factor, which the
-paper found uniformly stable; ``adaptive_h`` enables the
-start-small-and-grow variant the paper mentions as future work
-(ablation benches exercise both).
+RU-COST runs on constants: Definition 7's weights :data:`ALPHA` = 1 and
+:data:`BETA` = 0, a lookahead ``h`` equal to the index blocking factor
+(which the paper found uniformly stable), and two bounds on the
+scheduler's own work, :data:`EXPANSIONS_PER_SELECT` and :data:`STICKY_POPS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.core.lower_bounds import root
 from repro.core.windows import candidate_in_bounds, candidate_start
@@ -53,44 +52,21 @@ DensityKey = Tuple[float, float]
 _WORST: DensityKey = (math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class CostDensityConfig:
-    """Tuning knobs for RU-COST (paper defaults: alpha=1, beta=0)."""
+#: Definition 7's weights: the paper's I/O-only cost (``alpha = 1``,
+#: ``beta = 0``).
+ALPHA = 1.0
+BETA = 0.0
 
-    alpha: float = 1.0
-    beta: float = 0.0
-    #: Lookahead depth ``h``; ``None`` means the index blocking factor.
-    lookahead_h: Optional[int] = None
-    #: Start with ``h = 1`` and double per selection up to the blocking
-    #: factor (the paper's future-work adaptive variant; ablation only).
-    adaptive_h: bool = False
-    #: Disable to fall back to exact densities everywhere (ablation).
-    selective_expansion: bool = True
-    #: Node expansions the scheduler may perform per queue per select
-    #: call.  Bounds the scheduling overhead: at scale the expansions
-    #: amortise (expanded entries stay in the queue), while on small
-    #: workloads the *effective* lookahead simply shrinks below ``h``
-    #: instead of force-expanding every queue.
-    max_expansions_per_select: int = 1
-    #: Pops consumed from a selected queue before densities are
-    #: re-evaluated (see CostAwareStrategy).
-    sticky_pops: int = 12
+#: Node expansions the scheduler may perform per queue per select
+#: call.  Bounds the scheduling overhead: at scale the expansions
+#: amortise (expanded entries stay in the queue), while on small
+#: workloads the *effective* lookahead simply shrinks below ``h``
+#: instead of force-expanding every queue.
+EXPANSIONS_PER_SELECT = 1
 
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError(
-                f"alpha/beta must be non-negative, got {self.alpha}, "
-                f"{self.beta}"
-            )
-        if self.lookahead_h is not None and self.lookahead_h < 1:
-            raise ConfigurationError(
-                f"lookahead_h must be >= 1, got {self.lookahead_h}"
-            )
-        if self.max_expansions_per_select < 0:
-            raise ConfigurationError(
-                f"max_expansions_per_select must be >= 0, got "
-                f"{self.max_expansions_per_select}"
-            )
+#: Pops consumed from a selected queue before densities are
+#: re-evaluated (see :class:`~repro.engines.scheduling.CostAwareStrategy`).
+STICKY_POPS = 12
 
 
 class CostAwareDensityScheduler:
@@ -103,21 +79,15 @@ class CostAwareDensityScheduler:
         omega: int,
         blocking_factor: int,
         p: float,
-        config: CostDensityConfig,
         cap_for: Callable[[WindowQueue], float],
     ) -> None:
         self._store = store
         self._query_length = query_length
         self._omega = omega
         self._p = p
-        self._config = config
         self._cap_for = cap_for
-        self._h_max = (
-            config.lookahead_h
-            if config.lookahead_h is not None
-            else blocking_factor
-        )
-        self._h_current = 1 if config.adaptive_h else self._h_max
+        #: The lookahead ``h``: the index blocking factor.
+        self._h = blocking_factor
         # Per-queue caches keyed by id(queue); values carry the queue
         # version (and lookahead) they were computed under.
         self._lb_cache: Dict[int, Tuple[int, int, DensityKey]] = {}
@@ -138,12 +108,7 @@ class CostAwareDensityScheduler:
             raise ConfigurationError("select() called with no live queues")
         if len(live) == 1:
             return live[0]
-        h = self._advance_h()
-
-        if not self._config.selective_expansion:
-            # Ablation path: exact density everywhere.
-            return min(live, key=lambda queue: self._exact_cdens(queue, h))
-
+        h = self._h
         pivot = min(live, key=self._approx_density)
         pivot_key, resolved = self._exact_cdens_resolved(pivot, h)
         # Compare every queue at the lookahead the pivot actually
@@ -156,7 +121,7 @@ class CostAwareDensityScheduler:
             for queue in live:
                 if queue is pivot or queue.is_empty:
                     continue
-                budget = self._config.max_expansions_per_select
+                budget = EXPANSIONS_PER_SELECT
                 while self._lb_cdens(queue, h_eff) < pivot_key:
                     if self._prefix_resolved(queue, h_eff):
                         exact_key = self._exact_cdens(queue, h_eff)
@@ -181,13 +146,6 @@ class CostAwareDensityScheduler:
                 survivors, key=lambda queue: self._lb_cdens(queue, h_eff)
             )
         return pivot
-
-    def _advance_h(self) -> int:
-        if not self._config.adaptive_h:
-            return self._h_max
-        h = self._h_current
-        self._h_current = min(self._h_max, self._h_current * 2)
-        return h
 
     # ------------------------------------------------------------------
     # NUM_IO — bitmap-based candidate page counting
@@ -295,10 +253,7 @@ class CostAwareDensityScheduler:
         if not leaves:
             return _WORST
         offset = queue.window.sliding_offset
-        cost = (
-            self._config.alpha * self._num_io(leaves, offset)
-            + self._config.beta * len(leaves)
-        )
+        cost = ALPHA * self._num_io(leaves, offset) + BETA * len(leaves)
         denominator = root(leaves[-1][0], self._p) - root(
             queue.last_popped_leaf_pow, self._p
         )
@@ -310,7 +265,7 @@ class CostAwareDensityScheduler:
         """Definition 7 under the expansion budget.
 
         Expands the queue's own nearest nodes (counted I/O, at most
-        ``max_expansions_per_select``) until the top-``h`` leaf entries
+        :data:`EXPANSIONS_PER_SELECT`) until the top-``h`` leaf entries
         are in the clear or the budget runs out, then evaluates the
         density over the leaves actually resolved.  Returns the density
         key and the resolved leaf count (the effective lookahead).
@@ -322,7 +277,7 @@ class CostAwareDensityScheduler:
             and cached[1] == h
         ):
             return cached[2], cached[3]
-        budget = self._config.max_expansions_per_select
+        budget = EXPANSIONS_PER_SELECT
         while budget > 0 and not self._prefix_resolved(queue, h):
             if not queue.expand_first_node(self._cap_for(queue)):
                 break
@@ -369,10 +324,7 @@ class CostAwareDensityScheduler:
             key = _WORST
         else:
             offset = queue.window.sliding_offset
-            cost = (
-                self._config.alpha * self._num_io(pre_node_leaves, offset)
-                + self._config.beta * h
-            )
+            cost = ALPHA * self._num_io(pre_node_leaves, offset) + BETA * h
             denominator = root(leaves[-1][0], self._p) - root(
                 queue.last_popped_leaf_pow, self._p
             )
@@ -387,7 +339,7 @@ class CostAwareDensityScheduler:
     def _approx_density(self, queue: WindowQueue) -> float:
         """Estimate density from [MINDIST, MAXDIST] ranges.
 
-        Every node entry is assumed to hold ``h_max`` leaf entries spread
+        Every node entry is assumed to hold ``h`` leaf entries spread
         uniformly over its distance range (the paper's uniformity
         assumption); leaf entries count as themselves.  The estimated
         distance of the ``h``-th leaf gives the density denominator; the
@@ -396,7 +348,7 @@ class CostAwareDensityScheduler:
         cached = self._approx_cache.get(id(queue))
         if cached is not None and cached[0] == queue.version:
             return cached[1]
-        h = self._h_max
+        h = self._h
         # Only the nearest entries can shape the h-th-leaf estimate; a
         # bounded prefix keeps the estimator O(h log n) per refresh.
         prefix = queue.sorted_prefix(max(4 * h, 16))
@@ -404,7 +356,7 @@ class CostAwareDensityScheduler:
         for dist_pow, _seq, kind, _payload, far_pow in prefix:
             low = root(dist_pow, self._p)
             high = low if kind == LEAF else root(far_pow, self._p)
-            count = 1.0 if kind == LEAF else float(self._h_max)
+            count = 1.0 if kind == LEAF else float(self._h)
             ranges.append((low, high, count))
         estimate = self._estimate_hth_distance(ranges, h)
         anchor = root(queue.last_popped_leaf_pow, self._p)
@@ -412,9 +364,7 @@ class CostAwareDensityScheduler:
         if spread <= 1e-12:
             value = math.inf
         else:
-            value = (
-                self._config.alpha * h + self._config.beta * h
-            ) / spread
+            value = (ALPHA * h + BETA * h) / spread
         self._approx_cache[id(queue)] = (queue.version, value)
         return value
 

@@ -20,7 +20,7 @@ terms of **all** disjoint windows it contains are summed, each window
 PAA-transformed from the stored values (the original system keeps the
 transformed windows alongside its index).  This prunes more candidates
 per pop but cannot fix the scheduling order itself — the ablation bench
-quantifies both effects.
+compares it with the ranked-union engines.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ class WindowQueue:
         #: ``le_p`` in Definitions 7 and 8.
         self.last_popped_leaf_pow = 0.0
         #: Top distance at the moment this queue was last selected; used
-        #: by the max-delta default strategy.
+        #: by max-delta selection (RU).
         self.reference_top_pow = 0.0
         #: Bumped on every mutation so schedulers can cache per-version.
         self.version = 0

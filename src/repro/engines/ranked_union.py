@@ -17,11 +17,11 @@ over ``ω`` subqueries, one per matching subsequence equivalence class
   exceeds the fan-out's shared k-th bound.
 
 :class:`RankedUnionEngine` drives the operator tree to exhaustion of the
-top-k result.  Its ``scheduling`` parameter selects the
-``SelectPriorityQueue()`` policy: ``"max-delta"`` is the paper's **RU**,
-``"cost-aware"`` is **RU-COST**.  :class:`MatchStream` pulls the same
-tree (:func:`build_union`) one ``GetNext()`` at a time for lazy
-best-first emission.
+top-k result.  The query's ``method`` selects every ``Φ_i``'s
+``SelectPriorityQueue()`` policy: ``"ru"`` is the paper's **RU**
+(max-delta), ``"ru-cost"`` is **RU-COST**.  :class:`MatchStream` pulls
+the same tree (:func:`build_union`) one ``GetNext()`` at a time for
+lazy best-first emission.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.core.windows import (
     candidate_start,
 )
 from repro.engines.base import (
-    SCHEDULINGS,
+    RANKED_UNION_METHODS,
     CandidateEvaluator,
     Engine,
     PartialResult,
@@ -47,6 +47,7 @@ from repro.engines.base import (
     RankedStream,
     prefix_certificate,
 )
+from repro.engines.cost_density import CostAwareDensityScheduler
 from repro.engines.operators import (
     ExtendedIterator,
     RankedTuple,
@@ -54,7 +55,11 @@ from repro.engines.operators import (
     StepResult,
 )
 from repro.engines.queues import NODE, WindowQueue
-from repro.engines.scheduling import make_strategy
+from repro.engines.scheduling import (
+    CostAwareStrategy,
+    MaxDeltaStrategy,
+    SchedulingStrategy,
+)
 from repro.exceptions import ConfigurationError, ExecutionInterrupted
 from repro.index.builder import DualMatchIndex
 from repro.index.rstar import LeafRecord
@@ -86,7 +91,7 @@ class PhiOperator(ExtendedIterator):
         index: DualMatchIndex,
         evaluator: CandidateEvaluator,
         spec: QuerySpec,
-        scheduling: str,
+        method: str = "ru",
     ) -> None:
         self.class_index = class_index
         self._index = index
@@ -99,16 +104,18 @@ class PhiOperator(ExtendedIterator):
         #: ``candMinQ_Φ``: fully evaluated candidates awaiting emission,
         #: as (dtw_pow, sid, start).
         self._cand_heap: List[tuple] = []
-        self._strategy = make_strategy(
-            scheduling,
-            store=index.store,
-            query_length=window_set.length,
-            omega=index.data_stride,
-            blocking_factor=index.tree.blocking_factor,
-            p=spec.p,
-            cost_config=spec.cost_config,
-            cap_for=self._cap_for,
-        )
+        self._strategy: SchedulingStrategy = MaxDeltaStrategy()
+        if method == "ru-cost":
+            self._strategy = CostAwareStrategy(
+                CostAwareDensityScheduler(
+                    store=index.store,
+                    query_length=window_set.length,
+                    omega=index.data_stride,
+                    blocking_factor=index.tree.blocking_factor,
+                    p=spec.p,
+                    cap_for=self._cap_for,
+                )
+            )
 
     # -- lower bounds ---------------------------------------------------
 
@@ -352,7 +359,7 @@ def build_union(
     index: DualMatchIndex,
     evaluator: CandidateEvaluator,
     spec: QuerySpec,
-    scheduling: str,
+    method: str,
 ) -> UnionOperator:
     """The operator tree of one query: ``∪_r`` over one ``Φ_i`` per MSEQ."""
     children = [
@@ -362,7 +369,7 @@ def build_union(
             index=index,
             evaluator=evaluator,
             spec=spec,
-            scheduling=scheduling,
+            method=method,
         )
         for class_index in range(window_set.num_classes)
         if window_set.classes[class_index]
@@ -391,7 +398,7 @@ class MatchStream(RankedStream):
         self._run = QueryRun(index, query, spec, control, "RU-STREAM")
         with self._run as run:
             self._union = build_union(
-                run.window_set, index, run.evaluator, spec, spec.scheduling
+                run.window_set, index, run.evaluator, spec, spec.method
             )
         self._emitted: List[Match] = []
 
@@ -439,25 +446,20 @@ class RankedUnionEngine(Engine):
     ----------
     index:
         The DualMatch index.
-    scheduling:
-        ``SelectPriorityQueue()`` policy: ``"max-delta"`` (RU, default),
-        ``"cost-aware"`` (RU-COST), ``"global-min"``, ``"round-robin"``.
-        RU-COST tuning (lookahead, alpha/beta, selective expansion)
-        rides on the query's ``spec.cost_config``.
+    method:
+        ``"ru"`` (max-delta, the default) or ``"ru-cost"`` (cost-aware
+        density scheduling, :mod:`repro.engines.cost_density`).
     """
 
-    def __init__(
-        self, index: DualMatchIndex, scheduling: str = "max-delta"
-    ) -> None:
+    def __init__(self, index: DualMatchIndex, method: str = "ru") -> None:
         super().__init__(index)
-        if scheduling not in SCHEDULINGS:
+        if method not in RANKED_UNION_METHODS:
             raise ConfigurationError(
-                f"unknown scheduling policy {scheduling!r}"
+                f"unknown ranked-union method {method!r}; expected one "
+                f"of {RANKED_UNION_METHODS}"
             )
-        self.scheduling = scheduling
-        self.name = "RU-COST" if scheduling == "cost-aware" else "RU"
-        if scheduling in ("global-min", "round-robin"):
-            self.name = f"RU[{scheduling}]"
+        self.method = method
+        self.name = method.upper()
 
     def _run(
         self,
@@ -466,7 +468,7 @@ class RankedUnionEngine(Engine):
         spec: QuerySpec,
     ) -> None:
         union = build_union(
-            window_set, self.index, evaluator, spec, self.scheduling
+            window_set, self.index, evaluator, spec, self.method
         )
         union.start()
         budget = evaluator.control

@@ -1,17 +1,15 @@
-"""Priority-queue selection strategies for the ``Φ`` operator.
+"""Priority-queue selection for the ``Φ`` operator.
 
 ``Φ_i.GetNext()`` must decide which of its per-window priority queues to
-consume (``SelectPriorityQueue()`` in the paper).  Four strategies are
-provided:
+consume (``SelectPriorityQueue()`` in the paper).  The query's
+``method`` names one of two selectors, which
+:class:`~repro.engines.ranked_union.PhiOperator` builds directly:
 
-* :class:`MaxDeltaStrategy` — the paper's **RU** default, adopted from
+* ``"ru"`` — :class:`MaxDeltaStrategy`, the paper's **RU**, adopted from
   the multi-feature ranking heuristics of Güntzer et al. [10]: pick the
   queue whose top distance grew the most since it was last selected.
-* :class:`GlobalMinStrategy` — pop the globally smallest pair first;
-  this reproduces HLMJ's MDMWP ordering *inside* the ranked-union
-  framework (used by Lemma 5's analysis and the ablation bench).
-* :class:`RoundRobinStrategy` — naive fairness baseline (ablation).
-* :class:`CostAwareStrategy` — **RU-COST** (Section 4), delegating to
+* ``"ru-cost"`` — :class:`CostAwareStrategy`, **RU-COST** (Section 4),
+  delegating to
   :class:`~repro.engines.cost_density.CostAwareDensityScheduler`.
 """
 
@@ -19,23 +17,14 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.engines.cost_density import (
-    CostAwareDensityScheduler,
-    CostDensityConfig,
-)
+from repro.engines.cost_density import STICKY_POPS, CostAwareDensityScheduler
 from repro.engines.queues import WindowQueue
-from repro.exceptions import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.storage.sequences import SequenceStore
 
 
 class SchedulingStrategy(abc.ABC):
     """Chooses which live queue the owning ``Φ`` pops next."""
-
-    name: str = "strategy"
 
     @abc.abstractmethod
     def select(self, queues: Sequence[WindowQueue]) -> WindowQueue:
@@ -47,8 +36,6 @@ class SchedulingStrategy(abc.ABC):
 
 class MaxDeltaStrategy(SchedulingStrategy):
     """Pick the queue whose top grew the most since its last selection."""
-
-    name = "max-delta"
 
     def select(self, queues: Sequence[WindowQueue]) -> WindowQueue:
         best = queues[0]
@@ -65,29 +52,6 @@ class MaxDeltaStrategy(SchedulingStrategy):
         queue.reference_top_pow = queue.top_pow()
 
 
-class GlobalMinStrategy(SchedulingStrategy):
-    """Pop the smallest pair overall — HLMJ's order inside ranked union."""
-
-    name = "global-min"
-
-    def select(self, queues: Sequence[WindowQueue]) -> WindowQueue:
-        return min(queues, key=lambda queue: queue.top_pow())
-
-
-class RoundRobinStrategy(SchedulingStrategy):
-    """Cycle through the queues regardless of content."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def select(self, queues: Sequence[WindowQueue]) -> WindowQueue:
-        queue = queues[self._cursor % len(queues)]
-        self._cursor += 1
-        return queue
-
-
 class CostAwareStrategy(SchedulingStrategy):
     """RU-COST: delegate to the cost-aware density scheduler.
 
@@ -99,10 +63,10 @@ class CostAwareStrategy(SchedulingStrategy):
     space gets consumed.
     """
 
-    name = "cost-aware"
-
     def __init__(
-        self, scheduler: CostAwareDensityScheduler, sticky_pops: int = 4
+        self,
+        scheduler: CostAwareDensityScheduler,
+        sticky_pops: int = STICKY_POPS,
     ) -> None:
         self._scheduler = scheduler
         self._sticky_pops = max(1, sticky_pops)
@@ -122,57 +86,3 @@ class CostAwareStrategy(SchedulingStrategy):
         self._current = chosen
         self._remaining = self._sticky_pops - 1
         return chosen
-
-
-#: A factory receives the Φ-level context it may need and returns a fresh
-#: strategy instance (strategies keep per-Φ state).
-StrategyFactory = Callable[..., SchedulingStrategy]
-
-_SIMPLE_STRATEGIES = {
-    "max-delta": MaxDeltaStrategy,
-    "global-min": GlobalMinStrategy,
-    "round-robin": RoundRobinStrategy,
-}
-
-
-def make_strategy(
-    name: str,
-    store: Optional["SequenceStore"] = None,
-    query_length: Optional[int] = None,
-    omega: Optional[int] = None,
-    blocking_factor: Optional[int] = None,
-    p: float = 2.0,
-    cost_config: Optional[CostDensityConfig] = None,
-    cap_for: Optional[Callable[[WindowQueue], float]] = None,
-) -> SchedulingStrategy:
-    """Instantiate a scheduling strategy by name.
-
-    ``"cost-aware"`` additionally requires the storage context used for
-    ``NUM_IO`` estimation (``store``, ``query_length``, ``omega``,
-    ``blocking_factor``, ``cap_for``).
-    """
-    if name in _SIMPLE_STRATEGIES:
-        return _SIMPLE_STRATEGIES[name]()
-    if name == "cost-aware":
-        if None in (store, query_length, omega, blocking_factor, cap_for):
-            raise ConfigurationError(
-                "cost-aware strategy needs store, query_length, omega, "
-                "blocking_factor, and cap_for"
-            )
-        resolved_config = cost_config or CostDensityConfig()
-        scheduler = CostAwareDensityScheduler(
-            store=store,
-            query_length=query_length,
-            omega=omega,
-            blocking_factor=blocking_factor,
-            p=p,
-            config=resolved_config,
-            cap_for=cap_for,
-        )
-        return CostAwareStrategy(
-            scheduler, sticky_pops=resolved_config.sticky_pops
-        )
-    raise ConfigurationError(
-        f"unknown scheduling strategy {name!r}; expected one of "
-        f"{sorted(_SIMPLE_STRATEGIES) + ['cost-aware']}"
-    )

@@ -150,7 +150,6 @@ def parse_request(obj: Any) -> QueryRequest:
     fields: Dict[str, Any] = {
         "kind": kind,
         "method": _str_field(obj, "method", "ru-cost"),
-        "scheduling": _str_field(obj, "scheduling", "max-delta"),
         # Streams emit incrementally, which deferral's batching would
         # defeat: the wire flag only ever applied to knn.
         "deferred": _bool_field(obj, "deferred") and kind == "knn",

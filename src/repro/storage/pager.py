@@ -225,11 +225,6 @@ class Pager:
         ]
         self._sealed = True
 
-    def checksum_of(self, page_id: int) -> Optional[int]:
-        """The stored checksum for a page (``None`` before sealing)."""
-        self._check(page_id)
-        return self._checksums[page_id]
-
     def verify_page(self, page_id: int) -> bool:
         """Checksum-check one page without counting I/O.
 

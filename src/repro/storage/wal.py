@@ -482,10 +482,6 @@ class WriteAheadLog:
             self._handle.flush()
             return _scan_bytes(self._path.read_bytes())
 
-    def iter_records(self) -> Iterator[WalRecord]:
-        """Every intact record, committed or not (diagnostics)."""
-        yield from self.scan().records
-
     def replay(self) -> Iterator[WalBatch]:
         """Yield committed batches in LSN order.
 

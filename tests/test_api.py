@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import CostDensityConfig, SubsequenceDatabase
+from repro import SubsequenceDatabase
 from repro.exceptions import (
     ConfigurationError,
     IndexNotBuiltError,
@@ -57,16 +57,6 @@ class TestSearchDefaults:
     def test_too_short_query(self, walk_db):
         with pytest.raises(QueryTooShortError):
             walk_db.search(np.zeros(16), k=1)
-
-    def test_cost_config_accepted(self, walk_db):
-        query = walk_db.store.peek_subsequence(0, 50, 48).copy()
-        result = walk_db.search(
-            query,
-            k=3,
-            method="ru-cost",
-            cost_config=CostDensityConfig(lookahead_h=4),
-        )
-        assert len(result.matches) == 3
 
     def test_results_carry_subsequence_coordinates(self, walk_db):
         query = walk_db.store.peek_subsequence(1, 321, 48).copy()

@@ -4,28 +4,28 @@ import math
 
 import pytest
 
-from repro.engines.cost_density import (
-    CostAwareDensityScheduler,
-    CostDensityConfig,
-)
+from repro.engines import cost_density
+from repro.engines.cost_density import CostAwareDensityScheduler
 from repro.exceptions import ConfigurationError
 
 
 class TestConfig:
-    def test_paper_defaults(self):
-        config = CostDensityConfig()
-        assert config.alpha == 1.0
-        assert config.beta == 0.0
-        assert config.lookahead_h is None  # blocking factor
-        assert config.selective_expansion
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CostDensityConfig(alpha=-1.0)
-        with pytest.raises(ConfigurationError):
-            CostDensityConfig(lookahead_h=0)
-        with pytest.raises(ConfigurationError):
-            CostDensityConfig(max_expansions_per_select=-1)
+    def test_paper_defaults(self, walk_db):
+        # Definition 7's weights, and h = the index blocking factor.
+        assert cost_density.ALPHA == 1.0
+        assert cost_density.BETA == 0.0
+        assert cost_density.EXPANSIONS_PER_SELECT == 1
+        assert cost_density.STICKY_POPS == 12
+        blocking_factor = walk_db.index.tree.blocking_factor
+        scheduler = CostAwareDensityScheduler(
+            store=walk_db.store,
+            query_length=48,
+            omega=16,
+            blocking_factor=blocking_factor,
+            p=2.0,
+            cap_for=lambda _queue: math.inf,
+        )
+        assert scheduler._h == blocking_factor
 
 
 class TestEstimateHthDistance:
@@ -100,7 +100,6 @@ class TestSchedulerOnRealQueues(object):
             omega=16,
             blocking_factor=walk_db.index.tree.blocking_factor,
             p=2.0,
-            config=CostDensityConfig(lookahead_h=4),
             cap_for=lambda _queue: math.inf,
         )
         # Resolve each queue somewhat, then compare the bound pair.
@@ -136,7 +135,6 @@ class TestSchedulerOnRealQueues(object):
             omega=16,
             blocking_factor=8,
             p=2.0,
-            config=CostDensityConfig(),
             cap_for=lambda _queue: math.inf,
         )
         chosen = scheduler.select(queues)
@@ -150,7 +148,6 @@ class TestSchedulerOnRealQueues(object):
             omega=16,
             blocking_factor=8,
             p=2.0,
-            config=CostDensityConfig(),
             cap_for=lambda _queue: math.inf,
         )
         with pytest.raises(ConfigurationError):

@@ -106,15 +106,19 @@ class TestDeferredBehaviour:
 
 class TestSchedulingVariants:
     @pytest.mark.parametrize(
-        "scheduling", ["max-delta", "global-min", "round-robin"]
+        "method",
+        [
+            pytest.param("ru", id="max-delta"),
+            pytest.param("ru-cost", id="cost-aware"),
+        ],
     )
-    def test_all_strategies_exact(self, walk_db, scheduling):
+    def test_all_strategies_exact(self, walk_db, method):
         from repro.engines.ranked_union import RankedUnionEngine
         from repro.engines.base import QuerySpec
 
         query = query_from(walk_db, 900, 48)
         reference = walk_db.search(query, k=5, rho=2, method="ru")
-        engine = RankedUnionEngine(walk_db.index, scheduling=scheduling)
+        engine = RankedUnionEngine(walk_db.index, method=method)
         result = engine.search(query, QuerySpec(k=5, rho=2))
         assert [round(m.distance, 6) for m in result.matches] == [
             round(m.distance, 6) for m in reference.matches
@@ -125,7 +129,7 @@ class TestSchedulingVariants:
 
         assert RankedUnionEngine(walk_db.index).name == "RU"
         assert (
-            RankedUnionEngine(walk_db.index, scheduling="cost-aware").name
+            RankedUnionEngine(walk_db.index, method="ru-cost").name
             == "RU-COST"
         )
 
@@ -134,7 +138,9 @@ class TestSchedulingVariants:
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            RankedUnionEngine(walk_db.index, scheduling="nope")
+            RankedUnionEngine(walk_db.index, method="nope")
+        with pytest.raises(ConfigurationError):
+            RankedUnionEngine(walk_db.index, method="hlmj")
 
 
 # ----------------------------------------------------------------------

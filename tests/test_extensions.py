@@ -91,14 +91,20 @@ class TestIterMatches:
         with pytest.raises(Exception):
             next(db.iter_matches(make_walk(48, seed=2)))
 
-    @pytest.mark.parametrize("scheduling", ["max-delta", "cost-aware"])
-    def test_scheduling_variants(self, walk_db, scheduling):
+    @pytest.mark.parametrize(
+        "method",
+        [
+            pytest.param("ru", id="max-delta"),
+            pytest.param("ru-cost", id="cost-aware"),
+        ],
+    )
+    def test_scheduling_variants(self, walk_db, method):
         query = walk_db.store.peek_subsequence(0, 999, 48).copy()
         gold = gold_topk(walk_db, query, k=3, rho=2)
         streamed = [
             round(m.distance, 6)
             for m in walk_db.iter_matches(
-                query, k=3, rho=2, scheduling=scheduling
+                query, k=3, rho=2, method=method
             )
         ]
         assert streamed == pytest.approx(gold, abs=1e-6)

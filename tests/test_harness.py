@@ -22,7 +22,6 @@ class TestEngineSpec:
         assert EngineSpec("seqscan").label == "SeqScan"
         assert EngineSpec("hlmj", deferred=True).label == "HLMJ(D)"
         assert EngineSpec("ru-cost", deferred=True).label == "RU-COST(D)"
-        assert EngineSpec("ru", label_override="X").label == "X"
 
 
 class TestModeledTime:

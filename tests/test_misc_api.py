@@ -121,11 +121,10 @@ class TestEngineNames:
     def test_ranked_union_variant_names(self, walk_db):
         from repro.engines.ranked_union import RankedUnionEngine
 
-        assert (
-            RankedUnionEngine(walk_db.index, scheduling="global-min").name
-            == "RU[global-min]"
-        )
-        assert (
-            RankedUnionEngine(walk_db.index, scheduling="round-robin").name
-            == "RU[round-robin]"
-        )
+        from repro.engines.base import RANKED_UNION_METHODS
+
+        names = [
+            RankedUnionEngine(walk_db.index, method=method).name
+            for method in RANKED_UNION_METHODS
+        ]
+        assert names == ["RU", "RU-COST"]

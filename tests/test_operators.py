@@ -10,7 +10,7 @@ from repro.engines.operators import RankedTuple, Status
 from repro.engines.ranked_union import PhiOperator, UnionOperator, _cap_pow
 
 
-def make_phi(db, query, class_index=0, k=3, scheduling="max-delta"):
+def make_phi(db, query, class_index=0, k=3, method="ru"):
     config = QuerySpec(k=k, rho=2)
     window_set = QueryWindowSet.from_query(
         query, omega=db.omega, features=db.features, rho=config.rho
@@ -29,7 +29,7 @@ def make_phi(db, query, class_index=0, k=3, scheduling="max-delta"):
         index=db.index,
         evaluator=evaluator,
         spec=config,
-        scheduling=scheduling,
+        method=method,
     )
     return phi, evaluator, window_set
 
@@ -115,7 +115,7 @@ class TestUnionOperator:
                 index=walk_db.index,
                 evaluator=evaluator,
                 spec=config,
-                scheduling="max-delta",
+                method="ru",
             )
             for index in range(window_set.num_classes)
         ]

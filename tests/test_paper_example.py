@@ -3,9 +3,10 @@
 * Figure 9's headline — ranked union terminates in far fewer pops than
   HLMJ on a query with one near-match window and one discriminative
   window — is checked on a constructed dataset.
-* Lemma 5 — with global-min (MDMWP-order) scheduling, the
-  MSEQ-distance is at least the MDMWP-distance — is checked
-  empirically via candidate counts.
+* Lemma 5 — the MSEQ-distance is at least the MDMWP-distance — is
+  checked on the live queue tops of one ``Φ`` operator.  The
+  inequality ``sum(tops) >= r * min(tops)`` holds under any pop order,
+  because ``r <= |MSEQ|``.
 """
 
 import numpy as np
@@ -58,9 +59,8 @@ class TestRankedUnionBeatsGlobalQueue:
 
 class TestLemma5:
     def test_mseq_bound_dominates_mdmwp_bound(self):
-        """Under MDMWP-order scheduling the class frontier sum is at
-        least r times the minimum frontier — the Lemma 5 inequality in
-        p-th-power space."""
+        """The class frontier sum is at least r times the minimum
+        frontier — the Lemma 5 inequality in p-th-power space."""
         db, motif = build_mixed_density_db(seed=3)
         rng = np.random.default_rng(5)
         query = np.concatenate([motif, rng.standard_normal(31).cumsum()])
@@ -86,7 +86,6 @@ class TestLemma5:
             index=db.index,
             evaluator=evaluator,
             spec=config,
-            scheduling="global-min",  # MDMWP consumption order
         )
         for _ in range(200):
             status, _ = phi.get_next()
@@ -96,8 +95,8 @@ class TestLemma5:
             if any(np.isinf(top) for top in tops):
                 break
             mseq_pow = sum(tops)
-            # MDMWP uses r * (minimum matching pair distance); with
-            # global-min scheduling that minimum is min(tops).
+            # MDMWP uses r * (minimum matching pair distance), and no
+            # matching pair is nearer than min(tops).
             mdmwp_pow = r * min(tops)
             # r <= |MSEQ_0| and each top >= min  =>  Lemma 5.
             assert mseq_pow + 1e-9 >= mdmwp_pow

@@ -164,6 +164,17 @@ def test_default_rho_is_resolved_once_at_the_edge(world):
         assert list(db.iter_matches(query, k=3)) == explicit.matches
 
 
+@pytest.mark.parametrize("method", ["ru", "ru-cost"])
+def test_a_stream_emits_the_search_of_its_method(world, method):
+    """``method`` names one ranked-union engine for ``knn`` and
+    ``stream`` alike, unsharded and sharded."""
+    oracle, sharded, query = world
+    for db in (oracle, sharded[3]):
+        want = db.search(query, k=5, rho=RHO, method=method).matches
+        stream = db.iter_matches(query, k=5, rho=RHO, method=method)
+        assert list(stream) == want
+
+
 @pytest.mark.parametrize(
     "call,fields,error",
     [
@@ -174,8 +185,10 @@ def test_default_rho_is_resolved_once_at_the_edge(world):
         ("range_search", {"epsilon": -1.0}, QueryError),
         ("range_search", {"epsilon": 1.0, "on_fault": "x"},
          ConfigurationError),
-        ("iter_matches", {"scheduling": "nope"}, ConfigurationError),
+        ("iter_matches", {"method": "nope"}, ConfigurationError),
         ("iter_matches", {"k": 0}, ConfigurationError),
+        # A stream runs only a ranked-union method.
+        ("iter_matches", {"method": "hlmj"}, ConfigurationError),
     ],
 )
 def test_validation_lives_in_the_spec(world, call, fields, error):
@@ -210,7 +223,6 @@ KEYWORD_SIGNATURES = {
         "(self, query: 'Sequence[float]', k: 'int' = 10, "
         "rho: 'Optional[int]' = None, method: 'str' = 'ru-cost', "
         "deferred: 'bool' = False, "
-        "cost_config: 'Optional[CostDensityConfig]' = None, "
         "on_fault: 'str' = 'raise', budget: 'Optional[QueryBudget]' = None, "
         "deadline: 'Optional[Deadline]' = None, "
         "token: 'Optional[CancellationToken]' = None, "
@@ -226,7 +238,7 @@ KEYWORD_SIGNATURES = {
     ),
     "iter_matches": (
         "(self, query: 'Sequence[float]', k: 'int' = 10, "
-        "rho: 'Optional[int]' = None, scheduling: 'str' = 'max-delta', "
+        "rho: 'Optional[int]' = None, method: 'str' = 'ru-cost', "
         "on_fault: 'str' = 'raise', budget: 'Optional[QueryBudget]' = None, "
         "deadline: 'Optional[Deadline]' = None, "
         "token: 'Optional[CancellationToken]' = None, "

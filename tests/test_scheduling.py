@@ -1,24 +1,21 @@
-"""Unit tests for queue-selection strategies (repro.engines.scheduling)."""
-
-import math
+"""Unit tests for queue selection (repro.engines.scheduling)."""
 
 import pytest
 
 from repro.core.metrics import QueryStats
 from repro.core.windows import QueryWindowSet
+from repro.engines.base import QuerySpec
 from repro.engines.bounds import NodeGrid
+from repro.engines.cost_density import STICKY_POPS
 from repro.engines.queues import WindowQueue
-from repro.engines.scheduling import (
-    GlobalMinStrategy,
-    MaxDeltaStrategy,
-    RoundRobinStrategy,
-    make_strategy,
-)
+from repro.engines.ranked_union import RankedUnionEngine
+from repro.engines.scheduling import CostAwareStrategy, MaxDeltaStrategy
 from repro.exceptions import ConfigurationError
+from tests.test_operators import make_phi
 
 
 class FakeQueue:
-    """Minimal stand-in exposing what the simple strategies consume."""
+    """Minimal stand-in exposing what max-delta consumes."""
 
     def __init__(self, top):
         self._top = top
@@ -48,44 +45,30 @@ class TestMaxDelta:
         assert MaxDeltaStrategy().select(queues) is queues[0]
 
 
-class TestGlobalMin:
-    def test_picks_smallest_top(self):
-        queues = [FakeQueue(3.0), FakeQueue(0.5), FakeQueue(2.0)]
-        assert GlobalMinStrategy().select(queues) is queues[1]
-
-
-class TestRoundRobin:
-    def test_cycles(self):
-        queues = [FakeQueue(1.0), FakeQueue(2.0)]
-        strategy = RoundRobinStrategy()
-        picks = [strategy.select(queues) for _ in range(4)]
-        assert picks == [queues[0], queues[1], queues[0], queues[1]]
+def selector(db, method):
+    query = db.store.peek_subsequence(0, 100, 48).copy()
+    phi, _evaluator, _window_set = make_phi(db, query, method=method)
+    return phi._strategy
 
 
 class TestFactory:
-    def test_simple_names(self):
-        assert make_strategy("max-delta").name == "max-delta"
-        assert make_strategy("global-min").name == "global-min"
-        assert make_strategy("round-robin").name == "round-robin"
+    """The method names the selector each ``Φ`` builds."""
 
-    def test_unknown_name(self):
-        with pytest.raises(ConfigurationError):
-            make_strategy("mystery")
+    def test_simple_names(self, walk_db):
+        assert isinstance(selector(walk_db, "ru"), MaxDeltaStrategy)
 
-    def test_cost_aware_needs_context(self):
+    def test_unknown_name(self, walk_db):
+        # No selector for a name outside ranked union: the engine and
+        # the stream spec both refuse it.
         with pytest.raises(ConfigurationError):
-            make_strategy("cost-aware")
+            RankedUnionEngine(walk_db.index, method="mystery")
+        with pytest.raises(ConfigurationError):
+            QuerySpec(rho=2, kind="stream", method="mystery")
 
     def test_cost_aware_construction(self, walk_db):
-        strategy = make_strategy(
-            "cost-aware",
-            store=walk_db.store,
-            query_length=48,
-            omega=16,
-            blocking_factor=8,
-            cap_for=lambda _q: math.inf,
-        )
-        assert strategy.name == "cost-aware"
+        strategy = selector(walk_db, "ru-cost")
+        assert isinstance(strategy, CostAwareStrategy)
+        assert strategy._sticky_pops == STICKY_POPS
 
 
 class TestStickiness:
@@ -108,8 +91,6 @@ class TestStickiness:
             def select(self, live):
                 calls["count"] += 1
                 return live[0]
-
-        from repro.engines.scheduling import CostAwareStrategy
 
         strategy = CostAwareStrategy(CountingScheduler(), sticky_pops=3)
         picks = [strategy.select(queues) for _ in range(6)]

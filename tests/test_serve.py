@@ -55,8 +55,8 @@ THREADS = 8
 
 #: Every key :func:`parse_request` reads.
 REQUEST_KEYS = (
-    "kind", "query", "k", "rho", "epsilon", "method", "scheduling",
-    "deferred", "on_fault", "normalize", "tenant", "id", "timeout_s",
+    "kind", "query", "k", "rho", "epsilon", "method", "deferred",
+    "on_fault", "normalize", "tenant", "id", "timeout_s",
     "max_pages", "max_candidates", "profile",
 )
 
@@ -439,7 +439,6 @@ class TestProtocol:
         "field, value",
         [
             ("method", "nope"),
-            ("scheduling", "nope"),
             ("on_fault", "nope"),
             ("k", 0),
             ("rho", -1),
@@ -454,16 +453,24 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="epsilon"):
             parse_request({"kind": "range", "query": [0.0], "epsilon": -1})
 
+    def test_stream_refuses_a_method_outside_ranked_union(self) -> None:
+        with pytest.raises(ConfigurationError, match="method"):
+            QuerySpec(rho=2, kind="stream", method="hlmj")
+        with pytest.raises(ProtocolError, match="method"):
+            parse_request(
+                {"kind": "stream", "query": [0.0] * 32, "method": "hlmj"}
+            )
+
     def test_parse_builds_the_spec_once(self) -> None:
         request = parse_request(
             {
                 "kind": "stream", "query": [0.0] * 40, "k": 2,
-                "scheduling": "cost-aware", "normalize": True,
+                "method": "ru", "normalize": True,
                 "deferred": True,
             }
         )
         assert request.spec == QuerySpec(
-            rho=2, kind="stream", k=2, scheduling="cost-aware",
+            rho=2, kind="stream", k=2, method="ru",
             normalize=True, on_fault="degrade",
             deferred=False,  # the wire flag only applies to knn
         )
@@ -578,10 +585,11 @@ class TestSocketServer:
                         {"query": list(query), "k": 4, "rho": 2,
                          "normalize": True}
                     )
-                    for field in ("method", "scheduling"):
-                        with pytest.raises(ProtocolError, match=field):
+                    for kind in ("knn", "stream"):
+                        with pytest.raises(ProtocolError, match="method"):
                             client.request(
-                                {"query": list(query), field: "nope"}
+                                {"query": list(query), "kind": kind,
+                                 "method": "nope"}
                             )
             # The bad requests never reached a worker.
             assert service.stats.submitted == 1
