@@ -401,3 +401,153 @@ class TestInterruptInsideDrain:
             for polls in range(2, 120, 3)
         ]
         assert self._sweep(walk_db, drain_events, method, limits) > 0
+
+
+def _counters(stats):
+    """Every ``QueryStats`` counter except wall time."""
+    counters = stats.as_dict()
+    del counters["wall_time_s"]
+    return counters
+
+
+def _never_tripping_limits():
+    """The limits every served query carries, set never to fire."""
+    return {
+        "token": CancellationToken(),
+        "deadline": Deadline.after(1e9, clock=FakeClock()),
+    }
+
+
+class TestLimitedControlParity:
+    """A limited control that never trips changes nothing.
+
+    Every served query carries a token and a deadline, so this is the
+    query service's path: matches and every counter, ``checkpoints``
+    and ``heap_pops`` included, equal an unlimited search.
+    """
+
+    QUERY = make_walk(64, seed=71)
+
+    def _assert_parity(self, db, **query):
+        db.reset_cache()
+        plain = db.search(self.QUERY, k=5, rho=3, **query)
+        db.reset_cache()
+        limited = db.search(
+            self.QUERY, k=5, rho=3, **query, **_never_tripping_limits()
+        )
+        assert not isinstance(limited, PartialResult)
+        assert limited.matches == plain.matches
+        assert _counters(limited.stats) == _counters(plain.stats)
+        return plain, limited
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("method", ENGINES)
+    def test_every_engine(self, golden_db, method, normalize):
+        self._assert_parity(golden_db, method=method, normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("method", ["ru", "ru-cost"])
+    def test_three_shards(self, method, normalize):
+        from repro import ShardedDatabase
+
+        db = ShardedDatabase(
+            num_shards=3, omega=16, features=4, buffer_fraction=0.1
+        )
+        db.insert(0, make_walk(3000, seed=11))
+        db.insert(1, make_walk(2200, seed=12))
+        db.build()
+        try:
+            plain, limited = self._assert_parity(
+                db, method=method, normalize=normalize
+            )
+        finally:
+            db.close()
+        assert {
+            shard: _counters(stats)
+            for shard, stats in limited.shard_stats.items()
+        } == {
+            shard: _counters(stats)
+            for shard, stats in plain.shard_stats.items()
+        }
+
+
+class TestPinnedCertificates:
+    """Interrupted ranked-union runs certify the same float, bit for bit.
+
+    ``(float.hex(certificate), checkpoints, matches)`` per interrupted
+    run over the golden database.  Soundness is tested above; this pins
+    the value the union's frontier reports, so any change to how the
+    frontier is found must reproduce it exactly.
+    """
+
+    QUERY = make_walk(64, seed=71)
+
+    PAGE_CAPS = {
+        ("ru", False, 5): ("0x0.0p+0", 10, 2),
+        ("ru", False, 20): ("0x0.0p+0", 25, 5),
+        ("ru", False, 60): ("0x1.2a9500dd97b75p+2", 262, 5),
+        ("ru", True, 5): ("0x1.0259377560530p-2", 75, 5),
+        ("ru", True, 20): ("0x1.4bb18ad7d1f08p+0", 207, 5),
+        ("ru", True, 60): ("0x1.a7acd5f72dc2fp+2", 620, 5),
+        ("ru-cost", False, 5): ("0x0.0p+0", 7, 2),
+        ("ru-cost", False, 20): ("0x0.0p+0", 17, 5),
+        ("ru-cost", False, 60): ("0x1.a84aa652b2d07p+1", 181, 5),
+        ("ru-cost", True, 5): ("0x1.0259377560530p-2", 59, 5),
+        ("ru-cost", True, 20): ("0x1.4bb18ad7d1f08p+0", 191, 5),
+        ("ru-cost", True, 60): ("0x1.1ab048f80beeep+2", 475, 5),
+    }
+
+    @staticmethod
+    def _pinned(result):
+        assert isinstance(result, PartialResult)
+        return (
+            float.hex(result.certificate),
+            result.stats.checkpoints,
+            len(result.matches),
+        )
+
+    @pytest.mark.parametrize(
+        "method,deferred,cap", sorted(PAGE_CAPS), ids=str
+    )
+    def test_page_cap(self, golden_db, method, deferred, cap):
+        golden_db.reset_cache()
+        result = golden_db.search(
+            self.QUERY,
+            k=5,
+            rho=3,
+            method=method,
+            deferred=deferred,
+            budget=QueryBudget(max_page_accesses=cap),
+        )
+        assert self._pinned(result) == self.PAGE_CAPS[method, deferred, cap]
+
+    def test_fake_clock_deadline(self, golden_db):
+        golden_db.reset_cache()
+        result = golden_db.search(
+            self.QUERY,
+            k=5,
+            rho=3,
+            method="ru",
+            deadline=Deadline.after(
+                399.5, clock=FakeClock(auto_advance=1.0)
+            ),
+        )
+        assert self._pinned(result) == ("0x1.096e8e89b9192p+3", 400, 5)
+
+    def test_interrupted_stream(self, golden_db):
+        query = golden_db.store.peek_subsequence(0, 1200, 64).copy()
+        golden_db.reset_cache()
+        stream = golden_db.iter_matches(
+            query,
+            k=5,
+            rho=3,
+            method="ru",
+            token=CancellationToken(cancel_after_checks=150),
+        )
+        matches = list(stream)
+        assert stream.interrupted
+        assert (
+            float.hex(stream.certificate),
+            stream.stats.checkpoints,
+            len(matches),
+        ) == ("0x1.d689c81ff7599p+0", 151, 4)
