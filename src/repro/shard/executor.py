@@ -6,8 +6,10 @@ shards share the process, so per-shard subqueries see the in-memory
 shard databases directly (and the caller's tracer — each worker thread
 records its own span subtree via the tracer's thread-local stacks).
 The engine loop is Python under the GIL, so the pool is not there for
-speed (``shard.speedup_vs_unsharded`` 0.442 with the shared k-th bound,
-2 cores; two serve workers scale 1.15x): it gives every shard run of a
+speed: on 2 cores the committed end-to-end report
+``benchmarks/results/e2e_2026-10-16_one_storage_change.json`` reads
+``shard.speedup_vs_unsharded`` 0.53 with the shared k-th bound, and
+two serve workers scale 0.94x.  It gives every shard run of a
 top-k fan-out a thread, so the runs can take turns in a
 :class:`~repro.control.Rotation` and their counters repeat exactly.
 :meth:`ThreadShardExecutor.run` says why every run of a rotation gets a
