@@ -193,7 +193,7 @@ class WindowProbe:
         """
         grid = self.grid
         try:
-            node = grid.tree.read_node(page_id)
+            node = grid.tree.read_node(page_id, grid.stats)
         except StorageError as error:
             if grid.on_fault is None:
                 raise

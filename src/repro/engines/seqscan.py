@@ -61,7 +61,9 @@ class SeqScanEngine(Engine):
         length = window_set.length
         budget = evaluator.control
         try:
-            values = self.index.store.read_full_sequence(sid)
+            values = self.index.store.read_full_sequence(
+                sid, evaluator.stats
+            )
         except StorageError as error:
             # Degrade: the whole sequence is unreadable past the
             # failed page; skip it and scan the rest.

@@ -116,9 +116,9 @@ class ConfigurationError(ReproError):
 class UsageError(ReproError):
     """A library object was driven out of protocol order.
 
-    Examples: finishing a :class:`~repro.core.metrics.StatsRecorder`
-    that was never started, or asking geometry helpers for the union of
-    zero rectangles.  Distinct from :class:`ConfigurationError` (a bad
+    Examples: closing a span that is not the thread's innermost open
+    one (:meth:`~repro.obs.tracer.Tracer.end_span`), or asking geometry
+    helpers for the union of zero rectangles.  Distinct from :class:`ConfigurationError` (a bad
     *value*) — this is a bad *call sequence*.
     """
 

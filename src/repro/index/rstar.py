@@ -29,6 +29,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.metrics import QueryStats
 from repro.exceptions import ConfigurationError, IndexError_
 from repro.index import geometry
 from repro.index.geometry import Rect
@@ -178,8 +179,11 @@ class RStarTree:
         """The buffer pool's tracer (one observability plane per store)."""
         return self._buffer.tracer
 
-    def read_node(self, page_id: int) -> RStarNode:
-        """Query-time node read through the buffer pool (counted I/O).
+    def read_node(
+        self, page_id: int, stats: Optional[QueryStats] = None
+    ) -> RStarNode:
+        """Query-time node read through the buffer pool (counted I/O,
+        charged to ``stats``, the reading query's counters).
 
         The ``index.probe`` span is read off the buffer pool's tracer so
         a tracer attached after construction (``db.set_tracer``) still
@@ -189,8 +193,8 @@ class RStarTree:
         tracer = self._buffer.tracer
         if tracer.enabled:
             with tracer.span("index.probe", page=page_id):
-                return self._buffer.get(page_id)
-        return self._buffer.get(page_id)
+                return self._buffer.get(page_id, stats)
+        return self._buffer.get(page_id, stats)
 
     def _peek(self, page_id: int) -> RStarNode:
         """Offline node read (no I/O accounting) for build paths."""

@@ -21,6 +21,7 @@ from repro.analysis.concurrency import (
     shared_across_queries,
 )
 from repro.core.clock import MONOTONIC_CLOCK, Clock
+from repro.core.metrics import QueryStats
 from repro.exceptions import BufferPoolError, ConfigurationError, TransientIOError
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.pager import Pager
@@ -32,8 +33,8 @@ _T = TypeVar("_T")
 class RetryPolicy:
     """Bounded exponential backoff for *transient* I/O failures.
 
-    :meth:`run` drives :meth:`BufferPool.fetch` and the write-ahead
-    log's durable steps: an attempt raising
+    :meth:`run` drives :meth:`BufferPool.get`'s page reads and the
+    write-ahead log's durable steps: an attempt raising
     :class:`~repro.exceptions.TransientIOError` is retried up to
     ``max_attempts`` total attempts, sleeping ``backoff_s`` before the
     first retry and multiplying the delay by ``multiplier`` after each.
@@ -132,7 +133,8 @@ class BufferPool:
     single-query paths pay one uncontested acquire per page request).
     A cache miss performs the physical read while holding the lock,
     serializing concurrent misses; sharding the pool is ROADMAP work,
-    not this layer's problem.
+    not this layer's problem.  The same lock is what lets :meth:`get`
+    charge each request to the query that made it.
 
     Parameters
     ----------
@@ -191,9 +193,19 @@ class BufferPool:
         with self._lock:
             return len(self._frames)
 
-    def get(self, page_id: int) -> Any:
-        """Return a page payload, faulting it in from the pager on a miss."""
+    def get(self, page_id: int, stats: Optional[QueryStats] = None) -> Any:
+        """Return a page payload, faulting it in from the pager on a miss.
+
+        ``stats`` is the counters of the query making the request
+        (``None`` for offline callers).  The pool charges it here, under
+        the lock it holds across a miss, so concurrent queries never
+        charge each other: one logical read per request and, on a miss,
+        every physical read attempt and every retry (see
+        :meth:`_read_attempt`).
+        """
         with self._lock:
+            if stats is not None:
+                stats.logical_reads += 1
             if page_id in self._frames:
                 self.stats.hits += 1
                 if self.tracer.enabled:
@@ -203,30 +215,26 @@ class BufferPool:
             self.stats.misses += 1
             if self.tracer.enabled:
                 self.tracer.metrics.counter("buffer.miss").inc()
-            payload = self.fetch(page_id)
+            payload = self.retry_policy.run(
+                lambda: self._read_attempt(page_id, stats),
+                self._clock,
+                on_retry=lambda: self._count_retry(stats),
+            )
             self._frames[page_id] = payload
             if len(self._frames) > self._capacity:
                 self._evict_one()
             return payload
 
-    def fetch(self, page_id: int) -> Any:
-        """Physically read a page under the retry policy.
+    @requires_lock("_lock")
+    def _count_retry(self, stats: Optional[QueryStats]) -> None:
+        """One transient fault the retry policy is about to retry."""
+        self.stats.retries += 1
+        if stats is not None:
+            stats.retries += 1
 
-        A retried transient fault increments ``stats.retries``; see
-        :meth:`RetryPolicy.run` for what is retried.
-        """
-        return self.retry_policy.run(
-            lambda: self._read_attempt(page_id),
-            self._clock,
-            on_retry=self._count_retry,
-        )
-
-    def _count_retry(self) -> None:
-        with self._lock:
-            self.stats.retries += 1
-
-    def _read_attempt(self, page_id: int) -> Any:
-        """One physical read, traced as one ``buffer.fetch`` span.
+    @requires_lock("_lock")
+    def _read_attempt(self, page_id: int, stats: Optional[QueryStats]) -> Any:
+        """One physical read attempt, traced as one ``buffer.fetch`` span.
 
         The span wraps a single pager read *attempt*, so the number of
         ``buffer.fetch`` spans equals the pager's physical-read counter
@@ -234,14 +242,28 @@ class BufferPool:
         (a failed attempt both counts a read and records a span, with
         the error name attached).  The trace-conformance suite pins
         this identity against every golden engine config.
+
+        ``stats`` is charged what the pager counted for the attempt, as
+        the pager classified it (sequential or random); the lock keeps
+        every other read of this pager out of that difference.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._pager.read(page_id)
-        kind = self._pager.kind_of(page_id).name.lower()
-        tracer.metrics.counter(f"page.fetch.{kind}").inc()
-        with tracer.span("buffer.fetch", page=page_id, kind=kind):
-            return self._pager.read(page_id)
+        counted = self._pager.stats
+        reads, sequential = counted.physical_reads, counted.sequential_reads
+        try:
+            tracer = self.tracer
+            if not tracer.enabled:
+                return self._pager.read(page_id)
+            kind = self._pager.kind_of(page_id).name.lower()
+            tracer.metrics.counter(f"page.fetch.{kind}").inc()
+            with tracer.span("buffer.fetch", page=page_id, kind=kind):
+                return self._pager.read(page_id)
+        finally:
+            if stats is not None:
+                reads = counted.physical_reads - reads
+                sequential = counted.sequential_reads - sequential
+                stats.page_accesses += reads
+                stats.sequential_page_accesses += sequential
+                stats.random_page_accesses += reads - sequential
 
     def resident(self, page_id: int) -> bool:
         """Bitmap probe: is the page buffered?  Does not touch LRU order.

@@ -23,6 +23,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.metrics import QueryStats
 from repro.exceptions import (
     ConfigurationError,
     PageError,
@@ -252,29 +253,39 @@ class SequenceStore:
                 f"sequence {meta.sid} of length {meta.length}"
             )
 
-    def get_subsequence(self, sid: int, start: int, length: int) -> np.ndarray:
+    def get_subsequence(
+        self,
+        sid: int,
+        start: int,
+        length: int,
+        stats: Optional[QueryStats] = None,
+    ) -> np.ndarray:
         """Read ``length`` values of ``sid`` beginning at ``start``.
 
-        All covering pages are faulted through the buffer pool so hit/miss
+        All covering pages are faulted through the buffer pool, charged
+        to ``stats`` (the reading query's counters), so hit/miss
         accounting matches the paper's page-access metric.  Returns a
         read-only view.
         """
         meta = self._require(sid)
         self._check_range(meta, start, length)
         for page_id in self.pages_for_range(sid, start, length):
-            self._buffer.get(page_id)
+            self._buffer.get(page_id, stats)
         return self._arrays[sid][start : start + length]
 
-    def read_full_sequence(self, sid: int) -> np.ndarray:
+    def read_full_sequence(
+        self, sid: int, stats: Optional[QueryStats] = None
+    ) -> np.ndarray:
         """Read an entire sequence sequentially through the buffer pool.
 
         Used by the SeqScan baseline: every data page is requested in file
         order, which with a small buffer degenerates to one physical read
         per page — the constant cost the paper reports for SeqScan.
+        The reads are charged to ``stats``.
         """
         meta = self._require(sid)
         for page_id in meta.pages:
-            self._buffer.get(page_id)
+            self._buffer.get(page_id, stats)
         return self._arrays[sid]
 
     def peek_subsequence(self, sid: int, start: int, length: int) -> np.ndarray:

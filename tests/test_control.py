@@ -123,10 +123,10 @@ class TestExecutionControl:
 
     def test_page_budget_enforced_against_bound_counter(self):
         control = ExecutionControl(budget=QueryBudget(max_page_accesses=3))
-        pages = [0]
-        control.bind(QueryStats(), lambda: pages[0])
+        stats = QueryStats(page_accesses=3)
+        control.bind(stats)
         control.checkpoint()
-        pages[0] = 4
+        stats.page_accesses = 4
         with pytest.raises(ExecutionInterrupted) as excinfo:
             control.checkpoint()
         assert excinfo.value.reason == REASON_PAGE_BUDGET
@@ -134,7 +134,7 @@ class TestExecutionControl:
     def test_candidate_budget_enforced_against_stats(self):
         stats = QueryStats()
         control = ExecutionControl(budget=QueryBudget(max_candidates=2))
-        control.bind(stats, lambda: 0)
+        control.bind(stats)
         stats.candidates = 3
         with pytest.raises(ExecutionInterrupted) as excinfo:
             control.checkpoint()

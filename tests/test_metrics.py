@@ -1,9 +1,10 @@
-"""Unit tests for QueryStats and StatsRecorder (repro.core.metrics)."""
+"""Unit tests for QueryStats (repro.core.metrics) and how
+:meth:`BufferPool.get` charges it."""
 
 import pytest
 
-from repro.core.metrics import QueryStats, StatsRecorder
-from repro.exceptions import ConfigurationError, UsageError
+from repro.core.metrics import QueryStats
+from repro.exceptions import ConfigurationError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageKind
 from repro.storage.pager import Pager
@@ -43,49 +44,29 @@ class TestQueryStats:
         }
 
 
-class TestStatsRecorder:
-    def test_deltas_not_totals(self):
+class TestBufferPoolCharging:
+    def test_charges_only_its_own_requests(self):
         pager = Pager(page_size=512)
         pages = [pager.allocate(PageKind.DATA, i) for i in range(6)]
         buffer = BufferPool(pager, capacity_pages=2)
-        buffer.get(pages[0])  # pre-existing traffic
-
-        recorder = StatsRecorder(pager, buffer).start()
-        buffer.get(pages[1])
-        buffer.get(pages[1])  # hit
-        buffer.get(pages[5])
-        stats = recorder.finish()
-        assert stats.page_accesses == 2  # two misses inside the window
+        buffer.get(pages[0])  # another caller's traffic
+        stats = QueryStats()
+        buffer.get(pages[1], stats)
+        buffer.get(pages[1], stats)  # hit
+        buffer.get(pages[2])  # another caller's miss
+        buffer.get(pages[5], stats)
+        assert stats.page_accesses == 2  # its own two misses
         assert stats.logical_reads == 3
-        assert stats.wall_time_s > 0
+        assert pager.stats.physical_reads == 4
 
     def test_sequential_random_split(self):
         pager = Pager(page_size=512)
         pages = [pager.allocate(PageKind.DATA, i) for i in range(80)]
         buffer = BufferPool(pager, capacity_pages=2)
-        recorder = StatsRecorder(pager, buffer).start()
-        buffer.get(pages[0])
-        buffer.get(pages[1])  # sequential
-        buffer.get(pages[70])  # random (beyond readahead window)
-        stats = recorder.finish()
+        stats = QueryStats()
+        buffer.get(pages[0], stats)
+        buffer.get(pages[1], stats)  # sequential
+        buffer.get(pages[70], stats)  # random (beyond readahead window)
         assert stats.sequential_page_accesses == 1
         assert stats.random_page_accesses == 2
-
-    def test_finish_requires_start(self):
-        pager = Pager(page_size=512)
-        buffer = BufferPool(pager, capacity_pages=2)
-        with pytest.raises(UsageError):
-            StatsRecorder(pager, buffer).finish()
-
-    def test_restartable(self):
-        pager = Pager(page_size=512)
-        page = pager.allocate(PageKind.DATA, 0)
-        buffer = BufferPool(pager, capacity_pages=2)
-        recorder = StatsRecorder(pager, buffer)
-        recorder.start()
-        buffer.get(page)
-        first = recorder.finish()
-        recorder.start()
-        second = recorder.finish()
-        assert first.page_accesses == 1
-        assert second.page_accesses == 0
+        assert stats.sequential_page_accesses == pager.stats.sequential_reads

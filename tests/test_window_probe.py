@@ -115,8 +115,8 @@ def record_reads(monkeypatch, tree, wrap=lambda node: node):
     read = tree.read_node
     pages = []
 
-    def recording(page_id):
-        node = wrap(read(page_id))
+    def recording(page_id, stats=None):
+        node = wrap(read(page_id, stats))
         pages.append(page_id)
         return node
 
