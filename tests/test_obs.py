@@ -101,6 +101,28 @@ class TestSpanLifecycle:
         with pytest.raises(UsageError, match="out-of-order"):
             outer.close()
 
+    def test_suspended_span_takes_no_children_until_resumed(self):
+        tracer = make_tracer()
+        root = tracer.start_span("engine.search")
+        tracer.suspend(root)
+        with tracer.span("elsewhere") as elsewhere:
+            pass
+        tracer.resume(root)
+        with tracer.span("buffer.fetch"):
+            pass
+        root.close()
+        assert tracer.roots == [root, elsewhere]
+        assert [c.name for c in root.children] == ["buffer.fetch"]
+        assert tracer.depth == 0
+        assert validate_span_tree(root) == []
+
+    def test_suspend_requires_the_innermost_span(self):
+        tracer = make_tracer()
+        outer = tracer.start_span("outer")
+        tracer.start_span("inner")
+        with pytest.raises(UsageError, match="out-of-order"):
+            tracer.suspend(outer)
+
     def test_exception_closes_span_and_records_error(self):
         tracer = make_tracer()
         with pytest.raises(ValueError):
@@ -326,3 +348,36 @@ class TestQueryProfile:
         args = doc["traceEvents"][0]["args"]
         assert isinstance(args["payload"], str)
         json.dumps(doc)
+
+
+class TestTracedShardedStream:
+    def test_each_shard_root_holds_its_own_reads(self):
+        import numpy as np
+
+        from repro.shard import ShardedDatabase
+
+        rng = np.random.default_rng(5)
+        tracer = Tracer(enabled=True)
+        db = ShardedDatabase(
+            num_shards=2, policy="hash", omega=8, features=4, tracer=tracer
+        )
+        for sid in range(4):
+            db.insert(sid, rng.standard_normal(400).cumsum())
+        db.build()
+        try:
+            query = rng.standard_normal(24).cumsum()
+            stream = db.iter_matches(query, k=5)
+            assert len(list(stream)) == 5
+            shard_stats = stream.result.shard_stats
+            roots = [
+                root for root in tracer.roots if root.name == "engine.search"
+            ]
+            assert len(roots) == len(shard_stats) == 2
+            assert tracer.depth == 0
+            assert sorted(root.count("buffer.fetch") for root in roots) == (
+                sorted(stats.page_accesses for stats in shard_stats.values())
+            )
+            for root in roots:
+                assert validate_span_tree(root) == []
+        finally:
+            db.close()
