@@ -30,7 +30,10 @@ exactness argument is the same as for the in-process union:
   below the surviving shards' answers.
 
 Merged :class:`~repro.core.metrics.QueryStats` are *sums* over shards
-(``wall_time_s`` included — it measures aggregate work, not latency);
+(``wall_time_s`` included — it measures aggregate work, not latency:
+a shard run's time waiting for its turn at the shared bound is not
+charged, so on a top-k fan-out the sum stays within the caller's
+latency);
 the per-shard breakdown rides along in the result's ``shard_stats`` so
 callers and tests can check that per-shard NUM_IO adds up to the merged
 counter.

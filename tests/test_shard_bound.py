@@ -21,6 +21,7 @@ sharing may and may not change:
 """
 
 import math
+import time
 
 import pytest
 
@@ -304,6 +305,26 @@ class TestThreadExecutorTakesTurns:
         (got,) = runs
         independent = _independent_sums(sdb, query, spec)
         assert got[0] <= independent[0] and got[1] <= independent[1]
+
+    def test_shard_runs_are_not_charged_their_waits(
+        self, oracle, threaded, monkeypatch
+    ):
+        # Turns are exclusive, so the shard runs' own times can only add
+        # up to the caller's latency if waiting for a turn is left out.
+        monkeypatch.setattr(repro.control, "TURN_CHECKPOINTS", 1)
+        query = query_from(oracle, 640, 48)
+        sdb = threaded[("range", 2)]
+        sdb.reset_cache()
+        started = time.perf_counter()
+        result = sdb.run_query(
+            query, _spec(query, "ru-cost-d"), ExecutionControl()
+        )
+        latency = time.perf_counter() - started
+        assert len(result.shard_stats) == 2
+        assert result.stats.checkpoints > 2
+        assert sum(
+            stats.wall_time_s for stats in result.shard_stats.values()
+        ) <= latency
 
     def test_a_cancelled_rotation_ends(self, oracle, threaded, monkeypatch):
         monkeypatch.setattr(repro.control, "TURN_CHECKPOINTS", 1)
