@@ -333,11 +333,23 @@ def _serve_database(
     return db, dataset
 
 
+def _physical_reads(db: "QueryFacade") -> int:
+    """Physical page reads so far, summed over a sharded db's pagers."""
+    shards = getattr(db, "shards", None)
+    dbs = [db] if shards is None else list(shards.values())
+    return sum(one.pager.stats.physical_reads for one in dbs)
+
+
 def _serve_self_test(
     args: argparse.Namespace, db: "QueryFacade", dataset: "object"
 ) -> int:
     """Concurrent socket clients (``knn`` and ``stream``, cycling the
-    methods) vs the in-process ``search`` / ``iter_matches`` oracle."""
+    methods) vs the in-process ``search`` / ``iter_matches`` oracle.
+
+    Also checks NUM_IO conservation: the ``page_accesses`` of every
+    served response and every oracle call, which all run at once, sum
+    to the pagers' physical reads over the test.
+    """
     import threading
 
     import numpy as np  # noqa: F811 — keep function self-contained
@@ -367,6 +379,8 @@ def _serve_self_test(
         query = dataset.values[start : start + args.query_length].tolist()
         jobs.append((index, *cycle[index % len(cycle)], query))
     failures: list = []
+    charged: list = []
+    reads_before = _physical_reads(db)
     barrier = threading.Barrier(clients)
 
     def run_client(
@@ -387,12 +401,16 @@ def _serve_self_test(
                 )
                 if kind == "stream":
                     rows = out["streamed"]
-                    gold = list(
-                        db.iter_matches(query, k=args.k, method=method)
-                    )
+                    stream = db.iter_matches(query, k=args.k, method=method)
+                    gold = list(stream)
+                    oracle = stream.stats
                 else:
                     rows = out["matches"]
-                    gold = db.search(query, k=args.k, method=method).matches
+                    result = db.search(query, k=args.k, method=method)
+                    gold, oracle = result.matches, result.stats
+                charged.append(
+                    out["stats"]["page_accesses"] + oracle.page_accesses
+                )
                 got = [tuple(row[:2]) for row in rows]
                 want = [(m.sid, m.start) for m in gold]
                 if out["status"] != "exact" or got != want:
@@ -418,11 +436,19 @@ def _serve_self_test(
         return 1
     if failures:
         return 1
+    physical = _physical_reads(db) - reads_before
+    if sum(charged) != physical:
+        print(
+            f"serve: FAILED NUM_IO conservation: queries were charged "
+            f"{sum(charged)} page accesses, the pagers read {physical}",
+            file=sys.stderr,
+        )
+        return 1
     stats = service.stats
     print(
         f"serve: self-test OK — {stats.completed} completed, "
-        f"{stats.rejected} rejected, peak inflight {stats.peak_inflight}; "
-        f"clean shutdown"
+        f"{stats.rejected} rejected, peak inflight {stats.peak_inflight}, "
+        f"{physical} page accesses conserved; clean shutdown"
     )
     return 0
 
