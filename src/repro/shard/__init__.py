@@ -1,9 +1,10 @@
-"""Sharded indexes with parallel ranked union (ROADMAP item 2).
+"""Sharded indexes under one ranked union.
 
-Partition the sequence store and DualMatch index across N shards, run
-per-shard `Φ_i` subqueries in parallel, and merge through the paper's
-multi-way ranked-union frontier — exactness certificates compose
-shard-wise.  See ``docs/sharding.md``.
+Partition the sequence store and DualMatch index across N shards.  A
+ranked-union query runs every shard's `Φ_i` subqueries under one
+union with one collector; other queries run per shard and merge
+through the paper's multi-way ranked-union frontier.  Exactness
+certificates compose shard-wise.  See ``docs/sharding.md``.
 
 Public surface:
 
@@ -14,9 +15,11 @@ Public surface:
   query API of :class:`~repro.api.QueryFacade`, byte-identical results.
 * :func:`~repro.shard.merge.merge_search_results` and
   :class:`~repro.shard.merge.ShardedMatchStream` — ranked-union
-  composition with shard-wise certificates and ``shard_stats``.
+  composition with shard-wise certificates and ``shard_stats``; the
+  stream emits from :class:`~repro.shard.merge.UnionFanOut`, the one
+  union over every shard.
 * :class:`~repro.shard.executor.ThreadShardExecutor` — the one thread
-  pool every shard subquery runs on.
+  pool the shard subqueries of the other methods run on.
 """
 
 from repro.shard.database import (

@@ -2,10 +2,9 @@
 
 :class:`ShardedDatabase` partitions the sequence store across ``N``
 independent :class:`~repro.api.SubsequenceDatabase` instances (each
-with its own pager, buffer pool, and DualMatch R*-tree), runs per-shard
-subqueries on one thread pool, and merges the answers through the
-ranked-union rules of :mod:`repro.shard.merge`.  The query API *is*
-the unsharded one — both classes inherit it from
+with its own pager, buffer pool, and DualMatch R*-tree) and answers
+through the ranked-union rules of :mod:`repro.shard.merge`.  The query
+API *is* the unsharded one — both classes inherit it from
 :class:`~repro.api.QueryFacade` — and the differential suite holds the
 results to *byte identity* with the single-process oracle.  What this
 module adds is what sharding is: the planner, the fan-out, the
@@ -13,14 +12,17 @@ shard-fault policy, and the ``SHARDS`` manifest.
 
 One query path: the inherited keyword methods build one
 :class:`~repro.engines.base.QuerySpec` and one
-:class:`~repro.control.ExecutionControl`; :meth:`ShardedDatabase.
-run_query` fans the spec out unchanged with one
-:meth:`~repro.control.ExecutionControl.derive` of the control per
-shard; the shard runs of a ``knn`` / ``stream`` fan-out also share one
-:class:`~repro.control.KthBound`, and those of a ``knn`` fan-out take
-turns at it in a :class:`~repro.control.Rotation`.  How ``budget`` /
-``deadline`` / ``token`` and the bound behave under that fan-out is
-stated once, in ``docs/sharding.md`` ("Control plane under fan-out").
+:class:`~repro.control.ExecutionControl`, and the facade hands the spec
+on unchanged with one :meth:`~repro.control.ExecutionControl.derive` of
+the control per shard.  A ranked-union spec (``method`` ``"ru"`` or
+``"ru-cost"``: every ``stream``, and those ``knn``) runs as one
+:class:`~repro.shard.merge.UnionFanOut` — one union over every shard's
+``Φ_i``, one collector, in the calling thread.  Any other spec runs one
+search per shard on the thread pool; the shard runs of such a ``knn``
+share one :class:`~repro.control.KthBound` and take turns at it in a
+:class:`~repro.control.Rotation`.  How ``budget`` / ``deadline`` /
+``token`` behave under a fan-out is stated once, in
+``docs/sharding.md`` ("Control plane under fan-out").
 
 Shard faults: per-page storage faults inside a shard follow the normal
 ``on_fault`` policy *within* that shard.  A shard failing wholesale
@@ -49,8 +51,13 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
 from repro.control import ExecutionControl, KthBound, Rotation
-from repro.engines.base import QuerySpec, SearchResult
-from repro.engines.ranked_union import MatchStream
+from repro.core.metrics import QueryStats
+from repro.engines.base import (
+    RANKED_UNION_METHODS,
+    QuerySpec,
+    SearchResult,
+    query_window_set,
+)
 from repro.exceptions import (
     ConfigurationError,
     IndexNotBuiltError,
@@ -63,6 +70,7 @@ from repro.shard.executor import ThreadShardExecutor
 from repro.shard.merge import (
     LostShard,
     ShardedMatchStream,
+    UnionFanOut,
     merge_search_results,
 )
 from repro.shard.planner import ShardPlan, ShardPlanner
@@ -100,9 +108,9 @@ class ShardedDatabase(QueryFacade):
         Partitioning policy, ``"hash"`` or ``"range"`` (see
         :mod:`repro.shard.planner`).
     executor:
-        ``"thread"``, the only value accepted: shard runs execute on
-        one thread pool (``docs/sharding.md``, "Where shard runs
-        execute").
+        ``"thread"``, the only value accepted: the shard runs of the
+        methods that are not ranked-union execute on one thread pool
+        (``docs/sharding.md``, "Where shard runs execute").
     fault_injectors:
         Optional ``{shard index -> FaultInjector}`` wiring per-shard
         fault schedules into the chaos harness.
@@ -290,12 +298,15 @@ class ShardedDatabase(QueryFacade):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> SearchResult:
-        """Fan one ``knn`` / ``range`` spec out to every shard and merge."""
-        outcomes, lost = self._fan_out(query, spec, control)
-        merged = merge_search_results(
-            outcomes, k=spec.k if spec.kind == "knn" else None, lost=lost
-        )
-        self._record_shard_metrics(outcomes)
+        """Answer one ``knn`` / ``range`` spec from every shard."""
+        if spec.kind == "knn" and spec.method in RANKED_UNION_METHODS:
+            merged = self._union_fan_out(query, spec, control).search()
+        else:
+            outcomes, lost = self._fan_out(query, spec, control)
+            merged = merge_search_results(
+                outcomes, k=spec.k if spec.kind == "knn" else None, lost=lost
+            )
+        self._record_shard_metrics(merged.shard_stats)
         return merged
 
     def open_stream(
@@ -304,28 +315,42 @@ class ShardedDatabase(QueryFacade):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> ShardedMatchStream:
-        """Open one ``stream`` spec on every live shard and merge lazily.
+        """Open one ``stream`` spec: one union over every live shard,
+        pulled lazily from the calling thread."""
+        return ShardedMatchStream(self._union_fan_out(query, spec, control))
 
-        Streaming pulls shards incrementally from the calling thread,
-        so it does not use the thread pool.
+    def _union_fan_out(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> UnionFanOut:
+        """One ranked union over the ``Φ_i`` of every live shard.
+
+        Every shard has the same geometry, so the query's windows are
+        cut once, on the first shard's index.
         """
         shards = self._live_shards()
-        streams: List[Tuple[int, MatchStream]] = []
-        lost: List[LostShard] = []
-        bound = KthBound()
-        try:
-            for index, db in shards.items():
-                if index in self._failed_shards:
-                    lost.append(self._lose(index, spec))
-                    continue
-                streams.append(
-                    (index, db.open_stream(query, spec, control.derive(bound)))
-                )
-        except StorageError:
-            for _, stream in streams:
-                stream.close()
-            raise
-        return ShardedMatchStream(streams, k=spec.k, lost=lost)
+        lost = [
+            self._lose(index, spec)
+            for index in shards
+            if index in self._failed_shards
+        ]
+        first = next(iter(shards.values()))
+        assert first.index is not None  # every shard is built
+        return UnionFanOut(
+            [
+                (index, db.index)
+                for index, db in shards.items()
+                if index not in self._failed_shards
+            ],
+            query,
+            spec,
+            control,
+            query_window_set(query, first.index, spec),
+            lost,
+            "RU-STREAM" if spec.kind == "stream" else spec.method.upper(),
+        )
 
     def _lose(self, index: int, spec: QuerySpec) -> LostShard:
         """Apply the shard-fault policy to an injected shard failure."""
@@ -342,7 +367,8 @@ class ShardedDatabase(QueryFacade):
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> Tuple[List[Tuple[int, SearchResult]], List[LostShard]]:
-        """Run ``spec`` on every non-empty shard on the thread pool.
+        """Run a non-ranked-union ``spec`` on every non-empty shard on the
+        thread pool.
 
         Per-shard *storage* faults are already handled inside the shard
         by its ``on_fault`` policy; this layer applies the same policy
@@ -400,7 +426,7 @@ class ShardedDatabase(QueryFacade):
                 rotation.leave(control.party)
 
     def _record_shard_metrics(
-        self, outcomes: Sequence[Tuple[int, SearchResult]]
+        self, shard_stats: Dict[int, QueryStats]
     ) -> None:
         """Publish per-shard NUM_IO counters to the metrics registry.
 
@@ -412,12 +438,12 @@ class ShardedDatabase(QueryFacade):
         if not self._tracer.enabled:
             return
         metrics = self._tracer.metrics
-        for index, outcome in outcomes:
+        for index, stats in shard_stats.items():
             metrics.counter(f"shard.{index}.page_accesses").inc(
-                outcome.stats.page_accesses
+                stats.page_accesses
             )
             metrics.counter(f"shard.{index}.candidates").inc(
-                outcome.stats.candidates
+                stats.candidates
             )
 
     # ------------------------------------------------------------------

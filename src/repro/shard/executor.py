@@ -1,19 +1,23 @@
 """Where shard subqueries run: one persistent thread pool.
 
-The merge layer (:mod:`repro.shard.merge`) consumes one result per
-shard, in shard order; :class:`ThreadShardExecutor` produces them.  The
-shards share the process, so per-shard subqueries see the in-memory
-shard databases directly (and the caller's tracer — each worker thread
-records its own span subtree via the tracer's thread-local stacks).
-The engine loop is Python under the GIL, so the pool is not there for
-speed: on 2 cores the committed end-to-end report
-``benchmarks/results/e2e_2026-10-16_one_storage_change.json`` reads
-``shard.speedup_vs_unsharded`` 0.53 with the shared k-th bound, and
-two serve workers scale 0.94x.  It gives every shard run of a
-top-k fan-out a thread, so the runs can take turns in a
-:class:`~repro.control.Rotation` and their counters repeat exactly.
-:meth:`ThreadShardExecutor.run` says why every run of a rotation gets a
-thread.
+The shard runs of every method but the ranked-union ones run here (a
+``ru`` / ``ru-cost`` fan-out is one union in the calling thread,
+:class:`~repro.shard.merge.UnionFanOut`).  The merge layer
+(:mod:`repro.shard.merge`) consumes one result per shard, in shard
+order; :class:`ThreadShardExecutor` produces them.  The shards share
+the process, so per-shard subqueries see the in-memory shard databases
+directly (and the caller's tracer — each worker thread records its own
+span subtree via the tracer's thread-local stacks).  The engine loop is
+Python under the GIL, so the pool is not there for speed: on 2 cores
+the committed end-to-end pair
+``benchmarks/results/e2e_2026-10-18_one_union_{parent,change}.json``
+reads ``shard.speedup_vs_unsharded`` 0.50 for a ``ru-cost(D)`` fan-out
+on this pool with the shared k-th bound and 0.90 for the same fan-out
+as one union in one thread, and two serve workers scale 0.99x.  The
+pool gives every shard run of a top-k fan-out a thread, so the runs can
+take turns in a :class:`~repro.control.Rotation` and their counters
+repeat exactly.  :meth:`ThreadShardExecutor.run` says why every run of
+a rotation gets a thread.
 
 Thread safety: the executor is ``@shared_across_queries`` — one
 instance serves every concurrent query on the facade.  The pool handle

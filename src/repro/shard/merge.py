@@ -1,9 +1,19 @@
-"""Merging per-shard answers back into one exact result.
+"""One ranked union over every shard, and merging per-shard answers.
 
-This is the paper's multi-way ranked union (`∪_r`, Lemma 6) applied one
-level up: each shard runs the full single-process operator tree over
-its own sequences, and this module merges the per-shard outputs.  The
-exactness argument is the same as for the in-process union:
+This is the paper's multi-way ranked union (`∪_r`, Def. 5, Lemma 6)
+applied across shards.  For ``ru`` / ``ru-cost`` it is literal:
+:class:`UnionFanOut` puts every live shard's ``Φ_i`` under **one**
+union, driven in the calling thread.  Each ``Φ_i`` keeps its own
+shard's index, buffer pool, ``QueryStats`` and ``CandidateEvaluator``,
+and every evaluator offers to **one** ``TopKCollector``.  The union
+always advances the child with the least ``CLB`` and stops once every
+child's bound exceeds ``delta_cur``, so the answer is the unsharded
+top-k, ties included, and a stream emits straight from the union in
+nondecreasing ``(distance, sid, start)`` order.
+
+The other methods run one whole search per shard on the thread pool
+(:mod:`repro.shard.executor`) and :func:`merge_search_results` merges
+the outcomes:
 
 * **Top-k** — a shard's local top-k contains every *global* top-k
   member stored on that shard (local competition is a subset of global
@@ -14,50 +24,51 @@ exactness argument is the same as for the in-process union:
   Concatenating per-shard top-ks and keeping the ``k`` smallest
   under the total order ``(distance, sid, start)`` therefore yields
   exactly the unsharded answer, ties included.
-* **Streams** — per-shard
-  :class:`~repro.engines.ranked_union.MatchStream` emission is
-  nondecreasing in that total order, so a k-way heap over the stream
-  heads emits the global ranked sequence, also nondecreasing.
 * **Certificates** — when shard ``i`` is interrupted, its certificate
   ``c_i`` lower-bounds every candidate it left unexamined; candidates
   on completed shards were all examined.  Any unexamined candidate
   anywhere therefore has true distance ``>= min_i c_i`` — the global
   certificate is the min over per-shard certificates (completed shards
   contribute ``inf``), exactly the "min over alive frontiers" rule the
-  in-process union uses.  A shard lost wholesale (worker crash under
-  the degrade policy) has certified nothing, so it contributes ``0.0``
-  — the merged result stays honest by claiming no exactness at all
-  below the surviving shards' answers.
+  in-process union uses.  A shard lost wholesale (a crash under the
+  degrade policy) has certified nothing, so it contributes ``0.0`` —
+  the merged result stays honest by claiming no exactness at all below
+  the surviving shards' answers.
 
+A :class:`UnionFanOut` composes its result through the same function.
 Merged :class:`~repro.core.metrics.QueryStats` are *sums* over shards
-(``wall_time_s`` included — it measures aggregate work, not latency:
-a shard run's time waiting for its turn at the shared bound is not
-charged, so on a top-k fan-out the sum stays within the caller's
-latency);
-the per-shard breakdown rides along in the result's ``shard_stats`` so
+(``wall_time_s`` included — it measures aggregate work, not latency: a
+shard's time is what it spent in its own union steps and deferred
+drains, or, on the thread pool, its run less any wait for its turn at
+the shared bound, so the sum stays within the caller's latency); the
+per-shard breakdown rides along in the result's ``shard_stats`` so
 callers and tests can check that per-shard NUM_IO adds up to the merged
 counter.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency import single_query
+from repro.control import ExecutionControl
 from repro.core.metrics import QueryStats
-from repro.core.results import Match
+from repro.core.results import Match, TopKCollector
+from repro.core.windows import QueryWindowSet
 from repro.engines.base import (
     FaultEvent,
     FaultReport,
     PartialResult,
-    RankedStream,
+    QueryRun,
+    QuerySpec,
     SearchResult,
-    prefix_certificate,
 )
-from repro.engines.ranked_union import MatchStream
+from repro.engines.operators import Status, StepResult
+from repro.engines.ranked_union import MatchStream, PhiOperator, build_union
+from repro.exceptions import ExecutionInterrupted, StorageError
+from repro.index.builder import DualMatchIndex
 
 #: Interrupt reason recorded when an entire shard failed and the
 #: degrade policy kept the query alive on the survivors.
@@ -145,79 +156,186 @@ def merge_search_results(
     )
 
 
-@single_query
-class ShardedMatchStream(RankedStream):
-    """K-way ranked-union merge over per-shard match streams.
 
-    The sharded analogue of
-    :class:`~repro.engines.ranked_union.MatchStream`: iterate
-    for up to ``k`` globally ranked matches (nondecreasing in
-    ``(distance, sid, start)``); after the stream ends — naturally,
-    via :meth:`close`, or because shards were interrupted or ``lost``
-    — :attr:`result` is the
-    :func:`merge_search_results` composition of the per-shard stream
-    results over the emitted prefix, so the same post-hoc diagnostics
-    are available, plus the per-shard :attr:`shard_stats` breakdown.
+
+@dataclass
+class _Shard:
+    """One live shard of a :class:`UnionFanOut`: its index, its run, and
+    whether a storage error lost it part-way."""
+
+    number: int
+    index: DualMatchIndex
+    run: QueryRun
+    lost: bool = False
+
+
+class _ShardPhi(PhiOperator):
+    """A ``Φ_i`` of one shard under a fan-out's union.
+
+    Each step runs inside its shard's run, so the shard's root span is
+    current and the step's time is the shard's.  Once its shard is lost
+    it reports EOR.
+    """
+
+    def __init__(
+        self, fan_out: "UnionFanOut", shard: _Shard, **fields: Any
+    ) -> None:
+        super().__init__(**fields)
+        self._fan_out = fan_out
+        self._shard = shard
+
+    def get_next(self) -> StepResult:
+        step = self._fan_out.advance(self._shard, super().get_next)
+        return (Status.EOR, None) if step is None else step
+
+
+@single_query
+class UnionFanOut:
+    """A ranked-union spec on every live shard, as one union.
+
+    ``sources`` are the live shards' ``(number, index)`` pairs in shard
+    order, and ``lost`` the shards already lost before the run.  Every
+    shard gets a :class:`~repro.engines.base.QueryRun` under its own
+    :meth:`~repro.control.ExecutionControl.derive` of ``control``.  The
+    runs share ``window_set`` and one collector, and the union is built
+    over all of their ``Φ_i``, shard by shard.
+
+    The union checkpoints through :meth:`checkpoint`, which checkpoints
+    every live shard's control.  The deadline and the token are shared.
+    A budget cap binds each shard's own counters, so the first shard
+    over its cap ends the whole union.  Every shard's control records
+    the union frontier, so the merged certificate of an interrupted
+    fan-out is that frontier, or the smallest pending deferred bound of
+    any shard if that is lower.
+
+    A storage error escaping a shard's step or drain follows
+    ``spec.on_fault``: ``"raise"`` propagates it, ``"degrade"`` drops
+    the shard, whose children then report EOR and whose certificate is
+    ``0.0``.  Matches it verified before it was lost stay in the answer.
+
+    The fan-out is also the run a :class:`ShardedMatchStream` advances:
+    ``with fan_out:`` does nothing, because each step enters its own
+    shard's run.
     """
 
     def __init__(
         self,
-        streams: Sequence[Tuple[int, MatchStream]],
-        k: int,
-        lost: Sequence[LostShard] = (),
+        sources: Sequence[Tuple[int, DualMatchIndex]],
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+        window_set: QueryWindowSet,
+        lost: Sequence[LostShard],
+        engine: str,
     ) -> None:
-        self._streams = list(streams)
-        self._k = k
-        self._lost = lost
-        self._emitted = 0
-        #: (distance, sid, start, shard position) heap of stream heads.
-        self._heads: List[Tuple[float, int, int, int, Match]] = []
-        for position in range(len(self._streams)):
-            self._pull(position)
-
-    def _pull(self, position: int) -> None:
-        """Advance one shard stream and push its new head, if any."""
-        _, stream = self._streams[position]
-        try:
-            head = next(stream)
-        except StopIteration:
-            return
-        heapq.heappush(
-            self._heads,
-            (head.distance, head.sid, head.start, position, head),
+        self.spec = spec
+        self.window_set = window_set
+        self._lost = list(lost)
+        self._collector = TopKCollector(spec.k, p=spec.p)
+        self._shards = [
+            _Shard(
+                number,
+                index,
+                QueryRun(
+                    index, query, spec, control.derive(), engine,
+                    window_set=window_set, collector=self._collector,
+                ),
+            )
+            for number, index in sources
+        ]
+        shard_of = {shard.run.evaluator: shard for shard in self._shards}
+        self.union = build_union(
+            window_set,
+            [(shard.index, shard.run.evaluator) for shard in self._shards],
+            spec,
+            spec.method,
+            self,
+            self._collector,
+            phi=lambda **fields: _ShardPhi(
+                self, shard_of[fields["evaluator"]], **fields
+            ),
         )
 
-    def __next__(self) -> Match:
-        if self.result is not None:
-            raise StopIteration
-        if self._emitted >= self._k or not self._heads:
-            self._finalize()
-            raise StopIteration
-        _, _, _, position, head = heapq.heappop(self._heads)
-        self._pull(position)
-        self._emitted += 1
-        return head
+    def _lose(self, number: int, error: StorageError) -> None:
+        """Apply ``spec.on_fault`` to a shard that raised ``error``."""
+        if self.spec.on_fault != "degrade":
+            raise error
+        self._lost.append(LostShard(shard=number, detail=str(error)))
+
+    def advance(
+        self, shard: _Shard, step: Callable[[], Any]
+    ) -> Optional[Any]:
+        """``step()`` inside ``shard``'s run; ``None`` once it is lost."""
+        if shard.lost:
+            return None
+        try:
+            with shard.run:
+                return step()
+        except StorageError as error:
+            self._lose(shard.number, error)
+            shard.lost = True
+            return None
+
+    def checkpoint(self, frontier_pow: Optional[float] = None) -> None:
+        """The union's checkpoint: every live shard's limits, each
+        recording ``frontier_pow`` for its certificate."""
+        for shard in self._shards:
+            if not shard.lost:
+                shard.run.control.checkpoint(frontier_pow)
+
+    def search(self) -> SearchResult:
+        """Run the union to EOR, drain every shard's deferred buffer, and
+        return the merged top-k."""
+        interrupt: Optional[ExecutionInterrupted] = None
+        try:
+            while self.union.get_next()[0] != Status.EOR:
+                pass
+            for shard in self._shards:
+                self.advance(shard, shard.run.evaluator.finalize)
+        except ExecutionInterrupted as signal:
+            interrupt = signal
+        return self.finish(
+            self._collector.matches(self.window_set.length), interrupt
+        )
+
+    def __enter__(self) -> "UnionFanOut":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        pass
+
+    def finish(
+        self,
+        matches: List[Match],
+        interrupt: Optional[ExecutionInterrupted] = None,
+    ) -> SearchResult:
+        """Close every live shard's run and merge them around ``matches``."""
+        outcomes = [
+            (shard.number, shard.run.finish([], interrupt))
+            for shard in self._shards
+            if not shard.lost
+        ]
+        result = merge_search_results(outcomes, k=None, lost=self._lost)
+        result.matches = matches
+        return result
+
+
+@single_query
+class ShardedMatchStream(MatchStream):
+    """A sharded ranked stream: emits straight from a
+    :class:`UnionFanOut`'s union.
+
+    Iterate for up to ``k`` globally ranked matches (nondecreasing in
+    ``(distance, sid, start)``).  After the stream ends — naturally, via
+    :meth:`close`, or because it was interrupted or shards were lost —
+    :attr:`result` is the fan-out's merged result over the emitted
+    prefix, with the per-shard :attr:`shard_stats` breakdown.
+    """
+
+    def __init__(self, fan_out: UnionFanOut) -> None:
+        self._open(fan_out, fan_out.union)
 
     @property
     def shard_stats(self) -> Dict[int, QueryStats]:
         """Per-shard counters (empty until the stream ends)."""
         return {} if self.result is None else self.result.shard_stats
-
-    def _finalize(self) -> None:
-        outcomes: List[Tuple[int, SearchResult]] = []
-        for shard, stream in self._streams:
-            stream.close()
-            assert stream.result is not None
-            outcomes.append((shard, stream.result))
-        # Per-shard emission is nondecreasing, so the first ``emitted``
-        # of the merged per-shard prefixes are exactly what was yielded.
-        result = merge_search_results(
-            outcomes, k=self._emitted, lost=self._lost
-        )
-        if isinstance(result, PartialResult):
-            # Heads pulled from a shard but never yielded sit at or
-            # above the last yielded distance.
-            result.certificate = prefix_certificate(
-                result.certificate, result.matches
-            )
-        self.result = result

@@ -122,7 +122,9 @@ class TestUnionOperator:
             )
             for index in range(window_set.num_classes)
         ]
-        union = UnionOperator(children, evaluator)
+        union = UnionOperator(
+            children, evaluator.control, evaluator.collector
+        )
         emitted = []
         for _ in range(100_000):
             status, payload = union.get_next()

@@ -7,6 +7,7 @@ from repro.exceptions import ConfigurationError, IndexError_
 from repro.index.rstar import LeafRecord, RStarNode, RStarTree
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
+from tests.conftest import build_golden_db
 
 
 def make_tree(dimensions=2, max_entries=8):
@@ -231,6 +232,34 @@ class TestNodeColumns:
         taken.append(np.array([9.0, 9.0]), np.array([9.0, 9.0]), (0, 7))
         assert taken.highs is taken.lows and len(taken.refs) == 3
         assert leaf.lows.shape == (3, 2)  # the source is untouched
+
+
+class TestNodeChecksums:
+    """Node checksums are pinned: how ``ref_columns`` builds its arrays
+    may change, the bytes every sealed read verifies may not."""
+
+    #: Golden database pages: a 53-record leaf and the 7-child root.
+    LEAF, INTERNAL = 12, 19
+
+    def test_pinned_crcs(self):
+        from repro.storage.integrity import payload_checksum
+
+        pager = build_golden_db().pager
+        leaf, internal = pager.peek(self.LEAF), pager.peek(self.INTERNAL)
+        assert leaf.is_leaf and len(leaf.refs) == 53
+        assert internal.level > 0 and len(internal.refs) == 7
+        assert payload_checksum(leaf) == 0xAD83F0EF
+        assert payload_checksum(internal) == 0x2DE552D3
+
+    def test_corrupted_leaf_record_fails_verification(self):
+        pager = build_golden_db().pager
+        leaf = pager.peek(self.LEAF)
+        sid, window = leaf.refs[30]
+        leaf.refs[30] = LeafRecord(sid, window + 1)
+        assert not pager.verify_page(self.LEAF)
+        assert self.LEAF in pager.verify_all()
+        leaf.refs[30] = LeafRecord(sid, window)
+        assert pager.verify_page(self.LEAF)
 
 
 class TestInvariantColumns:

@@ -1,26 +1,32 @@
-"""The k-th bound the shards of one fan-out share.
+"""What the shards of one fan-out share.
 
-A sharded ``knn`` / ``stream`` query mints one
+A ranked-union fan-out (``ru`` / ``ru-cost``: ``knn`` and every
+``stream``) is one union over every shard's ``Φ_i`` with one collector,
+driven in the calling thread.  Any other ``knn`` fan-out mints one
 :class:`~repro.control.KthBound`; every shard run prunes against the
 tighter of its own k-th distance and that bound, and feeds it whenever
 its collector holds ``k`` verified matches.  These tests pin what the
 sharing may and may not change:
 
 * **Ties** — a sequence duplicated across two shards ties the global
-  k-th distance across the merge; in either shard order the answer is
+  k-th distance across the shards; in either shard order the answer is
   the unsharded one, byte for byte, for batch queries and streams.
 * **Counters** — merged ``page_accesses`` / ``candidates`` never exceed
   the sum of running each shard alone; the values are pinned.
-* **Turns** — a top-k fan-out's shards take turns in a
+* **Threads** — a ranked-union fan-out reads every page from the
+  calling thread, and a page cap one shard trips ends it with a sound
+  certificate.
+* **Turns** — the thread-pool fan-out's shards take turns in a
   :class:`~repro.control.Rotation`, so its counters repeat exactly
   from run to run, whatever the turn length, and a cancelled rotation
   ends.
-* **Lost after publishing** — a shard that fed the bound and then
-  failed leaves the survivors pruned against matches nobody returns:
-  the certificate ``0.0`` is the only claim.
+* **Lost mid-run** — a shard that fed the shared bound or collector and
+  then failed leaves the survivors pruned against matches nobody
+  vouches for: the certificate ``0.0`` is the only claim.
 """
 
 import math
+import threading
 import time
 
 import pytest
@@ -28,14 +34,18 @@ import pytest
 import repro.control
 from repro import SubsequenceDatabase
 from repro.control import (
+    REASON_CANCELLED,
+    REASON_PAGE_BUDGET,
     CancellationToken,
     ExecutionControl,
     KthBound,
-    REASON_CANCELLED,
+    QueryBudget,
 )
+from repro.core.reference import brute_force_topk
 from repro.engines.base import PartialResult, QuerySpec
 from repro.exceptions import StorageError
 from repro.shard import REASON_SHARD_LOST, ShardedDatabase, hash_shard
+from repro.storage.buffer import BufferPool
 from tests.conftest import build_golden_db, make_walk, query_from
 from tests.test_shard_exactness import (
     ENGINE_LABELS,
@@ -102,13 +112,18 @@ class TestBoundPlumbing:
             sdb.range_search(query, epsilon=2.5, rho=2)
             assert seen == [None, None]
             del seen[:]
-            sdb.search(query, k=5, rho=2)
+            sdb.search(query, k=5, rho=2, method="hlmj")
             assert len(seen) == 2 and seen[0] is seen[1] is not None
             first = seen[0]
             del seen[:]
-            list(sdb.iter_matches(query, k=5, rho=2))
+            sdb.search(query, k=5, rho=2, method="hlmj")
             assert len(seen) == 2 and seen[0] is seen[1] is not None
             assert seen[0] is not first  # one bound per fan-out
+            del seen[:]
+            # A ranked-union fan-out shares one collector instead.
+            sdb.search(query, k=5, rho=2)
+            list(sdb.iter_matches(query, k=5, rho=2))
+            assert seen == [None] * 4
 
     def test_only_a_thread_top_k_takes_turns(self, oracle, monkeypatch):
         seen = []
@@ -121,14 +136,147 @@ class TestBoundPlumbing:
         monkeypatch.setattr(ExecutionControl, "derive", spy)
         query = query_from(oracle, 640, 48)
         with build_sharded_golden_db(2, "range") as sdb:
-            sdb.search(query, k=5, rho=2)
+            sdb.search(query, k=5, rho=2, method="hlmj")
             sdb.range_search(query, epsilon=2.5, rho=2)
+            sdb.search(query, k=5, rho=2, method="ru")
             list(sdb.iter_matches(query, k=5, rho=2))
         rotations = [rotation for rotation, _ in seen]
-        # knn (a rotation), range, stream
+        # hlmj knn (a rotation), range, ru knn, stream
         assert rotations[0] is rotations[1] is not None
         assert [party for _, party in seen[:2]] == [0, 1]
-        assert rotations[2:] == [None] * 4
+        assert rotations[2:] == [None] * 6
+
+
+#: Three sequences, one per shard under the range policy.
+_THREE = {
+    sid: make_walk(n, seed=40 + sid) for sid, n in enumerate((700, 600, 800))
+}
+
+
+@pytest.fixture(scope="module")
+def three_shards():
+    """A 3-shard database with every shard non-empty, and its oracle."""
+    oracle = SubsequenceDatabase(omega=16, features=4, buffer_fraction=0.1)
+    sdb = ShardedDatabase(
+        num_shards=3, policy="range", omega=16, features=4,
+        buffer_fraction=0.1,
+    )
+    for db in (oracle, sdb):
+        for sid, values in _THREE.items():
+            db.insert(sid, values)
+        db.build()
+    assert len(sdb.shards) == 3
+    yield oracle, sdb
+    sdb.close()
+
+
+class TestRankedUnionFanOut:
+    """``ru`` / ``ru-cost`` fan-outs are one union in the calling thread."""
+
+    def test_ranked_union_fan_outs_start_no_thread(
+        self, three_shards, monkeypatch
+    ):
+        oracle, sdb = three_shards
+        readers = []
+        real_get = BufferPool.get
+
+        def get(self, page_id, stats=None):
+            readers.append(threading.get_ident())
+            return real_get(self, page_id, stats)
+
+        monkeypatch.setattr(BufferPool, "get", get)
+        query = query_from(oracle, 300, 48, sid=1)
+        for method in ("ru", "ru-cost"):
+            for deferred in (False, True):
+                sdb.reset_cache()
+                result = sdb.search(
+                    query, k=5, rho=2, method=method, deferred=deferred
+                )
+                assert len(result.shard_stats) == 3
+            stream = sdb.iter_matches(query, k=5, rho=2, method=method)
+            assert len(list(stream)) == 5
+        assert readers and set(readers) == {threading.get_ident()}
+        # The recording sees other threads: hlmj still runs on the pool.
+        del readers[:]
+        sdb.reset_cache()
+        sdb.search(query, k=5, rho=2, method="hlmj")
+        assert readers and threading.get_ident() not in readers
+
+    @pytest.mark.parametrize("label", ["ru", "ru-d", "ru-cost", "ru-cost-d"])
+    def test_a_page_cap_one_shard_trips_is_sound(self, three_shards, label):
+        oracle, sdb = three_shards
+        method, deferred = _method_of(label)
+        query = query_from(oracle, 300, 48, sid=1)
+        sdb.reset_cache()
+        full = sdb.search(query, k=5, rho=2, method=method, deferred=deferred)
+        cap = max(s.page_accesses for s in full.shard_stats.values()) // 2
+        sdb.reset_cache()
+        result = sdb.search(
+            query, k=5, rho=2, method=method, deferred=deferred,
+            budget=QueryBudget(max_page_accesses=cap),
+        )
+        assert isinstance(result, PartialResult)
+        assert result.reason == REASON_PAGE_BUDGET
+        # The first shard over its own cap ends the whole union.
+        over = [
+            shard for shard, stats in result.shard_stats.items()
+            if stats.page_accesses > cap
+        ]
+        assert len(over) == 1
+        assert result.stats.page_accesses == sum(
+            stats.page_accesses for stats in result.shard_stats.values()
+        )
+        gold = brute_force_topk(oracle.store, query, k=10**6, rho=2)
+        bar = result.certificate
+        if len(result.matches) == 5:
+            bar = min(bar, result.matches[-1].distance)
+        reported = {(m.sid, m.start) for m in result.matches}
+        missing = [
+            (m.sid, m.start) for m in gold
+            if m.distance < bar - 1e-9 and (m.sid, m.start) not in reported
+        ]
+        assert missing == []
+
+    @pytest.mark.parametrize("kind", ["knn", "stream"])
+    def test_a_shard_lost_mid_run(self, three_shards, monkeypatch, kind):
+        oracle, sdb = three_shards
+        victim = sdb.plan.assignment[2]
+        store = sdb.shards[victim].index.store
+        real_length = store.length
+        calls = []
+
+        def failing_length(sid):
+            calls.append(sid)
+            if len(calls) > 3:
+                raise StorageError(f"shard {victim} went away")
+            return real_length(sid)
+
+        monkeypatch.setattr(store, "length", failing_length)
+        query = query_from(oracle, 300, 48, sid=1)
+
+        def run(on_fault):
+            del calls[:]
+            if kind == "knn":
+                return sdb.search(query, k=5, rho=2, on_fault=on_fault)
+            stream = sdb.iter_matches(query, k=5, rho=2, on_fault=on_fault)
+            emitted = list(stream)
+            assert stream.result.matches == emitted
+            return stream.result
+
+        with pytest.raises(StorageError, match="went away"):
+            run("raise")
+        result = run("degrade")
+        assert len(calls) > 3  # the victim failed after it had begun
+        assert isinstance(result, PartialResult)
+        assert result.certificate == 0.0
+        assert result.reason == REASON_SHARD_LOST
+        assert result.degraded
+        assert sorted(result.shard_stats) == sorted(
+            shard for shard in sdb.shards if shard != victim
+        )
+        assert result.stats.page_accesses == sum(
+            stats.page_accesses for stats in result.shard_stats.values()
+        )
 
 
 def _tied_sids(first_shard_holds_lower_sid):
@@ -191,16 +339,17 @@ class TestTiesAcrossShards:
             sdb.close()
 
 
-#: Counters on the golden workload (query cut at 640, k = 5, rho = 2,
-#: ``TURN_CHECKPOINTS`` = 64): ``(pages, candidates)`` of the
-#: shared-bound fan-out, then of the same shards each run alone.  Hash
-#: at N = 2 puts both sequences on one shard, so nothing is shared
-#: there.  Running the shards one after the other (the deleted serial
-#: executor) spent the same in every cell but ``hlmj-wg-d`` on the
-#: split cells: (40, 60) there, (44, 75) here, because in a rotation
-#: the second shard starts after 64 of the first shard's checkpoints,
-#: not after all of them, so it can read a looser bound.  Both stay
-#: within the independent (97, 192).
+#: Counters on the golden workload (query cut at 640, k = 5, rho = 2):
+#: ``(pages, candidates)`` of the fan-out, then of the same shards each
+#: run alone.  Hash at N = 2 puts both sequences on one shard, so
+#: nothing is shared there.  The ``ru*`` cells are the one-union
+#: fan-out's (one collector); the others are the thread-pool fan-out's
+#: (a shared bound, ``TURN_CHECKPOINTS`` = 64).  Running the shards one
+#: after the other (the deleted serial executor) spent the same in
+#: every cell but ``hlmj-wg-d`` on the split cells: (40, 60) there,
+#: (44, 75) here, because in a rotation the second shard starts after
+#: 64 of the first shard's checkpoints, not after all of them, so it
+#: can read a looser bound.  Both stay within the independent (97, 192).
 SHARED_BOUND_COUNTERS = {
     ("hash", 2): {
         "seqscan": ((11, 5106), (11, 5106)),
@@ -342,6 +491,7 @@ class TestThreadExecutorTakesTurns:
 
 class TestShardLostAfterPublishing:
     def test_certificate_is_the_only_claim(self, oracle, monkeypatch):
+        # Only the thread-pool fan-out (here hlmj) has a bound to feed.
         query = query_from(oracle, 640, 48)
         with build_sharded_golden_db(2, "range") as sdb:
             victim = sdb.plan.assignment[0]  # holds the query's matches
@@ -358,7 +508,9 @@ class TestShardLostAfterPublishing:
                 sdb.shards[victim], "run_query", run_then_fail
             )
             sdb.reset_cache()
-            result = sdb.search(query, k=5, rho=2, on_fault="degrade")
+            result = sdb.search(
+                query, k=5, rho=2, method="hlmj", on_fault="degrade"
+            )
             assert published and not math.isinf(published[0])
             assert isinstance(result, PartialResult)
             assert result.certificate == 0.0
@@ -368,6 +520,6 @@ class TestShardLostAfterPublishing:
             # The survivor pruned against the lost shard's matches, so
             # its answer is not what it would return alone.
             alone = sdb.shards[survivor].run_query(
-                query, _spec(query, "ru-cost"), ExecutionControl()
+                query, _spec(query, "hlmj"), ExecutionControl()
             )
             assert result.matches != alone.matches

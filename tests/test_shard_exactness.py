@@ -21,6 +21,7 @@ import pathlib
 
 import pytest
 
+from repro.core.reference import brute_force_topk
 from repro.engines.base import PartialResult
 from repro.exceptions import ConfigurationError, IntegrityError, StorageError
 from repro.shard import (
@@ -182,6 +183,56 @@ class TestGoldenDifferential:
             }
             want = {key: expected.get(key, 0) for key in GOLDEN_STAT_KEYS}
             assert got == want, f"{label}/{policy}: N=1 counters drifted"
+
+
+class TestRankedUnionAgainstBruteForce:
+    """The one-union fan-out of ``ru`` / ``ru-cost``, deferred or not,
+    batch and stream, returns the brute-force top-k, raw and z-normalized,
+    at N in {1, 3} under both policies."""
+
+    @pytest.fixture(scope="class")
+    def truth(self, oracle):
+        query = query_from(oracle, 640, 48)
+        return query, {
+            normalize: brute_force_topk(
+                oracle.store, query, k=5, rho=2, normalize=normalize
+            )
+            for normalize in (False, True)
+        }
+
+    @staticmethod
+    def _assert_brute_force(matches, gold):
+        assert [(m.sid, m.start) for m in matches] == [
+            (m.sid, m.start) for m in gold
+        ]
+        for got, want in zip(matches, gold):
+            assert math.isclose(
+                got.distance, want.distance, rel_tol=1e-9, abs_tol=1e-9
+            )
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "znorm"])
+    @pytest.mark.parametrize(
+        "num_shards,policy", [(n, p) for n in (1, 3) for p in POLICIES]
+    )
+    def test_knn_and_stream(
+        self, sharded, truth, num_shards, policy, normalize
+    ):
+        query, gold = truth
+        sdb = sharded[(num_shards, policy)]
+        for method in ("ru", "ru-cost"):
+            for deferred in (False, True):
+                sdb.reset_cache()
+                result = sdb.search(
+                    query, k=5, rho=2, method=method, deferred=deferred,
+                    normalize=normalize,
+                )
+                self._assert_brute_force(result.matches, gold[normalize])
+                _num_io_adds_up(result)
+            stream = sdb.iter_matches(
+                query, k=5, rho=2, method=method, normalize=normalize
+            )
+            self._assert_brute_force(list(stream), gold[normalize])
+            assert math.isinf(stream.certificate)
 
 
 class TestShardLoss:
