@@ -17,6 +17,9 @@ every engine.
   against the best ``k`` matches any of them has verified; the fan-out
   runs those shards in a :class:`Rotation`, one at a time, so what each
   reads of the bound is the same on every execution.
+* :class:`PoolGate` decides which fan-outs may read a sharded
+  database's buffer pools at once: a ``ru-cost`` fan-out reads them
+  alone, because its scheduler prices pages by what they hold.
 * :class:`ExecutionControl` bundles the three for one query run and
   exposes :meth:`~ExecutionControl.checkpoint`, which engines call at
   every traversal-loop boundary (lint rule RS007 enforces this).  When a
@@ -61,6 +64,7 @@ __all__ = [
     "KthBound",
     "MONOTONIC_CLOCK",
     "MonotonicClock",
+    "PoolGate",
     "QueryBudget",
     "REASON_CANCELLED",
     "REASON_CANDIDATE_BUDGET",
@@ -265,6 +269,53 @@ class Rotation:
     @requires_lock("_cond")
     def _await(self, party: int) -> None:
         self._cond.wait_for(lambda: self._holder == party)
+
+
+@shared_across_queries
+@guarded_by("_cond", "_readers", "_writing", "_waiting")
+class PoolGate:
+    """Which fan-outs of one sharded database read its buffer pools at once.
+
+    RU-COST prices a page by whether its shard's pool holds it
+    (``NUM_IO``, Definition 7), so a ``ru-cost`` fan-out holds the gate
+    exclusively: another query's reads in the middle of its run would
+    move its schedule, and its counters would change with thread timing.
+    Every other fan-out reads no residency and holds the gate shared.  A
+    waiting exclusive holder goes before new shared ones, so a stream of
+    shared holders cannot starve it; that is deadlock-free because no
+    holder asks for the gate again before it releases it.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._writing = False
+        self._waiting = 0
+
+    def acquire(self, exclusive: bool) -> None:
+        """Block until the gate is held, exclusively or shared."""
+        with self._cond:
+            if exclusive:
+                self._waiting += 1
+                self._cond.wait_for(
+                    lambda: not self._writing and self._readers == 0
+                )
+                self._waiting -= 1
+                self._writing = True
+            else:
+                self._cond.wait_for(
+                    lambda: not self._writing and self._waiting == 0
+                )
+                self._readers += 1
+
+    def release(self, exclusive: bool) -> None:
+        """Give back a hold taken by :meth:`acquire` with ``exclusive``."""
+        with self._cond:
+            if exclusive:
+                self._writing = False
+            else:
+                self._readers -= 1
+            self._cond.notify_all()
 
 
 @single_query

@@ -23,26 +23,15 @@ top-k result.  The query's ``method`` selects every ``Φ_i``'s
 ``SelectPriorityQueue()`` policy: ``"ru"`` is the paper's **RU**
 (max-delta), ``"ru-cost"`` is **RU-COST**.  :class:`MatchStream` pulls
 the same tree (:func:`build_union`) one ``GetNext()`` at a time for
-lazy best-first emission.  The tree's sources are ``(index, evaluator)``
-pairs: one for a database, one per shard for a sharded fan-out
-(:mod:`repro.shard.merge`), whose ``Φ`` operators all sit under the one
-union.
+lazy best-first emission.  A sharded fan-out
+(:mod:`repro.shard.merge`) puts every shard's ``Φ_i`` under one union.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import (
-    Any,
-    Callable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.control import ExecutionControl
 from repro.core.results import Match, RangeCollector, TopKCollector
@@ -94,7 +83,8 @@ class Checkpoints(Protocol):
 class StreamRun(Protocol):
     """What a :class:`MatchStream` advances inside ``with run:`` and ends
     with ``run.finish``: a :class:`~repro.engines.base.QueryRun`, or a
-    sharded fan-out whose steps enter their own shard's run."""
+    sharded fan-out, whose ``with`` holds its database's pool gate and
+    whose steps enter their own shard's run."""
 
     spec: QuerySpec
     window_set: QueryWindowSet
@@ -417,22 +407,14 @@ class UnionOperator(ExtendedIterator):
 
 def build_union(
     window_set: QueryWindowSet,
-    sources: Sequence[Tuple[DualMatchIndex, CandidateEvaluator]],
+    index: DualMatchIndex,
+    evaluator: CandidateEvaluator,
     spec: QuerySpec,
     method: str,
-    control: Checkpoints,
-    collector: Union[TopKCollector, RangeCollector],
-    phi: Callable[..., PhiOperator] = PhiOperator,
 ) -> UnionOperator:
-    """The operator tree of one query: ``∪_r`` over one ``Φ_i`` per MSEQ
-    of every ``(index, evaluator)`` source, in source order.
-
-    Every source's evaluator offers to ``collector``.  ``phi`` makes
-    each ``Φ_i`` (a fan-out passes one that charges a step to its
-    shard).
-    """
+    """The operator tree of one query: ``∪_r`` over one ``Φ_i`` per MSEQ."""
     children = [
-        phi(
+        PhiOperator(
             class_index=class_index,
             window_set=window_set,
             index=index,
@@ -440,11 +422,10 @@ def build_union(
             spec=spec,
             method=method,
         )
-        for index, evaluator in sources
         for class_index in range(window_set.num_classes)
         if window_set.classes[class_index]
     ]
-    return UnionOperator(children, control, collector)
+    return UnionOperator(children, evaluator.control, evaluator.collector)
 
 
 class MatchStream(RankedStream):
@@ -468,12 +449,7 @@ class MatchStream(RankedStream):
         run = QueryRun(index, query, spec, control, "RU-STREAM")
         with run:
             union = build_union(
-                run.window_set,
-                [(index, run.evaluator)],
-                spec,
-                spec.method,
-                run.evaluator.control,
-                run.evaluator.collector,
+                run.window_set, index, run.evaluator, spec, spec.method
             )
         self._open(run, union)
 
@@ -550,12 +526,7 @@ class RankedUnionEngine(Engine):
         spec: QuerySpec,
     ) -> None:
         union = build_union(
-            window_set,
-            [(self.index, evaluator)],
-            spec,
-            self.method,
-            evaluator.control,
-            evaluator.collector,
+            window_set, self.index, evaluator, spec, self.method
         )
         union.start()
         budget = evaluator.control

@@ -36,7 +36,10 @@ claiming exactness for nothing.
 Thread safety: the facade is ``@shared_across_queries`` — after
 :meth:`build` (or :meth:`load`) the shard topology is immutable and
 query methods only create per-query state, so any number of threads
-may search concurrently (the concurrency hammer drives 8).  The
+may search concurrently (the concurrency hammer drives 8).  One
+:class:`~repro.control.PoolGate` lets a ``ru-cost`` fan-out read the
+shards' buffer pools alone, since its scheduler prices pages by what
+they hold; every other fan-out shares them.  The
 build/staging phase is single-threaded by contract, like the unsharded
 facade's ``insert``/``build``.
 """
@@ -50,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
-from repro.control import ExecutionControl, KthBound, Rotation
+from repro.control import ExecutionControl, KthBound, PoolGate, Rotation
 from repro.core.metrics import QueryStats
 from repro.engines.base import (
     RANKED_UNION_METHODS,
@@ -159,6 +162,8 @@ class ShardedDatabase(QueryFacade):
         self._retry_policy = retry_policy
         self.backend = check_backend(backend)
         self._executor: Optional[ThreadShardExecutor] = None
+        #: Which fan-outs may read the shards' buffer pools at once.
+        self._gate = PoolGate()
         self._closed = False
         #: Insertion-ordered staging area; emptied by :meth:`build`.
         self._staged: Dict[int, Any] = {}
@@ -350,6 +355,7 @@ class ShardedDatabase(QueryFacade):
             query_window_set(query, first.index, spec),
             lost,
             "RU-STREAM" if spec.kind == "stream" else spec.method.upper(),
+            self._gate,
         )
 
     def _lose(self, index: int, spec: QuerySpec) -> LostShard:
@@ -389,11 +395,17 @@ class ShardedDatabase(QueryFacade):
         top_k = spec.kind == "knn"
         bound = KthBound() if top_k else None
         rotation = Rotation(len(live)) if top_k else None
-        settled = executor.run(self._run_shard, [
-            (index, shards[index], query, spec,
-             control.derive(bound, rotation, party))
-            for party, index in enumerate(live)
-        ])
+        # Shared: these methods read no pool residency, but their reads
+        # must not land in the middle of a ru-cost fan-out.
+        self._gate.acquire(exclusive=False)
+        try:
+            settled = executor.run(self._run_shard, [
+                (index, shards[index], query, spec,
+                 control.derive(bound, rotation, party))
+                for party, index in enumerate(live)
+            ])
+        finally:
+            self._gate.release(exclusive=False)
         outcomes: List[Tuple[int, SearchResult]] = []
         for index, outcome in zip(live, settled):
             if not isinstance(outcome, Exception):

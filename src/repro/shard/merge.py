@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency import single_query
-from repro.control import ExecutionControl
+from repro.control import ExecutionControl, PoolGate
 from repro.core.metrics import QueryStats
 from repro.core.results import Match, TopKCollector
 from repro.core.windows import QueryWindowSet
@@ -66,7 +66,7 @@ from repro.engines.base import (
     SearchResult,
 )
 from repro.engines.operators import Status, StepResult
-from repro.engines.ranked_union import MatchStream, PhiOperator, build_union
+from repro.engines.ranked_union import MatchStream, PhiOperator, UnionOperator
 from repro.exceptions import ExecutionInterrupted, StorageError
 from repro.index.builder import DualMatchIndex
 
@@ -160,21 +160,24 @@ def merge_search_results(
 
 @dataclass
 class _Shard:
-    """One live shard of a :class:`UnionFanOut`: its index, its run, and
-    whether a storage error lost it part-way."""
+    """One live shard of a :class:`UnionFanOut`: its index and its run.
+
+    ``over`` is set once the shard's run has ended early: a storage
+    error lost it, or, under ``on_fault="raise"``, ended the query.
+    """
 
     number: int
     index: DualMatchIndex
     run: QueryRun
-    lost: bool = False
+    over: bool = False
 
 
 class _ShardPhi(PhiOperator):
     """A ``Φ_i`` of one shard under a fan-out's union.
 
     Each step runs inside its shard's run, so the shard's root span is
-    current and the step's time is the shard's.  Once its shard is lost
-    it reports EOR.
+    current and the step's time is the shard's.  Once its shard's run is
+    over it reports EOR.
     """
 
     def __init__(
@@ -209,13 +212,14 @@ class UnionFanOut:
     any shard if that is lower.
 
     A storage error escaping a shard's step or drain follows
-    ``spec.on_fault``: ``"raise"`` propagates it, ``"degrade"`` drops
-    the shard, whose children then report EOR and whose certificate is
-    ``0.0``.  Matches it verified before it was lost stay in the answer.
+    ``spec.on_fault``: ``"raise"`` finishes the other shards' runs and
+    propagates it, ``"degrade"`` drops the shard, whose children then
+    report EOR and whose certificate is ``0.0``.  Matches it verified
+    before it was lost stay in the answer.
 
-    The fan-out is also the run a :class:`ShardedMatchStream` advances:
-    ``with fan_out:`` does nothing, because each step enters its own
-    shard's run.
+    The union advances only inside ``with fan_out:``, which holds the
+    database's :class:`~repro.control.PoolGate` (exclusively for
+    ``ru-cost``); a :class:`ShardedMatchStream` enters it once per pull.
     """
 
     def __init__(
@@ -227,10 +231,17 @@ class UnionFanOut:
         window_set: QueryWindowSet,
         lost: Sequence[LostShard],
         engine: str,
+        gate: PoolGate,
     ) -> None:
         self.spec = spec
         self.window_set = window_set
         self._lost = list(lost)
+        self._gate = gate
+        self._exclusive = spec.method == "ru-cost"
+        #: Limited checkpoints record trace events, which belong under
+        #: the shard's root span: only then is a checkpoint worth
+        #: entering the shard's run for.
+        self._traced_checkpoints = control.tracer.enabled and control.limited
         self._collector = TopKCollector(spec.k, p=spec.p)
         self._shards = [
             _Shard(
@@ -243,66 +254,83 @@ class UnionFanOut:
             )
             for number, index in sources
         ]
-        shard_of = {shard.run.evaluator: shard for shard in self._shards}
-        self.union = build_union(
-            window_set,
-            [(shard.index, shard.run.evaluator) for shard in self._shards],
-            spec,
-            spec.method,
+        self.union = UnionOperator(
+            [
+                _ShardPhi(
+                    self,
+                    shard,
+                    class_index=class_index,
+                    window_set=window_set,
+                    index=shard.index,
+                    evaluator=shard.run.evaluator,
+                    spec=spec,
+                    method=spec.method,
+                )
+                for shard in self._shards
+                for class_index in range(window_set.num_classes)
+                if window_set.classes[class_index]
+            ],
             self,
             self._collector,
-            phi=lambda **fields: _ShardPhi(
-                self, shard_of[fields["evaluator"]], **fields
-            ),
         )
-
-    def _lose(self, number: int, error: StorageError) -> None:
-        """Apply ``spec.on_fault`` to a shard that raised ``error``."""
-        if self.spec.on_fault != "degrade":
-            raise error
-        self._lost.append(LostShard(shard=number, detail=str(error)))
 
     def advance(
         self, shard: _Shard, step: Callable[[], Any]
     ) -> Optional[Any]:
-        """``step()`` inside ``shard``'s run; ``None`` once it is lost."""
-        if shard.lost:
+        """``step()`` inside ``shard``'s run; ``None`` once it is over."""
+        if shard.over:
             return None
         try:
             with shard.run:
                 return step()
         except StorageError as error:
-            self._lose(shard.number, error)
-            shard.lost = True
+            # The error closed the shard's root on its way out.
+            shard.over = True
+            if self.spec.on_fault != "degrade":
+                for other in self._shards:
+                    if not other.over:
+                        other.over = True
+                        other.run.finish([])
+                raise
+            self._lost.append(
+                LostShard(shard=shard.number, detail=str(error))
+            )
             return None
 
     def checkpoint(self, frontier_pow: Optional[float] = None) -> None:
         """The union's checkpoint: every live shard's limits, each
         recording ``frontier_pow`` for its certificate."""
         for shard in self._shards:
-            if not shard.lost:
+            if shard.over:
+                continue
+            if self._traced_checkpoints:
+                with shard.run:
+                    shard.run.control.checkpoint(frontier_pow)
+            else:
                 shard.run.control.checkpoint(frontier_pow)
 
     def search(self) -> SearchResult:
         """Run the union to EOR, drain every shard's deferred buffer, and
         return the merged top-k."""
         interrupt: Optional[ExecutionInterrupted] = None
-        try:
-            while self.union.get_next()[0] != Status.EOR:
-                pass
-            for shard in self._shards:
-                self.advance(shard, shard.run.evaluator.finalize)
-        except ExecutionInterrupted as signal:
-            interrupt = signal
+        with self:
+            try:
+                while self.union.get_next()[0] != Status.EOR:
+                    pass
+                for shard in self._shards:
+                    self.advance(shard, shard.run.evaluator.finalize)
+            except ExecutionInterrupted as signal:
+                interrupt = signal
         return self.finish(
             self._collector.matches(self.window_set.length), interrupt
         )
 
     def __enter__(self) -> "UnionFanOut":
+        self._gate.acquire(self._exclusive)
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        pass
+        self._gate.release(self._exclusive)
 
     def finish(
         self,
@@ -313,7 +341,7 @@ class UnionFanOut:
         outcomes = [
             (shard.number, shard.run.finish([], interrupt))
             for shard in self._shards
-            if not shard.lost
+            if not shard.over
         ]
         result = merge_search_results(outcomes, k=None, lost=self._lost)
         result.matches = matches

@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from typing import Callable, List
 
 import pytest
@@ -36,7 +37,7 @@ from repro.analysis.concurrency import (
     single_query,
 )
 import repro.control
-from repro.control import ExecutionControl, KthBound, Rotation
+from repro.control import ExecutionControl, KthBound, PoolGate, Rotation
 from repro.core.metrics import QueryStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
@@ -403,6 +404,61 @@ class TestRotationUnderThreads:
         assert log == _round_robin(hand_ons)
 
 
+class TestPoolGateUnderThreads:
+    def test_an_exclusive_hold_is_alone_and_goes_first(self) -> None:
+        gate = PoolGate()
+        inside: List[str] = []
+        overlaps: List[List[str]] = []
+        lock = threading.Lock()
+
+        def hold(name: str, exclusive: bool) -> None:
+            gate.acquire(exclusive)
+            with lock:
+                inside.append(name)
+                overlaps.append(list(inside))
+            with lock:
+                inside.remove(name)
+            gate.release(exclusive)
+
+        def worker(index: int) -> None:
+            for round_ in range(50):
+                exclusive = (index + round_) % 4 == 0
+                kind = "x" if exclusive else "s"
+                hold(f"{index}:{round_}:{kind}", exclusive)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(overlaps) == THREADS * 50
+        for names in overlaps:
+            if any(name.endswith(":x") for name in names):
+                assert len(names) == 1
+        # A waiting exclusive holder blocks new shared holders.
+        gate.acquire(exclusive=False)
+        order: List[str] = []
+        writer = threading.Thread(
+            target=lambda: (
+                gate.acquire(True), order.append("x"), gate.release(True)
+            )
+        )
+        writer.start()
+        while gate._waiting == 0:
+            time.sleep(0.001)
+        reader = threading.Thread(
+            target=lambda: (
+                gate.acquire(False), order.append("s"), gate.release(False)
+            )
+        )
+        reader.start()
+        gate.release(exclusive=False)
+        writer.join(timeout=10)
+        reader.join(timeout=10)
+        assert order == ["x", "s"]
+
+
 class TestShardedDatabaseUnderThreads:
     """8 threads hammer one shared ShardedDatabase concurrently.
 
@@ -490,16 +546,10 @@ class TestShardedDatabaseUnderThreads:
                 else:
                     result = db.search(queries[qi], k=5, rho=1, method=method)
                 # Candidates do not depend on what other queries left in
-                # the buffer pools; with turns, not on thread timing
-                # either.  The ru fan-out is one union in the caller's
-                # thread, beside the pool's rotations.  (ru-cost's
-                # scheduler prices pages by whether the shared pools
-                # hold them, so concurrent queries may move its
-                # candidates, sharded or not; its matches are held
-                # exact by test_parallel_queries_stay_exact.)
+                # the buffer pools; with turns, not on thread timing either.
                 return result.matches, result.stats.candidates
 
-            methods = ("hlmj", "ru", "range")
+            methods = ("hlmj", "ru-cost", "range")
             golden = {
                 (qi, method): answer(qi, method)
                 for qi in range(len(queries))

@@ -44,6 +44,7 @@ from repro.control import (
 from repro.core.reference import brute_force_topk
 from repro.engines.base import PartialResult, QuerySpec
 from repro.exceptions import StorageError
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.shard import REASON_SHARD_LOST, ShardedDatabase, hash_shard
 from repro.storage.buffer import BufferPool
 from tests.conftest import build_golden_db, make_walk, query_from
@@ -238,6 +239,44 @@ class TestRankedUnionFanOut:
         assert missing == []
 
     @pytest.mark.parametrize("kind", ["knn", "stream"])
+    def test_a_traced_page_cap_records_its_trip(self, three_shards, kind):
+        oracle, sdb = three_shards
+        query = query_from(oracle, 300, 48, sid=1)
+        budget = QueryBudget(max_page_accesses=3)
+        tracer = Tracer(enabled=True, max_spans=100_000, max_events=100_000)
+        sdb.reset_cache()
+        sdb.set_tracer(tracer)
+        try:
+            if kind == "knn":
+                result = sdb.search(query, k=5, rho=2, budget=budget)
+            else:
+                stream = sdb.iter_matches(query, k=5, rho=2, budget=budget)
+                list(stream)
+                result = stream.result
+        finally:
+            sdb.set_tracer(NULL_TRACER)
+        assert isinstance(result, PartialResult)
+        assert result.reason == REASON_PAGE_BUDGET
+        # One engine.search root per shard, each closed, each holding
+        # its shard's checkpoints; the trip sits under the shard's root.
+        assert [root.name for root in tracer.roots] == ["engine.search"] * 3
+        assert all(root.end is not None for root in tracer.roots)
+        assert tracer.dropped_events == 0
+        trips = [
+            event
+            for root in tracer.roots
+            for event in root.events
+            if event.name == "control.interrupted"
+        ]
+        assert [trip.attrs["reason"] for trip in trips] == [
+            REASON_PAGE_BUDGET
+        ]
+        assert all(
+            any(event.name == "control.checkpoint" for event in root.events)
+            for root in tracer.roots
+        )
+
+    @pytest.mark.parametrize("kind", ["knn", "stream"])
     def test_a_shard_lost_mid_run(self, three_shards, monkeypatch, kind):
         oracle, sdb = three_shards
         victim = sdb.plan.assignment[2]
@@ -263,8 +302,16 @@ class TestRankedUnionFanOut:
             assert stream.result.matches == emitted
             return stream.result
 
-        with pytest.raises(StorageError, match="went away"):
-            run("raise")
+        tracer = Tracer(enabled=True, max_spans=100_000)
+        sdb.set_tracer(tracer)
+        try:
+            with pytest.raises(StorageError, match="went away"):
+                run("raise")
+        finally:
+            sdb.set_tracer(NULL_TRACER)
+        # Every shard's root is closed, the survivors' included.
+        assert len(tracer.roots) == 3
+        assert all(root.end is not None for root in tracer.roots)
         result = run("degrade")
         assert len(calls) > 3  # the victim failed after it had begun
         assert isinstance(result, PartialResult)
