@@ -3,7 +3,7 @@
 Each ``test_figNN_*.py`` module regenerates one table or figure of the
 paper's Section 6 on the scaled synthetic datasets (see DESIGN.md §4–5
 for the substitution and scaling rules).  Benchmarks print the same
-rows/series the paper plots and append them to
+rows/series the paper plots and write them to
 ``benchmarks/results/<figure>.txt`` so EXPERIMENTS.md can quote them.
 
 Scaling: lengths are halved relative to Table 3 (omega 64 -> 32,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from typing import Set
 
 import pytest
 
@@ -48,13 +49,23 @@ BUFFER_DEFAULT = 0.05
 NUM_QUERIES = 3
 
 
+#: Figures :func:`record` has written in this session.
+_RECORDED: Set[str] = set()
+
+
 def record(figure: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
+    """Print a result block and persist it under benchmarks/results/.
+
+    A figure's first block in a session replaces its file and later
+    blocks append (``fig14_buffer_size`` writes two), so a regeneration
+    leaves one copy of each block.
+    """
     print()
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{figure}.txt"
-    with open(path, "a") as handle:
+    mode = "a" if figure in _RECORDED else "w"
+    _RECORDED.add(figure)
+    with open(RESULTS_DIR / f"{figure}.txt", mode) as handle:
         handle.write(text + "\n")
 
 

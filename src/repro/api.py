@@ -114,7 +114,7 @@ class QueryFacade(abc.ABC):
     special case.
 
     Lifecycle: :meth:`close` releases what the facade holds (the mmap
-    backend's map, the shard thread pool) and is idempotent;
+    backend's map, each shard's map) and is idempotent;
     ``with facade: ...`` calls it on exit.  A facade that can still
     answer after ``close()`` does (the unsharded database falls back to
     heap pages); one that cannot raises

@@ -12,11 +12,11 @@ every engine.
 * :class:`CancellationToken` lets a caller abort a running query from
   outside the engine loop.
 * :class:`KthBound` is the one k-th-distance bound the shards of a
-  thread-pool top-k fan-out share (every method but the ranked-union
-  ones, whose fan-out shares one collector instead), so each prunes
-  against the best ``k`` matches any of them has verified; the fan-out
-  runs those shards in a :class:`Rotation`, one at a time, so what each
-  reads of the bound is the same on every execution.
+  top-k fan-out share (every method but the ranked-union ones, whose
+  fan-out shares one collector instead), so each prunes against the
+  best ``k`` matches any of them has verified.  The fan-out runs those
+  shards one after another in the calling thread, so what each reads
+  of the bound is the same on every execution.
 * :class:`PoolGate` decides which fan-outs may read a sharded
   database's buffer pools at once: a ``ru-cost`` fan-out reads them
   alone, because its scheduler prices pages by what they hold.
@@ -40,13 +40,11 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.concurrency import (
     guarded_by,
-    requires_lock,
     shared_across_queries,
     single_query,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "REASON_CANDIDATE_BUDGET",
     "REASON_DEADLINE",
     "REASON_PAGE_BUDGET",
-    "Rotation",
-    "TURN_CHECKPOINTS",
     "certificate_from_pow",
 ]
 
@@ -181,14 +177,13 @@ class CancellationToken:
         return self._cancelled
 
 
-@shared_across_queries
-@guarded_by("_lock", "value_pow")
+@single_query
 class KthBound:
     """One monotone k-th-distance bound shared by the shards of a query.
 
-    A sharded ``knn`` fan-out on the thread pool (every method but
-    ``ru`` / ``ru-cost``) mints one and :meth:`ExecutionControl.derive`
-    hands it to every shard run.  Each
+    A sharded ``knn`` fan-out that is not a ranked union (every method
+    but ``ru`` / ``ru-cost``) mints one and
+    :meth:`ExecutionControl.derive` hands it to every shard run.  Each
     shard's evaluator prunes against ``min(own delta_cur, value_pow)``
     and, whenever its own collector holds ``k`` verified matches,
     :meth:`offer` s its k-th distance.  A value therefore always is the
@@ -196,79 +191,20 @@ class KthBound:
     distance, and every comparison against it is strict (``>``): no
     member of the global top-k, ties included, is dismissed.
 
-    Writes take the lock, so the value never rises whoever offers it;
-    reads are a plain attribute load.  Shard threads do not race it:
-    a top-k fan-out runs them in a :class:`Rotation`.
+    One fan-out runs its shards one after another in one thread, so the
+    bound needs no lock: a later shard reads the final k-th distance of
+    every shard before it.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         #: ``delta ** p`` of the best k matches any shard has verified;
         #: ``inf`` until some shard holds ``k``.
         self.value_pow = math.inf
 
     def offer(self, value_pow: float) -> None:
         """Lower the bound to ``value_pow`` if that is tighter."""
-        with self._lock:
-            if value_pow < self.value_pow:
-                self.value_pow = value_pow
-
-
-#: Checkpoints a shard run executes per turn of a :class:`Rotation`.
-TURN_CHECKPOINTS = 64
-
-
-@shared_across_queries
-@guarded_by("_cond", "_holder", "_seated")
-class Rotation:
-    """The shard runs of one top-k fan-out, one at a time, in turn.
-
-    Threads that raced a :class:`KthBound` would read it at moments the
-    OS scheduler picks, so a shard's pruning — and the query's NUM_IO —
-    would change from run to run.  In a rotation exactly one party (a
-    shard run, numbered in shard order) holds the turn.  It hands the
-    turn to the next seated party after every :data:`TURN_CHECKPOINTS`
-    of its own checkpoints and when it leaves, so every read of the
-    bound sees what the other parties published at the same logical
-    points on every execution, and the counters repeat exactly.
-
-    A party waits for the others, so every party must get a thread:
-    :meth:`~repro.shard.executor.ThreadShardExecutor.run` says why each
-    does.
-    """
-
-    def __init__(self, parties: int) -> None:
-        self._cond = threading.Condition()
-        #: Parties that have not left, in turn order.
-        self._seated = list(range(parties))
-        self._holder = 0
-
-    def take(self, party: int) -> None:
-        """Block until ``party`` holds the turn (its run's first step)."""
-        with self._cond:
-            self._await(party)
-
-    def hand_on(self, party: int) -> None:
-        """Give the turn to the next seated party; block until it is back."""
-        with self._cond:
-            self._advance(party)
-            self._await(party)
-
-    def leave(self, party: int) -> None:
-        """Give the turn on for good: ``party``'s run has ended."""
-        with self._cond:
-            self._advance(party)
-            self._seated.remove(party)
-
-    @requires_lock("_cond")
-    def _advance(self, party: int) -> None:
-        seated = self._seated
-        self._holder = seated[(seated.index(party) + 1) % len(seated)]
-        self._cond.notify_all()
-
-    @requires_lock("_cond")
-    def _await(self, party: int) -> None:
-        self._cond.wait_for(lambda: self._holder == party)
+        if value_pow < self.value_pow:
+            self.value_pow = value_pow
 
 
 @shared_across_queries
@@ -355,39 +291,26 @@ class ExecutionControl:
         self.frontier_pow = 0.0
         #: Checkpoints executed (diagnostics; surfaced via QueryStats).
         self.checkpoints = 0
-        #: The k-th bound shared with the other shards of a thread-pool
-        #: top-k fan-out; ``None`` on every other control.
+        #: The k-th bound shared with the other shards of a top-k
+        #: fan-out that is not a ranked union; ``None`` on every other
+        #: control.
         self.bound: Optional[KthBound] = None
-        #: The rotation this run takes turns in, as party ``party``;
-        #: ``None`` outside a thread-pool top-k fan-out.
-        self.rotation: Optional[Rotation] = None
-        self.party = 0
-        #: Seconds spent blocked waiting for the turn to come back
-        #: (:meth:`Rotation.hand_on`); the run's ``wall_time_s``
-        #: excludes them.
-        self.turn_wait_s = 0.0
         self._stats: Optional[QueryStats] = None
 
-    def derive(
-        self,
-        bound: Optional[KthBound] = None,
-        rotation: Optional[Rotation] = None,
-        party: int = 0,
-    ) -> "ExecutionControl":
+    def derive(self, bound: Optional[KthBound] = None) -> "ExecutionControl":
         """A fresh run state under the same limits and tracer.
 
         A sharded fan-out derives one per shard: the budget caps apply
         to each shard's own counters, while the deadline, the token and,
-        on the thread pool, the fan-out's ``bound`` and its ``rotation``
-        are shared (see ``docs/sharding.md``).  Both are per fan-out, so
-        a control reused across queries never carries a stale one.
+        on a top-k fan-out that is not a ranked union, the fan-out's
+        ``bound`` are shared (see ``docs/sharding.md``).  The bound is
+        per fan-out, so a control reused across queries never carries a
+        stale one.
         """
         control = ExecutionControl(
             self.budget, self.deadline, self.token, self.tracer
         )
         control.bound = bound
-        control.rotation = rotation
-        control.party = party
         return control
 
     def bind(self, stats: QueryStats) -> None:
@@ -419,13 +342,6 @@ class ExecutionControl:
         non-decreasing over a run).
         """
         self.checkpoints += 1
-        if (
-            self.rotation is not None
-            and self.checkpoints % TURN_CHECKPOINTS == 0
-        ):
-            handed_on_at = time.perf_counter()
-            self.rotation.hand_on(self.party)
-            self.turn_wait_s += time.perf_counter() - handed_on_at
         if frontier_pow is not None:
             self.frontier_pow = frontier_pow
         if self.tracer.enabled and self.limited:

@@ -41,8 +41,8 @@ class QueryStats:
     random_page_accesses: int = 0
     #: Buffer requests (hits + misses).
     logical_reads: int = 0
-    #: Wall clock seconds of the run, less the time a shard run spent
-    #: waiting for its turn at a fan-out's shared bound.
+    #: Wall clock seconds the run spent inside its own steps (a
+    #: stream's summed over its pulls).
     wall_time_s: float = 0.0
     #: DTW computations actually run (candidates minus LB_Keogh prunes).
     dtw_computations: int = 0

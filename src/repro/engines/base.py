@@ -354,7 +354,7 @@ class CandidateEvaluator:
         #: wired one through the control plane).
         self.tracer = self.control.tracer
         #: The k-th bound this run shares with the other shards of a
-        #: thread-pool fan-out (``None`` otherwise): read by
+        #: top-k fan-out (``None`` otherwise): read by
         #: :attr:`threshold_pow`, fed by every collector offer.
         self.bound = self.control.bound
         #: Where verified candidates go.  A ranked-union fan-out hands
@@ -383,8 +383,9 @@ class CandidateEvaluator:
     def threshold_pow(self) -> float:
         """``delta_cur ** p`` — the current pruning threshold.
 
-        Under a thread-pool fan-out, the tighter of this shard's own k-th
-        distance and the shared :class:`~repro.control.KthBound`.
+        Under a top-k fan-out that is not a ranked union, the tighter of
+        this shard's own k-th distance and the shared
+        :class:`~repro.control.KthBound`.
         """
         if self.bound is None:
             return self.collector.threshold_pow
@@ -847,7 +848,7 @@ class QueryRun:
         :class:`PartialResult` instead of an exception.
         """
         stats = self.stats
-        stats.wall_time_s = self._busy_s - self.control.turn_wait_s
+        stats.wall_time_s = self._busy_s
         stats.checkpoints = self.control.checkpoints
         self.evaluator.release()
         report = self.evaluator.fault_report

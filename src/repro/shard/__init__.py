@@ -2,8 +2,9 @@
 
 Partition the sequence store and DualMatch index across N shards.  A
 ranked-union query runs every shard's `Φ_i` subqueries under one
-union with one collector; other queries run per shard and merge
-through the paper's multi-way ranked-union frontier.  Exactness
+union with one collector; other queries run per shard, one shard after
+another, and merge through the paper's multi-way ranked-union
+frontier.  Every shard run executes in the calling thread.  Exactness
 certificates compose shard-wise.  See ``docs/sharding.md``.
 
 Public surface:
@@ -18,8 +19,6 @@ Public surface:
   composition with shard-wise certificates and ``shard_stats``; the
   stream emits from :class:`~repro.shard.merge.UnionFanOut`, the one
   union over every shard.
-* :class:`~repro.shard.executor.ThreadShardExecutor` — the one thread
-  pool the shard subqueries of the other methods run on.
 """
 
 from repro.shard.database import (
@@ -27,7 +26,6 @@ from repro.shard.database import (
     ShardedDatabase,
     shard_dir_name,
 )
-from repro.shard.executor import ThreadShardExecutor
 from repro.shard.merge import (
     REASON_SHARD_LOST,
     LostShard,
@@ -50,7 +48,6 @@ __all__ = [
     "ShardPlanner",
     "ShardedDatabase",
     "ShardedMatchStream",
-    "ThreadShardExecutor",
     "hash_shard",
     "merge_search_results",
     "shard_dir_name",

@@ -11,9 +11,10 @@ child's bound exceeds ``delta_cur``, so the answer is the unsharded
 top-k, ties included, and a stream emits straight from the union in
 nondecreasing ``(distance, sid, start)`` order.
 
-The other methods run one whole search per shard on the thread pool
-(:mod:`repro.shard.executor`) and :func:`merge_search_results` merges
-the outcomes:
+The other methods run one whole search per shard, one shard after
+another in the calling thread
+(:meth:`~repro.shard.database.ShardedDatabase._fan_out`), and
+:func:`merge_search_results` merges the outcomes:
 
 * **Top-k** — a shard's local top-k contains every *global* top-k
   member stored on that shard (local competition is a subset of global
@@ -39,8 +40,8 @@ A :class:`UnionFanOut` composes its result through the same function.
 Merged :class:`~repro.core.metrics.QueryStats` are *sums* over shards
 (``wall_time_s`` included — it measures aggregate work, not latency: a
 shard's time is what it spent in its own union steps and deferred
-drains, or, on the thread pool, its run less any wait for its turn at
-the shared bound, so the sum stays within the caller's latency); the
+drains, or its whole run when the shards run one after another, so
+the sum stays within the caller's latency); the
 per-shard breakdown rides along in the result's ``shard_stats`` so
 callers and tests can check that per-shard NUM_IO adds up to the merged
 counter.

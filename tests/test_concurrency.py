@@ -36,8 +36,7 @@ from repro.analysis.concurrency import (
     shared_across_queries,
     single_query,
 )
-import repro.control
-from repro.control import ExecutionControl, KthBound, PoolGate, Rotation
+from repro.control import ExecutionControl, KthBound, PoolGate
 from repro.core.metrics import QueryStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
@@ -161,21 +160,10 @@ class TestContractDecorators:
             ShardedDatabase,
             ShardedMatchStream,
             ShardPlanner,
-            ThreadShardExecutor,
         )
 
-        # The executor guards the pool handle with its lock.
-        assert ThreadShardExecutor.__repro_shared__ is True
-        assert ThreadShardExecutor.__repro_guards__ == {"_pool": "_lock"}
-        # One fan-out's shard threads lower one bound under its lock,
-        # and hand one turn around under the rotation's condition.
-        assert KthBound.__repro_shared__ is True
-        assert KthBound.__repro_guards__ == {"value_pow": "_lock"}
-        assert Rotation.__repro_shared__ is True
-        assert Rotation.__repro_guards__ == {
-            "_holder": "_cond", "_seated": "_cond"
-        }
-        assert Rotation._advance.__repro_requires_lock__ == "_cond"
+        # One fan-out lowers its bound from one thread, shard by shard.
+        assert KthBound.__repro_shared__ is False
         # Shared but lock-free by construction (immutable after build).
         assert ShardedDatabase.__repro_shared__ is True
         assert ShardPlanner.__repro_shared__ is True
@@ -330,80 +318,6 @@ class TestTracerUnderThreads:
         assert tracer.depth == 0
 
 
-class TestKthBoundUnderThreads:
-    ITERS = 2000
-
-    def test_value_never_rises_and_ends_at_the_minimum(self) -> None:
-        bound = KthBound()
-        # Every thread descends through the same band at once, so most
-        # offers lower the value and the threads keep racing to write.
-        offers = [
-            [float((self.ITERS - step) * THREADS + index)
-             for step in range(self.ITERS)]
-            for index in range(THREADS)
-        ]
-
-        def worker(index: int) -> None:
-            seen = bound.value_pow
-            for value in offers[index]:
-                bound.offer(value)
-                now = bound.value_pow
-                # A lost update (check, then another thread lowers, then
-                # this write) would show as the value rising.
-                assert now <= seen and now <= value
-                seen = now
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _run_threads(worker)
-        finally:
-            sys.setswitchinterval(interval)
-        assert bound.value_pow == min(min(values) for values in offers)
-
-
-def _round_robin(hand_ons: List[int]) -> List[int]:
-    """Who holds the turn, step by step, when party ``i`` hands it on
-    ``hand_ons[i]`` times and then leaves."""
-    left = list(hand_ons)
-    seated = list(range(len(hand_ons)))
-    order: List[int] = []
-    at = 0
-    while seated:
-        party = seated[at]
-        order.append(party)
-        if left[party]:
-            left[party] -= 1
-            at = (at + 1) % len(seated)
-        else:
-            seated.remove(party)
-            at = at % len(seated) if seated else 0
-    return order
-
-
-class TestRotationUnderThreads:
-    def test_turns_go_round_in_party_order(self) -> None:
-        hand_ons = [3, 1, 5, 0, 2]
-        rotation = Rotation(len(hand_ons))
-        log: List[int] = []
-
-        def worker(party: int) -> None:
-            rotation.take(party)
-            for _ in range(hand_ons[party]):
-                log.append(party)
-                rotation.hand_on(party)
-            log.append(party)
-            rotation.leave(party)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _run_threads(worker, count=len(hand_ons))
-        finally:
-            sys.setswitchinterval(interval)
-        assert log == _round_robin(hand_ons)
-
-
 class TestPoolGateUnderThreads:
     def test_an_exclusive_hold_is_alone_and_goes_first(self) -> None:
         gate = PoolGate()
@@ -517,15 +431,11 @@ class TestShardedDatabaseUnderThreads:
         finally:
             db.close()
 
-    def test_parallel_rotations_neither_hang_nor_drift(
-        self, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
+    def test_parallel_rotations_neither_hang_nor_drift(self) -> None:
         import numpy as np
 
         from repro.shard import ShardedDatabase
 
-        # A hand-on at every checkpoint: the most waiting there can be.
-        monkeypatch.setattr(repro.control, "TURN_CHECKPOINTS", 1)
         rng = np.random.default_rng(79)
         db = ShardedDatabase(
             num_shards=3,

@@ -1,7 +1,9 @@
-"""Tests for the ASCII chart renderer (repro.bench.figures)."""
+"""Tests for the ASCII chart renderer (repro.bench.figures) and for
+how the figure benchmarks write their tables."""
 
 import math
 
+from benchmarks import conftest as figures_conftest
 from repro.bench.figures import ascii_chart, chart_from_results
 
 
@@ -51,3 +53,14 @@ class TestChartFromResults:
         }
         chart = chart_from_results("c", rows, "candidates")
         assert "o=A" in chart and "x=B" in chart
+
+
+class TestRecord:
+    def test_a_regeneration_leaves_one_copy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(figures_conftest, "RESULTS_DIR", tmp_path)
+        table = tmp_path / "fig14_buffer_size.txt"
+        for _ in range(2):  # two sessions
+            monkeypatch.setattr(figures_conftest, "_RECORDED", set())
+            figures_conftest.record("fig14_buffer_size", "block one")
+            figures_conftest.record("fig14_buffer_size", "block two")
+            assert table.read_text() == "block one\nblock two\n"
