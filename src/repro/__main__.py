@@ -348,7 +348,9 @@ def _serve_self_test(
 
     Also checks NUM_IO conservation: the ``page_accesses`` of every
     served response and every oracle call, which all run at once, sum
-    to the pagers' physical reads over the test.
+    to the pagers' physical reads over the test.  And each response
+    read as many candidates as its oracle call: a query's schedule
+    depends on none of the queries running beside it.
     """
     import threading
 
@@ -415,6 +417,12 @@ def _serve_self_test(
                 want = [(m.sid, m.start) for m in gold]
                 if out["status"] != "exact" or got != want:
                     failures.append(f"{label}: got {got!r}, want {want!r}")
+                served = out["stats"]["candidates"]
+                if served != oracle.candidates:
+                    failures.append(
+                        f"{label}: read {served} candidates, the oracle "
+                        f"{oracle.candidates}"
+                    )
         except Exception as error:  # noqa: BLE001 — reported below
             failures.append(f"{label}: {error!r}")
 

@@ -10,6 +10,7 @@ page request, so concurrent queries never count each other's reads.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict
 
@@ -82,6 +83,12 @@ class QueryStats:
     #: 1 when the query was cut short by a budget, deadline, or
     #: cancellation and returned a partial result.
     interrupted: int = 0
+
+    def __post_init__(self) -> None:
+        #: Not a counter: the query's own image of its buffer pool, the
+        #: residence bitmap RU-COST prices pages by (see
+        #: :meth:`repro.storage.buffer.BufferPool.get`).
+        self.pages_seen: "OrderedDict[int, None]" = OrderedDict()
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dict of every counter, in declaration order."""

@@ -9,7 +9,9 @@ Implements Section 4 of the paper.  For each priority queue the
 
 where ``le_1..le_h`` are the queue's next ``h`` leaf entries, ``le_p``
 the last popped leaf entry, and ``NUM_IO`` counts candidate pages that
-would miss the buffer (probed through the residence bitmap, never read).
+would miss the buffer: pages not in the query's own image of its pool
+(Section 4's residence bitmap, ``QueryStats.pages_seen``), never read.
+Other queries' reads of a shared pool therefore never move a schedule.
 Popping from the *least dense* queue grows the MSEQ-distance fastest per
 unit of I/O — the fix for the MDMWP scheduling problem.
 
@@ -35,7 +37,7 @@ scheduler's own work, :data:`EXPANSIONS_PER_SELECT` and :data:`STICKY_POPS`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.lower_bounds import root
 from repro.core.windows import candidate_in_bounds, candidate_start
@@ -80,8 +82,11 @@ class CostAwareDensityScheduler:
         blocking_factor: int,
         p: float,
         cap_for: Callable[[WindowQueue], float],
+        pages_seen: Mapping[int, None],
     ) -> None:
         self._store = store
+        #: The query's image of its buffer pool, which the pool keeps.
+        self._pages_seen = pages_seen
         self._query_length = query_length
         self._omega = omega
         self._p = p
@@ -148,7 +153,7 @@ class CostAwareDensityScheduler:
         return pivot
 
     # ------------------------------------------------------------------
-    # NUM_IO — bitmap-based candidate page counting
+    # NUM_IO — candidate pages missing from the query's image
     # ------------------------------------------------------------------
 
     def _candidate_pages(
@@ -182,7 +187,8 @@ class CostAwareDensityScheduler:
             pages.update(
                 self._candidate_pages(payload, sliding_offset)
             )  # type: ignore[arg-type]
-        return self._store.buffer.count_non_resident(pages)
+        seen = self._pages_seen
+        return sum(1 for page in pages if page not in seen)
 
     # ------------------------------------------------------------------
     # Density computations

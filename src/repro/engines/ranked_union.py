@@ -83,8 +83,7 @@ class Checkpoints(Protocol):
 class StreamRun(Protocol):
     """What a :class:`MatchStream` advances inside ``with run:`` and ends
     with ``run.finish``: a :class:`~repro.engines.base.QueryRun`, or a
-    sharded fan-out, whose ``with`` holds its database's pool gate and
-    whose steps enter their own shard's run."""
+    sharded fan-out, whose steps enter their own shard's run."""
 
     spec: QuerySpec
     window_set: QueryWindowSet
@@ -150,6 +149,7 @@ class PhiOperator(ExtendedIterator):
                     blocking_factor=index.tree.blocking_factor,
                     p=spec.p,
                     cap_for=self._cap_for,
+                    pages_seen=evaluator.stats.pages_seen,
                 )
             )
 

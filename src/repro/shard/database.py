@@ -37,12 +37,10 @@ claiming exactness for nothing.
 Thread safety: the facade is ``@shared_across_queries`` — after
 :meth:`build` (or :meth:`load`) the shard topology is immutable and
 query methods only create per-query state, so any number of threads
-may search concurrently (the concurrency hammer drives 8).  One
-:class:`~repro.control.PoolGate` lets a ``ru-cost`` fan-out read the
-shards' buffer pools alone, since its scheduler prices pages by what
-they hold; every other fan-out shares them.  The
-build/staging phase is single-threaded by contract, like the unsharded
-facade's ``insert``/``build``.
+may search concurrently (the concurrency hammer drives 8), each query
+charged and, under ``ru-cost``, priced by its own reads of the shards'
+buffer pools.  The build/staging phase is single-threaded by contract,
+like the unsharded facade's ``insert``/``build``.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
-from repro.control import ExecutionControl, KthBound, PoolGate
+from repro.control import ExecutionControl, KthBound
 from repro.core.metrics import QueryStats
 from repro.engines.base import (
     RANKED_UNION_METHODS,
@@ -162,8 +160,6 @@ class ShardedDatabase(QueryFacade):
         self._fault_injectors = dict(fault_injectors or {})
         self._retry_policy = retry_policy
         self.backend = check_backend(backend)
-        #: Which fan-outs may read the shards' buffer pools at once.
-        self._gate = PoolGate()
         self._closed = False
         #: Insertion-ordered staging area; emptied by :meth:`build`.
         self._staged: Dict[int, Any] = {}
@@ -353,7 +349,6 @@ class ShardedDatabase(QueryFacade):
             query_window_set(query, first.index, spec),
             lost,
             "RU-STREAM" if spec.kind == "stream" else spec.method.upper(),
-            self._gate,
         )
 
     def _lose(self, index: int, spec: QuerySpec) -> LostShard:
@@ -389,26 +384,18 @@ class ShardedDatabase(QueryFacade):
         # has a k-th distance to share.
         bound = KthBound() if spec.kind == "knn" else None
         outcomes: List[Tuple[int, SearchResult]] = []
-        # Shared: these methods read no pool residency, but their reads
-        # must not land in the middle of a ru-cost fan-out.
-        self._gate.acquire(exclusive=False)
-        try:
-            for index, db in shards.items():
-                if index in failed:
-                    continue
-                try:
-                    with control.tracer.span("shard.subquery", shard=index):
-                        outcome = db.run_query(
-                            query, spec, control.derive(bound)
-                        )
-                except StorageError as error:
-                    if spec.on_fault != "degrade":
-                        raise
-                    lost.append(LostShard(shard=index, detail=str(error)))
-                else:
-                    outcomes.append((index, outcome))
-        finally:
-            self._gate.release(exclusive=False)
+        for index, db in shards.items():
+            if index in failed:
+                continue
+            try:
+                with control.tracer.span("shard.subquery", shard=index):
+                    outcome = db.run_query(query, spec, control.derive(bound))
+            except StorageError as error:
+                if spec.on_fault != "degrade":
+                    raise
+                lost.append(LostShard(shard=index, detail=str(error)))
+            else:
+                outcomes.append((index, outcome))
         return outcomes, lost
 
     def _record_shard_metrics(

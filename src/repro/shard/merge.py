@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency import single_query
-from repro.control import ExecutionControl, PoolGate
+from repro.control import ExecutionControl
 from repro.core.metrics import QueryStats
 from repro.core.results import Match, TopKCollector
 from repro.core.windows import QueryWindowSet
@@ -218,9 +218,12 @@ class UnionFanOut:
     report EOR and whose certificate is ``0.0``.  Matches it verified
     before it was lost stay in the answer.
 
-    The union advances only inside ``with fan_out:``, which holds the
-    database's :class:`~repro.control.PoolGate` (exclusively for
-    ``ru-cost``); a :class:`ShardedMatchStream` enters it once per pull.
+    A :class:`ShardedMatchStream` advances the union inside
+    ``with fan_out:``, once per pull, as it would a
+    :class:`~repro.engines.base.QueryRun`; each step enters its own
+    shard's run (:meth:`advance`).  Each shard's RU-COST scheduler
+    prices pages by its own run's image of its shard's pool, so
+    fan-outs on one database run side by side.
     """
 
     def __init__(
@@ -232,13 +235,10 @@ class UnionFanOut:
         window_set: QueryWindowSet,
         lost: Sequence[LostShard],
         engine: str,
-        gate: PoolGate,
     ) -> None:
         self.spec = spec
         self.window_set = window_set
         self._lost = list(lost)
-        self._gate = gate
-        self._exclusive = spec.method == "ru-cost"
         #: Limited checkpoints record trace events, which belong under
         #: the shard's root span: only then is a checkpoint worth
         #: entering the shard's run for.
@@ -327,11 +327,10 @@ class UnionFanOut:
         )
 
     def __enter__(self) -> "UnionFanOut":
-        self._gate.acquire(self._exclusive)
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self._gate.release(self._exclusive)
+        pass
 
     def finish(
         self,

@@ -7,8 +7,8 @@ accesses, so the storage layer is built around explicit pages:
   (how many values / index entries fit in one page).
 * :mod:`repro.storage.pager` — the physical page store with read/write
   counters (the simulated disk).
-* :mod:`repro.storage.buffer` — an LRU buffer pool with a page-residence
-  bitmap (used by RU-COST's ``NUM_IO`` estimator).
+* :mod:`repro.storage.buffer` — an LRU buffer pool that also keeps each
+  query's own image of it (RU-COST's ``NUM_IO`` residence bitmap).
 * :mod:`repro.storage.sequences` — a heap file of time-series values,
   packed into pages, with subsequence retrieval through the buffer pool.
 * :mod:`repro.storage.deferred` — the deferred retrieval mechanism of

@@ -1,11 +1,15 @@
-"""LRU buffer pool with a page-residence bitmap.
+"""LRU buffer pool, and each query's image of it.
 
 The paper's experimental setup uses an LRU buffer whose size is a
 percentage of the database (Table 3: 1 %–10 %, default 5 %).  RU-COST
 additionally needs a cheap way to ask "is this page currently buffered?"
-without disturbing recency — the paper allocates a bitmap over pages for
-exactly this purpose (Section 4, ``NUM_IO``).  :meth:`BufferPool.resident`
-is that bitmap probe.
+without disturbing recency — the paper allocates a bitmap over pages,
+owned by the running query, for exactly this purpose (Section 4,
+``NUM_IO``).  Here that bitmap is the query's own LRU image of the pool,
+``QueryStats.pages_seen``, which :meth:`BufferPool.get` keeps: the page
+ids the query has itself requested, at most the pool's capacity of them.
+A query that runs alone from a cold pool sees exactly the pool's frames;
+one that shares the pool is never priced by another query's reads.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.analysis.concurrency import (
     guarded_by,
@@ -201,11 +205,20 @@ class BufferPool:
         the lock it holds across a miss, so concurrent queries never
         charge each other: one logical read per request and, on a miss,
         every physical read attempt and every retry (see
-        :meth:`_read_attempt`).
+        :meth:`_read_attempt`).  The request also refreshes the page in
+        the query's image of the pool, ``stats.pages_seen``, an LRU of
+        the pool's capacity that RU-COST's ``NUM_IO`` reads.
         """
         with self._lock:
             if stats is not None:
                 stats.logical_reads += 1
+                seen = stats.pages_seen
+                if page_id in seen:
+                    seen.move_to_end(page_id)
+                else:
+                    seen[page_id] = None
+                    if len(seen) > self._capacity:
+                        seen.popitem(last=False)
             if page_id in self._frames:
                 self.stats.hits += 1
                 if self.tracer.enabled:
@@ -264,23 +277,6 @@ class BufferPool:
                 stats.page_accesses += reads
                 stats.sequential_page_accesses += sequential
                 stats.random_page_accesses += reads - sequential
-
-    def resident(self, page_id: int) -> bool:
-        """Bitmap probe: is the page buffered?  Does not touch LRU order.
-
-        RU-COST uses this to count, for a prospective batch of leaf
-        entries, how many subsequence pages would actually hit the disk
-        (``NUM_IO`` in Definition 7) without performing the reads.
-        """
-        with self._lock:
-            return page_id in self._frames
-
-    def count_non_resident(self, page_ids: Iterable[int]) -> int:
-        """Number of *distinct* pages in ``page_ids`` that would miss."""
-        with self._lock:
-            return sum(
-                1 for page_id in set(page_ids) if page_id not in self._frames
-            )
 
     @requires_lock("_lock")
     def _evict_one(self) -> None:

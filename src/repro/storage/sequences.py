@@ -235,7 +235,7 @@ class SequenceStore:
         """Page ids covering ``[start, start+length)`` of sequence ``sid``.
 
         Pure arithmetic — performs no I/O.  RU-COST's ``NUM_IO`` estimator
-        combines this with :meth:`BufferPool.count_non_resident`.
+        checks these pages against the query's image of the buffer pool.
         """
         meta = self._require(sid)
         self._check_range(meta, start, length)

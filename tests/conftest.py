@@ -63,6 +63,35 @@ def build_golden_psm_db(
     return db
 
 
+#: Counters a query's own schedule fixes: neither what its buffer pool
+#: held when it started nor what other queries read meanwhile may move
+#: them (``page_accesses`` may: a warm pool saves physical reads).
+SCHEDULE_COUNTERS = (
+    "candidates",
+    "heap_pops",
+    "node_expansions",
+    "logical_reads",
+    "dtw_computations",
+)
+
+
+def schedule_of(stats) -> dict:
+    """The :data:`SCHEDULE_COUNTERS` of one result's stats."""
+    return {name: getattr(stats, name) for name in SCHEDULE_COUNTERS}
+
+
+def build_half_buffered_db() -> SubsequenceDatabase:
+    """Many small pages and a pool that holds half of them, so what one
+    query leaves buffered covers much of another's candidates."""
+    db = SubsequenceDatabase(
+        omega=16, features=4, buffer_fraction=0.5, page_size=512
+    )
+    db.insert(0, make_walk(12000, seed=11))
+    db.insert(1, make_walk(8000, seed=12))
+    db.build()
+    return db
+
+
 def build_property_db(
     rng: np.random.Generator,
     lengths=(300, 200),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.metrics import QueryStats
 from repro.exceptions import BufferPoolError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageKind
@@ -38,10 +39,12 @@ class TestBasics:
         pool.get(pages[2])
         pool.get(pages[0])  # refresh page 0
         pool.get(pages[3])  # must evict page 1 (least recently used)
-        assert pool.resident(pages[0])
-        assert not pool.resident(pages[1])
-        assert pool.resident(pages[2])
-        assert pool.resident(pages[3])
+        misses = pool.stats.misses
+        for page in (pages[0], pages[2], pages[3]):
+            pool.get(page)  # still buffered: hits, which evict nothing
+        assert pool.stats.misses == misses
+        pool.get(pages[1])
+        assert pool.stats.misses == misses + 1
 
     def test_zero_capacity_rejected(self, setup):
         pager, _pool, _pages = setup
@@ -57,26 +60,51 @@ class TestBasics:
 
 
 class TestBitmap:
+    """A query's image of the pool: RU-COST's residence bitmap."""
+
     def test_resident_probe_does_not_touch_lru(self, setup):
         _pager, pool, pages = setup
-        pool.get(pages[0])
-        pool.get(pages[1])
-        pool.get(pages[2])
-        # Probing page 0 must NOT make it recently-used...
-        assert pool.resident(pages[0])
-        pool.get(pages[3])  # ...so it is the one evicted.
-        assert not pool.resident(pages[0])
+        stats = QueryStats()
+        for page in pages[:3]:
+            pool.get(page, stats)
+        # Probing page 0 in the image must NOT make it recently used...
+        assert pages[0] in stats.pages_seen
+        pool.get(pages[3], stats)  # ...so it is the one evicted.
+        misses = pool.stats.misses
+        pool.get(pages[0], stats)
+        assert pool.stats.misses == misses + 1
 
     def test_probe_does_not_count_io(self, setup):
         pager, pool, pages = setup
-        pool.resident(pages[0])
+        stats = QueryStats()
+        assert pages[0] not in stats.pages_seen
         assert pager.stats.physical_reads == 0
         assert pool.stats.misses == 0
+        assert stats.logical_reads == 0
 
-    def test_count_non_resident_deduplicates(self, setup):
+    def test_image_of_a_query_alone_is_the_pool(self, setup):
         _pager, pool, pages = setup
-        pool.get(pages[0])
-        assert pool.count_non_resident([pages[0], pages[1], pages[1]]) == 1
+        stats = QueryStats()
+        for page in (0, 1, 2, 0, 3, 4, 3):
+            pool.get(pages[page], stats)
+        # Least recent first: the pool's LRU order and capacity.
+        assert list(stats.pages_seen) == [pages[0], pages[4], pages[3]]
+        misses = pool.stats.misses
+        for page in stats.pages_seen:
+            pool.get(page)
+        assert pool.stats.misses == misses
+
+    def test_other_reads_stay_out_of_the_image(self, setup):
+        _pager, pool, pages = setup
+        mine, other = QueryStats(), QueryStats()
+        pool.get(pages[0], mine)
+        for page in pages[1:4]:
+            pool.get(page, other)  # evicts page 0 from the pool
+        pool.get(pages[5])
+        assert list(mine.pages_seen) == [pages[0]]
+        assert list(other.pages_seen) == pages[1:4]
+        # The image is no counter: it never reaches the wire or a sum.
+        assert "pages_seen" not in mine.as_dict()
 
 
 class TestMaintenance:
@@ -91,8 +119,9 @@ class TestMaintenance:
         _pager, pool, pages = setup
         pool.get(pages[0])
         pool.invalidate(pages[0])
-        assert not pool.resident(pages[0])
         pool.invalidate(pages[0])  # idempotent
+        pool.get(pages[0])
+        assert pool.stats.misses == 2
 
     def test_clear(self, setup):
         _pager, pool, pages = setup

@@ -24,7 +24,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from typing import Callable, List
 
 import pytest
@@ -36,13 +35,14 @@ from repro.analysis.concurrency import (
     shared_across_queries,
     single_query,
 )
-from repro.control import ExecutionControl, KthBound, PoolGate
+from repro.control import ExecutionControl, KthBound
 from repro.core.metrics import QueryStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
 from repro.serve import AdmissionQueue, QueryService
 from repro.storage.buffer import BufferPool
 from repro.storage.wal import WriteAheadLog
+from tests.conftest import build_half_buffered_db, query_from, schedule_of
 
 THREADS = 8
 
@@ -71,6 +71,16 @@ def _run_threads(worker: Callable[[int], None], count: int = THREADS) -> None:
         assert not thread.is_alive(), "worker thread hung"
     if failures:
         raise failures[0]
+
+
+def _hammer(worker: Callable[[int], None], count: int = THREADS) -> None:
+    """:func:`_run_threads` with threads switching as often as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(worker, count)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestContractDecorators:
@@ -318,66 +328,11 @@ class TestTracerUnderThreads:
         assert tracer.depth == 0
 
 
-class TestPoolGateUnderThreads:
-    def test_an_exclusive_hold_is_alone_and_goes_first(self) -> None:
-        gate = PoolGate()
-        inside: List[str] = []
-        overlaps: List[List[str]] = []
-        lock = threading.Lock()
-
-        def hold(name: str, exclusive: bool) -> None:
-            gate.acquire(exclusive)
-            with lock:
-                inside.append(name)
-                overlaps.append(list(inside))
-            with lock:
-                inside.remove(name)
-            gate.release(exclusive)
-
-        def worker(index: int) -> None:
-            for round_ in range(50):
-                exclusive = (index + round_) % 4 == 0
-                kind = "x" if exclusive else "s"
-                hold(f"{index}:{round_}:{kind}", exclusive)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _run_threads(worker)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(overlaps) == THREADS * 50
-        for names in overlaps:
-            if any(name.endswith(":x") for name in names):
-                assert len(names) == 1
-        # A waiting exclusive holder blocks new shared holders.
-        gate.acquire(exclusive=False)
-        order: List[str] = []
-        writer = threading.Thread(
-            target=lambda: (
-                gate.acquire(True), order.append("x"), gate.release(True)
-            )
-        )
-        writer.start()
-        while gate._waiting == 0:
-            time.sleep(0.001)
-        reader = threading.Thread(
-            target=lambda: (
-                gate.acquire(False), order.append("s"), gate.release(False)
-            )
-        )
-        reader.start()
-        gate.release(exclusive=False)
-        writer.join(timeout=10)
-        reader.join(timeout=10)
-        assert order == ["x", "s"]
-
-
 class TestShardedDatabaseUnderThreads:
     """8 threads hammer one shared ShardedDatabase concurrently.
 
-    The facade is @shared_across_queries: the plan, the shard
-    databases, and the thread-pool executor are shared between every
+    The facade is @shared_across_queries: the plan and the shard
+    databases, buffer pools included, are shared between every
     in-flight query, so racing queries must not corrupt each other's
     merged results.  Every thread checks its answers against
     single-threaded golden answers captured up front.
@@ -431,7 +386,7 @@ class TestShardedDatabaseUnderThreads:
         finally:
             db.close()
 
-    def test_parallel_rotations_neither_hang_nor_drift(self) -> None:
+    def test_parallel_fan_outs_repeat_their_counters(self) -> None:
         import numpy as np
 
         from repro.shard import ShardedDatabase
@@ -455,9 +410,11 @@ class TestShardedDatabaseUnderThreads:
                     result = db.range_search(queries[qi], epsilon=3.0, rho=1)
                 else:
                     result = db.search(queries[qi], k=5, rho=1, method=method)
-                # Candidates do not depend on what other queries left in
-                # the buffer pools; with turns, not on thread timing either.
-                return result.matches, result.stats.candidates
+                # A fan-out's schedule depends neither on what other
+                # queries left in the shards' pools nor on what they
+                # read meanwhile: ru-cost prices pages by each shard
+                # run's own reads.
+                return result.matches, schedule_of(result.stats)
 
             methods = ("hlmj", "ru-cost", "range")
             golden = {
@@ -471,14 +428,9 @@ class TestShardedDatabaseUnderThreads:
                     method = methods[(index + qi) % len(methods)]
                     assert answer(qi, method) == golden[(qi, method)]
 
-            # Switch threads as often as possible, so that two callers'
-            # submissions would interleave if a batch were not atomic.
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                _run_threads(worker)
-            finally:
-                sys.setswitchinterval(interval)
+            # Concurrent fan-outs interleave their reads of the shared
+            # pools as finely as thread switches allow.
+            _hammer(worker)
         finally:
             db.close()
 
@@ -516,6 +468,43 @@ class TestShardedDatabaseUnderThreads:
             db.close()
 
 
+class TestRuCostPricesOnlyItsOwnReads:
+    """Concurrent ``ru-cost`` queries on one buffer pool schedule as if
+    each ran alone from a cold pool.
+
+    Each query's ``NUM_IO`` reads its own image of the pool, fed only by
+    its own requests, so neither what the pool holds nor another query's
+    reads in the middle of a run move its counters.
+    """
+
+    def test_parallel_queries_repeat_their_counters(self) -> None:
+        db = build_half_buffered_db()
+        runs = [
+            (query_from(db, start, 48, sid), deferred)
+            for sid, start in ((0, 500), (1, 900), (0, 1700), (1, 300))
+            for deferred in (False, True)
+        ]
+
+        def answer(qi: int) -> tuple:
+            query, deferred = runs[qi]
+            result = db.search(
+                query, k=5, rho=2, method="ru-cost", deferred=deferred
+            )
+            return result.matches, schedule_of(result.stats)
+
+        golden = []
+        for qi in range(len(runs)):
+            db.reset_cache()
+            golden.append(answer(qi))
+
+        def worker(index: int) -> None:
+            for step in range(len(runs)):
+                qi = (index + step) % len(runs)
+                assert answer(qi) == golden[qi]
+
+        _hammer(worker, count=6)
+
+
 class TestQueriesChargeOnlyTheirOwnReads:
     """Concurrent queries on one buffer pool each count their own pages.
 
@@ -546,15 +535,6 @@ class TestQueriesChargeOnlyTheirOwnReads:
         db.build()
         queries = [rng.standard_normal(24).cumsum() for _ in range(4)]
         return db, queries
-
-    @staticmethod
-    def _hammer(worker: Callable[[int], None]) -> None:
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _run_threads(worker)
-        finally:
-            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "faulty", [False, True], ids=["healthy", "transient"]
@@ -590,7 +570,7 @@ class TestQueriesChargeOnlyTheirOwnReads:
                 )
                 charged.append(result.stats)
 
-        self._hammer(worker)
+        _hammer(worker)
         assert len(charged) == THREADS * len(queries)
         pages = sum(stats.page_accesses for stats in charged)
         assert pages == pager.physical_reads - before[0]
@@ -639,7 +619,7 @@ class TestQueriesChargeOnlyTheirOwnReads:
                     result = db.search(query, k=5, rho=1, method=method)
                     shard_stats.append(result.shard_stats)
 
-            self._hammer(worker)
+            _hammer(worker)
             assert len(shard_stats) == THREADS * len(queries)
             for index, shard in db.shards.items():
                 assert sum(
@@ -685,7 +665,7 @@ class TestQueriesChargeOnlyTheirOwnReads:
 
         for _ in range(3):
             db.reset_cache()
-            self._hammer(worker)
+            _hammer(worker)
         assert len(outcomes) == 3
         for result in outcomes:
             assert getattr(result, "reason", "") != REASON_PAGE_BUDGET

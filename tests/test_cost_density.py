@@ -7,6 +7,7 @@ import pytest
 from repro.engines import cost_density
 from repro.engines.cost_density import CostAwareDensityScheduler
 from repro.exceptions import ConfigurationError
+from tests.conftest import build_half_buffered_db, query_from, schedule_of
 
 
 class TestConfig:
@@ -24,6 +25,7 @@ class TestConfig:
             blocking_factor=blocking_factor,
             p=2.0,
             cap_for=lambda _queue: math.inf,
+            pages_seen={},
         )
         assert scheduler._h == blocking_factor
 
@@ -86,8 +88,9 @@ class TestSchedulerOnRealQueues(object):
         window_set = QueryWindowSet.from_query(
             query, omega=16, features=4, rho=2
         )
+        stats = QueryStats()
         grid = NodeGrid(
-            window_set.windows, walk_db.index, 2.0, QueryStats(),
+            window_set.windows, walk_db.index, 2.0, stats,
             include_far=True,
         )
         queues = [
@@ -101,6 +104,7 @@ class TestSchedulerOnRealQueues(object):
             blocking_factor=walk_db.index.tree.blocking_factor,
             p=2.0,
             cap_for=lambda _queue: math.inf,
+            pages_seen=stats.pages_seen,
         )
         # Resolve each queue somewhat, then compare the bound pair.
         for queue in queues:
@@ -136,6 +140,7 @@ class TestSchedulerOnRealQueues(object):
             blocking_factor=8,
             p=2.0,
             cap_for=lambda _queue: math.inf,
+            pages_seen={},
         )
         chosen = scheduler.select(queues)
         assert chosen in queues
@@ -149,6 +154,46 @@ class TestSchedulerOnRealQueues(object):
             blocking_factor=8,
             p=2.0,
             cap_for=lambda _queue: math.inf,
+            pages_seen={},
         )
         with pytest.raises(ConfigurationError):
             scheduler.select([])
+
+
+class TestPricesOnlyItsOwnReads:
+    """``NUM_IO`` reads the query's own image of the pool, so a query
+    schedules the same whatever other queries left buffered."""
+
+    @pytest.fixture(scope="class")
+    def paged_db(self):
+        return build_half_buffered_db()
+
+    @pytest.mark.parametrize(
+        "deferred", [False, True], ids=["immediate", "deferred"]
+    )
+    def test_warm_after_other_queries_schedules_as_cold(
+        self, paged_db, deferred
+    ):
+        db = paged_db
+        queries = [
+            query_from(db, start, 48, sid)
+            for sid, start in ((0, 500), (1, 900), (0, 1700), (1, 300))
+        ]
+        for query in queries:
+            db.reset_cache()
+            cold = db.search(
+                query, k=5, rho=2, method="ru-cost", deferred=deferred
+            )
+            for other in queries:
+                if other is not query:
+                    db.search(
+                        other, k=5, rho=2, method="ru-cost",
+                        deferred=deferred,
+                    )
+            warm = db.search(
+                query, k=5, rho=2, method="ru-cost", deferred=deferred
+            )
+            assert warm.matches == cold.matches
+            assert schedule_of(warm.stats) == schedule_of(cold.stats)
+            # The pool really was warm: the rerun read fewer pages.
+            assert warm.stats.page_accesses < cold.stats.page_accesses
