@@ -714,7 +714,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="serve a sharded database: split the dataset into N "
         "sequences, partition them across N shards, and answer queries "
         "across every shard: ru / ru-cost as one ranked union, other "
-        "methods merged from the shards' answers (0 = unsharded)",
+        "methods shard by shard into one collector (0 = unsharded)",
     )
     serve.add_argument(
         "--shard-policy",

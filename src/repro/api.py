@@ -591,14 +591,16 @@ class SubsequenceDatabase(QueryFacade):
     # Searching
     # ------------------------------------------------------------------
 
-    def _engine(self, name: str) -> Engine:
-        """A fresh engine ``name``: a ``METHODS`` entry or ``"range"``.
+    def engine_for(self, spec: QuerySpec) -> Engine:
+        """A fresh engine for ``spec``: its ``method``, or the range
+        engine for a ``range`` spec.
 
         Engines hold nothing but a reference to their index, so one is
         built per query and threads share none.
         """
         if self.index is None:
             raise IndexNotBuiltError("call build() before querying")
+        name = "range" if spec.kind == "range" else spec.method
         index = self._sliding_index if name == "psm" else self.index
         if index is None:
             raise IndexNotBuiltError(
@@ -617,10 +619,7 @@ class SubsequenceDatabase(QueryFacade):
         The sharded fan-out and the query service call it with a spec
         they built themselves.
         """
-        engine = self._engine(
-            "range" if spec.kind == "range" else spec.method
-        )
-        return engine.search(query, spec, control)
+        return self.engine_for(spec).search(query, spec, control)
 
     def open_stream(
         self,

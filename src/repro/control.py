@@ -11,12 +11,6 @@ every engine.
   for real).
 * :class:`CancellationToken` lets a caller abort a running query from
   outside the engine loop.
-* :class:`KthBound` is the one k-th-distance bound the shards of a
-  top-k fan-out share (every method but the ranked-union ones, whose
-  fan-out shares one collector instead), so each prunes against the
-  best ``k`` matches any of them has verified.  The fan-out runs those
-  shards one after another in the calling thread, so what each reads
-  of the bound is the same on every execution.
 * :class:`ExecutionControl` bundles the three for one query run and
   exposes :meth:`~ExecutionControl.checkpoint`, which engines call at
   every traversal-loop boundary (lint rule RS007 enforces this).  When a
@@ -51,7 +45,6 @@ __all__ = [
     "Deadline",
     "ExecutionControl",
     "FakeClock",
-    "KthBound",
     "MONOTONIC_CLOCK",
     "MonotonicClock",
     "QueryBudget",
@@ -169,36 +162,6 @@ class CancellationToken:
 
 
 @single_query
-class KthBound:
-    """One monotone k-th-distance bound shared by the shards of a query.
-
-    A sharded ``knn`` fan-out that is not a ranked union (every method
-    but ``ru`` / ``ru-cost``) mints one and
-    :meth:`ExecutionControl.derive` hands it to every shard run.  Each
-    shard's evaluator prunes against ``min(own delta_cur, value_pow)``
-    and, whenever its own collector holds ``k`` verified matches,
-    :meth:`offer` s its k-th distance.  A value therefore always is the
-    k-th of ``k`` real matches, so it is never below the global k-th
-    distance, and every comparison against it is strict (``>``): no
-    member of the global top-k, ties included, is dismissed.
-
-    One fan-out runs its shards one after another in one thread, so the
-    bound needs no lock: a later shard reads the final k-th distance of
-    every shard before it.
-    """
-
-    def __init__(self) -> None:
-        #: ``delta ** p`` of the best k matches any shard has verified;
-        #: ``inf`` until some shard holds ``k``.
-        self.value_pow = math.inf
-
-    def offer(self, value_pow: float) -> None:
-        """Lower the bound to ``value_pow`` if that is tighter."""
-        if value_pow < self.value_pow:
-            self.value_pow = value_pow
-
-
-@single_query
 class ExecutionControl:
     """Runtime budget/deadline/cancellation state for one query.
 
@@ -235,27 +198,18 @@ class ExecutionControl:
         self.frontier_pow = 0.0
         #: Checkpoints executed (diagnostics; surfaced via QueryStats).
         self.checkpoints = 0
-        #: The k-th bound shared with the other shards of a top-k
-        #: fan-out that is not a ranked union; ``None`` on every other
-        #: control.
-        self.bound: Optional[KthBound] = None
         self._stats: Optional[QueryStats] = None
 
-    def derive(self, bound: Optional[KthBound] = None) -> "ExecutionControl":
+    def derive(self) -> "ExecutionControl":
         """A fresh run state under the same limits and tracer.
 
         A sharded fan-out derives one per shard: the budget caps apply
-        to each shard's own counters, while the deadline, the token and,
-        on a top-k fan-out that is not a ranked union, the fan-out's
-        ``bound`` are shared (see ``docs/sharding.md``).  The bound is
-        per fan-out, so a control reused across queries never carries a
-        stale one.
+        to each shard's own counters, while the deadline and the token
+        are shared (see ``docs/sharding.md``).
         """
-        control = ExecutionControl(
+        return ExecutionControl(
             self.budget, self.deadline, self.token, self.tracer
         )
-        control.bound = bound
-        return control
 
     def bind(self, stats: QueryStats) -> None:
         """Attach the per-query counters the budget is enforced against.

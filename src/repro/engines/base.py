@@ -87,6 +87,9 @@ RANKED_UNION_METHODS = ("ru", "ru-cost")
 #: Storage-fault policies (see :attr:`QuerySpec.on_fault`).
 ON_FAULT = ("raise", "degrade")
 
+#: Where a run's verified candidates go: a top-k or an epsilon range.
+Collector = Union[TopKCollector, RangeCollector]
+
 
 def default_rho(query_length: int) -> int:
     """The paper's warping width: 5 % of ``Len(Q)``, at least 1."""
@@ -330,7 +333,7 @@ class CandidateEvaluator:
         stats: QueryStats,
         control: Optional[ExecutionControl] = None,
         norm: Optional[NormalizationContext] = None,
-        collector: Optional[TopKCollector] = None,
+        collector: Optional[Collector] = None,
     ) -> None:
         self._index = index
         self._windows = window_set.windows
@@ -353,14 +356,10 @@ class CandidateEvaluator:
         #: The query's tracer (disabled singleton unless the caller
         #: wired one through the control plane).
         self.tracer = self.control.tracer
-        #: The k-th bound this run shares with the other shards of a
-        #: top-k fan-out (``None`` otherwise): read by
-        #: :attr:`threshold_pow`, fed by every collector offer.
-        self.bound = self.control.bound
-        #: Where verified candidates go.  A ranked-union fan-out hands
-        #: every shard's evaluator the same one, so all of them prune
-        #: against one ``delta_cur``.
-        self.collector: Union[TopKCollector, RangeCollector]
+        #: Where verified candidates go.  A sharded fan-out hands every
+        #: shard's evaluator the same one, so all of them prune against
+        #: one ``delta_cur`` (or one ``epsilon``).
+        self.collector: Collector
         if collector is not None:
             self.collector = collector
         elif spec.kind == "range":
@@ -381,24 +380,8 @@ class CandidateEvaluator:
 
     @property
     def threshold_pow(self) -> float:
-        """``delta_cur ** p`` — the current pruning threshold.
-
-        Under a top-k fan-out that is not a ranked union, the tighter of
-        this shard's own k-th distance and the shared
-        :class:`~repro.control.KthBound`.
-        """
-        if self.bound is None:
-            return self.collector.threshold_pow
-        return min(self.collector.threshold_pow, self.bound.value_pow)
-
-    def _publish(self) -> None:
-        """Offer this shard's k-th distance to the shared bound.
-
-        A collector short of ``k`` matches reads ``inf``, which the
-        bound ignores.
-        """
-        if self.bound is not None:
-            self.bound.offer(self.collector.threshold_pow)
+        """``delta_cur ** p`` — the current pruning threshold."""
+        return self.collector.threshold_pow
 
     @property
     def query_length(self) -> int:
@@ -569,7 +552,6 @@ class CandidateEvaluator:
             pruned=0, dtws=1, abandoned=int(distance_pow > threshold_pow)
         )
         self.collector.offer_pow(distance_pow, sid, start)
-        self._publish()
         return distance_pow
 
     def _count_cascade(self, pruned: int, dtws: int, abandoned: int) -> None:
@@ -614,12 +596,11 @@ class CandidateEvaluator:
         verification: :class:`TopKCollector` is a pure function of the
         *set* offered to it under the ``(distance, sid, start)`` order,
         and a row is skipped (pruned or abandoned) only when its
-        distance strictly exceeds a threshold held at the time (the
-        collector's, or a fan-out's shared bound), which is never below
-        the final k-th distance.  A chunk's threshold is never tighter
-        than the serial run's at the same candidate, so this offers a
-        superset of the serial run's candidates whose extras lie
-        strictly above the final k-th:
+        distance strictly exceeds the collector's threshold at the time,
+        which is never below the final k-th distance.  A chunk's
+        threshold is never tighter than the serial run's at the same
+        candidate, so this offers a superset of the serial run's
+        candidates whose extras lie strictly above the final k-th:
         matches and every counter but ``dtw_computations`` /
         ``pruned_by_lb_keogh`` are identical.
         """
@@ -651,7 +632,6 @@ class CandidateEvaluator:
             abandoned += int(np.count_nonzero(distance_pows > threshold_pow))
             for row, distance_pow in zip(chunk.tolist(), distance_pows.tolist()):
                 self.collector.offer_pow(distance_pow, sids[row], starts[row])
-            self._publish()
             done += int(chunk.size)
         self._count_cascade(pruned=count - done, dtws=done, abandoned=abandoned)
 
@@ -768,9 +748,9 @@ class QueryRun:
     :meth:`finish`; any other error closes it.  A normal run ends, after
     its last block, with :meth:`finish`.
 
-    The shard runs of a ranked-union fan-out pass one ``window_set``
-    and one ``collector`` (see :class:`CandidateEvaluator`) instead of
-    building their own.
+    The shard runs of a sharded fan-out pass one ``window_set`` and one
+    ``collector`` (see :class:`CandidateEvaluator`) instead of building
+    their own.
     """
 
     def __init__(
@@ -781,7 +761,7 @@ class QueryRun:
         control: ExecutionControl,
         engine: str,
         window_set: Optional[QueryWindowSet] = None,
-        collector: Optional[TopKCollector] = None,
+        collector: Optional[Collector] = None,
     ) -> None:
         self.spec = spec
         self.control = control
@@ -1010,20 +990,31 @@ class Engine(abc.ABC):
         """
         if control is None:
             control = ExecutionControl()
-        tracer = control.tracer
-        interrupt: Optional[ExecutionInterrupted] = None
-        with QueryRun(self.index, query, spec, control, self.name) as run:
-            try:
-                with tracer.span("engine.run"):
-                    self._run(run.window_set, run.evaluator, spec)
-                with tracer.span("engine.finalize"):
-                    run.evaluator.finalize()
-            except ExecutionInterrupted as signal:
-                interrupt = signal
+        run = QueryRun(self.index, query, spec, control, self.name)
+        interrupt = self.execute(run)
         return run.finish(
             run.evaluator.collector.matches(run.window_set.length),
             interrupt,
         )
+
+    def execute(self, run: QueryRun) -> Optional[ExecutionInterrupted]:
+        """Drive ``run`` through the traversal and the deferred drain.
+
+        Returns the interrupt that ended it early, if one did; the
+        caller closes the run with :meth:`QueryRun.finish`.  A sharded
+        fan-out calls this once per shard, on runs that share one
+        window set and one collector.
+        """
+        tracer = run.control.tracer
+        with run:
+            try:
+                with tracer.span("engine.run"):
+                    self._run(run.window_set, run.evaluator, run.spec)
+                with tracer.span("engine.finalize"):
+                    run.evaluator.finalize()
+            except ExecutionInterrupted as signal:
+                return signal
+        return None
 
     @abc.abstractmethod
     def _run(

@@ -2,10 +2,10 @@
 
 Partition the sequence store and DualMatch index across N shards.  A
 ranked-union query runs every shard's `Φ_i` subqueries under one
-union with one collector; other queries run per shard, one shard after
-another, and merge through the paper's multi-way ranked-union
-frontier.  Every shard run executes in the calling thread.  Exactness
-certificates compose shard-wise.  See ``docs/sharding.md``.
+union; other queries run per shard, one shard after another.  Every
+fan-out shares one collector across its shard runs, and every shard
+run executes in the calling thread.  Exactness certificates compose
+shard-wise.  See ``docs/sharding.md``.
 
 Public surface:
 

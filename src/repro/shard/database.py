@@ -14,14 +14,14 @@ One query path: the inherited keyword methods build one
 :class:`~repro.engines.base.QuerySpec` and one
 :class:`~repro.control.ExecutionControl`, and the facade hands the spec
 on unchanged with one :meth:`~repro.control.ExecutionControl.derive` of
-the control per shard.  A ranked-union spec (``method`` ``"ru"`` or
-``"ru-cost"``: every ``stream``, and those ``knn``) runs as one
-:class:`~repro.shard.merge.UnionFanOut` — one union over every shard's
-``Φ_i``, one collector, in the calling thread.  Any other spec runs one
-whole search per shard, one shard after another, also in the calling
-thread; the shard runs of such a ``knn`` share one
-:class:`~repro.control.KthBound`, so each later shard prunes against
-the final k-th distance of the shards before it.  How ``budget`` /
+the control per shard.  Every fan-out cuts the query's windows once and
+hands all its shard runs one collector.  A ranked-union spec
+(``method`` ``"ru"`` or ``"ru-cost"``: every ``stream``, and those
+``knn``) runs as one :class:`~repro.shard.merge.UnionFanOut` — one
+union over every shard's ``Φ_i``, in the calling thread.  Any other
+spec runs one whole search per shard, one shard after another, also in
+the calling thread, so each later shard prunes against every match the
+shards before it verified.  How ``budget`` /
 ``deadline`` / ``token`` behave under a fan-out is stated once, in
 ``docs/sharding.md`` ("Control plane under fan-out").
 
@@ -32,7 +32,8 @@ Shard faults: per-page storage faults inside a shard follow the normal
 ``"raise"`` propagates, ``"degrade"`` drops the shard and returns a
 :class:`~repro.engines.base.PartialResult` (for a stream: ends it
 ``interrupted``) whose certificate is ``0.0``: trivially sound,
-claiming exactness for nothing.
+claiming exactness for nothing.  Matches a shard verified before it
+was lost stay in the answer.
 
 Thread safety: the facade is ``@shared_across_queries`` — after
 :meth:`build` (or :meth:`load`) the shard topology is immutable and
@@ -52,10 +53,13 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
-from repro.control import ExecutionControl, KthBound
+from repro.control import ExecutionControl
 from repro.core.metrics import QueryStats
+from repro.core.results import RangeCollector, TopKCollector
 from repro.engines.base import (
     RANKED_UNION_METHODS,
+    Collector,
+    QueryRun,
     QuerySpec,
     SearchResult,
     query_window_set,
@@ -302,10 +306,7 @@ class ShardedDatabase(QueryFacade):
         if spec.kind == "knn" and spec.method in RANKED_UNION_METHODS:
             merged = self._union_fan_out(query, spec, control).search()
         else:
-            outcomes, lost = self._fan_out(query, spec, control)
-            merged = merge_search_results(
-                outcomes, k=spec.k if spec.kind == "knn" else None, lost=lost
-            )
+            merged = self._fan_out(query, spec, control)
         self._record_shard_metrics(merged.shard_stats)
         return merged
 
@@ -365,14 +366,21 @@ class ShardedDatabase(QueryFacade):
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
-    ) -> Tuple[List[Tuple[int, SearchResult]], List[LostShard]]:
-        """Run a non-ranked-union ``spec`` on every non-empty shard, one
-        shard after another, in the calling thread.
+    ) -> SearchResult:
+        """Run a non-ranked-union ``spec`` on every live shard, one shard
+        after another, in the calling thread.
+
+        As in :meth:`_union_fan_out`, the query's windows are cut once,
+        on the first shard's engine index, and every shard run offers
+        to one collector: a later shard prunes against every match the
+        shards before it verified.  The answer is that collector's.
 
         Per-shard *storage* faults are already handled inside the shard
         by its ``on_fault`` policy; this layer applies the same policy
-        to whole-shard failures (an injected failure, a shard whose
-        subquery raised a :class:`~repro.exceptions.StorageError`).
+        to whole-shard failures (an injected failure, a shard whose run
+        raised a :class:`~repro.exceptions.StorageError`).  Matches a
+        lost shard verified before it failed stay in the answer, under
+        the certificate ``0.0``.
         """
         shards = self._live_shards()
         # One snapshot, taken before the first shard runs: a shard
@@ -380,23 +388,35 @@ class ShardedDatabase(QueryFacade):
         # run, or neither.
         failed = set(self._failed_shards)
         lost = [self._lose(index, spec) for index in shards if index in failed]
-        # Range queries prune against their fixed epsilon; only a top-k
-        # has a k-th distance to share.
-        bound = KthBound() if spec.kind == "knn" else None
+        engines = {index: db.engine_for(spec) for index, db in shards.items()}
+        window_set = query_window_set(
+            query, next(iter(engines.values())).index, spec
+        )
+        collector: Collector = (
+            RangeCollector(spec.epsilon, p=spec.p)
+            if spec.kind == "range"
+            else TopKCollector(spec.k, p=spec.p)
+        )
         outcomes: List[Tuple[int, SearchResult]] = []
-        for index, db in shards.items():
+        for index, engine in engines.items():
             if index in failed:
                 continue
             try:
                 with control.tracer.span("shard.subquery", shard=index):
-                    outcome = db.run_query(query, spec, control.derive(bound))
+                    run = QueryRun(
+                        engine.index, query, spec, control.derive(),
+                        engine.name, window_set=window_set,
+                        collector=collector,
+                    )
+                    interrupt = engine.execute(run)
+                    outcomes.append((index, run.finish([], interrupt)))
             except StorageError as error:
                 if spec.on_fault != "degrade":
                     raise
                 lost.append(LostShard(shard=index, detail=str(error)))
-            else:
-                outcomes.append((index, outcome))
-        return outcomes, lost
+        result = merge_search_results(outcomes, k=None, lost=lost)
+        result.matches = collector.matches(window_set.length)
+        return result
 
     def _record_shard_metrics(
         self, shard_stats: Dict[int, QueryStats]

@@ -1,30 +1,21 @@
 """One ranked union over every shard, and merging per-shard answers.
 
 This is the paper's multi-way ranked union (`∪_r`, Def. 5, Lemma 6)
-applied across shards.  For ``ru`` / ``ru-cost`` it is literal:
-:class:`UnionFanOut` puts every live shard's ``Φ_i`` under **one**
-union, driven in the calling thread.  Each ``Φ_i`` keeps its own
-shard's index, buffer pool, ``QueryStats`` and ``CandidateEvaluator``,
-and every evaluator offers to **one** ``TopKCollector``.  The union
-always advances the child with the least ``CLB`` and stops once every
-child's bound exceeds ``delta_cur``, so the answer is the unsharded
-top-k, ties included, and a stream emits straight from the union in
-nondecreasing ``(distance, sid, start)`` order.
+applied across shards: every shard run of one fan-out offers to **one**
+collector, so each ``Φ_i`` prunes against one ``delta_cur``.  For
+``ru`` / ``ru-cost`` the union is literal: :class:`UnionFanOut` puts
+every live shard's ``Φ_i`` under **one** union, driven in the calling
+thread.  Each ``Φ_i`` keeps its own shard's index, buffer pool,
+``QueryStats`` and ``CandidateEvaluator``.  The union always advances
+the child with the least ``CLB`` and stops once every child's bound
+exceeds ``delta_cur``, so the answer is the unsharded top-k, ties
+included, and a stream emits straight from the union in nondecreasing
+``(distance, sid, start)`` order.  The other methods and range queries
+run one whole search per shard, one shard after another in the calling
+thread (:meth:`~repro.shard.database.ShardedDatabase._fan_out`), into
+the same kind of shared collector.  Either way the answer is the
+collector's and :func:`merge_search_results` composes the rest:
 
-The other methods run one whole search per shard, one shard after
-another in the calling thread
-(:meth:`~repro.shard.database.ShardedDatabase._fan_out`), and
-:func:`merge_search_results` merges the outcomes:
-
-* **Top-k** — a shard's local top-k contains every *global* top-k
-  member stored on that shard (local competition is a subset of global
-  competition, so the local threshold is never tighter than the global
-  one; nor is the fan-out's shared
-  :class:`~repro.control.KthBound`, the k-th distance of ``k`` real
-  matches, and it only dismisses strictly above itself).
-  Concatenating per-shard top-ks and keeping the ``k`` smallest
-  under the total order ``(distance, sid, start)`` therefore yields
-  exactly the unsharded answer, ties included.
 * **Certificates** — when shard ``i`` is interrupted, its certificate
   ``c_i`` lower-bounds every candidate it left unexamined; candidates
   on completed shards were all examined.  Any unexamined candidate
@@ -35,8 +26,12 @@ another in the calling thread
   degrade policy) has certified nothing, so it contributes ``0.0`` —
   the merged result stays honest by claiming no exactness at all below
   the surviving shards' answers.
+* **Top-k** — given per-shard top-ks, keeping the ``k`` smallest of
+  their concatenation under the total order ``(distance, sid, start)``
+  yields the global top-k, ties included.  No fan-out needs this any
+  more (each shares one collector); the end-to-end bench times it on a
+  captured sharded answer.
 
-A :class:`UnionFanOut` composes its result through the same function.
 Merged :class:`~repro.core.metrics.QueryStats` are *sums* over shards
 (``wall_time_s`` included — it measures aggregate work, not latency: a
 shard's time is what it spent in its own union steps and deferred
@@ -110,8 +105,11 @@ def merge_search_results(
 ) -> SearchResult:
     """Compose per-shard (shard, result) pairs into the global answer.
 
-    ``k=None`` merges without truncation (range search).  The result
-    carries the per-shard counters in ``shard_stats``.  It is a
+    ``k=None`` merges without truncation; the fan-outs pass it and set
+    the answer from their shared collector.  ``k`` keeps the ``k`` best
+    matches: only the frozen end-to-end bench passes it, to time the
+    merge of per-shard top-ks.  The result carries the per-shard
+    counters in ``shard_stats``.  It is a
     :class:`~repro.engines.base.PartialResult` when any shard was
     interrupted or lost: the ``certificate`` composes shard-wise (min
     over per-shard certificates; a lost shard contributes 0.0) and keeps

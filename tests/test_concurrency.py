@@ -35,7 +35,7 @@ from repro.analysis.concurrency import (
     shared_across_queries,
     single_query,
 )
-from repro.control import ExecutionControl, KthBound
+from repro.control import ExecutionControl
 from repro.core.metrics import QueryStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer, validate_span_tree
@@ -172,8 +172,6 @@ class TestContractDecorators:
             ShardPlanner,
         )
 
-        # One fan-out lowers its bound from one thread, shard by shard.
-        assert KthBound.__repro_shared__ is False
         # Shared but lock-free by construction (immutable after build).
         assert ShardedDatabase.__repro_shared__ is True
         assert ShardPlanner.__repro_shared__ is True

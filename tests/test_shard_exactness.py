@@ -21,16 +21,20 @@ import pathlib
 
 import pytest
 
+from repro.core.metrics import QueryStats
 from repro.core.reference import brute_force_topk
-from repro.engines.base import PartialResult
+from repro.core.results import Match
+from repro.engines.base import PartialResult, SearchResult
 from repro.exceptions import ConfigurationError, IntegrityError, StorageError
 from repro.shard import (
     POLICIES,
     REASON_SHARD_LOST,
     SHARD_MANIFEST_NAME,
+    LostShard,
     ShardedDatabase,
     ShardPlanner,
     hash_shard,
+    merge_search_results,
 )
 from tests.conftest import (
     build_golden_db,
@@ -503,3 +507,49 @@ class TestPersistenceAndExecutors:
                 gold = oracle.search(query, k=5, rho=2, method=method)
                 got = sdb.search(query, k=5, rho=2, method=method)
                 assert got.matches == gold.matches
+
+
+class TestMergeOfShardTopKs:
+    """``merge_search_results(outcomes, k=k)``, the call the end-to-end
+    bench times on a captured sharded answer."""
+
+    @staticmethod
+    def _outcomes():
+        def answer(pages, *matches):
+            return SearchResult(
+                matches=[
+                    Match(distance=d, sid=sid, start=start, length=8)
+                    for d, sid, start in matches
+                ],
+                stats=QueryStats(page_accesses=pages, candidates=2 * pages),
+            )
+
+        return [
+            (0, answer(3, (1.0, 3, 5), (2.0, 1, 0), (4.0, 0, 9))),
+            (1, answer(5, (1.0, 3, 2), (2.0, 0, 7), (3.0, 2, 0))),
+        ]
+
+    def test_keeps_the_k_best_under_distance_sid_start(self):
+        outcomes = self._outcomes()
+        merged = merge_search_results(outcomes, k=3)
+        assert not isinstance(merged, PartialResult)
+        # Equal distances fall to sid, then start; k = 3 cuts the tie
+        # at 2.0 between sid 0 and sid 1.
+        assert [(m.distance, m.sid, m.start) for m in merged.matches] == [
+            (1.0, 3, 2), (1.0, 3, 5), (2.0, 0, 7),
+        ]
+        assert merged.stats.page_accesses == 8
+        assert merged.stats.candidates == 16
+        assert merged.shard_stats == {
+            shard: outcome.stats for shard, outcome in outcomes
+        }
+
+    def test_a_lost_shard_certifies_nothing(self):
+        merged = merge_search_results(
+            self._outcomes(), k=3, lost=[LostShard(shard=2, detail="gone")]
+        )
+        assert isinstance(merged, PartialResult)
+        assert merged.certificate == 0.0
+        assert merged.reason == REASON_SHARD_LOST
+        assert merged.degraded
+        assert len(merged.matches) == 3
