@@ -12,9 +12,9 @@ multiset:
 * :mod:`repro.engines.ranked_union` — the paper's contribution: the
   ranked-union operator tree (``∪_r`` over one ``Φ_i`` per MSEQ).  The
   query's ``method`` picks each ``Φ_i``'s queue selection: ``"ru"`` is
-  max-delta (:mod:`repro.engines.scheduling`); ``"ru-cost"`` is
-  cost-aware density-based scheduling with selective expansion, on the
-  paper's constants (:mod:`repro.engines.cost_density`).
+  max-delta (:func:`repro.engines.ranked_union.max_delta`); ``"ru-cost"``
+  is cost-aware density-based scheduling with selective expansion, on
+  the paper's constants (:mod:`repro.engines.cost_density`).
 
 Shared plumbing lives in :mod:`repro.engines.base` (candidate evaluation,
 deferred retrieval, stats) and :mod:`repro.engines.operators` (the

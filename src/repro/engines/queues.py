@@ -10,11 +10,12 @@ Every entry also carries its MAXDIST (equal to the distance for leaf
 entries): RU-COST's pivot selection approximates leaf-entry densities
 from ``[MINDIST, MAXDIST]`` ranges without expanding nodes (Section 4).
 
-The queue exposes exactly what the schedulers in
-:mod:`repro.engines.scheduling` and :mod:`repro.engines.cost_density`
-need: the current top, popping, node expansion with a pruning cap, a
-sorted-prefix scan for lookahead, and the last-popped-leaf distance that
-anchors the density denominators of Definitions 7 and 8.
+The queue exposes exactly what the two queue picks need, RU's
+:func:`~repro.engines.ranked_union.max_delta` and RU-COST's
+:class:`~repro.engines.cost_density.CostAwareDensityScheduler`: the
+current top, popping, node expansion with a pruning cap, a sorted-prefix
+scan for lookahead, and the last-popped-leaf distance that anchors the
+density denominators of Definitions 7 and 8.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.engines.bounds import WindowProbe
 
@@ -49,8 +50,8 @@ class WindowQueue:
         #: LB_PAA (p-th power) of the most recently popped leaf entry —
         #: ``le_p`` in Definitions 7 and 8.
         self.last_popped_leaf_pow = 0.0
-        #: Top distance at the moment this queue was last selected; used
-        #: by max-delta selection (RU).
+        #: Top distance right after this queue was last popped; used by
+        #: max-delta selection (RU).
         self.reference_top_pow = 0.0
         #: Bumped on every mutation so schedulers can cache per-version.
         self.version = 0
@@ -139,7 +140,3 @@ class WindowQueue:
     def sorted_prefix(self, limit: int) -> List[QueueEntry]:
         """The ``limit`` nearest entries in distance order (no mutation)."""
         return heapq.nsmallest(limit, self._heap)
-
-    def iter_entries(self) -> Iterator[QueueEntry]:
-        """All enqueued entries, unordered (pivot estimation scans)."""
-        return iter(self._heap)

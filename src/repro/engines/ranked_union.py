@@ -21,9 +21,10 @@ over ``ω`` subqueries, one per matching subsequence equivalence class
 :class:`RankedUnionEngine` drives the operator tree to exhaustion of the
 top-k result.  The query's ``method`` selects every ``Φ_i``'s
 ``SelectPriorityQueue()`` policy: ``"ru"`` is the paper's **RU**
-(max-delta), ``"ru-cost"`` is **RU-COST**.  :class:`MatchStream` pulls
-the same tree (:func:`build_union`) one ``GetNext()`` at a time for
-lazy best-first emission.  A sharded fan-out
+(:func:`max_delta`), ``"ru-cost"`` is **RU-COST**
+(:meth:`~repro.engines.cost_density.CostAwareDensityScheduler.select`).
+:class:`MatchStream` pulls the same tree (:func:`build_union`) one
+``GetNext()`` at a time for lazy best-first emission.  A sharded fan-out
 (:mod:`repro.shard.merge`) puts every shard's ``Φ_i`` under one union.
 """
 
@@ -59,11 +60,6 @@ from repro.engines.operators import (
     StepResult,
 )
 from repro.engines.queues import NODE, WindowQueue
-from repro.engines.scheduling import (
-    CostAwareStrategy,
-    MaxDeltaStrategy,
-    SchedulingStrategy,
-)
 from repro.exceptions import ConfigurationError, ExecutionInterrupted
 from repro.index.builder import DualMatchIndex
 from repro.index.rstar import LeafRecord
@@ -116,6 +112,20 @@ def _cap_pow(threshold_pow: float, sibling_pow: float) -> float:
     return threshold_pow - sibling_pow
 
 
+def max_delta(queues: Sequence[WindowQueue]) -> WindowQueue:
+    """RU's ``SelectPriorityQueue()``, after Güntzer et al. [10]: the
+    queue whose top grew the most since it was last popped (the first
+    on a tie)."""
+    best = queues[0]
+    best_delta = -_INF
+    for queue in queues:
+        delta = queue.top_pow() - queue.reference_top_pow
+        if delta > best_delta:
+            best_delta = delta
+            best = queue
+    return best
+
+
 class PhiOperator(ExtendedIterator):
     """``Φ_i`` — the ranked subsequence matching subquery operator."""
 
@@ -139,19 +149,18 @@ class PhiOperator(ExtendedIterator):
         #: ``candMinQ_Φ``: fully evaluated candidates awaiting emission,
         #: as (dtw_pow, sid, start).
         self._cand_heap: List[tuple] = []
-        self._strategy: SchedulingStrategy = MaxDeltaStrategy()
+        #: ``SelectPriorityQueue()``: which queue the next step pops.
+        self._select = max_delta
         if method == "ru-cost":
-            self._strategy = CostAwareStrategy(
-                CostAwareDensityScheduler(
-                    store=index.store,
-                    query_length=window_set.length,
-                    omega=index.data_stride,
-                    blocking_factor=index.tree.blocking_factor,
-                    p=spec.p,
-                    cap_for=self._cap_for,
-                    pages_seen=evaluator.stats.pages_seen,
-                )
-            )
+            self._select = CostAwareDensityScheduler(
+                store=index.store,
+                query_length=window_set.length,
+                omega=index.data_stride,
+                blocking_factor=index.tree.blocking_factor,
+                p=spec.p,
+                cap_for=self._cap_for,
+                pages_seen=evaluator.stats.pages_seen,
+            ).select
 
         #: ``MSEQ-dist_next`` as of the latest step.  The queues change
         #: only inside :meth:`get_next`, which re-sums it once per step.
@@ -207,7 +216,7 @@ class PhiOperator(ExtendedIterator):
                 return Status.TUPLE, self._pop_candidate()
             return Status.EOR, None
 
-        queue = self._strategy.select(self.queues)
+        queue = self._select(self.queues)
         # A cost-aware expansion may have pruned the queue empty between
         # selection bookkeeping and the pop; it may still have moved
         # other tops, so the frontier is re-summed either way.
@@ -229,7 +238,8 @@ class PhiOperator(ExtendedIterator):
                 self._advance_popped(queue, dist_pow, kind, payload)
         else:
             self._advance_popped(queue, dist_pow, kind, payload)
-        self._strategy.after_pop(queue)
+        # Max-delta's reference point; RU-COST never reads it.
+        queue.reference_top_pow = queue.top_pow()
 
     def _advance_popped(
         self, queue: WindowQueue, dist_pow: float, kind: int, payload: object

@@ -77,7 +77,9 @@ class TestPopAndExpand:
         # Eventually no nodes remain.
         while queue.expand_first_node():
             pass
-        assert all(entry[2] == LEAF for entry in queue.iter_entries())
+        assert all(
+            entry[2] == LEAF for entry in queue.sorted_prefix(len(queue))
+        )
         assert not queue.expand_first_node()
 
 
@@ -86,12 +88,13 @@ class TestScans:
         queue.expand_first_node()
         queue.expand_first_node()
         prefix = queue.sorted_prefix(5)
-        full = sorted(queue.iter_entries())
+        full = sorted(queue.sorted_prefix(len(queue)))
         assert prefix == full[:5]
 
     def test_maxdist_at_least_mindist(self, queue):
         queue.expand_first_node()
-        for dist_pow, _seq, kind, _payload, far_pow in queue.iter_entries():
+        entries = queue.sorted_prefix(len(queue))
+        for dist_pow, _seq, kind, _payload, far_pow in entries:
             assert far_pow >= dist_pow - 1e-12
             if kind == LEAF:
                 assert far_pow == dist_pow

@@ -1,4 +1,10 @@
-"""Unit tests for queue selection (repro.engines.scheduling)."""
+"""Unit tests for queue selection: each ``Φ``'s ``_select`` is
+:func:`repro.engines.ranked_union.max_delta` (RU) or
+:meth:`repro.engines.cost_density.CostAwareDensityScheduler.select`
+(RU-COST)."""
+
+import hashlib
+import math
 
 import pytest
 
@@ -6,11 +12,15 @@ from repro.core.metrics import QueryStats
 from repro.core.windows import QueryWindowSet
 from repro.engines.base import QuerySpec
 from repro.engines.bounds import NodeGrid
-from repro.engines.cost_density import STICKY_POPS
+from repro.engines.cost_density import STICKY_POPS, CostAwareDensityScheduler
 from repro.engines.queues import WindowQueue
-from repro.engines.ranked_union import RankedUnionEngine
-from repro.engines.scheduling import CostAwareStrategy, MaxDeltaStrategy
+from repro.engines.ranked_union import (
+    PhiOperator,
+    RankedUnionEngine,
+    max_delta,
+)
 from repro.exceptions import ConfigurationError
+from tests.conftest import query_from
 from tests.test_operators import make_phi
 
 
@@ -31,31 +41,33 @@ class TestMaxDelta:
         queues = [FakeQueue(1.0), FakeQueue(5.0), FakeQueue(2.0)]
         queues[1].reference_top_pow = 0.0
         queues[2].reference_top_pow = 1.9
-        strategy = MaxDeltaStrategy()
-        assert strategy.select(queues) is queues[1]
+        assert max_delta(queues) is queues[1]
 
-    def test_after_pop_resets_reference(self):
-        queue = FakeQueue(5.0)
-        strategy = MaxDeltaStrategy()
-        strategy.after_pop(queue)
-        assert queue.reference_top_pow == 5.0
+    def test_after_pop_resets_reference(self, walk_db):
+        # A pop leaves the popped queue's reference at its new top.
+        query = walk_db.store.peek_subsequence(0, 100, 48).copy()
+        phi, _evaluator, _window_set = make_phi(walk_db, query)
+        queue = phi.queues[0]
+        queue.reference_top_pow = -1.0
+        phi._pop(queue)
+        assert queue.reference_top_pow == queue.top_pow()
 
     def test_ties_pick_first(self):
         queues = [FakeQueue(1.0), FakeQueue(1.0)]
-        assert MaxDeltaStrategy().select(queues) is queues[0]
+        assert max_delta(queues) is queues[0]
 
 
 def selector(db, method):
     query = db.store.peek_subsequence(0, 100, 48).copy()
     phi, _evaluator, _window_set = make_phi(db, query, method=method)
-    return phi._strategy
+    return phi._select
 
 
 class TestFactory:
     """The method names the selector each ``Φ`` builds."""
 
     def test_simple_names(self, walk_db):
-        assert isinstance(selector(walk_db, "ru"), MaxDeltaStrategy)
+        assert selector(walk_db, "ru") is max_delta
 
     def test_unknown_name(self, walk_db):
         # No selector for a name outside ranked union: the engine and
@@ -66,9 +78,9 @@ class TestFactory:
             QuerySpec(rho=2, kind="stream", method="mystery")
 
     def test_cost_aware_construction(self, walk_db):
-        strategy = selector(walk_db, "ru-cost")
-        assert isinstance(strategy, CostAwareStrategy)
-        assert strategy._sticky_pops == STICKY_POPS
+        select = selector(walk_db, "ru-cost")
+        assert isinstance(select.__self__, CostAwareDensityScheduler)
+        assert select.__func__ is CostAwareDensityScheduler.select
 
 
 class TestStickiness:
@@ -85,14 +97,71 @@ class TestStickiness:
             WindowQueue(grid.probe(window))
             for window in window_set.classes[0]
         ]
+        scheduler = CostAwareDensityScheduler(
+            store=walk_db.store,
+            query_length=48,
+            omega=16,
+            blocking_factor=walk_db.index.tree.blocking_factor,
+            p=2.0,
+            cap_for=lambda _queue: math.inf,
+            pages_seen={},
+        )
         calls = {"count": 0}
 
-        class CountingScheduler:
-            def select(self, live):
-                calls["count"] += 1
-                return live[0]
+        def densest(live):
+            calls["count"] += 1
+            return live[0]
 
-        strategy = CostAwareStrategy(CountingScheduler(), sticky_pops=3)
-        picks = [strategy.select(queues) for _ in range(6)]
+        scheduler._densest = densest
+        picks = [scheduler.select(queues) for _ in range(2 * STICKY_POPS)]
         assert all(pick is queues[0] for pick in picks)
-        assert calls["count"] == 2  # re-evaluated every 3 pops
+        assert calls["count"] == 2  # re-evaluated every STICKY_POPS pops
+
+
+#: SHA-256 prefix of every pop's ``(class_index, queue position,
+#: dist_pow)``, in pop order, and the number of pops, for the golden
+#: query (``golden_db``, sid 0 at 640, 48 points, k = 5).  Captured
+#: before the selectors moved onto ``PhiOperator``; a moved digest means
+#: a queue pick changed.
+PICK_DIGESTS = {
+    ("ru", "immediate", "raw"): (273, "a0bcda044b6f68aa"),
+    ("ru", "immediate", "znorm"): (1191, "e927db468e944001"),
+    ("ru", "deferred", "raw"): (273, "a0bcda044b6f68aa"),
+    ("ru", "deferred", "znorm"): (1191, "e927db468e944001"),
+    ("ru-cost", "immediate", "raw"): (255, "08c25beefccdefa4"),
+    ("ru-cost", "immediate", "znorm"): (1218, "2242e9c41bd9fab9"),
+    ("ru-cost", "deferred", "raw"): (252, "e73f61c4859edb65"),
+    ("ru-cost", "deferred", "znorm"): (1210, "c4b429dee4b4a398"),
+}
+
+
+class TestPickDigest:
+    """Every queue pick, not only the counters it adds up to, is pinned."""
+
+    @pytest.mark.parametrize("cell", sorted(PICK_DIGESTS), ids="-".join)
+    def test_picks_are_pinned(self, golden_db, monkeypatch, cell):
+        method, timing, values = cell
+        picks = []
+        pop = PhiOperator._pop
+
+        def spy(phi, queue):
+            position = next(
+                index
+                for index, candidate in enumerate(phi.queues)
+                if candidate is queue
+            )
+            picks.append((phi.class_index, position, queue.top_pow()))
+            pop(phi, queue)
+
+        monkeypatch.setattr(PhiOperator, "_pop", spy)
+        golden_db.reset_cache()
+        golden_db.search(
+            query_from(golden_db, 640, 48),
+            k=5,
+            rho=2,
+            method=method,
+            deferred=timing == "deferred",
+            normalize=values == "znorm",
+        )
+        digest = hashlib.sha256(repr(picks).encode()).hexdigest()[:16]
+        assert (len(picks), digest) == PICK_DIGESTS[cell]
