@@ -63,20 +63,18 @@ from repro.serve import (
 )
 from repro.shard import (
     ShardedDatabase,
-    ShardedMatchStream,
     ShardPlan,
     ShardPlanner,
 )
 from repro.storage.buffer import RetryPolicy
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "QueryFacade",
     "SubsequenceDatabase",
     "ShardedDatabase",
-    "ShardedMatchStream",
     "ShardPlan",
     "ShardPlanner",
     "SearchResult",

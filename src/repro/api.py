@@ -60,15 +60,16 @@ from repro.core.clock import Clock
 from repro.core.metrics import QueryStats
 from repro.core.results import Match
 from repro.engines.base import (
+    RANKED_UNION_METHODS,
     Engine,
     QuerySpec,
-    RankedStream,
     SearchResult,
+    query_window_set,
 )
 from repro.engines.hlmj import HlmjEngine
 from repro.engines.psm import PsmEngine, build_sliding_index
 from repro.engines.range_search import RangeSearchEngine
-from repro.engines.ranked_union import MatchStream, RankedUnionEngine
+from repro.engines.ranked_union import MatchStream, RankedUnion
 from repro.engines.seqscan import SeqScanEngine
 from repro.exceptions import ConfigurationError, IndexNotBuiltError
 from repro.index.builder import DualMatchIndex, build_index
@@ -84,16 +85,15 @@ if TYPE_CHECKING:
 
 _Facade = TypeVar("_Facade", bound="QueryFacade")
 
-#: ``name -> factory(index)`` for every
-#: :data:`~repro.engines.base.METHODS` entry plus the ``"range"`` kind
-#: (``psm`` takes the sliding index, not the DualMatch one).
+#: ``name -> factory(index)`` for every batch method plus the
+#: ``"range"`` kind (``psm`` takes the sliding index, not the DualMatch
+#: one).  The ranked-union methods have no engine: they run as one
+#: :class:`~repro.engines.ranked_union.RankedUnion`.
 _ENGINES: Dict[str, Callable[[DualMatchIndex], Engine]] = {
     "seqscan": SeqScanEngine,
     "hlmj": HlmjEngine,
     "hlmj-wg": lambda index: HlmjEngine(index, use_window_group=True),
     "psm": PsmEngine,
-    "ru": RankedUnionEngine,
-    "ru-cost": lambda index: RankedUnionEngine(index, method="ru-cost"),
     "range": RangeSearchEngine,
 }
 
@@ -161,7 +161,7 @@ class QueryFacade(abc.ABC):
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
-    ) -> RankedStream:
+    ) -> MatchStream:
         """Open one ``stream`` spec lazily."""
 
     def _control(
@@ -236,7 +236,8 @@ class QueryFacade(abc.ABC):
         to the pre-control-plane library.  A sharded database returns
         the unsharded answer byte for byte (under ``normalize`` too:
         candidates are normalized by their own rolling statistics) with
-        the per-shard counters in ``shard_stats``.
+        the per-shard counters in ``shard_stats`` (``{0: stats}``
+        unsharded).
         """
         spec = QuerySpec.for_query(
             query,
@@ -350,7 +351,7 @@ class QueryFacade(abc.ABC):
         deadline: Optional[Deadline] = None,
         token: Optional[CancellationToken] = None,
         normalize: bool = False,
-    ) -> RankedStream:
+    ) -> MatchStream:
         """Stream up to ``k`` matches lazily, best first.
 
         Exposes the extended iterator model (Definition 5) directly:
@@ -360,7 +361,7 @@ class QueryFacade(abc.ABC):
         k-th is resolved.  Consumers may stop early; no further index
         work happens after the stream is abandoned or closed.
 
-        Returns a :class:`~repro.engines.base.RankedStream` — an
+        Returns a :class:`~repro.engines.ranked_union.MatchStream` — an
         iterator that, once exhausted or closed, holds the same result
         object :meth:`search` returns (``stream.result``, over the
         emitted prefix) and so surfaces the per-query
@@ -592,8 +593,10 @@ class SubsequenceDatabase(QueryFacade):
     # ------------------------------------------------------------------
 
     def engine_for(self, spec: QuerySpec) -> Engine:
-        """A fresh engine for ``spec``: its ``method``, or the range
-        engine for a ``range`` spec.
+        """A fresh engine for a batch ``spec``: its ``method``, or the
+        range engine for a ``range`` spec.  A ranked-union ``knn`` has
+        no engine; :meth:`run_query` runs it as one
+        :class:`~repro.engines.ranked_union.RankedUnion`.
 
         Engines hold nothing but a reference to their index, so one is
         built per query and threads share none.
@@ -619,6 +622,8 @@ class SubsequenceDatabase(QueryFacade):
         The sharded fan-out and the query service call it with a spec
         they built themselves.
         """
+        if spec.kind == "knn" and spec.method in RANKED_UNION_METHODS:
+            return self._union(query, spec, control).search()
         return self.engine_for(spec).search(query, spec, control)
 
     def open_stream(
@@ -628,9 +633,24 @@ class SubsequenceDatabase(QueryFacade):
         control: ExecutionControl,
     ) -> MatchStream:
         """Open one ``stream`` spec lazily."""
+        return MatchStream(self._union(query, spec, control))
+
+    def _union(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> RankedUnion:
+        """The ranked union over this database's one index, source 0."""
         if self.index is None:
-            raise IndexNotBuiltError("call build() before iter_matches()")
-        return MatchStream(self.index, query, spec, control)
+            raise IndexNotBuiltError("call build() before querying")
+        return RankedUnion(
+            [(0, self.index)],
+            query,
+            spec,
+            control,
+            query_window_set(query, self.index, spec),
+        )
 
     # ------------------------------------------------------------------
     # Online ingest (WAL-backed; see :mod:`repro.ingest`)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -278,8 +277,9 @@ class SearchResult:
     #: Span tree + metrics delta for this query — populated only when
     #: the bound tracer was enabled (``None`` otherwise, at zero cost).
     profile: Optional[QueryProfile] = None
-    #: ``shard index -> counters`` behind a sharded answer; they sum to
-    #: :attr:`stats`.  Empty on an unsharded answer.
+    #: ``source -> counters`` behind the answer; they sum to
+    #: :attr:`stats`.  A sharded answer has one entry per shard that
+    #: ran, an unsharded one ``{0: stats}``.
     shard_stats: Dict[int, QueryStats] = field(default_factory=dict)
 
     @property
@@ -737,16 +737,20 @@ class QueryRun:
     evaluator — and teardown — wall time, fault report, interrupt →
     :class:`PartialResult` with its exactness certificate, the
     :class:`~repro.obs.QueryProfile` — happen here once, for the batch
-    engines (:meth:`Engine.search`) and for lazy streams alike.
+    engines (:meth:`Engine.search`) and for the ranked union
+    (:class:`~repro.engines.ranked_union.RankedUnion`) alike.
 
-    Advance the run only inside ``with run:``: the root span is this
-    thread's current span there and nowhere else, because a stream's
-    run outlives the pulls that advance it and whatever its caller
-    records between pulls (another shard's step, say) must not nest
-    under it.  The run's ``wall_time_s`` is the time spent inside those
-    blocks.  An interrupt escaping a block leaves the root open for
-    :meth:`finish`; any other error closes it.  A normal run ends, after
-    its last block, with :meth:`finish`.
+    Advance the run only inside ``with run:``: the root span and its
+    open phase span — ``engine.run`` from the start, ``engine.finalize``
+    once :meth:`drain` begins — are this thread's current spans there and
+    nowhere else, because a run may outlive the blocks that advance it
+    and whatever its caller records between them (another shard's step,
+    say) must not nest under it.  The run's ``wall_time_s`` is
+    :attr:`busy_s`, the time spent inside those blocks, to which a
+    ranked union adds the run's share of its own work between them.
+    An interrupt escaping a block leaves the spans open for
+    :meth:`finish`; any other error closes them.  A normal run ends,
+    after its last block, with :meth:`finish`.
 
     The shard runs of a sharded fan-out pass one ``window_set`` and one
     ``collector`` (see :class:`CandidateEvaluator`) instead of building
@@ -788,7 +792,9 @@ class QueryRun:
                 norm = NormalizationContext(
                     index.store, self.window_set.length
                 )
-            self._busy_s = 0.0
+            #: Time spent inside ``with run:`` blocks, reported as
+            #: ``wall_time_s``.
+            self.busy_s = 0.0
             self.stats = QueryStats()
             control.bind(self.stats)
             self.evaluator = CandidateEvaluator(
@@ -803,19 +809,39 @@ class QueryRun:
         except BaseException as error:
             self._root.__exit__(type(error), error, None)
             raise
+        self._phase = tracer.start_span("engine.run")
+        tracer.suspend(self._phase)
         tracer.suspend(self._root)
+        #: A ranked union enters the run once per step: untraced, that
+        #: is only the clock.
+        self._traced = isinstance(self._root, Span)
 
     def __enter__(self) -> "QueryRun":
-        self.control.tracer.resume(self._root)
+        if self._traced:
+            tracer = self.control.tracer
+            tracer.resume(self._root)
+            tracer.resume(self._phase)
         self._entered_at = time.perf_counter()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self._busy_s += time.perf_counter() - self._entered_at
+        self.busy_s += time.perf_counter() - self._entered_at
+        if not self._traced:
+            return
         if exc_type is None or issubclass(exc_type, ExecutionInterrupted):
-            self.control.tracer.suspend(self._root)
+            tracer = self.control.tracer
+            tracer.suspend(self._phase)
+            tracer.suspend(self._root)
         else:
+            self._phase.__exit__(exc_type, exc, tb)
             self._root.__exit__(exc_type, exc, tb)
+
+    def drain(self) -> None:
+        """Flush the deferred buffer, under ``engine.finalize`` in place
+        of ``engine.run``.  Call it inside ``with run:``."""
+        self._phase.close()
+        self._phase = self.control.tracer.start_span("engine.finalize")
+        self.evaluator.finalize()
 
     def finish(
         self,
@@ -828,7 +854,7 @@ class QueryRun:
         :class:`PartialResult` instead of an exception.
         """
         stats = self.stats
-        stats.wall_time_s = self._busy_s
+        stats.wall_time_s = self.busy_s
         stats.checkpoints = self.control.checkpoints
         self.evaluator.release()
         report = self.evaluator.fault_report
@@ -837,6 +863,7 @@ class QueryRun:
             stats=stats,
             degraded=bool(report),
             fault_report=report if report else None,
+            shard_stats={0: stats},
         )
         if interrupt is not None:
             stats.interrupted = 1
@@ -858,87 +885,21 @@ class QueryRun:
                 ),
             )
         root = self._root
-        self.control.tracer.resume(root)
+        tracer = self.control.tracer
+        tracer.resume(root)
+        tracer.resume(self._phase)
+        self._phase.close()
         root.close()
         if isinstance(root, Span) and self._metrics_before is not None:
             result.profile = QueryProfile(
                 span=root,
-                metrics=self.control.tracer.metrics.snapshot().delta(
+                metrics=tracer.metrics.snapshot().delta(
                     self._metrics_before
                 ),
                 stats=stats,
                 fault_report=result.fault_report,
             )
         return result
-
-
-class RankedStream(Iterator[Match]):
-    """A lazy best-first match iterator that ends in a result object.
-
-    Iterate it like any generator.  When iteration ends — naturally,
-    via :meth:`close`, or through a budget/deadline/cancellation
-    interrupt — :attr:`result` holds the same
-    :class:`SearchResult` / :class:`PartialResult` a batch query
-    returns, over the emitted prefix; the read-only attributes below
-    are views of it (``None`` / defaults while the stream is live).
-    """
-
-    #: Final state; ``None`` until the stream ends.
-    result: Optional[SearchResult] = None
-
-    def __iter__(self) -> "RankedStream":
-        return self
-
-    def close(self) -> None:
-        """Stop the stream early; diagnostics become available."""
-        if self.result is None:
-            self._finalize()
-
-    @abc.abstractmethod
-    def _finalize(self) -> None:
-        """Release the stream's resources and set :attr:`result`."""
-
-    @property
-    def stats(self) -> Optional[QueryStats]:
-        """Final per-query counters."""
-        return None if self.result is None else self.result.stats
-
-    @property
-    def degraded(self) -> bool:
-        return self.result is not None and self.result.degraded
-
-    @property
-    def fault_report(self) -> Optional[FaultReport]:
-        """Audit of tolerated faults (``None`` on healthy runs)."""
-        return None if self.result is None else self.result.fault_report
-
-    @property
-    def profile(self) -> Optional[QueryProfile]:
-        """Per-query profile (``None`` unless tracing was enabled)."""
-        return None if self.result is None else self.result.profile
-
-    @property
-    def interrupted(self) -> bool:
-        """Whether a limit (or a lost shard) cut the stream short."""
-        return isinstance(self.result, PartialResult)
-
-    @property
-    def reason(self) -> str:
-        """Interrupt reason (see :class:`PartialResult`)."""
-        result = self.result
-        return result.reason if isinstance(result, PartialResult) else ""
-
-    @property
-    def certificate(self) -> float:
-        """Exactness certificate of the emitted prefix.
-
-        ``inf`` for a stream that ended naturally: emitted ranks are
-        exact.
-        """
-        result = self.result
-        if isinstance(result, PartialResult):
-            return result.certificate
-        return math.inf
 
 
 def prefix_certificate(certificate: float, emitted: Sequence[Match]) -> float:
@@ -964,7 +925,7 @@ class Engine(abc.ABC):
     submits candidates through the provided evaluator.
     """
 
-    #: Short name used in benchmark tables ("HLMJ", "RU-COST", ...).
+    #: Short name on the ``engine.search`` span ("HLMJ", "SeqScan", ...).
     name: str = "engine"
 
     def __init__(self, index: DualMatchIndex) -> None:
@@ -1005,13 +966,10 @@ class Engine(abc.ABC):
         fan-out calls this once per shard, on runs that share one
         window set and one collector.
         """
-        tracer = run.control.tracer
         with run:
             try:
-                with tracer.span("engine.run"):
-                    self._run(run.window_set, run.evaluator, run.spec)
-                with tracer.span("engine.finalize"):
-                    run.evaluator.finalize()
+                self._run(run.window_set, run.evaluator, run.spec)
+                run.drain()
             except ExecutionInterrupted as signal:
                 return signal
         return None

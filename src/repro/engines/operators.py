@@ -6,8 +6,8 @@ operator can make fine-grained scheduling decisions: an operator may
 report that no tuple is ready yet but that everything it will ever emit
 costs at least ``LB``.
 
-Every operator exposes ``start() / get_next() / end()`` and returns
-``(Status, payload)`` pairs from ``get_next``:
+Every operator exposes ``get_next()``, which returns a
+``(Status, payload)`` pair:
 
 * ``Status.TUPLE`` — payload is the next result (a ranked candidate);
 * ``Status.LB`` — payload is the lower bound (p-th power) of the next
@@ -46,12 +46,6 @@ StepResult = Tuple[Status, Optional[Any]]
 class ExtendedIterator(abc.ABC):
     """Base class for operators following the extended iterator model."""
 
-    def start(self) -> None:
-        """Initialise operator state.  Default: nothing to do."""
-
     @abc.abstractmethod
     def get_next(self) -> StepResult:
         """Advance by one scheduling quantum; see module docstring."""
-
-    def end(self) -> None:
-        """Release operator resources.  Default: nothing to do."""

@@ -18,23 +18,66 @@ over ``ω`` subqueries, one per matching subsequence equivalence class
   lazy heaps, so one step costs O(log children), limited query or not,
   and every checkpoint reports the exact frontier.
 
-:class:`RankedUnionEngine` drives the operator tree to exhaustion of the
-top-k result.  The query's ``method`` selects every ``Φ_i``'s
+:class:`RankedUnion` alone runs that tree, for one database and for N
+shards alike: it puts the ``Φ_i`` of every source (one database's
+index, or every live shard's) under one ``∪_r``, and either
+runs it to EOR (:meth:`RankedUnion.search`, a ``knn`` query) or hands
+it to a :class:`MatchStream`, which pulls it one ``GetNext()`` at a
+time.  The query's ``method`` selects every ``Φ_i``'s
 ``SelectPriorityQueue()`` policy: ``"ru"`` is the paper's **RU**
 (:func:`max_delta`), ``"ru-cost"`` is **RU-COST**
 (:meth:`~repro.engines.cost_density.CostAwareDensityScheduler.select`).
-:class:`MatchStream` pulls the same tree (:func:`build_union`) one
-``GetNext()`` at a time for lazy best-first emission.  A sharded fan-out
-(:mod:`repro.shard.merge`) puts every shard's ``Φ_i`` under one union.
+
+Every source's run offers to **one** collector, so each ``Φ_i`` prunes
+against one ``delta_cur`` and the answer is the single-source top-k,
+ties included.  :func:`merge_search_results` composes the sources'
+runs into one result:
+
+* **Certificates** — when source ``i`` is interrupted, its certificate
+  ``c_i`` lower-bounds every candidate it left unexamined; candidates
+  on completed sources were all examined.  Any unexamined candidate
+  anywhere therefore has true distance ``>= min_i c_i`` — the global
+  certificate is the min over per-source certificates (completed
+  sources contribute ``inf``), exactly the "min over alive frontiers"
+  rule the union uses.  A source lost wholesale (a crash under the
+  degrade policy) has certified nothing, so it contributes ``0.0`` —
+  the merged result stays honest by claiming no exactness at all below
+  the surviving sources' answers.
+* **Top-k** — given per-source top-ks, keeping the ``k`` smallest of
+  their concatenation under the total order ``(distance, sid, start)``
+  yields the global top-k, ties included.  No fan-out needs this any
+  more (each shares one collector); the end-to-end bench times it on a
+  captured sharded answer.
+
+Merged :class:`~repro.core.metrics.QueryStats` are *sums* over sources
+(``wall_time_s`` included — it measures aggregate work, not latency: a
+source's time is what it spent in its own union steps and deferred
+drains plus its share of the union's own work, so the sum is the time
+spent driving the union and stays within the caller's latency); the
+per-source breakdown rides along in the result's ``shard_stats``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, List, Optional, Protocol, Sequence, Tuple, Union
+import time
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.analysis.concurrency import single_query
 from repro.control import ExecutionControl
+from repro.core.metrics import QueryStats
 from repro.core.results import Match, RangeCollector, TopKCollector
 from repro.core.windows import (
     QueryWindowSet,
@@ -42,13 +85,12 @@ from repro.core.windows import (
     candidate_start,
 )
 from repro.engines.base import (
-    RANKED_UNION_METHODS,
     CandidateEvaluator,
-    Engine,
+    FaultEvent,
+    FaultReport,
     PartialResult,
     QueryRun,
     QuerySpec,
-    RankedStream,
     SearchResult,
     prefix_certificate,
 )
@@ -60,42 +102,105 @@ from repro.engines.operators import (
     StepResult,
 )
 from repro.engines.queues import NODE, WindowQueue
-from repro.exceptions import ConfigurationError, ExecutionInterrupted
+from repro.exceptions import ExecutionInterrupted, StorageError
 from repro.index.builder import DualMatchIndex
 from repro.index.rstar import LeafRecord
+from repro.obs import QueryProfile
 
 _INF = math.inf
 
-
-class Checkpoints(Protocol):
-    """What ``∪_r`` checkpoints: one query's
-    :class:`~repro.control.ExecutionControl`, or a sharded fan-out that
-    checkpoints every shard's."""
-
-    def checkpoint(self, frontier_pow: Optional[float] = None) -> None:
-        ...
+#: Interrupt reason recorded when a source failed wholesale and the
+#: degrade policy kept the query alive on the survivors.
+REASON_SHARD_LOST = "shard:lost"
 
 
-class StreamRun(Protocol):
-    """What a :class:`MatchStream` advances inside ``with run:`` and ends
-    with ``run.finish``: a :class:`~repro.engines.base.QueryRun`, or a
-    sharded fan-out, whose steps enter their own shard's run."""
+@dataclass(frozen=True)
+class LostShard:
+    """One source that produced no answer at all (crash/unreadable)."""
 
-    spec: QuerySpec
-    window_set: QueryWindowSet
+    shard: int
+    detail: str
 
-    def __enter__(self) -> Any:
-        ...
 
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        ...
+def _merged_fault_report(
+    outcomes: Sequence[Tuple[int, SearchResult]],
+    lost: Sequence[LostShard],
+) -> Optional[FaultReport]:
+    events: List[FaultEvent] = []
+    suppressed = 0
+    for shard, outcome in outcomes:
+        if outcome.fault_report is not None:
+            events.extend(outcome.fault_report.events)
+            suppressed += outcome.fault_report.suppressed
+    for loss in lost:
+        events.append(
+            FaultEvent(error="ShardLost", detail=loss.detail)
+        )
+    if not events and suppressed == 0:
+        return None
+    return FaultReport(events=events, suppressed=suppressed)
 
-    def finish(
-        self,
-        matches: List[Match],
-        interrupt: Optional[ExecutionInterrupted] = None,
-    ) -> SearchResult:
-        ...
+
+def merge_search_results(
+    outcomes: Sequence[Tuple[int, SearchResult]],
+    k: Optional[int],
+    lost: Sequence[LostShard] = (),
+) -> SearchResult:
+    """Compose per-source (number, result) pairs into the global answer.
+
+    ``k=None`` merges without truncation; the fan-outs pass it and set
+    the answer from their shared collector.  ``k`` keeps the ``k`` best
+    matches: only the frozen end-to-end bench passes it, to time the
+    merge of per-shard top-ks.  The result carries the per-source
+    counters in ``shard_stats``, and the one run's ``profile`` when
+    there is one run.  It is a
+    :class:`~repro.engines.base.PartialResult` when any source was
+    interrupted or lost: the ``certificate`` composes source-wise (min
+    over per-source certificates; a lost source contributes 0.0) and
+    keeps that class's contract — every unexamined candidate anywhere
+    has true distance at or above it.
+    """
+    matches: List[Match] = []
+    stats = QueryStats()
+    shard_stats: Dict[int, QueryStats] = {}
+    reasons: List[str] = []
+    certificate = math.inf
+    for shard, outcome in outcomes:
+        matches.extend(outcome.matches)
+        stats.merge(outcome.stats)
+        shard_stats[shard] = outcome.stats
+        if isinstance(outcome, PartialResult):
+            certificate = min(certificate, outcome.certificate)
+            if outcome.reason and outcome.reason not in reasons:
+                reasons.append(outcome.reason)
+    matches.sort()
+    if k is not None:
+        matches = matches[:k]
+    report = _merged_fault_report(outcomes, lost)
+    degraded = report is not None
+    if lost:
+        certificate = 0.0
+        if REASON_SHARD_LOST not in reasons:
+            reasons.append(REASON_SHARD_LOST)
+    profile: Optional[QueryProfile] = None
+    if len(outcomes) == 1:
+        profile = outcomes[0][1].profile
+    merged = SearchResult(
+        matches=matches,
+        stats=stats,
+        degraded=degraded,
+        fault_report=report,
+        profile=profile,
+        shard_stats=shard_stats,
+    )
+    if not reasons and math.isinf(certificate):
+        return merged
+    stats.interrupted = max(stats.interrupted, 1)
+    return PartialResult(
+        **vars(merged),
+        reason=",".join(sorted(reasons)),
+        certificate=certificate,
+    )
 
 
 def _cap_pow(threshold_pow: float, sibling_pow: float) -> float:
@@ -307,7 +412,9 @@ class UnionOperator(ExtendedIterator):
     ``inf`` for both, so it is never picked and never lowers the
     frontier.
 
-    ``control`` is checkpointed, with the frontier, once per loop of
+    ``control`` — one run's control, or the :class:`RankedUnion` that
+    checkpoints every source's — is checkpointed, with the frontier,
+    once per loop of
     :meth:`get_next`; ``collector`` holds ``delta_cur``, the k-th
     distance of every candidate the children have verified.
     """
@@ -315,7 +422,7 @@ class UnionOperator(ExtendedIterator):
     def __init__(
         self,
         children: Sequence[PhiOperator],
-        control: Checkpoints,
+        control: Union[ExecutionControl, "RankedUnion"],
         collector: Union[TopKCollector, RangeCollector],
     ) -> None:
         self._children = children
@@ -415,136 +522,329 @@ class UnionOperator(ExtendedIterator):
             )
 
 
-def build_union(
-    window_set: QueryWindowSet,
-    index: DualMatchIndex,
-    evaluator: CandidateEvaluator,
-    spec: QuerySpec,
-    method: str,
-) -> UnionOperator:
-    """The operator tree of one query: ``∪_r`` over one ``Φ_i`` per MSEQ."""
-    children = [
-        PhiOperator(
-            class_index=class_index,
-            window_set=window_set,
-            index=index,
-            evaluator=evaluator,
-            spec=spec,
-            method=method,
-        )
-        for class_index in range(window_set.num_classes)
-        if window_set.classes[class_index]
-    ]
-    return UnionOperator(children, evaluator.control, evaluator.collector)
+@dataclass
+class _Source:
+    """One live source of a :class:`RankedUnion`: its index and its run.
+
+    ``over`` is set once the source's run has ended early: a storage
+    error lost it, or, under ``on_fault="raise"``, ended the query.
+    """
+
+    number: int
+    index: DualMatchIndex
+    run: QueryRun
+    over: bool = False
 
 
-class MatchStream(RankedStream):
-    """Lazy best-first top-k over one database's ranked-union tree.
+class _SourcePhi(PhiOperator):
+    """A ``Φ_i`` of one source under a :class:`RankedUnion`.
 
-    Produced by :meth:`repro.api.SubsequenceDatabase.iter_matches`.
-    Exposes the extended iterator model (Definition 5) directly: each
-    confirmed result is yielded as soon as its rank is settled.  The
-    finished :attr:`result` holds the emitted prefix; for an
-    interrupted stream its certificate is the
-    :func:`~repro.engines.base.prefix_certificate`.
+    Each step runs inside its source's run, so the run's spans are
+    current and the step's time is the source's.  Once its source's run
+    is over it reports EOR.
+    """
+
+    def __init__(
+        self, owner: "RankedUnion", source: _Source, **fields: Any
+    ) -> None:
+        super().__init__(**fields)
+        self._owner = owner
+        self._source = source
+
+    def get_next(self) -> StepResult:
+        step = self._owner.advance(self._source, super().get_next)
+        return (Status.EOR, None) if step is None else step
+
+
+@single_query
+class RankedUnion:
+    """A ranked-union spec over every source, as one union.
+
+    ``sources`` are ``(number, index)`` pairs: ``[(0, index)]`` for one
+    database, the live shards in shard order for a sharded one; ``lost``
+    are the sources already lost before the run.  Every source gets a
+    :class:`~repro.engines.base.QueryRun` under its own
+    :meth:`~repro.control.ExecutionControl.derive` of ``control``, on
+    the span label ``"RU"``, ``"RU-COST"`` or, for a stream,
+    ``"RU-STREAM"``.  The runs share ``window_set`` and one collector,
+    and :attr:`union` is built over all of their ``Φ_i``, source by
+    source.
+
+    The union checkpoints through :meth:`checkpoint`, which checkpoints
+    every live source's control.  The deadline and the token are
+    shared.  A budget cap binds each source's own counters, so the first
+    source over its cap ends the whole union.  Every source's control
+    records the union frontier, so the merged certificate of an
+    interrupted run is that frontier, or the smallest pending deferred
+    bound of any source if that is lower.
+
+    A storage error escaping a source's step or drain follows
+    ``spec.on_fault``, for one source as for N: ``"raise"`` finishes the
+    other sources' runs and propagates it, ``"degrade"`` drops the
+    source, whose children then report EOR and whose certificate is
+    ``0.0`` (reason :data:`REASON_SHARD_LOST`).  Matches it verified
+    before it was lost stay in the answer.
+
+    Each source's RU-COST scheduler prices pages by its own run's image
+    of its source's pool, so unions on one database run side by side.
     """
 
     def __init__(
         self,
-        index: DualMatchIndex,
+        sources: Sequence[Tuple[int, DualMatchIndex]],
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
+        window_set: QueryWindowSet,
+        lost: Sequence[LostShard] = (),
     ) -> None:
-        run = QueryRun(index, query, spec, control, "RU-STREAM")
-        with run:
-            union = build_union(
-                run.window_set, index, run.evaluator, spec, spec.method
+        self.spec = spec
+        self.window_set = window_set
+        self._lost = list(lost)
+        #: Time spent driving the union: its steps and drains, and its
+        #: own work between them (see :meth:`finish`).
+        self.driving_s = 0.0
+        #: Limited checkpoints record trace events, which belong under
+        #: the source's spans: only then is a checkpoint worth entering
+        #: the source's run for.
+        self._traced_checkpoints = control.tracer.enabled and control.limited
+        self._collector = TopKCollector(spec.k, p=spec.p)
+        engine = "RU-STREAM" if spec.kind == "stream" else spec.method.upper()
+        self._sources = [
+            _Source(
+                number,
+                index,
+                QueryRun(
+                    index, query, spec, control.derive(), engine,
+                    window_set=window_set, collector=self._collector,
+                ),
             )
-        self._open(run, union)
+            for number, index in sources
+        ]
+        self.union = UnionOperator(
+            [
+                _SourcePhi(
+                    self,
+                    source,
+                    class_index=class_index,
+                    window_set=window_set,
+                    index=source.index,
+                    evaluator=source.run.evaluator,
+                    spec=spec,
+                    method=spec.method,
+                )
+                for source in self._sources
+                for class_index in range(window_set.num_classes)
+                if window_set.classes[class_index]
+            ],
+            self,
+            self._collector,
+        )
 
-    def _open(self, run: StreamRun, union: UnionOperator) -> None:
-        """Emit from ``union``, advancing it inside ``with run:``; the
-        stream ends with ``run.finish``."""
-        self._run = run
-        self._union = union
+    def advance(
+        self, source: _Source, step: Callable[[], Any]
+    ) -> Optional[Any]:
+        """``step()`` inside ``source``'s run; ``None`` once it is over."""
+        if source.over:
+            return None
+        try:
+            with source.run:
+                return step()
+        except StorageError as error:
+            # The error closed the source's spans on its way out.
+            source.over = True
+            if self.spec.on_fault != "degrade":
+                for other in self._sources:
+                    if not other.over:
+                        other.over = True
+                        other.run.finish([])
+                raise
+            self._lost.append(
+                LostShard(shard=source.number, detail=str(error))
+            )
+            return None
+
+    def checkpoint(self, frontier_pow: Optional[float] = None) -> None:
+        """The union's checkpoint: every live source's limits, each
+        recording ``frontier_pow`` for its certificate."""
+        for source in self._sources:
+            if source.over:
+                continue
+            if self._traced_checkpoints:
+                with source.run:
+                    source.run.control.checkpoint(frontier_pow)
+            else:
+                source.run.control.checkpoint(frontier_pow)
+
+    def search(self) -> SearchResult:
+        """Run the union to EOR, drain every source's deferred buffer,
+        and return the merged top-k."""
+        interrupt: Optional[ExecutionInterrupted] = None
+        started = time.perf_counter()
+        try:
+            while True:
+                # One poll per GetNext(), besides the union's own.
+                self.checkpoint()
+                if self.union.get_next()[0] == Status.EOR:
+                    break
+            self._drain()
+        except ExecutionInterrupted as signal:
+            interrupt = signal
+        self.driving_s += time.perf_counter() - started
+        return self.finish(
+            self._collector.matches(self.window_set.length), interrupt
+        )
+
+    def _drain(self) -> None:
+        """Each live source's deferred drain, in source order (every
+        drain checkpoints between its retrievals)."""
+        for source in self._sources:
+            self.advance(source, source.run.drain)
+
+    def finish(
+        self,
+        matches: List[Match],
+        interrupt: Optional[ExecutionInterrupted] = None,
+    ) -> SearchResult:
+        """Close every live source's run and merge them around
+        ``matches``.
+
+        The union's own work between steps ran in no source's run; each
+        source is charged a share of it in proportion to its own time,
+        so the sources' ``wall_time_s`` add up to :attr:`driving_s`.
+        """
+        busy_s = sum(source.run.busy_s for source in self._sources)
+        if busy_s > 0.0:
+            for source in self._sources:
+                source.run.busy_s *= self.driving_s / busy_s
+        outcomes = [
+            (source.number, source.run.finish([], interrupt))
+            for source in self._sources
+            if not source.over
+        ]
+        result = merge_search_results(outcomes, k=None, lost=self._lost)
+        result.matches = matches
+        # The operators refer back to this object: let go of them, so a
+        # finished union is freed by reference counting.
+        del self.union
+        return result
+
+
+@single_query
+class MatchStream(Iterator[Match]):
+    """Lazy best-first top-k, emitted straight from a
+    :class:`RankedUnion`.
+
+    Produced by :meth:`repro.api.QueryFacade.iter_matches` on either
+    facade.  Exposes the extended iterator model (Definition 5)
+    directly: each confirmed result is yielded as soon as its rank is
+    settled, nondecreasing in ``(distance, sid, start)``.  When
+    iteration ends — naturally, via :meth:`close`, or because it was
+    interrupted or sources were lost — :attr:`result` holds the same
+    :class:`~repro.engines.base.SearchResult` /
+    :class:`~repro.engines.base.PartialResult` a batch query returns,
+    over the emitted prefix; for an interrupted stream its certificate
+    is the :func:`~repro.engines.base.prefix_certificate`.  The
+    read-only attributes below are views of it (``None`` / defaults
+    while the stream is live).
+    """
+
+    #: Final state; ``None`` until the stream ends.
+    result: Optional[SearchResult] = None
+
+    def __init__(self, ranked: RankedUnion) -> None:
+        self._ranked = ranked
         self._emitted: List[Match] = []
+
+    def __iter__(self) -> "MatchStream":
+        return self
 
     def __next__(self) -> Match:
         if self.result is not None:
             raise StopIteration
-        run = self._run
+        spec = self._ranked.spec
         interrupt: Optional[ExecutionInterrupted] = None
-        with run:
-            try:
-                while len(self._emitted) < run.spec.k:
-                    status, payload = self._union.get_next()
-                    if status == Status.EOR:
-                        break
-                    if status == Status.TUPLE:
-                        match = Match(
-                            distance=payload.distance_pow
-                            ** (1.0 / run.spec.p),
-                            sid=payload.sid,
-                            start=payload.start,
-                            length=run.window_set.length,
-                        )
-                        self._emitted.append(match)
-                        return match
-            except ExecutionInterrupted as signal:
-                interrupt = signal
+        started = time.perf_counter()
+        try:
+            while len(self._emitted) < spec.k:
+                status, payload = self._ranked.union.get_next()
+                if status == Status.EOR:
+                    break
+                if status == Status.TUPLE:
+                    match = Match(
+                        distance=payload.distance_pow ** (1.0 / spec.p),
+                        sid=payload.sid,
+                        start=payload.start,
+                        length=self._ranked.window_set.length,
+                    )
+                    self._emitted.append(match)
+                    return match
+        except ExecutionInterrupted as signal:
+            interrupt = signal
+        finally:
+            self._ranked.driving_s += time.perf_counter() - started
         self._finalize(interrupt)
         raise StopIteration
+
+    def close(self) -> None:
+        """Stop the stream early; diagnostics become available."""
+        if self.result is None:
+            self._finalize()
 
     def _finalize(
         self, interrupt: Optional[ExecutionInterrupted] = None
     ) -> None:
-        result = self._run.finish(self._emitted, interrupt)
+        result = self._ranked.finish(self._emitted, interrupt)
         if isinstance(result, PartialResult):
             result.certificate = prefix_certificate(
                 result.certificate, self._emitted
             )
         self.result = result
 
+    @property
+    def stats(self) -> Optional[QueryStats]:
+        """Final per-query counters."""
+        return None if self.result is None else self.result.stats
 
-class RankedUnionEngine(Engine):
-    """RU / RU-COST: ranked union over MSEQ subqueries.
+    @property
+    def shard_stats(self) -> Dict[int, QueryStats]:
+        """Per-source counters (empty until the stream ends)."""
+        return {} if self.result is None else self.result.shard_stats
 
-    Parameters
-    ----------
-    index:
-        The DualMatch index.
-    method:
-        ``"ru"`` (max-delta, the default) or ``"ru-cost"`` (cost-aware
-        density scheduling, :mod:`repro.engines.cost_density`).
-    """
+    @property
+    def degraded(self) -> bool:
+        return self.result is not None and self.result.degraded
 
-    def __init__(self, index: DualMatchIndex, method: str = "ru") -> None:
-        super().__init__(index)
-        if method not in RANKED_UNION_METHODS:
-            raise ConfigurationError(
-                f"unknown ranked-union method {method!r}; expected one "
-                f"of {RANKED_UNION_METHODS}"
-            )
-        self.method = method
-        self.name = method.upper()
+    @property
+    def fault_report(self) -> Optional[FaultReport]:
+        """Audit of tolerated faults (``None`` on healthy runs)."""
+        return None if self.result is None else self.result.fault_report
 
-    def _run(
-        self,
-        window_set: QueryWindowSet,
-        evaluator: CandidateEvaluator,
-        spec: QuerySpec,
-    ) -> None:
-        union = build_union(
-            window_set, self.index, evaluator, spec, self.method
-        )
-        union.start()
-        budget = evaluator.control
-        while True:
-            budget.checkpoint()
-            status, _payload = union.get_next()
-            # Emitted tuples are already in the shared collector; the
-            # engine only needs to drive the operator tree to EOR.
-            if status == Status.EOR:
-                break
-        union.end()
+    @property
+    def profile(self) -> Optional[QueryProfile]:
+        """Per-query profile (``None`` unless tracing was enabled)."""
+        return None if self.result is None else self.result.profile
+
+    @property
+    def interrupted(self) -> bool:
+        """Whether a limit (or a lost source) cut the stream short."""
+        return isinstance(self.result, PartialResult)
+
+    @property
+    def reason(self) -> str:
+        """Interrupt reason (see
+        :class:`~repro.engines.base.PartialResult`)."""
+        result = self.result
+        return result.reason if isinstance(result, PartialResult) else ""
+
+    @property
+    def certificate(self) -> float:
+        """Exactness certificate of the emitted prefix.
+
+        ``inf`` for a stream that ended naturally: emitted ranks are
+        exact.
+        """
+        result = self.result
+        if isinstance(result, PartialResult):
+            return result.certificate
+        return math.inf

@@ -14,11 +14,12 @@ Public surface:
   partitioning.
 * :class:`~repro.shard.database.ShardedDatabase` — the facade: the
   query API of :class:`~repro.api.QueryFacade`, byte-identical results.
-* :func:`~repro.shard.merge.merge_search_results` and
-  :class:`~repro.shard.merge.ShardedMatchStream` — ranked-union
-  composition with shard-wise certificates and ``shard_stats``; the
-  stream emits from :class:`~repro.shard.merge.UnionFanOut`, the one
-  union over every shard.
+* :func:`~repro.shard.merge.merge_search_results` — composition of
+  per-shard answers with shard-wise certificates and ``shard_stats``.
+  A ranked-union query runs one
+  :class:`~repro.engines.ranked_union.RankedUnion` over every shard and
+  streams through the same :class:`~repro.engines.ranked_union.MatchStream`
+  as an unsharded database.
 """
 
 from repro.shard.database import (
@@ -29,7 +30,6 @@ from repro.shard.database import (
 from repro.shard.merge import (
     REASON_SHARD_LOST,
     LostShard,
-    ShardedMatchStream,
     merge_search_results,
 )
 from repro.shard.planner import (
@@ -47,7 +47,6 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "ShardedDatabase",
-    "ShardedMatchStream",
     "hash_shard",
     "merge_search_results",
     "shard_dir_name",

@@ -3,8 +3,8 @@
 :class:`ShardedDatabase` partitions the sequence store across ``N``
 independent :class:`~repro.api.SubsequenceDatabase` instances (each
 with its own pager, buffer pool, and DualMatch R*-tree) and answers
-through the ranked-union rules of :mod:`repro.shard.merge`.  The query
-API *is* the unsharded one — both classes inherit it from
+through the ranked-union rules of :mod:`repro.engines.ranked_union`.
+The query API *is* the unsharded one — both classes inherit it from
 :class:`~repro.api.QueryFacade` — and the differential suite holds the
 results to *byte identity* with the single-process oracle.  What this
 module adds is what sharding is: the planner, the fan-out, the
@@ -17,8 +17,9 @@ on unchanged with one :meth:`~repro.control.ExecutionControl.derive` of
 the control per shard.  Every fan-out cuts the query's windows once and
 hands all its shard runs one collector.  A ranked-union spec
 (``method`` ``"ru"`` or ``"ru-cost"``: every ``stream``, and those
-``knn``) runs as one :class:`~repro.shard.merge.UnionFanOut` — one
-union over every shard's ``Φ_i``, in the calling thread.  Any other
+``knn``) runs as one :class:`~repro.engines.ranked_union.RankedUnion`
+over the live shards — what an unsharded database runs over its one
+index — in the calling thread.  Any other
 spec runs one whole search per shard, one shard after another, also in
 the calling thread, so each later shard prunes against every match the
 shards before it verified.  How ``budget`` /
@@ -64,6 +65,12 @@ from repro.engines.base import (
     SearchResult,
     query_window_set,
 )
+from repro.engines.ranked_union import (
+    LostShard,
+    MatchStream,
+    RankedUnion,
+    merge_search_results,
+)
 from repro.exceptions import (
     ConfigurationError,
     IndexNotBuiltError,
@@ -72,12 +79,6 @@ from repro.exceptions import (
     UsageError,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.shard.merge import (
-    LostShard,
-    ShardedMatchStream,
-    UnionFanOut,
-    merge_search_results,
-)
 from repro.shard.planner import ShardPlan, ShardPlanner
 from repro.storage.buffer import RetryPolicy
 from repro.storage.faults import FaultInjector
@@ -304,7 +305,7 @@ class ShardedDatabase(QueryFacade):
     ) -> SearchResult:
         """Answer one ``knn`` / ``range`` spec from every shard."""
         if spec.kind == "knn" and spec.method in RANKED_UNION_METHODS:
-            merged = self._union_fan_out(query, spec, control).search()
+            merged = self._union(query, spec, control).search()
         else:
             merged = self._fan_out(query, spec, control)
         self._record_shard_metrics(merged.shard_stats)
@@ -315,17 +316,17 @@ class ShardedDatabase(QueryFacade):
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
-    ) -> ShardedMatchStream:
+    ) -> MatchStream:
         """Open one ``stream`` spec: one union over every live shard,
         pulled lazily from the calling thread."""
-        return ShardedMatchStream(self._union_fan_out(query, spec, control))
+        return MatchStream(self._union(query, spec, control))
 
-    def _union_fan_out(
+    def _union(
         self,
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
-    ) -> UnionFanOut:
+    ) -> RankedUnion:
         """One ranked union over the ``Φ_i`` of every live shard.
 
         Every shard has the same geometry, so the query's windows are
@@ -338,7 +339,7 @@ class ShardedDatabase(QueryFacade):
         lost = [self._lose(index, spec) for index in shards if index in failed]
         first = next(iter(shards.values()))
         assert first.index is not None  # every shard is built
-        return UnionFanOut(
+        return RankedUnion(
             [
                 (index, db.index)
                 for index, db in shards.items()
@@ -349,7 +350,6 @@ class ShardedDatabase(QueryFacade):
             control,
             query_window_set(query, first.index, spec),
             lost,
-            "RU-STREAM" if spec.kind == "stream" else spec.method.upper(),
         )
 
     def _lose(self, index: int, spec: QuerySpec) -> LostShard:
@@ -370,7 +370,7 @@ class ShardedDatabase(QueryFacade):
         """Run a non-ranked-union ``spec`` on every live shard, one shard
         after another, in the calling thread.
 
-        As in :meth:`_union_fan_out`, the query's windows are cut once,
+        As in :meth:`_union`, the query's windows are cut once,
         on the first shard's engine index, and every shard run offers
         to one collector: a later shard prunes against every match the
         shards before it verified.  The answer is that collector's.

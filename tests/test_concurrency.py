@@ -166,17 +166,15 @@ class TestContractDecorators:
         assert ExecutionControl.__repro_shared__ is False
 
     def test_shard_classes_declare_contracts(self) -> None:
-        from repro.shard import (
-            ShardedDatabase,
-            ShardedMatchStream,
-            ShardPlanner,
-        )
+        from repro.engines.ranked_union import MatchStream, RankedUnion
+        from repro.shard import ShardedDatabase, ShardPlanner
 
         # Shared but lock-free by construction (immutable after build).
         assert ShardedDatabase.__repro_shared__ is True
         assert ShardPlanner.__repro_shared__ is True
-        # One stream belongs to one query.
-        assert ShardedMatchStream.__repro_shared__ is False
+        # One union and its stream belong to one query.
+        assert RankedUnion.__repro_shared__ is False
+        assert MatchStream.__repro_shared__ is False
 
     def test_requires_lock_on_production_helpers(self) -> None:
         assert BufferPool._evict_one.__repro_requires_lock__ == "_lock"

@@ -105,6 +105,8 @@ class TestDeferredBehaviour:
 
 
 class TestSchedulingVariants:
+    """``method`` names the queue scheduling of the one ranked union."""
+
     @pytest.mark.parametrize(
         "method",
         [
@@ -113,34 +115,43 @@ class TestSchedulingVariants:
         ],
     )
     def test_all_strategies_exact(self, walk_db, method):
-        from repro.engines.ranked_union import RankedUnionEngine
+        from repro.control import ExecutionControl
         from repro.engines.base import QuerySpec
 
         query = query_from(walk_db, 900, 48)
-        reference = walk_db.search(query, k=5, rho=2, method="ru")
-        engine = RankedUnionEngine(walk_db.index, method=method)
-        result = engine.search(query, QuerySpec(k=5, rho=2))
+        reference = walk_db.search(query, k=5, rho=2, method="seqscan")
+        result = walk_db.run_query(
+            query, QuerySpec(k=5, rho=2, method=method), ExecutionControl()
+        )
         assert [round(m.distance, 6) for m in result.matches] == [
             round(m.distance, 6) for m in reference.matches
         ]
 
     def test_engine_names(self, walk_db):
-        from repro.engines.ranked_union import RankedUnionEngine
+        from repro.control import ExecutionControl
+        from repro.engines.base import QuerySpec
+        from repro.obs import Tracer
 
-        assert RankedUnionEngine(walk_db.index).name == "RU"
-        assert (
-            RankedUnionEngine(walk_db.index, method="ru-cost").name
-            == "RU-COST"
-        )
+        query = query_from(walk_db, 900, 48)
+        names = {}
+        for method in ("ru", "ru-cost"):
+            result = walk_db.run_query(
+                query,
+                QuerySpec(k=5, rho=2, method=method),
+                ExecutionControl(tracer=Tracer(enabled=True)),
+            )
+            names[method] = result.profile.span.attrs["engine"]
+        assert names == {"ru": "RU", "ru-cost": "RU-COST"}
 
-    def test_unknown_scheduling_rejected(self, walk_db):
-        from repro.engines.ranked_union import RankedUnionEngine
+    def test_unknown_scheduling_rejected(self):
+        from repro.engines.base import QuerySpec
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            RankedUnionEngine(walk_db.index, method="nope")
+            QuerySpec(rho=2, method="nope")
+        # A stream runs only a ranked-union method.
         with pytest.raises(ConfigurationError):
-            RankedUnionEngine(walk_db.index, method="hlmj")
+            QuerySpec(rho=2, kind="stream", method="hlmj")
 
 
 # ----------------------------------------------------------------------

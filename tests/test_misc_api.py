@@ -119,12 +119,24 @@ class TestDatasetSizing:
 
 class TestEngineNames:
     def test_ranked_union_variant_names(self, walk_db):
-        from repro.engines.ranked_union import RankedUnionEngine
+        from repro.control import ExecutionControl
+        from repro.engines.base import RANKED_UNION_METHODS, QuerySpec
+        from repro.obs import Tracer
 
-        from repro.engines.base import RANKED_UNION_METHODS
+        query = walk_db.store.peek_subsequence(0, 300, 48).copy()
 
-        names = [
-            RankedUnionEngine(walk_db.index, method=method).name
-            for method in RANKED_UNION_METHODS
-        ]
+        def label(kind, method):
+            control = ExecutionControl(tracer=Tracer(enabled=True))
+            spec = QuerySpec(k=3, rho=2, kind=kind, method=method)
+            if kind == "stream":
+                stream = walk_db.open_stream(query, spec, control)
+                list(stream)
+                return stream.profile.span.attrs["engine"]
+            result = walk_db.run_query(query, spec, control)
+            return result.profile.span.attrs["engine"]
+
+        names = [label("knn", method) for method in RANKED_UNION_METHODS]
         assert names == ["RU", "RU-COST"]
+        assert {
+            label("stream", method) for method in RANKED_UNION_METHODS
+        } == {"RU-STREAM"}

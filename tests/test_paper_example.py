@@ -16,7 +16,6 @@ from repro import SubsequenceDatabase
 from repro.core.lower_bounds import min_disjoint_windows
 from repro.core.windows import QueryWindowSet
 from repro.engines.base import QuerySpec
-from repro.engines.ranked_union import RankedUnionEngine
 
 
 def build_mixed_density_db(seed=0):

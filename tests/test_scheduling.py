@@ -14,11 +14,7 @@ from repro.engines.base import QuerySpec
 from repro.engines.bounds import NodeGrid
 from repro.engines.cost_density import STICKY_POPS, CostAwareDensityScheduler
 from repro.engines.queues import WindowQueue
-from repro.engines.ranked_union import (
-    PhiOperator,
-    RankedUnionEngine,
-    max_delta,
-)
+from repro.engines.ranked_union import PhiOperator, max_delta
 from repro.exceptions import ConfigurationError
 from tests.conftest import query_from
 from tests.test_operators import make_phi
@@ -69,11 +65,11 @@ class TestFactory:
     def test_simple_names(self, walk_db):
         assert selector(walk_db, "ru") is max_delta
 
-    def test_unknown_name(self, walk_db):
-        # No selector for a name outside ranked union: the engine and
-        # the stream spec both refuse it.
+    def test_unknown_name(self):
+        # No selector for a name outside ranked union: the spec refuses
+        # it, for a knn query and a stream alike.
         with pytest.raises(ConfigurationError):
-            RankedUnionEngine(walk_db.index, method="mystery")
+            QuerySpec(rho=2, method="mystery")
         with pytest.raises(ConfigurationError):
             QuerySpec(rho=2, kind="stream", method="mystery")
 

@@ -333,19 +333,47 @@ class TestRankedUnionFanOut:
         assert [root.name for root in tracer.roots] == ["engine.search"] * 3
         assert all(root.end is not None for root in tracer.roots)
         assert tracer.dropped_events == 0
+
+        def events(root):
+            return [
+                event for span in root.iter_tree() for event in span.events
+            ]
+
         trips = [
             event
             for root in tracer.roots
-            for event in root.events
+            for event in events(root)
             if event.name == "control.interrupted"
         ]
         assert [trip.attrs["reason"] for trip in trips] == [
             REASON_PAGE_BUDGET
         ]
         assert all(
-            any(event.name == "control.checkpoint" for event in root.events)
+            any(event.name == "control.checkpoint" for event in events(root))
             for root in tracer.roots
         )
+
+    @pytest.mark.parametrize("kind", ["knn", "stream"])
+    def test_each_shard_root_holds_its_run_then_its_drain(
+        self, oracle, kind
+    ):
+        query = query_from(oracle, 640, 48)
+        tracer = Tracer(enabled=True, max_spans=100_000)
+        # "range" puts the two golden sequences on different shards.
+        with build_sharded_golden_db(2, "range") as sdb:
+            sdb.set_tracer(tracer)
+            if kind == "knn":
+                sdb.search(
+                    query, k=5, rho=2, method="ru-cost", deferred=True
+                )
+                phases = ["engine.run", "engine.finalize"]
+            else:
+                list(sdb.iter_matches(query, k=5, rho=2, method="ru-cost"))
+                phases = ["engine.run"]  # a stream has no deferred drain
+        assert [root.name for root in tracer.roots] == ["engine.search"] * 2
+        for root in tracer.roots:
+            assert [child.name for child in root.children] == phases
+            assert root.children[0].count("engine.heap_pop") > 0
 
     def test_each_shard_run_ends_inside_its_subquery_span(self, three_shards):
         oracle, sdb = three_shards
@@ -411,6 +439,64 @@ class TestRankedUnionFanOut:
         assert result.stats.page_accesses == sum(
             stats.page_accesses for stats in result.shard_stats.values()
         )
+
+
+class TestOneSourceLostMidRun:
+    """An unsharded database runs the same :class:`RankedUnion` as a
+    sharded one, with its index as the one source: a storage error
+    escaping a step follows ``on_fault`` as a lost shard would."""
+
+    #: ``ru`` on the golden query, its source lost at the eleventh
+    #: ``store.length`` call: the matches it verified before then.
+    KEPT = [(0, 640), (0, 624), (0, 992), (0, 528), (0, 512)]
+
+    @pytest.fixture()
+    def failing(self, oracle, monkeypatch):
+        store = oracle.index.store
+        real_length = store.length
+        calls = []
+
+        def failing_length(sid):
+            calls.append(sid)
+            if len(calls) > 10:
+                raise StorageError("the store went away")
+            return real_length(sid)
+
+        monkeypatch.setattr(store, "length", failing_length)
+        return calls
+
+    def _run(self, oracle, kind, on_fault):
+        query = query_from(oracle, 640, 48)
+        oracle.reset_cache()
+        if kind == "knn":
+            return oracle.search(
+                query, k=5, rho=2, method="ru", on_fault=on_fault
+            )
+        stream = oracle.iter_matches(
+            query, k=5, rho=2, method="ru", on_fault=on_fault
+        )
+        emitted = list(stream)
+        assert stream.result.matches == emitted
+        return stream.result
+
+    @pytest.mark.parametrize("kind", ["knn", "stream"])
+    def test_raise_propagates(self, oracle, failing, kind):
+        with pytest.raises(StorageError, match="went away"):
+            self._run(oracle, kind, "raise")
+
+    @pytest.mark.parametrize("kind", ["knn", "stream"])
+    def test_degrade_keeps_what_was_verified(self, oracle, failing, kind):
+        result = self._run(oracle, kind, "degrade")
+        assert len(failing) > 10  # the source failed after it had begun
+        assert isinstance(result, PartialResult)
+        assert result.reason == REASON_SHARD_LOST
+        assert result.certificate == 0.0
+        assert result.degraded
+        assert [e.error for e in result.fault_report.events] == ["ShardLost"]
+        # The lost source's counters go with it, as a lost shard's do.
+        assert result.shard_stats == {}
+        if kind == "knn":
+            assert [(m.sid, m.start) for m in result.matches] == self.KEPT
 
 
 def _tied_sids(first_shard_holds_lower_sid):

@@ -21,10 +21,11 @@ import pathlib
 
 import pytest
 
+from repro.control import ExecutionControl, QueryBudget
 from repro.core.metrics import QueryStats
 from repro.core.reference import brute_force_topk
 from repro.core.results import Match
-from repro.engines.base import PartialResult, SearchResult
+from repro.engines.base import PartialResult, QuerySpec, SearchResult
 from repro.exceptions import ConfigurationError, IntegrityError, StorageError
 from repro.shard import (
     POLICIES,
@@ -187,6 +188,54 @@ class TestGoldenDifferential:
             }
             want = {key: expected.get(key, 0) for key in GOLDEN_STAT_KEYS}
             assert got == want, f"{label}/{policy}: N=1 counters drifted"
+
+    @pytest.mark.parametrize("kind", ["knn", "stream", "capped-knn"])
+    @pytest.mark.parametrize("label", ["ru", "ru-d", "ru-cost", "ru-cost-d"])
+    def test_single_shard_is_the_unsharded_run(
+        self, oracle, sharded, label, kind
+    ):
+        """N=1 and the unsharded database run one ranked union: the same
+        matches, the same certificate and every counter but the wall
+        time equal, ``checkpoints`` included."""
+        method, deferred = _method_of(label)
+        query = query_from(oracle, 640, 48)
+        spec = QuerySpec.for_query(
+            query,
+            rho=2,
+            k=5,
+            kind="stream" if kind == "stream" else "knn",
+            method=method,
+            deferred=deferred,
+        )
+        capped = kind == "capped-knn"
+
+        def run(db):
+            db.reset_cache()
+            control = ExecutionControl(
+                budget=QueryBudget(max_page_accesses=20) if capped else None
+            )
+            if kind == "stream":
+                stream = db.open_stream(query, spec, control)
+                list(stream)
+                return stream.result
+            return db.run_query(query, spec, control)
+
+        def counters(result):
+            stats = result.stats.as_dict()
+            del stats["wall_time_s"]
+            return stats
+
+        gold = run(oracle)
+        assert isinstance(gold, PartialResult) == capped
+        for policy in POLICIES:
+            got = run(sharded[(1, policy)])
+            assert got.matches == gold.matches
+            assert type(got) is type(gold)
+            assert getattr(got, "certificate", None) == getattr(
+                gold, "certificate", None
+            )
+            assert counters(got) == counters(gold), policy
+            assert list(got.shard_stats) == list(gold.shard_stats) == [0]
 
 
 class TestRankedUnionAgainstBruteForce:
