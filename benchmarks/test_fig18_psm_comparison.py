@@ -23,9 +23,11 @@ Paper shapes asserted:
 from benchmarks.conftest import FEATURES, record
 from repro.bench import EngineSpec, Harness
 from repro.bench.harness import modeled_wall_time_s
+from repro.control import ExecutionControl
 from repro.core.metrics import QueryStats
-from repro.engines.base import QuerySpec
+from repro.engines.base import QuerySpec, query_window_set
 from repro.engines.psm import PsmEngine
+from repro.engines.ranked_union import run_in_turn
 
 PSM_DATA_SIZE = 12_000
 PSM_LEN_Q = 128  # 4 disjoint windows of omega=32, as in the paper
@@ -59,7 +61,12 @@ def run_psm(harness, queries, k):
     for query in queries:
         rho = max(1, int(0.05 * len(query)))
         config = QuerySpec(k=k, rho=rho, deferred=True)
-        result = engine.search(query, config)
+        result = run_in_turn(
+            [(0, engine)],
+            config,
+            ExecutionControl(),
+            query_window_set(query, engine.index, config),
+        )
         totals.merge(result.stats)
         modeled += modeled_wall_time_s(result.stats, len(query), rho)
         capped = capped or bool(result.stats.budget_exhausted)

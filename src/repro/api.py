@@ -47,6 +47,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
 )
 
@@ -69,7 +70,12 @@ from repro.engines.base import (
 from repro.engines.hlmj import HlmjEngine
 from repro.engines.psm import PsmEngine, build_sliding_index
 from repro.engines.range_search import RangeSearchEngine
-from repro.engines.ranked_union import MatchStream, RankedUnion
+from repro.engines.ranked_union import (
+    LostShard,
+    MatchStream,
+    RankedUnion,
+    run_in_turn,
+)
 from repro.engines.seqscan import SeqScanEngine
 from repro.exceptions import ConfigurationError, IndexNotBuiltError
 from repro.index.builder import DualMatchIndex, build_index
@@ -101,17 +107,18 @@ _ENGINES: Dict[str, Callable[[DualMatchIndex], Engine]] = {
 class QueryFacade(abc.ABC):
     """The public query surface, defined once for every database shape.
 
-    A subclass supplies the two query entries — :meth:`run_query` (one
-    ``knn`` / ``range`` spec to completion) and :meth:`open_stream` (one
-    ``stream`` spec, lazily) — plus :meth:`set_tracer` and
-    :meth:`close`, and the attributes ``omega``, ``p`` and ``_tracer``.
-    Everything a caller types is written here over those: the keyword
-    methods each build one :class:`~repro.engines.base.QuerySpec` and one
-    :class:`~repro.control.ExecutionControl` and hand them to an entry
-    unchanged.  :class:`SubsequenceDatabase` answers from one index;
-    :class:`~repro.shard.ShardedDatabase` fans the same spec out and
-    merges — the ranked union one level up, of which one shard is not a
-    special case.
+    A subclass supplies its sources (:meth:`_sources`) plus
+    :meth:`set_tracer` and :meth:`close`, and the attributes ``omega``,
+    ``p`` and ``_tracer``.  Everything else is written here once, for
+    one database and for N shards: the keyword methods each build one
+    :class:`~repro.engines.base.QuerySpec` and one
+    :class:`~repro.control.ExecutionControl` and hand them unchanged to
+    one of the two query entries, :meth:`run_query` (one ``knn`` /
+    ``range`` spec to completion) and :meth:`open_stream` (one
+    ``stream`` spec, lazily), which run them over the sources.
+    :class:`SubsequenceDatabase` is one source, its own index;
+    :class:`~repro.shard.ShardedDatabase` is one source per shard, of
+    which one shard is not a special case.
 
     Lifecycle: :meth:`close` releases what the facade holds (the mmap
     backend's map, each shard's map) and is idempotent;
@@ -147,22 +154,64 @@ class QueryFacade(abc.ABC):
         self.close()
 
     @abc.abstractmethod
+    def _sources(
+        self, spec: QuerySpec
+    ) -> Tuple[List[Tuple[int, "SubsequenceDatabase"]], List[LostShard]]:
+        """Every source of a ``spec`` query, numbered, in order, and the
+        ones among them lost before it runs, from one snapshot.  Raises
+        when there is nothing to query or a loss ends the query."""
+
     def run_query(
         self,
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> SearchResult:
-        """Answer one ``knn`` or ``range`` spec to completion."""
+        """Answer one ``knn`` or ``range`` spec to completion: a
+        ranked-union ``knn`` as one union over every live source, any
+        other spec by its engine on every live source in turn
+        (:func:`~repro.engines.ranked_union.run_in_turn`)."""
+        if spec.kind == "knn" and spec.method in RANKED_UNION_METHODS:
+            return self._union(query, spec, control).search()
+        sources, lost = self._sources(spec)
+        gone = {loss.shard for loss in lost}
+        engines = [(number, db.engine_for(spec)) for number, db in sources]
+        return run_in_turn(
+            [pair for pair in engines if pair[0] not in gone],
+            spec,
+            control,
+            # Every source has the same geometry: cut the windows once.
+            query_window_set(query, engines[0][1].index, spec),
+            lost,
+        )
 
-    @abc.abstractmethod
     def open_stream(
         self,
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> MatchStream:
-        """Open one ``stream`` spec lazily."""
+        """Open one ``stream`` spec lazily: one ranked union over every
+        live source, pulled from the calling thread."""
+        return MatchStream(self._union(query, spec, control))
+
+    def _union(
+        self,
+        query: Sequence[float],
+        spec: QuerySpec,
+        control: ExecutionControl,
+    ) -> RankedUnion:
+        """One ranked union over the ``Φ_i`` of every live source."""
+        sources, lost = self._sources(spec)
+        gone = {loss.shard for loss in lost}
+        indexes = [(number, db.index) for number, db in sources]
+        return RankedUnion(
+            [pair for pair in indexes if pair[0] not in gone],
+            spec,
+            control,
+            query_window_set(query, indexes[0][1], spec),
+            lost,
+        )
 
     def _control(
         self,
@@ -595,7 +644,7 @@ class SubsequenceDatabase(QueryFacade):
     def engine_for(self, spec: QuerySpec) -> Engine:
         """A fresh engine for a batch ``spec``: its ``method``, or the
         range engine for a ``range`` spec.  A ranked-union ``knn`` has
-        no engine; :meth:`run_query` runs it as one
+        no engine; :meth:`~QueryFacade.run_query` runs it as one
         :class:`~repro.engines.ranked_union.RankedUnion`.
 
         Engines hold nothing but a reference to their index, so one is
@@ -611,46 +660,13 @@ class SubsequenceDatabase(QueryFacade):
             )
         return _ENGINES[name](index)
 
-    def run_query(
-        self,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: ExecutionControl,
-    ) -> SearchResult:
-        """Answer one ``knn`` or ``range`` spec.
-
-        The sharded fan-out and the query service call it with a spec
-        they built themselves.
-        """
-        if spec.kind == "knn" and spec.method in RANKED_UNION_METHODS:
-            return self._union(query, spec, control).search()
-        return self.engine_for(spec).search(query, spec, control)
-
-    def open_stream(
-        self,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: ExecutionControl,
-    ) -> MatchStream:
-        """Open one ``stream`` spec lazily."""
-        return MatchStream(self._union(query, spec, control))
-
-    def _union(
-        self,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: ExecutionControl,
-    ) -> RankedUnion:
-        """The ranked union over this database's one index, source 0."""
+    def _sources(
+        self, spec: QuerySpec
+    ) -> Tuple[List[Tuple[int, "SubsequenceDatabase"]], List[LostShard]]:
+        """This database is the one source, number 0."""
         if self.index is None:
             raise IndexNotBuiltError("call build() before querying")
-        return RankedUnion(
-            [(0, self.index)],
-            query,
-            spec,
-            control,
-            query_window_set(query, self.index, spec),
-        )
+        return [(0, self)], []
 
     # ------------------------------------------------------------------
     # Online ingest (WAL-backed; see :mod:`repro.ingest`)

@@ -331,9 +331,9 @@ class CandidateEvaluator:
         window_set: QueryWindowSet,
         spec: QuerySpec,
         stats: QueryStats,
+        collector: Collector,
         control: Optional[ExecutionControl] = None,
         norm: Optional[NormalizationContext] = None,
-        collector: Optional[Collector] = None,
     ) -> None:
         self._index = index
         self._windows = window_set.windows
@@ -356,16 +356,10 @@ class CandidateEvaluator:
         #: The query's tracer (disabled singleton unless the caller
         #: wired one through the control plane).
         self.tracer = self.control.tracer
-        #: Where verified candidates go.  A sharded fan-out hands every
-        #: shard's evaluator the same one, so all of them prune against
+        #: Where verified candidates go.  Every source's evaluator of
+        #: one query gets the same one, so all of them prune against
         #: one ``delta_cur`` (or one ``epsilon``).
-        self.collector: Collector
-        if collector is not None:
-            self.collector = collector
-        elif spec.kind == "range":
-            self.collector = RangeCollector(spec.epsilon, p=spec.p)
-        else:
-            self.collector = TopKCollector(spec.k, p=spec.p)
+        self.collector = collector
         self.fault_report = FaultReport()
         self._seen: Set[Tuple[int, int]] = set()
         self._deferred: Optional[DeferredRetrievalBuffer] = None
@@ -731,13 +725,14 @@ def query_window_set(
 class QueryRun:
     """The per-query scaffold every engine entry runs inside.
 
-    Setup — the ``engine.search`` root span, window set, normalization
-    context, the run's :class:`QueryStats` (which the buffer pool
-    charges every page request to) bound to the control, the candidate
-    evaluator — and teardown — wall time, fault report, interrupt →
+    Setup — the ``engine.search`` root span, normalization context, the
+    run's :class:`QueryStats` (which the buffer pool charges every page
+    request to) bound to the control, the candidate evaluator — and
+    teardown — wall time, fault report, interrupt →
     :class:`PartialResult` with its exactness certificate, the
     :class:`~repro.obs.QueryProfile` — happen here once, for the batch
-    engines (:meth:`Engine.search`) and for the ranked union
+    engines (:func:`~repro.engines.ranked_union.run_in_turn`) and for
+    the ranked union
     (:class:`~repro.engines.ranked_union.RankedUnion`) alike.
 
     Advance the run only inside ``with run:``: the root span and its
@@ -752,23 +747,22 @@ class QueryRun:
     :meth:`finish`; any other error closes them.  A normal run ends,
     after its last block, with :meth:`finish`.
 
-    The shard runs of a sharded fan-out pass one ``window_set`` and one
-    ``collector`` (see :class:`CandidateEvaluator`) instead of building
-    their own.
+    Every run of one query, one per source, is handed the query's one
+    ``window_set`` and one ``collector`` (see :class:`CandidateEvaluator`).
     """
 
     def __init__(
         self,
         index: DualMatchIndex,
-        query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
         engine: str,
-        window_set: Optional[QueryWindowSet] = None,
-        collector: Optional[Collector] = None,
+        window_set: QueryWindowSet,
+        collector: Collector,
     ) -> None:
         self.spec = spec
         self.control = control
+        self.window_set = window_set
         tracer = control.tracer
         self._metrics_before = (
             tracer.metrics.snapshot() if tracer.enabled else None
@@ -779,19 +773,12 @@ class QueryRun:
             "engine.search", engine=engine, rho=spec.rho, **size
         )
         try:
-            self.window_set = (
-                query_window_set(query, index, spec)
-                if window_set is None
-                else window_set
-            )
             # Candidate stats are priced through the zero-copy peek
             # path, so NUM_IO counts exactly the pages the engine
             # itself faults in.
             norm: Optional[NormalizationContext] = None
             if spec.normalize:
-                norm = NormalizationContext(
-                    index.store, self.window_set.length
-                )
+                norm = NormalizationContext(index.store, window_set.length)
             #: Time spent inside ``with run:`` blocks, reported as
             #: ``wall_time_s``.
             self.busy_s = 0.0
@@ -799,12 +786,12 @@ class QueryRun:
             control.bind(self.stats)
             self.evaluator = CandidateEvaluator(
                 index=index,
-                window_set=self.window_set,
+                window_set=window_set,
                 spec=spec,
                 stats=self.stats,
+                collector=collector,
                 control=control,
                 norm=norm,
-                collector=collector,
             )
         except BaseException as error:
             self._root.__exit__(type(error), error, None)
@@ -919,10 +906,12 @@ def prefix_certificate(certificate: float, emitted: Sequence[Match]) -> float:
 
 
 class Engine(abc.ABC):
-    """Base class: owns the index and the search template.
+    """Base class of the batch engines: an index and a traversal.
 
     Subclasses implement :meth:`_run`, which drives their traversal and
-    submits candidates through the provided evaluator.
+    submits candidates through the provided evaluator.  The driver
+    :func:`~repro.engines.ranked_union.run_in_turn` runs it on a
+    :class:`QueryRun`, for one database and for N shards alike.
     """
 
     #: Short name on the ``engine.search`` span ("HLMJ", "SeqScan", ...).
@@ -930,49 +919,6 @@ class Engine(abc.ABC):
 
     def __init__(self, index: DualMatchIndex) -> None:
         self.index = index
-
-    def search(
-        self,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: Optional[ExecutionControl] = None,
-    ) -> SearchResult:
-        """Run one query to completion and return matches plus counters.
-
-        With a limited ``control``, an interrupt at any cooperative
-        checkpoint yields a :class:`PartialResult` (best-so-far plus an
-        exactness certificate) instead of an exception.
-
-        When the control plane carries an enabled tracer, the whole
-        query runs under an ``engine.search`` root span and the result
-        carries a :class:`~repro.obs.profile.QueryProfile`; with the
-        disabled tracer every span call is a no-op and behaviour (every
-        counter included) is identical to the un-instrumented engine.
-        """
-        if control is None:
-            control = ExecutionControl()
-        run = QueryRun(self.index, query, spec, control, self.name)
-        interrupt = self.execute(run)
-        return run.finish(
-            run.evaluator.collector.matches(run.window_set.length),
-            interrupt,
-        )
-
-    def execute(self, run: QueryRun) -> Optional[ExecutionInterrupted]:
-        """Drive ``run`` through the traversal and the deferred drain.
-
-        Returns the interrupt that ended it early, if one did; the
-        caller closes the run with :meth:`QueryRun.finish`.  A sharded
-        fan-out calls this once per shard, on runs that share one
-        window set and one collector.
-        """
-        with run:
-            try:
-                self._run(run.window_set, run.evaluator, run.spec)
-                run.drain()
-            except ExecutionInterrupted as signal:
-                return signal
-        return None
 
     @abc.abstractmethod
     def _run(

@@ -27,11 +27,14 @@ time.  The query's ``method`` selects every ``Φ_i``'s
 ``SelectPriorityQueue()`` policy: ``"ru"`` is the paper's **RU**
 (:func:`max_delta`), ``"ru-cost"`` is **RU-COST**
 (:meth:`~repro.engines.cost_density.CostAwareDensityScheduler.select`).
+Every other query (``seqscan``, ``hlmj``, ``hlmj-wg``, ``psm`` and
+every range query) runs its batch engine on every source in turn,
+each to exhaustion, through :func:`run_in_turn`.
 
-Every source's run offers to **one** collector, so each ``Φ_i`` prunes
-against one ``delta_cur`` and the answer is the single-source top-k,
-ties included.  :func:`merge_search_results` composes the sources'
-runs into one result:
+Under either driver, every source's run offers to **one** collector, so
+each prunes against one ``delta_cur`` and the answer is the
+single-source top-k, ties included.  :func:`merge_search_results`
+composes the sources' runs into one result:
 
 * **Certificates** — when source ``i`` is interrupted, its certificate
   ``c_i`` lower-bounds every candidate it left unexamined; candidates
@@ -86,6 +89,8 @@ from repro.core.windows import (
 )
 from repro.engines.base import (
     CandidateEvaluator,
+    Collector,
+    Engine,
     FaultEvent,
     FaultReport,
     PartialResult,
@@ -116,10 +121,15 @@ REASON_SHARD_LOST = "shard:lost"
 
 @dataclass(frozen=True)
 class LostShard:
-    """One source that produced no answer at all (crash/unreadable)."""
+    """One source that produced no answer at all (crash/unreadable).
+
+    ``stats`` are the counters of the run the source had begun before a
+    storage error ended it; ``None`` for a source lost before it ran.
+    """
 
     shard: int
     detail: str
+    stats: Optional[QueryStats] = None
 
 
 def _merged_fault_report(
@@ -148,12 +158,13 @@ def merge_search_results(
 ) -> SearchResult:
     """Compose per-source (number, result) pairs into the global answer.
 
-    ``k=None`` merges without truncation; the fan-outs pass it and set
+    ``k=None`` merges without truncation; the drivers pass it and set
     the answer from their shared collector.  ``k`` keeps the ``k`` best
     matches: only the frozen end-to-end bench passes it, to time the
     merge of per-shard top-ks.  The result carries the per-source
-    counters in ``shard_stats``, and the one run's ``profile`` when
-    there is one run.  It is a
+    counters in ``shard_stats`` (a lost source's too, when it had begun
+    a run: they are summed into ``stats`` like any other), and the one
+    run's ``profile`` when there is one run.  It is a
     :class:`~repro.engines.base.PartialResult` when any source was
     interrupted or lost: the ``certificate`` composes source-wise (min
     over per-source certificates; a lost source contributes 0.0) and
@@ -176,6 +187,10 @@ def merge_search_results(
     matches.sort()
     if k is not None:
         matches = matches[:k]
+    for loss in lost:
+        if loss.stats is not None:
+            stats.merge(loss.stats)
+            shard_stats[loss.shard] = loss.stats
     report = _merged_fault_report(outcomes, lost)
     degraded = report is not None
     if lost:
@@ -203,6 +218,64 @@ def merge_search_results(
     )
 
 
+def _lost_run(number: int, run: QueryRun, error: StorageError) -> LostShard:
+    """The loss rule, for either driver: a source whose run a storage
+    error ended under ``on_fault="degrade"`` is lost with the counters of
+    the work it did (the error already closed its spans)."""
+    run.stats.wall_time_s = run.busy_s
+    run.stats.checkpoints = run.control.checkpoints
+    run.evaluator.release()
+    return LostShard(shard=number, detail=str(error), stats=run.stats)
+
+
+def run_in_turn(
+    sources: Sequence[Tuple[int, Engine]],
+    spec: QuerySpec,
+    control: ExecutionControl,
+    window_set: QueryWindowSet,
+    lost: Sequence[LostShard] = (),
+) -> SearchResult:
+    """A batch spec's engine on every source in turn, each to
+    exhaustion, in the calling thread.
+
+    ``sources`` and ``lost`` are as for :class:`RankedUnion`, with an
+    engine in place of each index.  Each run has its own
+    :meth:`~repro.control.ExecutionControl.derive` of ``control``; all
+    share ``window_set`` and one collector, so a later source prunes
+    against every match the ones before it verified.  A storage error
+    escaping a run follows the loss rule of :class:`RankedUnion`.
+    """
+    collector: Collector = (
+        RangeCollector(spec.epsilon, p=spec.p)
+        if spec.kind == "range"
+        else TopKCollector(spec.k, p=spec.p)
+    )
+    lost = list(lost)
+    outcomes: List[Tuple[int, SearchResult]] = []
+    for number, engine in sources:
+        run = QueryRun(
+            engine.index, spec, control.derive(), engine.name,
+            window_set=window_set, collector=collector,
+        )
+        interrupt: Optional[ExecutionInterrupted] = None
+        try:
+            with run:
+                try:
+                    engine._run(window_set, run.evaluator, spec)
+                    run.drain()
+                except ExecutionInterrupted as signal:
+                    interrupt = signal
+        except StorageError as error:
+            if spec.on_fault != "degrade":
+                raise
+            lost.append(_lost_run(number, run, error))
+            continue
+        outcomes.append((number, run.finish([], interrupt)))
+    result = merge_search_results(outcomes, k=None, lost=lost)
+    result.matches = collector.matches(window_set.length)
+    return result
+
+
 def _cap_pow(threshold_pow: float, sibling_pow: float) -> float:
     """Push-time pruning headroom: ``delta^p`` minus the sibling frontier.
 
@@ -215,6 +288,35 @@ def _cap_pow(threshold_pow: float, sibling_pow: float) -> float:
     if threshold_pow == _INF:
         return _INF
     return threshold_pow - sibling_pow
+
+
+def _sum_tops(
+    queues: Sequence[WindowQueue], exclude: Optional[WindowQueue] = None
+) -> float:
+    """Sum of the queue tops in queue order, skipping ``exclude``.
+
+    A ``Φ_i``'s frontier, or with a queue excluded the Lemma 4 sibling
+    terms of a candidate popped from it.
+    """
+    total = 0.0
+    for queue in queues:
+        if queue is exclude:
+            continue
+        top = queue.top_pow()
+        if top == _INF:
+            return _INF
+        total += top
+    return total
+
+
+def _caps(
+    queues: Sequence[WindowQueue], evaluator: CandidateEvaluator
+) -> Callable[[WindowQueue], float]:
+    """RU-COST's push-time cap for one of ``queues``: a closure, as the
+    scheduler holding its ``Φ_i`` would make a reference cycle."""
+    return lambda queue: _cap_pow(
+        evaluator.threshold_pow, _sum_tops(queues, queue)
+    )
 
 
 def max_delta(queues: Sequence[WindowQueue]) -> WindowQueue:
@@ -263,13 +365,13 @@ class PhiOperator(ExtendedIterator):
                 omega=index.data_stride,
                 blocking_factor=index.tree.blocking_factor,
                 p=spec.p,
-                cap_for=self._cap_for,
+                cap_for=_caps(self.queues, evaluator),
                 pages_seen=evaluator.stats.pages_seen,
             ).select
 
         #: ``MSEQ-dist_next`` as of the latest step.  The queues change
         #: only inside :meth:`get_next`, which re-sums it once per step.
-        self._frontier = self._sum_tops()
+        self._frontier = _sum_tops(self.queues)
 
     # -- lower bounds ---------------------------------------------------
 
@@ -282,33 +384,12 @@ class PhiOperator(ExtendedIterator):
         """
         return self._frontier
 
-    def _sum_tops(self, exclude: Optional[WindowQueue] = None) -> float:
-        """Sum of the queue tops in queue order, skipping ``exclude``.
-
-        The frontier, or with a queue excluded the Lemma 4 sibling
-        terms of a candidate popped from it.
-        """
-        total = 0.0
-        for queue in self.queues:
-            if queue is exclude:
-                continue
-            top = queue.top_pow()
-            if top == _INF:
-                return _INF
-            total += top
-        return total
-
     def current_lower_bound_pow(self) -> float:
         """``CLB_i``: cheapest thing this operator can still produce."""
         frontier = self._frontier
         if self._cand_heap:
             return min(self._cand_heap[0][0], frontier)
         return frontier
-
-    def _cap_for(self, queue: WindowQueue) -> float:
-        return _cap_pow(
-            self._evaluator.threshold_pow, self._sum_tops(queue)
-        )
 
     # -- iterator protocol ------------------------------------------------
 
@@ -327,7 +408,7 @@ class PhiOperator(ExtendedIterator):
         # other tops, so the frontier is re-summed either way.
         if not queue.is_empty:
             self._pop(queue)
-        self._frontier = self._sum_tops()
+        self._frontier = _sum_tops(self.queues)
         return Status.LB, self.current_lower_bound_pow()
 
     def _pop(self, queue: WindowQueue) -> None:
@@ -350,7 +431,7 @@ class PhiOperator(ExtendedIterator):
         self, queue: WindowQueue, dist_pow: float, kind: int, payload: object
     ) -> None:
         """Process one popped entry: expand a node or consume a leaf."""
-        sibling_pow = self._sum_tops(queue)
+        sibling_pow = _sum_tops(self.queues, queue)
         if kind == NODE:
             queue.expand_node(
                 payload,  # type: ignore[arg-type]
@@ -423,7 +504,7 @@ class UnionOperator(ExtendedIterator):
         self,
         children: Sequence[PhiOperator],
         control: Union[ExecutionControl, "RankedUnion"],
-        collector: Union[TopKCollector, RangeCollector],
+        collector: Collector,
     ) -> None:
         self._children = children
         self._control = control
@@ -583,7 +664,8 @@ class RankedUnion:
     other sources' runs and propagates it, ``"degrade"`` drops the
     source, whose children then report EOR and whose certificate is
     ``0.0`` (reason :data:`REASON_SHARD_LOST`).  Matches it verified
-    before it was lost stay in the answer.
+    before it was lost stay in the answer, and its counters in the
+    merged ``stats`` and ``shard_stats``.
 
     Each source's RU-COST scheduler prices pages by its own run's image
     of its source's pool, so unions on one database run side by side.
@@ -592,7 +674,6 @@ class RankedUnion:
     def __init__(
         self,
         sources: Sequence[Tuple[int, DualMatchIndex]],
-        query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
         window_set: QueryWindowSet,
@@ -615,7 +696,7 @@ class RankedUnion:
                 number,
                 index,
                 QueryRun(
-                    index, query, spec, control.derive(), engine,
+                    index, spec, control.derive(), engine,
                     window_set=window_set, collector=self._collector,
                 ),
             )
@@ -659,9 +740,7 @@ class RankedUnion:
                         other.over = True
                         other.run.finish([])
                 raise
-            self._lost.append(
-                LostShard(shard=source.number, detail=str(error))
-            )
+            self._lost.append(_lost_run(source.number, source.run, error))
             return None
 
     def checkpoint(self, frontier_pow: Optional[float] = None) -> None:
@@ -711,7 +790,8 @@ class RankedUnion:
 
         The union's own work between steps ran in no source's run; each
         source is charged a share of it in proportion to its own time,
-        so the sources' ``wall_time_s`` add up to :attr:`driving_s`.
+        so the sources' ``wall_time_s`` add up to :attr:`driving_s` (a
+        lost source keeps the time of its own steps).
         """
         busy_s = sum(source.run.busy_s for source in self._sources)
         if busy_s > 0.0:

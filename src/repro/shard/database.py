@@ -2,39 +2,25 @@
 
 :class:`ShardedDatabase` partitions the sequence store across ``N``
 independent :class:`~repro.api.SubsequenceDatabase` instances (each
-with its own pager, buffer pool, and DualMatch R*-tree) and answers
-through the ranked-union rules of :mod:`repro.engines.ranked_union`.
-The query API *is* the unsharded one — both classes inherit it from
-:class:`~repro.api.QueryFacade` — and the differential suite holds the
-results to *byte identity* with the single-process oracle.  What this
-module adds is what sharding is: the planner, the fan-out, the
-shard-fault policy, and the ``SHARDS`` manifest.
-
-One query path: the inherited keyword methods build one
-:class:`~repro.engines.base.QuerySpec` and one
-:class:`~repro.control.ExecutionControl`, and the facade hands the spec
-on unchanged with one :meth:`~repro.control.ExecutionControl.derive` of
-the control per shard.  Every fan-out cuts the query's windows once and
-hands all its shard runs one collector.  A ranked-union spec
-(``method`` ``"ru"`` or ``"ru-cost"``: every ``stream``, and those
-``knn``) runs as one :class:`~repro.engines.ranked_union.RankedUnion`
-over the live shards — what an unsharded database runs over its one
-index — in the calling thread.  Any other
-spec runs one whole search per shard, one shard after another, also in
-the calling thread, so each later shard prunes against every match the
-shards before it verified.  How ``budget`` /
-``deadline`` / ``token`` behave under a fan-out is stated once, in
+with its own pager, buffer pool, and DualMatch R*-tree).  The query
+path *is* the unsharded one — both classes inherit it from
+:class:`~repro.api.QueryFacade`, and a shard is one more source of its
+two drivers — and the differential suite holds the results to *byte
+identity* with the single-process oracle.  What this module adds is
+what sharding is: the planner, the shards as sources, the shard-fault
+policy, and the ``SHARDS`` manifest.  How ``budget`` / ``deadline`` /
+``token`` behave under a fan-out is stated once, in
 ``docs/sharding.md`` ("Control plane under fan-out").
 
 Shard faults: per-page storage faults inside a shard follow the normal
 ``on_fault`` policy *within* that shard.  A shard failing wholesale
-(a subquery that raised, an unreadable shard, an injected
+(a run that raised, an unreadable shard, an injected
 :meth:`inject_shard_failure`) follows the same policy one level up —
 ``"raise"`` propagates, ``"degrade"`` drops the shard and returns a
 :class:`~repro.engines.base.PartialResult` (for a stream: ends it
 ``interrupted``) whose certificate is ``0.0``: trivially sound,
 claiming exactness for nothing.  Matches a shard verified before it
-was lost stay in the answer.
+was lost stay in the answer, and so do its counters.
 
 Thread safety: the facade is ``@shared_across_queries`` — after
 :meth:`build` (or :meth:`load`) the shard topology is immutable and
@@ -56,21 +42,8 @@ from repro.analysis.concurrency import shared_across_queries
 from repro.api import QueryFacade, SubsequenceDatabase
 from repro.control import ExecutionControl
 from repro.core.metrics import QueryStats
-from repro.core.results import RangeCollector, TopKCollector
-from repro.engines.base import (
-    RANKED_UNION_METHODS,
-    Collector,
-    QueryRun,
-    QuerySpec,
-    SearchResult,
-    query_window_set,
-)
-from repro.engines.ranked_union import (
-    LostShard,
-    MatchStream,
-    RankedUnion,
-    merge_search_results,
-)
+from repro.engines.base import QuerySpec, SearchResult
+from repro.engines.ranked_union import LostShard
 from repro.exceptions import (
     ConfigurationError,
     IndexNotBuiltError,
@@ -297,60 +270,18 @@ class ShardedDatabase(QueryFacade):
     # The one query path: spec + control -> fan-out -> merge
     # ------------------------------------------------------------------
 
-    def run_query(
-        self,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: ExecutionControl,
-    ) -> SearchResult:
-        """Answer one ``knn`` / ``range`` spec from every shard."""
-        if spec.kind == "knn" and spec.method in RANKED_UNION_METHODS:
-            merged = self._union(query, spec, control).search()
-        else:
-            merged = self._fan_out(query, spec, control)
-        self._record_shard_metrics(merged.shard_stats)
-        return merged
-
-    def open_stream(
-        self,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: ExecutionControl,
-    ) -> MatchStream:
-        """Open one ``stream`` spec: one union over every live shard,
-        pulled lazily from the calling thread."""
-        return MatchStream(self._union(query, spec, control))
-
-    def _union(
-        self,
-        query: Sequence[float],
-        spec: QuerySpec,
-        control: ExecutionControl,
-    ) -> RankedUnion:
-        """One ranked union over the ``Φ_i`` of every live shard.
-
-        Every shard has the same geometry, so the query's windows are
-        cut once, on the first shard's index.
-        """
+    def _sources(
+        self, spec: QuerySpec
+    ) -> Tuple[List[Tuple[int, SubsequenceDatabase]], List[LostShard]]:
+        """Every shard in shard order, and the injected failures among
+        them under the shard-fault policy."""
         shards = self._live_shards()
-        # One snapshot: a shard injected or healed meanwhile must not be
-        # both lost and run, or neither.
+        # One snapshot, taken before the first shard runs: a shard
+        # injected or healed meanwhile must not be both lost and run, or
+        # neither.
         failed = set(self._failed_shards)
         lost = [self._lose(index, spec) for index in shards if index in failed]
-        first = next(iter(shards.values()))
-        assert first.index is not None  # every shard is built
-        return RankedUnion(
-            [
-                (index, db.index)
-                for index, db in shards.items()
-                if index not in failed
-            ],
-            query,
-            spec,
-            control,
-            query_window_set(query, first.index, spec),
-            lost,
-        )
+        return list(shards.items()), lost
 
     def _lose(self, index: int, spec: QuerySpec) -> LostShard:
         """Apply the shard-fault policy to an injected shard failure."""
@@ -361,62 +292,16 @@ class ShardedDatabase(QueryFacade):
             raise failure
         return LostShard(shard=index, detail=str(failure))
 
-    def _fan_out(
+    def run_query(
         self,
         query: Sequence[float],
         spec: QuerySpec,
         control: ExecutionControl,
     ) -> SearchResult:
-        """Run a non-ranked-union ``spec`` on every live shard, one shard
-        after another, in the calling thread.
-
-        As in :meth:`_union`, the query's windows are cut once,
-        on the first shard's engine index, and every shard run offers
-        to one collector: a later shard prunes against every match the
-        shards before it verified.  The answer is that collector's.
-
-        Per-shard *storage* faults are already handled inside the shard
-        by its ``on_fault`` policy; this layer applies the same policy
-        to whole-shard failures (an injected failure, a shard whose run
-        raised a :class:`~repro.exceptions.StorageError`).  Matches a
-        lost shard verified before it failed stay in the answer, under
-        the certificate ``0.0``.
-        """
-        shards = self._live_shards()
-        # One snapshot, taken before the first shard runs: a shard
-        # injected or healed during the loop must not be both lost and
-        # run, or neither.
-        failed = set(self._failed_shards)
-        lost = [self._lose(index, spec) for index in shards if index in failed]
-        engines = {index: db.engine_for(spec) for index, db in shards.items()}
-        window_set = query_window_set(
-            query, next(iter(engines.values())).index, spec
-        )
-        collector: Collector = (
-            RangeCollector(spec.epsilon, p=spec.p)
-            if spec.kind == "range"
-            else TopKCollector(spec.k, p=spec.p)
-        )
-        outcomes: List[Tuple[int, SearchResult]] = []
-        for index, engine in engines.items():
-            if index in failed:
-                continue
-            try:
-                with control.tracer.span("shard.subquery", shard=index):
-                    run = QueryRun(
-                        engine.index, query, spec, control.derive(),
-                        engine.name, window_set=window_set,
-                        collector=collector,
-                    )
-                    interrupt = engine.execute(run)
-                    outcomes.append((index, run.finish([], interrupt)))
-            except StorageError as error:
-                if spec.on_fault != "degrade":
-                    raise
-                lost.append(LostShard(shard=index, detail=str(error)))
-        result = merge_search_results(outcomes, k=None, lost=lost)
-        result.matches = collector.matches(window_set.length)
-        return result
+        """:meth:`QueryFacade.run_query`, then the per-shard metrics."""
+        merged = super().run_query(query, spec, control)
+        self._record_shard_metrics(merged.shard_stats)
+        return merged
 
     def _record_shard_metrics(
         self, shard_stats: Dict[int, QueryStats]

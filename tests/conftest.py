@@ -13,7 +13,10 @@ import pytest
 from typing import Optional
 
 from repro import SubsequenceDatabase
+from repro.control import ExecutionControl
 from repro.core.reference import brute_force_topk
+from repro.engines.base import Engine, QuerySpec, SearchResult, query_window_set
+from repro.engines.ranked_union import run_in_turn
 from repro.obs import Tracer
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
@@ -149,6 +152,21 @@ def gold_topk(db: SubsequenceDatabase, query, k: int, rho: int):
         round(match.distance, 6)
         for match in brute_force_topk(db.store, query, k, rho)
     ]
+
+
+def run_engine(
+    engine: Engine,
+    query,
+    spec: QuerySpec,
+    control: Optional[ExecutionControl] = None,
+) -> SearchResult:
+    """One query on ``engine`` through the batch driver, its one source."""
+    return run_in_turn(
+        [(0, engine)],
+        spec,
+        control if control is not None else ExecutionControl(),
+        query_window_set(query, engine.index, spec),
+    )
 
 
 def engine_distances(result) -> list:

@@ -10,7 +10,7 @@ or top-k sets by a single unit.
 
 import pytest
 
-from tests.conftest import query_from
+from tests.conftest import query_from, run_engine
 
 
 class TestSeqScanBehaviour:
@@ -345,8 +345,10 @@ class TestGoldenCounters:
 
         query = query_from(golden_db, 640, 48)
         golden_db.reset_cache()
-        result = RangeSearchEngine(golden_db.index).search(
-            query, QuerySpec(kind="range", epsilon=2.5, rho=2)
+        result = run_engine(
+            RangeSearchEngine(golden_db.index),
+            query,
+            QuerySpec(kind="range", epsilon=2.5, rho=2),
         )
         assert_golden(result, "range", GOLDEN_DISTANCES, GOLDEN_MATCHES)
 
@@ -377,7 +379,8 @@ class TestNodeScorings:
         query = query_from(db, 200, 32) if psm else query_from(db, 640, 48)
         db.reset_cache()
         if method == "range":
-            result = RangeSearchEngine(db.index).search(
+            result = run_engine(
+                RangeSearchEngine(db.index),
                 query,
                 QuerySpec(
                     kind="range", epsilon=2.5, rho=2, normalize=normalize

@@ -58,7 +58,8 @@ from repro.core.reference import (
     reference_mindist_pow,
     reference_paa,
 )
-from repro.engines.base import QueryRun, QuerySpec
+from repro.core.results import TopKCollector
+from repro.engines.base import QueryRun, QuerySpec, query_window_set
 from repro.exceptions import QueryError
 from tests.conftest import build_property_db
 
@@ -623,6 +624,15 @@ class TestFloat64Accumulation:
         )
 
 
+def _run(db, query, spec):
+    """A bare run on ``db``'s index for feeding the cascade by hand."""
+    return QueryRun(
+        db.index, spec, ExecutionControl(), "cascade-test",
+        window_set=query_window_set(query, db.index, spec),
+        collector=TopKCollector(spec.k, p=spec.p),
+    )
+
+
 class TestCascadeArrivalOrder:
     """The set-at-a-time cascade is a function of the candidate *set*.
 
@@ -636,9 +646,7 @@ class TestCascadeArrivalOrder:
     @staticmethod
     def _drain(db, query, spec, candidates):
         db.reset_cache()
-        with QueryRun(
-            db.index, query, spec, ExecutionControl(), "cascade-test"
-        ) as run:
+        with _run(db, query, spec) as run:
             for sid, start in candidates:
                 run.evaluator.submit(sid, start, 0.0)
             run.evaluator.finalize()
@@ -706,10 +714,7 @@ class TestCascadeArrivalOrder:
         answers = []
         for _ in range(3):
             order = rng.permutation(len(starts))
-            with QueryRun(
-                db.index, query, QuerySpec(rho=2, k=4),
-                ExecutionControl(), "cascade-test",
-            ) as run:
+            with _run(db, query, QuerySpec(rho=2, k=4)) as run:
                 run.evaluator.verify_rows(
                     rows[order], [0] * len(order), starts[order].tolist()
                 )

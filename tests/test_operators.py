@@ -1,12 +1,17 @@
 """Unit tests for the extended iterator operators (Definition 5, Sec 3.2)."""
 
+import gc
+import itertools
 import math
+import weakref
 
 import pytest
 
-from repro.control import CancellationToken
+from repro.control import CancellationToken, ExecutionControl
+from repro.core.results import TopKCollector
 from repro.core.windows import QueryWindowSet
 from repro.engines.base import CandidateEvaluator, QuerySpec
+from repro.engines.cost_density import CostAwareDensityScheduler
 from repro.engines.operators import RankedTuple, Status
 from repro.engines.queues import WindowQueue
 from repro.engines.ranked_union import PhiOperator, UnionOperator, _cap_pow
@@ -25,6 +30,7 @@ def make_phi(db, query, class_index=0, k=3, method="ru"):
         stats=__import__(
             "repro.core.metrics", fromlist=["QueryStats"]
         ).QueryStats(),
+        collector=TopKCollector(config.k, p=config.p),
     )
     phi = PhiOperator(
         class_index=class_index,
@@ -110,6 +116,7 @@ class TestUnionOperator:
             window_set=window_set,
             spec=config,
             stats=QueryStats(),
+            collector=TopKCollector(config.k, p=config.p),
         )
         children = [
             PhiOperator(
@@ -189,3 +196,51 @@ class TestUnionStepCost:
         # read one class's tops: at most 3q + 1 per step.
         assert counts["steps"] > 0
         assert counts["tops"] <= 4 * queues_per_class * counts["steps"]
+
+
+class TestFinishedTreesAreFreed:
+    """With the cycle collector off, reference counting alone frees every
+    ``Φ_i``, window queue and RU-COST scheduler of a finished ``knn`` and
+    of a closed stream: no finished operator tree waits for a collection
+    to give back its memory."""
+
+    @pytest.mark.parametrize("kind", ["knn", "stream"])
+    @pytest.mark.parametrize("deferred", [False, True], ids=["plain", "d"])
+    @pytest.mark.parametrize("method", ["ru", "ru-cost"])
+    def test_no_cycle_outlives_the_query(
+        self, golden_db, monkeypatch, method, deferred, kind
+    ):
+        refs = {}
+        for cls in (PhiOperator, WindowQueue, CostAwareDensityScheduler):
+            real = cls.__init__
+
+            def spy(self, *args, _real=real, _cls=cls, **kwargs):
+                _real(self, *args, **kwargs)
+                refs.setdefault(_cls.__name__, []).append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        query = golden_db.store.peek_subsequence(0, 640, 48).copy()
+        spec = QuerySpec.for_query(
+            query, rho=2, k=5, kind=kind, method=method, deferred=deferred
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            if kind == "knn":
+                answer = golden_db.run_query(query, spec, ExecutionControl())
+            else:
+                answer = golden_db.open_stream(query, spec, ExecutionControl())
+                emitted = list(itertools.islice(answer, 2))
+                # A deferred stream verifies nothing, so emits nothing.
+                assert len(emitted) == (0 if deferred else 2)
+                answer.close()
+            alive = {
+                name: sum(ref() is not None for ref in held)
+                for name, held in refs.items()
+            }
+        finally:
+            gc.enable()
+        built = {name: len(held) for name, held in refs.items()}
+        assert built["PhiOperator"] > 0 and built["WindowQueue"] > 0
+        assert ("CostAwareDensityScheduler" in built) == (method == "ru-cost")
+        assert alive == {name: 0 for name in built}

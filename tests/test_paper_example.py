@@ -68,6 +68,7 @@ class TestLemma5:
         )
         r = min_disjoint_windows(window_set.length, 16)
         from repro.core.metrics import QueryStats
+        from repro.core.results import TopKCollector
         from repro.engines.base import CandidateEvaluator
         from repro.engines.operators import Status
         from repro.engines.ranked_union import PhiOperator
@@ -78,6 +79,7 @@ class TestLemma5:
             window_set=window_set,
             spec=config,
             stats=QueryStats(),
+            collector=TopKCollector(config.k, p=config.p),
         )
         phi = PhiOperator(
             class_index=0,

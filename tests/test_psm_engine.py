@@ -10,7 +10,7 @@ from repro.index.builder import build_index
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 from repro.storage.sequences import SequenceStore
-from tests.conftest import make_walk
+from tests.conftest import make_walk, run_engine
 
 
 def make_store(lengths, seed=0):
@@ -74,11 +74,11 @@ class TestPsmSearch:
         index = make_sliding([600], omega=8)
         engine = PsmEngine(index)
         config = QuerySpec(k=3, rho=1)
-        narrow = engine.search(
-            index.store.peek_subsequence(0, 10, 16).copy(), config
+        narrow = run_engine(
+            engine, index.store.peek_subsequence(0, 10, 16).copy(), config
         )
-        wide = engine.search(
-            index.store.peek_subsequence(0, 10, 40).copy(), config
+        wide = run_engine(
+            engine, index.store.peek_subsequence(0, 10, 40).copy(), config
         )
         # 2-way join vs 5-way join: signature probes must blow up.
         assert wide.stats.bloom_calls > 2 * narrow.stats.bloom_calls
@@ -87,7 +87,8 @@ class TestPsmSearch:
         index = make_sliding([600], omega=8)
         engine = PsmEngine(index, max_heap_pops=10)
         with pytest.raises(BudgetExceededError):
-            engine.search(
+            run_engine(
+                engine,
                 index.store.peek_subsequence(0, 0, 32).copy(),
                 QuerySpec(k=3, rho=1),
             )
@@ -97,7 +98,8 @@ class TestPsmSearch:
         engine = PsmEngine(
             index, max_heap_pops=10, budget_action="stop"
         )
-        result = engine.search(
+        result = run_engine(
+            engine,
             index.store.peek_subsequence(0, 0, 32).copy(),
             QuerySpec(k=3, rho=1),
         )
@@ -108,10 +110,12 @@ class TestPsmSearch:
         index = make_sliding([300], omega=8)
         query = index.store.peek_subsequence(0, 40, 16).copy()
         config = QuerySpec(k=3, rho=1)
-        exact = PsmEngine(index).search(query, config)
-        budgeted = PsmEngine(
-            index, max_heap_pops=10_000_000, budget_action="stop"
-        ).search(query, config)
+        exact = run_engine(PsmEngine(index), query, config)
+        budgeted = run_engine(
+            PsmEngine(index, max_heap_pops=10_000_000, budget_action="stop"),
+            query,
+            config,
+        )
         assert budgeted.stats.budget_exhausted == 0
         assert [m.key() for m in budgeted.matches] == [
             m.key() for m in exact.matches
@@ -128,6 +132,6 @@ class TestPsmSearch:
         index = make_sliding([400], omega=8)
         engine = PsmEngine(index)
         query = index.store.peek_subsequence(0, 133, 16).copy()
-        result = engine.search(query, QuerySpec(k=1, rho=1))
+        result = run_engine(engine, query, QuerySpec(k=1, rho=1))
         assert result.matches[0].start == 133
         assert result.matches[0].distance == pytest.approx(0.0, abs=1e-9)

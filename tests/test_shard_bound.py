@@ -49,11 +49,11 @@ from repro.core.windows import QueryWindowSet
 from repro.engines.base import (
     METHODS,
     RANKED_UNION_METHODS,
-    Engine,
     PartialResult,
     QueryRun,
     QuerySpec,
 )
+from repro.engines.hlmj import HlmjEngine
 from repro.exceptions import StorageError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.shard import REASON_SHARD_LOST, ShardedDatabase, hash_shard
@@ -385,11 +385,17 @@ class TestRankedUnionFanOut:
             sdb.range_search(query, epsilon=2.5, rho=2)
         finally:
             sdb.set_tracer(NULL_TRACER)
-        assert [root.name for root in tracer.roots] == ["shard.subquery"] * 6
+        # No span wraps a shard run: its root is its own closed
+        # ``engine.search`` span, as an unsharded run's is.
+        assert [root.name for root in tracer.roots] == ["engine.search"] * 6
+        assert [root.attrs["engine"] for root in tracer.roots] == (
+            ["HLMJ"] * 3 + ["RangeSearch"] * 3
+        )
         for root in tracer.roots:
-            (run,) = root.children
-            assert run.name == "engine.search"
-            assert run.end is not None and run.end <= root.end
+            assert root.end is not None
+            assert [child.name for child in root.children] == [
+                "engine.run", "engine.finalize"
+            ]
 
     @pytest.mark.parametrize("kind", ["knn", "stream"])
     def test_a_shard_lost_mid_run(self, three_shards, monkeypatch, kind):
@@ -433,9 +439,9 @@ class TestRankedUnionFanOut:
         assert result.certificate == 0.0
         assert result.reason == REASON_SHARD_LOST
         assert result.degraded
-        assert sorted(result.shard_stats) == sorted(
-            shard for shard in sdb.shards if shard != victim
-        )
+        # The lost shard keeps the counters of the work it did.
+        assert sorted(result.shard_stats) == sorted(sdb.shards)
+        assert result.shard_stats[victim].logical_reads > 0
         assert result.stats.page_accesses == sum(
             stats.page_accesses for stats in result.shard_stats.values()
         )
@@ -493,8 +499,12 @@ class TestOneSourceLostMidRun:
         assert result.certificate == 0.0
         assert result.degraded
         assert [e.error for e in result.fault_report.events] == ["ShardLost"]
-        # The lost source's counters go with it, as a lost shard's do.
-        assert result.shard_stats == {}
+        # The lost source keeps its counters, as a lost shard does.
+        assert list(result.shard_stats) == [0]
+        lost = result.shard_stats[0]
+        assert lost.page_accesses > 0 and lost.candidates > 0
+        assert result.stats.page_accesses == lost.page_accesses
+        assert result.stats.candidates == lost.candidates
         if kind == "knn":
             assert [(m.sid, m.start) for m in result.matches] == self.KEPT
 
@@ -755,16 +765,16 @@ class TestThreadExecutorTakesTurns:
             flip = {
                 "inject": sdb.inject_shard_failure, "heal": sdb.heal_shard
             }[change]
-            real = Engine.execute
+            real = HlmjEngine._run
             flipped = []
 
-            def flip_then_execute(engine, run):
+            def flip_then_run(engine, window_set, evaluator, spec):
                 if engine.index is sdb.shards[first].index:
                     flipped.append(first)
                     flip(last)
-                return real(engine, run)
+                real(engine, window_set, evaluator, spec)
 
-            monkeypatch.setattr(Engine, "execute", flip_then_execute)
+            monkeypatch.setattr(HlmjEngine, "_run", flip_then_run)
             result = sdb.search(
                 query, k=5, rho=2, method="hlmj", on_fault="degrade"
             )
@@ -789,19 +799,19 @@ class TestShardLostAfterPublishing:
             victim = sdb.plan.assignment[0]  # holds the query's matches
             survivor = sdb.plan.assignment[1]
             assert victim < survivor
-            real = Engine.execute
+            real = HlmjEngine._run
             verified = []
 
-            def execute_then_fail(engine, run):
-                interrupt = real(engine, run)
+            def run_then_fail(engine, window_set, evaluator, spec):
+                real(engine, window_set, evaluator, spec)
                 if engine.index is not sdb.shards[victim].index:
-                    return interrupt
+                    return
                 verified.extend(
-                    run.evaluator.collector.matches(run.window_set.length)
+                    evaluator.collector.matches(window_set.length)
                 )
                 raise StorageError(f"shard {victim} lost after verifying")
 
-            monkeypatch.setattr(Engine, "execute", execute_then_fail)
+            monkeypatch.setattr(HlmjEngine, "_run", run_then_fail)
             sdb.reset_cache()
             result = sdb.search(
                 query, k=5, rho=2, method="hlmj", on_fault="degrade"
@@ -811,7 +821,9 @@ class TestShardLostAfterPublishing:
             assert result.certificate == 0.0
             assert result.reason == REASON_SHARD_LOST
             assert result.degraded
-            assert list(result.shard_stats) == [survivor]
+            # The lost shard keeps the counters of what it verified.
+            assert list(result.shard_stats) == [survivor, victim]
+            assert result.shard_stats[victim].candidates > 0
             assert result.matches == verified
             # Sound: every match is a real one at its true distance.
             gold = {

@@ -63,6 +63,17 @@ GRID = [
     (n, policy) for n in SHARD_COUNTS for policy in POLICIES
 ]
 
+#: ``(label, kind)`` cases of the one-source parity test: every engine
+#: label, ``psm`` and a range query, plain and page-capped; a stream of
+#: every ranked-union label; ``hlmj`` losing its source mid-run.
+ONE_SOURCE_CASES = [
+    (label, kind)
+    for label in ENGINE_LABELS + ("psm", "range")
+    for kind in ("knn", "capped-knn")
+] + [
+    (label, "stream") for label in ("ru", "ru-d", "ru-cost", "ru-cost-d")
+] + [("hlmj", "lost")]
+
 
 def _method_of(label):
     deferred = label.endswith("-d")
@@ -98,6 +109,24 @@ def sharded():
     }
     yield dbs
     for db in dbs.values():
+        db.close()
+
+
+@pytest.fixture(scope="module")
+def psm_pair():
+    """The golden PSM database and its one-shard twins, both policies."""
+    sharded = []
+    for policy in POLICIES:
+        db = ShardedDatabase(
+            num_shards=1, policy=policy, omega=8, features=4,
+            buffer_fraction=0.1,
+        )
+        db.insert(0, make_walk(900, seed=21))
+        db.insert(1, make_walk(700, seed=22))
+        db.build(psm=True)
+        sharded.append(db)
+    yield build_golden_psm_db(), sharded
+    for db in sharded:
         db.close()
 
 
@@ -189,53 +218,93 @@ class TestGoldenDifferential:
             want = {key: expected.get(key, 0) for key in GOLDEN_STAT_KEYS}
             assert got == want, f"{label}/{policy}: N=1 counters drifted"
 
-    @pytest.mark.parametrize("kind", ["knn", "stream", "capped-knn"])
-    @pytest.mark.parametrize("label", ["ru", "ru-d", "ru-cost", "ru-cost-d"])
+    @pytest.mark.parametrize("label,kind", ONE_SOURCE_CASES)
     def test_single_shard_is_the_unsharded_run(
-        self, oracle, sharded, label, kind
+        self, oracle, sharded, psm_pair, monkeypatch, label, kind
     ):
-        """N=1 and the unsharded database run one ranked union: the same
-        matches, the same certificate and every counter but the wall
-        time equal, ``checkpoints`` included."""
-        method, deferred = _method_of(label)
-        query = query_from(oracle, 640, 48)
-        spec = QuerySpec.for_query(
-            query,
-            rho=2,
-            k=5,
-            kind="stream" if kind == "stream" else "knn",
-            method=method,
-            deferred=deferred,
-        )
-        capped = kind == "capped-knn"
+        """N=1 and the unsharded database run one driver over one source:
+        the same matches, the same result type and certificate, the same
+        ``shard_stats`` keys and every counter but the wall time equal,
+        ``checkpoints`` included.  ``capped-knn`` caps pages at half of
+        the uncapped run's; ``lost`` fails the source's
+        ``store.length`` from its eleventh call, under ``degrade``."""
+        if label == "psm":
+            gold_db, dbs = psm_pair
+            query = query_from(gold_db, 200, 32)
+            spec = QuerySpec.for_query(query, rho=1, k=3, method="psm")
+        else:
+            gold_db, dbs = oracle, [sharded[(1, p)] for p in POLICIES]
+            query = query_from(oracle, 640, 48)
+            if label == "range":
+                fields = {"kind": "range", "epsilon": 6.0}
+            else:
+                method, deferred = _method_of(label)
+                fields = {
+                    "kind": "stream" if kind == "stream" else "knn",
+                    "method": method,
+                    "deferred": deferred,
+                }
+            spec = QuerySpec.for_query(
+                query,
+                rho=2,
+                k=5,
+                on_fault="degrade" if kind == "lost" else "raise",
+                **fields,
+            )
+        cap = None
+        if kind == "capped-knn":
+            gold_db.reset_cache()
+            full = gold_db.run_query(query, spec, ExecutionControl())
+            cap = QueryBudget(max_page_accesses=full.stats.page_accesses // 2)
 
         def run(db):
             db.reset_cache()
-            control = ExecutionControl(
-                budget=QueryBudget(max_page_accesses=20) if capped else None
-            )
+            if kind == "lost":
+                store = (db if db is gold_db else db.shards[0]).index.store
+                real_length = store.length
+                calls = []
+
+                def failing_length(sid):
+                    calls.append(sid)
+                    if len(calls) > 10:
+                        raise StorageError("the store went away")
+                    return real_length(sid)
+
+                monkeypatch.setattr(store, "length", failing_length)
+            control = ExecutionControl(budget=cap)
             if kind == "stream":
                 stream = db.open_stream(query, spec, control)
                 list(stream)
                 return stream.result
-            return db.run_query(query, spec, control)
+            try:
+                return db.run_query(query, spec, control)
+            finally:
+                monkeypatch.undo()
 
-        def counters(result):
-            stats = result.stats.as_dict()
-            del stats["wall_time_s"]
-            return stats
+        def counters(stats):
+            fields = stats.as_dict()
+            del fields["wall_time_s"]
+            return fields
 
-        gold = run(oracle)
-        assert isinstance(gold, PartialResult) == capped
-        for policy in POLICIES:
-            got = run(sharded[(1, policy)])
+        gold = run(gold_db)
+        assert isinstance(gold, PartialResult) == (
+            kind in ("capped-knn", "lost")
+        )
+        for db in dbs:
+            got = run(db)
             assert got.matches == gold.matches
             assert type(got) is type(gold)
             assert getattr(got, "certificate", None) == getattr(
                 gold, "certificate", None
             )
-            assert counters(got) == counters(gold), policy
+            assert getattr(got, "reason", None) == getattr(
+                gold, "reason", None
+            )
+            assert counters(got.stats) == counters(gold.stats), db.policy
             assert list(got.shard_stats) == list(gold.shard_stats) == [0]
+            assert counters(got.shard_stats[0]) == counters(
+                gold.shard_stats[0]
+            )
 
 
 class TestRankedUnionAgainstBruteForce:

@@ -27,7 +27,7 @@ from repro.storage.faults import FaultInjector
 from repro.storage.page import PageKind
 from repro.storage.pager import Pager
 from repro.storage.persistence import load_database, save_database
-from tests.conftest import make_walk, query_from
+from tests.conftest import make_walk, query_from, run_engine
 from tests.test_engines_stats import (
     GOLDEN_DISTANCES,
     GOLDEN_MATCHES,
@@ -105,8 +105,10 @@ class TestGoldenBackendParity:
 
         query = query_from(backend_db, 640, 48)
         backend_db.reset_cache()
-        result = RangeSearchEngine(backend_db.index).search(
-            query, QuerySpec(kind="range", epsilon=2.5, rho=2)
+        result = run_engine(
+            RangeSearchEngine(backend_db.index),
+            query,
+            QuerySpec(kind="range", epsilon=2.5, rho=2),
         )
         assert_golden(result, "range", GOLDEN_DISTANCES, GOLDEN_MATCHES)
 

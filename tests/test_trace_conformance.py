@@ -27,6 +27,7 @@ from tests.conftest import (
     build_golden_db,
     build_golden_psm_db,
     query_from,
+    run_engine,
 )
 from tests.test_engines_stats import (
     GOLDEN_COUNTERS,
@@ -88,7 +89,8 @@ class TestNumIoConformance:
         query = query_from(traced_db, 640, 48)
         traced_db.reset_cache()
         traced_db.tracer.reset()
-        result = RangeSearchEngine(traced_db.index).search(
+        result = run_engine(
+            RangeSearchEngine(traced_db.index),
             query,
             QuerySpec(kind="range", epsilon=2.5, rho=2),
             ExecutionControl(tracer=traced_db.tracer),
@@ -131,7 +133,8 @@ class TestNormalizedTracing:
         traced_db.reset_cache()
         traced_db.tracer.reset()
         if label == "range_search":
-            result = RangeSearchEngine(traced_db.index).search(
+            result = run_engine(
+                RangeSearchEngine(traced_db.index),
                 query,
                 QuerySpec(kind="range", epsilon=2.5, rho=2, normalize=True),
                 ExecutionControl(tracer=traced_db.tracer),
