@@ -16,7 +16,7 @@ from benchmarks.conftest import (
     record,
 )
 from repro.api import SubsequenceDatabase
-from repro.engines.base import QuerySpec
+from repro.engines.base import DEFERRED_FRACTION
 from repro.engines import cost_density
 from repro.storage.page import PAGE_SIZE_DEFAULT
 
@@ -49,7 +49,6 @@ def test_table3_parameters(benchmark):
     db = SubsequenceDatabase()
     assert db.omega == 64  # paper's unscaled default window size
     assert db.buffer_fraction == 0.05
-    config = QuerySpec(k=K_DEFAULT, rho=int(0.05 * LEN_Q))
-    assert config.deferred_fraction == 0.005  # 0.5% deferred budget
+    assert DEFERRED_FRACTION == 0.005  # 0.5% deferred budget
     # RU-COST's weights; its lookahead h is the index blocking factor.
     assert cost_density.ALPHA == 1.0 and cost_density.BETA == 0.0

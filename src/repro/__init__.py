@@ -69,7 +69,7 @@ from repro.shard import (
 from repro.storage.buffer import RetryPolicy
 from repro.storage.faults import FaultInjector, FaultSpec, FaultyPager
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "QueryFacade",

@@ -9,11 +9,12 @@ engine decides a candidate subsequence is worth looking at:
 * the deferred retrieval path ("(D)" variants) versus immediate
   retrieval;
 * the retrieval pipeline itself: fault candidate pages through the
-  buffer pool, cascade ``LB_Keogh`` then early-abandoning ``DTW_rho``,
-  and offer survivors to the shared top-k collector — one candidate at
-  a time when the engine needs the distance back, a retrieved set at a
-  time (batched ``LB_Keogh``, then DTW in lanes in bound order) for
-  deferred drains and SeqScan blocks.
+  buffer pool, then one cascade — ``LB_Keogh``, then early-abandoning
+  ``DTW_rho`` in bound order — that offers survivors to the shared
+  top-k collector.  It runs on one candidate when the engine needs the
+  distance back and on a retrieved set for deferred drains and SeqScan
+  blocks; only the kernels differ (scalar for one row, batched for a
+  set).
 
 Keeping this in one place guarantees that all five engines measure
 candidates, page accesses, and prunes identically, so the benchmark
@@ -25,6 +26,7 @@ from __future__ import annotations
 import abc
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -55,11 +57,11 @@ from repro.exceptions import (
 )
 from repro.index.builder import DualMatchIndex
 from repro.obs import QueryProfile
-from repro.obs.tracer import Span
+from repro.obs.tracer import NULL_SPAN, Span
 from repro.storage.deferred import CandidateRequest, DeferredRetrievalBuffer
 
 #: Bytes per stored value, used to express the deferred budget as a
-#: fraction of database size (the paper uses 0.5 %).
+#: fraction of database size (:data:`DEFERRED_FRACTION`).
 _VALUE_BYTES = 8
 
 #: Candidates a deferred drain retrieves before it runs the cascade over
@@ -68,6 +70,10 @@ _VALUE_BYTES = 8
 #: holds at once.  With two service workers draining at once, 64 / 128 /
 #: 256 rows cost +2.5 / +4.4 / +8.5 % peak RSS at the same latency.
 _DRAIN_ROWS = 128
+
+#: Memory budget for delayed requests, as a fraction of database bytes
+#: (the paper's 0.5 %).
+DEFERRED_FRACTION = 0.005
 
 #: Candidates per DTW chunk of the cascade; the threshold is re-read
 #: between chunks.  Wider lanes amortise the kernel's per-diagonal calls
@@ -121,10 +127,10 @@ class QuerySpec:
         Engine name, one of :data:`METHODS`; a ``stream`` accepts only
         the :data:`RANKED_UNION_METHODS`.
     deferred:
-        Enable the deferred retrieval mechanism (the "(D)" variants).
-    deferred_fraction:
-        Memory budget for delayed requests as a fraction of database
-        bytes (paper: 0.005).
+        Enable the deferred retrieval mechanism (the "(D)" variants),
+        with a budget of :data:`DEFERRED_FRACTION` of database bytes.
+        A ``knn`` query only: a stream emits each match as it is
+        verified, which deferral would hold back.
     p:
         Norm order.
     on_fault:
@@ -150,7 +156,6 @@ class QuerySpec:
     epsilon: float = 0.0
     method: str = "ru-cost"
     deferred: bool = False
-    deferred_fraction: float = 0.005
     p: float = 2.0
     on_fault: str = "raise"
     normalize: bool = False
@@ -175,10 +180,10 @@ class QuerySpec:
                 f"a stream runs a ranked-union method, one of "
                 f"{RANKED_UNION_METHODS}; got method {self.method!r}"
             )
-        if not 0 < self.deferred_fraction <= 1:
+        if self.kind == "stream" and self.deferred:
             raise ConfigurationError(
-                f"deferred_fraction must be in (0, 1], got "
-                f"{self.deferred_fraction}"
+                "a stream cannot defer retrieval: it emits each match as "
+                "it is verified"
             )
         if self.on_fault not in ON_FAULT:
             raise ConfigurationError(
@@ -367,7 +372,7 @@ class CandidateEvaluator:
             database_bytes = index.store.total_values * _VALUE_BYTES
             self._deferred = DeferredRetrievalBuffer(
                 DeferredRetrievalBuffer.capacity_for_database(
-                    database_bytes, spec.deferred_fraction
+                    database_bytes, DEFERRED_FRACTION
                 )
             )
             self._deferred.tracer = self.tracer
@@ -491,21 +496,25 @@ class CandidateEvaluator:
         return self.verify(sid, start)
 
     def verify(self, sid: int, start: int) -> Optional[float]:
-        """Retrieve one candidate and run the LB_Keogh -> DTW cascade.
+        """Retrieve one candidate and run it through :meth:`_cascade`.
 
-        The one-at-a-time path: immediate-mode :meth:`submit` (ranked
-        union's ``Φ`` needs each distance back before its next pop) and
-        the range probe.  The collector's threshold (``delta_cur``, or
-        the fixed ``epsilon``) drives both the LB_Keogh prune and DTW's
-        early abandoning.  Returns the DTW distance (p-th power), or
-        ``None`` when the candidate was unreadable or LB_Keogh-killed.
-        Deferred drains and SeqScan verify sets instead
-        (:meth:`verify_rows`).
+        Immediate-mode :meth:`submit` (ranked union's ``Φ`` needs each
+        distance back before its next pop) and the range probe verify
+        this way.  Returns the DTW distance (p-th power), or ``None``
+        when the candidate was unreadable or LB_Keogh-killed.
         """
-        if self.tracer.enabled:
-            with self.tracer.span("candidate.verify", sid=sid, start=start):
-                return self._verify_now(sid, start)
-        return self._verify_now(sid, start)
+        tracer = self.tracer
+        # Once per candidate: untraced, skip building the span (~1 us).
+        span = (
+            tracer.span("candidate.verify", sid=sid, start=start)
+            if tracer.enabled
+            else NULL_SPAN
+        )
+        with span:
+            values = self._retrieve(sid, start)
+            if values is None:
+                return None
+            return self._cascade((values,), (sid,), (start,))
 
     def _retrieve(self, sid: int, start: int) -> Optional[np.ndarray]:
         """Fault one candidate in; ``None`` when degrade mode skipped it."""
@@ -525,45 +534,6 @@ class CandidateEvaluator:
             values = znormalize(values, mu, sigma)
         return values
 
-    def _verify_now(self, sid: int, start: int) -> Optional[float]:
-        values = self._retrieve(sid, start)
-        if values is None:
-            return None
-        threshold_pow = self.threshold_pow
-        self.stats.lb_keogh_computations += 1
-        keogh_pow = lb_keogh_pow(self._envelope, values, self._spec.p)
-        if keogh_pow > threshold_pow:
-            self._count_cascade(pruned=1, dtws=0, abandoned=0)
-            return None
-        distance_pow = dtw_pow(
-            values,
-            self._query,
-            self._spec.rho,
-            p=self._spec.p,
-            threshold_pow=threshold_pow,
-        )
-        self._count_cascade(
-            pruned=0, dtws=1, abandoned=int(distance_pow > threshold_pow)
-        )
-        self.collector.offer_pow(distance_pow, sid, start)
-        return distance_pow
-
-    def _count_cascade(self, pruned: int, dtws: int, abandoned: int) -> None:
-        """Account one cascade's outcomes (stats always, metrics if traced)."""
-        self.stats.pruned_by_lb_keogh += pruned
-        self.stats.dtw_computations += dtws
-        if self.tracer.enabled:
-            # The early-abandoning kernel reports "above threshold"
-            # rather than an exact distance once it abandons; that
-            # outcome is the paper's DTW saving, so count it.
-            for name, amount in (
-                ("verify.lb_keogh_pruned", pruned),
-                ("verify.dtw", dtws),
-                ("verify.dtw_abandoned", abandoned),
-            ):
-                if amount:
-                    self.tracer.metrics.counter(name).inc(amount)
-
     def verify_rows(
         self, rows: np.ndarray, sids: Sequence[int], starts: Sequence[int]
     ) -> None:
@@ -577,14 +547,18 @@ class CandidateEvaluator:
             self._cascade(rows, sids, starts)
 
     def _cascade(
-        self, rows: np.ndarray, sids: Sequence[int], starts: Sequence[int]
-    ) -> None:
-        """Set-at-a-time LB_Keogh -> LB-ordered, lane-chunked DTW.
+        self, rows: Any, sids: Sequence[int], starts: Sequence[int]
+    ) -> Optional[float]:
+        """LB_Keogh, then early-abandoning DTW: the one verification loop.
 
-        Bounds every row at once, sorts by ``LB_Keogh`` ascending and
-        runs DTW over the survivors ``_DTW_LANES`` at a time, re-reading
-        the collector's threshold — and pruning everything the sorted
-        bound now excludes — between chunks.
+        ``rows[b]`` holds candidate ``(sids[b], starts[b])``.  Bounds
+        every row, then runs DTW over the survivors in ascending bound
+        order, ``_DTW_LANES`` at a time, re-reading the collector's
+        threshold — and pruning everything the sorted bound now
+        excludes — between chunks.  It alone offers to the collector and
+        counts the outcomes.  One row takes the scalar kernels and has
+        nothing to sort.  Returns the distance (p-th power) of the last
+        row DTW ran on, or ``None`` when LB_Keogh pruned every row.
 
         Exact, with the same matches as one-candidate-at-a-time
         verification: :class:`TopKCollector` is a pure function of the
@@ -598,36 +572,59 @@ class CandidateEvaluator:
         matches and every counter but ``dtw_computations`` /
         ``pruned_by_lb_keogh`` are identical.
         """
-        spec = self._spec
-        count = int(rows.shape[0])
-        if self.tracer.enabled:
-            with self.tracer.span("engine.lb_batch", n=count):
-                keogh_pows = lb_keogh_pow_batch(self._envelope, rows, spec.p)
-            self.tracer.metrics.histogram("lb.batch_size").observe(count)
+        spec, tracer, query = self._spec, self.tracer, self._query
+        count = len(sids)
+        order: Union[List[int], np.ndarray]
+        bounds: Union[List[float], np.ndarray]
+        if count == 1:
+            row = rows[0]
+            order, bounds = [0], [lb_keogh_pow(self._envelope, row, spec.p)]
+
+            def dtw(chunk: Any, threshold_pow: float) -> List[float]:
+                return [dtw_pow(row, query, spec.rho, spec.p, threshold_pow)]
+
         else:
-            keogh_pows = lb_keogh_pow_batch(self._envelope, rows, spec.p)
+            block = np.asarray(rows)
+            with tracer.span("engine.lb_batch", n=count):
+                keogh_pows = lb_keogh_pow_batch(self._envelope, block, spec.p)
+            if tracer.enabled:
+                tracer.metrics.histogram("lb.batch_size").observe(count)
+            order = np.argsort(keogh_pows, kind="stable")
+            bounds = keogh_pows[order]
+
+            def dtw(chunk: Any, threshold_pow: float) -> List[float]:
+                return dtw_pow_batch(
+                    block[chunk], query, spec.rho, spec.p, threshold_pow
+                ).tolist()
+
         self.stats.lb_keogh_computations += count
-        order = np.argsort(keogh_pows, kind="stable")
-        ascending = keogh_pows[order]
         done = abandoned = 0
+        distance_pow: Optional[float] = None
         while done < count:
             threshold_pow = self.threshold_pow
-            alive = int(np.searchsorted(ascending, threshold_pow, side="right"))
-            chunk = order[done : min(alive, done + _DTW_LANES)]
-            if chunk.size == 0:
+            end = min(bisect_right(bounds, threshold_pow), done + _DTW_LANES)
+            if end <= done:
                 break
-            distance_pows = dtw_pow_batch(
-                rows[chunk],
-                self._query,
-                spec.rho,
-                p=spec.p,
-                threshold_pow=threshold_pow,
-            )
-            abandoned += int(np.count_nonzero(distance_pows > threshold_pow))
-            for row, distance_pow in zip(chunk.tolist(), distance_pows.tolist()):
-                self.collector.offer_pow(distance_pow, sids[row], starts[row])
-            done += int(chunk.size)
-        self._count_cascade(pruned=count - done, dtws=done, abandoned=abandoned)
+            chunk = order[done:end]
+            distance_pows = dtw(chunk, threshold_pow)
+            for position, distance_pow in zip(chunk, distance_pows):
+                # Above the threshold means abandoned: the DTW saving.
+                abandoned += distance_pow > threshold_pow
+                self.collector.offer_pow(
+                    distance_pow, sids[position], starts[position]
+                )
+            done = end
+        self.stats.pruned_by_lb_keogh += count - done
+        self.stats.dtw_computations += done
+        if tracer.enabled:
+            for name, amount in (
+                ("verify.lb_keogh_pruned", count - done),
+                ("verify.dtw", done),
+                ("verify.dtw_abandoned", abandoned),
+            ):
+                if amount:
+                    tracer.metrics.counter(name).inc(amount)
+        return distance_pow
 
     def flush(self) -> None:
         """Drain the deferred buffer (storage order, threshold re-check).
@@ -686,7 +683,7 @@ class CandidateEvaluator:
         finally:
             if rows:
                 self._cascade(
-                    np.stack(rows),
+                    rows,
                     [request.sid for request in kept],
                     [request.start for request in kept],
                 )

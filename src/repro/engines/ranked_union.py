@@ -123,13 +123,14 @@ REASON_SHARD_LOST = "shard:lost"
 class LostShard:
     """One source that produced no answer at all (crash/unreadable).
 
-    ``stats`` are the counters of the run the source had begun before a
-    storage error ended it; ``None`` for a source lost before it ran.
+    ``stats`` and ``fault_report`` are the counters and faults of the run
+    the source had begun before a storage error ended it, else ``None``.
     """
 
     shard: int
     detail: str
     stats: Optional[QueryStats] = None
+    fault_report: Optional[FaultReport] = None
 
 
 def _merged_fault_report(
@@ -138,14 +139,14 @@ def _merged_fault_report(
 ) -> Optional[FaultReport]:
     events: List[FaultEvent] = []
     suppressed = 0
-    for shard, outcome in outcomes:
-        if outcome.fault_report is not None:
-            events.extend(outcome.fault_report.events)
-            suppressed += outcome.fault_report.suppressed
-    for loss in lost:
-        events.append(
-            FaultEvent(error="ShardLost", detail=loss.detail)
-        )
+    reports = [outcome.fault_report for _, outcome in outcomes]
+    for report in reports + [loss.fault_report for loss in lost]:
+        if report is not None:
+            events.extend(report.events)
+            suppressed += report.suppressed
+    events.extend(
+        FaultEvent(error="ShardLost", detail=loss.detail) for loss in lost
+    )
     if not events and suppressed == 0:
         return None
     return FaultReport(events=events, suppressed=suppressed)
@@ -220,12 +221,13 @@ def merge_search_results(
 
 def _lost_run(number: int, run: QueryRun, error: StorageError) -> LostShard:
     """The loss rule, for either driver: a source whose run a storage
-    error ended under ``on_fault="degrade"`` is lost with the counters of
-    the work it did (the error already closed its spans)."""
+    error ended under ``on_fault="degrade"`` is lost with the counters and
+    faults of the work it did (the error already closed its spans)."""
     run.stats.wall_time_s = run.busy_s
     run.stats.checkpoints = run.control.checkpoints
     run.evaluator.release()
-    return LostShard(shard=number, detail=str(error), stats=run.stats)
+    report = run.evaluator.fault_report or None
+    return LostShard(number, str(error), run.stats, report)
 
 
 def run_in_turn(

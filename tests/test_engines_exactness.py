@@ -46,7 +46,9 @@ class TestEnginesMatchBruteForce:
         assert engine_distances(result) == pytest.approx(gold, abs=1e-6)
 
     @pytest.mark.parametrize("method", INDEX_METHODS)
-    @pytest.mark.parametrize("rho", [0, 1, 4])
+    # rho 8 and 12 give bands of 17 and 25 cells: the one-lane wavefront
+    # kernel that immediate verification runs above _WAVEFRONT_MIN_BAND.
+    @pytest.mark.parametrize("rho", [0, 1, 4, 8, 12])
     def test_various_rho(self, walk_db, method, rho):
         query = query_from(walk_db, 77, 64)
         gold = gold_topk(walk_db, query, k=3, rho=rho)

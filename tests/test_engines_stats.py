@@ -149,9 +149,11 @@ class TestSchedulingVariants:
 
         with pytest.raises(ConfigurationError):
             QuerySpec(rho=2, method="nope")
-        # A stream runs only a ranked-union method.
+        # A stream runs only a ranked-union method, and never deferred.
         with pytest.raises(ConfigurationError):
             QuerySpec(rho=2, kind="stream", method="hlmj")
+        with pytest.raises(ConfigurationError):
+            QuerySpec(rho=2, kind="stream", method="ru", deferred=True)
 
 
 # ----------------------------------------------------------------------

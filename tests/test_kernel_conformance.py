@@ -59,6 +59,7 @@ from repro.core.reference import (
     reference_paa,
 )
 from repro.core.results import TopKCollector
+from repro.engines import base
 from repro.engines.base import QueryRun, QuerySpec, query_window_set
 from repro.exceptions import QueryError
 from tests.conftest import build_property_db
@@ -669,14 +670,15 @@ class TestCascadeArrivalOrder:
         # More than one retrieval sub-batch, many lane chunks.
         picks = rng.choice(len(offsets), size=300, replace=False)
         candidates = [offsets[i] for i in picks]
-        spec = QuerySpec(
-            rho=rho, k=k, deferred=True, deferred_fraction=1.0,
-            normalize=normalize,
-        )
+        spec = QuerySpec(rho=rho, k=k, deferred=True, normalize=normalize)
         results = []
-        for _ in range(3):
-            rng.shuffle(candidates)
-            results.append(self._drain(db, query, spec, candidates))
+        with pytest.MonkeyPatch.context() as patch:
+            # A budget of the whole database: one drain takes every
+            # candidate.
+            patch.setattr(base, "DEFERRED_FRACTION", 1.0)
+            for _ in range(3):
+                rng.shuffle(candidates)
+                results.append(self._drain(db, query, spec, candidates))
         first = results[0]
         assert first.stats.deferred_flushes == 1
         assert first.stats.candidates == len(candidates)

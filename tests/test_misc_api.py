@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro.engines.base import QuerySpec, SearchResult
+from repro.engines.base import DEFERRED_FRACTION, QuerySpec, SearchResult
 from repro.exceptions import ConfigurationError
 
 
@@ -47,7 +47,7 @@ class TestEngineConfig:
     def test_defaults(self):
         config = QuerySpec(k=5, rho=2)
         assert not config.deferred
-        assert config.deferred_fraction == 0.005
+        assert DEFERRED_FRACTION == 0.005
         assert config.p == 2.0
 
     @pytest.mark.parametrize(
@@ -55,8 +55,6 @@ class TestEngineConfig:
         [
             {"k": 0, "rho": 1},
             {"k": 1, "rho": -1},
-            {"k": 1, "rho": 1, "deferred_fraction": 0.0},
-            {"k": 1, "rho": 1, "deferred_fraction": 1.5},
         ],
     )
     def test_validation(self, kwargs):

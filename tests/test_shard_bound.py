@@ -58,6 +58,7 @@ from repro.exceptions import StorageError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.shard import REASON_SHARD_LOST, ShardedDatabase, hash_shard
 from repro.storage.buffer import BufferPool
+from repro.storage.faults import CORRUPT, FaultInjector, FaultSpec
 from tests.conftest import build_golden_db, make_walk, query_from
 from tests.test_shard_exactness import (
     ENGINE_LABELS,
@@ -456,9 +457,10 @@ class TestOneSourceLostMidRun:
     #: ``store.length`` call: the matches it verified before then.
     KEPT = [(0, 640), (0, 624), (0, 992), (0, 528), (0, 512)]
 
-    @pytest.fixture()
-    def failing(self, oracle, monkeypatch):
-        store = oracle.index.store
+    @staticmethod
+    def _lose_after_ten_lengths(db, monkeypatch):
+        """Fail ``db``'s ``store.length`` from its eleventh call on."""
+        store = db.index.store
         real_length = store.length
         calls = []
 
@@ -470,6 +472,10 @@ class TestOneSourceLostMidRun:
 
         monkeypatch.setattr(store, "length", failing_length)
         return calls
+
+    @pytest.fixture()
+    def failing(self, oracle, monkeypatch):
+        return self._lose_after_ten_lengths(oracle, monkeypatch)
 
     def _run(self, oracle, kind, on_fault):
         query = query_from(oracle, 640, 48)
@@ -507,6 +513,41 @@ class TestOneSourceLostMidRun:
         assert result.stats.candidates == lost.candidates
         if kind == "knn":
             assert [(m.sid, m.start) for m in result.matches] == self.KEPT
+
+    @pytest.mark.parametrize("method", ["ru", "hlmj"])
+    def test_lost_source_keeps_its_fault_events(self, monkeypatch, method):
+        """A source that tolerated data-page faults and was then lost:
+        the answer's report itemises every fault its counters skipped."""
+        injector = FaultInjector(seed=5)
+        db = SubsequenceDatabase(
+            omega=16, features=4, buffer_fraction=0.1,
+            fault_injector=injector,
+        )
+        db.insert(0, make_walk(3000, seed=11))
+        db.insert(1, make_walk(2200, seed=12))
+        db.build()
+        meta = db.store.meta(0)
+        injector.add(
+            FaultSpec(
+                fault=CORRUPT,
+                page_ids=range(
+                    meta.first_page, meta.first_page + meta.num_pages
+                ),
+            )
+        )
+        db.reset_cache()
+        self._lose_after_ten_lengths(db, monkeypatch)
+        result = db.search(
+            query_from(db, 640, 48), k=5, rho=2, method=method,
+            on_fault="degrade",
+        )
+        assert result.reason == REASON_SHARD_LOST
+        report = result.fault_report
+        errors = [event.error for event in report.events]
+        assert errors[-1] == "ShardLost"
+        tolerated = len(errors) - 1 + report.suppressed
+        assert tolerated == result.stats.faults_skipped > 0
+        assert set(errors[:-1]) == {"CorruptPageError"}
 
 
 def _tied_sids(first_shard_holds_lower_sid):

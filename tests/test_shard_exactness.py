@@ -65,13 +65,13 @@ GRID = [
 
 #: ``(label, kind)`` cases of the one-source parity test: every engine
 #: label, ``psm`` and a range query, plain and page-capped; a stream of
-#: every ranked-union label; ``hlmj`` losing its source mid-run.
+#: each ranked-union method; ``hlmj`` losing its source mid-run.
 ONE_SOURCE_CASES = [
     (label, kind)
     for label in ENGINE_LABELS + ("psm", "range")
     for kind in ("knn", "capped-knn")
 ] + [
-    (label, "stream") for label in ("ru", "ru-d", "ru-cost", "ru-cost-d")
+    (label, "stream") for label in ("ru", "ru-cost")
 ] + [("hlmj", "lost")]
 
 
